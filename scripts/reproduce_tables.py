@@ -118,7 +118,9 @@ def main() -> int:
         for ev in cfg.eta_vars:
             c = dataclasses.replace(costs, eta_var=ev)
             base = premium_report_baseline(hk, bm, c, cfg.theta, cfg.mc_paths, cfg.seed)
-            opt = premium_report_optimal(res.policy, hk, bm, c, cfg.theta, cfg.mc_paths, cfg.seed)
+            opt = premium_report_optimal(
+                res.policy, hk, bm, c, cfg.theta, cfg.mc_paths, cfg.seed, threads=cfg.threads
+            )
             dp, ds = prevention_gap(base, opt)
             s_fh.write(f"{c.eta_mean:g},{ev:g},{base.loss_std:.12g},{opt.loss_std:.12g},{ds:.12g}\n")
             p_fh.write(f"{c.eta_mean:g},{ev:g},{base.premium:.12g},{opt.premium:.12g},{dp:.12g}\n")

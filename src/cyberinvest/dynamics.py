@@ -419,6 +419,43 @@ def simulate_loss(path: AttackPath, model: BreachModel, costs: CostParams, strat
     return LossSample(gross, n, int(breached.sum()), terminal_h)
 
 
+def _control_levels(batch: PathBatch, tk: np.ndarray, Z: np.ndarray, h0: float, rho: float):
+    """Exact level at every event and at the horizon under piecewise-constant controls.
+
+    Z[:, i] applies on [tk[i], tk[i+1]); Z has one row per path, or a single
+    row that every path shares.
+    """
+    decay = np.exp(-rho * np.diff(tk))
+    gain = _phi(rho, np.diff(tk))
+    hk = np.empty(Z.shape)
+    hk[:, 0] = h0
+    for i in range(tk.size - 1):
+        hk[:, i + 1] = hk[:, i] * decay[i] + Z[:, i] * gain[i]
+    j = np.clip(np.searchsorted(tk, batch.times, side="right") - 1, 0, tk.size - 1)
+    row = batch.path_index() if Z.shape[0] > 1 else 0
+    dt_ev = batch.times - tk[j]
+    levels = hk[row, j] * np.exp(-rho * dt_ev) + Z[row, j] * _phi(rho, dt_ev)
+    T = batch.horizon
+    jT = np.clip(np.searchsorted(tk, T, side="right") - 1, 0, tk.size - 1)
+    terminal = hk[:, jT] * math.exp(-rho * (T - tk[jT])) + Z[:, jT] * _phi(rho, T - tk[jT])
+    return levels, np.broadcast_to(terminal, batch.n_paths).copy()
+
+
+def _draw_losses(probs: np.ndarray, counts: np.ndarray, rng_b, rng_l, draw_eta):
+    """Per-path (gross loss, breach count) from per-event breach probabilities.
+
+    Draws one breach uniform and one loss mark per event from the given
+    generators. Drawing a batch chunk by chunk from the same two generators
+    gives the same numbers as drawing it at once.
+    """
+    n = probs.size
+    pid = np.repeat(np.arange(counts.size), counts)
+    breached = rng_b.random(n) < probs
+    etas = draw_eta(rng_l, n)
+    gross = np.bincount(pid, weights=np.where(breached, etas, 0.0), minlength=counts.size)
+    return gross, np.bincount(pid[breached], minlength=counts.size)
+
+
 def simulate_losses(
     batch: PathBatch,
     model: BreachModel,
@@ -439,12 +476,6 @@ def simulate_losses(
     seed (common random numbers).
     """
     n_paths = batch.n_paths
-    counts = batch.counts()
-    total = int(counts.sum())
-    rng_b = substream(seed, "breach")
-    rng_l = substream(seed, "losses")
-    uniforms = rng_b.random(total)
-    etas = _eta_sampler(costs)(rng_l, total)
     rho = costs.rho
     T = batch.horizon
 
@@ -455,47 +486,27 @@ def simulate_losses(
             raise ValueError("controls must have shape (n_paths, len(control_times))")
         if np.any(Z < 0):
             raise PolicyError("controls must be nonnegative")
-        decay = np.exp(-rho * np.diff(tk))
-        gain = _phi(rho, np.diff(tk))
-        hk = np.empty((n_paths, tk.size))
-        hk[:, 0] = h0
-        for i in range(tk.size - 1):
-            hk[:, i + 1] = hk[:, i] * decay[i] + Z[:, i] * gain[i]
-        j = np.clip(np.searchsorted(tk, batch.times, side="right") - 1, 0, tk.size - 1)
-        pid = batch.path_index()
-        dt_ev = batch.times - tk[j]
-        levels = hk[pid, j] * np.exp(-rho * dt_ev) + Z[pid, j] * _phi(rho, dt_ev)
-        jT = np.clip(np.searchsorted(tk, T, side="right") - 1, 0, tk.size - 1)
-        terminal = hk[:, jT] * math.exp(-rho * (T - tk[jT])) + Z[:, jT] * _phi(rho, T - tk[jT])
+        levels, terminal = _control_levels(batch, tk, Z, h0, rho)
     elif isinstance(strategy, ConstantRate):
         levels = h0 * np.exp(-rho * batch.times) + strategy.rate * _phi(rho, batch.times)
         terminal = np.full(n_paths, h0 * math.exp(-rho * T) + strategy.rate * _phi(rho, T))
-        pid = batch.path_index()
     elif isinstance(strategy, GridRate):
-        ctrl = np.broadcast_to(strategy.values, (n_paths, strategy.values.size))
-        return_batch = simulate_losses(
-            batch, model, costs, seed=seed, h0=h0, control_times=strategy.times, controls=np.array(ctrl)
-        )
-        return return_batch
+        levels, terminal = _control_levels(batch, strategy.times, strategy.values[None, :], h0, rho)
     elif callable(strategy):
-        levels = np.empty(total)
+        levels = np.empty(batch.times.size)
         terminal = np.empty(n_paths)
         for i in range(n_paths):
-            p = batch.path(i)
-            lv, th = _levels_at_events(p, costs, strategy, h0)
+            lv, th = _levels_at_events(batch.path(i), costs, strategy, h0)
             levels[batch.offsets[i] : batch.offsets[i + 1]] = lv
             terminal[i] = th
-        pid = batch.path_index()
     else:
         raise ValueError("pass a strategy or per-path controls")
 
-    probs = breach_prob(model, levels) if total else np.zeros(0)
-    breached = uniforms < probs
-    gross = np.zeros(n_paths)
-    nb = np.zeros(n_paths, dtype=np.int64)
-    if total:
-        np.add.at(gross, pid, np.where(breached, etas, 0.0))
-        np.add.at(nb, pid, breached.astype(np.int64))
+    probs = breach_prob(model, levels) if levels.size else np.zeros(0)
+    counts = batch.counts()
+    gross, nb = _draw_losses(
+        probs, counts, substream(seed, "breach"), substream(seed, "losses"), _eta_sampler(costs)
+    )
     return LossBatch(gross, counts.astype(np.int64), nb, np.asarray(terminal, dtype=float))
 
 

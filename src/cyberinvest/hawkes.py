@@ -13,6 +13,7 @@ enforced at construction time.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -213,8 +214,7 @@ class PathBatch:
         p = self.params
         base = p.alpha + (p.lambda0 - p.alpha) * math.exp(-p.xi * self.horizon)
         kicks = np.exp(-p.xi * (self.horizon - self.times))
-        sums = np.zeros(self.n_paths)
-        np.add.at(sums, self.path_index(), kicks)
+        sums = np.bincount(self.path_index(), weights=kicks, minlength=self.n_paths)
         return base + p.beta * sums
 
     def intensity_on_grid(self, tgrid: np.ndarray) -> np.ndarray:
@@ -225,11 +225,11 @@ class PathBatch:
         # Each event contributes to the first grid time >= tau; later grid
         # times pick it up through the exponential-decay recursion.
         bucket = np.searchsorted(tgrid, self.times, side="left")
-        contrib = np.zeros((n, k))
         inside = bucket < k
-        pid = self.path_index()[inside]
         b = bucket[inside]
-        np.add.at(contrib, (pid, b), np.exp(-p.xi * (tgrid[b] - self.times[inside])))
+        cell = self.path_index()[inside] * k + b
+        kicks = np.exp(-p.xi * (tgrid[b] - self.times[inside]))
+        contrib = np.bincount(cell, weights=kicks, minlength=n * k).reshape(n, k)
         acc = np.zeros(n)
         out = np.empty((n, k))
         prev_t = 0.0
@@ -241,8 +241,13 @@ class PathBatch:
         return base[None, :] + p.beta * out
 
 
-def _simulate_chunk(args):
-    params, horizon, n, seedseq = args
+def _simulate_chunk(shared, job):
+    """Thinning for one chunk of paths at once; returns its flat (times, offsets).
+
+    shared is (params, horizon) and job is (n_paths, SeedSequence), as
+    _map_chunks passes them.
+    """
+    (params, horizon), (n, seedseq) = shared, job
     rng = generator_from(seedseq)
     alpha, lam0, xi, beta = params.alpha, params.lambda0, params.xi, params.beta
     t = np.zeros(n)
@@ -277,31 +282,73 @@ def _simulate_chunk(args):
     return times, offsets
 
 
-def simulate_paths(
-    params: HawkesParams, horizon: float, n_paths: int, seed: int, threads: int = 1
-) -> PathBatch:
-    """Simulate many paths; chunked so results are identical for any thread count."""
+def _chunk_jobs(seed: int, n_paths: int) -> list:
+    """(size, SeedSequence) of every CHUNK_PATHS chunk of an n_paths batch.
+
+    Chunk i always draws from child i of the "paths" substream, so a chunk's
+    paths do not depend on which process simulates it.
+    """
+    n_chunks = (n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS
+    children = stream_children(seed, "paths", n_chunks)
+    return [(min(CHUNK_PATHS, n_paths - i * CHUNK_PATHS), children[i]) for i in range(n_chunks)]
+
+
+# (kernel, shared) of a pool worker process, set once by the pool initializer.
+_worker_kernel = None
+
+
+def _install_kernel(kernel, shared):
+    global _worker_kernel
+    _worker_kernel = (kernel, shared)
+
+
+def _run_installed(job):
+    kernel, shared = _worker_kernel
+    return kernel(shared, job)
+
+
+def _map_chunks(kernel, shared, jobs: list, threads: int = 1):
+    """Yield kernel(shared, job) for every job, in job order.
+
+    With threads > 1 the jobs run in a process pool that receives `shared`
+    once per worker and keeps at most 2 * threads jobs in flight, so memory
+    stays O(threads x chunk) however many jobs there are.
+    """
+    if threads <= 1 or len(jobs) <= 1:
+        for job in jobs:
+            yield kernel(shared, job)
+        return
+    with ProcessPoolExecutor(max_workers=threads, initializer=_install_kernel, initargs=(kernel, shared)) as pool:
+        pending = deque()
+        for job in jobs:
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_run_installed, job))
+        while pending:
+            yield pending.popleft().result()
+
+
+def _chunk_counts(shared, job):
+    return np.diff(_simulate_chunk(shared, job)[1])
+
+
+def _check_batch_args(horizon, n_paths: int) -> None:
     if not (isinstance(horizon, (int, float)) and math.isfinite(horizon)) or horizon <= 0:
         raise ValueError("horizon must be finite and positive")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    n_chunks = (n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS
-    children = stream_children(seed, "paths", n_chunks)
-    sizes = [min(CHUNK_PATHS, n_paths - i * CHUNK_PATHS) for i in range(n_chunks)]
-    jobs = [(params, float(horizon), sizes[i], children[i]) for i in range(n_chunks)]
-    if threads > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_simulate_chunk, jobs))
-    else:
-        results = [_simulate_chunk(j) for j in jobs]
-    times = np.concatenate([r[0] for r in results]) if results else np.zeros(0)
+
+
+def simulate_paths(
+    params: HawkesParams, horizon: float, n_paths: int, seed: int, threads: int = 1
+) -> PathBatch:
+    """Simulate many paths; chunked so results are identical for any thread count."""
+    _check_batch_args(horizon, n_paths)
+    jobs = _chunk_jobs(seed, n_paths)
+    results = list(_map_chunks(_simulate_chunk, (params, float(horizon)), jobs, threads))
+    times = np.concatenate([t for t, _ in results])
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
-    pos = 0
-    base = 0
-    for (_, off), size in zip(results, sizes):
-        offsets[pos + 1 : pos + size + 1] = base + off[1:]
-        base += off[-1]
-        pos += size
+    np.cumsum(np.concatenate([np.diff(off) for _, off in results]), out=offsets[1:])
     return PathBatch(params=params, horizon=float(horizon), times=times, offsets=offsets)
 
 
@@ -369,8 +416,11 @@ def count_variance(params: HawkesParams, t: float, mc_paths: int = 100_000, seed
         return MCEstimate(0.0, 0.0)
     if mc_paths < 10_000:
         raise ValueError("mc_paths must be at least 10^4")
-    batch = simulate_paths(params, t, mc_paths, seed)
-    counts = batch.counts().astype(float)
+    _check_batch_args(t, mc_paths)
+    # The same paths as simulate_paths(params, t, mc_paths, seed), but only
+    # their counts are kept.
+    jobs = _chunk_jobs(seed, mc_paths)
+    counts = np.concatenate(list(_map_chunks(_chunk_counts, (params, float(t)), jobs))).astype(float)
     n = counts.size
     var = float(np.var(counts, ddof=1))
     centered = counts - counts.mean()

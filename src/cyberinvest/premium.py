@@ -3,7 +3,9 @@
 The premium for an aggregate loss L is E[L] + theta * sd(L). The
 no-investment baseline uses the explicit total-variance decomposition; the
 optimal-policy report simulates attacks, extracts the solved policy along
-each path, and prices the resulting losses.
+each path, and prices the resulting losses. It streams the paths in
+CHUNK_PATHS chunks, so its memory does not grow with the batch beyond a few
+per-path numbers.
 """
 
 from __future__ import annotations
@@ -11,10 +13,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .breach import BreachModel
-from .dynamics import CostParams, expected_loss_no_investment, loss_variance, simulate_losses
+import numpy as np
+
+from ._rng import substream
+from .breach import BreachModel, breach_prob
+from .dynamics import (
+    CostParams,
+    LossBatch,
+    _control_levels,
+    _draw_losses,
+    _eta_sampler,
+    expected_loss_no_investment,
+    loss_variance,
+)
 from .errors import ConfigError
-from .hawkes import HawkesParams, simulate_paths
+from .hawkes import HawkesParams, PathBatch, _chunk_jobs, _map_chunks, _simulate_chunk
 from .hjb import PolicyField
 from .strategies import extract_policies_batch
 
@@ -100,6 +113,17 @@ def _check_field_inputs(policy_field: PolicyField, hawkes, model, costs):
         raise ConfigError(problems)
 
 
+def _optimal_chunk(shared, job):
+    """Per-path counts, per-event breach probabilities and per-path terminal
+    levels of one chunk of paths under the solved policy."""
+    policy_field, hawkes, horizon, model, rho, h_init = shared
+    batch = PathBatch(hawkes, horizon, *_simulate_chunk((hawkes, horizon), job))
+    times, controls = extract_policies_batch(policy_field, batch, 0.0, h_init)
+    levels, terminal_h = _control_levels(batch, times, controls, h_init, rho)
+    probs = breach_prob(model, levels) if levels.size else np.zeros(0)
+    return batch.counts(), probs, terminal_h
+
+
 def premium_report_optimal(
     policy_field: PolicyField,
     hawkes: HawkesParams,
@@ -112,13 +136,29 @@ def premium_report_optimal(
     threads: int = 1,
     losses_csv=None,
 ) -> PremiumReport:
-    """Price the solved dynamic policy by Monte Carlo from level h_init."""
+    """Price the solved dynamic policy by Monte Carlo from level h_init.
+
+    Equals simulate_paths -> extract_policies_batch -> simulate_losses (with
+    h0 = h_init) bit for bit, for any `threads`, but holds only one chunk
+    per worker plus 32 bytes per path.
+    """
     if mc_paths < 10_000:
         raise ValueError("mc_paths must be at least 10^4")
+    if h_init < 0:
+        raise ValueError("h_init must be nonnegative")
     _check_field_inputs(policy_field, hawkes, model, costs)
-    batch = simulate_paths(hawkes, costs.horizon, mc_paths, seed, threads=threads)
-    times, controls = extract_policies_batch(policy_field, batch, 0.0, h_init)
-    lb = simulate_losses(batch, model, costs, control_times=times, controls=controls, seed=seed)
+    shared = (policy_field, hawkes, float(costs.horizon), model, costs.rho, float(h_init))
+    jobs = _chunk_jobs(seed, mc_paths)
+    rng_b, rng_l = substream(seed, "breach"), substream(seed, "losses")
+    draw_eta = _eta_sampler(costs)
+    lb = LossBatch(np.empty(mc_paths), np.empty(mc_paths, np.int64), np.empty(mc_paths, np.int64), np.empty(mc_paths))
+    pos = 0
+    for counts, probs, terminal_h in _map_chunks(_optimal_chunk, shared, jobs, threads):
+        rows = slice(pos, pos + counts.size)
+        lb.gross_loss[rows], lb.n_breaches[rows] = _draw_losses(probs, counts, rng_b, rng_l, draw_eta)
+        lb.n_attacks[rows] = counts
+        lb.terminal_h[rows] = terminal_h
+        pos += counts.size
     if losses_csv is not None:
         lb.write_csv(losses_csv)
     mean = lb.mean_loss()

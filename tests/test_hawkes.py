@@ -130,6 +130,18 @@ class TestCountVariance:
         est = count_variance(p, 1.0, mc_paths=40_000, seed=3)
         assert abs(est.value - 27.0) <= 3 * est.stderr + 0.5
 
+    def test_counts_are_those_of_simulate_paths(self):
+        est = count_variance(STD, 1.0, mc_paths=10_000, seed=4)
+        counts = simulate_paths(STD, 1.0, 10_000, seed=4).counts().astype(float)
+        centered = counts - counts.mean()
+        var = float(np.var(counts, ddof=1))
+        stderr = math.sqrt(max(float(np.mean(centered**4)) - var**2, 0.0) / counts.size)
+        assert est == (var, stderr)
+
+    def test_rejects_infinite_horizon(self):
+        with pytest.raises(ValueError):
+            count_variance(STD, math.inf, mc_paths=10_000)
+
     def test_against_moment_ode_oracle(self, std_count_moments):
         est = count_variance(STD, 1.0, mc_paths=100_000, seed=1)
         _, var_exact = std_count_moments

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,13 @@ from cyberinvest import (
     HawkesParams,
     PremiumReport,
     SolverGrid,
+    extract_policies_batch,
     premium,
     premium_report_baseline,
     premium_report_optimal,
     prevention_gap,
+    simulate_losses,
+    simulate_paths,
     solve,
 )
 
@@ -94,6 +98,50 @@ class TestOptimalReport:
         assert opt.loss_std < base.loss_std
         dp, ds = prevention_gap(base, opt)
         assert dp > 0 and ds > 0
+
+    @staticmethod
+    def _explicit(policy, costs, n, seed, h_extract, h_losses, csv):
+        """The unstreamed pipeline over the whole batch at once."""
+        batch = simulate_paths(STD_H, costs.horizon, n, seed)
+        times, controls = extract_policies_batch(policy, batch, 0.0, h_extract)
+        lb = simulate_losses(batch, STD_M, costs, seed=seed, h0=h_losses, control_times=times, controls=controls)
+        lb.write_csv(csv)
+        mean, std = lb.mean_loss(), lb.std_loss()
+        return (mean.value, std.value, mean.stderr, std.stderr), csv.read_bytes()
+
+    @staticmethod
+    def _report(policy, costs, n, seed, csv, **kw):
+        r = premium_report_optimal(policy, STD_H, STD_M, costs, 0.3, n, seed, losses_csv=csv, **kw)
+        se = r.standard_errors
+        return (r.expected_loss, r.loss_std, se["expected_loss"], se["loss_std"]), csv.read_bytes()
+
+    @pytest.mark.parametrize("family", ["lognormal", "gamma"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_streamed_equals_explicit_pipeline(self, small_policy, family, threads, tmp_path):
+        costs = dataclasses.replace(STD_C, eta_var=50.0, eta_family=family)
+        expected = self._explicit(small_policy, costs, 20_000, 3, 0.0, 0.0, tmp_path / "explicit.csv")
+        got = self._report(small_policy, costs, 20_000, 3, tmp_path / "streamed.csv", threads=threads)
+        assert got == expected
+
+    def test_initial_level_drives_losses(self, small_policy, tmp_path):
+        got = self._report(small_policy, STD_C, 10_000, 1, tmp_path / "streamed.csv", h_init=5.0)
+        assert got == self._explicit(small_policy, STD_C, 10_000, 1, 5.0, 5.0, tmp_path / "h5.csv")
+        from_zero = self._explicit(small_policy, STD_C, 10_000, 1, 5.0, 0.0, tmp_path / "h0.csv")
+        assert got[0][0] < from_zero[0][0]
+        with pytest.raises(ValueError):
+            premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, h_init=-1.0)
+
+    def test_memory_bounded_in_paths(self, small_policy):
+        peaks = {}
+        for n in (20_000, 40_000, 80_000):
+            tracemalloc.start()
+            try:
+                premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, n, seed=0, threads=1)
+                peaks[n] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+        assert peaks[40_000] <= 64.0
+        assert peaks[80_000] - peaks[20_000] <= 8.0
 
 
 class TestPreventionGap:
