@@ -22,6 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cyberinvest import (
+    count_variance,
     expected_count,
     expected_intensity,
     gain_vs_constant,
@@ -68,12 +69,16 @@ def main() -> int:
                 expected_intensity(hk, t),
                 expected_count(hk, t),
                 intensity_variance(hk, t),
+                count_variance(hk, t),
             )
         )
-        print(f"  t={t:4.2f}  E[lam]={rows[-1][1]:8.3f}  E[N]={rows[-1][2]:8.3f}  Var[lam]={rows[-1][3]:8.2f}")
+        print(
+            f"  t={t:4.2f}  E[lam]={rows[-1][1]:8.3f}  E[N]={rows[-1][2]:8.3f}  "
+            f"Var[lam]={rows[-1][3]:8.2f}  Var[N]={rows[-1][4]:8.2f}"
+        )
     print(f"  intensity domain bound E+7sd at T: {lambda_max_heuristic(hk, T):.2f}")
     with (out / "moments.csv").open("w") as fh:
-        fh.write("t,E_lambda,E_N,Var_lambda\n")
+        fh.write("t,E_lambda,E_N,Var_lambda,Var_N\n")
         for r in rows:
             fh.write(",".join(f"{x:.12g}" for x in r) + "\n")
 
@@ -117,7 +122,7 @@ def main() -> int:
         p_fh.write("eta_mean,eta_var,premium_baseline,premium_optimal,reduction_pct\n")
         for ev in cfg.eta_vars:
             c = dataclasses.replace(costs, eta_var=ev)
-            base = premium_report_baseline(hk, bm, c, cfg.theta, cfg.mc_paths, cfg.seed)
+            base = premium_report_baseline(hk, bm, c, cfg.theta)
             opt = premium_report_optimal(
                 res.policy, hk, bm, c, cfg.theta, cfg.mc_paths, cfg.seed, threads=cfg.threads
             )

@@ -18,6 +18,7 @@ from .config import RunConfig, validate
 from .errors import ConfigError, SolverError
 from .fields_io import load_field, load_poisson, save_field, save_poisson, write_field_csv
 from .hawkes import (
+    count_variance,
     expected_count,
     expected_intensity,
     intensity_variance,
@@ -180,7 +181,7 @@ def cmd_premium(args) -> int:
     rows_std, rows_pi = [], []
     for eta_var in cfg.eta_vars:
         costs = dataclasses.replace(cfg.costs, eta_var=eta_var)
-        base = premium_report_baseline(cfg.hawkes, cfg.breach, costs, cfg.theta, cfg.mc_paths, cfg.seed)
+        base = premium_report_baseline(cfg.hawkes, cfg.breach, costs, cfg.theta)
         losses_csv = (out / f"losses_optimal_{eta_var:g}.csv") if args.csv else None
         opt = premium_report_optimal(
             policy,
@@ -225,13 +226,14 @@ def cmd_static_gl(args) -> int:
 def cmd_moments(args) -> int:
     cfg = _load_config(args)
     times = [float(x) for x in args.times.split(",")]
-    print("t,E_lambda,E_N,Var_lambda,lambda_max_heuristic")
+    print("t,E_lambda,E_N,Var_lambda,Var_N,lambda_max_heuristic")
     for t in times:
         el = expected_intensity(cfg.hawkes, t)
         en = expected_count(cfg.hawkes, t)
         vl = intensity_variance(cfg.hawkes, t)
+        vn = count_variance(cfg.hawkes, t)
         lm = lambda_max_heuristic(cfg.hawkes, t) if t > 0 else el
-        print(f"{_fmt(t)},{_fmt(el)},{_fmt(en)},{_fmt(vl)},{_fmt(lm)}")
+        print(f"{_fmt(t)},{_fmt(el)},{_fmt(en)},{_fmt(vl)},{_fmt(vn)},{_fmt(lm)}")
     return 0
 
 

@@ -529,12 +529,13 @@ def loss_variance(
 ) -> MCEstimate:
     """Variance of the aggregate loss under a strategy.
 
-    With no investment the total-variance decomposition is explicit,
+    With no investment it is exact, with standard error 0, from the
+    total-variance decomposition
 
         Var = E[N_T] (eta_var v + eta_mean^2 v (1 - v)) + eta_mean^2 v^2 Var(N_T),
 
-    with Var(N_T) estimated by Monte Carlo; other strategies are estimated by
-    simulating losses directly.
+    and the exact Var(N_T); other strategies are estimated by simulating
+    losses directly over mc_paths paths.
     """
     if mc_paths < 10_000:
         raise ValueError("mc_paths must be at least 10^4")
@@ -544,10 +545,8 @@ def loss_variance(
         if v == 0:
             return MCEstimate(0.0, 0.0)
         en = expected_count(params, T)
-        var_n = count_variance(params, T, mc_paths, seed)
         per_event = costs.eta_var * v + costs.eta_mean**2 * v * (1.0 - v)
-        coef = costs.eta_mean**2 * v**2
-        return MCEstimate(en * per_event + coef * var_n.value, coef * var_n.stderr)
+        return MCEstimate(en * per_event + costs.eta_mean**2 * v**2 * count_variance(params, T), 0.0)
     batch = simulate_paths(params, T, mc_paths, seed)
     lb = simulate_losses(batch, model, costs, strategy, seed)
     x = lb.gross_loss

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from ._rng import CHUNK_PATHS, generator_from, stream_children, substream
 from .errors import StabilityError
@@ -78,11 +78,6 @@ class HawkesParams:
     def stationary_mean(self) -> float:
         """Long-run expected intensity alpha*xi/(xi - beta)."""
         return self.alpha * self.xi / (self.xi - self.beta)
-
-
-def _require_stable(params: HawkesParams):
-    if params.beta >= params.xi:
-        raise StabilityError("moment formulas need beta < xi")
 
 
 @dataclass(frozen=True)
@@ -328,10 +323,6 @@ def _map_chunks(kernel, shared, jobs: list, threads: int = 1):
             yield pending.popleft().result()
 
 
-def _chunk_counts(shared, job):
-    return np.diff(_simulate_chunk(shared, job)[1])
-
-
 def _check_batch_args(horizon, n_paths: int) -> None:
     if not (isinstance(horizon, (int, float)) and math.isfinite(horizon)) or horizon <= 0:
         raise ValueError("horizon must be finite and positive")
@@ -354,7 +345,6 @@ def simulate_paths(
 
 def expected_intensity(params: HawkesParams, t):
     """E[lambda_t] in closed form; accepts scalars or arrays."""
-    _require_stable(params)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be nonnegative")
@@ -366,7 +356,6 @@ def expected_intensity(params: HawkesParams, t):
 
 def expected_count(params: HawkesParams, t):
     """E[N_t] in closed form; accepts scalars or arrays."""
-    _require_stable(params)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be nonnegative")
@@ -376,60 +365,53 @@ def expected_count(params: HawkesParams, t):
     return float(out) if out.ndim == 0 else out
 
 
-def intensity_variance(params: HawkesParams, t: float) -> float:
-    """Var(lambda_t) by integrating the first two moment ODEs.
+def _central_moments(params: HawkesParams, t: float) -> np.ndarray:
+    """(1, E[lambda_t], E[N_t], Var(lambda_t), Cov(N_t, lambda_t), Var(N_t)).
 
-    d m1/dt = xi (alpha - m1) + beta m1
-    d m2/dt = 2 xi alpha m1 - 2 (xi - beta) m2 + beta^2 m1
+    These solve a linear ODE (Dassios & Zhao 2011): with k = xi - beta,
+
+        d E[lambda] = xi alpha - k E[lambda]
+        d E[N]      = E[lambda]
+        d Var(lambda)    = beta^2 E[lambda] - 2 k Var(lambda)
+        d Cov(N, lambda) = beta E[lambda] + Var(lambda) - k Cov(N, lambda)
+        d Var(N)         = E[lambda] + 2 Cov(N, lambda)
+
+    The leading constant 1 carries the forcing xi alpha, so the system is
+    y' = A y and y_t = expm(A t) y_0. Central rather than raw moments avoid
+    the cancellation in E[N^2] - E[N]^2.
     """
-    _require_stable(params)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    a, xi, beta = params.alpha, params.xi, params.beta
+    k = xi - beta
+    A = np.zeros((6, 6))
+    A[1, 0], A[1, 1] = xi * a, -k
+    A[2, 1] = 1.0
+    A[3, 1], A[3, 3] = beta * beta, -2.0 * k
+    A[4, 1], A[4, 3], A[4, 4] = beta, 1.0, -k
+    A[5, 1], A[5, 4] = 1.0, 2.0
+    return expm(A * t) @ np.array([1.0, params.lambda0, 0.0, 0.0, 0.0, 0.0])
+
+
+def _check_time(t) -> None:
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+
+
+def intensity_variance(params: HawkesParams, t: float) -> float:
+    """Var(lambda_t), exact (see _central_moments)."""
+    _check_time(t)
     if t == 0 or params.beta == 0:
         return 0.0
-    a, xi, beta = params.alpha, params.xi, params.beta
-
-    def rhs(_, y):
-        m1, m2 = y
-        return [xi * (a - m1) + beta * m1, 2 * xi * a * m1 - 2 * (xi - beta) * m2 + beta**2 * m1]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t)),
-        [params.lambda0, params.lambda0**2],
-        method="Radau",
-        rtol=1e-10,
-        atol=1e-10,
-    )
-    if not sol.success:
-        raise RuntimeError(f"moment ODE integration failed: {sol.message}")
-    m1, m2 = sol.y[0, -1], sol.y[1, -1]
-    return max(float(m2 - m1 * m1), 0.0)
+    return max(float(_central_moments(params, t)[3]), 0.0)
 
 
-def count_variance(params: HawkesParams, t: float, mc_paths: int = 100_000, seed: int = 0) -> MCEstimate:
-    """Var(N_t) estimated by Monte Carlo, with the standard error of the estimate."""
-    _require_stable(params)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+def count_variance(params: HawkesParams, t: float) -> float:
+    """Var(N_t), exact (see _central_moments)."""
+    _check_time(t)
     if t == 0:
-        return MCEstimate(0.0, 0.0)
-    if mc_paths < 10_000:
-        raise ValueError("mc_paths must be at least 10^4")
-    _check_batch_args(t, mc_paths)
-    # The same paths as simulate_paths(params, t, mc_paths, seed), but only
-    # their counts are kept.
-    jobs = _chunk_jobs(seed, mc_paths)
-    counts = np.concatenate(list(_map_chunks(_chunk_counts, (params, float(t)), jobs))).astype(float)
-    n = counts.size
-    var = float(np.var(counts, ddof=1))
-    centered = counts - counts.mean()
-    m4 = float(np.mean(centered**4))
-    stderr = math.sqrt(max(m4 - var**2, 0.0) / n)
-    return MCEstimate(var, stderr)
+        return 0.0
+    return float(_central_moments(params, t)[5])
 
 
 def lambda_max_heuristic(params: HawkesParams, horizon: float) -> float:
     """Upper truncation level for the intensity domain: E[lambda_T] + 7 sd(lambda_T)."""
-    _require_stable(params)
     return expected_intensity(params, horizon) + 7.0 * math.sqrt(intensity_variance(params, horizon))

@@ -16,7 +16,6 @@ import numpy as np
 
 from .breach import BreachModel
 from .dynamics import CostParams
-from .errors import StabilityError
 from .hawkes import HawkesParams
 from .hjb import PolicyField, SolverGrid, SolverOptions, ValueField, solve
 
@@ -62,8 +61,6 @@ def lambda_expectation_matched(hawkes: HawkesParams, horizon: float) -> float:
     events/year at the default parameters. Both conventions are exposed: the
     exact average is expected_count(hawkes, T)/T.
     """
-    if hawkes.beta >= hawkes.xi:
-        raise StabilityError("expectation matching needs beta < xi")
     lam0, xi, beta = hawkes.lambda0, hawkes.xi, hawkes.beta
     k = xi - beta
     lstar = lam0 * xi / k

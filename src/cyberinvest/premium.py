@@ -1,7 +1,7 @@
 """Insurance premia under the standard-deviation loading principle.
 
 The premium for an aggregate loss L is E[L] + theta * sd(L). The
-no-investment baseline uses the explicit total-variance decomposition; the
+no-investment baseline is exact, from the total-variance decomposition; the
 optimal-policy report simulates attacks, extracts the solved policy along
 each path, and prices the resulting losses. It streams the paths in
 CHUNK_PATHS chunks, so its memory does not grow with the batch beyond a few
@@ -72,21 +72,22 @@ def premium_report_baseline(
     model: BreachModel,
     costs: CostParams,
     theta: float,
-    mc_paths: int = 100_000,
+    mc_paths: int = 0,
     seed: int = 0,
 ) -> PremiumReport:
-    """No-investment benchmark: closed-form mean, decomposition-based dispersion."""
+    """No-investment benchmark: closed-form mean and exact dispersion.
+
+    The report is deterministic; `mc_paths` and `seed` are accepted for call
+    compatibility and do not affect it.
+    """
     e0 = expected_loss_no_investment(hawkes, model, costs)
-    var = loss_variance(hawkes, model, costs, None, mc_paths, seed)
-    std = math.sqrt(max(var.value, 0.0))
-    se_std = var.stderr / (2.0 * std) if std > 0 else 0.0
     return PremiumReport(
         policy_label="no-investment",
         expected_loss=float(e0),
-        loss_std=std,
+        loss_std=math.sqrt(loss_variance(hawkes, model, costs).value),
         theta=float(theta),
-        mc_paths=int(mc_paths),
-        standard_errors={"expected_loss": 0.0, "loss_std": se_std},
+        mc_paths=0,
+        standard_errors={"expected_loss": 0.0, "loss_std": 0.0},
     )
 
 

@@ -15,10 +15,10 @@ from cyberinvest.config import COARSE_PRESET
 from cyberinvest.poisson import lambda_baseline, lambda_expectation_matched
 
 
-def exact_count_moments(params, t):
+def exact_moments(params, t):
     """Oracle: joint moment ODEs for (E[lam], E[lam^2], E[N], E[N lam], E[N^2]).
 
-    Returns (E[N_t], Var(N_t)) for the Hawkes process `params`.
+    Returns (E[N_t], Var(N_t), Var(lambda_t)) for the Hawkes process `params`.
     """
     a, xi, b = params.alpha, params.xi, params.beta
 
@@ -35,7 +35,7 @@ def exact_count_moments(params, t):
     y0 = [params.lambda0, params.lambda0**2, 0.0, 0.0, 0.0]
     sol = solve_ivp(rhs, (0, t), y0, method="Radau", rtol=1e-12, atol=1e-12)
     m1, m2, u, w, q = sol.y[:, -1]
-    return u, q - u * u
+    return u, q - u * u, m2 - m1 * m1
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def std_hawkes():
 @pytest.fixture(scope="session")
 def std_count_moments(std_hawkes, std_costs):
     """Exact (E[N_T], Var(N_T)) of the standard Hawkes process over the standard horizon."""
-    return exact_count_moments(std_hawkes, std_costs.horizon)
+    return exact_moments(std_hawkes, std_costs.horizon)[:2]
 
 
 @pytest.fixture(scope="session")

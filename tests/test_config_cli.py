@@ -128,6 +128,7 @@ class TestCli:
         assert main(["moments", "--times", "0,1"]) == 0
         out = capsys.readouterr().out
         assert "67.3996105368" in out and "60.7667315772" in out
+        assert "308.99775755" in out
 
     def test_static_gl_output(self, capsys):
         assert main(["static-gl", "--p", "1", "--loss", "400"]) == 0

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import exact_moments
+
 from cyberinvest import (
     AttackPath,
     HawkesParams,
@@ -121,32 +123,35 @@ class TestIntensityVariance:
 
 class TestCountVariance:
     def test_validation(self):
+        assert count_variance(STD, 0.0) == 0.0
         with pytest.raises(ValueError):
-            count_variance(STD, 1.0, mc_paths=100)
-        assert count_variance(STD, 0.0).value == 0.0
+            count_variance(STD, -0.1)
 
     def test_poisson_limit(self):
-        p = HawkesParams(27, 27, 15, 0)
-        est = count_variance(p, 1.0, mc_paths=40_000, seed=3)
-        assert abs(est.value - 27.0) <= 3 * est.stderr + 0.5
-
-    def test_counts_are_those_of_simulate_paths(self):
-        est = count_variance(STD, 1.0, mc_paths=10_000, seed=4)
-        counts = simulate_paths(STD, 1.0, 10_000, seed=4).counts().astype(float)
-        centered = counts - counts.mean()
-        var = float(np.var(counts, ddof=1))
-        stderr = math.sqrt(max(float(np.mean(centered**4)) - var**2, 0.0) / counts.size)
-        assert est == (var, stderr)
+        assert count_variance(HawkesParams(27, 27, 15, 0), 1.0) == pytest.approx(27.0, rel=1e-12)
 
     def test_rejects_infinite_horizon(self):
         with pytest.raises(ValueError):
-            count_variance(STD, math.inf, mc_paths=10_000)
+            count_variance(STD, math.inf)
 
-    def test_against_moment_ode_oracle(self, std_count_moments):
-        est = count_variance(STD, 1.0, mc_paths=100_000, seed=1)
+    def test_against_moment_ode_oracle(self, std_count_moments, std_batch_100k):
         _, var_exact = std_count_moments
         assert var_exact == pytest.approx(309.0, abs=0.5)
-        assert abs(est.value - var_exact) <= 4 * est.stderr
+        assert count_variance(STD, 1.0) == pytest.approx(var_exact, rel=1e-10)
+        # The sampler's counts have the exact dispersion.
+        counts = std_batch_100k.counts().astype(float)
+        var = float(np.var(counts, ddof=1))
+        centered = counts - counts.mean()
+        stderr = math.sqrt(max(float(np.mean(centered**4)) - var**2, 0.0) / counts.size)
+        assert abs(var - var_exact) <= 4 * stderr
+
+    @settings(max_examples=25, deadline=None)
+    @given(stable_params, st.floats(0.05, 5.0))
+    def test_exact_moments_match_ode_oracle(self, p, t):
+        _, var_n, var_lam = exact_moments(p, t)
+        assert count_variance(p, t) == pytest.approx(var_n, rel=1e-8)
+        # The oracle's E[lam^2] - E[lam]^2 cancels: its error scales with E[lam]^2.
+        assert intensity_variance(p, t) == pytest.approx(var_lam, rel=1e-8, abs=1e-9 * expected_intensity(p, t) ** 2)
 
 
 class TestSimulatePath:

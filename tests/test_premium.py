@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import pytest
@@ -56,12 +57,16 @@ class TestBaselineReport:
         r = premium_report_baseline(STD_H, m0, STD_C, 0.3, mc_paths=10_000)
         assert r.expected_loss == 0.0 and r.loss_std == 0.0 and r.premium == 0.0
 
-    def test_standard_mean(self):
+    def test_standard_mean(self, std_count_moments):
         r = premium_report_baseline(STD_H, STD_M, STD_C, 0.3, mc_paths=20_000, seed=0)
         assert r.expected_loss == pytest.approx(394.98, abs=0.01)
-        assert r.loss_std > 0
+        en, var_n = std_count_moments
+        v, m = STD_M.v, STD_C.eta_mean
+        exact = math.sqrt(en * (STD_C.eta_var * v + m * m * v * (1 - v)) + m * m * v * v * var_n)
+        assert r.loss_std == pytest.approx(exact, rel=1e-9)
         assert r.premium == r.expected_loss + 0.3 * r.loss_std
-        assert r.standard_errors["loss_std"] > 0
+        assert r.standard_errors["loss_std"] == 0.0
+        assert premium_report_baseline(STD_H, STD_M, STD_C, 0.3, mc_paths=20_000, seed=7) == r
 
     def test_dispersion_grows_with_eta_var(self):
         rows = []
