@@ -220,7 +220,8 @@ class ConstantRate:
 
 
 class GridRate:
-    """Piecewise-constant rate: values[i] applies on [times[i], times[i+1])."""
+    """Piecewise-constant rate: values[i] applies on [times[i], times[i+1]),
+    values[0] also before times[0]."""
 
     def __init__(self, times, values):
         self.times = np.asarray(times, dtype=float)
@@ -261,39 +262,53 @@ def _phi(rho: float, s):
     return np.where(small, s_arr, out) if small.any() else out
 
 
-def _level_knots(h0: float, rho: float, knots: np.ndarray, zvals: np.ndarray) -> np.ndarray:
-    """Exact level at each knot under the piecewise-constant rate starting at knots[0]."""
-    out = np.empty(knots.size)
-    out[0] = h0
-    for i in range(knots.size - 1):
-        dt = knots[i + 1] - knots[i]
-        out[i + 1] = out[i] * math.exp(-rho * dt) + zvals[i] * _phi(rho, dt)
-    return out
+def _exact_levels(tk, Z, h0: float, rho: float, t0: float, times, row, t_end: float):
+    """Exact levels of dH = (z - rho H) dt from h0 at t0 under piecewise-constant rates.
+
+    Z[:, i] applies on [tk[i], tk[i+1]), Z[:, 0] also before tk[0]; Z has one
+    row per path, or a single row that every path shares. Returns the level
+    at each times[m] >= t0 on row row[m], and every row's level at t_end.
+    """
+    j0 = max(int(np.searchsorted(tk, t0, side="right")) - 1, 0)
+    tk = np.concatenate(([t0], tk[j0 + 1 :]))
+    Z = Z[:, j0:]
+    span = np.diff(tk)
+    decay = np.exp(-rho * span)
+    gain = _phi(rho, span)
+    hk = np.empty(Z.shape)
+    hk[:, 0] = h0
+    for i in range(tk.size - 1):
+        hk[:, i + 1] = hk[:, i] * decay[i] + Z[:, i] * gain[i]
+    j = np.searchsorted(tk, times, side="right") - 1
+    dt = times - tk[j]
+    levels = hk[row, j] * np.exp(-rho * dt) + Z[row, j] * _phi(rho, dt)
+    jT = np.searchsorted(tk, t_end, side="right") - 1
+    terminal = hk[:, jT] * math.exp(-rho * (t_end - tk[jT])) + Z[:, jT] * _phi(rho, t_end - tk[jT])
+    return levels, terminal
 
 
-def _level_query(h0, rho, knots, zvals, hknots, ts):
-    """Exact level at query times >= knots[0] under the piecewise-constant rate."""
-    ts = np.asarray(ts, dtype=float)
-    j = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 1)
-    dt = ts - knots[j]
-    return hknots[j] * np.exp(-rho * dt) + zvals[j] * _phi(rho, dt)
+def _knots(strategy):
+    """Knot times and one-row rate matrix of a ConstantRate (one knot) or GridRate."""
+    if isinstance(strategy, ConstantRate):
+        return np.zeros(1), np.array([[strategy.rate]])
+    return strategy.times, strategy.values[None, :]
 
 
-def _rk4_walk(path: AttackPath, rho: float, strategy, h0: float, stops: np.ndarray):
-    """RK4 integration of dH = (z - rho H) dt, returning H at each stop time.
+def _rk4_levels(rate, rho: float, h0: float, t0: float, stops: np.ndarray) -> np.ndarray:
+    """RK4 integration of dH = (rate(t, H) - rho H) dt from h0 at t0, with steps
+    of at most RK4_MAX_STEP; returns H at each ascending stop >= t0.
 
-    The strategy sees (t, lambda_{t-}, H); rates are validated at every stage.
+    Rates are validated at every stage.
     """
 
-    def rate(t, h):
-        lam = path.intensity(t, before=True)
-        z = float(strategy(t, lam, h))
+    def f(t, h):
+        z = float(rate(t, h))
         if z < 0:
             raise PolicyError(f"strategy returned negative rate {z} at t={t}")
-        return z
+        return z - rho * h
 
     h = float(h0)
-    t = 0.0
+    t = t0
     out = np.empty(stops.size)
     for k, stop in enumerate(stops):
         seg = stop - t
@@ -301,13 +316,10 @@ def _rk4_walk(path: AttackPath, rho: float, strategy, h0: float, stops: np.ndarr
             nsub = max(1, int(math.ceil(seg / RK4_MAX_STEP)))
             dt = seg / nsub
             for _ in range(nsub):
-                f1 = rate(t, h) - rho * h
-                h2 = h + 0.5 * dt * f1
-                f2 = rate(t + 0.5 * dt, h2) - rho * h2
-                h3 = h + 0.5 * dt * f2
-                f3 = rate(t + 0.5 * dt, h3) - rho * h3
-                h4 = h + dt * f3
-                f4 = rate(t + dt, h4) - rho * h4
+                f1 = f(t, h)
+                f2 = f(t + 0.5 * dt, h + 0.5 * dt * f1)
+                f3 = f(t + 0.5 * dt, h + 0.5 * dt * f2)
+                f4 = f(t + dt, h + dt * f3)
                 h = h + dt * (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
                 t += dt
             t = stop
@@ -328,44 +340,9 @@ def evolve_level(h0: float, rho: float, strategy, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
-    t0 = times[0]
-    if isinstance(strategy, ConstantRate):
-        s = times - t0
-        return h0 * np.exp(-rho * s) + strategy.rate * _phi(rho, s)
-    if isinstance(strategy, GridRate):
-        inside = strategy.times > t0
-        knots = np.concatenate(([t0], strategy.times[inside]))
-        first = float(strategy(t0))
-        zvals = np.concatenate(([first], strategy.values[inside]))
-        hk = _level_knots(h0, rho, knots, zvals)
-        return _level_query(h0, rho, knots, zvals, hk, times)
-
-    # general callback: RK4 walk, signature (t, h)
-    h = float(h0)
-    t = t0
-    out = np.empty(times.size)
-    out[0] = h
-    for k in range(1, times.size):
-        seg = times[k] - t
-        nsub = max(1, int(math.ceil(seg / RK4_MAX_STEP)))
-        dt = seg / nsub
-        for _ in range(nsub):
-
-            def f(tt, hh):
-                z = float(strategy(tt, hh))
-                if z < 0:
-                    raise PolicyError(f"strategy returned negative rate {z} at t={tt}")
-                return z - rho * hh
-
-            f1 = f(t, h)
-            f2 = f(t + 0.5 * dt, h + 0.5 * dt * f1)
-            f3 = f(t + 0.5 * dt, h + 0.5 * dt * f2)
-            f4 = f(t + dt, h + dt * f3)
-            h = h + dt * (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
-            t += dt
-        t = times[k]
-        out[k] = h
-    return out
+    if isinstance(strategy, (ConstantRate, GridRate)):
+        return _exact_levels(*_knots(strategy), h0, rho, times[0], times, 0, times[-1])[0]
+    return _rk4_levels(strategy, rho, h0, times[0], times)
 
 
 def _eta_sampler(costs: CostParams):
@@ -383,61 +360,21 @@ def _eta_sampler(costs: CostParams):
     return lambda rng, n: rng.gamma(shape, scale, n)
 
 
-def _levels_at_events(path: AttackPath, costs: CostParams, strategy, h0: float):
-    """Level at every attack time plus the terminal level, per strategy type."""
-    taus = path.event_times
-    stops = np.concatenate((taus, [path.horizon]))
-    if isinstance(strategy, ConstantRate):
-        levels = h0 * np.exp(-costs.rho * stops) + strategy.rate * _phi(costs.rho, stops)
-    elif isinstance(strategy, GridRate):
-        inside = strategy.times > 0
-        knots = np.concatenate(([0.0], strategy.times[inside]))
-        zvals = np.concatenate(([float(strategy(0.0))], strategy.values[inside]))
-        hk = _level_knots(h0, costs.rho, knots, zvals)
-        levels = _level_query(h0, costs.rho, knots, zvals, hk, stops)
-    else:
-        levels = _rk4_walk(path, costs.rho, strategy, h0, stops)
-    return levels[:-1], float(levels[-1])
-
-
 def simulate_loss(path: AttackPath, model: BreachModel, costs: CostParams, strategy, seed: int, h0: float = 0.0) -> LossSample:
-    """Aggregate loss along one attack path under a predictable strategy.
+    """Aggregate loss along one attack path: simulate_losses on a batch of one.
 
-    Per-attack randomness is drawn up front (one breach uniform and one loss
-    draw per attack), so runs with the same path and seed are coupled across
-    strategies: pointwise-larger strategies can only lower the realized loss.
+    Runs with the same path and seed share their per-attack draws across
+    strategies, so pointwise-larger strategies can only lower the realized loss.
     """
-    n = path.n_events
-    rng_b = substream(seed, "breach")
-    rng_l = substream(seed, "losses")
-    uniforms = rng_b.random(n)
-    etas = _eta_sampler(costs)(rng_l, n)
-    levels, terminal_h = _levels_at_events(path, costs, strategy, h0)
-    probs = breach_prob(model, levels) if n else np.zeros(0)
-    breached = uniforms < probs
-    gross = float(np.sum(etas[breached])) if n else 0.0
-    return LossSample(gross, n, int(breached.sum()), terminal_h)
+    batch = PathBatch(path.params, path.horizon, path.event_times, np.array([0, path.n_events]))
+    return simulate_losses(batch, model, costs, strategy, seed, h0).sample(0)
 
 
 def _control_levels(batch: PathBatch, tk: np.ndarray, Z: np.ndarray, h0: float, rho: float):
-    """Exact level at every event and at the horizon under piecewise-constant controls.
-
-    Z[:, i] applies on [tk[i], tk[i+1]); Z has one row per path, or a single
-    row that every path shares.
-    """
-    decay = np.exp(-rho * np.diff(tk))
-    gain = _phi(rho, np.diff(tk))
-    hk = np.empty(Z.shape)
-    hk[:, 0] = h0
-    for i in range(tk.size - 1):
-        hk[:, i + 1] = hk[:, i] * decay[i] + Z[:, i] * gain[i]
-    j = np.clip(np.searchsorted(tk, batch.times, side="right") - 1, 0, tk.size - 1)
+    """Exact level at every event and at the horizon under piecewise-constant
+    controls from h0 at t = 0; Z is laid out as in _exact_levels."""
     row = batch.path_index() if Z.shape[0] > 1 else 0
-    dt_ev = batch.times - tk[j]
-    levels = hk[row, j] * np.exp(-rho * dt_ev) + Z[row, j] * _phi(rho, dt_ev)
-    T = batch.horizon
-    jT = np.clip(np.searchsorted(tk, T, side="right") - 1, 0, tk.size - 1)
-    terminal = hk[:, jT] * math.exp(-rho * (T - tk[jT])) + Z[:, jT] * _phi(rho, T - tk[jT])
+    levels, terminal = _exact_levels(tk, Z, h0, rho, 0.0, batch.times, row, batch.horizon)
     return levels, np.broadcast_to(terminal, batch.n_paths).copy()
 
 
@@ -475,30 +412,29 @@ def simulate_losses(
     All strategies share the same flat per-attack draws for a given batch and
     seed (common random numbers).
     """
-    n_paths = batch.n_paths
+    if h0 < 0:
+        raise ValueError("initial level must be nonnegative")
     rho = costs.rho
-    T = batch.horizon
 
     if controls is not None:
         tk = np.asarray(control_times, dtype=float)
         Z = np.asarray(controls, dtype=float)
-        if Z.shape != (n_paths, tk.size):
+        if Z.shape != (batch.n_paths, tk.size):
             raise ValueError("controls must have shape (n_paths, len(control_times))")
         if np.any(Z < 0):
             raise PolicyError("controls must be nonnegative")
         levels, terminal = _control_levels(batch, tk, Z, h0, rho)
-    elif isinstance(strategy, ConstantRate):
-        levels = h0 * np.exp(-rho * batch.times) + strategy.rate * _phi(rho, batch.times)
-        terminal = np.full(n_paths, h0 * math.exp(-rho * T) + strategy.rate * _phi(rho, T))
-    elif isinstance(strategy, GridRate):
-        levels, terminal = _control_levels(batch, strategy.times, strategy.values[None, :], h0, rho)
+    elif isinstance(strategy, (ConstantRate, GridRate)):
+        levels, terminal = _control_levels(batch, *_knots(strategy), h0, rho)
     elif callable(strategy):
+        # the strategy sees (t, lambda_{t-}, H)
         levels = np.empty(batch.times.size)
-        terminal = np.empty(n_paths)
-        for i in range(n_paths):
-            lv, th = _levels_at_events(batch.path(i), costs, strategy, h0)
-            levels[batch.offsets[i] : batch.offsets[i + 1]] = lv
-            terminal[i] = th
+        terminal = np.empty(batch.n_paths)
+        for i in range(batch.n_paths):
+            path = batch.path(i)
+            stops = np.append(path.event_times, batch.horizon)
+            hs = _rk4_levels(lambda t, h: strategy(t, path.intensity(t, before=True), h), rho, h0, 0.0, stops)
+            levels[batch.offsets[i] : batch.offsets[i + 1]], terminal[i] = hs[:-1], hs[-1]
     else:
         raise ValueError("pass a strategy or per-path controls")
 
@@ -537,8 +473,6 @@ def loss_variance(
     and the exact Var(N_T); other strategies are estimated by simulating
     losses directly over mc_paths paths.
     """
-    if mc_paths < 10_000:
-        raise ValueError("mc_paths must be at least 10^4")
     T = costs.horizon
     if _is_zero_strategy(strategy):
         v = model.v
@@ -547,6 +481,8 @@ def loss_variance(
         en = expected_count(params, T)
         per_event = costs.eta_var * v + costs.eta_mean**2 * v * (1.0 - v)
         return MCEstimate(en * per_event + costs.eta_mean**2 * v**2 * count_variance(params, T), 0.0)
+    if mc_paths < 10_000:
+        raise ValueError("mc_paths must be at least 10^4")
     batch = simulate_paths(params, T, mc_paths, seed)
     lb = simulate_losses(batch, model, costs, strategy, seed)
     x = lb.gross_loss

@@ -66,6 +66,40 @@ def _nearest(x, lo, step, n):
     return np.clip(np.rint((x - lo) / step).astype(int), 0, n - 1)
 
 
+def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
+    """Ascending snapshot times from the one nearest t_init to the horizon, and
+    their indices into the field's snapshot axis."""
+    grid = field.grid
+    T = grid.horizon
+    if t_init > T:
+        raise ValueError(f"t_init {t_init} exceeds the horizon {T}")
+    t_asc = grid.t_snapshots[::-1]
+    start = int(np.argmin(np.abs(t_asc - t_init)))
+    times = t_asc[start:]
+    snap_idx = grid.t_snapshots.size - 1 - (start + np.arange(times.size))
+    return times, snap_idx
+
+
+def _euler_walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: float, level=None) -> np.ndarray:
+    """Controls along each row of the (n_paths, len(times)) intensity matrix lam
+    by nearest-node lookup, with an explicit-Euler level update between
+    snapshots; fills `level` (same shape) with the levels if given."""
+    grid = field.grid
+    rho = field.meta.costs.rho
+    k_lam = _nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
+    controls = np.empty(lam.shape)
+    h = np.full(lam.shape[0], float(h_init))
+    for i in range(times.size):
+        if level is not None:
+            level[:, i] = h
+        j = _nearest(h, grid.h_min, grid.d_h, grid.n_h)
+        controls[:, i] = field.controls[snap_idx[i], k_lam[:, i], j]
+        if i + 1 < times.size:
+            dt = times[i + 1] - times[i]
+            h = h - rho * h * dt + controls[:, i] * dt
+    return controls
+
+
 def extract_policy(
     field: PolicyField,
     path: Union[AttackPath, float],
@@ -75,18 +109,10 @@ def extract_policy(
     """Control and level along a path by nearest-node lookup plus Euler update.
 
     `path` may be a simulated attack path or a constant intensity value
-    (deterministic benchmark extraction).
+    (deterministic benchmark extraction). It runs the walk of
+    extract_policies_batch on a one-row intensity matrix.
     """
-    grid = field.grid
-    T = grid.horizon
-    if t_init > T:
-        raise ValueError(f"t_init {t_init} exceeds the horizon {T}")
-    t_asc = grid.t_snapshots[::-1]
-    start = int(np.argmin(np.abs(t_asc - t_init)))
-    times = t_asc[start:]
-    n_snap = grid.t_snapshots.size
-    snap_idx = n_snap - 1 - (start + np.arange(times.size))
-
+    times, snap_idx = _snapshot_times(field, t_init)
     if isinstance(path, AttackPath):
         lam = np.asarray(path.intensity(times), dtype=float)
         source = TraceSource.HAWKES_OPTIMAL
@@ -97,20 +123,9 @@ def extract_policy(
             if field.meta.dimension == "poisson"
             else TraceSource.CONSTANT
         )
-
-    rho = field.meta.costs.rho
-    k_lam = _nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
-    control = np.empty(times.size)
-    level = np.empty(times.size)
-    h = float(h_init)
-    for i in range(times.size):
-        level[i] = h
-        j = int(np.clip(round((h - grid.h_min) / grid.d_h), 0, grid.n_h - 1))
-        control[i] = field.controls[snap_idx[i], k_lam[i], j]
-        if i + 1 < times.size:
-            dt = times[i + 1] - times[i]
-            h = h - rho * h * dt + control[i] * dt
-    return PolicyTrace(times, lam, control, level, source)
+    level = np.empty((1, times.size))
+    control = _euler_walk(field, times, snap_idx, lam[None, :], h_init, level)
+    return PolicyTrace(times, lam, control[0], level[0], source)
 
 
 def extract_policies_batch(
@@ -124,28 +139,8 @@ def extract_policies_batch(
     controls has shape (n_paths, len(times)) and matches what extract_policy
     produces path by path.
     """
-    grid = field.grid
-    T = grid.horizon
-    if t_init > T:
-        raise ValueError(f"t_init {t_init} exceeds the horizon {T}")
-    t_asc = grid.t_snapshots[::-1]
-    start = int(np.argmin(np.abs(t_asc - t_init)))
-    times = t_asc[start:]
-    n_snap = grid.t_snapshots.size
-    snap_idx = n_snap - 1 - (start + np.arange(times.size))
-    lam = batch.intensity_on_grid(times)
-    k_lam = _nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
-    rho = field.meta.costs.rho
-    n = batch.n_paths
-    controls = np.empty((n, times.size))
-    h = np.full(n, float(h_init))
-    for i in range(times.size):
-        j = _nearest(h, grid.h_min, grid.d_h, grid.n_h)
-        controls[:, i] = field.controls[snap_idx[i], k_lam[:, i], j]
-        if i + 1 < times.size:
-            dt = times[i + 1] - times[i]
-            h = h - rho * h * dt + controls[:, i] * dt
-    return times, controls
+    times, snap_idx = _snapshot_times(field, t_init)
+    return times, _euler_walk(field, times, snap_idx, batch.intensity_on_grid(times), h_init)
 
 
 def _mean_intensity_integral(hawkes: HawkesParams, lam: float, span: float):

@@ -13,6 +13,7 @@ from cyberinvest import (
     CostParams,
     GridRate,
     HawkesParams,
+    PathBatch,
     PolicyError,
     evolve_level,
     expected_count,
@@ -178,15 +179,24 @@ class TestSimulateLoss:
             assert lam == pytest.approx(path.intensity(t, before=True), rel=1e-9)
 
     def test_replay_on_truncated_history(self):
-        # outcomes of the first k attacks do not depend on later events
-        path = simulate_paths(STD_H, 1.0, 1, seed=21).path(0)
+        # outcomes of the first k attacks do not depend on later events, and
+        # a single path is a batch of one, for every kind of strategy
+        batch = simulate_paths(STD_H, 1.0, 1, seed=21)
+        path = batch.path(0)
         assert path.n_events >= 4
         k = path.n_events // 2
         truncated = AttackPath(STD_H, float(path.event_times[k]), path.event_times[:k].copy())
-        full = simulate_loss(path, STD_M, STD_C, ConstantRate(2.0), seed=5)
-        part = simulate_loss(truncated, STD_M, STD_C, ConstantRate(2.0), seed=5)
-        assert part.n_breaches <= full.n_breaches
-        assert part.gross_loss <= full.gross_loss + 1e-12
+        strategies = [
+            ConstantRate(2.0),
+            GridRate([0.3, 0.6], [1.0, 4.0]),
+            lambda t, lam, h: 0.1 * lam + 0.5 * h,
+        ]
+        for strategy in strategies:
+            full = simulate_loss(path, STD_M, STD_C, strategy, seed=5)
+            part = simulate_loss(truncated, STD_M, STD_C, strategy, seed=5)
+            assert part.n_breaches <= full.n_breaches
+            assert part.gross_loss <= full.gross_loss + 1e-12
+            assert full == simulate_losses(batch, STD_M, STD_C, strategy, seed=5).sample(0)
 
 
 class TestSimulateLossesBatch:
@@ -221,6 +231,31 @@ class TestSimulateLossesBatch:
         np.testing.assert_allclose(a.gross_loss, b.gross_loss, rtol=1e-9)
         np.testing.assert_allclose(a.terminal_h, b.terminal_h, rtol=1e-8)
 
+    @pytest.mark.parametrize("h0", [0.0, 5.0])
+    def test_grid_rate_first_knot_after_start(self, std_batch_100k, h0):
+        # the rate before the first knot is values[0], from t = 0 on
+        from cyberinvest.dynamics import _control_levels
+
+        gr = GridRate([0.5, 0.8], [3.0, 10.0])
+        two = PathBatch(STD_H, 1.0, np.array([0.1, 0.6]), np.array([0, 2]))
+        for batch in (two, std_batch_100k.slice(0, 50)):
+            levels, _ = _control_levels(batch, gr.times, gr.values[None, :], h0, STD_C.rho)
+            lb = simulate_losses(batch, STD_M, STD_C, gr, seed=4, h0=h0)
+            for i in range(batch.n_paths):
+                path = batch.path(i)
+                grid = np.concatenate(([0.0], path.event_times, [1.0]))
+                ref = evolve_level(h0, STD_C.rho, gr, np.unique(grid))
+                lv = levels[batch.offsets[i] : batch.offsets[i + 1]]
+                np.testing.assert_allclose(lv, ref[1 : 1 + path.n_events], rtol=1e-12)
+                assert lb.terminal_h[i] == pytest.approx(ref[-1], rel=1e-12)
+        one = simulate_losses(two, STD_M, STD_C, gr, seed=4, h0=h0).sample(0)
+        assert one == simulate_loss(two.path(0), STD_M, STD_C, gr, seed=4, h0=h0)
+
+    def test_negative_h0_rejected(self):
+        quiet = PathBatch(STD_H, 1.0, np.array([]), np.array([0, 0]))
+        with pytest.raises(ValueError):
+            simulate_losses(quiet, STD_M, STD_C, ConstantRate(1.0), seed=0, h0=-1.0)
+
     def test_counts_and_invariants(self, std_batch_100k):
         sub = std_batch_100k.slice(0, 1000)
         lb = simulate_losses(sub, STD_M, STD_C, ConstantRate(0.0), seed=0)
@@ -231,8 +266,12 @@ class TestSimulateLossesBatch:
 
 class TestLossVariance:
     def test_requires_enough_paths(self):
+        # only the simulated branch reads mc_paths; no investment is exact
         with pytest.raises(ValueError):
-            loss_variance(STD_H, STD_M, STD_C, None, mc_paths=100)
+            loss_variance(STD_H, STD_M, STD_C, ConstantRate(1.0), mc_paths=100)
+        exact = loss_variance(STD_H, STD_M, STD_C, None)
+        assert loss_variance(STD_H, STD_M, STD_C, None, mc_paths=0) == exact
+        assert exact.stderr == 0.0
 
     def test_invulnerable_zero(self):
         m = BreachModel(BreachFamily.CLASS_I, 0.0, 0.1, 1.0)

@@ -12,6 +12,7 @@ from cyberinvest import (
     CostParams,
     GridRate,
     HawkesParams,
+    PathBatch,
     SolverGrid,
     evaluate_constant,
     evaluate_deterministic,
@@ -172,12 +173,17 @@ class TestExtractPolicy:
         assert with_cluster.control[i_peak] > with_cluster.control[i_pre]
 
     def test_batch_matches_single(self, solution):
-        batch = simulate_paths(STD_H, 1.0, 16, seed=3)
+        paths = simulate_paths(STD_H, 1.0, 16, seed=3)
+        # an eventless last path: its intensity row is the constant alpha = lambda0 = 27
+        batch = PathBatch(STD_H, 1.0, paths.times, np.append(paths.offsets, paths.offsets[-1]))
         times, controls = extract_policies_batch(solution.policy, batch, 0.0, 0.0)
         for i in (0, 5, 11):
             trace = extract_policy(solution.policy, batch.path(i), 0.0, 0.0)
             np.testing.assert_array_equal(controls[i], trace.control)
             np.testing.assert_array_equal(times, trace.times)
+        trace = extract_policy(solution.policy, 27.0, 0.0, 0.0)
+        np.testing.assert_array_equal(controls[-1], trace.control)
+        np.testing.assert_array_equal(times, trace.times)
 
 
 class TestGains:
