@@ -2,9 +2,10 @@
 
 Building blocks: exact simulation and moments of a self-exciting attack
 process, security-breach functions with the static investment optimum,
-controlled protection-level and loss dynamics, a method-of-lines solver for
-the dynamic-programming equation, constant-intensity and constant-rate
-benchmarks, and standard-deviation insurance premia.
+controlled protection-level and loss dynamics, an alternating-direction
+implicit (Douglas ADI) solver for the dynamic-programming equation,
+constant-intensity and constant-rate benchmarks, and standard-deviation
+insurance premia.
 """
 
 from .breach import BreachFamily, BreachModel, breach_prob, breach_prob_derivative, enbis, static_optimum

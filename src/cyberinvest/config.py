@@ -66,9 +66,6 @@ _SCHEMA = {
         "time_steps": int,
     },
     "solver": {
-        "rtol": float,
-        "atol": float,
-        "method": str,
         "upwind": _parse_bool,
         "jump_interp": _parse_bool,
         "interp_query": _parse_bool,
@@ -102,9 +99,6 @@ _DEFAULTS = {
         "time_steps": 200,
     },
     "solver": {
-        "rtol": 1e-6,
-        "atol": 1e-9,
-        "method": "Radau",
         "upwind": False,
         "jump_interp": False,
         "interp_query": False,

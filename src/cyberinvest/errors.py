@@ -10,7 +10,8 @@ class PolicyError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The stiff time integrator failed to converge; carries diagnostics."""
+    """The backward solve failed (grid too large, Newton not converged or a
+    non-finite stage); carries diagnostics."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -25,6 +25,10 @@ __all__ = ["save_field", "load_field", "save_poisson", "load_poisson", "write_fi
 
 FORMAT_VERSION = 1
 
+# Options of the former implicit Runge-Kutta integrator, still present in
+# fields written before the ADI solver; they have no meaning now.
+_RETIRED_OPTIONS = ("rtol", "atol", "method")
+
 
 def _meta_dict(field) -> dict:
     grid = field.grid
@@ -112,7 +116,7 @@ def load_field(prefix: Union[str, Path]):
     b = meta["breach"]
     model = BreachModel(BreachFamily(b["family"]), b["v"], b["a"], b["b"])
     costs = CostParams(**meta["costs"])
-    options = SolverOptions(**meta["options"])
+    options = SolverOptions(**{k: v for k, v in meta["options"].items() if k not in _RETIRED_OPTIONS})
     fmeta = FieldMeta(
         kind=meta["kind"],
         hawkes=hawkes,

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from cyberinvest import (
@@ -12,6 +14,7 @@ from cyberinvest import (
     solve_poisson,
 )
 from cyberinvest.config import COARSE_PRESET
+from cyberinvest.hjb import SolverOptions, _PideOperator
 from cyberinvest.poisson import lambda_baseline, lambda_expectation_matched
 
 
@@ -36,6 +39,26 @@ def exact_moments(params, t):
     sol = solve_ivp(rhs, (0, t), y0, method="Radau", rtol=1e-12, atol=1e-12)
     m1, m2, u, w, q = sol.y[:, -1]
     return u, q - u * u, m2 - m1 * m1
+
+
+def radau_values(grid, hawkes, model, costs, options=None):
+    """Oracle: the semi-discrete equation integrated by Radau at tight tolerances.
+
+    Returns V as (snapshot, lambda, h). The Jacobian sparsity pattern is built
+    here from the operator's 1-d factors, so Radau can difference columns in
+    groups instead of one at a time.
+    """
+    op = _PideOperator(grid, hawkes, model, costs, options or SolverOptions())
+    nl, nh = op.shape
+    eye_l, eye_h = sp.identity(nl), sp.identity(nh)
+    pattern = sp.kron(abs(op.a_lam), eye_h) + sp.kron(eye_l, abs(op.a_h) + abs(op.d_h)) + sp.identity(nl * nh)
+    y0 = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).ravel()
+    snaps = grid.t_snapshots
+    sol = solve_ivp(
+        op.rhs, (snaps[0], snaps[-1]), y0, method="Radau", t_eval=snaps, jac_sparsity=pattern, rtol=1e-8, atol=1e-8
+    )
+    assert sol.success, sol.message
+    return sol.y.T.reshape((snaps.size,) + op.shape)
 
 
 @pytest.fixture(scope="session")

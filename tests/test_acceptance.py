@@ -7,6 +7,8 @@ batch, the refinement family) are session fixtures shared across criteria.
 
 import dataclasses
 import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,10 @@ from cyberinvest import (
     lower_bound,
 )
 from cyberinvest.cli import main as cli_main
+from cyberinvest.config import validate
 from cyberinvest.hjb import SolverOptions, _PideOperator
 
+REPO = Path(__file__).resolve().parents[1]
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
 STD_C = CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0)
@@ -140,35 +144,47 @@ def test_criterion_05_lambda_max_heuristic(std_batch_100k):
     )
 
 
-def test_criterion_06_solver_structural_suite(coarse_solution, coarse_grid, narrow_family):
+def _structural_clauses(solution, grid, bound_top=math.inf):
+    """Criterion 6's per-solve clauses: terminal values, monotonicity, lower bound, policy identity.
+
+    The lower bound is asserted at intensities up to bound_top; the line also
+    reports the slack over all nodes when that excludes some.
+    """
     lines = []
     # terminal condition exact
-    term_err = float(np.max(np.abs(coarse_solution.value.terminal_values() - np.sqrt(coarse_grid.hs)[None, :])))
+    term_err = float(np.max(np.abs(solution.value.terminal_values() - np.sqrt(grid.hs)[None, :])))
     t_ok = term_err == 0.0
     lines.append(f"terminal max err {term_err:g}")
     # monotone in lambda and h, < 0.1% violating nodes
-    q = coarse_solution.quality
+    q = solution.quality
     m_ok = q["monotone_lambda"]["fraction"] < 0.001 and q["monotone_h"]["fraction"] < 0.001
     lines.append(
         f"monotone viol: lambda {q['monotone_lambda']['fraction']:.2e}, h {q['monotone_h']['fraction']:.2e}"
     )
     # lower bound within 2% everywhere
-    worst = 0.0
-    lams, hs = coarse_grid.lambdas[:, None], coarse_grid.hs[None, :]
-    for k, t in enumerate(coarse_grid.t_snapshots):
+    worst = worst_all = 0.0
+    lams, hs = grid.lambdas[:, None], grid.hs[None, :]
+    rows = grid.lambdas <= bound_top
+    for k, t in enumerate(grid.t_snapshots):
         jb = lower_bound(t, lams, hs, STD_H, STD_M, STD_C)
-        gap = coarse_solution.value.values[k] - (jb - 0.02 * np.abs(jb))
-        worst = min(worst, float(gap.min()))
+        gap = solution.value.values[k] - (jb - 0.02 * np.abs(jb))
+        worst = min(worst, float(gap[rows].min()))
+        worst_all = min(worst_all, float(gap.min()))
     b_ok = worst >= 0.0
     lines.append(f"bound slack min {worst:.3f}")
+    if not rows.all():
+        lines[-1] += f" for lambda <= {bound_top:g} ({worst_all:.3f} over all nodes)"
     # policy identity exact
-    op = _PideOperator(coarse_grid, STD_H, STD_M, STD_C, SolverOptions())
+    op = _PideOperator(grid, STD_H, STD_M, STD_C, SolverOptions())
     p_ok = True
-    for k in (0, 100, 200):
-        w = coarse_solution.value.values[k].T.ravel()
-        expected = op.policy(w).reshape(coarse_grid.n_h, coarse_grid.n_lambda).T
-        p_ok &= np.array_equal(coarse_solution.policy.controls[k], expected)
+    for k in (0, grid.t_snapshots.size // 2, grid.t_snapshots.size - 1):
+        p_ok &= np.array_equal(solution.policy.controls[k], op.policy(solution.value.values[k]))
     lines.append(f"policy identity {'exact' if p_ok else 'broken'}")
+    return t_ok and m_ok and b_ok and p_ok, lines
+
+
+def test_criterion_06_solver_structural_suite(coarse_solution, coarse_grid, narrow_family):
+    s_ok, lines = _structural_clauses(coarse_solution, coarse_grid)
     # self-convergence on the fixed-domain family
     v1 = narrow_family[1].value.values[-1]
     v2 = narrow_family[2].value.values[-1]
@@ -180,7 +196,7 @@ def test_criterion_06_solver_structural_suite(coarse_solution, coarse_grid, narr
     corner = abs(v1[0, 0] - v2[0, 0]) / abs(v2[0, 0])
     r_ok = corner <= 0.02
     lines.append(f"refinement factor {factor:.2f} (>=1.5), V(0,27,0) shift {100*corner:.3f}% (<=2%)")
-    ok = t_ok and m_ok and b_ok and p_ok and c_ok and r_ok
+    ok = s_ok and c_ok and r_ok
     assert report(6, ok, "; ".join(lines))
 
 
@@ -222,6 +238,25 @@ def test_criterion_08_gain_vs_best_constant(coarse_solution, coarse_grid):
     ok = in_band and decreasing
     detail = ", ".join(f"h={h:g}: {g:.2f} (ref {t})" for g, (h, t) in zip(gains, GAIN_TARGETS))
     assert report(8, ok, f"{used} grid: {detail}; decreasing={decreasing}")
+
+
+def test_criteria_06_08_on_standard_grid():
+    # the 190x101 grid that configs/standard.cfg names, rather than the coarse preset
+    cfg = validate(REPO / "configs" / "standard.cfg", use_env=False)
+    assert (cfg.hawkes, cfg.breach, cfg.costs) == (STD_H, STD_M, STD_C)
+    res = solve(cfg.grid, STD_H, STD_M, STD_C, cfg.options)
+    # Above lambda_max - beta the jump target is clamped to lambda_max (the
+    # extrapolation rule), so the grid equation there is not the one the
+    # closed-form bound holds for. On this grid Radau and ADI alike undercut
+    # the bound there (by 1.9 at lambda 211-216, t = 0.745), which is why the
+    # coarse preset widens the domain to lambda_max = 420.
+    s_ok, lines = _structural_clauses(res, cfg.grid, bound_top=cfg.grid.lambda_max - STD_H.beta)
+    gains = _constant_gains(res.value)
+    in_band = all(abs(g - t) <= 1.5 for g, (_, t) in zip(gains, GAIN_TARGETS))
+    decreasing = all(a > b for a, b in zip(gains, gains[1:]))
+    lines.append("gains " + ", ".join(f"h={h:g}: {g:.2f} (ref {t})" for g, (h, t) in zip(gains, GAIN_TARGETS)))
+    ok = s_ok and in_band and decreasing
+    assert report("6+8", ok, f"{cfg.grid.n_lambda}x{cfg.grid.n_h} grid: " + "; ".join(lines))
 
 
 def test_criterion_09_gain_vs_poisson_benchmarks(coarse_solution, poisson_pair):

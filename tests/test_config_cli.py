@@ -1,3 +1,5 @@
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,11 @@ class TestValidate:
             validate("[hawkes]\nfoo = 3\n", use_env=False)
         assert any("foo" in d for d in err.value.diagnostics)
 
+    def test_retired_solver_key_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            validate("[solver]\nmethod = Radau\n", use_env=False)
+        assert err.value.diagnostics == ["unknown key 'method' in section [solver]"]
+
     def test_multiple_diagnostics_collected(self):
         with pytest.raises(ConfigError) as err:
             validate("[hawkes]\nbeta = 20\n[breach]\nv = 7\n", use_env=False)
@@ -97,6 +104,50 @@ class TestFieldIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_field(tmp_path / "nothing")
+
+    @staticmethod
+    def write_field_with_options(prefix, options):
+        """A 2-snapshot, 2x2 value field in the on-disk format, with the given solver options."""
+        data = np.arange(8, dtype="<f8")
+        meta = {
+            "format_version": 1,
+            "kind": "value",
+            "dimension": "hawkes",
+            "poisson_intensity": None,
+            "extrapolation": "clamp-at-lambda-max",
+            "grid": {
+                "lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0,
+                "h_min": 0.0, "h_max": 1.0, "d_h": 1.0, "t_snapshots": [1.0, 0.0],
+            },
+            "hawkes": {"alpha": 27.0, "lambda0": 27.0, "xi": 15.0, "beta": 9.0},
+            "breach": {"family": "class1", "v": 0.65, "a": 0.1, "b": 1.0},
+            "costs": {
+                "gamma": 0.05, "eta_mean": 10.0, "eta_var": 10.0, "rho": 0.2, "horizon": 1.0,
+                "terminal_utility": "sqrt", "delta": 1.0, "eta_family": "lognormal",
+            },
+            "options": options,
+            "shape": [2, 2, 2],
+            "dtype": "<f8",
+            "order": "(snapshot, lambda, h)",
+            "checksum_sha256": hashlib.sha256(data.tobytes()).hexdigest(),
+        }
+        prefix.with_suffix(".f64").write_bytes(data.tobytes())
+        prefix.with_suffix(".json").write_text(json.dumps(meta))
+        return data
+
+    def test_loads_field_with_retired_integrator_options(self, tmp_path):
+        # fields written by the former Radau solver carry rtol, atol and method
+        old = {"rtol": 1e-6, "atol": 1e-9, "method": "Radau", "upwind": False,
+               "jump_interp": False, "interp_query": True, "max_nodes": 200_000_000}
+        data = self.write_field_with_options(tmp_path / "v", old)
+        loaded = load_field(tmp_path / "v")
+        np.testing.assert_array_equal(loaded.values.ravel(), data)
+        assert loaded.meta.options.interp_query is True
+
+    def test_unknown_option_still_rejected(self, tmp_path):
+        self.write_field_with_options(tmp_path / "v", {"upwind": False, "foo": 1})
+        with pytest.raises(TypeError):
+            load_field(tmp_path / "v")
 
 
 class TestCli:

@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cyberinvest import (
     BreachFamily,
     BreachModel,
+    ConfigError,
     CostParams,
     HawkesParams,
     SolverError,
@@ -17,6 +19,8 @@ from cyberinvest import (
     query,
     solve,
 )
+from conftest import radau_values
+from cyberinvest import hjb
 from cyberinvest.hjb import _PideOperator
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
@@ -67,13 +71,13 @@ class TestAssembleRhs:
 
     def test_running_reward_formula(self):
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions())
-        reward = op.reward.reshape(SMALL.n_h, SMALL.n_lambda)
+        reward = op.reward
         # reward(lambda, h) = eta_mean (v - S(h, v)) lambda; zero at h = 0
         assert reward[0, 0] == pytest.approx(0.0, abs=1e-14)
-        expected = STD_C.eta_mean * (STD_M.v - breach_prob(STD_M, SMALL.hs))[:, None] * SMALL.lambdas[None, :]
+        expected = STD_C.eta_mean * (STD_M.v - breach_prob(STD_M, SMALL.hs))[None, :] * SMALL.lambdas[:, None]
         np.testing.assert_allclose(reward, expected, rtol=1e-14)
         # deep-protection limit: reward approaches eta_mean * v * lambda
-        assert reward[-1, 0] == pytest.approx(STD_C.eta_mean * STD_M.v * 27.0 * (1 - 1 / 6.0), rel=1e-12)
+        assert reward[0, -1] == pytest.approx(STD_C.eta_mean * STD_M.v * 27.0 * (1 - 1 / 6.0), rel=1e-12)
 
     def test_huge_gamma_kills_hamiltonian(self):
         state = np.repeat(np.sqrt(SMALL.hs), SMALL.n_lambda)
@@ -81,8 +85,8 @@ class TestAssembleRhs:
         big = dataclasses.replace(STD_C, gamma=1e14)
         out_big = assemble_rhs(state, SMALL, STD_H, STD_M, big)
         op = _PideOperator(SMALL, STD_H, STD_M, big, SolverOptions())
-        w = state.reshape(SMALL.n_lambda, SMALL.n_h).T.ravel()
-        linear_only = (op.linear @ w - op.reward).reshape(SMALL.n_h, SMALL.n_lambda).T.ravel()
+        w = state.reshape(op.shape)
+        linear_only = -(op.a_lam @ w + (op.a_h @ w.T).T + op.reward).ravel()
         np.testing.assert_allclose(out_big, linear_only, atol=1e-10)
 
     def test_nan_state_rejected(self):
@@ -95,22 +99,37 @@ class TestAssembleRhs:
         with pytest.raises(ValueError):
             assemble_rhs(np.zeros(7), SMALL, STD_H, STD_M, STD_C)
 
-    def test_non_multiple_jump_warns(self):
-        hp = HawkesParams(27.0, 27.0, 15.0, 8.0)  # floor(8)/3 not an integer
-        grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 10)
-        with pytest.warns(RuntimeWarning):
+    @pytest.mark.parametrize(
+        "beta, d_lambda",
+        [
+            (8.0, 3.0),  # floor(beta)/d_lambda = 8/3
+            (8.5, 0.5),  # fractional beta, even though beta/d_lambda = 17
+            (9.0, 10.0),  # d_lambda > beta: the shift would be zero nodes
+        ],
+    )
+    def test_non_multiple_jump_raises(self, beta, d_lambda):
+        hp = HawkesParams(27.0, 27.0, 15.0, beta)
+        grid = SolverGrid.regular(27.0, 27.0 + 12 * d_lambda, d_lambda, 0.0, 50.0, 1.0, 1.0, 10)
+        with pytest.raises(ConfigError):
             _PideOperator(grid, hp, STD_M, STD_C, SolverOptions())
+        _PideOperator(grid, hp, STD_M, STD_C, SolverOptions(jump_interp=True))
 
-    def test_jacobian_matches_finite_differences(self):
-        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions())
+    @pytest.mark.parametrize("upwind", [False, True])
+    def test_h_stage_jacobian_matches_finite_differences(self, upwind):
+        # the Newton system of the h stage is G(y) = y - c * h_part(y)
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions(upwind=upwind))
         rng = np.random.default_rng(0)
-        y = np.repeat(np.sqrt(SMALL.hs), SMALL.n_lambda) + 0.1 * rng.standard_normal(op.n)
-        jac = op.jac(0.0, y)
+        y = np.sqrt(SMALL.hs)[None, :] * SMALL.lambdas[:, None] / 9.0 + 0.1 * rng.standard_normal(op.shape)
+        c = 0.0025
+        ab = op.h_jacobian(y, c)
+        n = y.size
+        jac = sp.dia_matrix((ab, [1, 0, -1]), shape=(n, n)).tocsr()
+        assert 0.2 < (op.policy(y) > 0).mean() < 0.8  # both branches of the max occur
         for _ in range(4):
-            d = rng.standard_normal(op.n)
+            d = rng.standard_normal(op.shape)
             eps = 1e-6
-            fd = (op.rhs(0.0, y + eps * d) - op.rhs(0.0, y - eps * d)) / (2 * eps)
-            np.testing.assert_allclose(jac @ d, fd, rtol=1e-5, atol=1e-6)
+            fd = ((y + eps * d - c * op.h_part(y + eps * d)) - (y - eps * d - c * op.h_part(y - eps * d))) / (2 * eps)
+            np.testing.assert_allclose(jac @ d.ravel(), fd.ravel(), rtol=1e-6, atol=1e-8)
 
 
 class TestSolve:
@@ -128,8 +147,7 @@ class TestSolve:
         # stored controls equal ((discrete dV/dh - delta)^+)/gamma node for node
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions())
         for k in (0, 10, 25, 50):
-            w = small_solution.value.values[k].T.ravel()
-            expected = op.policy(w).reshape(SMALL.n_h, SMALL.n_lambda).T
+            expected = op.policy(small_solution.value.values[k])
             np.testing.assert_array_equal(small_solution.policy.controls[k], expected)
 
     def test_controls_nonnegative(self, small_solution):
@@ -151,6 +169,34 @@ class TestSolve:
         opts = SolverOptions(max_nodes=10)
         with pytest.raises(SolverError):
             solve(SMALL, STD_H, STD_M, STD_C, opts)
+
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(hjb, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(SolverError, match="did not converge") as err:
+            solve(SMALL, STD_H, STD_M, STD_C)
+        assert err.value.diagnostics["step"] == 1 and err.value.diagnostics["update_norm"] > 0
+
+    def test_non_finite_stage_raises(self):
+        # the running reward overflows to inf, so the first explicit stage does
+        huge = dataclasses.replace(STD_C, eta_mean=1e308)
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="non-finite"):
+            solve(SMALL, STD_H, STD_M, huge)
+
+    def test_counters_reported(self, small_solution):
+        q = small_solution.quality["integrator"]
+        assert q["method"] == "douglas-adi"
+        steps = SMALL.t_snapshots.size - 1 + hjb._RANNACHER_INTERVALS
+        assert q["nfev"] == steps == len(q["newton_iterations"])
+        assert q["njev"] == sum(q["newton_iterations"])
+        assert q["nlu"] == 1  # theta * dt is dt/2 for the half steps and the Douglas steps alike
+        assert 1 <= q["newton_max"] < hjb._NEWTON_MAX_ITER
+
+    def test_matches_radau_oracle(self, narrow_family):
+        adi = narrow_family[1]
+        ref = radau_values(adi.value.grid, STD_H, STD_M, STD_C)
+        gap = np.abs(adi.value.values - ref)
+        assert gap[-1].max() <= 1e-3  # t = 0; the value scale is about 390
+        assert gap.max() <= 0.2  # every snapshot, including the first-order start near T
 
     def test_deterministic_resolve(self, small_solution):
         again = solve(SMALL, STD_H, STD_M, STD_C)
