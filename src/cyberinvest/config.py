@@ -17,7 +17,7 @@ from .breach import BreachFamily, BreachModel
 from .dynamics import CostParams, resolve_utility
 from .errors import ConfigError, StabilityError
 from .hawkes import HawkesParams
-from .hjb import SolverGrid, SolverOptions
+from .hjb import SolverGrid, SolverOptions, _check_jump_shift
 
 __all__ = ["RunConfig", "validate", "COARSE_PRESET", "ENV_PREFIX", "STANDARD_CONFIG"]
 
@@ -127,6 +127,9 @@ class RunConfig:
     seed: int
     threads: int
     out_dir: str
+
+    def __post_init__(self):
+        _check_jump_shift(self.grid.d_lambda, self.hawkes.beta, self.options.jump_interp)
 
     def coarse(self) -> "RunConfig":
         """Desk-scale grid preset applied on top of this configuration."""

@@ -178,16 +178,19 @@ class LossBatch:
         n = self.gross_loss.size
         return MCEstimate(float(self.gross_loss.mean()), float(self.gross_loss.std(ddof=1) / math.sqrt(n)))
 
-    def std_loss(self) -> MCEstimate:
-        """Sample standard deviation with its (fourth-moment based) standard error."""
+    def var_loss(self) -> MCEstimate:
+        """Sample variance with its (fourth-moment based) standard error."""
         x = self.gross_loss
-        n = x.size
         s2 = float(np.var(x, ddof=1))
         c = x - x.mean()
         m4 = float(np.mean(c**4))
-        se_var = math.sqrt(max(m4 - s2**2, 0.0) / n)
-        s = math.sqrt(s2)
-        return MCEstimate(s, se_var / (2.0 * s) if s > 0 else 0.0)
+        return MCEstimate(s2, math.sqrt(max(m4 - s2**2, 0.0) / x.size))
+
+    def std_loss(self) -> MCEstimate:
+        """Sample standard deviation with its delta-method standard error."""
+        var = self.var_loss()
+        s = math.sqrt(var.value)
+        return MCEstimate(s, var.stderr / (2.0 * s) if s > 0 else 0.0)
 
     def write_csv(self, path) -> None:
         """Per-path rows: seed (path index within the batch), loss, counts, level."""
@@ -484,9 +487,4 @@ def loss_variance(
     if mc_paths < 10_000:
         raise ValueError("mc_paths must be at least 10^4")
     batch = simulate_paths(params, T, mc_paths, seed)
-    lb = simulate_losses(batch, model, costs, strategy, seed)
-    x = lb.gross_loss
-    s2 = float(np.var(x, ddof=1))
-    c = x - x.mean()
-    m4 = float(np.mean(c**4))
-    return MCEstimate(s2, math.sqrt(max(m4 - s2**2, 0.0) / x.size))
+    return simulate_losses(batch, model, costs, strategy, seed).var_loss()

@@ -242,22 +242,30 @@ def _upwind_1d(n: int, step: float, coeff: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _jump_shift_1d(n: int, d_lambda: float, beta: float, interp: bool) -> sp.csr_matrix:
-    """Selector (or two-point interpolator) approximating V(lambda + beta).
+def _check_jump_shift(d_lambda: float, beta: float, interp: bool) -> None:
+    """Raise ConfigError unless the jump shift is a whole number of intensity nodes.
 
-    Without interpolation the shift must be a whole number of nodes: a
-    fractional beta or beta/d_lambda would otherwise be floored in silence,
-    down to zero nodes (no self-excitation) when d_lambda > beta.
+    Without interpolation a fractional beta or beta/d_lambda would otherwise be
+    floored in silence, down to zero nodes (no self-excitation) when
+    d_lambda > beta. Every RunConfig runs this check, so `validate` and the
+    coarse preset reject what the solver would.
     """
+    if interp:
+        return
+    if beta != math.floor(beta):
+        raise ConfigError(f"jump size beta={beta:g} is not an integer; set [solver] jump_interp = true")
     pos = beta / d_lambda
-    if not interp:
-        if beta != math.floor(beta):
-            raise ConfigError(f"jump size beta={beta:g} is not an integer; set [solver] jump_interp = true")
-        if abs(pos - round(pos)) > 1e-9:
-            raise ConfigError(
-                f"beta/d_lambda = {beta:g}/{d_lambda:g} is not an integer, so the jump shift would be "
-                f"floored to {math.floor(pos)} nodes; choose d_lambda dividing beta or set [solver] jump_interp = true"
-            )
+    if abs(pos - round(pos)) > 1e-9:
+        raise ConfigError(
+            f"beta/d_lambda = {beta:g}/{d_lambda:g} is not an integer, so the jump shift would be "
+            f"floored to {math.floor(pos)} nodes; choose d_lambda dividing beta or set [solver] jump_interp = true"
+        )
+
+
+def _jump_shift_1d(n: int, d_lambda: float, beta: float, interp: bool) -> sp.csr_matrix:
+    """Selector (or two-point interpolator) approximating V(lambda + beta)."""
+    _check_jump_shift(d_lambda, beta, interp)
+    pos = beta / d_lambda
     lo = int(math.floor(pos + 1e-12))
     w = pos - lo
     rows, cols, vals = [], [], []

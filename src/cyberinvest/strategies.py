@@ -14,11 +14,11 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from .breach import BreachModel, breach_prob
-from .dynamics import ConstantRate, CostParams, GridRate, _phi
+from .dynamics import ConstantRate, CostParams, GridRate, _exact_levels, _phi
 from .errors import GainUndefinedError
 from .hawkes import AttackPath, HawkesParams, PathBatch, lambda_max_heuristic
 from .hjb import PolicyField, ValueField, query
@@ -143,13 +143,6 @@ def extract_policies_batch(
     return times, _euler_walk(field, times, snap_idx, batch.intensity_on_grid(times), h_init)
 
 
-def _mean_intensity_integral(hawkes: HawkesParams, lam: float, span: float):
-    """E over [0, span] of the intensity started at lam, integrated in closed form."""
-    k = hawkes.reversion_rate
-    lstar = hawkes.stationary_mean
-    return lstar * span - (lam - lstar) / k * (math.exp(-k * span) - 1.0)
-
-
 def _reward_scale(model: BreachModel, costs: CostParams, hawkes: HawkesParams, span: float) -> float:
     return max(1.0, costs.eta_mean * model.v * hawkes.stationary_mean * max(span, 1.0))
 
@@ -199,29 +192,35 @@ def optimize_constant(
     costs: CostParams,
     z_cap: Optional[float] = None,
 ) -> tuple:
-    """Best constant rate and its value: global scalar maximization on [0, z_cap]."""
+    """Best constant rate and its value: one bounded scalar search on [0, z_cap].
+
+    The net benefit is strictly concave in the rate, so it has one maximum on
+    [0, z_cap] and one bounded Brent search finds it. The level
+    h e^{-rho s} + zbar phi(s) is affine in zbar; both breach families are
+    convex and decreasing in the level (Gordon & Loeb 2002), so the expected
+    breach loss is convex in zbar; the cost is strictly convex (gamma > 0);
+    and CostParams admits only a concave terminal utility. The argument holds
+    for either breach family with any utility CostParams accepts. The search
+    never evaluates its endpoints, so the corner zbar = 0 is compared
+    explicitly: where investing does not pay (an invulnerable firm) the rate
+    returned is exactly 0.0.
+    """
     cap = (
         z_cap
         if z_cap is not None
         else 10.0 * costs.eta_mean * model.v * lambda_max_heuristic(hawkes, costs.horizon) / costs.gamma
     )
+    at_zero = evaluate_constant(t, lam, h, 0.0, hawkes, model, costs)
     if cap <= 0:
-        return 0.0, evaluate_constant(t, lam, h, 0.0, hawkes, model, costs)
+        return 0.0, at_zero
 
     def neg(z):
         return -evaluate_constant(t, lam, h, float(z), hawkes, model, costs)
 
-    pts = np.concatenate(([0.0], np.geomspace(cap * 1e-6, cap, 63)))
-    vals = np.array([neg(z) for z in pts])
-    order = np.argsort(vals)[:8]
-    best_z, best_v = float(pts[order[0]]), float(vals[order[0]])
-    for idx in order:
-        lo = pts[idx - 1] if idx > 0 else 0.0
-        hi = pts[idx + 1] if idx + 1 < pts.size else cap
-        res = minimize_scalar(neg, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6})
-        if res.fun < best_v:
-            best_z, best_v = float(res.x), float(res.fun)
-    return best_z, -best_v
+    res = minimize_scalar(neg, bounds=(0.0, cap), method="bounded", options={"xatol": 1e-6})
+    if -res.fun <= at_zero:
+        return 0.0, at_zero
+    return float(res.x), float(-res.fun)
 
 
 def lower_bound(t, lam, h, hawkes: HawkesParams, model: BreachModel, costs: CostParams):
@@ -258,9 +257,9 @@ def evaluate_deterministic(
 ) -> float:
     """Expected net benefit of a deterministic rate path from state (t, lam, h).
 
-    `strategy` may be a PolicyTrace, a GridRate / ConstantRate, or a callable
-    s -> rate. Piecewise-constant rates integrate the level exactly and use a
-    per-segment Simpson rule for the smooth reward integrand.
+    `strategy` is a PolicyTrace, a GridRate or a ConstantRate. Piecewise-
+    constant rates take their levels exactly and apply a per-segment Simpson
+    rule to the smooth reward integrand.
     """
     T = costs.horizon
     if t > T:
@@ -269,61 +268,34 @@ def evaluate_deterministic(
         strategy = strategy.as_grid_rate()
     if isinstance(strategy, ConstantRate):
         return evaluate_constant(t, lam, h, strategy.rate, hawkes, model, costs)
-    rho, gamma, delta = costs.rho, costs.gamma, costs.delta
+    if not isinstance(strategy, GridRate):
+        raise TypeError(f"strategy must be a PolicyTrace, GridRate or ConstantRate, not {type(strategy).__name__}")
     k = hawkes.reversion_rate
     lstar = hawkes.stationary_mean
 
-    def mean_lam(s):
-        return lstar + (lam - lstar) * np.exp(-k * (s - t))
-
     def running(s, level):
-        return costs.eta_mean * (model.v - breach_prob(model, level)) * mean_lam(s)
+        mean_lam = lstar + (lam - lstar) * np.exp(-k * (s - t))
+        return costs.eta_mean * (model.v - breach_prob(model, level)) * mean_lam
 
-    if isinstance(strategy, GridRate):
-        inside = strategy.times > t
-        knots = np.concatenate(([t], strategy.times[inside], [T]))
-        knots = knots[knots <= T]
-        if knots[-1] < T:
-            knots = np.concatenate((knots, [T]))
-        zvals = np.asarray([float(strategy(s)) for s in knots[:-1]])
-        hk = np.empty(knots.size)
-        hk[0] = h
-        reward = 0.0
-        cost = 0.0
-        for i in range(knots.size - 1):
-            dt = knots[i + 1] - knots[i]
-            z = zvals[i]
-            h0 = hk[i]
-            hmid = h0 * math.exp(-rho * 0.5 * dt) + z * _phi(rho, 0.5 * dt)
-            h1 = h0 * math.exp(-rho * dt) + z * _phi(rho, dt)
-            hk[i + 1] = h1
-            s0, smid, s1 = knots[i], knots[i] + 0.5 * dt, knots[i + 1]
-            reward += dt / 6.0 * (running(s0, h0) + 4.0 * running(smid, hmid) + running(s1, h1))
-            cost += dt * (delta * z + 0.5 * gamma * z**2)
-        return float(reward - cost + costs.utility(hk[-1]))
+    inside = strategy.times[(strategy.times > t) & (strategy.times < T)]
+    knots = np.concatenate(([t], inside, [T]))
+    dt = np.diff(knots)
+    mids = knots[:-1] + 0.5 * dt
+    levels = _exact_levels(
+        strategy.times, strategy.values[None, :], h, costs.rho, t, np.concatenate((knots, mids)), 0, T
+    )[0]
+    at_knots, at_mids = running(knots, levels[: knots.size]), running(mids, levels[knots.size :])
+    reward = np.sum(dt / 6.0 * (at_knots[:-1] + 4.0 * at_mids + at_knots[1:]))
+    z = strategy(knots[:-1])
+    cost = np.sum(dt * (costs.delta * z + 0.5 * costs.gamma * z**2))
+    return float(reward - cost + costs.utility(levels[knots.size - 1]))
 
-    # general deterministic callable s -> rate
-    def ode(s, y):
-        z = float(strategy(s))
-        if z < 0:
-            raise ValueError(f"strategy returned negative rate at s={s}")
-        return z - rho * y[0]
 
-    sol = solve_ivp(ode, (t, T), [h], rtol=1e-10, atol=1e-12, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"level integration failed: {sol.message}")
-
-    def integrand(s):
-        z = float(strategy(s))
-        return (
-            costs.eta_mean * (model.v - breach_prob(model, float(sol.sol(s)[0]))) * float(mean_lam(s))
-            - delta * z
-            - 0.5 * gamma * z**2
-        )
-
-    epsabs = 1e-8 * _reward_scale(model, costs, hawkes, T - t)
-    total, _ = quad(integrand, t, T, epsabs=epsabs, epsrel=1e-10, limit=400)
-    return float(total + costs.utility(float(sol.sol(T)[0])))
+def _gain(v: float, benchmark: float) -> float:
+    """Percentage gain of v over a benchmark value, which must be positive."""
+    if benchmark <= 0:
+        raise GainUndefinedError(f"benchmark value {benchmark} is not positive")
+    return 100.0 * (v - benchmark) / benchmark
 
 
 def gain_vs_constant(
@@ -339,9 +311,7 @@ def gain_vs_constant(
     """Percentage gain of the solved policy over the best constant rate."""
     v = query(value_field, t, lam, h, mode=mode)
     _, best = optimize_constant(t, lam, h, hawkes, model, costs)
-    if best <= 0:
-        raise GainUndefinedError(f"benchmark value {best} is not positive")
-    return 100.0 * (v - best) / best
+    return _gain(v, best)
 
 
 def gain_vs_poisson(
@@ -358,7 +328,4 @@ def gain_vs_poisson(
     """Percentage gain of the solved policy over the deterministic benchmark policy."""
     v = query(value_field, t, lam, h, mode=mode)
     trace = extract_policy(poisson_field.policy, poisson_field.intensity, t, h)
-    j = evaluate_deterministic(t, lam, h, trace, hawkes, model, costs)
-    if j <= 0:
-        raise GainUndefinedError(f"benchmark value {j} is not positive")
-    return 100.0 * (v - j) / j
+    return _gain(v, evaluate_deterministic(t, lam, h, trace, hawkes, model, costs))

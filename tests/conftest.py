@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+from hypothesis import settings
+from scipy.integrate import quad, solve_ivp
 
 from cyberinvest import (
     BreachFamily,
@@ -9,6 +12,7 @@ from cyberinvest import (
     CostParams,
     HawkesParams,
     SolverGrid,
+    breach_prob,
     simulate_paths,
     solve,
     solve_poisson,
@@ -16,6 +20,12 @@ from cyberinvest import (
 from cyberinvest.config import COARSE_PRESET
 from cyberinvest.hjb import SolverOptions, _PideOperator
 from cyberinvest.poisson import lambda_baseline, lambda_expectation_matched
+from cyberinvest.strategies import _reward_scale
+
+# Quadrature- and solver-backed properties vary too much in run time for a
+# per-example deadline.
+settings.register_profile("cyberinvest", deadline=None)
+settings.load_profile("cyberinvest")
 
 
 def exact_moments(params, t):
@@ -59,6 +69,28 @@ def radau_values(grid, hawkes, model, costs, options=None):
     )
     assert sol.success, sol.message
     return sol.y.T.reshape((snaps.size,) + op.shape)
+
+
+def deterministic_oracle(t, lam, h, rate, hawkes, model, costs):
+    """Oracle: net benefit of a rate path s -> rate(s) from state (t, lam, h).
+
+    The level ODE is integrated by solve_ivp at tight tolerances and the
+    running reward minus cost by adaptive quadrature.
+    """
+    T = costs.horizon
+    k, lstar = hawkes.reversion_rate, hawkes.stationary_mean
+    sol = solve_ivp(lambda s, y: rate(s) - costs.rho * y[0], (t, T), [h], rtol=1e-10, atol=1e-12, dense_output=True)
+    assert sol.success, sol.message
+
+    def integrand(s):
+        z = rate(s)
+        mean_lam = lstar + (lam - lstar) * math.exp(-k * (s - t))
+        breach = breach_prob(model, float(sol.sol(s)[0]))
+        return costs.eta_mean * (model.v - breach) * mean_lam - costs.delta * z - 0.5 * costs.gamma * z**2
+
+    epsabs = 1e-8 * _reward_scale(model, costs, hawkes, T - t)
+    total, _ = quad(integrand, t, T, epsabs=epsabs, epsrel=1e-10, limit=400)
+    return total + float(costs.utility(float(sol.sol(T)[0])))
 
 
 @pytest.fixture(scope="session")

@@ -44,13 +44,13 @@ class TestBreachProb:
         with pytest.raises(ValueError):
             breach_prob(STD, -1.0)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(models, st.floats(0.0, 50.0), st.floats(0.01, 50.0))
     def test_decreasing(self, m, z, dz):
         if m.v > 0:
             assert breach_prob(m, z + dz) < breach_prob(m, z)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(models, st.floats(0.0, 40.0), st.floats(0.1, 10.0))
     def test_convex_second_difference(self, m, z, step):
         s0, s1, s2 = breach_prob(m, [z, z + step, z + 2 * step])
@@ -79,7 +79,7 @@ class TestDerivative:
         m = BreachModel(BreachFamily.CLASS_I, v=0.0, a=0.1, b=1.0)
         assert breach_prob_derivative(m, 3.0) == 0.0
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(models, st.floats(0.01, 30.0))
     def test_finite_difference_oracle(self, m, z):
         h = 1e-5

@@ -163,6 +163,25 @@ class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         assert main(["validate", "--config", str(STANDARD)]) == 0
         assert "configuration OK" in capsys.readouterr().out
+        assert main(["validate", "--config", str(STANDARD), "--coarse"]) == 0
+        assert "configuration OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, argv, rc",
+        [
+            ("[hawkes]\nbeta = 8\n[grid]\nd_lambda = 3\n", [], 2),
+            ("[hawkes]\nbeta = 8\n[grid]\nd_lambda = 3\n[solver]\njump_interp = true\n", [], 0),
+            # whole nodes at d_lambda = 1, but not on the coarse preset's d_lambda = 3
+            ("[hawkes]\nbeta = 8\n", ["--coarse"], 2),
+        ],
+        ids=["fractional", "interpolated", "coarse-fractional"],
+    )
+    def test_validate_checks_jump_shift(self, tmp_path, capsys, text, argv, rc):
+        cfg = tmp_path / "jump.cfg"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg), *argv]) == rc
+        err = capsys.readouterr().err
+        assert ("beta/d_lambda = 8/3 is not an integer" in err) == (rc == 2)
 
     def test_validate_bad_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -107,7 +107,7 @@ class TestEvolveLevel:
         with pytest.raises(PolicyError):
             GridRate([0.0], [-1.0])
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.floats(0.0, 10.0), st.floats(0.0, 1.0), st.floats(0.0, 20.0), st.floats(0.1, 2.0))
     # subnormal rho*span, where -expm1(-rho s)/rho loses its digits
     @example(0.0, 5e-324, 1.0, 0.5)

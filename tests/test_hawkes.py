@@ -88,12 +88,12 @@ class TestMoments:
         with pytest.raises(ValueError):
             expected_count(STD, -1.0)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(stable_params, st.floats(0.01, 3.0), st.floats(0.01, 2.0))
     def test_count_nondecreasing_in_t(self, p, t, dt):
         assert expected_count(p, t + dt) >= expected_count(p, t) - 1e-9
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(stable_params, st.floats(0.1, 2.0))
     def test_count_nondecreasing_in_beta(self, p, t):
         bigger = HawkesParams(p.alpha, p.lambda0, p.xi, min(p.beta + 0.05 * p.xi, 0.95 * p.xi))
@@ -145,7 +145,7 @@ class TestCountVariance:
         stderr = math.sqrt(max(float(np.mean(centered**4)) - var**2, 0.0) / counts.size)
         assert abs(var - var_exact) <= 4 * stderr
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(stable_params, st.floats(0.05, 5.0))
     def test_exact_moments_match_ode_oracle(self, p, t):
         _, var_n, var_lam = exact_moments(p, t)

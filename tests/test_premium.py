@@ -44,7 +44,7 @@ class TestPremiumFormula:
             with pytest.raises(ValueError):
                 premium(*args)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.floats(0, 1e6), st.floats(0, 1e5), st.floats(0, 2))
     def test_affine_identity(self, e, s, theta):
         r = PremiumReport("x", e, s, theta, 10_000)

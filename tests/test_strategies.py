@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import deterministic_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyberinvest import (
     AttackPath,
@@ -66,12 +69,38 @@ class TestEvaluateConstant:
         with pytest.raises(ValueError):
             evaluate_constant(0.0, 27.0, 1.0, -1.0, STD_H, STD_M, STD_C)
 
+    # optimize_constant's single bounded search rests on this property
+    @settings(max_examples=30)
+    @given(
+        st.one_of(
+            st.builds(
+                BreachModel, st.just(BreachFamily.CLASS_I), st.floats(0.0, 1.0), st.floats(0.01, 2.0), st.floats(0.2, 4.0)
+            ),
+            st.builds(BreachModel, st.just(BreachFamily.CLASS_II), st.floats(0.0, 0.95), st.floats(0.01, 2.0)),
+        ),
+        st.one_of(st.sampled_from(["sqrt", "zero"]), st.floats(0.05, 1.0).map(lambda p: f"power:{p:g}")),
+        st.floats(0.0, 0.95),
+        st.floats(27.0, 216.0),
+        st.floats(0.0, 50.0),
+        st.floats(1.0, 300.0),
+    )
+    def test_concave_in_rate(self, model, utility, t, lam, h, z_max):
+        costs = dataclasses.replace(STD_C, terminal_utility=utility)
+        vals = np.array([evaluate_constant(t, lam, h, z, STD_H, model, costs) for z in np.linspace(0.0, z_max, 41)])
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        assert np.max(np.diff(vals, 2)) <= 1e-7 * scale
+
 
 class TestOptimizeConstant:
-    def test_grid_sweep_oracle(self):
-        zst, best = optimize_constant(0.0, 27.0, 0.0, STD_H, STD_M, STD_C)
+    @pytest.mark.parametrize("utility", ["sqrt", "power:0.5"])
+    @pytest.mark.parametrize(
+        "model", [STD_M, BreachModel(BreachFamily.CLASS_II, 0.65, 0.5, 1.0)], ids=["class1", "class2"]
+    )
+    def test_grid_sweep_oracle(self, model, utility):
+        costs = dataclasses.replace(STD_C, terminal_utility=utility)
+        zst, best = optimize_constant(0.0, 27.0, 0.0, STD_H, model, costs)
         sweep = np.linspace(0.0, 60.0, 601)
-        vals = [evaluate_constant(0.0, 27.0, 0.0, z, STD_H, STD_M, STD_C) for z in sweep]
+        vals = [evaluate_constant(0.0, 27.0, 0.0, z, STD_H, model, costs) for z in sweep]
         assert best >= max(vals) - 1e-6
         assert abs(zst - sweep[int(np.argmax(vals))]) < 0.2
 
@@ -118,13 +147,17 @@ class TestEvaluateDeterministic:
         knots = np.linspace(0.0, 1.0, 401)
         gr = GridRate(knots, 3.0 + 2.0 * (knots + 0.5 * (knots[1] - knots[0])))
         a = evaluate_deterministic(0.0, 27.0, 1.0, gr, STD_H, STD_M, STD_C)
-        b = evaluate_deterministic(0.0, 27.0, 1.0, lambda s: 3.0 + 2.0 * s, STD_H, STD_M, STD_C)
+        b = deterministic_oracle(0.0, 27.0, 1.0, lambda s: 3.0 + 2.0 * s, STD_H, STD_M, STD_C)
         assert a == pytest.approx(b, rel=1e-5)
 
     def test_zero_strategy_invulnerable(self):
         m0 = BreachModel(BreachFamily.CLASS_I, 0.0, 0.1, 1.0)
-        val = evaluate_deterministic(0.0, 27.0, 4.0, lambda s: 0.0, STD_H, m0, STD_C)
+        val = evaluate_deterministic(0.0, 27.0, 4.0, ConstantRate(0.0), STD_H, m0, STD_C)
         assert val == pytest.approx(math.sqrt(4.0 * math.exp(-0.2)), rel=1e-8)
+
+    def test_callable_rejected(self):
+        with pytest.raises(TypeError):
+            evaluate_deterministic(0.0, 27.0, 1.0, lambda s: 3.0, STD_H, STD_M, STD_C)
 
 
 class TestExtractPolicy:
