@@ -278,13 +278,16 @@ def _exact_levels(tk, Z, h0: float, rho: float, t0: float, times, row, t_end: fl
     span = np.diff(tk)
     decay = np.exp(-rho * span)
     gain = _phi(rho, span)
-    hk = np.empty(Z.shape)
+    hk = np.empty(Z.shape, order="F")
     hk[:, 0] = h0
     for i in range(tk.size - 1):
         hk[:, i + 1] = hk[:, i] * decay[i] + Z[:, i] * gain[i]
     j = np.searchsorted(tk, times, side="right") - 1
     dt = times - tk[j]
-    levels = hk[row, j] * np.exp(-rho * dt) + Z[row, j] * _phi(rho, dt)
+    # column-major flat positions of (row, j): one 1-d gather per array
+    # costs less than 2-d fancy indexing
+    at = j * Z.shape[0] + row
+    levels = hk.ravel("F")[at] * np.exp(-rho * dt) + Z.ravel("F")[at] * _phi(rho, dt)
     jT = np.searchsorted(tk, t_end, side="right") - 1
     terminal = hk[:, jT] * math.exp(-rho * (t_end - tk[jT])) + Z[:, jT] * _phi(rho, t_end - tk[jT])
     return levels, terminal

@@ -213,7 +213,11 @@ class PathBatch:
         return base + p.beta * sums
 
     def intensity_on_grid(self, tgrid: np.ndarray) -> np.ndarray:
-        """Intensity at the given ascending times for every path, shape (n_paths, len(tgrid))."""
+        """Intensity at the given ascending times for every path, shape (n_paths, len(tgrid)).
+
+        The result is the transpose of a time-major (len(tgrid), n_paths)
+        array, so each grid time's column is contiguous.
+        """
         p = self.params
         tgrid = np.asarray(tgrid, dtype=float)
         n, k = self.n_paths, tgrid.size
@@ -222,22 +226,19 @@ class PathBatch:
         bucket = np.searchsorted(tgrid, self.times, side="left")
         inside = bucket < k
         b = bucket[inside]
-        cell = self.path_index()[inside] * k + b
+        cell = b * n + self.path_index()[inside]
         kicks = np.exp(-p.xi * (tgrid[b] - self.times[inside]))
-        contrib = np.bincount(cell, weights=kicks, minlength=n * k).reshape(n, k)
-        acc = np.zeros(n)
-        out = np.empty((n, k))
-        prev_t = 0.0
-        for j in range(k):
-            acc = acc * math.exp(-p.xi * (tgrid[j] - prev_t)) + contrib[:, j]
-            out[:, j] = acc
-            prev_t = tgrid[j]
-        base = p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * tgrid)
-        return base[None, :] + p.beta * out
+        out = np.bincount(cell, weights=kicks, minlength=n * k).reshape(k, n)
+        for j in range(1, k):
+            out[j] += out[j - 1] * math.exp(-p.xi * (tgrid[j] - tgrid[j - 1]))
+        out *= p.beta
+        out += (p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * tgrid))[:, None]
+        return out.T
 
 
 def _simulate_chunk(shared, job):
-    """Thinning for one chunk of paths at once; returns its flat (times, offsets).
+    """Thinning for one chunk of paths at once; returns its flat (times,
+    offsets) and the number of thinning candidates inside the horizon.
 
     shared is (params, horizon) and job is (n_paths, SeedSequence), as
     _map_chunks passes them.
@@ -248,6 +249,7 @@ def _simulate_chunk(shared, job):
     t = np.zeros(n)
     lam = np.full(n, lam0)
     active = np.arange(n)
+    candidates = 0
     ev_pid, ev_t = [], []
     while active.size:
         k = active.size
@@ -263,18 +265,20 @@ def _simulate_chunk(shared, job):
             ev_t.append(t_new[acc])
         lam = np.where(acc, lam_at + beta, lam_at)
         t, lam, active = t_new[alive], lam[alive], active[alive]
+        candidates += active.size
     if ev_pid:
         pid = np.concatenate(ev_pid)
-        times = np.concatenate(ev_t)
-        order = np.lexsort((times, pid))
-        pid, times = pid[order], times[order]
+        # Each round appends the accepted events of the ascending active ids,
+        # and later rounds only add later times to a path, so a stable sort
+        # by path id also orders each path by time.
+        times = np.concatenate(ev_t)[np.argsort(pid, kind="stable")]
     else:
         pid = np.zeros(0, dtype=np.int64)
         times = np.zeros(0)
     counts = np.bincount(pid, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return times, offsets
+    return times, offsets, candidates
 
 
 def _chunk_jobs(seed: int, n_paths: int) -> list:
@@ -342,9 +346,9 @@ def simulate_paths(
     _check_batch_args(horizon, n_paths)
     jobs = _chunk_jobs(seed, n_paths)
     results = list(_map_chunks(_simulate_chunk, (params, float(horizon)), jobs, threads))
-    times = np.concatenate([t for t, _ in results])
+    times = np.concatenate([t for t, _, _ in results])
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.diff(off) for _, off in results]), out=offsets[1:])
+    np.cumsum(np.concatenate([np.diff(off) for _, off, _ in results]), out=offsets[1:])
     return PathBatch(params=params, horizon=float(horizon), times=times, offsets=offsets)
 
 

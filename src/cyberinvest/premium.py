@@ -11,6 +11,7 @@ per-path numbers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .dynamics import (
 from .errors import ConfigError
 from .hawkes import HawkesParams, PathBatch, _chunk_jobs, _map_chunks, _simulate_chunk
 from .hjb import PolicyField
-from .strategies import extract_policies_batch
+from .strategies import _euler_walk, _snapshot_times
 
 __all__ = [
     "PremiumReport",
@@ -57,6 +58,7 @@ class PremiumReport:
     theta: float
     mc_paths: int
     standard_errors: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.loss_std < 0 or self.theta < 0:
@@ -116,13 +118,23 @@ def _check_field_inputs(policy_field: PolicyField, hawkes, model, costs):
 
 def _optimal_chunk(shared, job):
     """Per-path counts, per-event breach probabilities and per-path terminal
-    levels of one chunk of paths under the solved policy."""
+    levels of one chunk of paths under the solved policy, and its counts."""
     policy_field, hawkes, horizon, model, rho, h_init = shared
-    batch = PathBatch(hawkes, horizon, *_simulate_chunk((hawkes, horizon), job))
-    times, controls = extract_policies_batch(policy_field, batch, 0.0, h_init)
+    *flat, candidates = _simulate_chunk((hawkes, horizon), job)
+    batch = PathBatch(hawkes, horizon, *flat)
+    times, snap_idx = _snapshot_times(policy_field, 0.0)
+    controls, clamped_lambda, clamped_h = _euler_walk(
+        policy_field, times, snap_idx, batch.intensity_on_grid(times), h_init
+    )
     levels, terminal_h = _control_levels(batch, times, controls, h_init, rho)
     probs = breach_prob(model, levels) if levels.size else np.zeros(0)
-    return batch.counts(), probs, terminal_h
+    tally = {
+        "events": int(batch.times.size),
+        "thinning_candidates": candidates,
+        "clamped_lambda": clamped_lambda,
+        "clamped_h": clamped_h,
+    }
+    return batch.counts(), probs, terminal_h, tally
 
 
 def premium_report_optimal(
@@ -141,7 +153,9 @@ def premium_report_optimal(
 
     Equals simulate_paths -> extract_policies_batch -> simulate_losses (with
     h0 = h_init) bit for bit, for any `threads`, but holds only one chunk
-    per worker plus 32 bytes per path.
+    per worker plus 32 bytes per path. The report's diagnostics count the
+    events, the thinning candidates, and the policy lookups whose intensity
+    or level lay beyond the field's grid and were clamped to its last node.
     """
     if mc_paths < 10_000:
         raise ValueError("mc_paths must be at least 10^4")
@@ -154,11 +168,13 @@ def premium_report_optimal(
     draw_eta = _eta_sampler(costs)
     lb = LossBatch(np.empty(mc_paths), np.empty(mc_paths, np.int64), np.empty(mc_paths, np.int64), np.empty(mc_paths))
     pos = 0
-    for counts, probs, terminal_h in _map_chunks(_optimal_chunk, shared, jobs, threads):
+    diagnostics = Counter()
+    for counts, probs, terminal_h, chunk_tally in _map_chunks(_optimal_chunk, shared, jobs, threads):
         rows = slice(pos, pos + counts.size)
         lb.gross_loss[rows], lb.n_breaches[rows] = _draw_losses(probs, counts, rng_b, rng_l, draw_eta)
         lb.n_attacks[rows] = counts
         lb.terminal_h[rows] = terminal_h
+        diagnostics.update(chunk_tally)
         pos += counts.size
     if losses_csv is not None:
         lb.write_csv(losses_csv)
@@ -171,6 +187,7 @@ def premium_report_optimal(
         theta=float(theta),
         mc_paths=int(mc_paths),
         standard_errors={"expected_loss": mean.stderr, "loss_std": std.stderr},
+        diagnostics=dict(diagnostics),
     )
 
 

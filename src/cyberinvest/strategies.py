@@ -63,7 +63,10 @@ class PolicyTrace:
 
 
 def _nearest(x, lo, step, n):
-    return np.clip(np.rint((x - lo) / step).astype(int), 0, n - 1)
+    """Nearest node index of x on a uniform axis of n nodes, and the number of
+    x whose nearest node lies beyond the last one (clamped to it)."""
+    k = np.rint((x - lo) / step).astype(int)
+    return np.clip(k, 0, n - 1), int(np.count_nonzero(k > n - 1))
 
 
 def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
@@ -80,24 +83,31 @@ def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
     return times, snap_idx
 
 
-def _euler_walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: float, level=None) -> np.ndarray:
+def _euler_walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: float, level=None) -> tuple:
     """Controls along each row of the (n_paths, len(times)) intensity matrix lam
     by nearest-node lookup, with an explicit-Euler level update between
-    snapshots; fills `level` (same shape) with the levels if given."""
+    snapshots; fills `level` (same shape) with the levels if given.
+
+    Returns the controls, column-major so that each snapshot's column is
+    contiguous, and the numbers of lookups clamped at lambda_max and at h_max.
+    """
     grid = field.grid
     rho = field.meta.costs.rho
-    k_lam = _nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
-    controls = np.empty(lam.shape)
+    k_lam, clamped_lambda = _nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
+    k_lam *= grid.n_h  # flat offset of each lambda node's row in a snapshot's (lambda, h) table
+    controls = np.empty(lam.shape, order="F")
     h = np.full(lam.shape[0], float(h_init))
+    clamped_h = 0
     for i in range(times.size):
         if level is not None:
             level[:, i] = h
-        j = _nearest(h, grid.h_min, grid.d_h, grid.n_h)
-        controls[:, i] = field.controls[snap_idx[i], k_lam[:, i], j]
+        j, clamped = _nearest(h, grid.h_min, grid.d_h, grid.n_h)
+        clamped_h += clamped
+        field.controls[snap_idx[i]].take(k_lam[:, i] + j, out=controls[:, i])
         if i + 1 < times.size:
             dt = times[i + 1] - times[i]
             h = h - rho * h * dt + controls[:, i] * dt
-    return controls
+    return controls, clamped_lambda, clamped_h
 
 
 def extract_policy(
@@ -124,7 +134,7 @@ def extract_policy(
             else TraceSource.CONSTANT
         )
     level = np.empty((1, times.size))
-    control = _euler_walk(field, times, snap_idx, lam[None, :], h_init, level)
+    control = _euler_walk(field, times, snap_idx, lam[None, :], h_init, level)[0]
     return PolicyTrace(times, lam, control[0], level[0], source)
 
 
@@ -140,7 +150,7 @@ def extract_policies_batch(
     produces path by path.
     """
     times, snap_idx = _snapshot_times(field, t_init)
-    return times, _euler_walk(field, times, snap_idx, batch.intensity_on_grid(times), h_init)
+    return times, _euler_walk(field, times, snap_idx, batch.intensity_on_grid(times), h_init)[0]
 
 
 def _reward_scale(model: BreachModel, costs: CostParams, hawkes: HawkesParams, span: float) -> float:

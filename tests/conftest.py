@@ -17,6 +17,7 @@ from cyberinvest import (
     solve,
     solve_poisson,
 )
+from cyberinvest._rng import generator_from
 from cyberinvest.config import COARSE_PRESET
 from cyberinvest.hjb import SolverOptions, _PideOperator
 from cyberinvest.poisson import lambda_baseline, lambda_expectation_matched
@@ -91,6 +92,40 @@ def deterministic_oracle(t, lam, h, rate, hawkes, model, costs):
     epsabs = 1e-8 * _reward_scale(model, costs, hawkes, T - t)
     total, _ = quad(integrand, t, T, epsabs=epsabs, epsrel=1e-10, limit=400)
     return total + float(costs.utility(float(sol.sol(T)[0])))
+
+
+def thinning_oracle(params, horizon, n, seedseq):
+    """Oracle: the chunk sampler's thinning rounds, with every path's events
+    put in order by an explicit (path id, time) lexsort.
+
+    Returns the flat (times, offsets) of the n paths.
+    """
+    rng = generator_from(seedseq)
+    alpha, lam0, xi, beta = params.alpha, params.lambda0, params.xi, params.beta
+    t = np.zeros(n)
+    lam = np.full(n, lam0)
+    active = np.arange(n)
+    ev_pid, ev_t = [], []
+    while active.size:
+        k = active.size
+        bound = np.maximum(lam, alpha)
+        wait = rng.exponential(1.0, k) / bound
+        t_new = t + wait
+        lam_at = alpha + (lam - alpha) * np.exp(-xi * wait)
+        u = rng.random(k) * bound
+        alive = t_new <= horizon
+        acc = alive & (u <= lam_at)
+        if acc.any():
+            ev_pid.append(active[acc])
+            ev_t.append(t_new[acc])
+        lam = np.where(acc, lam_at + beta, lam_at)
+        t, lam, active = t_new[alive], lam[alive], active[alive]
+    pid = np.concatenate(ev_pid) if ev_pid else np.zeros(0, dtype=np.int64)
+    times = np.concatenate(ev_t) if ev_t else np.zeros(0)
+    order = np.lexsort((times, pid))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pid, minlength=n), out=offsets[1:])
+    return times[order], offsets
 
 
 @pytest.fixture(scope="session")

@@ -257,6 +257,8 @@ class TestCli:
         assert rc == 0
         head = (Path(out) / "table_premia.csv").read_text().splitlines()[0]
         assert head == "eta_mean,eta_var,premium_baseline,premium_optimal,reduction_pct"
+        reports = json.loads((Path(out) / "premium_reports.json").read_text())
+        assert set(reports[0]["optimal"]["diagnostics"]) == {"events", "thinning_candidates", "clamped_lambda", "clamped_h"}
 
     def test_zero_vulnerability_traces_are_flat(self, tmp_path):
         cfg = tmp_path / "zero.cfg"

@@ -224,6 +224,18 @@ class TestSimulateLossesBatch:
         np.testing.assert_array_equal(a.gross_loss, b.gross_loss)
         np.testing.assert_array_equal(a.terminal_h, b.terminal_h)
 
+    def test_controls_layout_does_not_change_losses(self, std_batch_100k):
+        # the premium pipeline passes column-major controls, other callers row-major
+        sub = std_batch_100k.slice(0, 300)
+        times = np.linspace(0, 1, 21)
+        ctrl = np.random.default_rng(1).uniform(0, 10, (sub.n_paths, times.size))
+        by_row, by_col = np.ascontiguousarray(ctrl), np.asfortranarray(ctrl)
+        assert not by_row.flags.f_contiguous and not by_col.flags.c_contiguous
+        a = simulate_losses(sub, STD_M, STD_C, control_times=times, controls=by_row, seed=7)
+        b = simulate_losses(sub, STD_M, STD_C, control_times=times, controls=by_col, seed=7)
+        for name in ("gross_loss", "n_attacks", "n_breaches", "terminal_h"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
     def test_general_callable_matches_constant(self, std_batch_100k):
         sub = std_batch_100k.slice(0, 40)
         a = simulate_losses(sub, STD_M, STD_C, ConstantRate(4.0), seed=2)
@@ -279,7 +291,8 @@ class TestLossVariance:
 
     def test_decomposition_matches_pure_mc(self):
         closed = loss_variance(STD_H, STD_M, STD_C, None, mc_paths=100_000, seed=1)
-        pure = loss_variance(STD_H, STD_M, STD_C, ConstantRate(0.0), mc_paths=100_000, seed=2)
+        # simulated directly: loss_variance would route ConstantRate(0.0) to the closed form
+        pure = simulate_losses(simulate_paths(STD_H, 1.0, 100_000, 2), STD_M, STD_C, ConstantRate(0.0), 2).var_loss()
         tol = 4 * math.hypot(closed.stderr, pure.stderr)
         assert abs(closed.value - pure.value) <= tol
 

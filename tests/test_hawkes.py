@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import exact_moments
+from conftest import exact_moments, thinning_oracle
 
 from cyberinvest import (
     AttackPath,
@@ -20,6 +20,8 @@ from cyberinvest import (
     simulate_path,
     simulate_paths,
 )
+from cyberinvest._rng import CHUNK_PATHS
+from cyberinvest.hawkes import _chunk_jobs, _simulate_chunk
 
 STD = HawkesParams(27.0, 27.0, 15.0, 9.0)
 
@@ -218,6 +220,28 @@ class TestSimulatePaths:
         b = simulate_paths(STD, 1.0, 6000, seed=9, threads=2)
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.times, b.times)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "params, horizon, n",
+        [
+            (STD, 1.0, 1000),
+            (HawkesParams(27.0, 27.0, 15.0, 0.0), 1.0, 1000),
+            (STD, 0.01, 1000),
+            (STD, 1.0, 1),
+            (STD, 1.0, CHUNK_PATHS),
+        ],
+        ids=["standard", "beta0", "short-horizon", "one-path", "full-chunk"],
+    )
+    def test_chunk_order_matches_lexsort_oracle(self, params, horizon, n, seed):
+        job = _chunk_jobs(seed, n)[0]
+        times, offsets, candidates = _simulate_chunk((params, horizon), job)
+        want_times, want_offsets = thinning_oracle(params, horizon, n, job[1])
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(offsets, want_offsets)
+        assert times.size <= candidates
+        if horizon < 1.0:
+            assert np.any(np.diff(offsets) == 0)  # the case must include empty paths
 
     def test_batch_paths_match_closed_form_intensity(self):
         batch = simulate_paths(STD, 1.0, 50, seed=2)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,21 @@ class TestOptimalReport:
         assert got[0][0] < from_zero[0][0]
         with pytest.raises(ValueError):
             premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, h_init=-1.0)
+
+    def test_diagnostics_identical_for_any_threads(self, small_policy):
+        one, two = (
+            premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, seed=2, threads=t).diagnostics
+            for t in (1, 2)
+        )
+        assert one == two
+        assert set(one) == {"events", "thinning_candidates", "clamped_lambda", "clamped_h"}
+        batch = simulate_paths(STD_H, 1.0, 10_000, 2)
+        assert one["events"] == batch.times.size <= one["thinning_candidates"]
+        # small_policy's grid stops at lambda = 120, which some paths exceed
+        grid = small_policy.grid
+        times, _ = extract_policies_batch(small_policy, batch)
+        beyond = np.count_nonzero(batch.intensity_on_grid(times) > grid.lambda_max + 0.5 * grid.d_lambda)
+        assert one["clamped_lambda"] == beyond > 0
 
     def test_memory_bounded_in_paths(self, small_policy):
         peaks = {}
