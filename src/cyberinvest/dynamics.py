@@ -265,12 +265,14 @@ def _phi(rho: float, s):
     return np.where(small, s_arr, out) if small.any() else out
 
 
-def _exact_levels(tk, Z, h0: float, rho: float, t0: float, times, row, t_end: float):
+def _exact_levels(tk, Z, h0: float, rho: float, t0: float, times, row, t_end: float, j=None):
     """Exact levels of dH = (z - rho H) dt from h0 at t0 under piecewise-constant rates.
 
     Z[:, i] applies on [tk[i], tk[i+1]), Z[:, 0] also before tk[0]; Z has one
     row per path, or a single row that every path shares. Returns the level
     at each times[m] >= t0 on row row[m], and every row's level at t_end.
+    A caller that already has them may pass j, the knot indices of `times`
+    that the search below would give.
     """
     j0 = max(int(np.searchsorted(tk, t0, side="right")) - 1, 0)
     tk = np.concatenate(([t0], tk[j0 + 1 :]))
@@ -282,7 +284,8 @@ def _exact_levels(tk, Z, h0: float, rho: float, t0: float, times, row, t_end: fl
     hk[:, 0] = h0
     for i in range(tk.size - 1):
         hk[:, i + 1] = hk[:, i] * decay[i] + Z[:, i] * gain[i]
-    j = np.searchsorted(tk, times, side="right") - 1
+    if j is None:
+        j = np.searchsorted(tk, times, side="right") - 1
     dt = times - tk[j]
     # column-major flat positions of (row, j): one 1-d gather per array
     # costs less than 2-d fancy indexing
@@ -376,27 +379,32 @@ def simulate_loss(path: AttackPath, model: BreachModel, costs: CostParams, strat
     return simulate_losses(batch, model, costs, strategy, seed, h0).sample(0)
 
 
-def _control_levels(batch: PathBatch, tk: np.ndarray, Z: np.ndarray, h0: float, rho: float):
+def _control_levels(batch: PathBatch, tk: np.ndarray, Z: np.ndarray, h0: float, rho: float, j=None):
     """Exact level at every event and at the horizon under piecewise-constant
-    controls from h0 at t = 0; Z is laid out as in _exact_levels."""
+    controls from h0 at t = 0; Z and j are as in _exact_levels."""
     row = batch.path_index() if Z.shape[0] > 1 else 0
-    levels, terminal = _exact_levels(tk, Z, h0, rho, 0.0, batch.times, row, batch.horizon)
+    levels, terminal = _exact_levels(tk, Z, h0, rho, 0.0, batch.times, row, batch.horizon, j)
     return levels, np.broadcast_to(terminal, batch.n_paths).copy()
 
 
-def _draw_losses(probs: np.ndarray, counts: np.ndarray, rng_b, rng_l, draw_eta):
-    """Per-path (gross loss, breach count) from per-event breach probabilities.
+def _draw_breaches(probs: np.ndarray, counts: np.ndarray, rng_b):
+    """Breach flag of each event, from one uniform per event of rng_b, and the
+    breach count of each path; counts gives the events of each path in turn.
 
-    Draws one breach uniform and one loss mark per event from the given
-    generators. Drawing a batch chunk by chunk from the same two generators
-    gives the same numbers as drawing it at once.
+    Drawing a batch chunk by chunk from the same generator gives the same
+    flags as drawing it at once.
     """
-    n = probs.size
+    breached = rng_b.random(probs.size) < probs
     pid = np.repeat(np.arange(counts.size), counts)
-    breached = rng_b.random(n) < probs
-    etas = draw_eta(rng_l, n)
-    gross = np.bincount(pid, weights=np.where(breached, etas, 0.0), minlength=counts.size)
-    return gross, np.bincount(pid[breached], minlength=counts.size)
+    return breached, np.bincount(pid[breached], minlength=counts.size)
+
+
+def _draw_marks(breached: np.ndarray, counts: np.ndarray, rng_l, draw_eta) -> np.ndarray:
+    """Gross loss of each path: one loss mark per event from rng_l, summed
+    over the breached events; chunk-by-chunk draws equal a single draw."""
+    etas = draw_eta(rng_l, breached.size)
+    pid = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(pid, weights=np.where(breached, etas, 0.0), minlength=counts.size)
 
 
 def simulate_losses(
@@ -446,9 +454,8 @@ def simulate_losses(
 
     probs = breach_prob(model, levels) if levels.size else np.zeros(0)
     counts = batch.counts()
-    gross, nb = _draw_losses(
-        probs, counts, substream(seed, "breach"), substream(seed, "losses"), _eta_sampler(costs)
-    )
+    breached, nb = _draw_breaches(probs, counts, substream(seed, "breach"))
+    gross = _draw_marks(breached, counts, substream(seed, "losses"), _eta_sampler(costs))
     return LossBatch(gross, counts.astype(np.int64), nb, np.asarray(terminal, dtype=float))
 
 

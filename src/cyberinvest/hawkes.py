@@ -218,12 +218,15 @@ class PathBatch:
         The result is the transpose of a time-major (len(tgrid), n_paths)
         array, so each grid time's column is contiguous.
         """
-        p = self.params
         tgrid = np.asarray(tgrid, dtype=float)
+        return self._intensity_on_grid(tgrid, np.searchsorted(tgrid, self.times, side="left"))
+
+    def _intensity_on_grid(self, tgrid: np.ndarray, bucket: np.ndarray) -> np.ndarray:
+        """intensity_on_grid, given each event's first grid index at or after it."""
+        p = self.params
         n, k = self.n_paths, tgrid.size
         # Each event contributes to the first grid time >= tau; later grid
         # times pick it up through the exponential-decay recursion.
-        bucket = np.searchsorted(tgrid, self.times, side="left")
         inside = bucket < k
         b = bucket[inside]
         cell = b * n + self.path_index()[inside]

@@ -185,7 +185,11 @@ class ValueField:
 
 @dataclass(frozen=True)
 class PolicyField:
-    """Optimal investment-rate surface z* stored like ValueField."""
+    """Optimal investment-rate surface z* stored like ValueField.
+
+    The controls are read-only once the field is built, so a field's identity
+    stands for its contents (premium_report_optimal relies on this).
+    """
 
     grid: SolverGrid
     controls: np.ndarray
@@ -195,6 +199,7 @@ class PolicyField:
         expected = (self.grid.t_snapshots.size, self.grid.n_lambda, self.grid.n_h)
         if self.controls.shape != expected:
             raise ValueError(f"controls shape {self.controls.shape} != grid shape {expected}")
+        self.controls.flags.writeable = False
 
 
 @dataclass(frozen=True)

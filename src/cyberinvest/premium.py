@@ -11,18 +11,20 @@ per-path numbers.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import CHUNK_PATHS, substream
 from .breach import BreachModel, breach_prob
 from .dynamics import (
     CostParams,
     LossBatch,
     _control_levels,
-    _draw_losses,
+    _draw_breaches,
+    _draw_marks,
     _eta_sampler,
     expected_loss_no_investment,
     loss_variance,
@@ -116,6 +118,16 @@ def _check_field_inputs(policy_field: PolicyField, hawkes, model, costs):
         raise ConfigError(problems)
 
 
+def _snapshot_cells(times: np.ndarray, event_times: np.ndarray):
+    """Both snapshot indices of every event from one binary search: the first
+    snapshot at or after it, as intensity_on_grid bins events, and the last one
+    at or before it, at least 0, as _exact_levels locates events from t = 0.
+    The two differ by one except where an event falls on a snapshot time."""
+    after = np.searchsorted(times, event_times, side="left")
+    on = times.take(after, mode="clip") == event_times
+    return after, np.maximum(after - 1 + on, 0)
+
+
 def _optimal_chunk(shared, job):
     """Per-path counts, per-event breach probabilities and per-path terminal
     levels of one chunk of paths under the solved policy, and its counts."""
@@ -123,10 +135,11 @@ def _optimal_chunk(shared, job):
     *flat, candidates = _simulate_chunk((hawkes, horizon), job)
     batch = PathBatch(hawkes, horizon, *flat)
     times, snap_idx = _snapshot_times(policy_field, 0.0)
+    after, before = _snapshot_cells(times, batch.times)
     controls, clamped_lambda, clamped_h = _euler_walk(
-        policy_field, times, snap_idx, batch.intensity_on_grid(times), h_init
+        policy_field, times, snap_idx, batch._intensity_on_grid(times, after), h_init
     )
-    levels, terminal_h = _control_levels(batch, times, controls, h_init, rho)
+    levels, terminal_h = _control_levels(batch, times, controls, h_init, rho, before)
     probs = breach_prob(model, levels) if levels.size else np.zeros(0)
     tally = {
         "events": int(batch.times.size),
@@ -135,6 +148,81 @@ def _optimal_chunk(shared, job):
         "clamped_h": clamped_h,
     }
     return batch.counts(), probs, terminal_h, tally
+
+
+@dataclass(frozen=True)
+class _BreachPass:
+    """The eta_var-independent part of an optimal-policy report: per-path
+    counts and terminal levels (read-only), every chunk's breach flags packed
+    one bit per event, and the summed chunk diagnostics."""
+
+    n_attacks: np.ndarray
+    n_breaches: np.ndarray
+    terminal_h: np.ndarray
+    masks: tuple
+    diagnostics: dict
+
+
+def _breach_pass(policy_field, hawkes, model, rho, horizon, mc_paths, seed, h_init, threads) -> _BreachPass:
+    shared = (policy_field, hawkes, horizon, model, rho, h_init)
+    rng_b = substream(seed, "breach")
+    n_attacks = np.empty(mc_paths, np.int64)
+    n_breaches = np.empty(mc_paths, np.int64)
+    terminal_h = np.empty(mc_paths)
+    masks = []
+    diagnostics = Counter()
+    pos = 0
+    for counts, probs, chunk_h, chunk_tally in _map_chunks(_optimal_chunk, shared, _chunk_jobs(seed, mc_paths), threads):
+        rows = slice(pos, pos + counts.size)
+        breached, n_breaches[rows] = _draw_breaches(probs, counts, rng_b)
+        masks.append(np.packbits(breached))
+        n_attacks[rows] = counts
+        terminal_h[rows] = chunk_h
+        diagnostics.update(chunk_tally)
+        pos += counts.size
+    for a in (n_attacks, n_breaches, terminal_h, *masks):
+        a.flags.writeable = False
+    return _BreachPass(n_attacks, n_breaches, terminal_h, tuple(masks), dict(diagnostics))
+
+
+# (weak reference to the policy field, key, _BreachPass) of the last breach
+# pass; the entry goes when another key replaces it or the field is collected.
+# Without a lock, concurrent callers can at worst both build the same pass.
+_last_pass = None
+
+
+def _forget_pass(ref) -> None:
+    global _last_pass
+    if _last_pass is not None and _last_pass[0] is ref:
+        _last_pass = None
+
+
+def _shared_breach_pass(policy_field: PolicyField, key: tuple, threads: int) -> _BreachPass:
+    """The breach pass of `key` on this field object, reused from the last call
+    if it had the same field and key (the results do not depend on threads)."""
+    global _last_pass
+    last = _last_pass
+    if last is not None and last[0]() is policy_field and last[1] == key:
+        return last[2]
+    _last_pass = None  # free the old pass before building the new one
+    bp = _breach_pass(policy_field, *key, threads)
+    _last_pass = (weakref.ref(policy_field, _forget_pass), key, bp)
+    return bp
+
+
+def _mark_pass(bp: _BreachPass, costs: CostParams, seed: int) -> np.ndarray:
+    """Gross loss of every path: the chunks' marks drawn in chunk order from
+    the "losses" substream, as one draw over the whole batch would give."""
+    rng_l, draw_eta = substream(seed, "losses"), _eta_sampler(costs)
+    gross = np.empty(bp.n_attacks.size)
+    pos = 0
+    for packed in bp.masks:
+        rows = slice(pos, min(pos + CHUNK_PATHS, gross.size))
+        counts = bp.n_attacks[rows]
+        breached = np.unpackbits(packed, count=int(counts.sum())).view(bool)
+        gross[rows] = _draw_marks(breached, counts, rng_l, draw_eta)
+        pos = rows.stop
+    return gross
 
 
 def premium_report_optimal(
@@ -152,30 +240,25 @@ def premium_report_optimal(
     """Price the solved dynamic policy by Monte Carlo from level h_init.
 
     Equals simulate_paths -> extract_policies_batch -> simulate_losses (with
-    h0 = h_init) bit for bit, for any `threads`, but holds only one chunk
-    per worker plus 32 bytes per path. The report's diagnostics count the
-    events, the thinning candidates, and the policy lookups whose intensity
-    or level lay beyond the field's grid and were clamped to its last node.
+    h0 = h_init) bit for bit, for any `threads`. A breach pass simulates the
+    paths, walks the policy and draws the breaches; it does not depend on
+    eta_var or eta_family and keeps 24 bytes plus one bit per event for each
+    path. A mark pass then draws the losses of the breached events. The last
+    breach pass is kept while its field object lives, so a report on the same
+    field, hawkes, model, rho, horizon, mc_paths, seed and h_init (say, at
+    another eta_var) runs only the mark pass. The report's diagnostics count
+    the events, the thinning candidates, and the policy lookups whose
+    intensity or level lay beyond the field's grid and were clamped to its
+    last node.
     """
     if mc_paths < 10_000:
         raise ValueError("mc_paths must be at least 10^4")
     if h_init < 0:
         raise ValueError("h_init must be nonnegative")
     _check_field_inputs(policy_field, hawkes, model, costs)
-    shared = (policy_field, hawkes, float(costs.horizon), model, costs.rho, float(h_init))
-    jobs = _chunk_jobs(seed, mc_paths)
-    rng_b, rng_l = substream(seed, "breach"), substream(seed, "losses")
-    draw_eta = _eta_sampler(costs)
-    lb = LossBatch(np.empty(mc_paths), np.empty(mc_paths, np.int64), np.empty(mc_paths, np.int64), np.empty(mc_paths))
-    pos = 0
-    diagnostics = Counter()
-    for counts, probs, terminal_h, chunk_tally in _map_chunks(_optimal_chunk, shared, jobs, threads):
-        rows = slice(pos, pos + counts.size)
-        lb.gross_loss[rows], lb.n_breaches[rows] = _draw_losses(probs, counts, rng_b, rng_l, draw_eta)
-        lb.n_attacks[rows] = counts
-        lb.terminal_h[rows] = terminal_h
-        diagnostics.update(chunk_tally)
-        pos += counts.size
+    key = (hawkes, model, costs.rho, float(costs.horizon), mc_paths, seed, float(h_init))
+    bp = _shared_breach_pass(policy_field, key, threads)
+    lb = LossBatch(_mark_pass(bp, costs, seed), bp.n_attacks, bp.n_breaches, bp.terminal_h)
     if losses_csv is not None:
         lb.write_csv(losses_csv)
     mean = lb.mean_loss()
@@ -187,7 +270,7 @@ def premium_report_optimal(
         theta=float(theta),
         mc_paths=int(mc_paths),
         standard_errors={"expected_loss": mean.stderr, "loss_std": std.stderr},
-        diagnostics=dict(diagnostics),
+        diagnostics=dict(bp.diagnostics),
     )
 
 

@@ -260,6 +260,40 @@ class TestCli:
         reports = json.loads((Path(out) / "premium_reports.json").read_text())
         assert set(reports[0]["optimal"]["diagnostics"]) == {"events", "thinning_candidates", "clamped_lambda", "clamped_h"}
 
+    def test_premium_eta_vars_share_one_pass(self, tmp_path):
+        """Three eta_vars on one loaded field give the files of one run per eta_var,
+        byte for byte, at any thread count."""
+        out = tmp_path / "field"
+        assert main(["solve", "--config", self.write_tiny(tmp_path), "--out", str(out)]) == 0
+
+        def premium(tag, eta_vars, threads):
+            cfg = tmp_path / f"{tag}.cfg"
+            cfg.write_text(TINY + f"eta_vars = {eta_vars}\n")
+            run = tmp_path / tag
+            argv = ["premium", "--config", str(cfg), "--policy-field", f"{out}/policy", "--out", str(run)]
+            assert main(argv + ["--threads", str(threads), "--csv"]) == 0
+            return {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+
+        one, two = premium("t1", "10,50,100", 1), premium("t2", "10,50,100", 2)
+        assert one == two
+        assert set(one) == {
+            "losses_optimal_10.csv",
+            "losses_optimal_50.csv",
+            "losses_optimal_100.csv",
+            "premium_reports.json",
+            "table_premia.csv",
+            "table_std.csv",
+        }
+        reports = json.loads(one["premium_reports.json"])
+        for k, ev in enumerate(("10", "50", "100")):
+            alone = premium(f"alone{ev}", ev, 1)
+            loss_file = f"losses_optimal_{ev}.csv"
+            assert alone[loss_file] == one[loss_file]
+            assert json.loads(alone["premium_reports.json"]) == [reports[k]]
+            for table in ("table_std.csv", "table_premia.csv"):
+                head, *rows = one[table].decode().splitlines()
+                assert alone[table].decode().splitlines() == [head, rows[k]]
+
     def test_zero_vulnerability_traces_are_flat(self, tmp_path):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(TINY + "\n[breach]\nv = 0\n\n[costs]\nutility = zero\n")

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import importlib
 import math
 import tracemalloc
 
@@ -13,17 +15,24 @@ from cyberinvest import (
     ConfigError,
     CostParams,
     HawkesParams,
+    PathBatch,
     PremiumReport,
     SolverGrid,
     extract_policies_batch,
+    load_field,
     premium,
     premium_report_baseline,
     premium_report_optimal,
     prevention_gap,
+    save_field,
     simulate_losses,
     simulate_paths,
     solve,
 )
+from cyberinvest.dynamics import _control_levels
+
+# the package exports the premium() function under the module's name
+premium_module = importlib.import_module("cyberinvest.premium")
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
@@ -126,8 +135,59 @@ class TestOptimalReport:
     def test_streamed_equals_explicit_pipeline(self, small_policy, family, threads, tmp_path):
         costs = dataclasses.replace(STD_C, eta_var=50.0, eta_family=family)
         expected = self._explicit(small_policy, costs, 20_000, 3, 0.0, 0.0, tmp_path / "explicit.csv")
-        got = self._report(small_policy, costs, 20_000, 3, tmp_path / "streamed.csv", threads=threads)
+        # a new field object, so this report runs its own breach pass at `threads`
+        fresh = dataclasses.replace(small_policy)
+        got = self._report(fresh, costs, 20_000, 3, tmp_path / "streamed.csv", threads=threads)
         assert got == expected
+
+    def test_memo_cannot_leak(self, small_policy, tmp_path):
+        runs = [
+            # (eta_var, family, seed, h_init, mc_paths, threads, reuses the previous breach pass)
+            (10.0, "lognormal", 5, 0.0, 10_000, 1, False),
+            (50.0, "gamma", 5, 0.0, 10_000, 2, True),
+            (100.0, "lognormal", 5, 0.0, 10_000, 1, True),
+            (100.0, "lognormal", 6, 0.0, 10_000, 1, False),
+            (100.0, "lognormal", 6, 3.0, 10_000, 1, False),
+            (100.0, "lognormal", 6, 3.0, 12_000, 1, False),
+        ]
+        last = None
+        for eta_var, family, seed, h_init, n, threads, reused in runs:
+            costs = dataclasses.replace(STD_C, eta_var=eta_var, eta_family=family)
+            got = self._report(small_policy, costs, n, seed, tmp_path / "streamed.csv", h_init=h_init, threads=threads)
+            assert got == self._explicit(small_policy, costs, n, seed, h_init, h_init, tmp_path / "explicit.csv")
+            assert (premium_module._last_pass[2] is last) == reused
+            last = premium_module._last_pass[2]
+
+    def test_memo_dropped_with_its_field(self, small_policy):
+        fresh = dataclasses.replace(small_policy)
+        premium_report_optimal(fresh, STD_H, STD_M, STD_C, 0.3, 10_000, seed=4)
+        assert premium_module._last_pass[0]() is fresh
+        del fresh
+        gc.collect()
+        assert premium_module._last_pass is None
+
+    def test_policy_controls_read_only(self, small_policy, tmp_path):
+        save_field(small_policy, tmp_path / "policy")
+        for field in (small_policy, load_field(tmp_path / "policy")):
+            with pytest.raises(ValueError):
+                field.controls[0, 0, 0] = 1.0
+
+    def test_snapshot_cells_match_both_searches(self):
+        """One search gives both event-to-snapshot indices, events on a snapshot included."""
+        times = np.array([0.1, 0.25, 0.5, 0.75, 1.0])
+        ev = np.array([0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0, 0.1, 0.5, 0.6])
+        after, before = premium_module._snapshot_cells(times, ev)
+        np.testing.assert_array_equal(after, np.searchsorted(times, ev, side="left"))
+        np.testing.assert_array_equal(before, np.maximum(np.searchsorted(times, ev, side="right") - 1, 0))
+        # the same events as a batch: levels and intensities equal the two-search ones
+        batch = PathBatch(STD_H, 1.0, ev, np.array([0, 9, 12]))
+        z = np.random.default_rng(0).uniform(0.0, 5.0, (2, times.size))
+        for a, b in zip(
+            _control_levels(batch, times, z, 1.0, 0.2),
+            _control_levels(batch, times, z, 1.0, 0.2, premium_module._snapshot_cells(times, batch.times)[1]),
+        ):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(batch.intensity_on_grid(times), batch._intensity_on_grid(times, after))
 
     def test_initial_level_drives_losses(self, small_policy, tmp_path):
         got = self._report(small_policy, STD_C, 10_000, 1, tmp_path / "streamed.csv", h_init=5.0)
@@ -138,9 +198,10 @@ class TestOptimalReport:
             premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, h_init=-1.0)
 
     def test_diagnostics_identical_for_any_threads(self, small_policy):
+        # the second report gets a new field object, so it runs its own breach pass
         one, two = (
-            premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, seed=2, threads=t).diagnostics
-            for t in (1, 2)
+            premium_report_optimal(field, STD_H, STD_M, STD_C, 0.3, 10_000, seed=2, threads=t).diagnostics
+            for field, t in ((small_policy, 1), (dataclasses.replace(small_policy), 2))
         )
         assert one == two
         assert set(one) == {"events", "thinning_candidates", "clamped_lambda", "clamped_h"}
