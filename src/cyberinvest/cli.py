@@ -92,19 +92,16 @@ def cmd_solve(args) -> int:
 def cmd_solve_poisson(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
-    mode = args.mode or cfg.poisson_mode
-    if mode == "baseline":
+    if args.mode == "baseline":
         lam_p = lambda_baseline(cfg.hawkes)
-    elif mode == "expectation":
-        lam_p = lambda_expectation_matched(cfg.hawkes, cfg.costs.horizon)
     else:
-        raise ConfigError([f"unknown poisson mode {mode!r}"])
+        lam_p = lambda_expectation_matched(cfg.hawkes, cfg.costs.horizon)
     field = solve_poisson(cfg.grid, lam_p, cfg.breach, cfg.costs, cfg.options)
-    save_poisson(field, out / f"poisson_{mode}")
-    (out / f"poisson_{mode}_quality.json").write_text(
+    save_poisson(field, out / f"poisson_{args.mode}")
+    (out / f"poisson_{args.mode}_quality.json").write_text(
         json.dumps(field.quality, sort_keys=True, indent=2) + "\n"
     )
-    print(f"solved constant-intensity benchmark mode={mode} lambda_p={_fmt(lam_p)} -> {out}")
+    print(f"solved constant-intensity benchmark mode={args.mode} lambda_p={_fmt(lam_p)} -> {out}")
     return 0
 
 
@@ -140,7 +137,7 @@ def cmd_gain(args) -> int:
     lams = [float(x) for x in args.lambdas.split(",")]
     hs = [float(x) for x in args.hs.split(",")]
     t = args.t
-    mode = "linear" if args.interp else None
+    mode = "linear" if args.interp else "nearest"
     poisson = load_poisson(args.poisson_field) if args.poisson_field else None
     if args.benchmark != "constant" and poisson is None:
         raise ConfigError(["--poisson-field is required for the poisson benchmarks"])
@@ -154,7 +151,7 @@ def cmd_gain(args) -> int:
                     t, lam, h, value, poisson, cfg.hawkes, cfg.breach, cfg.costs, mode=mode
                 )
             rows.append((t, lam, h, g))
-    target = out / "gains.csv"
+    target = out / f"gain_{args.benchmark}.csv"
     with target.open("w") as fh:
         fh.write("t,lambda,h,gain_pct,benchmark\n")
         for t_, lam, h, g in rows:
@@ -264,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-poisson", help="solve a constant-intensity benchmark field")
     common(p)
-    p.add_argument("--mode", choices=["baseline", "expectation"], default=None)
+    p.add_argument("--mode", choices=["baseline", "expectation"], default="expectation")
     p.set_defaults(func=cmd_solve_poisson)
 
     p = sub.add_parser("trace", help="extract the policy along simulated attack paths")

@@ -68,9 +68,7 @@ _SCHEMA = {
     "solver": {
         "upwind": _parse_bool,
         "jump_interp": _parse_bool,
-        "interp_query": _parse_bool,
     },
-    "benchmark": {"poisson_mode": str},
     "premium": {"theta": float, "eta_vars": _parse_float_list, "mc_paths": int},
     "run": {"seed": int, "threads": int, "out_dir": str},
 }
@@ -101,9 +99,7 @@ _DEFAULTS = {
     "solver": {
         "upwind": False,
         "jump_interp": False,
-        "interp_query": False,
     },
-    "benchmark": {"poisson_mode": "expectation"},
     "premium": {"theta": 0.3, "eta_vars": [10.0, 50.0, 100.0], "mc_paths": 100_000},
     "run": {"seed": 0, "threads": 1, "out_dir": "out"},
 }
@@ -120,7 +116,6 @@ class RunConfig:
     costs: CostParams
     grid: SolverGrid
     options: SolverOptions
-    poisson_mode: str
     theta: float
     eta_vars: tuple
     mc_paths: int
@@ -258,8 +253,6 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
             options = SolverOptions(**values["solver"])
         except (TypeError, ValueError) as exc:
             errs.append(f"[solver] {exc}")
-        if values["benchmark"]["poisson_mode"] not in ("baseline", "expectation"):
-            errs.append("[benchmark] poisson_mode must be 'baseline' or 'expectation'")
         p = values["premium"]
         if p["theta"] < 0:
             errs.append("[premium] theta must be nonnegative")
@@ -281,7 +274,6 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
             costs=costs,
             grid=grid,
             options=options,
-            poisson_mode=values["benchmark"]["poisson_mode"],
             theta=p["theta"],
             eta_vars=tuple(p["eta_vars"]),
             mc_paths=p["mc_paths"],

@@ -25,9 +25,10 @@ __all__ = ["save_field", "load_field", "save_poisson", "load_poisson", "write_fi
 
 FORMAT_VERSION = 1
 
-# Options of the former implicit Runge-Kutta integrator, still present in
-# fields written before the ADI solver; they have no meaning now.
-_RETIRED_OPTIONS = ("rtol", "atol", "method")
+# Options that older field files still carry and that no longer exist: the
+# former implicit Runge-Kutta integrator's tolerances and method, the query-mode
+# default (queries now choose their mode per call) and the node limit (now fixed).
+_RETIRED_OPTIONS = ("rtol", "atol", "method", "interp_query", "max_nodes")
 
 
 def _meta_dict(field) -> dict:

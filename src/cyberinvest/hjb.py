@@ -60,6 +60,7 @@ _THETA = 0.5  # Douglas weight: second order in time
 _RANNACHER_INTERVALS = 2  # leading intervals stepped as two implicit (theta = 1) half steps
 _NEWTON_MAX_ITER = 20  # 2-4 iterations suffice on every grid measured
 _NEWTON_RTOL = 1e-10  # update max-norm, relative to max(1, max |W|), that ends Newton
+_MAX_NODES = 200_000_000  # stored (snapshot, lambda, h) nodes one solve may hold in memory
 
 
 @dataclass(frozen=True)
@@ -143,12 +144,10 @@ class SolverGrid:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Discretization and storage options for the backward solve."""
+    """Discretization options for the backward solve."""
 
     upwind: bool = False
     jump_interp: bool = False
-    interp_query: bool = False
-    max_nodes: int = 200_000_000
 
 
 @dataclass(frozen=True)
@@ -457,9 +456,9 @@ def solve(
         )
     snaps = grid.t_snapshots
     n_nodes = snaps.size * grid.n_lambda * grid.n_h
-    if n_nodes > options.max_nodes:
+    if n_nodes > _MAX_NODES:
         raise SolverError(
-            f"{n_nodes} stored nodes exceed the in-memory limit {options.max_nodes}; "
+            f"{n_nodes} stored nodes exceed the in-memory limit {_MAX_NODES}; "
             "coarsen the grid or reduce snapshots"
         )
     op = _PideOperator(grid, hawkes, model, costs, options)
@@ -568,7 +567,7 @@ def _nearest_index(x: float, lo: float, step: float, n: int) -> int:
     return int(np.clip(round((x - lo) / step), 0, n - 1))
 
 
-def query(field, t: float, lam: float, h: float, mode: Optional[str] = None) -> float:
+def query(field, t: float, lam: float, h: float, mode: str = "nearest") -> float:
     """Field value at (t, lambda, h): nearest snapshot in t, nearest node or
     bilinear interpolation in (lambda, h).
 
@@ -580,8 +579,6 @@ def query(field, t: float, lam: float, h: float, mode: Optional[str] = None) -> 
     T = grid.horizon
     if not (0.0 <= t <= T + 1e-12):
         raise ValueError(f"query time {t} outside [0, {T}]")
-    if mode is None:
-        mode = "linear" if field.meta.options.interp_query else "nearest"
     snaps = grid.t_snapshots
     k = int(np.argmin(np.abs(snaps - t)))
     if h < grid.h_min - 1e-12 or h > grid.h_max + 1e-12:

@@ -316,7 +316,7 @@ def gain_vs_constant(
     hawkes: HawkesParams,
     model: BreachModel,
     costs: CostParams,
-    mode: Optional[str] = None,
+    mode: str = "nearest",
 ) -> float:
     """Percentage gain of the solved policy over the best constant rate."""
     v = query(value_field, t, lam, h, mode=mode)
@@ -333,7 +333,7 @@ def gain_vs_poisson(
     hawkes: HawkesParams,
     model: BreachModel,
     costs: CostParams,
-    mode: Optional[str] = None,
+    mode: str = "nearest",
 ) -> float:
     """Percentage gain of the solved policy over the deterministic benchmark policy."""
     v = query(value_field, t, lam, h, mode=mode)

@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,13 +139,14 @@ class TestFieldIO:
         return data
 
     def test_loads_field_with_retired_integrator_options(self, tmp_path):
-        # fields written by the former Radau solver carry rtol, atol and method
+        # fields written by the former Radau solver carry rtol, atol and method,
+        # and older fields the query-mode default and the node limit
         old = {"rtol": 1e-6, "atol": 1e-9, "method": "Radau", "upwind": False,
                "jump_interp": False, "interp_query": True, "max_nodes": 200_000_000}
         data = self.write_field_with_options(tmp_path / "v", old)
         loaded = load_field(tmp_path / "v")
         np.testing.assert_array_equal(loaded.values.ravel(), data)
-        assert loaded.meta.options.interp_query is True
+        assert dataclasses.asdict(loaded.meta.options) == {"upwind": False, "jump_interp": False}
 
     def test_unknown_option_still_rejected(self, tmp_path):
         self.write_field_with_options(tmp_path / "v", {"upwind": False, "foo": 1})
@@ -182,6 +186,21 @@ class TestCli:
         assert main(["validate", "--config", str(cfg), *argv]) == rc
         err = capsys.readouterr().err
         assert ("beta/d_lambda = 8/3 is not an integer" in err) == (rc == 2)
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            ("[solver]\ninterp_query = true\n", "unknown key 'interp_query' in section [solver]"),
+            ("[solver]\nmax_nodes = 10\n", "unknown key 'max_nodes' in section [solver]"),
+            ("[benchmark]\npoisson_mode = baseline\n", "unknown section [benchmark]"),
+        ],
+        ids=["interp_query", "max_nodes", "poisson_mode"],
+    )
+    def test_retired_keys_exit_2(self, tmp_path, capsys, text, diagnostic):
+        cfg = tmp_path / "retired.cfg"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert diagnostic in capsys.readouterr().err
 
     def test_validate_bad_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -235,7 +254,7 @@ class TestCli:
                 out,
             ]
         ) == 0
-        gains = (Path(out) / "gains.csv").read_text().splitlines()
+        gains = (Path(out) / "gain_poisson-baseline.csv").read_text().splitlines()
         assert gains[0] == "t,lambda,h,gain_pct,benchmark"
         assert len(gains) == 3
 
@@ -303,3 +322,35 @@ class TestCli:
         rows = (Path(out) / "trace_0.csv").read_text().splitlines()[1:]
         zs = [float(r.split(",")[2]) for r in rows]
         assert all(z == 0.0 for z in zs)
+
+
+class TestReproduceScript:
+    SCRIPT = REPO / "scripts" / "reproduce_tables.py"
+
+    def run(self, out, mc_paths):
+        argv = [sys.executable, str(self.SCRIPT), "--out", str(out), "--mc-paths", str(mc_paths)]
+        return subprocess.run(argv, capture_output=True, text=True, timeout=600)
+
+    def test_writes_every_table(self, tmp_path):
+        out = tmp_path / "tables"
+        proc = self.run(out, 10_000)
+        assert proc.returncode == 0, proc.stderr
+        gain_head = "t,lambda,h,gain_pct,benchmark"
+        expected = {
+            "moments.csv": ("t,E_lambda,E_N,Var_lambda,Var_N,lambda_max_heuristic", 5),
+            "gain_constant.csv": (gain_head, 6),
+            "gain_poisson-baseline.csv": (gain_head, 7),
+            "gain_poisson-expectation.csv": (gain_head, 7),
+            "table_std.csv": ("eta_mean,eta_var,std_baseline,std_optimal,reduction_pct", 3),
+            "table_premia.csv": ("eta_mean,eta_var,premium_baseline,premium_optimal,reduction_pct", 3),
+        }
+        assert {p.name for p in out.glob("*.csv")} == set(expected)
+        for name, (head, n_rows) in expected.items():
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == head and len(lines) == 1 + n_rows, name
+
+    def test_stops_with_the_cli_exit_code(self, tmp_path):
+        proc = self.run(tmp_path / "tables", 100)
+        assert proc.returncode == 2
+        assert "--mc-paths must be at least 10^4" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -165,10 +165,10 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(SMALL, STD_H, STD_M, bad)
 
-    def test_node_guard(self):
-        opts = SolverOptions(max_nodes=10)
-        with pytest.raises(SolverError):
-            solve(SMALL, STD_H, STD_M, STD_C, opts)
+    def test_node_guard(self, monkeypatch):
+        monkeypatch.setattr(hjb, "_MAX_NODES", 10)
+        with pytest.raises(SolverError, match="in-memory limit 10"):
+            solve(SMALL, STD_H, STD_M, STD_C)
 
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(hjb, "_NEWTON_MAX_ITER", 1)
