@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate every headline table: run the CLI commands in order into one directory.
 
-moments (to moments.csv), static-gl, solve, solve-poisson for both modes, gain
-against the best constant rate and both Poisson benchmarks, and premium, on
-configs/standard.cfg with any CYBERINVEST_* overrides. Stops at the first
-failing command and returns its exit code. --full uses the fine grid of
-configs/standard.cfg instead of the --coarse preset.
+validate (with --mc-paths), moments (to moments.csv), static-gl, solve,
+solve-poisson for both modes, gain against the best constant rate and both
+Poisson benchmarks, and premium, on configs/standard.cfg with any
+CYBERINVEST_* overrides. Stops at the first failing command and returns its
+exit code. --full uses the fine grid of configs/standard.cfg instead of the
+--coarse preset.
 
 Usage:
     python scripts/reproduce_tables.py [--out OUT] [--seed S] [--mc-paths N] [--full]
@@ -45,8 +46,11 @@ def main() -> int:
     ]
     steps.append(["premium", "--policy-field", str(out / "policy"), "--mc-paths", str(args.mc_paths)])
 
-    with (out / "moments.csv").open("w") as fh, contextlib.redirect_stdout(fh):
-        rc = cyberinvest(["moments", *common])
+    # validate first, so a bad --mc-paths stops the run before any solve
+    rc = cyberinvest(["validate", "--mc-paths", str(args.mc_paths), *common])
+    if rc == 0:
+        with (out / "moments.csv").open("w") as fh, contextlib.redirect_stdout(fh):
+            rc = cyberinvest(["moments", *common])
     for step in steps:
         if rc != 0:
             break

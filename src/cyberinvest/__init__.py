@@ -44,7 +44,6 @@ from .hjb import (
     SolverGrid,
     SolverOptions,
     ValueField,
-    assemble_rhs,
     hjb_residual,
     query,
     solve,

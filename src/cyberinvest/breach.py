@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "BreachFamily",
@@ -111,6 +110,8 @@ def static_optimum(model: BreachModel, p: float, loss: float) -> float:
 
     def foc(z):
         return -breach_prob_derivative(model, z) * pl - 1.0
+
+    from scipy.optimize import brentq  # deferred: importing scipy.optimize is slow
 
     hi = model.v * pl / math.e
     # foc(0) > 0 by the corner check; the 1/e bound puts the root strictly inside

@@ -192,20 +192,6 @@ class LossBatch:
         s = math.sqrt(var.value)
         return MCEstimate(s, var.stderr / (2.0 * s) if s > 0 else 0.0)
 
-    def write_csv(self, path) -> None:
-        """Per-path rows: seed (path index within the batch), loss, counts, level."""
-        from pathlib import Path
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            fh.write("seed,gross_loss,n_attacks,n_breaches,terminal_h\n")
-            for i in range(self.n_paths):
-                fh.write(
-                    f"{i},{self.gross_loss[i]:.12g},{self.n_attacks[i]},"
-                    f"{self.n_breaches[i]},{self.terminal_h[i]:.12g}\n"
-                )
-
 
 class ConstantRate:
     """Constant investment rate; recognized for exact exponential integration."""
@@ -387,26 +373,6 @@ def _control_levels(batch: PathBatch, tk: np.ndarray, Z: np.ndarray, h0: float, 
     return levels, np.broadcast_to(terminal, batch.n_paths).copy()
 
 
-def _draw_breaches(probs: np.ndarray, counts: np.ndarray, rng_b):
-    """Breach flag of each event, from one uniform per event of rng_b, and the
-    breach count of each path; counts gives the events of each path in turn.
-
-    Drawing a batch chunk by chunk from the same generator gives the same
-    flags as drawing it at once.
-    """
-    breached = rng_b.random(probs.size) < probs
-    pid = np.repeat(np.arange(counts.size), counts)
-    return breached, np.bincount(pid[breached], minlength=counts.size)
-
-
-def _draw_marks(breached: np.ndarray, counts: np.ndarray, rng_l, draw_eta) -> np.ndarray:
-    """Gross loss of each path: one loss mark per event from rng_l, summed
-    over the breached events; chunk-by-chunk draws equal a single draw."""
-    etas = draw_eta(rng_l, breached.size)
-    pid = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(pid, weights=np.where(breached, etas, 0.0), minlength=counts.size)
-
-
 def simulate_losses(
     batch: PathBatch,
     model: BreachModel,
@@ -454,8 +420,13 @@ def simulate_losses(
 
     probs = breach_prob(model, levels) if levels.size else np.zeros(0)
     counts = batch.counts()
-    breached, nb = _draw_breaches(probs, counts, substream(seed, "breach"))
-    gross = _draw_marks(breached, counts, substream(seed, "losses"), _eta_sampler(costs))
+    # one uniform and one mark per event, breached or not, so that every
+    # strategy sees the same draws
+    breached = substream(seed, "breach").random(probs.size) < probs
+    etas = _eta_sampler(costs)(substream(seed, "losses"), probs.size)
+    pid = batch.path_index()
+    nb = np.bincount(pid[breached], minlength=counts.size)
+    gross = np.bincount(pid, weights=np.where(breached, etas, 0.0), minlength=counts.size)
     return LossBatch(gross, counts.astype(np.int64), nb, np.asarray(terminal, dtype=float))
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "ValueField",
     "PolicyField",
     "SolveResult",
-    "assemble_rhs",
     "solve",
     "query",
     "hjb_residual",
@@ -358,28 +357,6 @@ class _PideOperator:
         ab[1] = rows[1]
         ab[2, :-1] = rows[0, 1:]  # a[p, p-1] sits at ab[2, p-1]
         return ab
-
-
-def assemble_rhs(
-    state: np.ndarray,
-    grid: SolverGrid,
-    hawkes: HawkesParams,
-    model: BreachModel,
-    costs: CostParams,
-    options: Optional[SolverOptions] = None,
-    t: float = 0.0,
-) -> np.ndarray:
-    """Time derivative of the flattened surface (one entry per (lambda, h) node).
-
-    The state and the result are flattened in (lambda, h) row-major order to
-    match the stored-field layout.
-    """
-    options = options or SolverOptions()
-    op = _PideOperator(grid, hawkes, model, costs, options)
-    state = np.asarray(state, dtype=float)
-    if state.size != grid.n_lambda * grid.n_h:
-        raise ValueError(f"state must have {grid.n_lambda * grid.n_h} entries, got {state.size}")
-    return op.rhs(t, state.ravel())
 
 
 class _DouglasADI:

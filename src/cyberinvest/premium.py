@@ -2,10 +2,12 @@
 
 The premium for an aggregate loss L is E[L] + theta * sd(L). The
 no-investment baseline is exact, from the total-variance decomposition; the
-optimal-policy report simulates attacks, extracts the solved policy along
-each path, and prices the resulting losses. It streams the paths in
-CHUNK_PATHS chunks, so its memory does not grow with the batch beyond a few
-per-path numbers.
+optimal-policy report simulates attacks and extracts the solved policy along
+each path, then prices the loss by conditional Monte Carlo: given a path,
+both loss moments are exact functions of its attack count and of the sums
+of its events' breach probabilities and of their squares. It streams the
+paths in chunks, so its memory does not grow with the batch beyond these
+four numbers per path.
 """
 
 from __future__ import annotations
@@ -17,20 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import CHUNK_PATHS, substream
 from .breach import BreachModel, breach_prob
-from .dynamics import (
-    CostParams,
-    LossBatch,
-    _control_levels,
-    _draw_breaches,
-    _draw_marks,
-    _eta_sampler,
-    expected_loss_no_investment,
-    loss_variance,
-)
+from .dynamics import CostParams, _control_levels, expected_loss_no_investment, loss_variance
 from .errors import ConfigError
-from .hawkes import HawkesParams, PathBatch, _chunk_jobs, _map_chunks, _simulate_chunk
+from .hawkes import HawkesParams, PathBatch, _central_moments, _chunk_jobs, _map_chunks, _simulate_chunk
 from .hjb import PolicyField
 from .strategies import _euler_walk, _snapshot_times
 
@@ -129,8 +121,9 @@ def _snapshot_cells(times: np.ndarray, event_times: np.ndarray):
 
 
 def _optimal_chunk(shared, job):
-    """Per-path counts, per-event breach probabilities and per-path terminal
-    levels of one chunk of paths under the solved policy, and its counts."""
+    """Per-path attack counts, sums of the events' breach probabilities and of
+    their squares, and terminal levels of one chunk of paths under the solved
+    policy, and the chunk's counts."""
     policy_field, hawkes, horizon, model, rho, h_init = shared
     *flat, candidates = _simulate_chunk((hawkes, horizon), job)
     batch = PathBatch(hawkes, horizon, *flat)
@@ -141,52 +134,48 @@ def _optimal_chunk(shared, job):
     )
     levels, terminal_h = _control_levels(batch, times, controls, h_init, rho, before)
     probs = breach_prob(model, levels) if levels.size else np.zeros(0)
+    pid, n = batch.path_index(), batch.n_paths
     tally = {
         "events": int(batch.times.size),
         "thinning_candidates": candidates,
         "clamped_lambda": clamped_lambda,
         "clamped_h": clamped_h,
     }
-    return batch.counts(), probs, terminal_h, tally
+    return batch.counts(), np.bincount(pid, probs, n), np.bincount(pid, probs**2, n), terminal_h, tally
 
 
 @dataclass(frozen=True)
-class _BreachPass:
-    """The eta_var-independent part of an optimal-policy report: per-path
-    counts and terminal levels (read-only), every chunk's breach flags packed
-    one bit per event, and the summed chunk diagnostics."""
+class _PathPass:
+    """The eta_var-independent part of an optimal-policy report: for each path
+    its attack count N, the sums S1 and S2 of its events' breach probabilities
+    and of their squares, and its terminal level (read-only), and the summed
+    chunk diagnostics."""
 
     n_attacks: np.ndarray
-    n_breaches: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
     terminal_h: np.ndarray
-    masks: tuple
     diagnostics: dict
 
 
-def _breach_pass(policy_field, hawkes, model, rho, horizon, mc_paths, seed, h_init, threads) -> _BreachPass:
+def _path_pass(policy_field, hawkes, model, rho, horizon, mc_paths, seed, h_init, threads) -> _PathPass:
     shared = (policy_field, hawkes, horizon, model, rho, h_init)
-    rng_b = substream(seed, "breach")
-    n_attacks = np.empty(mc_paths, np.int64)
-    n_breaches = np.empty(mc_paths, np.int64)
-    terminal_h = np.empty(mc_paths)
-    masks = []
+    columns = (np.empty(mc_paths, np.int64), np.empty(mc_paths), np.empty(mc_paths), np.empty(mc_paths))
     diagnostics = Counter()
     pos = 0
-    for counts, probs, chunk_h, chunk_tally in _map_chunks(_optimal_chunk, shared, _chunk_jobs(seed, mc_paths), threads):
-        rows = slice(pos, pos + counts.size)
-        breached, n_breaches[rows] = _draw_breaches(probs, counts, rng_b)
-        masks.append(np.packbits(breached))
-        n_attacks[rows] = counts
-        terminal_h[rows] = chunk_h
+    for *parts, chunk_tally in _map_chunks(_optimal_chunk, shared, _chunk_jobs(seed, mc_paths), threads):
+        rows = slice(pos, pos + parts[0].size)
+        for column, part in zip(columns, parts):
+            column[rows] = part
         diagnostics.update(chunk_tally)
-        pos += counts.size
-    for a in (n_attacks, n_breaches, terminal_h, *masks):
-        a.flags.writeable = False
-    return _BreachPass(n_attacks, n_breaches, terminal_h, tuple(masks), dict(diagnostics))
+        pos = rows.stop
+    for column in columns:
+        column.flags.writeable = False
+    return _PathPass(*columns, dict(diagnostics))
 
 
-# (weak reference to the policy field, key, _BreachPass) of the last breach
-# pass; the entry goes when another key replaces it or the field is collected.
+# (weak reference to the policy field, key, _PathPass) of the last path pass;
+# the entry goes when another key replaces it or the field is collected.
 # Without a lock, concurrent callers can at worst both build the same pass.
 _last_pass = None
 
@@ -197,32 +186,65 @@ def _forget_pass(ref) -> None:
         _last_pass = None
 
 
-def _shared_breach_pass(policy_field: PolicyField, key: tuple, threads: int) -> _BreachPass:
-    """The breach pass of `key` on this field object, reused from the last call
+def _shared_path_pass(policy_field: PolicyField, key: tuple, threads: int) -> _PathPass:
+    """The path pass of `key` on this field object, reused from the last call
     if it had the same field and key (the results do not depend on threads)."""
     global _last_pass
     last = _last_pass
     if last is not None and last[0]() is policy_field and last[1] == key:
         return last[2]
     _last_pass = None  # free the old pass before building the new one
-    bp = _breach_pass(policy_field, *key, threads)
-    _last_pass = (weakref.ref(policy_field, _forget_pass), key, bp)
-    return bp
+    pp = _path_pass(policy_field, *key, threads)
+    _last_pass = (weakref.ref(policy_field, _forget_pass), key, pp)
+    return pp
 
 
-def _mark_pass(bp: _BreachPass, costs: CostParams, seed: int) -> np.ndarray:
-    """Gross loss of every path: the chunks' marks drawn in chunk order from
-    the "losses" substream, as one draw over the whole batch would give."""
-    rng_l, draw_eta = substream(seed, "losses"), _eta_sampler(costs)
-    gross = np.empty(bp.n_attacks.size)
-    pos = 0
-    for packed in bp.masks:
-        rows = slice(pos, min(pos + CHUNK_PATHS, gross.size))
-        counts = bp.n_attacks[rows]
-        breached = np.unpackbits(packed, count=int(counts.sum())).view(bool)
-        gross[rows] = _draw_marks(breached, counts, rng_l, draw_eta)
-        pos = rows.stop
-    return gross
+def _controlled_mean(y: np.ndarray, controls: list) -> tuple:
+    """Control-variate estimate of E[y] from controls of known mean 0: the
+    sample mean of y less the least-squares fit of y on the controls at their
+    sample means. Returns it with the fit's residuals."""
+    centred = [x - x.mean() for x in controls]
+    y_c = y - y.mean()
+    gram = [[np.mean(a * b) for b in centred] for a in centred]
+    coef = np.linalg.solve(gram, [np.mean(a * y_c) for a in centred])
+    estimate = y.mean() - sum(c * x.mean() for c, x in zip(coef, controls))
+    return float(estimate), y_c - sum(c * a for c, a in zip(coef, centred))
+
+
+def _stderr(residuals: np.ndarray) -> float:
+    """Standard error of a sample mean whose deviations are `residuals`."""
+    return math.sqrt(float(np.mean(residuals * residuals)) / (residuals.size - 1))
+
+
+def _loss_moments(pp: _PathPass, hawkes: HawkesParams, costs: CostParams) -> tuple:
+    """(E[L], SE, sd(L), SE) of the aggregate loss by conditional Monte Carlo.
+
+    The policy reacts to the attack path and never to losses. Given a path,
+    the breaches are therefore independent with the probabilities p of its
+    events, and the marks i.i.d. with mean m and variance s^2, so
+    E[L | path] = M = m S1 and Var(L | path) = V = (s^2 + m^2) S1 - m^2 S2.
+    E[L] is the mean of M and Var(L) the mean of V + M^2 less E[L]^2. The
+    attack count N, and N^2 for the second moment, serve as control variates
+    with their exact means. The standard errors follow from the regression
+    residuals by the delta method.
+    """
+    m, s2 = costs.eta_mean, costs.eta_var
+    en, var_n = _central_moments(hawkes, costs.horizon)[[2, 5]]
+    n = pp.n_attacks.astype(float)
+    d_n, d_n2 = n - en, n * n - (var_n + en * en)
+    cond_mean = m * pp.s1
+    mean, r_mean = _controlled_mean(cond_mean, [d_n])
+    cond_second = (s2 + m * m) * pp.s1 - m * m * pp.s2 + cond_mean * cond_mean
+    second, r_second = _controlled_mean(cond_second, [d_n, d_n2])
+    sd = math.sqrt(second - mean * mean)
+    se_var = _stderr(r_second - 2.0 * mean * r_mean)
+    return mean, _stderr(r_mean), sd, se_var / (2.0 * sd) if sd > 0 else 0.0
+
+
+def _write_paths_csv(pp: _PathPass, path) -> None:
+    rows = np.column_stack((np.arange(pp.n_attacks.size), pp.n_attacks, pp.s1, pp.s2, pp.terminal_h))
+    fmt = ("%d", "%d", "%.12g", "%.12g", "%.12g")
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", header="path,n_attacks,s1,s2,terminal_h", comments="")
 
 
 def premium_report_optimal(
@@ -235,21 +257,25 @@ def premium_report_optimal(
     seed: int = 0,
     h_init: float = 0.0,
     threads: int = 1,
-    losses_csv=None,
+    paths_csv=None,
 ) -> PremiumReport:
-    """Price the solved dynamic policy by Monte Carlo from level h_init.
+    """Price the solved dynamic policy by conditional Monte Carlo from level h_init.
 
-    Equals simulate_paths -> extract_policies_batch -> simulate_losses (with
-    h0 = h_init) bit for bit, for any `threads`. A breach pass simulates the
-    paths, walks the policy and draws the breaches; it does not depend on
-    eta_var or eta_family and keeps 24 bytes plus one bit per event for each
-    path. A mark pass then draws the losses of the breached events. The last
-    breach pass is kept while its field object lives, so a report on the same
-    field, hawkes, model, rho, horizon, mc_paths, seed and h_init (say, at
-    another eta_var) runs only the mark pass. The report's diagnostics count
-    the events, the thinning candidates, and the policy lookups whose
-    intensity or level lay beyond the field's grid and were clamped to its
-    last node.
+    One pass simulates the paths and walks the policy along them chunk by
+    chunk, as simulate_paths -> extract_policies_batch (with h0 = h_init)
+    would, bit for bit and for any `threads`. It keeps 32 bytes per path: the
+    attack count N, the sums S1 and S2 of the events' breach probabilities
+    and of their squares, and the terminal level. No breach or loss mark is
+    drawn: both moments of the loss are exact functions of these sums (see
+    _loss_moments), so the report depends on the mark distribution only
+    through eta_mean and eta_var, and the lognormal and gamma families give
+    the same report. The last pass is kept while its field object lives, so
+    a report on the same field, hawkes, model, rho, horizon, mc_paths, seed
+    and h_init (say, at another eta_var) is O(mc_paths) arithmetic on it.
+    `paths_csv`, if given, receives one row per path:
+    path,n_attacks,s1,s2,terminal_h. The report's diagnostics count the
+    events, the thinning candidates, and the policy lookups whose intensity
+    or level lay beyond the field's grid and were clamped to its last node.
     """
     if mc_paths < 10_000:
         raise ValueError("mc_paths must be at least 10^4")
@@ -257,20 +283,18 @@ def premium_report_optimal(
         raise ValueError("h_init must be nonnegative")
     _check_field_inputs(policy_field, hawkes, model, costs)
     key = (hawkes, model, costs.rho, float(costs.horizon), mc_paths, seed, float(h_init))
-    bp = _shared_breach_pass(policy_field, key, threads)
-    lb = LossBatch(_mark_pass(bp, costs, seed), bp.n_attacks, bp.n_breaches, bp.terminal_h)
-    if losses_csv is not None:
-        lb.write_csv(losses_csv)
-    mean = lb.mean_loss()
-    std = lb.std_loss()
+    pp = _shared_path_pass(policy_field, key, threads)
+    if paths_csv is not None:
+        _write_paths_csv(pp, paths_csv)
+    mean, mean_se, sd, sd_se = _loss_moments(pp, hawkes, costs)
     return PremiumReport(
         policy_label="optimal-dynamic",
-        expected_loss=mean.value,
-        loss_std=std.value,
+        expected_loss=mean,
+        loss_std=sd,
         theta=float(theta),
         mc_paths=int(mc_paths),
-        standard_errors={"expected_loss": mean.stderr, "loss_std": std.stderr},
-        diagnostics=dict(bp.diagnostics),
+        standard_errors={"expected_loss": mean_se, "loss_std": sd_se},
+        diagnostics=dict(pp.diagnostics),
     )
 
 

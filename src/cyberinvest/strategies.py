@@ -14,8 +14,6 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .breach import BreachModel, breach_prob
 from .dynamics import ConstantRate, CostParams, GridRate, _exact_levels, _phi
@@ -187,6 +185,8 @@ def evaluate_constant(
 
     if span <= 0:
         return float(costs.utility(h))
+    from scipy.integrate import quad  # deferred, as is scipy.optimize: both are slow to import
+
     epsabs = 1e-8 * _reward_scale(model, costs, hawkes, span)
     reward, _ = quad(integrand, 0.0, span, epsabs=epsabs, epsrel=1e-10, limit=200)
     cost = span * (delta * zbar + 0.5 * gamma * zbar**2)
@@ -226,6 +226,8 @@ def optimize_constant(
 
     def neg(z):
         return -evaluate_constant(t, lam, h, float(z), hawkes, model, costs)
+
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(neg, bounds=(0.0, cap), method="bounded", options={"xatol": 1e-6})
     if -res.fun <= at_zero:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,10 @@ class TestCli:
         assert "configuration OK" in capsys.readouterr().out
         assert main(["validate", "--config", str(STANDARD), "--coarse"]) == 0
         assert "configuration OK" in capsys.readouterr().out
+        assert main(["validate", "--config", str(STANDARD), "--mc-paths", "20000"]) == 0
+        assert "mc_paths=20000" in capsys.readouterr().out
+        assert main(["validate", "--config", str(STANDARD), "--mc-paths", "100"]) == 2
+        assert "--mc-paths must be at least 10^4" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, argv, rc",
@@ -295,19 +300,13 @@ class TestCli:
 
         one, two = premium("t1", "10,50,100", 1), premium("t2", "10,50,100", 2)
         assert one == two
-        assert set(one) == {
-            "losses_optimal_10.csv",
-            "losses_optimal_50.csv",
-            "losses_optimal_100.csv",
-            "premium_reports.json",
-            "table_premia.csv",
-            "table_std.csv",
-        }
+        assert set(one) == {"paths_optimal.csv", "premium_reports.json", "table_premia.csv", "table_std.csv"}
+        head, *rows = one["paths_optimal.csv"].decode().splitlines()
+        assert head == "path,n_attacks,s1,s2,terminal_h" and len(rows) == 20_000
         reports = json.loads(one["premium_reports.json"])
         for k, ev in enumerate(("10", "50", "100")):
             alone = premium(f"alone{ev}", ev, 1)
-            loss_file = f"losses_optimal_{ev}.csv"
-            assert alone[loss_file] == one[loss_file]
+            assert alone["paths_optimal.csv"] == one["paths_optimal.csv"]
             assert json.loads(alone["premium_reports.json"]) == [reports[k]]
             for table in ("table_std.csv", "table_premia.csv"):
                 head, *rows = one[table].decode().splitlines()
@@ -354,3 +353,14 @@ class TestReproduceScript:
         assert proc.returncode == 2
         assert "--mc-paths must be at least 10^4" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "cyberinvest solve" not in proc.stdout
+
+
+def test_import_defers_slow_scipy_modules():
+    """The package imports scipy.optimize and scipy.integrate only when a
+    function that needs them runs."""
+    code = "import sys, cyberinvest; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ from cyberinvest import (
     SolverError,
     SolverGrid,
     SolverOptions,
-    assemble_rhs,
     breach_prob,
     hjb_residual,
     query,
@@ -61,12 +60,19 @@ class TestSolverGrid:
         assert np.all(np.diff(SMALL.t_snapshots) < 0)
 
 
+def rhs(state, model, costs):
+    """Time derivative of a surface flattened in (lambda, h) row-major order."""
+    out = _PideOperator(SMALL, STD_H, model, costs, SolverOptions()).rhs(0.0, state)
+    assert out.shape == state.shape
+    return out
+
+
 class TestAssembleRhs:
     def test_zero_problem_gives_zero_rhs(self):
         model0 = BreachModel(BreachFamily.CLASS_I, 0.0, 0.1, 1.0)
         costs0 = dataclasses.replace(STD_C, terminal_utility="zero")
         state = np.zeros(SMALL.n_lambda * SMALL.n_h)
-        out = assemble_rhs(state, SMALL, STD_H, model0, costs0)
+        out = rhs(state, model0, costs0)
         assert np.all(out == 0.0)
 
     def test_running_reward_formula(self):
@@ -83,7 +89,7 @@ class TestAssembleRhs:
         state = np.repeat(np.sqrt(SMALL.hs), SMALL.n_lambda)
         state = np.tile(np.sqrt(SMALL.hs), (SMALL.n_lambda, 1)).ravel()
         big = dataclasses.replace(STD_C, gamma=1e14)
-        out_big = assemble_rhs(state, SMALL, STD_H, STD_M, big)
+        out_big = rhs(state, STD_M, big)
         op = _PideOperator(SMALL, STD_H, STD_M, big, SolverOptions())
         w = state.reshape(op.shape)
         linear_only = -(op.a_lam @ w + (op.a_h @ w.T).T + op.reward).ravel()
@@ -93,11 +99,11 @@ class TestAssembleRhs:
         state = np.zeros(SMALL.n_lambda * SMALL.n_h)
         state[5] = np.nan
         with pytest.raises(FloatingPointError):
-            assemble_rhs(state, SMALL, STD_H, STD_M, STD_C)
+            rhs(state, STD_M, STD_C)
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
-            assemble_rhs(np.zeros(7), SMALL, STD_H, STD_M, STD_C)
+            rhs(np.zeros(7), STD_M, STD_C)
 
     @pytest.mark.parametrize(
         "beta, d_lambda",

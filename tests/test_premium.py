@@ -18,6 +18,7 @@ from cyberinvest import (
     PathBatch,
     PremiumReport,
     SolverGrid,
+    breach_prob,
     extract_policies_batch,
     load_field,
     premium,
@@ -115,34 +116,38 @@ class TestOptimalReport:
         assert dp > 0 and ds > 0
 
     @staticmethod
-    def _explicit(policy, costs, n, seed, h_extract, h_losses, csv):
-        """The unstreamed pipeline over the whole batch at once."""
-        batch = simulate_paths(STD_H, costs.horizon, n, seed)
+    def _explicit(policy, n, seed, h_extract, h_levels):
+        """Per-path (N, S1, S2, terminal_h) of the unstreamed pipeline over the
+        whole batch at once."""
+        batch = simulate_paths(STD_H, STD_C.horizon, n, seed)
         times, controls = extract_policies_batch(policy, batch, 0.0, h_extract)
-        lb = simulate_losses(batch, STD_M, costs, seed=seed, h0=h_losses, control_times=times, controls=controls)
-        lb.write_csv(csv)
-        mean, std = lb.mean_loss(), lb.std_loss()
-        return (mean.value, std.value, mean.stderr, std.stderr), csv.read_bytes()
+        levels, terminal_h = _control_levels(batch, times, controls, h_levels, STD_C.rho)
+        probs = breach_prob(STD_M, levels)
+        pid = batch.path_index()
+        return batch.counts(), np.bincount(pid, probs, n), np.bincount(pid, probs**2, n), terminal_h
 
     @staticmethod
-    def _report(policy, costs, n, seed, csv, **kw):
-        r = premium_report_optimal(policy, STD_H, STD_M, costs, 0.3, n, seed, losses_csv=csv, **kw)
-        se = r.standard_errors
-        return (r.expected_loss, r.loss_std, se["expected_loss"], se["loss_std"]), csv.read_bytes()
+    def _assert_memo_is(expected):
+        """The per-path sums of the last pass equal `expected` bit for bit."""
+        pp = premium_module._last_pass[2]
+        for got, want in zip((pp.n_attacks, pp.s1, pp.s2, pp.terminal_h), expected, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family", ["lognormal", "gamma"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_streamed_equals_explicit_pipeline(self, small_policy, family, threads, tmp_path):
+    def test_streamed_equals_explicit_pipeline(self, small_policy, family, threads):
         costs = dataclasses.replace(STD_C, eta_var=50.0, eta_family=family)
-        expected = self._explicit(small_policy, costs, 20_000, 3, 0.0, 0.0, tmp_path / "explicit.csv")
-        # a new field object, so this report runs its own breach pass at `threads`
+        # a new field object, so this report runs its own pass at `threads`
         fresh = dataclasses.replace(small_policy)
-        got = self._report(fresh, costs, 20_000, 3, tmp_path / "streamed.csv", threads=threads)
-        assert got == expected
+        r = premium_report_optimal(fresh, STD_H, STD_M, costs, 0.3, 20_000, 3, threads=threads)
+        self._assert_memo_is(self._explicit(small_policy, 20_000, 3, 0.0, 0.0))
+        # the report sees the marks only through eta_mean and eta_var
+        other = dataclasses.replace(costs, eta_family="gamma" if family == "lognormal" else "lognormal")
+        assert premium_report_optimal(fresh, STD_H, STD_M, other, 0.3, 20_000, 3, threads=threads) == r
 
-    def test_memo_cannot_leak(self, small_policy, tmp_path):
+    def test_memo_cannot_leak(self, small_policy):
         runs = [
-            # (eta_var, family, seed, h_init, mc_paths, threads, reuses the previous breach pass)
+            # (eta_var, family, seed, h_init, mc_paths, threads, reuses the previous pass)
             (10.0, "lognormal", 5, 0.0, 10_000, 1, False),
             (50.0, "gamma", 5, 0.0, 10_000, 2, True),
             (100.0, "lognormal", 5, 0.0, 10_000, 1, True),
@@ -153,10 +158,32 @@ class TestOptimalReport:
         last = None
         for eta_var, family, seed, h_init, n, threads, reused in runs:
             costs = dataclasses.replace(STD_C, eta_var=eta_var, eta_family=family)
-            got = self._report(small_policy, costs, n, seed, tmp_path / "streamed.csv", h_init=h_init, threads=threads)
-            assert got == self._explicit(small_policy, costs, n, seed, h_init, h_init, tmp_path / "explicit.csv")
+            premium_report_optimal(small_policy, STD_H, STD_M, costs, 0.3, n, seed, h_init=h_init, threads=threads)
+            self._assert_memo_is(self._explicit(small_policy, n, seed, h_init, h_init))
             assert (premium_module._last_pass[2] is last) == reused
             last = premium_module._last_pass[2]
+
+    @pytest.mark.parametrize("seed, eta_var, family", [(11, 10.0, "lognormal"), (12, 50.0, "gamma"), (13, 100.0, "lognormal")])
+    def test_agrees_with_sampled_losses(self, small_policy, seed, eta_var, family):
+        """Oracle: both moments lie within 3 combined standard errors of the
+        ones of losses sampled with breach and mark draws on the same paths."""
+        costs = dataclasses.replace(STD_C, eta_var=eta_var, eta_family=family)
+        r = premium_report_optimal(small_policy, STD_H, STD_M, costs, 0.3, 20_000, seed)
+        batch = simulate_paths(STD_H, costs.horizon, 20_000, seed)
+        times, controls = extract_policies_batch(small_policy, batch)
+        lb = simulate_losses(batch, STD_M, costs, seed=seed, control_times=times, controls=controls)
+        for name, sampled in (("expected_loss", lb.mean_loss()), ("loss_std", lb.std_loss())):
+            got, se = getattr(r, name), r.standard_errors[name]
+            assert abs(got - sampled.value) <= 3.0 * math.hypot(se, sampled.stderr), name
+
+    def test_standard_errors_match_the_spread(self, small_policy):
+        """Over 20 seeds, the estimates spread as much as their reported
+        standard errors say, within a factor 1.5."""
+        reports = [premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, seed) for seed in range(20)]
+        for name in ("expected_loss", "loss_std"):
+            spread = np.std([getattr(r, name) for r in reports], ddof=1)
+            ratio = spread / np.mean([r.standard_errors[name] for r in reports])
+            assert 1.0 / 1.5 <= ratio <= 1.5, (name, ratio)
 
     def test_memo_dropped_with_its_field(self, small_policy):
         fresh = dataclasses.replace(small_policy)
@@ -189,16 +216,16 @@ class TestOptimalReport:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(batch.intensity_on_grid(times), batch._intensity_on_grid(times, after))
 
-    def test_initial_level_drives_losses(self, small_policy, tmp_path):
-        got = self._report(small_policy, STD_C, 10_000, 1, tmp_path / "streamed.csv", h_init=5.0)
-        assert got == self._explicit(small_policy, STD_C, 10_000, 1, 5.0, 5.0, tmp_path / "h5.csv")
-        from_zero = self._explicit(small_policy, STD_C, 10_000, 1, 5.0, 0.0, tmp_path / "h0.csv")
-        assert got[0][0] < from_zero[0][0]
+    def test_initial_level_drives_losses(self, small_policy):
+        r = premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, seed=1, h_init=5.0)
+        self._assert_memo_is(self._explicit(small_policy, 10_000, 1, 5.0, 5.0))
+        from_zero = self._explicit(small_policy, 10_000, 1, 5.0, 0.0)
+        assert r.expected_loss < STD_C.eta_mean * from_zero[1].mean()
         with pytest.raises(ValueError):
             premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, h_init=-1.0)
 
     def test_diagnostics_identical_for_any_threads(self, small_policy):
-        # the second report gets a new field object, so it runs its own breach pass
+        # the second report gets a new field object, so it runs its own pass
         one, two = (
             premium_report_optimal(field, STD_H, STD_M, STD_C, 0.3, 10_000, seed=2, threads=t).diagnostics
             for field, t in ((small_policy, 1), (dataclasses.replace(small_policy), 2))
