@@ -51,15 +51,19 @@ class BreachModel:
             raise ValueError(f"exponent parameter b must be positive, got {self.b}")
 
 
+def _breach_curve(model: BreachModel, z):
+    """S(z, v) of a float or an array of levels z >= 0, unchecked."""
+    if model.family is BreachFamily.CLASS_I:
+        return model.v / (model.a * z + 1.0) ** model.b
+    return model.v ** (model.a * z + 1.0)
+
+
 def breach_prob(model: BreachModel, z):
     """Breach probability S(z, v) for investment/protection level z >= 0."""
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0):
         raise ValueError("investment level z must be nonnegative")
-    if model.family is BreachFamily.CLASS_I:
-        out = model.v / (model.a * z_arr + 1.0) ** model.b
-    else:
-        out = model.v ** (model.a * z_arr + 1.0) if model.v > 0 else np.zeros_like(z_arr)
+    out = _breach_curve(model, z_arr)
     return float(out) if out.ndim == 0 else out
 
 

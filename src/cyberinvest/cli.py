@@ -114,7 +114,10 @@ def cmd_trace(args) -> int:
         raise ConfigError([f"{args.field} is not a policy field"])
     for k in range(args.n_paths):
         path = simulate_path(cfg.hawkes, cfg.costs.horizon, cfg.seed + k)
-        trace = extract_policy(policy, path, args.t_init, args.h_init)
+        try:
+            trace = extract_policy(policy, path, args.t_init, args.h_init)
+        except ValueError as exc:
+            raise ConfigError([f"--t-init/--h-init: {exc}"]) from exc
         with (out / f"path_{k}.csv").open("w") as fh:
             fh.write("index,tau\n")
             for i, tau in enumerate(path.event_times):

@@ -365,12 +365,13 @@ def simulate_loss(path: AttackPath, model: BreachModel, costs: CostParams, strat
     return simulate_losses(batch, model, costs, strategy, seed, h0).sample(0)
 
 
-def _control_levels(batch: PathBatch, tk: np.ndarray, Z: np.ndarray, h0: float, rho: float, j=None):
-    """Exact level at every event and at the horizon under piecewise-constant
-    controls from h0 at t = 0; Z and j are as in _exact_levels."""
-    row = batch.path_index() if Z.shape[0] > 1 else 0
-    levels, terminal = _exact_levels(tk, Z, h0, rho, 0.0, batch.times, row, batch.horizon, j)
-    return levels, np.broadcast_to(terminal, batch.n_paths).copy()
+def _control_levels(tk, Z, h0: float, rho: float, times, pid, n_paths: int, horizon: float, j=None):
+    """Exact level at every event and at the horizon of n_paths paths under
+    piecewise-constant controls from h0 at t = 0; `times` are the flat events
+    of paths `pid`, in any order. Z and j are as in _exact_levels."""
+    row = pid if Z.shape[0] > 1 else 0
+    levels, terminal = _exact_levels(tk, Z, h0, rho, 0.0, times, row, horizon, j)
+    return levels, np.broadcast_to(terminal, n_paths).copy()
 
 
 def simulate_losses(
@@ -395,6 +396,8 @@ def simulate_losses(
     if h0 < 0:
         raise ValueError("initial level must be nonnegative")
     rho = costs.rho
+    pid = batch.path_index()
+    paths = (batch.times, pid, batch.n_paths, batch.horizon)
 
     if controls is not None:
         tk = np.asarray(control_times, dtype=float)
@@ -403,9 +406,9 @@ def simulate_losses(
             raise ValueError("controls must have shape (n_paths, len(control_times))")
         if np.any(Z < 0):
             raise PolicyError("controls must be nonnegative")
-        levels, terminal = _control_levels(batch, tk, Z, h0, rho)
+        levels, terminal = _control_levels(tk, Z, h0, rho, *paths)
     elif isinstance(strategy, (ConstantRate, GridRate)):
-        levels, terminal = _control_levels(batch, *_knots(strategy), h0, rho)
+        levels, terminal = _control_levels(*_knots(strategy), h0, rho, *paths)
     elif callable(strategy):
         # the strategy sees (t, lambda_{t-}, H)
         levels = np.empty(batch.times.size)
@@ -424,7 +427,6 @@ def simulate_losses(
     # strategy sees the same draws
     breached = substream(seed, "breach").random(probs.size) < probs
     etas = _eta_sampler(costs)(substream(seed, "losses"), probs.size)
-    pid = batch.path_index()
     nb = np.bincount(pid[breached], minlength=counts.size)
     gross = np.bincount(pid, weights=np.where(breached, etas, 0.0), minlength=counts.size)
     return LossBatch(gross, counts.astype(np.int64), nb, np.asarray(terminal, dtype=float))

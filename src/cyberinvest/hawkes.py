@@ -8,6 +8,12 @@ every event and relaxes exponentially at rate ``xi`` toward the long-run mean
 
 All moment formulas require the subcritical regime beta < xi, which is also
 enforced at construction time.
+
+Batches are simulated in chunks of CHUNK_PATHS paths, each by thinning
+rounds over all its paths at once. A chunk's events come out in generation
+order, which keeps each path's events in time order: simulate_paths sorts
+them path by path, and kernels whose per-path sums only need that order
+(the premium report's) use them as they come.
 """
 
 from __future__ import annotations
@@ -219,31 +225,43 @@ class PathBatch:
         array, so each grid time's column is contiguous.
         """
         tgrid = np.asarray(tgrid, dtype=float)
-        return self._intensity_on_grid(tgrid, np.searchsorted(tgrid, self.times, side="left"))
+        bucket = np.searchsorted(tgrid, self.times, side="left")
+        return _intensity_on_grid(self.params, tgrid, self.times, self.path_index(), self.n_paths, bucket)
 
-    def _intensity_on_grid(self, tgrid: np.ndarray, bucket: np.ndarray) -> np.ndarray:
-        """intensity_on_grid, given each event's first grid index at or after it."""
-        p = self.params
-        n, k = self.n_paths, tgrid.size
-        # Each event contributes to the first grid time >= tau; later grid
-        # times pick it up through the exponential-decay recursion.
-        inside = bucket < k
-        b = bucket[inside]
-        cell = b * n + self.path_index()[inside]
-        kicks = np.exp(-p.xi * (tgrid[b] - self.times[inside]))
-        out = np.bincount(cell, weights=kicks, minlength=n * k).reshape(k, n)
-        for j in range(1, k):
-            out[j] += out[j - 1] * math.exp(-p.xi * (tgrid[j] - tgrid[j - 1]))
-        out *= p.beta
-        out += (p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * tgrid))[:, None]
-        return out.T
+
+def _intensity_on_grid(params: HawkesParams, tgrid, times, pid, n: int, bucket) -> np.ndarray:
+    """PathBatch.intensity_on_grid of n paths from flat events `times` of
+    paths `pid`, given each event's first grid index at or after it.
+
+    The events may come in any order that keeps each path's events in time
+    order: every (grid time, path) sum then adds its kicks in time order.
+    """
+    p = params
+    k = tgrid.size
+    # Each event contributes to the first grid time >= tau; later grid
+    # times pick it up through the exponential-decay recursion.
+    inside = bucket < k
+    b = bucket[inside]
+    cell = b * n + pid[inside]
+    kicks = np.exp(-p.xi * (tgrid[b] - times[inside]))
+    out = np.bincount(cell, weights=kicks, minlength=n * k).reshape(k, n)
+    for j in range(1, k):
+        out[j] += out[j - 1] * math.exp(-p.xi * (tgrid[j] - tgrid[j - 1]))
+    out *= p.beta
+    out += (p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * tgrid))[:, None]
+    return out.T
 
 
 def _simulate_chunk(shared, job):
-    """Thinning for one chunk of paths at once; returns its flat (times,
-    offsets) and the number of thinning candidates inside the horizon.
+    """Thinning for one chunk of paths at once: Ogata's (1981) sampler run in
+    rounds, each drawing the next candidate of every path still inside the
+    horizon. Returns the accepted events as (path ids, times) in the order
+    the rounds produce them, and the number of candidates inside the horizon.
 
-    shared is (params, horizon) and job is (n_paths, SeedSequence), as
+    A round adds at most one event to a path and later rounds only later
+    times, so each path's events come in time order, interleaved with the
+    other paths'. The path ids take the smallest unsigned type that holds
+    them. shared is (params, horizon) and job is (n_paths, SeedSequence), as
     _map_chunks passes them.
     """
     (params, horizon), (n, seedseq) = shared, job
@@ -251,9 +269,9 @@ def _simulate_chunk(shared, job):
     alpha, lam0, xi, beta = params.alpha, params.lambda0, params.xi, params.beta
     t = np.zeros(n)
     lam = np.full(n, lam0)
-    active = np.arange(n)
+    active = np.arange(n, dtype=np.min_scalar_type(n - 1))
     candidates = 0
-    ev_pid, ev_t = [], []
+    ev_pid, ev_t = [active[:0]], [t[:0]]
     while active.size:
         k = active.size
         bound = np.maximum(lam, alpha)
@@ -266,22 +284,10 @@ def _simulate_chunk(shared, job):
         if acc.any():
             ev_pid.append(active[acc])
             ev_t.append(t_new[acc])
-        lam = np.where(acc, lam_at + beta, lam_at)
-        t, lam, active = t_new[alive], lam[alive], active[alive]
+            lam_at += beta * acc  # the jump; the others add 0.0, which leaves them as they are
+        t, lam, active = t_new[alive], lam_at[alive], active[alive]
         candidates += active.size
-    if ev_pid:
-        pid = np.concatenate(ev_pid)
-        # Each round appends the accepted events of the ascending active ids,
-        # and later rounds only add later times to a path, so a stable sort
-        # by path id also orders each path by time.
-        times = np.concatenate(ev_t)[np.argsort(pid, kind="stable")]
-    else:
-        pid = np.zeros(0, dtype=np.int64)
-        times = np.zeros(0)
-    counts = np.bincount(pid, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return times, offsets, candidates
+    return np.concatenate(ev_pid), np.concatenate(ev_t), candidates
 
 
 def _chunk_jobs(seed: int, n_paths: int) -> list:
@@ -345,14 +351,20 @@ def _check_batch_args(horizon, n_paths: int) -> None:
 def simulate_paths(
     params: HawkesParams, horizon: float, n_paths: int, seed: int, threads: int = 1
 ) -> PathBatch:
-    """Simulate many paths; chunked so results are identical for any thread count."""
+    """Simulate many paths; chunked so results are identical for any thread count.
+
+    A stable sort by path id puts each chunk's events, which the sampler
+    returns in generation order, path by path and in time order.
+    """
     _check_batch_args(horizon, n_paths)
     jobs = _chunk_jobs(seed, n_paths)
-    results = list(_map_chunks(_simulate_chunk, (params, float(horizon)), jobs, threads))
-    times = np.concatenate([t for t, _, _ in results])
+    times, counts = [], []
+    for (pid, t, _), (n, _) in zip(_map_chunks(_simulate_chunk, (params, float(horizon)), jobs, threads), jobs):
+        times.append(t[np.argsort(pid, kind="stable")])
+        counts.append(np.bincount(pid, minlength=n))
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.diff(off) for _, off, _ in results]), out=offsets[1:])
-    return PathBatch(params=params, horizon=float(horizon), times=times, offsets=offsets)
+    np.cumsum(np.concatenate(counts), out=offsets[1:])
+    return PathBatch(params=params, horizon=float(horizon), times=np.concatenate(times), offsets=offsets)
 
 
 def expected_intensity(params: HawkesParams, t):

@@ -7,7 +7,8 @@ each path, then prices the loss by conditional Monte Carlo: given a path,
 both loss moments are exact functions of its attack count and of the sums
 of its events' breach probabilities and of their squares. It streams the
 paths in chunks, so its memory does not grow with the batch beyond these
-four numbers per path.
+four numbers per path. A chunk's events stay in the sampler's generation
+order, unsorted (see _optimal_chunk).
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .breach import BreachModel, breach_prob
+from .breach import BreachModel, _breach_curve
 from .dynamics import CostParams, _control_levels, expected_loss_no_investment, loss_variance
 from .errors import ConfigError
-from .hawkes import HawkesParams, PathBatch, _central_moments, _chunk_jobs, _map_chunks, _simulate_chunk
+from .hawkes import HawkesParams, _central_moments, _chunk_jobs, _intensity_on_grid, _map_chunks, _simulate_chunk
 from .hjb import PolicyField
 from .strategies import _euler_walk, _snapshot_times
 
@@ -111,11 +112,34 @@ def _check_field_inputs(policy_field: PolicyField, hawkes, model, costs):
 
 
 def _snapshot_cells(times: np.ndarray, event_times: np.ndarray):
-    """Both snapshot indices of every event from one binary search: the first
-    snapshot at or after it, as intensity_on_grid bins events, and the last one
-    at or before it, at least 0, as _exact_levels locates events from t = 0.
-    The two differ by one except where an event falls on a snapshot time."""
-    after = np.searchsorted(times, event_times, side="left")
+    """Both snapshot indices of every event: the first snapshot at or after it,
+    as intensity_on_grid bins events, and the last one at or before it, at
+    least 0, as _exact_levels locates events from t = 0. The two differ by one
+    except where an event falls on a snapshot time.
+
+    The first index is searchsorted(times, event_times, side="left") for any
+    strictly increasing `times`, found without a binary search: a guess from
+    the straight line through the first and last snapshot, then steps of one
+    towards the exact index until no index moves. On a uniform grid the guess
+    is off by at most one.
+    """
+    k = times.size
+    scale = (k - 1) / (times[-1] - times[0]) if k > 1 else 0.0
+    guess = event_times - times[0]
+    guess *= scale
+    np.ceil(guess, out=guess)
+    np.minimum(guess, k, out=guess)
+    after = np.maximum(guess, 0.0, out=guess).astype(np.intp)
+    rows = slice(None)  # the events to check: all of them, then the ones that moved
+    while True:
+        a, e = after[rows], event_times[rows]
+        up = (a < k) & (times.take(a, mode="clip") < e)
+        down = (a > 0) & (times.take(a - 1, mode="clip") >= e)
+        moved = np.flatnonzero(up | down)
+        if not moved.size:
+            break
+        rows = moved if isinstance(rows, slice) else rows[moved]
+        after[rows] += up[moved].astype(np.intp) - down[moved]
     on = times.take(after, mode="clip") == event_times
     return after, np.maximum(after - 1 + on, 0)
 
@@ -123,25 +147,28 @@ def _snapshot_cells(times: np.ndarray, event_times: np.ndarray):
 def _optimal_chunk(shared, job):
     """Per-path attack counts, sums of the events' breach probabilities and of
     their squares, and terminal levels of one chunk of paths under the solved
-    policy, and the chunk's counts."""
+    policy, and the chunk's counts.
+
+    The events stay in the sampler's generation order, where each path's
+    events come in time order: every per-path sum below then adds them in
+    the order a path-sorted batch would, so no sort is needed.
+    """
     policy_field, hawkes, horizon, model, rho, h_init = shared
-    *flat, candidates = _simulate_chunk((hawkes, horizon), job)
-    batch = PathBatch(hawkes, horizon, *flat)
+    n = job[0]
+    pid, ev, candidates = _simulate_chunk((hawkes, horizon), job)
     times, snap_idx = _snapshot_times(policy_field, 0.0)
-    after, before = _snapshot_cells(times, batch.times)
-    controls, clamped_lambda, clamped_h = _euler_walk(
-        policy_field, times, snap_idx, batch._intensity_on_grid(times, after), h_init
-    )
-    levels, terminal_h = _control_levels(batch, times, controls, h_init, rho, before)
-    probs = breach_prob(model, levels) if levels.size else np.zeros(0)
-    pid, n = batch.path_index(), batch.n_paths
+    after, before = _snapshot_cells(times, ev)
+    lam = _intensity_on_grid(hawkes, times, ev, pid, n, after)
+    controls, clamped_lambda, clamped_h = _euler_walk(policy_field, times, snap_idx, lam, h_init)
+    levels, terminal_h = _control_levels(times, controls, h_init, rho, ev, pid, n, horizon, before)
+    probs = _breach_curve(model, levels)
     tally = {
-        "events": int(batch.times.size),
+        "events": int(ev.size),
         "thinning_candidates": candidates,
         "clamped_lambda": clamped_lambda,
         "clamped_h": clamped_h,
     }
-    return batch.counts(), np.bincount(pid, probs, n), np.bincount(pid, probs**2, n), terminal_h, tally
+    return np.bincount(pid, minlength=n), np.bincount(pid, probs, n), np.bincount(pid, probs**2, n), terminal_h, tally
 
 
 @dataclass(frozen=True)
@@ -279,8 +306,6 @@ def premium_report_optimal(
     """
     if mc_paths < 10_000:
         raise ValueError("mc_paths must be at least 10^4")
-    if h_init < 0:
-        raise ValueError("h_init must be nonnegative")
     _check_field_inputs(policy_field, hawkes, model, costs)
     key = (hawkes, model, costs.rho, float(costs.horizon), mc_paths, seed, float(h_init))
     pp = _shared_path_pass(policy_field, key, threads)

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .breach import BreachModel, breach_prob
+from .breach import BreachModel, _breach_curve, breach_prob
 from .dynamics import ConstantRate, CostParams, GridRate, _exact_levels, _phi
 from .errors import GainUndefinedError
 from .hawkes import AttackPath, HawkesParams, PathBatch, lambda_max_heuristic
@@ -63,8 +63,12 @@ class PolicyTrace:
 def _nearest(x, lo, step, n):
     """Nearest node index of x on a uniform axis of n nodes, and the number of
     x whose nearest node lies beyond the last one (clamped to it)."""
-    k = np.rint((x - lo) / step).astype(int)
-    return np.clip(k, 0, n - 1), int(np.count_nonzero(k > n - 1))
+    y = x - lo
+    y /= step
+    k = np.rint(y, out=y).astype(np.intp)
+    clamped = int(np.count_nonzero(k > n - 1))
+    np.minimum(k, n - 1, out=k)
+    return np.maximum(k, 0, out=k), clamped
 
 
 def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
@@ -84,22 +88,26 @@ def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
 def _euler_walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: float, level=None) -> tuple:
     """Controls along each row of the (n_paths, len(times)) intensity matrix lam
     by nearest-node lookup, with an explicit-Euler level update between
-    snapshots; fills `level` (same shape) with the levels if given.
+    snapshots from the level h_init, which must be finite and nonnegative;
+    fills `level` (same shape) with the levels if given.
 
     Returns the controls, column-major so that each snapshot's column is
     contiguous, and the numbers of lookups clamped at lambda_max and at h_max.
     """
+    if not (math.isfinite(h_init) and h_init >= 0):
+        raise ValueError(f"initial level must be finite and nonnegative, got {h_init!r}")
     grid = field.grid
     rho = field.meta.costs.rho
+    n_h = grid.n_h
     k_lam, clamped_lambda = _nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
-    k_lam *= grid.n_h  # flat offset of each lambda node's row in a snapshot's (lambda, h) table
+    k_lam *= n_h  # flat offset of each lambda node's row in a snapshot's (lambda, h) table
     controls = np.empty(lam.shape, order="F")
     h = np.full(lam.shape[0], float(h_init))
     clamped_h = 0
     for i in range(times.size):
         if level is not None:
             level[:, i] = h
-        j, clamped = _nearest(h, grid.h_min, grid.d_h, grid.n_h)
+        j, clamped = _nearest(h, grid.h_min, grid.d_h, n_h)
         clamped_h += clamped
         field.controls[snap_idx[i]].take(k_lam[:, i] + j, out=controls[:, i])
         if i + 1 < times.size:
@@ -177,11 +185,11 @@ def evaluate_constant(
     lstar = hawkes.stationary_mean
 
     def level(s):
-        return h * np.exp(-rho * s) + zbar * _phi(rho, s)
+        return h * math.exp(-rho * s) + zbar * _phi(rho, s)
 
     def integrand(s):
         mean_lam = lstar + (lam - lstar) * math.exp(-k * s)
-        return costs.eta_mean * (model.v - breach_prob(model, level(s))) * mean_lam
+        return costs.eta_mean * (model.v - _breach_curve(model, level(s))) * mean_lam
 
     if span <= 0:
         return float(costs.utility(h))

@@ -218,6 +218,15 @@ class TestCli:
         rc = main(["trace", "--config", cfg, "--field", str(tmp_path / "nope"), "--out", str(tmp_path)])
         assert rc == 4
 
+    @pytest.mark.parametrize("h_init", ["-1", "nan", "inf"])
+    def test_trace_bad_initial_level_exit_2(self, tmp_path, capsys, h_init):
+        cfg = self.write_tiny(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        argv = ["trace", "--config", cfg, "--field", f"{out}/policy", "--out", out, f"--h-init={h_init}"]
+        assert main(argv) == 2
+        assert "initial level must be finite and nonnegative" in capsys.readouterr().err
+
     def test_moments_output(self, capsys):
         assert main(["moments", "--times", "0,1"]) == 0
         out = capsys.readouterr().out

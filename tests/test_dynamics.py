@@ -251,7 +251,8 @@ class TestSimulateLossesBatch:
         gr = GridRate([0.5, 0.8], [3.0, 10.0])
         two = PathBatch(STD_H, 1.0, np.array([0.1, 0.6]), np.array([0, 2]))
         for batch in (two, std_batch_100k.slice(0, 50)):
-            levels, _ = _control_levels(batch, gr.times, gr.values[None, :], h0, STD_C.rho)
+            paths = (batch.times, batch.path_index(), batch.n_paths, batch.horizon)
+            levels, _ = _control_levels(gr.times, gr.values[None, :], h0, STD_C.rho, *paths)
             lb = simulate_losses(batch, STD_M, STD_C, gr, seed=4, h0=h0)
             for i in range(batch.n_paths):
                 path = batch.path(i)

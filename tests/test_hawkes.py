@@ -235,10 +235,18 @@ class TestSimulatePaths:
     )
     def test_chunk_order_matches_lexsort_oracle(self, params, horizon, n, seed):
         job = _chunk_jobs(seed, n)[0]
-        times, offsets, candidates = _simulate_chunk((params, horizon), job)
+        pid, times, candidates = _simulate_chunk((params, horizon), job)
+        assert pid.dtype == np.min_scalar_type(n - 1) and pid.dtype.kind == "u"
+        # sorted as simulate_paths sorts, generation order gives the oracle's paths
+        order = np.argsort(pid, kind="stable")
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pid, minlength=n), out=offsets[1:])
         want_times, want_offsets = thinning_oracle(params, horizon, n, job[1])
-        assert np.array_equal(times, want_times)
+        assert np.array_equal(times[order], want_times)
         assert np.array_equal(offsets, want_offsets)
+        # and in generation order each path's events are strictly increasing
+        same_path = pid[order][1:] == pid[order][:-1]
+        assert np.all(np.diff(times[order])[same_path] > 0)
         assert times.size <= candidates
         if horizon < 1.0:
             assert np.any(np.diff(offsets) == 0)  # the case must include empty paths

@@ -31,6 +31,7 @@ from cyberinvest import (
     solve,
 )
 from cyberinvest.dynamics import _control_levels
+from cyberinvest.hawkes import _intensity_on_grid
 
 # the package exports the premium() function under the module's name
 premium_module = importlib.import_module("cyberinvest.premium")
@@ -121,9 +122,9 @@ class TestOptimalReport:
         whole batch at once."""
         batch = simulate_paths(STD_H, STD_C.horizon, n, seed)
         times, controls = extract_policies_batch(policy, batch, 0.0, h_extract)
-        levels, terminal_h = _control_levels(batch, times, controls, h_levels, STD_C.rho)
-        probs = breach_prob(STD_M, levels)
         pid = batch.path_index()
+        levels, terminal_h = _control_levels(times, controls, h_levels, STD_C.rho, batch.times, pid, n, batch.horizon)
+        probs = breach_prob(STD_M, levels)
         return batch.counts(), np.bincount(pid, probs, n), np.bincount(pid, probs**2, n), terminal_h
 
     @staticmethod
@@ -200,7 +201,8 @@ class TestOptimalReport:
                 field.controls[0, 0, 0] = 1.0
 
     def test_snapshot_cells_match_both_searches(self):
-        """One search gives both event-to-snapshot indices, events on a snapshot included."""
+        """Both event-to-snapshot indices, events on a snapshot included, and
+        the levels and intensities computed from them."""
         times = np.array([0.1, 0.25, 0.5, 0.75, 1.0])
         ev = np.array([0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0, 0.1, 0.5, 0.6])
         after, before = premium_module._snapshot_cells(times, ev)
@@ -208,21 +210,62 @@ class TestOptimalReport:
         np.testing.assert_array_equal(before, np.maximum(np.searchsorted(times, ev, side="right") - 1, 0))
         # the same events as a batch: levels and intensities equal the two-search ones
         batch = PathBatch(STD_H, 1.0, ev, np.array([0, 9, 12]))
+        paths = (batch.times, batch.path_index(), 2, 1.0)
         z = np.random.default_rng(0).uniform(0.0, 5.0, (2, times.size))
         for a, b in zip(
-            _control_levels(batch, times, z, 1.0, 0.2),
-            _control_levels(batch, times, z, 1.0, 0.2, premium_module._snapshot_cells(times, batch.times)[1]),
+            _control_levels(times, z, 1.0, 0.2, *paths),
+            _control_levels(times, z, 1.0, 0.2, *paths, before),
         ):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(batch.intensity_on_grid(times), batch._intensity_on_grid(times, after))
+        np.testing.assert_array_equal(
+            batch.intensity_on_grid(times), _intensity_on_grid(STD_H, times, *paths[:3], after)
+        )
+
+    @staticmethod
+    def _grids():
+        # SolverGrid.regular builds its snapshots descending; the walk reverses them
+        uniform = st.builds(
+            lambda lo, span, k, desc: np.linspace(lo + span, lo, k)[::-1] if desc else np.linspace(lo, lo + span, k),
+            st.floats(0.0, 10.0),
+            st.floats(1e-3, 100.0),
+            st.integers(2, 400),
+            st.booleans(),
+        )
+        scattered = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=60, unique=True).map(
+            lambda v: np.sort(np.array(v))
+        )
+        return st.one_of(uniform, scattered)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_snapshot_cells_equal_both_searchsorted_sides(self, data):
+        """Oracle: searchsorted on uniform and scattered grids, for events
+        between, on and next to snapshot times, at the horizon, outside the
+        grid and for no events at all."""
+        times = data.draw(self._grids(), label="times")
+        on_grid = st.sampled_from(times.tolist()).flatmap(
+            lambda t: st.sampled_from([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+        )
+        anywhere = st.floats(times[0] - 1.0, times[-1] + 1.0)
+        ev = np.array(data.draw(st.lists(st.one_of(on_grid, anywhere), max_size=80), label="events"), dtype=float)
+        for events in (ev, np.append(ev, times[-1]), np.zeros(0)):
+            after, before = premium_module._snapshot_cells(times, events)
+            np.testing.assert_array_equal(after, np.searchsorted(times, events, side="left"))
+            np.testing.assert_array_equal(before, np.maximum(np.searchsorted(times, events, side="right") - 1, 0))
 
     def test_initial_level_drives_losses(self, small_policy):
         r = premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, seed=1, h_init=5.0)
         self._assert_memo_is(self._explicit(small_policy, 10_000, 1, 5.0, 5.0))
         from_zero = self._explicit(small_policy, 10_000, 1, 5.0, 0.0)
         assert r.expected_loss < STD_C.eta_mean * from_zero[1].mean()
-        with pytest.raises(ValueError):
-            premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, h_init=-1.0)
+
+    @pytest.mark.parametrize("h_init", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bad_initial_level_rejected(self, small_policy, h_init, threads):
+        """A negative or non-finite h_init raises instead of pricing a nan or
+        an unclamped level."""
+        with pytest.raises(ValueError, match="initial level"):
+            premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, h_init=h_init, threads=threads)
 
     def test_diagnostics_identical_for_any_threads(self, small_policy):
         # the second report gets a new field object, so it runs its own pass

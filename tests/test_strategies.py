@@ -30,7 +30,7 @@ from cyberinvest import (
     solve,
     solve_poisson,
 )
-from cyberinvest.strategies import TraceSource
+from cyberinvest.strategies import TraceSource, _nearest
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
@@ -164,6 +164,25 @@ class TestExtractPolicy:
     def test_t_init_beyond_horizon(self, solution):
         with pytest.raises(ValueError):
             extract_policy(solution.policy, 27.0, 1.5, 0.0)
+
+    @pytest.mark.parametrize("h_init", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_initial_level_rejected(self, solution, h_init):
+        with pytest.raises(ValueError, match="initial level"):
+            extract_policy(solution.policy, 27.0, 0.0, h_init)
+
+    def test_nearest_node_and_clamp_counts(self):
+        """Nearest node on the axis 2, 2.5, ..., 4 (five nodes): below the
+        first node, above the last, and ties at .5 steps (rounded to even);
+        only the indices beyond the last node are counted as clamped."""
+        x = np.array([[-3.0, 1.0, 2.0, 2.125, 2.25, 2.75], [3.25, 3.75, 4.0, 4.25, 4.3, 9.0]])
+        k, clamped = _nearest(x, 2.0, 0.5, 5)
+        np.testing.assert_array_equal(k, [[0, 0, 0, 0, 0, 2], [2, 4, 4, 4, 4, 4]])
+        assert clamped == 2  # 4.3 and 9.0; 4.25 ties to node 4 (even), not 5
+        assert k.dtype == np.intp
+        # the same as rounding half to even and clipping to [0, n - 1]
+        raw = np.rint((x - 2.0) / 0.5).astype(int)
+        np.testing.assert_array_equal(k, np.clip(raw, 0, 4))
+        assert clamped == np.count_nonzero(raw > 4)
 
     def test_zero_field_gives_decaying_level(self, zero_solution):
         path = simulate_paths(STD_H, 1.0, 1, seed=0).path(0)
