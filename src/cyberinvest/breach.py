@@ -58,20 +58,24 @@ def _breach_curve(model: BreachModel, z):
     return model.v ** (model.a * z + 1.0)
 
 
+def _checked_levels(z) -> np.ndarray:
+    """z as a float array; raises ValueError unless every entry is finite and nonnegative."""
+    z_arr = np.asarray(z, dtype=float)
+    if not np.all((z_arr >= 0) & (z_arr < math.inf)):  # nan fails both comparisons
+        raise ValueError("investment level z must be finite and nonnegative")
+    return z_arr
+
+
 def breach_prob(model: BreachModel, z):
     """Breach probability S(z, v) for investment/protection level z >= 0."""
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0):
-        raise ValueError("investment level z must be nonnegative")
+    z_arr = _checked_levels(z)
     out = _breach_curve(model, z_arr)
     return float(out) if out.ndim == 0 else out
 
 
 def breach_prob_derivative(model: BreachModel, z):
     """Analytic dS/dz; strictly negative whenever v > 0 (class II needs v < 1)."""
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0):
-        raise ValueError("investment level z must be nonnegative")
+    z_arr = _checked_levels(z)
     if model.family is BreachFamily.CLASS_I:
         out = -model.v * model.a * model.b / (model.a * z_arr + 1.0) ** (model.b + 1.0)
     else:
@@ -88,9 +92,7 @@ def enbis(model: BreachModel, p: float, loss: float, z) -> float:
         raise ValueError(f"attack probability p must lie in [0, 1], got {p}")
     if loss < 0:
         raise ValueError("loss must be nonnegative")
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0):
-        raise ValueError("investment level z must be nonnegative")
+    z_arr = _checked_levels(z)
     out = (model.v - breach_prob(model, z_arr)) * p * loss - z_arr
     return float(out) if out.ndim == 0 else out
 

@@ -236,16 +236,17 @@ def _phi(rho: float, s):
     Where rho*s is below the smallest normal float the product has lost its
     digits, so -expm1(-rho s)/rho is wrong (0 at rho = 5e-324, s = 0.5),
     while the integral equals s to double precision; s is returned there.
+
+    A Python float stays one through math.expm1, since the quadrature
+    integrands call this per node; it may differ from np.expm1 in the last
+    unit. Anything else, numpy scalars included, takes np.expm1.
     """
+    if type(s) is float:
+        return s if rho == 0 or abs(rho * s) < _TINY else -math.expm1(-rho * s) / rho
     s_arr = np.asarray(s, dtype=float)
     if rho == 0:
-        return float(s_arr) if s_arr.ndim == 0 else s_arr
+        return s_arr
     out = -np.expm1(-rho * s_arr) / rho
-    if s_arr.ndim == 0:
-        # plain floats: the quadrature integrands call this per node, and
-        # numpy scalar arithmetic would more than double the cost per call
-        s = float(s_arr)
-        return s if abs(rho * s) < _TINY else float(out)
     # recomputing the product keeps no extra float array alive at peak
     small = abs(rho * s_arr) < _TINY
     return np.where(small, s_arr, out) if small.any() else out
@@ -322,14 +323,18 @@ def _rk4_levels(rate, rho: float, h0: float, t0: float, stops: np.ndarray) -> np
     return out
 
 
+def _check_initial_level(h0: float) -> None:
+    if not (math.isfinite(h0) and h0 >= 0):
+        raise ValueError(f"initial level must be finite and nonnegative, got {h0!r}")
+
+
 def evolve_level(h0: float, rho: float, strategy, times) -> np.ndarray:
     """Protection level along `times` (ascending, times[0] = start) under `strategy`.
 
     Constant and piecewise-constant rates are integrated exactly; general
     callables (t, h) -> rate fall back to RK4 with step <= 1e-3.
     """
-    if h0 < 0:
-        raise ValueError("initial level must be nonnegative")
+    _check_initial_level(h0)
     if rho < 0:
         raise ValueError("obsolescence rate must be nonnegative")
     times = np.asarray(times, dtype=float)
@@ -393,8 +398,7 @@ def simulate_losses(
     All strategies share the same flat per-attack draws for a given batch and
     seed (common random numbers).
     """
-    if h0 < 0:
-        raise ValueError("initial level must be nonnegative")
+    _check_initial_level(h0)
     rho = costs.rho
     pid = batch.path_index()
     paths = (batch.times, pid, batch.n_paths, batch.horizon)

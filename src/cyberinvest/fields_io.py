@@ -31,10 +31,10 @@ FORMAT_VERSION = 1
 _RETIRED_OPTIONS = ("rtol", "atol", "method", "interp_query", "max_nodes")
 
 
-def _meta_dict(field) -> dict:
+def _meta_dict(field, raw: np.ndarray) -> dict:
+    """The JSON metadata of a field whose data, as written, is `raw`."""
     grid = field.grid
     meta = field.meta
-    data = field.values if isinstance(field, ValueField) else field.controls
     return {
         "format_version": FORMAT_VERSION,
         "kind": meta.kind,
@@ -68,10 +68,10 @@ def _meta_dict(field) -> dict:
             "eta_family": meta.costs.eta_family,
         },
         "options": asdict(meta.options),
-        "shape": list(data.shape),
+        "shape": list(raw.shape),
         "dtype": "<f8",
         "order": "(snapshot, lambda, h)",
-        "checksum_sha256": hashlib.sha256(np.ascontiguousarray(data, dtype="<f8").tobytes()).hexdigest(),
+        "checksum_sha256": hashlib.sha256(raw).hexdigest(),
     }
 
 
@@ -80,9 +80,10 @@ def save_field(field: Union[ValueField, PolicyField], prefix: Union[str, Path]) 
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     data = field.values if isinstance(field, ValueField) else field.controls
-    raw = np.ascontiguousarray(data, dtype="<f8").tobytes()
+    # one C-contiguous <f8 buffer, hashed and written as it is, with no bytes copy
+    raw = np.ascontiguousarray(data, dtype="<f8")
     prefix.with_suffix(".f64").write_bytes(raw)
-    meta = _meta_dict(field)
+    meta = _meta_dict(field, raw)
     prefix.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 

@@ -17,7 +17,8 @@ interval; in 't Hout & Foulon 2010), started by two implicit half steps in
 each of the first two intervals (Rannacher 1984). The lambda stage is one
 sparse LU solve for all h lines. The nonlinear h stage is solved by Newton's
 method, which on the max(., 0)^2 Hamiltonian is policy iteration (Forsyth &
-Labahn 2007), with one tridiagonal solve for all lambda columns per iteration.
+Labahn 2007), with one tridiagonal solve (LAPACK gtsv on the Jacobian's three
+diagonals) for all lambda columns per iteration.
 
 The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
 stage transposes it. Stored fields add a leading snapshot axis.
@@ -33,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .breach import BreachModel, breach_prob
@@ -60,6 +61,7 @@ _RANNACHER_INTERVALS = 2  # leading intervals stepped as two implicit (theta = 1
 _NEWTON_MAX_ITER = 20  # 2-4 iterations suffice on every grid measured
 _NEWTON_RTOL = 1e-10  # update max-norm, relative to max(1, max |W|), that ends Newton
 _MAX_NODES = 200_000_000  # stored (snapshot, lambda, h) nodes one solve may hold in memory
+_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)  # LAPACK tridiagonal solve with partial pivoting
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,11 @@ class SolverGrid:
 
     @property
     def lambdas(self) -> np.ndarray:
-        n = int(round((self.lambda_max - self.lambda_min) / self.d_lambda)) + 1
-        return self.lambda_min + self.d_lambda * np.arange(n)
+        return self.lambda_min + self.d_lambda * np.arange(self.n_lambda)
 
     @property
     def hs(self) -> np.ndarray:
-        n = int(round((self.h_max - self.h_min) / self.d_h)) + 1
-        return self.h_min + self.d_h * np.arange(n)
+        return self.h_min + self.d_h * np.arange(self.n_h)
 
     @property
     def n_lambda(self) -> int:
@@ -323,16 +323,16 @@ class _PideOperator:
         self._a_h_rows = _stencil_rows(self.a_h)
         self._d_h_rows = _stencil_rows(self.d_h)
 
-    def grad_h(self, w: np.ndarray) -> np.ndarray:
-        return (self.d_h @ w.T).T
+    def excess(self, w: np.ndarray) -> np.ndarray:
+        """max(D_h W - delta, 0) on the (lambda, h) array: gamma times the maximizing rate."""
+        return np.maximum((self.d_h @ w.T).T - self.delta, 0.0)
 
     def policy(self, w: np.ndarray) -> np.ndarray:
-        """Pointwise maximizer (grad_h V - delta)^+ / gamma on the (lambda, h) array."""
-        return np.maximum(self.grad_h(w) - self.delta, 0.0) / self.gamma
+        """Pointwise maximizer (D_h V - delta)^+ / gamma on the (lambda, h) array."""
+        return self.excess(w) / self.gamma
 
-    def h_part(self, w: np.ndarray) -> np.ndarray:
-        """The terms acting along h: A_h W + N(W)."""
-        excess = np.maximum(self.grad_h(w) - self.delta, 0.0)
+    def h_part(self, w: np.ndarray, excess: np.ndarray) -> np.ndarray:
+        """The terms acting along h, A_h W + N(W), given excess = self.excess(w)."""
         return (self.a_h @ w.T).T + excess * excess / (2.0 * self.gamma)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -340,23 +340,19 @@ class _PideOperator:
         if not np.all(np.isfinite(y)):
             raise FloatingPointError("non-finite value surface during integration")
         w = y.reshape(self.shape)
-        return -(self.a_lam @ w + self.h_part(w) + self.reward).reshape(y.shape)
+        return -(self.a_lam @ w + self.h_part(w, self.excess(w)) + self.reward).reshape(y.shape)
 
-    def h_jacobian(self, w: np.ndarray, c: float) -> np.ndarray:
-        """I - c d(h_part)/dW at w, banded (1, 1) for solve_banded, h fastest.
+    def h_jacobian(self, excess: np.ndarray, c: float) -> tuple:
+        """I - c d(h_part)/dW at the state of `excess` as gtsv's (sub, main, super) diagonals, h fastest.
 
         d(h_part)/dW = A_h + diag(z*) D_h on every lambda column. The entries
         that would couple the last h node of one column to the first node of
         the next are zero, so one solve handles all columns.
         """
-        coef = self._a_h_rows[:, None, :] + self.policy(w)[None] * self._d_h_rows[:, None, :]
-        rows = -c * coef.reshape(3, -1)
-        rows[1] += 1.0
-        ab = np.zeros_like(rows)
-        ab[0, 1:] = rows[2, :-1]  # a[p, p+1] sits at ab[0, p+1]
-        ab[1] = rows[1]
-        ab[2, :-1] = rows[0, 1:]  # a[p, p-1] sits at ab[2, p-1]
-        return ab
+        z = excess / self.gamma
+        lower, main, upper = (-c * (a + z * d).ravel() for a, d in zip(self._a_h_rows, self._d_h_rows))
+        main += 1.0
+        return lower[1:], main, upper[:-1]
 
 
 class _DouglasADI:
@@ -366,6 +362,8 @@ class _DouglasADI:
         Y0 = W + dt (A_lambda W + F_h(W) + r)
         (I - theta dt A_lambda) Y1 = Y0 - theta dt A_lambda W
         Y2 - theta dt F_h(Y2) = Y1 - theta dt F_h(W)   (Newton)
+    step takes W with its excess max(D_h W - delta, 0) and returns Y2 with its
+    own, so each state's h-gradient is computed once (the stored control too).
     Counters: nfev explicit operator evaluations, njev Newton Jacobian builds,
     nlu LU factorizations, newton the Newton iterations of each step.
     """
@@ -376,19 +374,17 @@ class _DouglasADI:
         self.nfev = 0
         self.newton = []
 
-    def step(self, w: np.ndarray, dt: float, theta: float, t: float) -> np.ndarray:
+    def step(self, w: np.ndarray, excess: np.ndarray, dt: float, theta: float, t: float) -> tuple:
         op = self.op
         # rounded so that steps equal but for rounding in the snapshot times share one LU
         c = float(f"{theta * dt:.12g}")
         if c not in self._lus:
             self._lus[c] = splu((sp.identity(op.shape[0], format="csc") - c * op.a_lam).tocsc())
-        lu = self._lus[c]
-        f_lam = op.a_lam @ w
-        f_h = op.h_part(w)
+        f_lam, f_h = op.a_lam @ w, op.h_part(w, excess)
         self.nfev += 1
         # SuperLU takes the right-hand side column-major; a row-major one made
         # this solve about 15x slower on a 125x201 grid under default BLAS threading
-        y = lu.solve(np.asfortranarray(w + dt * (f_lam + f_h + op.reward) - c * f_lam))
+        y = self._lus[c].solve(np.asfortranarray(w + dt * (f_lam + f_h + op.reward) - c * f_lam))
         target = y - c * f_h
         norm = math.nan
 
@@ -400,15 +396,19 @@ class _DouglasADI:
             )
 
         for it in range(1, _NEWTON_MAX_ITER + 1):
-            resid = y - c * op.h_part(y) - target
+            excess = op.excess(y)
+            resid = y - c * op.h_part(y, excess) - target
             if not np.all(np.isfinite(resid)):
                 raise failure("non-finite h stage")
-            dy = solve_banded((1, 1), op.h_jacobian(y, c), resid.ravel(), check_finite=False)
+            # every argument is a fresh array, so gtsv may overwrite them all
+            *_, dy, info = _GTSV(*op.h_jacobian(excess, c), resid.ravel(), True, True, True, True)
+            if info != 0:
+                raise failure(f"singular h-stage Jacobian (gtsv info {info})")
             y = y - dy.reshape(y.shape)
             norm = float(np.max(np.abs(dy)))
             if norm <= _NEWTON_RTOL * max(1.0, float(np.max(np.abs(y)))):
                 self.newton.append(it)
-                return y
+                return y, op.excess(y)
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
 
@@ -442,17 +442,18 @@ def solve(
     values = np.empty((snaps.size,) + op.shape)
     controls = np.empty_like(values)
     w = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).copy()
-    values[0], controls[0] = w, op.policy(w)
+    excess = op.excess(w)
+    values[0], controls[0] = w, excess / op.gamma
     adi = _DouglasADI(op)
     t0 = time.perf_counter()
     for k in range(1, snaps.size):
         dt = snaps[k - 1] - snaps[k]
         if k <= _RANNACHER_INTERVALS:
-            w = adi.step(w, 0.5 * dt, 1.0, snaps[k - 1])
-            w = adi.step(w, 0.5 * dt, 1.0, snaps[k - 1] - 0.5 * dt)
+            w, excess = adi.step(w, excess, 0.5 * dt, 1.0, snaps[k - 1])
+            w, excess = adi.step(w, excess, 0.5 * dt, 1.0, snaps[k - 1] - 0.5 * dt)
         else:
-            w = adi.step(w, dt, _THETA, snaps[k - 1])
-        values[k], controls[k] = w, op.policy(w)
+            w, excess = adi.step(w, excess, dt, _THETA, snaps[k - 1])
+        values[k], controls[k] = w, excess / op.gamma
     wall = time.perf_counter() - t0
     diagnostics = {
         "method": "douglas-adi",
@@ -464,20 +465,18 @@ def solve(
         "newton_max": int(max(adi.newton)),
     }
 
-    meta_v = FieldMeta("value", hawkes, model, costs, options)
-    meta_p = FieldMeta("policy", hawkes, model, costs, options)
-    vf = ValueField(grid, values, meta_v)
-    pf = PolicyField(grid, controls, meta_p)
+    vf = ValueField(grid, values, FieldMeta("value", hawkes, model, costs, options))
+    pf = PolicyField(grid, controls, FieldMeta("policy", hawkes, model, costs, options))
     quality = _quality_report(vf, op, wall, diagnostics)
     return SolveResult(vf, pf, quality)
 
 
 def _monotonicity_stats(values: np.ndarray, axis: int, tol: float) -> dict:
     diffs = np.diff(values, axis=axis)
-    viol = diffs < -tol
+    violations = int(np.count_nonzero(diffs < -tol))
     return {
-        "violations": int(viol.sum()),
-        "fraction": float(viol.sum() / max(values.size, 1)),
+        "violations": violations,
+        "fraction": violations / max(values.size, 1),
         "worst": float(max(-diffs.min(), 0.0)) if diffs.size else 0.0,
     }
 

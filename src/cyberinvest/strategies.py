@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .breach import BreachModel, _breach_curve, breach_prob
-from .dynamics import ConstantRate, CostParams, GridRate, _exact_levels, _phi
+from .dynamics import ConstantRate, CostParams, GridRate, _check_initial_level, _exact_levels, _phi
 from .errors import GainUndefinedError
 from .hawkes import AttackPath, HawkesParams, PathBatch, lambda_max_heuristic
 from .hjb import PolicyField, ValueField, query
@@ -94,8 +94,7 @@ def _euler_walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: fl
     Returns the controls, column-major so that each snapshot's column is
     contiguous, and the numbers of lookups clamped at lambda_max and at h_max.
     """
-    if not (math.isfinite(h_init) and h_init >= 0):
-        raise ValueError(f"initial level must be finite and nonnegative, got {h_init!r}")
+    _check_initial_level(h_init)
     grid = field.grid
     rho = field.meta.costs.rho
     n_h = grid.n_h

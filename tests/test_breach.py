@@ -44,6 +44,13 @@ class TestBreachProb:
         with pytest.raises(ValueError):
             breach_prob(STD, -1.0)
 
+    @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf])
+    def test_invalid_level_rejected(self, z):
+        for fn in (breach_prob, breach_prob_derivative):
+            for levels in (z, np.array([1.0, z])):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    fn(STD, levels)
+
     @settings(max_examples=50)
     @given(models, st.floats(0.0, 50.0), st.floats(0.01, 50.0))
     def test_decreasing(self, m, z, dz):

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cyberinvest as ci
 from cyberinvest import ConfigError, load_field, save_field, validate
 from cyberinvest.cli import main
 from cyberinvest.config import COARSE_PRESET
+from cyberinvest.hjb import FieldMeta
 
 REPO = Path(__file__).resolve().parents[1]
 STANDARD = REPO / "configs" / "standard.cfg"
@@ -108,6 +110,24 @@ class TestFieldIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_field(tmp_path / "nothing")
+
+    def test_written_bytes_pinned(self, tmp_path):
+        # digests of the two files as written before save_field hashed the array
+        # it writes instead of serializing it a second time
+        expected = (
+            "0b2a9d473f9a5678cff17a606b7cef428f4b7e4be3a1bec96329679622c0a813",
+            "65f3528872d86a437ab0aeaf7de47906465e92bdfc192a04e818ff69b92d7d85",
+        )
+        grid = ci.SolverGrid.regular(27.0, 36.0, 9.0, 0.0, 1.0, 1.0, 1.0, 1)
+        costs = ci.CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0)
+        model = ci.BreachModel(ci.BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
+        meta = FieldMeta("value", ci.HawkesParams(27.0, 27.0, 15.0, 9.0), model, costs, ci.SolverOptions())
+        values = np.arange(8.0).reshape(2, 2, 2) / 3.0
+        # a big-endian, column-major copy of the same numbers writes the same bytes
+        for data in (values, np.asfortranarray(values.astype(">f8"))):
+            save_field(ci.ValueField(grid, data, meta), tmp_path / "v")
+            digests = tuple(hashlib.sha256((tmp_path / f"v.{ext}").read_bytes()).hexdigest() for ext in ("f64", "json"))
+            assert digests == expected
 
     @staticmethod
     def write_field_with_options(prefix, options):

@@ -23,7 +23,7 @@ from cyberinvest import (
     simulate_losses,
     simulate_paths,
 )
-from cyberinvest.dynamics import _eta_sampler
+from cyberinvest.dynamics import _TINY, _eta_sampler, _phi
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
@@ -99,6 +99,12 @@ class TestEvolveLevel:
         )
         np.testing.assert_allclose(ours, ref.y[0], rtol=1e-8)
 
+    @pytest.mark.parametrize("h0", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("strategy", [ConstantRate(1.0), lambda t, h: 1.0], ids=["exact", "rk4"])
+    def test_invalid_initial_level_rejected(self, h0, strategy):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            evolve_level(h0, 0.2, strategy, np.array([0.0, 1.0]))
+
     def test_negative_rate_rejected(self):
         with pytest.raises(PolicyError):
             evolve_level(1.0, 0.2, lambda t, h: -1.0, np.array([0.0, 1.0]))
@@ -124,6 +130,29 @@ class TestEvolveLevel:
         r = 1.0 if x == 0 else -math.expm1(-x) / x
         expected = h0 * math.exp(-x) + zbar * span * r
         assert H[-1] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+class TestPhi:
+    @settings(max_examples=300)
+    @given(st.floats(0.0, 5.0), st.floats(0.0, 10.0))
+    @example(0.0, 3.0)
+    @example(2.0, 0.0)
+    @example(5e-324, 0.5)  # subnormal products, where the integral is s
+    @example(1e-310, 10.0)
+    @example(5.0, 1e-320)
+    @example(2.5, 0.14453125)
+    def test_float_branch_matches_array_branch(self, rho, s):
+        scalar = _phi(rho, s)
+        array = float(_phi(rho, np.array([s]))[0])
+        assert type(scalar) is float
+        # math.expm1 and np.expm1 agree to 1 ulp; dividing by rho can make that
+        # 2 ulps of the quotient (rho = 2.5, s = 0.14453125)
+        assert abs(math.expm1(-rho * s) - np.expm1(-rho * s)) <= math.ulp(np.expm1(-rho * s))
+        assert abs(scalar - array) <= 2 * math.ulp(array)
+        if rho * s < _TINY:
+            assert scalar == array == s
+        # numpy scalars keep the array branch, so array callers round alike
+        assert _phi(rho, np.float64(s)) == array
 
 
 class TestEtaSamplers:
@@ -268,6 +297,13 @@ class TestSimulateLossesBatch:
         quiet = PathBatch(STD_H, 1.0, np.array([]), np.array([0, 0]))
         with pytest.raises(ValueError):
             simulate_losses(quiet, STD_M, STD_C, ConstantRate(1.0), seed=0, h0=-1.0)
+
+    @pytest.mark.parametrize("h0", [-1.0, math.nan, math.inf])
+    def test_invalid_h0_rejected(self, h0):
+        # a nan level once gave a mean loss of 0 with SE 0: no uniform is below nan
+        batch = simulate_paths(STD_H, 1.0, 200, seed=0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate_losses(batch, STD_M, STD_C, ConstantRate(1.0), seed=0, h0=h0)
 
     def test_counts_and_invariants(self, std_batch_100k):
         sub = std_batch_100k.slice(0, 1000)

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
+from scipy.sparse.linalg import splu
 
 from cyberinvest import (
     BreachFamily,
@@ -20,7 +22,7 @@ from cyberinvest import (
 )
 from conftest import radau_values
 from cyberinvest import hjb
-from cyberinvest.hjb import _PideOperator
+from cyberinvest.hjb import _THETA, _PideOperator
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
@@ -58,6 +60,42 @@ class TestSolverGrid:
     def test_snapshots_decreasing(self):
         assert SMALL.t_snapshots[0] == 1.0 and SMALL.t_snapshots[-1] == 0.0
         assert np.all(np.diff(SMALL.t_snapshots) < 0)
+
+
+def reference_policy(op, x):
+    return np.maximum((op.d_h @ x.T).T - op.delta, 0.0) / op.gamma
+
+
+def banded_reference_step(op, w, dt, theta):
+    """One Douglas step with the Newton h stage as first written: the policy
+    recomputed from W for the Jacobian, which is packed into solve_banded's
+    (1, 1) layout. Returns the new state and its Newton iteration count."""
+    c = float(f"{theta * dt:.12g}")
+
+    def h_part(x):
+        excess = np.maximum((op.d_h @ x.T).T - op.delta, 0.0)
+        return (op.a_h @ x.T).T + excess * excess / (2.0 * op.gamma)
+
+    def jacobian(x):
+        coef = op._a_h_rows[:, None, :] + reference_policy(op, x)[None] * op._d_h_rows[:, None, :]
+        rows = -c * coef.reshape(3, -1)
+        rows[1] += 1.0
+        ab = np.zeros_like(rows)
+        ab[0, 1:] = rows[2, :-1]
+        ab[1] = rows[1]
+        ab[2, :-1] = rows[0, 1:]
+        return ab
+
+    lu = splu((sp.identity(op.shape[0], format="csc") - c * op.a_lam).tocsc())
+    f_lam, f_h = op.a_lam @ w, h_part(w)
+    y = lu.solve(np.asfortranarray(w + dt * (f_lam + f_h + op.reward) - c * f_lam))
+    target = y - c * f_h
+    for it in range(1, hjb._NEWTON_MAX_ITER + 1):
+        dy = solve_banded((1, 1), jacobian(y), (y - c * h_part(y) - target).ravel(), check_finite=False)
+        y = y - dy.reshape(y.shape)
+        if float(np.max(np.abs(dy))) <= hjb._NEWTON_RTOL * max(1.0, float(np.max(np.abs(y)))):
+            return y, it
+    raise AssertionError("reference Newton did not converge")
 
 
 def rhs(state, model, costs):
@@ -127,15 +165,50 @@ class TestAssembleRhs:
         rng = np.random.default_rng(0)
         y = np.sqrt(SMALL.hs)[None, :] * SMALL.lambdas[:, None] / 9.0 + 0.1 * rng.standard_normal(op.shape)
         c = 0.0025
-        ab = op.h_jacobian(y, c)
+        lower, main, upper = op.h_jacobian(op.excess(y), c)
         n = y.size
-        jac = sp.dia_matrix((ab, [1, 0, -1]), shape=(n, n)).tocsr()
+        assert lower.size == upper.size == n - 1 and main.size == n
+        jac = sp.diags([lower, main, upper], [-1, 0, 1], shape=(n, n)).tocsr()
         assert 0.2 < (op.policy(y) > 0).mean() < 0.8  # both branches of the max occur
+
+        def newton_map(x):
+            return x - c * op.h_part(x, op.excess(x))
+
         for _ in range(4):
             d = rng.standard_normal(op.shape)
             eps = 1e-6
-            fd = ((y + eps * d - c * op.h_part(y + eps * d)) - (y - eps * d - c * op.h_part(y - eps * d))) / (2 * eps)
+            fd = (newton_map(y + eps * d) - newton_map(y - eps * d)) / (2 * eps)
             np.testing.assert_allclose(jac @ d.ravel(), fd.ravel(), rtol=1e-6, atol=1e-8)
+
+
+class TestDouglasStep:
+    @pytest.mark.parametrize("upwind", [False, True])
+    def test_bit_identical_to_banded_reference(self, upwind):
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions(upwind=upwind))
+        adi = hjb._DouglasADI(op)
+        w = ref = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
+        excess = op.excess(w)
+        dt = SMALL.d_t
+        # the Rannacher half steps, then Douglas steps
+        for theta, step in [(1.0, 0.5 * dt)] * 4 + [(_THETA, dt)] * 4:
+            w, excess = adi.step(w, excess, step, theta, 1.0)
+            ref, iterations = banded_reference_step(op, ref, step, theta)
+            assert np.array_equal(w, ref)
+            assert np.array_equal(excess / op.gamma, reference_policy(op, ref))
+            assert adi.newton[-1] == iterations
+
+    def test_singular_h_stage_raises(self, monkeypatch):
+        jacobian = _PideOperator.h_jacobian
+
+        def singular(self, excess, c):
+            lower, main, upper = jacobian(self, excess, c)
+            lower[6] = main[7] = upper[7] = 0.0  # row 7 of the Jacobian vanishes
+            return lower, main, upper
+
+        monkeypatch.setattr(_PideOperator, "h_jacobian", singular)
+        with pytest.raises(SolverError, match="singular h-stage Jacobian") as err:
+            solve(SMALL, STD_H, STD_M, STD_C)
+        assert err.value.diagnostics["step"] == 1 and err.value.diagnostics["t"] == SMALL.horizon
 
 
 class TestSolve:

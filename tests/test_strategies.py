@@ -30,6 +30,8 @@ from cyberinvest import (
     solve,
     solve_poisson,
 )
+from cyberinvest import strategies
+from cyberinvest.dynamics import _TINY
 from cyberinvest.strategies import TraceSource, _nearest
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
@@ -89,6 +91,26 @@ class TestEvaluateConstant:
         vals = np.array([evaluate_constant(t, lam, h, z, STD_H, model, costs) for z in np.linspace(0.0, z_max, 41)])
         scale = max(1.0, float(np.max(np.abs(vals))))
         assert np.max(np.diff(vals, 2)) <= 1e-7 * scale
+
+
+def numpy_phi(rho, s):
+    """_phi of a float as computed before its float branch: np.expm1 on a 0-d array."""
+    if rho == 0 or abs(rho * s) < _TINY:
+        return s
+    return float(-np.expm1(-rho * np.asarray(s)) / rho)
+
+
+def test_float_quadrature_matches_numpy_expm1(monkeypatch):
+    # math.expm1 and np.expm1 differ in the last unit for a few percent of the
+    # integrand's nodes; the quadrature must not carry that any further
+    rng = np.random.default_rng(12345)
+    states = [(rng.uniform(0, 1), rng.uniform(1, 150), rng.uniform(0, 40), rng.uniform(0, 80)) for _ in range(300)]
+    floats = [evaluate_constant(*s, STD_H, STD_M, STD_C) for s in states]
+    monkeypatch.setattr(strategies, "_phi", numpy_phi)
+    arrays = [evaluate_constant(*s, STD_H, STD_M, STD_C) for s in states]
+    np.testing.assert_allclose(floats, arrays, rtol=1e-14)
+    identical = sum(a == b for a, b in zip(floats, arrays))
+    print(f"evaluate_constant: {identical} of {len(states)} states bit-identical under np.expm1")
 
 
 class TestOptimizeConstant:
