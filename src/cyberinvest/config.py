@@ -23,11 +23,8 @@ __all__ = ["RunConfig", "validate", "COARSE_PRESET", "ENV_PREFIX", "STANDARD_CON
 
 ENV_PREFIX = "CYBERINVEST_"
 
-# Desk-scale preset: coarse steps on the full intensity domain. The domain is
-# kept wide because the clamped nonlocal term creates a boundary layer of
-# roughly 60 intensity units below lambda_max; 420 leaves the region of
-# interest (lambda <= 216) unpolluted while the solve stays in seconds.
-COARSE_PRESET = {"d_lambda": 3.0, "d_h": 1.0, "lambda_max": 420.0}
+# Desk-scale preset: coarser steps on the configured domain.
+COARSE_PRESET = {"d_lambda": 3.0, "d_h": 1.0}
 
 
 def _parse_bool(s: str) -> bool:
@@ -127,17 +124,19 @@ class RunConfig:
         _check_jump_shift(self.grid.d_lambda, self.hawkes.beta, self.options.jump_interp)
 
     def coarse(self) -> "RunConfig":
-        """Desk-scale grid preset applied on top of this configuration."""
-        grid = SolverGrid.regular(
-            self.grid.lambda_min,
-            COARSE_PRESET["lambda_max"],
-            COARSE_PRESET["d_lambda"],
-            self.grid.h_min,
-            self.grid.h_max,
-            COARSE_PRESET["d_h"],
-            self.costs.horizon,
-            self.grid.t_snapshots.size - 1,
-        )
+        """This configuration with the desk-scale steps of COARSE_PRESET on its domain.
+
+        Raises ConfigError when the domain is not a whole number of coarse steps.
+        """
+        g = self.grid
+        try:
+            grid = replace(g, **COARSE_PRESET)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[grid] lambda_min={g.lambda_min:g}..lambda_max={g.lambda_max:g}, h_min={g.h_min:g}..h_max={g.h_max:g} "
+                f"is not a whole number of the coarse preset's steps d_lambda={COARSE_PRESET['d_lambda']:g}, "
+                f"d_h={COARSE_PRESET['d_h']:g}: {exc}"
+            ) from None
         return replace(self, grid=grid)
 
 

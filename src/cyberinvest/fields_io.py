@@ -107,12 +107,15 @@ def load_field(prefix: Union[str, Path]):
     if not meta_path.exists() or not bin_path.exists():
         raise OSError(f"missing field files {meta_path} / {bin_path}")
     meta = json.loads(meta_path.read_text())
-    raw = bin_path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    if digest != meta["checksum_sha256"]:
+    # read straight into the array, so no bytes copy of the file is held beside it
+    data = np.empty(tuple(meta["shape"]), dtype="<f8")
+    with bin_path.open("rb") as fh:
+        n_read = fh.readinto(memoryview(data).cast("B"))
+        longer = fh.read(1) != b""
+    if n_read != data.nbytes or longer:
+        raise OSError(f"{bin_path} does not hold exactly the {data.nbytes} bytes of a {data.shape} field")
+    if hashlib.sha256(data).hexdigest() != meta["checksum_sha256"]:
         raise OSError(f"checksum mismatch for {bin_path}: file is corrupt or stale")
-    shape = tuple(meta["shape"])
-    data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     grid = _grid_from_dict(meta["grid"])
     hawkes = HawkesParams(**meta["hawkes"])
     b = meta["breach"]

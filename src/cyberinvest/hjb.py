@@ -5,8 +5,9 @@ mean-reverting drift in lambda, an obsolescence drift in h, a nonlocal shift
 lambda (V(lambda + beta) - V(lambda)), a running reward
 eta_mean (v - S(h, v)) lambda, and a quadratic Hamiltonian in the investment
 rate. Space is discretized with central differences (one-sided at the four
-boundaries) and the nonlocal term with a node shift clamped at the top
-boundary. In tau = T - t the semi-discrete system is
+boundaries) and the nonlocal term with a node shift (or two-point
+interpolation) that past lambda_max extends V linearly from its last two
+nodes. In tau = T - t the semi-discrete system is
 
     dW/dtau = A_lambda W + A_h W + N(W) + r,  N(W) = max(D_h W - delta, 0)^2 / (2 gamma),
 
@@ -54,7 +55,7 @@ __all__ = [
     "hjb_residual",
 ]
 
-EXTRAPOLATION_RULE = "clamp-at-lambda-max"
+EXTRAPOLATION_RULE = "linear-past-lambda-max"  # the jump term's closure past lambda_max in solve
 
 _THETA = 0.5  # Douglas weight: second order in time
 _RANNACHER_INTERVALS = 2  # leading intervals stepped as two implicit (theta = 1) half steps
@@ -151,7 +152,11 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class FieldMeta:
-    """Provenance of a solved field: inputs, options, extrapolation rule."""
+    """Provenance of a solved field: inputs, options and the jump term's closure past lambda_max.
+
+    `solve` records EXTRAPOLATION_RULE; the default is the clamp that fields
+    written before the linear closure carry.
+    """
 
     kind: str
     hawkes: HawkesParams
@@ -160,7 +165,7 @@ class FieldMeta:
     options: SolverOptions
     dimension: str = "hawkes"
     poisson_intensity: Optional[float] = None
-    extrapolation: str = EXTRAPOLATION_RULE
+    extrapolation: str = "clamp-at-lambda-max"
 
 
 @dataclass(frozen=True)
@@ -266,24 +271,27 @@ def _check_jump_shift(d_lambda: float, beta: float, interp: bool) -> None:
 
 
 def _jump_shift_1d(n: int, d_lambda: float, beta: float, interp: bool) -> sp.csr_matrix:
-    """Selector (or two-point interpolator) approximating V(lambda + beta)."""
+    """Two-point linear interpolator (a selector for whole-node shifts) approximating V(lambda + beta).
+
+    Row i reads the target x = i + beta/d_lambda between its bracketing nodes.
+    A target s = x - (n - 1) > 0 nodes past the last node reads the linear
+    extension (1 + s) V[n-1] - s V[n-2] instead, the usual closure for a
+    nonlocal term on a truncated domain (d'Halluin, Forsyth & Vetzal 2005),
+    since V grows linearly in lambda far out. Every row maps a V linear in
+    lambda exactly. A one-node axis keeps its identity row.
+    """
     _check_jump_shift(d_lambda, beta, interp)
-    pos = beta / d_lambda
-    lo = int(math.floor(pos + 1e-12))
-    w = pos - lo
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        j0 = min(i + lo, n - 1)
-        if w > 1e-12:
-            j1 = min(i + lo + 1, n - 1)
-            rows += [i, i]
-            cols += [j0, j1]
-            vals += [1.0 - w, w]
-        else:
-            rows.append(i)
-            cols.append(j0)
-            vals.append(1.0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    if n == 1:
+        return sp.identity(1, format="csr")
+    pos = beta / d_lambda if interp else round(beta / d_lambda)
+    x = np.arange(n, dtype=float) + pos
+    lo = np.minimum(np.floor(x), n - 2).astype(np.int64)  # left node of the bracketing or last interval
+    w = x - lo  # weight of node lo + 1: below 1 inside the domain, 1 + s past its last node
+    rows = np.repeat(np.arange(n), 2)
+    cols = np.stack([lo, lo + 1], axis=1).ravel()
+    vals = np.stack([1.0 - w, w], axis=1).ravel()
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
 def _stencil_rows(mat: sp.csr_matrix) -> np.ndarray:
@@ -423,8 +431,10 @@ def solve(
 
     Returns the value and policy fields at every snapshot together with a
     quality report (monotonicity statistics, residual norms, integrator
-    counters). Values above lambda_max are understood as clamped to the
-    lambda_max column, which is recorded in the field metadata.
+    counters). Where the jump term reads past lambda_max, the operator extends
+    V linearly from the last two intensity nodes; the metadata records this
+    closure as EXTRAPOLATION_RULE. Lookups of the stored fields (`query`, the
+    policy walk) still clamp intensities above lambda_max to the last node.
     """
     options = options or SolverOptions()
     if abs(grid.horizon - costs.horizon) > 1e-12:
@@ -465,8 +475,9 @@ def solve(
         "newton_max": int(max(adi.newton)),
     }
 
-    vf = ValueField(grid, values, FieldMeta("value", hawkes, model, costs, options))
-    pf = PolicyField(grid, controls, FieldMeta("policy", hawkes, model, costs, options))
+    meta = FieldMeta("value", hawkes, model, costs, options, extrapolation=EXTRAPOLATION_RULE)
+    vf = ValueField(grid, values, meta)
+    pf = PolicyField(grid, controls, replace(meta, kind="policy"))
     quality = _quality_report(vf, op, wall, diagnostics)
     return SolveResult(vf, pf, quality)
 
@@ -547,8 +558,9 @@ def query(field, t: float, lam: float, h: float, mode: str = "nearest") -> float
     """Field value at (t, lambda, h): nearest snapshot in t, nearest node or
     bilinear interpolation in (lambda, h).
 
-    lambda above the grid is clamped to lambda_max (the extrapolation rule);
-    h outside the grid is clamped with a warning.
+    lambda above the grid is clamped to lambda_max: the lookup does not apply
+    the solve's linear closure (FieldMeta.extrapolation), which only the jump
+    term uses. h outside the grid is clamped with a warning.
     """
     grid = field.grid
     data = field.values if isinstance(field, ValueField) else field.controls

@@ -124,9 +124,13 @@ def _snapshot_cells(times: np.ndarray, event_times: np.ndarray):
     is off by at most one.
     """
     k = times.size
-    scale = (k - 1) / (times[-1] - times[0]) if k > 1 else 0.0
     guess = event_times - times[0]
-    guess *= scale
+    if k > 1:
+        # divided by the span before the multiply, so a subnormal span sends
+        # far events to inf but keeps one at times[0] at 0 (not 0 * inf = nan)
+        with np.errstate(over="ignore"):
+            guess /= times[-1] - times[0]
+            guess *= k - 1
     np.ceil(guess, out=guess)
     np.minimum(guess, k, out=guess)
     after = np.maximum(guess, 0.0, out=guess).astype(np.intp)

@@ -151,9 +151,10 @@ def std_costs():
 
 @pytest.fixture(scope="session")
 def coarse_grid(std_costs):
+    """The coarse preset's steps on the standard domain, as `RunConfig.coarse` gives them."""
     return SolverGrid.regular(
         27.0,
-        COARSE_PRESET["lambda_max"],
+        216.0,
         COARSE_PRESET["d_lambda"],
         0.0,
         50.0,
@@ -165,7 +166,7 @@ def coarse_grid(std_costs):
 
 @pytest.fixture(scope="session")
 def coarse_solution(coarse_grid, std_hawkes, std_model, std_costs):
-    """Desk-scale solve on the wide intensity domain; shared by many tests."""
+    """Desk-scale solve of the standard problem; shared by many tests."""
     return solve(coarse_grid, std_hawkes, std_model, std_costs)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +86,14 @@ class TestValidate:
         assert any("lambda0" in d for d in err.value.diagnostics)
 
     def test_coarse_preset(self):
-        cfg = validate(use_env=False).coarse()
+        fine = validate(use_env=False)
+        cfg = fine.coarse()
         assert cfg.grid.d_lambda == COARSE_PRESET["d_lambda"]
         assert cfg.grid.d_h == COARSE_PRESET["d_h"]
-        assert cfg.grid.lambda_max == COARSE_PRESET["lambda_max"]
+        # the preset coarsens the steps and keeps the configured domain
+        assert (cfg.grid.lambda_min, cfg.grid.lambda_max) == (fine.grid.lambda_min, fine.grid.lambda_max)
+        assert (cfg.grid.h_min, cfg.grid.h_max) == (fine.grid.h_min, fine.grid.h_max)
+        np.testing.assert_array_equal(cfg.grid.t_snapshots, fine.grid.t_snapshots)
 
 
 class TestFieldIO:
@@ -96,7 +101,8 @@ class TestFieldIO:
         save_field(coarse_solution.value, tmp_path / "v")
         loaded = load_field(tmp_path / "v")
         np.testing.assert_array_equal(loaded.values, coarse_solution.value.values)
-        assert loaded.meta.hawkes == coarse_solution.value.meta.hawkes
+        assert loaded.meta == coarse_solution.value.meta
+        assert loaded.meta.extrapolation == "linear-past-lambda-max"
         assert loaded.grid.d_lambda == coarse_solution.value.grid.d_lambda
 
     def test_checksum_detects_corruption(self, tmp_path, coarse_solution):
@@ -110,6 +116,30 @@ class TestFieldIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_field(tmp_path / "nothing")
+
+    @pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw + bytes(8)], ids=["truncated", "extended"])
+    def test_wrong_length_rejected(self, tmp_path, edit):
+        data = self.write_field_with_options(tmp_path / "v", {"upwind": False, "jump_interp": False})
+        # the checksum in the metadata matches the edited bytes, so only the length is wrong
+        raw = edit(data.tobytes())
+        meta = json.loads((tmp_path / "v.json").read_text())
+        meta["checksum_sha256"] = hashlib.sha256(raw).hexdigest()
+        (tmp_path / "v.json").write_text(json.dumps(meta))
+        (tmp_path / "v.f64").write_bytes(raw)
+        with pytest.raises(OSError, match="64 bytes"):
+            load_field(tmp_path / "v")
+
+    def test_load_holds_one_copy(self, tmp_path, coarse_solution):
+        save_field(coarse_solution.policy, tmp_path / "p")
+        tracemalloc.start()
+        try:
+            loaded = load_field(tmp_path / "p")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.controls, coarse_solution.policy.controls)
+        assert loaded.meta == coarse_solution.policy.meta
+        assert peak <= 1.1 * loaded.controls.nbytes
 
     def test_written_bytes_pinned(self, tmp_path):
         # digests of the two files as written before save_field hashed the array
@@ -168,6 +198,7 @@ class TestFieldIO:
         loaded = load_field(tmp_path / "v")
         np.testing.assert_array_equal(loaded.values.ravel(), data)
         assert dataclasses.asdict(loaded.meta.options) == {"upwind": False, "jump_interp": False}
+        assert loaded.meta.extrapolation == "clamp-at-lambda-max"
 
     def test_unknown_option_still_rejected(self, tmp_path):
         self.write_field_with_options(tmp_path / "v", {"upwind": False, "foo": 1})
@@ -211,6 +242,16 @@ class TestCli:
         assert main(["validate", "--config", str(cfg), *argv]) == rc
         err = capsys.readouterr().err
         assert ("beta/d_lambda = 8/3 is not an integer" in err) == (rc == 2)
+
+    def test_coarse_off_the_coarse_lattice_exit_2(self, monkeypatch, capsys):
+        # 216 - 28 = 188 intensity units: whole steps at d_lambda = 1, not at 3
+        for key in ("GRID__LAMBDA_MIN", "HAWKES__LAMBDA0", "HAWKES__ALPHA"):
+            monkeypatch.setenv(f"CYBERINVEST_{key}", "28")
+        assert main(["validate", "--config", str(STANDARD)]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--config", str(STANDARD), "--coarse"]) == 2
+        err = capsys.readouterr().err
+        assert "[grid] lambda_min=28..lambda_max=216" in err and "d_lambda=3" in err
 
     @pytest.mark.parametrize(
         "text, diagnostic",

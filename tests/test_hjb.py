@@ -158,6 +158,23 @@ class TestAssembleRhs:
             _PideOperator(grid, hp, STD_M, STD_C, SolverOptions())
         _PideOperator(grid, hp, STD_M, STD_C, SolverOptions(jump_interp=True))
 
+    @pytest.mark.parametrize(
+        "n, d_lambda, beta, interp",
+        [
+            (12, 3.0, 9.0, False),  # the coarse preset's whole-node shift
+            (5, 1.0, 9.0, False),  # every target past the last node
+            (12, 2.0, 9.0, True),  # interpolated, half a node off the lattice
+            (12, 0.75, 1.0, True),
+            (1, 3.0, 0.0, False),  # the Poisson solve's single node
+        ],
+    )
+    def test_jump_shift_exact_on_linear_functions(self, n, d_lambda, beta, interp):
+        shift = hjb._jump_shift_1d(n, d_lambda, beta, interp).toarray()
+        np.testing.assert_allclose(shift.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        lam = 27.0 + d_lambda * np.arange(n)
+        for a, b in [(1.0, 0.0), (0.0, 1.0), (-2.5, 7.0)]:
+            np.testing.assert_allclose(shift @ (a + b * lam), a + b * (lam + beta), rtol=1e-13)
+
     @pytest.mark.parametrize("upwind", [False, True])
     def test_h_stage_jacobian_matches_finite_differences(self, upwind):
         # the Newton system of the h stage is G(y) = y - c * h_part(y)
@@ -276,6 +293,14 @@ class TestSolve:
         gap = np.abs(adi.value.values - ref)
         assert gap[-1].max() <= 1e-3  # t = 0; the value scale is about 390
         assert gap.max() <= 0.2  # every snapshot, including the first-order start near T
+
+    def test_small_domain_matches_a_wide_one(self, small_solution):
+        # the linear closure past lambda_max = 120 against a domain 180 units wider;
+        # clamping the jump target at lambda_max put the two 20 apart
+        wide = solve(dataclasses.replace(SMALL, lambda_max=300.0), STD_H, STD_M, STD_C)
+        assert small_solution.value.meta.extrapolation == "linear-past-lambda-max"
+        gap = np.abs(small_solution.value.values - wide.value.values[:, : SMALL.n_lambda])
+        assert gap.max() <= 0.2  # every snapshot and node; the value scale is about 390
 
     def test_deterministic_resolve(self, small_solution):
         again = solve(SMALL, STD_H, STD_M, STD_C)
