@@ -98,10 +98,12 @@ def enbis(model: BreachModel, p: float, loss: float, z) -> float:
 
 
 def static_optimum(model: BreachModel, p: float, loss: float) -> float:
-    """One-shot optimal investment: root of -S_z(z) p loss = 1, clamped at 0.
+    """One-shot optimal investment: the root of -S_z(z) p loss = 1, clamped at 0.
 
-    The optimum never exceeds v p loss / e, which gives a guaranteed bracket
-    for the root search.
+    The first-order condition has a closed-form root in either family:
+
+        class I:   z = ((v a b p loss)^(1/(b+1)) - 1) / a
+        class II:  z = (ln(-a p loss ln v) / (-ln v) - 1) / a
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"attack probability p must lie in [0, 1], got {p}")
@@ -111,14 +113,7 @@ def static_optimum(model: BreachModel, p: float, loss: float) -> float:
     # corner: marginal benefit at z = 0 does not cover the marginal cost of 1
     if -breach_prob_derivative(model, 0.0) * pl <= 1.0:
         return 0.0
-    if model.family is BreachFamily.CLASS_I and model.b == 1.0:
-        return (math.sqrt(model.v * model.a * pl) - 1.0) / model.a
-
-    def foc(z):
-        return -breach_prob_derivative(model, z) * pl - 1.0
-
-    from scipy.optimize import brentq  # deferred: importing scipy.optimize is slow
-
-    hi = model.v * pl / math.e
-    # foc(0) > 0 by the corner check; the 1/e bound puts the root strictly inside
-    return float(brentq(foc, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    v, a, b = model.v, model.a, model.b
+    if model.family is BreachFamily.CLASS_I:
+        return ((v * a * b * pl) ** (1.0 / (b + 1.0)) - 1.0) / a
+    return (math.log(-a * pl * math.log(v)) / -math.log(v) - 1.0) / a

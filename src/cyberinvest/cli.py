@@ -147,12 +147,13 @@ def cmd_gain(args) -> int:
     rows = []
     for lam in lams:
         for h in hs:
-            if args.benchmark == "constant":
-                g = gain_vs_constant(t, lam, h, value, cfg.hawkes, cfg.breach, cfg.costs, mode=mode)
-            else:
-                g = gain_vs_poisson(
-                    t, lam, h, value, poisson, cfg.hawkes, cfg.breach, cfg.costs, mode=mode
-                )
+            try:
+                if args.benchmark == "constant":
+                    g = gain_vs_constant(t, lam, h, value, cfg.hawkes, cfg.breach, cfg.costs, mode=mode)
+                else:
+                    g = gain_vs_poisson(t, lam, h, value, poisson, cfg.hawkes, cfg.breach, cfg.costs, mode=mode)
+            except ValueError as exc:  # a bad --t/--lambdas/--hs, or a gain that is undefined
+                raise ConfigError([f"gain at t={t:g}, lambda={lam:g}, h={h:g}: {exc}"]) from exc
             rows.append((t, lam, h, g))
     target = out / f"gain_{args.benchmark}.csv"
     with target.open("w") as fh:

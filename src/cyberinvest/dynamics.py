@@ -236,13 +236,7 @@ def _phi(rho: float, s):
     Where rho*s is below the smallest normal float the product has lost its
     digits, so -expm1(-rho s)/rho is wrong (0 at rho = 5e-324, s = 0.5),
     while the integral equals s to double precision; s is returned there.
-
-    A Python float stays one through math.expm1, since the quadrature
-    integrands call this per node; it may differ from np.expm1 in the last
-    unit. Anything else, numpy scalars included, takes np.expm1.
     """
-    if type(s) is float:
-        return s if rho == 0 or abs(rho * s) < _TINY else -math.expm1(-rho * s) / rho
     s_arr = np.asarray(s, dtype=float)
     if rho == 0:
         return s_arr

@@ -483,18 +483,23 @@ def solve(
 
 
 def _monotonicity_stats(values: np.ndarray, axis: int, tol: float) -> dict:
-    diffs = np.diff(values, axis=axis)
-    violations = int(np.count_nonzero(diffs < -tol))
+    """Count, share and worst of the decreases beyond tol along `axis` of the
+    (snapshot, lambda, h) field, differenced one snapshot at a time."""
+    violations, lowest = 0, math.inf
+    for snapshot in values:
+        diffs = np.diff(snapshot, axis=axis - 1)
+        violations += int(np.count_nonzero(diffs < -tol))
+        lowest = min(lowest, diffs.min(initial=math.inf))
     return {
         "violations": violations,
         "fraction": violations / max(values.size, 1),
-        "worst": float(max(-diffs.min(), 0.0)) if diffs.size else 0.0,
+        "worst": float(max(-lowest, 0.0)) if lowest < math.inf else 0.0,
     }
 
 
 def _quality_report(vf: ValueField, op: _PideOperator, wall: float, diagnostics: dict) -> dict:
     values = vf.values
-    scale = max(1.0, float(np.max(np.abs(values))))
+    scale = max(1.0, float(values.max()), float(-values.min()))  # max |V|, no temporary
     tol = 1e-6 * scale
     report = {
         "n_nodes": int(values.size),
@@ -560,8 +565,11 @@ def query(field, t: float, lam: float, h: float, mode: str = "nearest") -> float
 
     lambda above the grid is clamped to lambda_max: the lookup does not apply
     the solve's linear closure (FieldMeta.extrapolation), which only the jump
-    term uses. h outside the grid is clamped with a warning.
+    term uses. h outside the grid is clamped with a warning; a non-finite
+    lambda or h raises ValueError.
     """
+    if not (math.isfinite(lam) and math.isfinite(h)):
+        raise ValueError(f"query point lambda = {lam!r}, h = {h!r} must be finite")
     grid = field.grid
     data = field.values if isinstance(field, ValueField) else field.controls
     T = grid.horizon

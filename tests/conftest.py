@@ -21,7 +21,6 @@ from cyberinvest._rng import generator_from
 from cyberinvest.config import COARSE_PRESET
 from cyberinvest.hjb import SolverOptions, _PideOperator
 from cyberinvest.poisson import lambda_baseline, lambda_expectation_matched
-from cyberinvest.strategies import _reward_scale
 
 # Quadrature- and solver-backed properties vary too much in run time for a
 # per-example deadline.
@@ -72,6 +71,11 @@ def radau_values(grid, hawkes, model, costs, options=None):
     return sol.y.T.reshape((snaps.size,) + op.shape)
 
 
+def reward_scale(model, costs, hawkes, span):
+    """Size of the reward integral over a span, for absolute quadrature tolerances."""
+    return max(1.0, costs.eta_mean * model.v * hawkes.stationary_mean * max(span, 1.0))
+
+
 def deterministic_oracle(t, lam, h, rate, hawkes, model, costs):
     """Oracle: net benefit of a rate path s -> rate(s) from state (t, lam, h).
 
@@ -89,7 +93,7 @@ def deterministic_oracle(t, lam, h, rate, hawkes, model, costs):
         breach = breach_prob(model, float(sol.sol(s)[0]))
         return costs.eta_mean * (model.v - breach) * mean_lam - costs.delta * z - 0.5 * costs.gamma * z**2
 
-    epsabs = 1e-8 * _reward_scale(model, costs, hawkes, T - t)
+    epsabs = 1e-8 * reward_scale(model, costs, hawkes, T - t)
     total, _ = quad(integrand, t, T, epsabs=epsabs, epsrel=1e-10, limit=400)
     return total + float(costs.utility(float(sol.sol(T)[0])))
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,31 @@ class TestCli:
         assert main(argv) == 2
         assert "initial level must be finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hs", ["-5", "nan", "1,inf"])
+    @pytest.mark.parametrize("against", ["constant", "poisson-baseline"])
+    def test_gain_bad_level_exit_2(self, tmp_path, capsys, against, hs):
+        cfg = self.write_tiny(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        assert main(["solve-poisson", "--config", cfg, "--mode", "baseline", "--out", out]) == 0
+        argv = ["gain", "--config", cfg, "--value-field", f"{out}/value", "--benchmark", against]
+        argv += ["--poisson-field", f"{out}/poisson_baseline", f"--hs={hs}", "--out", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the level is rejected before any clamped lookup
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "gain at t=0, lambda=27" in err and "finite" in err
+        assert not (Path(out) / f"gain_{against}.csv").exists()
+
+    def test_gain_undefined_exit_2(self, tmp_path, capsys):
+        # an invulnerable firm with zero terminal utility: every benchmark value is 0
+        cfg = tmp_path / "invulnerable.cfg"
+        cfg.write_text(TINY + "\n[breach]\nv = 0\n\n[costs]\nutility = zero\n")
+        out = str(tmp_path / "run")
+        assert main(["solve", "--config", str(cfg), "--out", out]) == 0
+        assert main(["gain", "--config", str(cfg), "--value-field", f"{out}/value", "--hs", "0", "--out", out]) == 2
+        assert "benchmark value 0.0 is not positive" in capsys.readouterr().err
+
     def test_moments_output(self, capsys):
         assert main(["moments", "--times", "0,1"]) == 0
         out = capsys.readouterr().out
@@ -426,11 +452,29 @@ class TestReproduceScript:
         assert "cyberinvest solve" not in proc.stdout
 
 
-def test_import_defers_slow_scipy_modules():
-    """The package imports scipy.optimize and scipy.integrate only when a
-    function that needs them runs."""
-    code = "import sys, cyberinvest; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+def test_import_defers_slow_scipy_modules(tmp_path):
+    """Neither importing the package nor valuing the static and constant-rate
+    benchmarks, in the library or through the CLI, loads scipy.optimize or
+    scipy.integrate."""
+    (tmp_path / "tiny.cfg").write_text(TINY)
+    code = f"""
+import sys
+import cyberinvest as ci
+from cyberinvest.cli import main
+
+cfg = ci.validate({str(tmp_path / "tiny.cfg")!r})
+hk, bm, costs = cfg.hawkes, cfg.breach, cfg.costs
+ci.static_optimum(bm, 1.0, 400.0)
+ci.optimize_constant(0.0, 27.0, 1.0, hk, bm, costs)
+ci.evaluate_deterministic(0.0, 27.0, 1.0, ci.ConstantRate(5.0), hk, bm, costs)
+common = ["--config", {str(tmp_path / "tiny.cfg")!r}, "--out", {str(tmp_path)!r}]
+assert main(["static-gl", *common]) == 0
+assert main(["solve", *common]) == 0
+ci.gain_vs_constant(0.0, 27.0, 1.0, ci.load_field({str(tmp_path / "value")!r}), hk, bm, costs)
+assert main(["gain", "--value-field", {str(tmp_path / "value")!r}, "--hs", "0,2", *common]) == 0
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules), file=sys.stderr)
+"""
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stderr.strip().splitlines()[-1] == "[]"

@@ -36,6 +36,17 @@ def small_solution():
     return solve(SMALL, STD_H, STD_M, STD_C)
 
 
+def full_field_monotonicity(values, axis, tol):
+    """Oracle: _monotonicity_stats from one whole-field difference array."""
+    diffs = np.diff(values, axis=axis)
+    violations = int(np.count_nonzero(diffs < -tol))
+    return {
+        "violations": violations,
+        "fraction": violations / max(values.size, 1),
+        "worst": float(max(-diffs.min(), 0.0)) if diffs.size else 0.0,
+    }
+
+
 class TestSolverGrid:
     def test_node_counts(self):
         assert SMALL.n_lambda == 32 and SMALL.n_h == 51
@@ -239,6 +250,21 @@ class TestSolve:
         assert q["monotone_lambda"]["fraction"] < 0.001
         assert q["monotone_h"]["fraction"] < 0.001
 
+    def test_quality_report_matches_full_field_formulas(self, small_solution):
+        # the report's per-snapshot statistics against whole-field temporaries
+        values = small_solution.value.values
+        q = small_solution.quality
+        assert q["scale"] == max(1.0, float(np.max(np.abs(values))))
+        for key, axis in (("monotone_lambda", 1), ("monotone_h", 2)):
+            assert repr(q[key]) == repr(full_field_monotonicity(values, axis, q["monotonicity_tolerance"]))
+
+    @pytest.mark.parametrize("shape", [(7, 5, 4), (7, 1, 4), (3, 5, 1)])
+    def test_monotonicity_stats_count_decreases(self, shape):
+        values = np.random.default_rng(3).normal(size=shape).cumsum(axis=1).cumsum(axis=2)
+        for axis in (1, 2):
+            got = hjb._monotonicity_stats(values, axis, 0.1)
+            assert repr(got) == repr(full_field_monotonicity(values, axis, 0.1))
+
     def test_policy_consistency_identity(self, small_solution):
         # stored controls equal ((discrete dV/dh - delta)^+)/gamma node for node
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions())
@@ -344,6 +370,12 @@ class TestQuery:
     def test_t_outside_rejected(self, small_solution):
         with pytest.raises(ValueError):
             query(small_solution.value, 1.5, 27.0, 5.0)
+
+    @pytest.mark.parametrize("mode", ["nearest", "linear"])
+    @pytest.mark.parametrize("lam,h", [(np.nan, 5.0), (np.inf, 5.0), (27.0, np.nan), (27.0, -np.inf)])
+    def test_non_finite_point_rejected(self, small_solution, mode, lam, h):
+        with pytest.raises(ValueError, match="must be finite"):
+            query(small_solution.value, 0.0, lam, h, mode=mode)
 
 
 class TestResidual:
