@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._rng import CHUNK_PATHS, generator_from, stream_children, substream
 from .errors import StabilityError
@@ -389,8 +388,22 @@ def expected_count(params: HawkesParams, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _tail(x: float, a: float, b: float, d: float) -> float:
+    """a e^{-x} + b x e^{-x} + d e^{-2x} less its Taylor polynomial of degree 1, for x >= 0; below x = 1,
+    where that difference cancels, the series sum of c_n x^n, c_n = ((-1)^n (a - b n) + d (-2)^n) / n!, n = 2..31."""
+    if x >= 1.0:
+        e = math.exp(-x)
+        return (a + b * x + d * e) * e - (a + d) - (b - a - 2.0 * d) * x
+    s1, s2, total = -x, -2.0 * x, 0.0  # (-x)^n / n! and (-2x)^n / n!
+    for n in range(2, 32):
+        s1 *= -x / n
+        s2 *= -2.0 * x / n
+        total += (a - b * n) * s1 + d * s2
+    return total
+
+
 def _central_moments(params: HawkesParams, t: float) -> np.ndarray:
-    """(1, E[lambda_t], E[N_t], Var(lambda_t), Cov(N_t, lambda_t), Var(N_t)).
+    """(1, E[lambda_t], E[N_t], Var(lambda_t), Cov(N_t, lambda_t), Var(N_t)) in closed form.
 
     These solve a linear ODE (Dassios & Zhao 2011): with k = xi - beta,
 
@@ -400,39 +413,30 @@ def _central_moments(params: HawkesParams, t: float) -> np.ndarray:
         d Cov(N, lambda) = beta E[lambda] + Var(lambda) - k Cov(N, lambda)
         d Var(N)         = E[lambda] + 2 Cov(N, lambda)
 
-    The leading constant 1 carries the forcing xi alpha, so the system is
-    y' = A y and y_t = expm(A t) y_0. Central rather than raw moments avoid
-    the cancellation in E[N^2] - E[N]^2.
+    from (lambda0, 0, 0, 0, 0). Each is written as a sum of nonnegative terms in
+    E = e^{-k t}, 1 - E and the remainders of _tail, which do not cancel, at small
+    t either; central rather than raw moments avoid E[N^2] - E[N]^2.
     """
-    a, xi, beta = params.alpha, params.xi, params.beta
-    k = xi - beta
-    A = np.zeros((6, 6))
-    A[1, 0], A[1, 1] = xi * a, -k
-    A[2, 1] = 1.0
-    A[3, 1], A[3, 3] = beta * beta, -2.0 * k
-    A[4, 1], A[4, 3], A[4, 4] = beta, 1.0, -k
-    A[5, 1], A[5, 4] = 1.0, 2.0
-    return expm(A * t) @ np.array([1.0, params.lambda0, 0.0, 0.0, 0.0, 0.0])
-
-
-def _check_time(t) -> None:
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    lam0, k = params.lambda0, params.reversion_rate
+    lstar, r, x = params.stationary_mean, params.beta / k, k * t
+    e, e1 = math.exp(-x), -math.expm1(-x)
+    # x - 1 + E, 1 - E - x E, 1 - E^2 - 2 x E, x - 2 + 2 E + x E, x - 5/2 + 2 E + 2 x E + E^2/2
+    p0, p1, p2, p3, p4 = (_tail(x, *abd) for abd in ((1, 0, 0), (-1, -1, 0), (0, -2, -1), (2, 1, 0), (2, 2, 0.5)))
+    var_n = (lam0 * (e1 + r * (2.0 * p1 + r * p2)) + lstar * (p0 + r * (2.0 * p3 + r * p4))) / k
+    cov = lstar * r * (p1 + 0.5 * r * p2) + lam0 * e * r * (x + r * p0)
+    var_lam = params.beta * r * e1 * (0.5 * lstar * e1 + lam0 * e)
+    return np.array([1.0, lstar * e1 + lam0 * e, (lam0 * e1 + lstar * p0) / k, var_lam, cov, var_n])
 
 
 def intensity_variance(params: HawkesParams, t: float) -> float:
     """Var(lambda_t), exact (see _central_moments)."""
-    _check_time(t)
-    if t == 0 or params.beta == 0:
-        return 0.0
-    return max(float(_central_moments(params, t)[3]), 0.0)
+    return float(_central_moments(params, t)[3])
 
 
 def count_variance(params: HawkesParams, t: float) -> float:
     """Var(N_t), exact (see _central_moments)."""
-    _check_time(t)
-    if t == 0:
-        return 0.0
     return float(_central_moments(params, t)[5])
 
 

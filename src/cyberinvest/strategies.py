@@ -67,9 +67,10 @@ def _nearest(x, lo, step, n):
     y = x - lo
     y /= step
     k = np.rint(y, out=y).astype(np.intp)
+    if k.view(np.uintp).max(initial=0) < n:  # one test for both ends: a negative index reads as a huge one
+        return k, 0
     clamped = int(np.count_nonzero(k > n - 1))
-    np.minimum(k, n - 1, out=k)
-    return np.maximum(k, 0, out=k), clamped
+    return np.clip(k, 0, n - 1, out=k), clamped
 
 
 def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
@@ -101,19 +102,20 @@ def _euler_walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: fl
     grid = field.grid
     rho = field.meta.costs.rho
     n_h = grid.n_h
-    k_lam, clamped_lambda = _nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
-    k_lam *= n_h  # flat offset of each lambda node's row in a snapshot's (lambda, h) table
+    cells, clamped_lambda = _nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
+    cells *= n_h  # each lookup's (snapshot, lambda node) row of the controls, as a flat index
+    cells += snap_idx * (grid.n_lambda * n_h)
     controls = np.empty(lam.shape, order="F")
     h = np.full(lam.shape[0], float(h_init))
     clamped_h = 0
-    for i in range(times.size):
+    for i, dt in enumerate(np.diff(times).tolist() + [None]):
         if level is not None:
             level[:, i] = h
         j, clamped = _nearest(h, grid.h_min, grid.d_h, n_h)
         clamped_h += clamped
-        field.controls[snap_idx[i]].take(k_lam[:, i] + j, out=controls[:, i])
-        if i + 1 < times.size:
-            dt = times[i + 1] - times[i]
+        j += cells[:, i]
+        field.controls.take(j, out=controls[:, i])  # flat indices into the C-ordered controls
+        if dt is not None:
             h = h - rho * h * dt + controls[:, i] * dt
     return controls, clamped_lambda, clamped_h
 

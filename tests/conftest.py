@@ -55,13 +55,15 @@ def radau_values(grid, hawkes, model, costs, options=None):
     """Oracle: the semi-discrete equation integrated by Radau at tight tolerances.
 
     Returns V as (snapshot, lambda, h). The Jacobian sparsity pattern is built
-    here from the operator's 1-d factors, so Radau can difference columns in
-    groups instead of one at a time.
+    here from the operator's 1-d factors (the nonzeros of the dense A_lambda,
+    the tridiagonal band of the h stencils), so Radau can difference columns
+    in groups instead of one at a time.
     """
     op = _PideOperator(grid, hawkes, model, costs, options or SolverOptions())
     nl, nh = op.shape
-    eye_l, eye_h = sp.identity(nl), sp.identity(nh)
-    pattern = sp.kron(abs(op.a_lam), eye_h) + sp.kron(eye_l, abs(op.a_h) + abs(op.d_h)) + sp.identity(nl * nh)
+    along_h = np.abs(op.a_h) + np.abs(op.d_h)
+    band_h = sp.diags([along_h[0, 1:], along_h[1], along_h[2, :-1]], [-1, 0, 1])
+    pattern = sp.kron(sp.csr_matrix(op.a_lam), sp.identity(nh)) + sp.kron(sp.identity(nl), band_h) + sp.identity(nl * nh)
     y0 = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).ravel()
     snaps = grid.t_snapshots
     sol = solve_ivp(

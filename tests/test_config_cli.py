@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -455,7 +456,8 @@ class TestReproduceScript:
 def test_import_defers_slow_scipy_modules(tmp_path):
     """Neither importing the package nor valuing the static and constant-rate
     benchmarks, in the library or through the CLI, loads scipy.optimize or
-    scipy.integrate."""
+    scipy.integrate; no command, the solves and the moments table included,
+    loads scipy.sparse."""
     (tmp_path / "tiny.cfg").write_text(TINY)
     code = f"""
 import sys
@@ -469,12 +471,28 @@ ci.optimize_constant(0.0, 27.0, 1.0, hk, bm, costs)
 ci.evaluate_deterministic(0.0, 27.0, 1.0, ci.ConstantRate(5.0), hk, bm, costs)
 common = ["--config", {str(tmp_path / "tiny.cfg")!r}, "--out", {str(tmp_path)!r}]
 assert main(["static-gl", *common]) == 0
+assert main(["moments", *common]) == 0
 assert main(["solve", *common]) == 0
+assert main(["solve-poisson", "--mode", "baseline", *common]) == 0
 ci.gain_vs_constant(0.0, 27.0, 1.0, ci.load_field({str(tmp_path / "value")!r}), hk, bm, costs)
 assert main(["gain", "--value-field", {str(tmp_path / "value")!r}, "--hs", "0,2", *common]) == 0
-print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules), file=sys.stderr)
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "scipy.sparse") if m in sys.modules), file=sys.stderr)
 """
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+
+def test_package_imports_neither_scipy_sparse_nor_expm():
+    """scipy.linalg is loaded for LAPACK gtsv, so the subprocess check above
+    cannot see an expm import; the package's import statements can."""
+    for path in sorted((REPO / "src" / "cyberinvest").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not [n for n in names if n.startswith("scipy.sparse") or n.endswith(".expm")], (path.name, names)

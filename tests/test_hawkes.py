@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from conftest import exact_moments, thinning_oracle
 
@@ -21,7 +22,7 @@ from cyberinvest import (
     simulate_paths,
 )
 from cyberinvest._rng import CHUNK_PATHS
-from cyberinvest.hawkes import _chunk_jobs, _simulate_chunk
+from cyberinvest.hawkes import _central_moments, _chunk_jobs, _simulate_chunk
 
 STD = HawkesParams(27.0, 27.0, 15.0, 9.0)
 
@@ -154,6 +155,34 @@ class TestCountVariance:
         assert count_variance(p, t) == pytest.approx(var_n, rel=1e-8)
         # The oracle's E[lam^2] - E[lam]^2 cancels: its error scales with E[lam]^2.
         assert intensity_variance(p, t) == pytest.approx(var_lam, rel=1e-8, abs=1e-9 * expected_intensity(p, t) ** 2)
+
+
+def expm_moments(p, t):
+    """Oracle: the moment ODE of _central_moments as y' = A y, y_t = expm(A t) y_0."""
+    k = p.xi - p.beta
+    A = np.zeros((6, 6))
+    A[1, 0], A[1, 1] = p.xi * p.alpha, -k
+    A[2, 1] = 1.0
+    A[3, 1], A[3, 3] = p.beta * p.beta, -2.0 * k
+    A[4, 1], A[4, 3], A[4, 4] = p.beta, 1.0, -k
+    A[5, 1], A[5, 4] = 1.0, 2.0
+    return expm(A * t) @ np.array([1.0, p.lambda0, 0.0, 0.0, 0.0, 0.0])
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("beta", [0.0, 0.99 * 15.0])
+    @pytest.mark.parametrize("lambda0", [27.0, 2.0, 400.0])
+    def test_matches_matrix_exponential(self, beta, lambda0):
+        p = HawkesParams(27.0, lambda0, 15.0, beta)
+        for t in np.geomspace(1e-3, 5.0, 40):
+            np.testing.assert_allclose(_central_moments(p, t), expm_moments(p, t), rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("p", [STD, HawkesParams(27.0, 27.0, 15.0, 0.0), HawkesParams(27.0, 2.0, 15.0, 14.85)])
+    def test_small_time_is_poisson(self, p):
+        # Var(N_t) = lambda0 t (1 + O(t)): no cancellation leaves a negative or garbled value
+        assert count_variance(p, 1e-9) / (p.lambda0 * 1e-9) == pytest.approx(1.0, abs=1e-6)
+        for t in np.geomspace(1e-300, 1e-3, 60):
+            assert count_variance(p, t) > 0.0 and intensity_variance(p, t) >= 0.0
 
 
 class TestSimulatePath:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def full_field_monotonicity(values, axis, tol):
     return {
         "violations": violations,
         "fraction": violations / max(values.size, 1),
-        "worst": float(max(-diffs.min(), 0.0)) if diffs.size else 0.0,
+        "worst": float(max(0.0, -diffs.min())) if diffs.size else 0.0,
     }
 
 
@@ -73,22 +74,81 @@ class TestSolverGrid:
         assert np.all(np.diff(SMALL.t_snapshots) < 0)
 
 
-def reference_policy(op, x):
-    return np.maximum((op.d_h @ x.T).T - op.delta, 0.0) / op.gamma
+def onesided_central_1d(n, step):
+    """Oracle: central differences with one-sided first/last rows, entry by entry; zero when n = 1."""
+    if n == 1:
+        return sp.csr_matrix((1, 1))
+    rows, cols, vals = [], [], []
+    inv = 1.0 / step
+    for i in range(1, n - 1):
+        rows += [i, i]
+        cols += [i + 1, i - 1]
+        vals += [0.5 * inv, -0.5 * inv]
+    rows += [0, 0, n - 1, n - 1]
+    cols += [1, 0, n - 1, n - 2]
+    vals += [inv, -inv, inv, -inv]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def banded_reference_step(op, w, dt, theta):
-    """One Douglas step with the Newton h stage as first written: the policy
-    recomputed from W for the Jacobian, which is packed into solve_banded's
-    (1, 1) layout. Returns the new state and its Newton iteration count."""
+def upwind_1d(n, step, coeff):
+    """Oracle: one-sided differences chosen row by row so the transport term is monotone."""
+    if n == 1:
+        return sp.csr_matrix((1, 1))
+    rows, cols, vals = [], [], []
+    inv = 1.0 / step
+    for i in range(n):
+        c = coeff[i]
+        if c == 0:
+            continue
+        if c > 0:
+            j = i - 1 if i > 0 else i + 1
+            sgn = 1.0 if i > 0 else -1.0
+        else:
+            j = i + 1 if i < n - 1 else i - 1
+            sgn = -1.0 if i < n - 1 else 1.0
+        rows += [i, i]
+        cols += [i, j]
+        vals += [sgn * inv, -sgn * inv]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def reference_matrices(grid, options, hawkes=STD_H, costs=STD_C):
+    """Oracle: the operator's (A_lambda, A_h, D_h) as sparse matrices assembled entry by entry."""
+    lam, hs = grid.lambdas, grid.hs
+    clam, ch = hawkes.xi * (lam - hawkes.alpha), costs.rho * hs
+    if options.upwind:
+        dlam, dh = upwind_1d(lam.size, grid.d_lambda, clam), upwind_1d(hs.size, grid.d_h, ch)
+    else:
+        dlam, dh = onesided_central_1d(lam.size, grid.d_lambda), onesided_central_1d(hs.size, grid.d_h)
+    jump = sp.csr_matrix(hjb._jump_shift_1d(lam.size, grid.d_lambda, hawkes.beta, options.jump_interp))
+    a_lam = (sp.diags(lam) @ (jump - sp.identity(lam.size)) - sp.diags(clam) @ dlam).tocsr()
+    return a_lam, (-sp.diags(ch) @ dh).tocsr(), onesided_central_1d(hs.size, grid.d_h)
+
+
+def stencil_rows(mat):
+    """(3, n) coefficients of nodes i-1, i, i+1 in row i of a tridiagonal matrix (0 past the ends)."""
+    return np.stack([np.r_[0.0, mat.diagonal(-1)], mat.diagonal(), np.r_[mat.diagonal(1), 0.0]])
+
+
+def reference_policy(op, d_h, x):
+    return np.maximum((d_h @ x.T).T - op.delta, 0.0) / op.gamma
+
+
+def banded_reference_step(op, matrices, w, dt, theta):
+    """One Douglas step on the sparse matrices of reference_matrices: SuperLU
+    for the lambda stage, and the Newton h stage as first written, with the
+    policy recomputed from W for the Jacobian, which is packed into
+    solve_banded's (1, 1) layout. Returns the new state and its Newton
+    iteration count."""
+    a_lam, a_h, d_h = matrices
     c = float(f"{theta * dt:.12g}")
 
     def h_part(x):
-        excess = np.maximum((op.d_h @ x.T).T - op.delta, 0.0)
-        return (op.a_h @ x.T).T + excess * excess / (2.0 * op.gamma)
+        excess = np.maximum((d_h @ x.T).T - op.delta, 0.0)
+        return (a_h @ x.T).T + excess * excess / (2.0 * op.gamma)
 
     def jacobian(x):
-        coef = op._a_h_rows[:, None, :] + reference_policy(op, x)[None] * op._d_h_rows[:, None, :]
+        coef = stencil_rows(a_h)[:, None, :] + reference_policy(op, d_h, x)[None] * stencil_rows(d_h)[:, None, :]
         rows = -c * coef.reshape(3, -1)
         rows[1] += 1.0
         ab = np.zeros_like(rows)
@@ -97,8 +157,8 @@ def banded_reference_step(op, w, dt, theta):
         ab[2, :-1] = rows[0, 1:]
         return ab
 
-    lu = splu((sp.identity(op.shape[0], format="csc") - c * op.a_lam).tocsc())
-    f_lam, f_h = op.a_lam @ w, h_part(w)
+    lu = splu((sp.identity(op.shape[0], format="csc") - c * a_lam).tocsc())
+    f_lam, f_h = a_lam @ w, h_part(w)
     y = lu.solve(np.asfortranarray(w + dt * (f_lam + f_h + op.reward) - c * f_lam))
     target = y - c * f_h
     for it in range(1, hjb._NEWTON_MAX_ITER + 1):
@@ -140,8 +200,9 @@ class TestAssembleRhs:
         big = dataclasses.replace(STD_C, gamma=1e14)
         out_big = rhs(state, STD_M, big)
         op = _PideOperator(SMALL, STD_H, STD_M, big, SolverOptions())
+        a_lam, a_h, _ = reference_matrices(SMALL, SolverOptions(), costs=big)
         w = state.reshape(op.shape)
-        linear_only = -(op.a_lam @ w + (op.a_h @ w.T).T + op.reward).ravel()
+        linear_only = -(a_lam @ w + (a_h @ w.T).T + op.reward).ravel()
         np.testing.assert_allclose(out_big, linear_only, atol=1e-10)
 
     def test_nan_state_rejected(self):
@@ -180,11 +241,34 @@ class TestAssembleRhs:
         ],
     )
     def test_jump_shift_exact_on_linear_functions(self, n, d_lambda, beta, interp):
-        shift = hjb._jump_shift_1d(n, d_lambda, beta, interp).toarray()
+        shift = hjb._jump_shift_1d(n, d_lambda, beta, interp)
         np.testing.assert_allclose(shift.sum(axis=1), 1.0, rtol=0, atol=1e-14)
         lam = 27.0 + d_lambda * np.arange(n)
         for a, b in [(1.0, 0.0), (0.0, 1.0), (-2.5, 7.0)]:
             np.testing.assert_allclose(shift @ (a + b * lam), a + b * (lam + beta), rtol=1e-13)
+
+    @pytest.mark.parametrize("upwind", [False, True])
+    @pytest.mark.parametrize("jump_interp", [False, True])
+    def test_operator_matches_sparse_assembly(self, upwind, jump_interp):
+        # the dense A_lambda and the h stencils hold the entry-by-entry matrices' values
+        options = SolverOptions(upwind=upwind, jump_interp=jump_interp)
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, options)
+        a_lam, a_h, d_h = reference_matrices(SMALL, options)
+        np.testing.assert_array_equal(op.a_lam, a_lam.toarray())
+        np.testing.assert_array_equal(op.a_h, stencil_rows(a_h))
+        np.testing.assert_array_equal(op.d_h, stencil_rows(d_h))
+        w = np.random.default_rng(1).standard_normal(op.shape)
+        np.testing.assert_allclose(op.gradient(w), (d_h @ w.T).T, rtol=1e-14, atol=1e-14)
+        excess = np.maximum((d_h @ w.T).T - op.delta, 0.0)
+        expected = (a_h @ w.T).T + excess * excess / (2.0 * op.gamma)
+        np.testing.assert_allclose(op.h_part(w, op.gradient(w), excess), expected, rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("coeff", [None, [-1.0, 2.0, 0.0, -3.0, 1.0], [0.0, 2.0], [-1.0, 2.0], [-1.0], [1.0]])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_stencil_matches_oracle(self, coeff, n):
+        coeff = None if coeff is None else np.resize(coeff, n)
+        expected = onesided_central_1d(n, 0.3) if coeff is None else upwind_1d(n, 0.3, coeff)
+        np.testing.assert_array_equal(hjb._stencil(n, 0.3, coeff), stencil_rows(expected))
 
     @pytest.mark.parametrize("upwind", [False, True])
     def test_h_stage_jacobian_matches_finite_differences(self, upwind):
@@ -193,14 +277,15 @@ class TestAssembleRhs:
         rng = np.random.default_rng(0)
         y = np.sqrt(SMALL.hs)[None, :] * SMALL.lambdas[:, None] / 9.0 + 0.1 * rng.standard_normal(op.shape)
         c = 0.0025
-        lower, main, upper = op.h_jacobian(op.excess(y), c)
+        lower, main, upper = hjb._DouglasADI(op).h_jacobian(op.excess(op.gradient(y)), c)
         n = y.size
         assert lower.size == upper.size == n - 1 and main.size == n
         jac = sp.diags([lower, main, upper], [-1, 0, 1], shape=(n, n)).tocsr()
         assert 0.2 < (op.policy(y) > 0).mean() < 0.8  # both branches of the max occur
 
         def newton_map(x):
-            return x - c * op.h_part(x, op.excess(x))
+            grad = op.gradient(x)
+            return x - c * op.h_part(x, grad, op.excess(grad))
 
         for _ in range(4):
             d = rng.standard_normal(op.shape)
@@ -211,29 +296,31 @@ class TestAssembleRhs:
 
 class TestDouglasStep:
     @pytest.mark.parametrize("upwind", [False, True])
-    def test_bit_identical_to_banded_reference(self, upwind):
-        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions(upwind=upwind))
+    def test_matches_banded_reference(self, upwind):
+        options = SolverOptions(upwind=upwind)
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, options)
+        matrices = reference_matrices(SMALL, options)
         adi = hjb._DouglasADI(op)
         w = ref = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
-        excess = op.excess(w)
+        grad = op.gradient(w)
         dt = SMALL.d_t
         # the Rannacher half steps, then Douglas steps
         for theta, step in [(1.0, 0.5 * dt)] * 4 + [(_THETA, dt)] * 4:
-            w, excess = adi.step(w, excess, step, theta, 1.0)
-            ref, iterations = banded_reference_step(op, ref, step, theta)
-            assert np.array_equal(w, ref)
-            assert np.array_equal(excess / op.gamma, reference_policy(op, ref))
+            w, grad = adi.step(w, grad, step, theta * step, 1.0)
+            ref, iterations = banded_reference_step(op, matrices, ref, step, theta)
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(op.excess(grad) / op.gamma - reference_policy(op, matrices[2], ref))) <= 1e-9
             assert adi.newton[-1] == iterations
 
     def test_singular_h_stage_raises(self, monkeypatch):
-        jacobian = _PideOperator.h_jacobian
+        jacobian = hjb._DouglasADI.h_jacobian
 
         def singular(self, excess, c):
             lower, main, upper = jacobian(self, excess, c)
             lower[6] = main[7] = upper[7] = 0.0  # row 7 of the Jacobian vanishes
             return lower, main, upper
 
-        monkeypatch.setattr(_PideOperator, "h_jacobian", singular)
+        monkeypatch.setattr(hjb._DouglasADI, "h_jacobian", singular)
         with pytest.raises(SolverError, match="singular h-stage Jacobian") as err:
             solve(SMALL, STD_H, STD_M, STD_C)
         assert err.value.diagnostics["step"] == 1 and err.value.diagnostics["t"] == SMALL.horizon
@@ -258,7 +345,13 @@ class TestSolve:
         for key, axis in (("monotone_lambda", 1), ("monotone_h", 2)):
             assert repr(q[key]) == repr(full_field_monotonicity(values, axis, q["monotonicity_tolerance"]))
 
-    @pytest.mark.parametrize("shape", [(7, 5, 4), (7, 1, 4), (3, 5, 1)])
+    def test_worst_decrease_of_a_monotone_field_is_positive_zero(self, small_solution):
+        for key in ("monotone_lambda", "monotone_h"):
+            worst = small_solution.quality[key]["worst"]
+            assert worst == 0.0 and math.copysign(1.0, worst) == 1.0
+
+    # (3, 400, 400) holds 1.3 MB of differences per snapshot, so each block is one snapshot
+    @pytest.mark.parametrize("shape", [(7, 5, 4), (7, 1, 4), (3, 5, 1), (3, 400, 400)])
     def test_monotonicity_stats_count_decreases(self, shape):
         values = np.random.default_rng(3).normal(size=shape).cumsum(axis=1).cumsum(axis=2)
         for axis in (1, 2):

@@ -18,6 +18,7 @@ from cyberinvest import (
     GridRate,
     HawkesParams,
     PathBatch,
+    PolicyField,
     SolverGrid,
     breach_prob,
     evaluate_constant,
@@ -34,7 +35,7 @@ from cyberinvest import (
     solve,
     solve_poisson,
 )
-from cyberinvest.strategies import TraceSource, _nearest
+from cyberinvest.strategies import TraceSource, _euler_walk, _nearest, _snapshot_times
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
@@ -290,6 +291,51 @@ class TestExtractPolicy:
         raw = np.rint((x - 2.0) / 0.5).astype(int)
         np.testing.assert_array_equal(k, np.clip(raw, 0, 4))
         assert clamped == np.count_nonzero(raw > 4)
+        # every node inside the axis: nothing to clamp or count; one node past the end: clamped and counted
+        k, clamped = _nearest(np.array([2.0, 2.2, 3.9]), 2.0, 0.5, 5)
+        np.testing.assert_array_equal(k, [0, 0, 4])
+        assert clamped == 0 and k.dtype == np.intp
+        k, clamped = _nearest(np.array([2.0, 4.3]), 2.0, 0.5, 5)
+        np.testing.assert_array_equal(k, [0, 4])
+        assert clamped == 1
+
+    @pytest.mark.parametrize("h_min, d_h, t_init, h_init", [(0.0, 1.0, 0.0, 0.0), (0.0, 0.5, 0.1, 45.0), (2.0, 1.0, 0.3, 0.0)])
+    def test_walk_matches_reference_loop(self, solution, h_min, d_h, t_init, h_init):
+        """The walk against a loop that rounds to the nearest node on both axes
+        and looks up each snapshot's table: equal controls, levels and clamp
+        counts. The solved controls are read on relabelled h axes, so that
+        levels run past h_max (clamped and counted) and below h_min (clamped
+        only)."""
+
+        def nearest(x, lo, step, n):
+            raw = np.rint((x - lo) / step)
+            return np.clip(raw, 0, n - 1).astype(int), int(np.count_nonzero(raw > n - 1))
+
+        grid = solution.policy.grid
+        grid = dataclasses.replace(grid, h_min=h_min, d_h=d_h, h_max=h_min + d_h * (grid.n_h - 1))
+        policy = PolicyField(grid, solution.policy.controls, solution.policy.meta)
+        rho = policy.meta.costs.rho
+        times, snap_idx = _snapshot_times(policy, t_init)
+        lam = simulate_paths(STD_H, 1.0, 300, seed=7).intensity_on_grid(times)
+        level = np.empty(lam.shape)
+        controls, clamped_lambda, clamped_h = _euler_walk(policy, times, snap_idx, lam, h_init, level)
+
+        k_lam, ref_lambda = nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
+        ref, ref_level, ref_h = np.empty(lam.shape), np.empty(lam.shape), 0
+        h = np.full(lam.shape[0], h_init)
+        for i in range(times.size):
+            ref_level[:, i] = h
+            j, clamped = nearest(h, grid.h_min, grid.d_h, grid.n_h)
+            ref_h += clamped
+            ref[:, i] = policy.controls[snap_idx[i]][k_lam[:, i], j]
+            if i + 1 < times.size:
+                dt = times[i + 1] - times[i]
+                h = h - rho * h * dt + ref[:, i] * dt
+        np.testing.assert_array_equal(controls, ref)
+        np.testing.assert_array_equal(level, ref_level)
+        assert (clamped_lambda, clamped_h) == (ref_lambda, ref_h)
+        assert (clamped_h > 0) == (h_init > grid.h_max)
+        assert (level.min() < grid.h_min - 0.5 * d_h) == (h_init < grid.h_min)
 
     def test_zero_field_gives_decaying_level(self, zero_solution):
         path = simulate_paths(STD_H, 1.0, 1, seed=0).path(0)
