@@ -27,6 +27,7 @@ stage transposes it. Stored fields add a leading snapshot axis.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -34,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .breach import BreachModel, breach_prob
 from .dynamics import CostParams
@@ -60,7 +60,16 @@ _RANNACHER_INTERVALS = 2  # leading intervals stepped as two implicit (theta = 1
 _NEWTON_MAX_ITER = 20  # 2-4 iterations suffice on every grid measured
 _NEWTON_RTOL = 1e-10  # update max-norm, relative to max(1, max |W|), that ends Newton
 _MAX_NODES = 200_000_000  # stored (snapshot, lambda, h) nodes one solve may hold in memory
-_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)  # LAPACK tridiagonal solve with partial pivoting
+
+
+@functools.cache
+def _gtsv():
+    """LAPACK's tridiagonal solve with partial pivoting, bound on first use:
+    scipy.linalg takes longer to import than the rest of the package, and only
+    a solve needs it."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -395,7 +404,7 @@ class _DouglasADI:
             if not np.isfinite(resid).all():
                 raise failure("non-finite h stage")
             # every argument is a fresh array, so gtsv may overwrite them all
-            *_, dy, info = _GTSV(*self.h_jacobian(excess, c), resid.reshape(-1), True, True, True, True)
+            *_, dy, info = _gtsv()(*self.h_jacobian(excess, c), resid.reshape(-1), True, True, True, True)
             if info != 0:
                 raise failure(f"singular h-stage Jacobian (gtsv info {info})")
             y -= dy.reshape(y.shape)

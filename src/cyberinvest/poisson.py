@@ -9,7 +9,7 @@ shift that clamps onto itself and vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -29,12 +29,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoissonField:
-    """Solved 1-d benchmark field: V^P(t, h), z^P*(t, h) at constant intensity."""
+    """Solved 1-d benchmark field: V^P(t, h), z^P*(t, h) at constant intensity.
+
+    level_paths holds what strategies.gain_vs_poisson computes once per start
+    (t, h), model and costs: the benchmark's level path, which does not depend
+    on the starting intensity.
+    """
 
     intensity: float
     value: ValueField
     policy: PolicyField
     quality: dict
+    level_paths: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def grid(self) -> SolverGrid:

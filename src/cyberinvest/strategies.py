@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -73,13 +73,25 @@ def _nearest(x, lo, step, n):
     return np.clip(k, 0, n - 1, out=k), clamped
 
 
+def _check_start(t: float, horizon: float) -> None:
+    if not 0.0 <= t <= horizon:  # nan fails both comparisons
+        raise ValueError(f"start time t = {t!r} must lie in [0, {horizon}]")
+
+
+def _check_state(t: float, lam: float, h: float, horizon: float) -> None:
+    """Raise ValueError unless t lies in [0, horizon], lam is finite and h is
+    finite and nonnegative."""
+    _check_start(t, horizon)
+    if not math.isfinite(lam):
+        raise ValueError(f"intensity lambda = {lam!r} must be finite")
+    _check_initial_level(h)
+
+
 def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
     """Ascending snapshot times from the one nearest t_init to the horizon, and
     their indices into the field's snapshot axis."""
     grid = field.grid
-    T = grid.horizon
-    if t_init > T:
-        raise ValueError(f"t_init {t_init} exceeds the horizon {T}")
+    _check_start(t_init, grid.horizon)
     t_asc = grid.t_snapshots[::-1]
     start = int(np.argmin(np.abs(t_asc - t_init)))
     times = t_asc[start:]
@@ -192,14 +204,10 @@ def evaluate_constant(
     300, to 5e-14 at rate 1e3 and to 3e-12 at T = 5; a rule in s itself gave
     2e-5 at T = 1 and rate 300.
     """
-    if not (math.isfinite(t) and math.isfinite(lam)):
-        raise ValueError(f"state t = {t!r}, lambda = {lam!r} must be finite")
-    _check_initial_level(h)
+    _check_state(t, lam, h, costs.horizon)
     z = np.asarray(zbar, dtype=float)
     if not np.all((z >= 0) & (z < math.inf)):  # nan fails both comparisons
         raise ValueError("constant rate must be finite and nonnegative")
-    if t > costs.horizon:
-        raise ValueError(f"t {t} exceeds the horizon {costs.horizon}")
     span = costs.horizon - t
     nodes, weights = _reward_rule()
     s = np.append(span * nodes, span)  # the horizon rides along with the nodes
@@ -269,6 +277,44 @@ def lower_bound(t, lam, h, hawkes: HawkesParams, model: BreachModel, costs: Cost
     return float(out) if np.ndim(out) == 0 else out
 
 
+class _LevelPath(NamedTuple):
+    """The intensity-free part of a deterministic valuation from (t, h)."""
+
+    offsets: np.ndarray  # s - t at the Simpson knots, then at the segment midpoints
+    weight: np.ndarray  # eta_mean (v - S(level)) at the same points
+    simpson: np.ndarray  # each segment's length / 6
+    cost: float
+    terminal: float  # utility of the level at the horizon
+
+
+def _level_path(t: float, h: float, strategy: GridRate, model: BreachModel, costs: CostParams) -> _LevelPath:
+    T = costs.horizon
+    inside = strategy.times[(strategy.times > t) & (strategy.times < T)]
+    knots = np.concatenate(([t], inside, [T]))
+    dt = np.diff(knots)
+    points = np.concatenate((knots, knots[:-1] + 0.5 * dt))
+    levels = _exact_levels(strategy.times, strategy.values[None, :], h, costs.rho, t, points, 0, T)[0]
+    z = strategy(knots[:-1])
+    return _LevelPath(
+        points - t,
+        costs.eta_mean * (model.v - breach_prob(model, levels)),
+        dt / 6.0,
+        np.sum(dt * (costs.delta * z + 0.5 * costs.gamma * z**2)),
+        costs.utility(levels[knots.size - 1]),
+    )
+
+
+def _path_value(path: _LevelPath, lam: float, hawkes: HawkesParams) -> float:
+    """The valuation of a level path from intensity lam: the running reward
+    under the exact mean intensity by Simpson's rule, less the cost, plus the
+    terminal utility."""
+    lstar = hawkes.stationary_mean
+    running = path.weight * (lstar + (lam - lstar) * np.exp(-hawkes.reversion_rate * path.offsets))
+    n = path.simpson.size
+    reward = np.sum(path.simpson * (running[:n] + 4.0 * running[n + 1 :] + running[1 : n + 1]))
+    return float(reward - path.cost + path.terminal)
+
+
 def evaluate_deterministic(
     t: float,
     lam: float,
@@ -284,34 +330,14 @@ def evaluate_deterministic(
     constant rates take their levels exactly and apply a per-segment Simpson
     rule to the smooth reward integrand.
     """
-    T = costs.horizon
-    if t > T:
-        raise ValueError(f"t {t} exceeds the horizon {T}")
+    _check_state(t, lam, h, costs.horizon)
     if isinstance(strategy, PolicyTrace):
         strategy = strategy.as_grid_rate()
     if isinstance(strategy, ConstantRate):
         return evaluate_constant(t, lam, h, strategy.rate, hawkes, model, costs)
     if not isinstance(strategy, GridRate):
         raise TypeError(f"strategy must be a PolicyTrace, GridRate or ConstantRate, not {type(strategy).__name__}")
-    k = hawkes.reversion_rate
-    lstar = hawkes.stationary_mean
-
-    def running(s, level):
-        mean_lam = lstar + (lam - lstar) * np.exp(-k * (s - t))
-        return costs.eta_mean * (model.v - breach_prob(model, level)) * mean_lam
-
-    inside = strategy.times[(strategy.times > t) & (strategy.times < T)]
-    knots = np.concatenate(([t], inside, [T]))
-    dt = np.diff(knots)
-    mids = knots[:-1] + 0.5 * dt
-    levels = _exact_levels(
-        strategy.times, strategy.values[None, :], h, costs.rho, t, np.concatenate((knots, mids)), 0, T
-    )[0]
-    at_knots, at_mids = running(knots, levels[: knots.size]), running(mids, levels[knots.size :])
-    reward = np.sum(dt / 6.0 * (at_knots[:-1] + 4.0 * at_mids + at_knots[1:]))
-    z = strategy(knots[:-1])
-    cost = np.sum(dt * (costs.delta * z + 0.5 * costs.gamma * z**2))
-    return float(reward - cost + costs.utility(levels[knots.size - 1]))
+    return _path_value(_level_path(t, h, strategy, model, costs), lam, hawkes)
 
 
 def _gain(v: float, benchmark: float) -> float:
@@ -347,7 +373,17 @@ def gain_vs_poisson(
     costs: CostParams,
     mode: str = "nearest",
 ) -> float:
-    """Percentage gain of the solved policy over the deterministic benchmark policy."""
-    trace = extract_policy(poisson_field.policy, poisson_field.intensity, t, h)  # first: it validates h
-    benchmark = evaluate_deterministic(t, lam, h, trace, hawkes, model, costs)
+    """Percentage gain of the solved policy over the deterministic benchmark policy.
+
+    The benchmark's trace and level path do not depend on lam: the first call
+    for a (t, h, model, costs) computes them and keeps them on poisson_field,
+    and every call values them at its own lam, as evaluate_deterministic does.
+    """
+    _check_state(t, lam, h, costs.horizon)  # first: the state keys the reuse and query only warns on h
+    key = (t, h, model, costs)
+    path = poisson_field.level_paths.get(key)
+    if path is None:
+        trace = extract_policy(poisson_field.policy, poisson_field.intensity, t, h)
+        path = poisson_field.level_paths[key] = _level_path(t, h, trace.as_grid_rate(), model, costs)
+    benchmark = _path_value(path, lam, hawkes)
     return _gain(query(value_field, t, lam, h, mode=mode), benchmark)

@@ -454,39 +454,61 @@ class TestReproduceScript:
 
 
 def test_import_defers_slow_scipy_modules(tmp_path):
-    """Neither importing the package nor valuing the static and constant-rate
-    benchmarks, in the library or through the CLI, loads scipy.optimize or
-    scipy.integrate; no command, the solves and the moments table included,
-    loads scipy.sparse."""
+    """Importing the package, valuing the static and constant-rate benchmarks
+    in the library, and every command that does not solve (validate, moments,
+    static-gl, gain against each benchmark, premium on a saved policy) load no
+    scipy module; a solve loads scipy.linalg, for LAPACK gtsv, and none of
+    scipy.optimize, scipy.integrate and scipy.sparse."""
     (tmp_path / "tiny.cfg").write_text(TINY)
+    common = ["--config", str(tmp_path / "tiny.cfg"), "--out", str(tmp_path)]
+    for argv in (["solve"], *(["solve-poisson", "--mode", m] for m in ("baseline", "expectation"))):
+        assert main(argv + common) == 0  # the saved fields that the commands below read
+    gain = ["gain", "--value-field", str(tmp_path / "value"), "--hs", "0,2"]
+    commands = [
+        ["validate", "--mc-paths", "10000"],
+        ["moments"],
+        ["static-gl"],
+        gain,
+        *(gain + ["--benchmark", f"poisson-{m}", "--poisson-field", str(tmp_path / f"poisson_{m}"), "--lambdas", "27,45"]
+          for m in ("baseline", "expectation")),
+        ["premium", "--policy-field", str(tmp_path / "policy"), "--mc-paths", "10000", "--threads", "1"],
+    ]
     code = f"""
 import sys
+
+def report(stage):
+    print(stage, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), file=sys.stderr)
+
 import cyberinvest as ci
 from cyberinvest.cli import main
-
+report("import")
 cfg = ci.validate({str(tmp_path / "tiny.cfg")!r})
 hk, bm, costs = cfg.hawkes, cfg.breach, cfg.costs
 ci.static_optimum(bm, 1.0, 400.0)
 ci.optimize_constant(0.0, 27.0, 1.0, hk, bm, costs)
 ci.evaluate_deterministic(0.0, 27.0, 1.0, ci.ConstantRate(5.0), hk, bm, costs)
-common = ["--config", {str(tmp_path / "tiny.cfg")!r}, "--out", {str(tmp_path)!r}]
-assert main(["static-gl", *common]) == 0
-assert main(["moments", *common]) == 0
-assert main(["solve", *common]) == 0
-assert main(["solve-poisson", "--mode", "baseline", *common]) == 0
 ci.gain_vs_constant(0.0, 27.0, 1.0, ci.load_field({str(tmp_path / "value")!r}), hk, bm, costs)
-assert main(["gain", "--value-field", {str(tmp_path / "value")!r}, "--hs", "0,2", *common]) == 0
-print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "scipy.sparse") if m in sys.modules), file=sys.stderr)
+for argv in {commands!r}:
+    assert main(argv + {common!r}) == 0, argv
+report("no-solve")
+assert main(["solve", *{common!r}]) == 0
+assert main(["solve-poisson", "--mode", "baseline", *{common!r}]) == 0
+report("solve")
 """
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == "[]"
+    stages = dict(line.split(" ", 1) for line in proc.stderr.splitlines() if line.startswith(("import ", "no-solve ", "solve ")))
+    assert stages["import"] == stages["no-solve"] == "[]"
+    loaded = ast.literal_eval(stages["solve"])
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate", "scipy.sparse"))], loaded
 
 
 def test_package_imports_neither_scipy_sparse_nor_expm():
-    """scipy.linalg is loaded for LAPACK gtsv, so the subprocess check above
-    cannot see an expm import; the package's import statements can."""
+    """A solve loads scipy.linalg for LAPACK gtsv, so the subprocess check
+    above cannot see an expm import made by the solve; the package's import
+    statements can."""
     for path in sorted((REPO / "src" / "cyberinvest").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):

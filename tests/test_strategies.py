@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
 STD_C = CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0)
 GRID = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50)
+LAMBDAS = (27.0, 45.0, 63.0, 81.0, 99.0, 117.0, 135.0)  # the Poisson gain tables' intensities
 
 MODELS = st.one_of(
     st.builds(BreachModel, st.just(BreachFamily.CLASS_I), st.floats(0.0, 1.0), st.floats(0.01, 2.0), st.floats(0.2, 4.0)),
@@ -76,6 +78,11 @@ def rate_cap(model, costs):
 @pytest.fixture(scope="module")
 def solution():
     return solve(GRID, STD_H, STD_M, STD_C)
+
+
+@pytest.fixture(scope="module")
+def poisson_27():
+    return solve_poisson(GRID, 27.0, STD_M, STD_C)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +275,24 @@ class TestEvaluateDeterministic:
             evaluate_deterministic(0.0, 27.0, 1.0, lambda s: 3.0, STD_H, STD_M, STD_C)
 
 
+START_CALLS = {
+    "extract_policy": lambda t, res, bench: extract_policy(res.policy, 27.0, t, 0.0),
+    "evaluate_constant": lambda t, res, bench: evaluate_constant(t, 27.0, 0.0, 5.0, STD_H, STD_M, STD_C),
+    "evaluate_deterministic": lambda t, res, bench: evaluate_deterministic(
+        t, 27.0, 0.0, GridRate(np.linspace(0.0, 1.0, 11), np.full(11, 5.0)), STD_H, STD_M, STD_C
+    ),
+    "gain_vs_poisson": lambda t, res, bench: gain_vs_poisson(t, 27.0, 0.0, res.value, bench, STD_H, STD_M, STD_C),
+}
+
+
+@pytest.mark.parametrize("call", START_CALLS, ids=list(START_CALLS))
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5, STD_C.horizon + 0.1], ids=["nan", "inf", "negative", "past-horizon"])
+def test_start_time_outside_horizon_rejected(solution, poisson_27, call, t):
+    with pytest.raises(ValueError, match="start time t"):
+        START_CALLS[call](t, solution, poisson_27)
+    assert not poisson_27.level_paths
+
+
 class TestExtractPolicy:
     def test_t_init_beyond_horizon(self, solution):
         with pytest.raises(ValueError):
@@ -434,6 +459,61 @@ class TestGains:
             spread0 = max(g0) - min(g0)
             spread20 = max(g20) - min(g20)
             assert spread20 < 0.3 * spread0
+
+    def test_reused_level_paths_match_fresh_fields(self, coarse_solution, poisson_pair):
+        """Each Poisson gain table equals, bit for bit, the one computed with a
+        fresh field for every row and the one valued from the benchmark's own
+        trace through evaluate_deterministic."""
+        value = coarse_solution.value
+        for bench in poisson_pair:
+            for t in (0.0, 0.5):
+                for h in (0.0, 20.0):
+                    reused = [gain_vs_poisson(t, l, h, value, bench, STD_H, STD_M, STD_C, mode="linear") for l in LAMBDAS]
+                    fresh = [
+                        gain_vs_poisson(t, l, h, value, dataclasses.replace(bench), STD_H, STD_M, STD_C, mode="linear")
+                        for l in LAMBDAS
+                    ]
+                    trace = extract_policy(bench.policy, bench.intensity, t, h)
+                    direct = []
+                    for l in LAMBDAS:
+                        b = evaluate_deterministic(t, l, h, trace, STD_H, STD_M, STD_C)
+                        direct.append(100.0 * (query(value, t, l, h, mode="linear") - b) / b)
+                    assert reused == fresh == direct
+                    assert (t, h, STD_M, STD_C) in bench.level_paths
+
+    def test_reuse_keys_on_model_and_costs(self, coarse_solution, poisson_pair):
+        bench = poisson_pair[0]
+        value = coarse_solution.value
+        first = gain_vs_poisson(0.0, 45.0, 0.0, value, bench, STD_H, STD_M, STD_C)  # the field holds (0, 0)
+        other_model = BreachModel(BreachFamily.CLASS_II, 0.5, 0.3)
+        other_costs = dataclasses.replace(STD_C, rho=0.3, terminal_utility="zero")
+        for model, costs in ((other_model, STD_C), (STD_M, other_costs)):
+            got = gain_vs_poisson(0.0, 45.0, 0.0, value, bench, STD_H, model, costs)
+            assert got == gain_vs_poisson(0.0, 45.0, 0.0, value, dataclasses.replace(bench), STD_H, model, costs)
+            assert got != first
+
+    @pytest.mark.parametrize(
+        "lam, h, message",
+        [
+            (27.0, -1.0, "initial level"),
+            (27.0, math.nan, "initial level"),
+            (27.0, math.inf, "initial level"),
+            (math.nan, 0.0, "intensity lambda"),
+            (math.inf, 0.0, "intensity lambda"),
+        ],
+    )
+    def test_bad_state_raises_before_reuse_or_query(self, coarse_solution, poisson_pair, lam, h, message):
+        """On a field that holds the entry for (0, 0), a bad lambda or level
+        raises gain_vs_poisson's own error, before query warns about a clamped
+        level or rejects the point, and adds no entry."""
+        bench = poisson_pair[0]
+        gain_vs_poisson(0.0, 27.0, 0.0, coarse_solution.value, bench, STD_H, STD_M, STD_C)
+        held = set(bench.level_paths)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # query's clamped-level warning would raise RuntimeWarning
+            with pytest.raises(ValueError, match=message):
+                gain_vs_poisson(0.0, lam, h, coarse_solution.value, bench, STD_H, STD_M, STD_C)
+        assert set(bench.level_paths) == held
 
     def test_gain_monotone_in_lambda_soft_check(self, coarse_solution):
         # reported as a diagnostic: warn rather than fail if the trend breaks
