@@ -175,22 +175,10 @@ def cmd_premium(args) -> int:
         raise ConfigError([f"{args.policy_field} is not a policy field"])
     reports = []
     rows_std, rows_pi = [], []
-    for k, eta_var in enumerate(cfg.eta_vars):
+    for eta_var in cfg.eta_vars:
         costs = dataclasses.replace(cfg.costs, eta_var=eta_var)
         base = premium_report_baseline(cfg.hawkes, cfg.breach, costs, cfg.theta)
-        # the per-path rows do not depend on eta_var: write them once
-        paths_csv = (out / "paths_optimal.csv") if args.csv and k == 0 else None
-        opt = premium_report_optimal(
-            policy,
-            cfg.hawkes,
-            cfg.breach,
-            costs,
-            cfg.theta,
-            cfg.mc_paths,
-            cfg.seed,
-            threads=cfg.threads,
-            paths_csv=paths_csv,
-        )
+        opt = premium_report_optimal(policy, cfg.hawkes, cfg.breach, costs, cfg.theta)
         dp, ds = prevention_gap(base, opt)
         reports.append({"eta_var": eta_var, "baseline": dataclasses.asdict(base), "optimal": dataclasses.asdict(opt)})
         rows_std.append((cfg.costs.eta_mean, eta_var, base.loss_std, opt.loss_std, ds))
@@ -286,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("premium", help="standard-deviation premia for baseline and optimal policies")
     common(p, mc=True)
     p.add_argument("--policy-field", required=True, help="prefix of a persisted policy field")
-    p.add_argument("--csv", action="store_true", help="also export per-path breach-probability sums under the optimal policy")
     p.set_defaults(func=cmd_premium)
 
     p = sub.add_parser("static-gl", help="one-shot static investment optimum")

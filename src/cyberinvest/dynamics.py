@@ -246,14 +246,12 @@ def _phi(rho: float, s):
     return np.where(small, s_arr, out) if small.any() else out
 
 
-def _exact_levels(tk, Z, h0: float, rho: float, t0: float, times, row, t_end: float, j=None):
+def _exact_levels(tk, Z, h0: float, rho: float, t0: float, times, row, t_end: float):
     """Exact levels of dH = (z - rho H) dt from h0 at t0 under piecewise-constant rates.
 
     Z[:, i] applies on [tk[i], tk[i+1]), Z[:, 0] also before tk[0]; Z has one
     row per path, or a single row that every path shares. Returns the level
     at each times[m] >= t0 on row row[m], and every row's level at t_end.
-    A caller that already has them may pass j, the knot indices of `times`
-    that the search below would give.
     """
     j0 = max(int(np.searchsorted(tk, t0, side="right")) - 1, 0)
     tk = np.concatenate(([t0], tk[j0 + 1 :]))
@@ -265,8 +263,7 @@ def _exact_levels(tk, Z, h0: float, rho: float, t0: float, times, row, t_end: fl
     hk[:, 0] = h0
     for i in range(tk.size - 1):
         hk[:, i + 1] = hk[:, i] * decay[i] + Z[:, i] * gain[i]
-    if j is None:
-        j = np.searchsorted(tk, times, side="right") - 1
+    j = np.searchsorted(tk, times, side="right") - 1
     dt = times - tk[j]
     # column-major flat positions of (row, j): one 1-d gather per array
     # costs less than 2-d fancy indexing
@@ -364,12 +361,12 @@ def simulate_loss(path: AttackPath, model: BreachModel, costs: CostParams, strat
     return simulate_losses(batch, model, costs, strategy, seed, h0).sample(0)
 
 
-def _control_levels(tk, Z, h0: float, rho: float, times, pid, n_paths: int, horizon: float, j=None):
+def _control_levels(tk, Z, h0: float, rho: float, times, pid, n_paths: int, horizon: float):
     """Exact level at every event and at the horizon of n_paths paths under
     piecewise-constant controls from h0 at t = 0; `times` are the flat events
-    of paths `pid`, in any order. Z and j are as in _exact_levels."""
+    of paths `pid`, in any order. Z is as in _exact_levels."""
     row = pid if Z.shape[0] > 1 else 0
-    levels, terminal = _exact_levels(tk, Z, h0, rho, 0.0, times, row, horizon, j)
+    levels, terminal = _exact_levels(tk, Z, h0, rho, 0.0, times, row, horizon)
     return levels, np.broadcast_to(terminal, n_paths).copy()
 
 

@@ -12,8 +12,7 @@ enforced at construction time.
 Batches are simulated in chunks of CHUNK_PATHS paths, each by thinning
 rounds over all its paths at once. A chunk's events come out in generation
 order, which keeps each path's events in time order: simulate_paths sorts
-them path by path, and kernels whose per-path sums only need that order
-(the premium report's) use them as they come.
+them path by path.
 """
 
 from __future__ import annotations
@@ -223,32 +222,22 @@ class PathBatch:
         The result is the transpose of a time-major (len(tgrid), n_paths)
         array, so each grid time's column is contiguous.
         """
+        p, n = self.params, self.n_paths
         tgrid = np.asarray(tgrid, dtype=float)
+        k = tgrid.size
+        # Each event contributes to the first grid time >= tau; later grid
+        # times pick it up through the exponential-decay recursion.
         bucket = np.searchsorted(tgrid, self.times, side="left")
-        return _intensity_on_grid(self.params, tgrid, self.times, self.path_index(), self.n_paths, bucket)
-
-
-def _intensity_on_grid(params: HawkesParams, tgrid, times, pid, n: int, bucket) -> np.ndarray:
-    """PathBatch.intensity_on_grid of n paths from flat events `times` of
-    paths `pid`, given each event's first grid index at or after it.
-
-    The events may come in any order that keeps each path's events in time
-    order: every (grid time, path) sum then adds its kicks in time order.
-    """
-    p = params
-    k = tgrid.size
-    # Each event contributes to the first grid time >= tau; later grid
-    # times pick it up through the exponential-decay recursion.
-    inside = bucket < k
-    b = bucket[inside]
-    cell = b * n + pid[inside]
-    kicks = np.exp(-p.xi * (tgrid[b] - times[inside]))
-    out = np.bincount(cell, weights=kicks, minlength=n * k).reshape(k, n)
-    for j in range(1, k):
-        out[j] += out[j - 1] * math.exp(-p.xi * (tgrid[j] - tgrid[j - 1]))
-    out *= p.beta
-    out += (p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * tgrid))[:, None]
-    return out.T
+        inside = bucket < k
+        b = bucket[inside]
+        cell = b * n + self.path_index()[inside]
+        kicks = np.exp(-p.xi * (tgrid[b] - self.times[inside]))
+        out = np.bincount(cell, weights=kicks, minlength=n * k).reshape(k, n)
+        for j in range(1, k):
+            out[j] += out[j - 1] * math.exp(-p.xi * (tgrid[j] - tgrid[j - 1]))
+        out *= p.beta
+        out += (p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * tgrid))[:, None]
+        return out.T
 
 
 def _simulate_chunk(shared, job):
@@ -310,7 +299,7 @@ def _install_kernel(kernel, shared):
     # glibc sets its mmap and trim thresholds to the largest mapping freed so
     # far (at most 32 MB). Freeing a 24 MB block here lets a worker reuse heap
     # memory for the kernels' temporaries instead of mapping and faulting them
-    # in afresh for every chunk (a tenth of the page faults of a premium report).
+    # in afresh for every chunk.
     np.empty(3 << 20)
 
 

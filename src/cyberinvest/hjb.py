@@ -23,6 +23,10 @@ gtsv on the Jacobian's three diagonals) for all lambda columns per iteration.
 
 The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
 stage transposes it. Stored fields add a leading snapshot axis.
+
+The same steps with a stored policy frozen make the h stage linear, one
+tridiagonal solve per step; _loss_surfaces uses them for the moments of the
+loss under that policy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -198,12 +202,15 @@ class PolicyField:
     """Optimal investment-rate surface z* stored like ValueField.
 
     The controls are read-only once the field is built, so a field's identity
-    stands for its contents (premium_report_optimal relies on this).
+    stands for its contents. loss_surfaces relies on this: it holds what
+    premium_report_optimal computes once per field, the two loss-moment
+    surfaces of _loss_surfaces.
     """
 
     grid: SolverGrid
     controls: np.ndarray
     meta: FieldMeta
+    loss_surfaces: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = (self.grid.t_snapshots.size, self.grid.n_lambda, self.grid.n_h)
@@ -308,6 +315,7 @@ class _PideOperator:
         # tau runs against t, so the transport terms change sign and the jump term keeps it
         dlam = np.diag(dlam[1]) + np.diag(dlam[0, 1:], -1) + np.diag(dlam[2, :-1], 1)
         self.a_lam = lam[:, None] * (jump - np.eye(nl)) - clam[:, None] * dlam
+        self.jump = jump
         self.d_h = _stencil(nh, grid.d_h)
         self.a_h = -ch * _stencil(nh, grid.d_h, ch if options.upwind else None)
         self.tiles = np.tile(np.stack([self.a_h, self.d_h]), nl)  # both over the lambda rows, for _along_h
@@ -325,10 +333,13 @@ class _PideOperator:
         """Pointwise maximizer (D_h V - delta)^+ / gamma on the (lambda, h) array."""
         return self.excess(self.gradient(w)) / self.gamma
 
+    def drift(self, w: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """A_h W given grad = D_h W."""
+        return _along_h(self.tiles[0], w) if self._minus_ch is None else grad * self._minus_ch
+
     def h_part(self, w: np.ndarray, grad: np.ndarray, excess: np.ndarray) -> np.ndarray:
         """The terms acting along h, A_h W + N(W), given grad = D_h W and excess = self.excess(grad)."""
-        drift = _along_h(self.tiles[0], w) if self._minus_ch is None else grad * self._minus_ch
-        return drift + excess * excess * (0.5 / self.gamma)
+        return self.drift(w, grad) + excess * excess * (0.5 / self.gamma)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """dV/dt for a surface flattened in (lambda, h) row-major order (or shaped (n_lambda, n_h))."""
@@ -414,6 +425,33 @@ class _DouglasADI:
                 return y, op.gradient(y)
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
+    def frozen_step(self, w: np.ndarray, z: np.ndarray, source: np.ndarray, dt: float, c: float) -> np.ndarray:
+        """A Douglas step of the linear dW/dtau = A_lambda W + A_h W + z D_h W + source, the investment
+        rate z frozen over the step: its h stage, (I - c F_h) Y2 = Y1 - c F_h W, is one tridiagonal solve."""
+        op = self.op
+        grad = op.gradient(w)
+        f_lam, f_h = op.a_lam @ w, op.drift(w, grad) + z * grad
+        y = self._factor(c)[0] @ (w + dt * (f_lam + f_h + source) - c * f_lam)
+        *_, y, info = _gtsv()(*self.h_jacobian(op.gamma * z, c), (y - c * f_h).reshape(-1), True, True, True, True)
+        if info != 0:
+            raise SolverError(f"singular frozen-policy h stage (gtsv info {info})", {"gtsv_info": int(info)})
+        return y.reshape(w.shape)
+
+
+def _schedule(snaps: np.ndarray) -> list:
+    """(snapshot k, dt, theta, c, t) of each backward step over the decreasing snapshot times: two
+    implicit half steps in each of the first _RANNACHER_INTERVALS intervals, both storing snapshot k,
+    then one Douglas step per interval. The step from t = snaps[k - 1] ends at snaps[k], and
+    c = theta dt is rounded so that steps equal but for rounding in the snapshot times share one factor."""
+    steps = []
+    for k in range(1, snaps.size):
+        dt = snaps[k - 1] - snaps[k]
+        if k <= _RANNACHER_INTERVALS:
+            steps += [(k, 0.5 * dt, 1.0, snaps[k - 1]), (k, 0.5 * dt, 1.0, snaps[k - 1] - 0.5 * dt)]
+        else:
+            steps.append((k, dt, _THETA, snaps[k - 1]))
+    return [(k, dt, theta, float(f"{theta * dt:.12g}"), t) for k, dt, theta, t in steps]
+
 
 def solve(
     grid: SolverGrid,
@@ -437,17 +475,8 @@ def solve(
             f"grid horizon {grid.horizon} does not match costs.horizon {costs.horizon}"
         )
     snaps = grid.t_snapshots
-    # (snapshot, dt, theta, t) of each step, an interval's two half steps both storing; then theta dt
-    # rounded so that steps equal but for rounding in the snapshot times share one factor
-    steps = []
-    for k in range(1, snaps.size):
-        dt = snaps[k - 1] - snaps[k]
-        if k <= _RANNACHER_INTERVALS:
-            steps += [(k, 0.5 * dt, 1.0, snaps[k - 1]), (k, 0.5 * dt, 1.0, snaps[k - 1] - 0.5 * dt)]
-        else:
-            steps.append((k, dt, _THETA, snaps[k - 1]))
-    steps = [(k, dt, float(f"{theta * dt:.12g}"), t) for k, dt, theta, t in steps]
-    nl, nh, factors = grid.n_lambda, grid.n_h, len({c for _, _, c, _ in steps})
+    steps = _schedule(snaps)
+    nl, nh, factors = grid.n_lambda, grid.n_h, len({c for *_, c, _ in steps})
     # the stored nodes, A_lambda, and each factor's inverse and six Jacobian tiles
     n_nodes = snaps.size * nl * nh + (1 + factors) * nl * nl + 6 * factors * nl * nh
     if n_nodes > _MAX_NODES:
@@ -463,7 +492,7 @@ def solve(
     values[0], controls[0] = w, op.excess(grad) / op.gamma
     adi = _DouglasADI(op)
     t0 = time.perf_counter()
-    for k, dt, c, t in steps:
+    for k, dt, _, c, t in steps:
         w, grad = adi.step(w, grad, dt, c, t)
         values[k], controls[k] = w, op.excess(grad) / op.gamma
     wall = time.perf_counter() - t0
@@ -482,6 +511,33 @@ def solve(
     pf = PolicyField(grid, controls, replace(meta, kind="policy"))
     quality = _quality_report(vf, op, wall, diagnostics)
     return SolveResult(vf, pf, quality)
+
+
+def _loss_surfaces(policy: PolicyField) -> tuple:
+    """The surfaces u and B at the first snapshot (t = 0 for a regular grid) of two linear backward
+    solves under the stored policy, frozen: with p(h) the breach probability and J the jump shift,
+
+        u_tau = A_lambda u + A_h u + z D_h u + lambda p(h),
+        B_tau = A_lambda B + A_h B + z D_h B + lambda p(h) (J u),    u(T) = B(T) = 0.
+
+    u is the expected number of breaches from (t, lambda, h), and E[L^2] = (eta_var + eta_mean^2) u
+    + 2 eta_mean^2 B (Dynkin's formula for the compound jump process; Oksendal & Sulem). The steps
+    are the solve's, with z = controls[k] on the step that ends at snapshot k, as the policy walk
+    applies a snapshot's control until the next one. B's source is theta-weighted between the
+    states of u at the step's two ends, so u steps first.
+    """
+    grid, meta = policy.grid, policy.meta
+    op = _PideOperator(grid, meta.hawkes, meta.model, meta.costs, meta.options)
+    adi = _DouglasADI(op)
+    breach_rate = grid.lambdas[:, None] * breach_prob(meta.model, grid.hs)[None, :]
+    u, b, source = np.zeros(op.shape), np.zeros(op.shape), np.zeros(op.shape)
+    for k, dt, theta, c, _ in _schedule(grid.t_snapshots):
+        z = policy.controls[k]
+        u = adi.frozen_step(u, z, breach_rate, dt, c)
+        after = breach_rate * (op.jump @ u)
+        b = adi.frozen_step(b, z, (1.0 - theta) * source + theta * after, dt, c)
+        source = after
+    return u, b
 
 
 def _monotonicity_stats(values: np.ndarray, axis: int, tol: float) -> dict:
@@ -590,14 +646,19 @@ def query(field, t: float, lam: float, h: float, mode: str = "nearest") -> float
         return float(data[k, i, j])
     if mode != "linear":
         raise ValueError(f"unknown query mode {mode!r}")
-    fi = (lam_c - grid.lambda_min) / grid.d_lambda
-    fj = (h_c - grid.h_min) / grid.d_h
+    return _bilinear(grid, data[k], lam_c, h_c)
+
+
+def _bilinear(grid: SolverGrid, surface: np.ndarray, lam: float, h: float) -> float:
+    """Bilinear interpolation of the (n_lambda, n_h) surface at a point (lam, h) of the grid's domain."""
+    fi = (lam - grid.lambda_min) / grid.d_lambda
+    fj = (h - grid.h_min) / grid.d_h
     i0 = int(np.clip(math.floor(fi), 0, grid.n_lambda - 1))
     j0 = int(np.clip(math.floor(fj), 0, grid.n_h - 1))
     i1 = min(i0 + 1, grid.n_lambda - 1)
     j1 = min(j0 + 1, grid.n_h - 1)
     wi = fi - i0
     wj = fj - j0
-    v00, v01 = data[k, i0, j0], data[k, i0, j1]
-    v10, v11 = data[k, i1, j0], data[k, i1, j1]
+    v00, v01 = surface[i0, j0], surface[i0, j1]
+    v10, v11 = surface[i1, j0], surface[i1, j1]
     return float((1 - wi) * ((1 - wj) * v00 + wj * v01) + wi * ((1 - wj) * v10 + wj * v11))

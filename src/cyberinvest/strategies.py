@@ -87,6 +87,16 @@ def _check_state(t: float, lam: float, h: float, horizon: float) -> None:
     _check_initial_level(h)
 
 
+def _check_states(t, lam, h, horizon: float) -> None:
+    """_check_state elementwise over broadcast arrays: raises its error for
+    the first state that it rejects."""
+    t, lam, h = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(lam, dtype=float), np.asarray(h, dtype=float))
+    ok = (t >= 0.0) & (t <= horizon) & np.isfinite(lam) & np.isfinite(h) & (h >= 0.0)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        _check_state(float(t.flat[i]), float(lam.flat[i]), float(h.flat[i]), horizon)
+
+
 def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
     """Ascending snapshot times from the one nearest t_init to the horizon, and
     their indices into the field's snapshot axis."""
@@ -257,12 +267,12 @@ def optimize_constant(
 def lower_bound(t, lam, h, hawkes: HawkesParams, model: BreachModel, costs: CostParams):
     """Value of holding the level constant (rate rho*h), in closed form.
 
-    Broadcasts over array-valued lam and h.
+    Broadcasts over array-valued t, lam and h, each state checked as
+    _check_state does.
     """
     T = costs.horizon
+    _check_states(t, lam, h, T)
     span = T - np.asarray(t, dtype=float)
-    if np.any(span < 0):
-        raise ValueError("t exceeds the horizon")
     lam_arr = np.asarray(lam, dtype=float)
     h_arr = np.asarray(h, dtype=float)
     k = hawkes.reversion_rate

@@ -379,11 +379,13 @@ class TestCli:
         head = (Path(out) / "table_premia.csv").read_text().splitlines()[0]
         assert head == "eta_mean,eta_var,premium_baseline,premium_optimal,reduction_pct"
         reports = json.loads((Path(out) / "premium_reports.json").read_text())
-        assert set(reports[0]["optimal"]["diagnostics"]) == {"events", "thinning_candidates", "clamped_lambda", "clamped_h"}
+        assert reports[0]["optimal"]["diagnostics"] == {"method": "frozen-policy-pide", "time_steps": 20}
+        assert reports[0]["optimal"]["standard_errors"] == {"expected_loss": 0.0, "loss_std": 0.0}
 
     def test_premium_eta_vars_share_one_pass(self, tmp_path):
-        """Three eta_vars on one loaded field give the files of one run per eta_var,
-        byte for byte, at any thread count."""
+        """Three eta_vars on one loaded field, which share one pair of loss-surface
+        solves, give the files of one run per eta_var, byte for byte, at any
+        thread count."""
         out = tmp_path / "field"
         assert main(["solve", "--config", self.write_tiny(tmp_path), "--out", str(out)]) == 0
 
@@ -392,18 +394,15 @@ class TestCli:
             cfg.write_text(TINY + f"eta_vars = {eta_vars}\n")
             run = tmp_path / tag
             argv = ["premium", "--config", str(cfg), "--policy-field", f"{out}/policy", "--out", str(run)]
-            assert main(argv + ["--threads", str(threads), "--csv"]) == 0
+            assert main(argv + ["--threads", str(threads)]) == 0
             return {p.name: p.read_bytes() for p in sorted(run.iterdir())}
 
         one, two = premium("t1", "10,50,100", 1), premium("t2", "10,50,100", 2)
         assert one == two
-        assert set(one) == {"paths_optimal.csv", "premium_reports.json", "table_premia.csv", "table_std.csv"}
-        head, *rows = one["paths_optimal.csv"].decode().splitlines()
-        assert head == "path,n_attacks,s1,s2,terminal_h" and len(rows) == 20_000
+        assert set(one) == {"premium_reports.json", "table_premia.csv", "table_std.csv"}
         reports = json.loads(one["premium_reports.json"])
         for k, ev in enumerate(("10", "50", "100")):
             alone = premium(f"alone{ev}", ev, 1)
-            assert alone["paths_optimal.csv"] == one["paths_optimal.csv"]
             assert json.loads(alone["premium_reports.json"]) == [reports[k]]
             for table in ("table_std.csv", "table_premia.csv"):
                 head, *rows = one[table].decode().splitlines()
@@ -456,9 +455,10 @@ class TestReproduceScript:
 def test_import_defers_slow_scipy_modules(tmp_path):
     """Importing the package, valuing the static and constant-rate benchmarks
     in the library, and every command that does not solve (validate, moments,
-    static-gl, gain against each benchmark, premium on a saved policy) load no
-    scipy module; a solve loads scipy.linalg, for LAPACK gtsv, and none of
-    scipy.optimize, scipy.integrate and scipy.sparse."""
+    static-gl, gain against each benchmark) load no scipy module. The commands
+    that solve, premium on a saved policy (its two loss-surface solves) first
+    and then solve and solve-poisson, load scipy.linalg, for LAPACK gtsv, and
+    none of scipy.optimize, scipy.integrate and scipy.sparse."""
     (tmp_path / "tiny.cfg").write_text(TINY)
     common = ["--config", str(tmp_path / "tiny.cfg"), "--out", str(tmp_path)]
     for argv in (["solve"], *(["solve-poisson", "--mode", m] for m in ("baseline", "expectation"))):
@@ -471,8 +471,8 @@ def test_import_defers_slow_scipy_modules(tmp_path):
         gain,
         *(gain + ["--benchmark", f"poisson-{m}", "--poisson-field", str(tmp_path / f"poisson_{m}"), "--lambdas", "27,45"]
           for m in ("baseline", "expectation")),
-        ["premium", "--policy-field", str(tmp_path / "policy"), "--mc-paths", "10000", "--threads", "1"],
     ]
+    premium = ["premium", "--policy-field", str(tmp_path / "policy"), "--mc-paths", "10000", "--threads", "1"]
     code = f"""
 import sys
 
@@ -491,6 +491,8 @@ ci.gain_vs_constant(0.0, 27.0, 1.0, ci.load_field({str(tmp_path / "value")!r}), 
 for argv in {commands!r}:
     assert main(argv + {common!r}) == 0, argv
 report("no-solve")
+assert main({premium!r} + {common!r}) == 0
+report("premium")
 assert main(["solve", *{common!r}]) == 0
 assert main(["solve-poisson", "--mode", "baseline", *{common!r}]) == 0
 report("solve")
@@ -498,11 +500,12 @@ report("solve")
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    stages = dict(line.split(" ", 1) for line in proc.stderr.splitlines() if line.startswith(("import ", "no-solve ", "solve ")))
+    stages = dict(line.split(" ", 1) for line in proc.stderr.splitlines() if line.startswith(("import ", "no-solve ", "premium ", "solve ")))
     assert stages["import"] == stages["no-solve"] == "[]"
-    loaded = ast.literal_eval(stages["solve"])
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate", "scipy.sparse"))], loaded
+    for stage in ("premium", "solve"):
+        loaded = ast.literal_eval(stages[stage])
+        assert "scipy.linalg" in loaded, stage
+        assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate", "scipy.sparse"))], (stage, loaded)
 
 
 def test_package_imports_neither_scipy_sparse_nor_expm():

@@ -3,6 +3,7 @@ import gc
 import importlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from cyberinvest import (
     ConfigError,
     CostParams,
     HawkesParams,
-    PathBatch,
     PremiumReport,
     SolverGrid,
     breach_prob,
+    count_variance,
+    expected_count,
     extract_policies_batch,
     load_field,
     premium,
@@ -31,7 +33,7 @@ from cyberinvest import (
     solve,
 )
 from cyberinvest.dynamics import _control_levels
-from cyberinvest.hawkes import _intensity_on_grid
+from cyberinvest.hjb import FieldMeta, PolicyField, SolverOptions, _DouglasADI, _PideOperator, _schedule
 
 # the package exports the premium() function under the module's name
 premium_module = importlib.import_module("cyberinvest.premium")
@@ -88,25 +90,99 @@ class TestBaselineReport:
         assert rows[0] < rows[1] < rows[2]
 
 
+def _conditional_moments(policy, n, seed, eta_vars, chunk=2048):
+    """Oracle: E[L*] and sd(L*) for each eta_var, with their standard errors,
+    by conditional Monte Carlo over n paths from level 0.
+
+    Per path, the attack count N and the sums S1 and S2 of the events'
+    breach probabilities and of their squares come from the path pipeline:
+    simulate_paths, extract_policies_batch, _control_levels and breach_prob.
+    Given a path the breaches are independent and the marks i.i.d., so
+    E[L | path] = m S1 and Var(L | path) = (s^2 + m^2) S1 - m^2 S2. N, and N^2
+    for the second moment, serve as control variates of exact mean; the
+    standard errors follow from the regression residuals by the delta method.
+    """
+    batch = simulate_paths(STD_H, STD_C.horizon, n, seed)
+    parts = []
+    for start in range(0, n, chunk):
+        sub = batch.slice(start, min(start + chunk, n))
+        times, controls = extract_policies_batch(policy, sub)
+        pid = sub.path_index()
+        levels, _ = _control_levels(times, controls, 0.0, STD_C.rho, sub.times, pid, sub.n_paths, sub.horizon)
+        probs = breach_prob(STD_M, levels)
+        parts.append((sub.counts(), np.bincount(pid, probs, sub.n_paths), np.bincount(pid, probs**2, sub.n_paths)))
+    n_att, s1, s2 = (np.concatenate(column).astype(float) for column in zip(*parts))
+
+    def controlled_mean(y, controls):
+        centred = [x - x.mean() for x in controls]
+        y_c = y - y.mean()
+        gram = [[np.mean(a * b) for b in centred] for a in centred]
+        coef = np.linalg.solve(gram, [np.mean(a * y_c) for a in centred])
+        return y.mean() - sum(c * x.mean() for c, x in zip(coef, controls)), y_c - sum(c * a for c, a in zip(coef, centred))
+
+    def stderr(residuals):
+        return math.sqrt(np.mean(residuals**2) / (residuals.size - 1))
+
+    en, var_n = expected_count(STD_H, STD_C.horizon), count_variance(STD_H, STD_C.horizon)
+    d_n, d_n2 = n_att - en, n_att**2 - (var_n + en * en)
+    m = STD_C.eta_mean
+    mean, r_mean = controlled_mean(m * s1, [d_n])
+    out = []
+    for eta_var in eta_vars:
+        second, r_second = controlled_mean((eta_var + m * m) * s1 - m * m * s2 + (m * s1) ** 2, [d_n, d_n2])
+        sd = math.sqrt(second - mean * mean)
+        out.append((mean, stderr(r_mean), sd, stderr(r_second - 2.0 * mean * r_mean) / (2.0 * sd)))
+    return out
+
+
+def _field(grid, controls, model=STD_M, costs=STD_C, hawkes=STD_H):
+    """A policy field of given controls, as if solved for these parameters."""
+    return PolicyField(grid, controls, FieldMeta("policy", hawkes, model, costs, SolverOptions()))
+
+
 class TestOptimalReport:
     @pytest.fixture(scope="class")
     def small_policy(self):
         grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50)
         return solve(grid, STD_H, STD_M, STD_C).policy
 
+    @pytest.fixture(scope="class")
+    def fine_policy(self):
+        """small_policy's grid at 200 time steps."""
+        grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 200)
+        return solve(grid, STD_H, STD_M, STD_C).policy
+
     def test_field_mismatch_rejected(self, small_policy):
-        other = HawkesParams(27.0, 27.0, 15.0, 3.0)
-        with pytest.raises(ConfigError):
-            premium_report_optimal(small_policy, other, STD_M, STD_C, 0.3, mc_paths=10_000)
+        others = [
+            (HawkesParams(27.0, 27.0, 15.0, 3.0), STD_M, STD_C),
+            (HawkesParams(30.0, 30.0, 15.0, 9.0), STD_M, STD_C),
+            (HawkesParams(27.0, 27.0, 14.0, 9.0), STD_M, STD_C),
+            (STD_H, dataclasses.replace(STD_M, v=0.6), STD_C),
+            (STD_H, STD_M, dataclasses.replace(STD_C, rho=0.3)),
+        ]
+        for hawkes, model, costs in others:
+            with pytest.raises(ConfigError):
+                premium_report_optimal(small_policy, hawkes, model, costs, 0.3)
 
     def test_eta_var_change_allowed(self, small_policy):
         costs = dataclasses.replace(STD_C, eta_var=50.0)
         r = premium_report_optimal(small_policy, STD_H, STD_M, costs, 0.3, mc_paths=10_000, seed=0)
         assert r.expected_loss > 0
 
-    def test_requires_enough_paths(self, small_policy):
-        with pytest.raises(ValueError):
-            premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, mc_paths=100)
+    def test_other_start_intensity_allowed(self, small_policy):
+        """The solve never reads lambda0: a start intensity on the grid is read
+        off the same surfaces, and a higher one means more expected loss."""
+        rows = [
+            premium_report_optimal(small_policy, HawkesParams(27.0, lam0, 15.0, 9.0), STD_M, STD_C, 0.3)
+            for lam0 in (27.0, 40.5, 120.0)
+        ]
+        assert rows[0] == premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3)
+        assert rows[0].expected_loss < rows[1].expected_loss < rows[2].expected_loss
+
+    @pytest.mark.parametrize("lambda0", [20.0, 120.5, 200.0])
+    def test_start_intensity_outside_grid_rejected(self, small_policy, lambda0):
+        with pytest.raises(ValueError, match="lambda0"):
+            premium_report_optimal(small_policy, HawkesParams(27.0, lambda0, 15.0, 9.0), STD_M, STD_C, 0.3)
 
     def test_prevention_reduces_both_moments(self, small_policy):
         base = premium_report_baseline(STD_H, STD_M, STD_C, 0.3, mc_paths=20_000, seed=0)
@@ -116,83 +192,157 @@ class TestOptimalReport:
         dp, ds = prevention_gap(base, opt)
         assert dp > 0 and ds > 0
 
-    @staticmethod
-    def _explicit(policy, n, seed, h_extract, h_levels):
-        """Per-path (N, S1, S2, terminal_h) of the unstreamed pipeline over the
-        whole batch at once."""
-        batch = simulate_paths(STD_H, STD_C.horizon, n, seed)
-        times, controls = extract_policies_batch(policy, batch, 0.0, h_extract)
-        pid = batch.path_index()
-        levels, terminal_h = _control_levels(times, controls, h_levels, STD_C.rho, batch.times, pid, n, batch.horizon)
-        probs = breach_prob(STD_M, levels)
-        return batch.counts(), np.bincount(pid, probs, n), np.bincount(pid, probs**2, n), terminal_h
-
-    @staticmethod
-    def _assert_memo_is(expected):
-        """The per-path sums of the last pass equal `expected` bit for bit."""
-        pp = premium_module._last_pass[2]
-        for got, want in zip((pp.n_attacks, pp.s1, pp.s2, pp.terminal_h), expected, strict=True):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("family", ["lognormal", "gamma"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_streamed_equals_explicit_pipeline(self, small_policy, family, threads):
+    def test_identical_for_any_sampling_arguments(self, small_policy, family, threads):
+        """The report has no sampling error: mc_paths, seed and threads do not
+        change it, and it sees the marks only through eta_mean and eta_var."""
         costs = dataclasses.replace(STD_C, eta_var=50.0, eta_family=family)
-        # a new field object, so this report runs its own pass at `threads`
-        fresh = dataclasses.replace(small_policy)
-        r = premium_report_optimal(fresh, STD_H, STD_M, costs, 0.3, 20_000, 3, threads=threads)
-        self._assert_memo_is(self._explicit(small_policy, 20_000, 3, 0.0, 0.0))
-        # the report sees the marks only through eta_mean and eta_var
+        r = premium_report_optimal(small_policy, STD_H, STD_M, costs, 0.3, 20_000, 3, threads=threads)
         other = dataclasses.replace(costs, eta_family="gamma" if family == "lognormal" else "lognormal")
-        assert premium_report_optimal(fresh, STD_H, STD_M, other, 0.3, 20_000, 3, threads=threads) == r
+        for field, c, n, seed, t in (
+            (dataclasses.replace(small_policy), costs, 10_000, 9, 3 - threads),
+            (small_policy, other, 100, 0, threads),
+            (small_policy, costs, 0, 5, 1),
+        ):
+            assert premium_report_optimal(field, STD_H, STD_M, c, 0.3, n, seed, threads=t) == r
+        assert r.mc_paths == 0 and r.standard_errors == {"expected_loss": 0.0, "loss_std": 0.0}
 
-    def test_memo_cannot_leak(self, small_policy):
-        runs = [
-            # (eta_var, family, seed, h_init, mc_paths, threads, reuses the previous pass)
-            (10.0, "lognormal", 5, 0.0, 10_000, 1, False),
-            (50.0, "gamma", 5, 0.0, 10_000, 2, True),
-            (100.0, "lognormal", 5, 0.0, 10_000, 1, True),
-            (100.0, "lognormal", 6, 0.0, 10_000, 1, False),
-            (100.0, "lognormal", 6, 3.0, 10_000, 1, False),
-            (100.0, "lognormal", 6, 3.0, 12_000, 1, False),
-        ]
-        last = None
-        for eta_var, family, seed, h_init, n, threads, reused in runs:
-            costs = dataclasses.replace(STD_C, eta_var=eta_var, eta_family=family)
-            premium_report_optimal(small_policy, STD_H, STD_M, costs, 0.3, n, seed, h_init=h_init, threads=threads)
-            self._assert_memo_is(self._explicit(small_policy, n, seed, h_init, h_init))
-            assert (premium_module._last_pass[2] is last) == reused
-            last = premium_module._last_pass[2]
+    def test_memo_cannot_leak(self, small_policy, monkeypatch):
+        """The loss surfaces are solved once per field object: reports at other
+        eta_var, start levels and start intensities reuse them, and a new field
+        object solves its own."""
+        calls = []
+        solve_surfaces = premium_module._loss_surfaces
+        monkeypatch.setattr(premium_module, "_loss_surfaces", lambda f: calls.append(f) or solve_surfaces(f))
+        fresh = dataclasses.replace(small_policy)
+        assert not fresh.loss_surfaces
+        first = premium_report_optimal(fresh, STD_H, STD_M, STD_C, 0.3)
+        for eta_var, h_init, lam0 in ((50.0, 0.0, 27.0), (100.0, 3.0, 27.0), (10.0, 2.5, 45.0)):
+            costs = dataclasses.replace(STD_C, eta_var=eta_var)
+            hawkes = HawkesParams(27.0, lam0, 15.0, 9.0)
+            premium_report_optimal(fresh, hawkes, STD_M, costs, 0.3, h_init=h_init)
+        assert calls == [fresh]
+        assert set(fresh.loss_surfaces) == {"u", "b"}
+        again = dataclasses.replace(fresh)
+        assert premium_report_optimal(again, STD_H, STD_M, STD_C, 0.3) == first
+        assert len(calls) == 2 and calls[1] is again
+        for name in ("u", "b"):
+            np.testing.assert_array_equal(again.loss_surfaces[name], fresh.loss_surfaces[name])
 
     @pytest.mark.parametrize("seed, eta_var, family", [(11, 10.0, "lognormal"), (12, 50.0, "gamma"), (13, 100.0, "lognormal")])
-    def test_agrees_with_sampled_losses(self, small_policy, seed, eta_var, family):
-        """Oracle: both moments lie within 3 combined standard errors of the
-        ones of losses sampled with breach and mark draws on the same paths."""
+    def test_agrees_with_sampled_losses(self, fine_policy, seed, eta_var, family):
+        """Oracle: both moments lie within 3 standard errors of the ones of
+        losses sampled with breach and mark draws under the policy walk.
+
+        At 200 time steps; on small_policy's 50 steps the report is 142.78
+        against the conditional Monte Carlo's 141.79 +- 0.05, a time-step
+        bias of the walk, not noise."""
         costs = dataclasses.replace(STD_C, eta_var=eta_var, eta_family=family)
-        r = premium_report_optimal(small_policy, STD_H, STD_M, costs, 0.3, 20_000, seed)
+        r = premium_report_optimal(fine_policy, STD_H, STD_M, costs, 0.3)
         batch = simulate_paths(STD_H, costs.horizon, 20_000, seed)
-        times, controls = extract_policies_batch(small_policy, batch)
+        times, controls = extract_policies_batch(fine_policy, batch)
         lb = simulate_losses(batch, STD_M, costs, seed=seed, control_times=times, controls=controls)
         for name, sampled in (("expected_loss", lb.mean_loss()), ("loss_std", lb.std_loss())):
-            got, se = getattr(r, name), r.standard_errors[name]
-            assert abs(got - sampled.value) <= 3.0 * math.hypot(se, sampled.stderr), name
+            assert abs(getattr(r, name) - sampled.value) <= 3.0 * sampled.stderr, name
+
+    @pytest.fixture(scope="class")
+    def policy_800(self):
+        """The coarse preset's steps on the standard domain at 800 time steps."""
+        grid = SolverGrid.regular(27.0, 216.0, 3.0, 0.0, 50.0, 1.0, 1.0, 800)
+        return solve(grid, STD_H, STD_M, STD_C).policy
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_agrees_with_conditional_monte_carlo(self, policy_800, seed):
+        """At 800 time steps the walk's time-step bias is below the noise of
+        4 x 10^4 paths: E[L*] and sd(L*) at each eta_var lie within 3 standard
+        errors of the conditional Monte Carlo oracle."""
+        eta_vars = (10.0, 50.0, 100.0)
+        for eta_var, (mean, mean_se, sd, sd_se) in zip(eta_vars, _conditional_moments(policy_800, 40_000, seed, eta_vars)):
+            r = premium_report_optimal(policy_800, STD_H, STD_M, dataclasses.replace(STD_C, eta_var=eta_var), 0.3)
+            assert abs(r.expected_loss - mean) <= 3.0 * mean_se, (eta_var, r.expected_loss, mean, mean_se)
+            assert abs(r.loss_std - sd) <= 3.0 * sd_se, (eta_var, r.loss_std, sd, sd_se)
+
+    @pytest.mark.parametrize("steps", [200, 400, 800])
+    def test_breach_count_is_expected_count_at_p_one(self, steps):
+        """With p = 1 and eta_mean = 1, E[L] is E[N_T] in closed form, whatever
+        the controls, from any start intensity on the grid."""
+        grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, steps)
+        controls = np.random.default_rng(steps).uniform(0.0, 40.0, (steps + 1, grid.n_lambda, grid.n_h))
+        always = BreachModel(BreachFamily.CLASS_II, 1.0, 0.1, 1.0)
+        costs = dataclasses.replace(STD_C, eta_mean=1.0)
+        field = _field(grid, controls, always, costs)
+        for lam0 in (27.0, 50.5, 120.0):
+            hawkes = HawkesParams(27.0, lam0, 15.0, 9.0)
+            r = premium_report_optimal(field, hawkes, always, costs, 0.3, h_init=7.5)
+            assert r.expected_loss == pytest.approx(expected_count(hawkes, 1.0), rel=1e-9)
+
+    def test_no_investment_gives_the_exact_baseline(self, std_count_moments):
+        """Under zero controls from h = 0 the level stays 0, so both moments
+        are the exact no-investment ones: E[L] to 1e-9 and sd(L), which the
+        solve with the source lambda p (J u) carries through Var(N_T), to the
+        time-step error of 800 steps."""
+        grid = SolverGrid.regular(27.0, 216.0, 3.0, 0.0, 50.0, 1.0, 1.0, 800)
+        field = _field(grid, np.zeros((801, grid.n_lambda, grid.n_h)))
+        for eta_var in (0.0, 100.0):
+            costs = dataclasses.replace(STD_C, eta_var=eta_var)
+            r = premium_report_optimal(field, STD_H, STD_M, costs, 0.3)
+            base = premium_report_baseline(STD_H, STD_M, costs, 0.3)
+            assert r.expected_loss == pytest.approx(base.expected_loss, rel=1e-9)
+            assert r.loss_std == pytest.approx(base.loss_std, rel=2e-5)
+
+    def test_surfaces_monotone_and_dispersed(self, small_policy):
+        """At every node u falls with the level and E[L^2] >= E[L]^2, at eta_var = 0 too."""
+        premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3)
+        u, b = small_policy.loss_surfaces["u"], small_policy.loss_surfaces["b"]
+        assert (np.diff(u, axis=1) <= 0.0).all()
+        m = STD_C.eta_mean
+        for eta_var in (0.0, 10.0, 100.0):
+            second = (eta_var + m * m) * u + 2.0 * m * m * b
+            assert (second >= (m * u) ** 2).all()
+
+    def test_linearity_matches_a_direct_second_moment_solve(self, small_policy):
+        """E[L^2] = (eta_var + m^2) u + 2 m^2 B equals, to 1e-12, the solve
+        whose source is lambda p(h) [(eta_var + m^2) + 2 m^2 (J u)], stepped by
+        the same scheme."""
+        premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3)
+        u0, b0 = small_policy.loss_surfaces["u"], small_policy.loss_surfaces["b"]
+        grid = small_policy.grid
+        op = _PideOperator(grid, STD_H, STD_M, STD_C, SolverOptions())
+        adi = _DouglasADI(op)
+        breach_rate = grid.lambdas[:, None] * breach_prob(STD_M, grid.hs)[None, :]
+        m, eta_var = STD_C.eta_mean, 50.0
+        u, w = np.zeros(op.shape), np.zeros(op.shape)
+        source = breach_rate * (eta_var + m * m)
+        for k, dt, theta, c, _ in _schedule(grid.t_snapshots):
+            z = small_policy.controls[k]
+            u = adi.frozen_step(u, z, breach_rate, dt, c)
+            after = breach_rate * ((eta_var + m * m) + 2.0 * m * m * (op.jump @ u))
+            w = adi.frozen_step(w, z, (1.0 - theta) * source + theta * after, dt, c)
+            source = after
+        np.testing.assert_array_equal(u, u0)
+        np.testing.assert_allclose((eta_var + m * m) * u0 + 2.0 * m * m * b0, w, rtol=1e-12, atol=0.0)
 
     def test_standard_errors_match_the_spread(self, small_policy):
-        """Over 20 seeds, the estimates spread as much as their reported
-        standard errors say, within a factor 1.5."""
-        reports = [premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, seed) for seed in range(20)]
-        for name in ("expected_loss", "loss_std"):
-            spread = np.std([getattr(r, name) for r in reports], ddof=1)
-            ratio = spread / np.mean([r.standard_errors[name] for r in reports])
-            assert 1.0 / 1.5 <= ratio <= 1.5, (name, ratio)
+        """The oracle's standard errors, on which the agreement above rests:
+        over 20 seeds its estimates spread as much as those standard errors
+        say, within a factor 1.5."""
+        rows = [_conditional_moments(small_policy, 10_000, seed, (10.0,))[0] for seed in range(20)]
+        for value, se in ((0, 1), (2, 3)):
+            spread = np.std([row[value] for row in rows], ddof=1)
+            ratio = spread / np.mean([row[se] for row in rows])
+            assert 1.0 / 1.5 <= ratio <= 1.5, (value, ratio)
 
     def test_memo_dropped_with_its_field(self, small_policy):
+        """The surfaces live on the field object: no module-level reference
+        keeps a field alive once its last user lets it go."""
         fresh = dataclasses.replace(small_policy)
-        premium_report_optimal(fresh, STD_H, STD_M, STD_C, 0.3, 10_000, seed=4)
-        assert premium_module._last_pass[0]() is fresh
+        premium_report_optimal(fresh, STD_H, STD_M, STD_C, 0.3)
+        assert fresh.loss_surfaces
+        ref = weakref.ref(fresh)
         del fresh
         gc.collect()
-        assert premium_module._last_pass is None
+        assert ref() is None
 
     def test_policy_controls_read_only(self, small_policy, tmp_path):
         save_field(small_policy, tmp_path / "policy")
@@ -200,64 +350,13 @@ class TestOptimalReport:
             with pytest.raises(ValueError):
                 field.controls[0, 0, 0] = 1.0
 
-    def test_snapshot_cells_match_both_searches(self):
-        """Both event-to-snapshot indices, events on a snapshot included, and
-        the levels and intensities computed from them."""
-        times = np.array([0.1, 0.25, 0.5, 0.75, 1.0])
-        ev = np.array([0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0, 0.1, 0.5, 0.6])
-        after, before = premium_module._snapshot_cells(times, ev)
-        np.testing.assert_array_equal(after, np.searchsorted(times, ev, side="left"))
-        np.testing.assert_array_equal(before, np.maximum(np.searchsorted(times, ev, side="right") - 1, 0))
-        # the same events as a batch: levels and intensities equal the two-search ones
-        batch = PathBatch(STD_H, 1.0, ev, np.array([0, 9, 12]))
-        paths = (batch.times, batch.path_index(), 2, 1.0)
-        z = np.random.default_rng(0).uniform(0.0, 5.0, (2, times.size))
-        for a, b in zip(
-            _control_levels(times, z, 1.0, 0.2, *paths),
-            _control_levels(times, z, 1.0, 0.2, *paths, before),
-        ):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(
-            batch.intensity_on_grid(times), _intensity_on_grid(STD_H, times, *paths[:3], after)
-        )
-
-    @staticmethod
-    def _grids():
-        # SolverGrid.regular builds its snapshots descending; the walk reverses them
-        uniform = st.builds(
-            lambda lo, span, k, desc: np.linspace(lo + span, lo, k)[::-1] if desc else np.linspace(lo, lo + span, k),
-            st.floats(0.0, 10.0),
-            st.floats(1e-3, 100.0),
-            st.integers(2, 400),
-            st.booleans(),
-        )
-        scattered = st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=60, unique=True).map(
-            lambda v: np.sort(np.array(v))
-        )
-        return st.one_of(uniform, scattered)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_snapshot_cells_equal_both_searchsorted_sides(self, data):
-        """Oracle: searchsorted on uniform and scattered grids, for events
-        between, on and next to snapshot times, at the horizon, outside the
-        grid and for no events at all."""
-        times = data.draw(self._grids(), label="times")
-        on_grid = st.sampled_from(times.tolist()).flatmap(
-            lambda t: st.sampled_from([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
-        )
-        anywhere = st.floats(times[0] - 1.0, times[-1] + 1.0)
-        ev = np.array(data.draw(st.lists(st.one_of(on_grid, anywhere), max_size=80), label="events"), dtype=float)
-        for events in (ev, np.append(ev, times[-1]), np.zeros(0)):
-            after, before = premium_module._snapshot_cells(times, events)
-            np.testing.assert_array_equal(after, np.searchsorted(times, events, side="left"))
-            np.testing.assert_array_equal(before, np.maximum(np.searchsorted(times, events, side="right") - 1, 0))
-
     def test_initial_level_drives_losses(self, small_policy):
-        r = premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, seed=1, h_init=5.0)
-        self._assert_memo_is(self._explicit(small_policy, 10_000, 1, 5.0, 5.0))
-        from_zero = self._explicit(small_policy, 10_000, 1, 5.0, 0.0)
-        assert r.expected_loss < STD_C.eta_mean * from_zero[1].mean()
+        """A higher start level lowers both moments; a start level between two
+        nodes reads between their reports."""
+        r0, r5, r6 = (premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, h_init=h) for h in (0.0, 5.0, 6.0))
+        assert r5.expected_loss < r0.expected_loss and r5.loss_std < r0.loss_std
+        mid = premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, h_init=5.25)
+        assert mid.expected_loss == pytest.approx(0.75 * r5.expected_loss + 0.25 * r6.expected_loss, rel=1e-14)
 
     @pytest.mark.parametrize("h_init", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -267,28 +366,25 @@ class TestOptimalReport:
         with pytest.raises(ValueError, match="initial level"):
             premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, h_init=h_init, threads=threads)
 
+    def test_initial_level_above_grid_rejected(self, small_policy):
+        with pytest.raises(ValueError, match="initial level 50.5 lies outside"):
+            premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, h_init=50.5)
+
     def test_diagnostics_identical_for_any_threads(self, small_policy):
-        # the second report gets a new field object, so it runs its own pass
         one, two = (
             premium_report_optimal(field, STD_H, STD_M, STD_C, 0.3, 10_000, seed=2, threads=t).diagnostics
             for field, t in ((small_policy, 1), (dataclasses.replace(small_policy), 2))
         )
-        assert one == two
-        assert set(one) == {"events", "thinning_candidates", "clamped_lambda", "clamped_h"}
-        batch = simulate_paths(STD_H, 1.0, 10_000, 2)
-        assert one["events"] == batch.times.size <= one["thinning_candidates"]
-        # small_policy's grid stops at lambda = 120, which some paths exceed
-        grid = small_policy.grid
-        times, _ = extract_policies_batch(small_policy, batch)
-        beyond = np.count_nonzero(batch.intensity_on_grid(times) > grid.lambda_max + 0.5 * grid.d_lambda)
-        assert one["clamped_lambda"] == beyond > 0
+        assert one == two == {"method": "frozen-policy-pide", "time_steps": 50}
 
     def test_memory_bounded_in_paths(self, small_policy):
+        """The report holds no per-path state: its peak memory, two solves on
+        a new field object included, does not grow with mc_paths."""
         peaks = {}
         for n in (20_000, 40_000, 80_000):
             tracemalloc.start()
             try:
-                premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, n, seed=0, threads=1)
+                premium_report_optimal(dataclasses.replace(small_policy), STD_H, STD_M, STD_C, 0.3, n, seed=0, threads=1)
                 peaks[n] = tracemalloc.get_traced_memory()[1] / 2**20
             finally:
                 tracemalloc.stop()

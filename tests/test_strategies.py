@@ -244,6 +244,28 @@ class TestLowerBound:
         out = lower_bound(0.0, lams, hs, STD_H, STD_M, STD_C)
         assert out.shape == (GRID.n_lambda, GRID.n_h)
 
+    @pytest.mark.parametrize(
+        "t, lam, h, match",
+        [
+            (math.nan, 27.0, 5.0, "start time t = nan"),
+            (-0.5, 27.0, 5.0, "start time t = -0.5"),
+            (1.5, 27.0, 5.0, "start time t = 1.5"),
+            (0.0, math.nan, 5.0, "intensity lambda = nan"),
+            (0.0, -math.inf, 5.0, "intensity lambda = -inf"),
+            (0.0, 27.0, math.nan, "initial level"),
+            (0.0, 27.0, -1.0, "initial level"),
+            (np.array([0.0, 0.5, -0.5]), 27.0, 5.0, "start time t = -0.5"),
+            (0.0, np.array([[27.0], [math.nan]]), np.array([0.0, 5.0]), "intensity lambda = nan"),
+            (np.array([0.0, 1.0]), 27.0, np.array([1.0, math.inf]), "initial level"),
+        ],
+    )
+    def test_bad_state_rejected(self, t, lam, h, match):
+        """Each state of an array is checked as _check_state checks one: a start
+        time outside [0, T], a non-finite lambda or a non-finite or negative
+        level raises instead of valuing nan or another horizon."""
+        with pytest.raises(ValueError, match=match):
+            lower_bound(t, lam, h, STD_H, STD_M, STD_C)
+
 
 class TestEvaluateDeterministic:
     def test_constant_consistency(self):
