@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate every headline table: run the CLI commands in order into one directory.
 
-validate (with --mc-paths), moments (to moments.csv), static-gl, solve,
+validate, moments (to moments.csv), static-gl, solve,
 solve-poisson for both modes, gain against the best constant rate and both
 Poisson benchmarks, and premium, on configs/standard.cfg with any
 CYBERINVEST_* overrides. Stops at the first failing command and returns its
@@ -9,7 +9,7 @@ exit code. --full uses the fine grid of configs/standard.cfg instead of the
 --coarse preset.
 
 Usage:
-    python scripts/reproduce_tables.py [--out OUT] [--seed S] [--mc-paths N] [--full]
+    python scripts/reproduce_tables.py [--out OUT] [--seed S] [--full]
 """
 
 import argparse
@@ -27,7 +27,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/tables")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--mc-paths", type=int, default=100_000)
     ap.add_argument("--full", action="store_true", help="fine grid instead of the desk preset")
     args = ap.parse_args()
 
@@ -44,10 +43,10 @@ def main() -> int:
                 "--lambdas", "27,45,63,81,99,117,135", "--hs", "0"]
         for m in modes
     ]
-    steps.append(["premium", "--policy-field", str(out / "policy"), "--mc-paths", str(args.mc_paths)])
+    steps.append(["premium", "--policy-field", str(out / "policy")])
 
-    # validate first, so a bad --mc-paths stops the run before any solve
-    rc = cyberinvest(["validate", "--mc-paths", str(args.mc_paths), *common])
+    # validate first, so a bad configuration stops the run before any solve
+    rc = cyberinvest(["validate", *common])
     if rc == 0:
         with (out / "moments.csv").open("w") as fh, contextlib.redirect_stdout(fh):
             rc = cyberinvest(["moments", *common])

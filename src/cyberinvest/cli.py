@@ -46,10 +46,6 @@ def _load_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "threads", None) is not None:
         overrides["threads"] = args.threads
-    if getattr(args, "mc_paths", None) is not None:
-        if args.mc_paths < 10_000:
-            raise ConfigError(["--mc-paths must be at least 10^4"])
-        overrides["mc_paths"] = args.mc_paths
     if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
@@ -66,7 +62,7 @@ def cmd_validate(args) -> int:
         f"h [{_fmt(cfg.grid.h_min)}, {_fmt(cfg.grid.h_max)}] step {_fmt(cfg.grid.d_h)}, "
         f"{cfg.grid.t_snapshots.size} snapshots"
     )
-    print(f"  premium: theta={_fmt(cfg.theta)} eta_vars={list(cfg.eta_vars)} mc_paths={cfg.mc_paths}")
+    print(f"  premium: theta={_fmt(cfg.theta)} eta_vars={list(cfg.eta_vars)}")
     print(f"  run: seed={cfg.seed} threads={cfg.threads} out_dir={cfg.out_dir}")
     return 0
 
@@ -229,17 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mc=False):
+    def common(p):
         p.add_argument("--config", default=None, help="INI config file (defaults built in)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="root RNG seed override")
         p.add_argument("--threads", type=int, default=None, help="worker-count cap")
         p.add_argument("--coarse", action="store_true", help="desk-scale grid preset")
-        if mc:
-            p.add_argument("--mc-paths", type=int, default=None, help="Monte Carlo path count")
 
     p = sub.add_parser("validate", help="check a config file and print the effective settings")
-    common(p, mc=True)
+    common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="solve the value/policy surfaces and persist them")
@@ -272,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gain)
 
     p = sub.add_parser("premium", help="standard-deviation premia for baseline and optimal policies")
-    common(p, mc=True)
+    common(p)
     p.add_argument("--policy-field", required=True, help="prefix of a persisted policy field")
     p.set_defaults(func=cmd_premium)
 

@@ -19,7 +19,8 @@ half steps in each of the first two intervals (Rannacher 1984). The lambda
 stage is one product with a dense inverse for all h lines. The nonlinear h
 stage is solved by Newton's method, which on the max(., 0)^2 Hamiltonian is
 policy iteration (Forsyth & Labahn 2007), with one tridiagonal solve (LAPACK
-gtsv on the Jacobian's three diagonals) for all lambda columns per iteration.
+gtsv on the Jacobian's three diagonals) for all lambda columns per iteration,
+usually one per step: Newton starts from the last step's correction and stops on its residual.
 
 The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
 stage transposes it. Stored fields add a leading snapshot axis.
@@ -61,8 +62,8 @@ EXTRAPOLATION_RULE = "linear-past-lambda-max"  # the jump term's closure past la
 
 _THETA = 0.5  # Douglas weight: second order in time
 _RANNACHER_INTERVALS = 2  # leading intervals stepped as two implicit (theta = 1) half steps
-_NEWTON_MAX_ITER = 20  # 2-4 iterations suffice on every grid measured
-_NEWTON_RTOL = 1e-10  # update max-norm, relative to max(1, max |W|), that ends Newton
+_NEWTON_MAX_ITER = 20  # tridiagonal solves one h stage may take; 1-2 suffice at 200 steps on every grid measured
+_NEWTON_RTOL = 1e-10  # residual max-norm, relative to max(1, max |W|), that ends Newton
 _MAX_NODES = 200_000_000  # stored (snapshot, lambda, h) nodes one solve may hold in memory
 
 
@@ -357,10 +358,13 @@ class _DouglasADI:
         Y0 = W + dt (A_lambda W + F_h(W) + r)
         Y1 = (I - c A_lambda)^{-1} (Y0 - c A_lambda W)
         Y2 - c F_h(Y2) = Y1 - c F_h(W)   (Newton)
-    step takes W with its gradient D_h W and returns Y2 with its own, so each
-    state's h-gradient is computed once (the stored control too). Counters:
-    nfev explicit operator evaluations, njev Newton Jacobian builds, nlu
-    factors, newton the Newton iterations of each step.
+    step takes W with its gradient D_h W and excess max(D_h W - delta, 0) and
+    returns Y2 with both of its own, so each is computed once per state and
+    the stored control reuses it. Newton starts from Y1 plus the last step's Y2 - Y1 and stops
+    once the residual's max-norm is within _NEWTON_RTOL of max(1, max |Y|); a
+    SolverError reports that norm as update_norm (the Jacobian is close to I).
+    Counters: nfev explicit operator evaluations, njev Jacobian builds, one
+    per tridiagonal solve, nlu factors, newton the solves of each step.
     """
 
     def __init__(self, op: _PideOperator):
@@ -368,6 +372,7 @@ class _DouglasADI:
         self._factors = {}  # c -> (inverse of I - c A_lambda, I - c A_h tiles, -c D_h / gamma tiles)
         self.nfev = 0
         self.newton = []
+        self._correction = 0.0  # the last step's h-stage correction Y2 - Y1, where Newton starts the next
 
     def _factor(self, c: float) -> tuple:
         if c not in self._factors:
@@ -390,39 +395,42 @@ class _DouglasADI:
         rows += a_tiles
         return rows[0, 1:], rows[1], rows[2, :-1]
 
-    def step(self, w: np.ndarray, grad: np.ndarray, dt: float, c: float, t: float) -> tuple:
+    def step(self, w: np.ndarray, grad: np.ndarray, excess: np.ndarray, dt: float, c: float, t: float) -> tuple:
         op = self.op
         norm = math.nan
 
         def failure(what: str) -> SolverError:
             step = len(self.newton) + 1
             return SolverError(
-                f"{what} at step {step} (t = {t:.6g}); last update norm {norm:.3e}",
+                f"{what} at step {step} (t = {t:.6g}); last residual norm {norm:.3e}",
                 {"step": step, "t": t, "update_norm": norm},
             )
 
-        f_lam, f_h = op.a_lam @ w, op.h_part(w, grad, op.excess(grad))
+        f_lam, f_h = op.a_lam @ w, op.h_part(w, grad, excess)
         self.nfev += 1
         y = w + dt * (f_lam + f_h + op.reward) - c * f_lam
         if not np.isfinite(y).all():
             raise failure("non-finite explicit stage")
-        y = self._factor(c)[0] @ y
-        target = y - c * f_h
-        for it in range(1, _NEWTON_MAX_ITER + 1):
+        y1 = self._factor(c)[0] @ y
+        target, y = y1 - c * f_h, y1 + self._correction
+        for it in range(_NEWTON_MAX_ITER + 1):  # it tridiagonal solves so far
             grad = op.gradient(y)
             excess = op.excess(grad)
             resid = y - c * op.h_part(y, grad, excess) - target
-            if not np.isfinite(resid).all():
+            norm = float(np.abs(resid).max())  # nan or inf if any entry is
+            if not math.isfinite(norm):
                 raise failure("non-finite h stage")
+            if norm <= _NEWTON_RTOL * max(1.0, float(y.max()), -float(y.min())):
+                self.newton.append(it)
+                self._correction = y - y1
+                return y, grad, excess
+            if it == _NEWTON_MAX_ITER:
+                break
             # every argument is a fresh array, so gtsv may overwrite them all
             *_, dy, info = _gtsv()(*self.h_jacobian(excess, c), resid.reshape(-1), True, True, True, True)
             if info != 0:
                 raise failure(f"singular h-stage Jacobian (gtsv info {info})")
             y -= dy.reshape(y.shape)
-            norm = float(np.abs(dy).max())
-            if norm <= _NEWTON_RTOL * max(1.0, float(y.max()), -float(y.min())):
-                self.newton.append(it)
-                return y, op.gradient(y)
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
     def frozen_step(self, w: np.ndarray, z: np.ndarray, source: np.ndarray, dt: float, c: float) -> np.ndarray:
@@ -489,12 +497,13 @@ def solve(
     controls = np.empty_like(values)
     w = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).copy()
     grad = op.gradient(w)
-    values[0], controls[0] = w, op.excess(grad) / op.gamma
+    excess = op.excess(grad)
+    values[0], controls[0] = w, excess / op.gamma
     adi = _DouglasADI(op)
     t0 = time.perf_counter()
     for k, dt, _, c, t in steps:
-        w, grad = adi.step(w, grad, dt, c, t)
-        values[k], controls[k] = w, op.excess(grad) / op.gamma
+        w, grad, excess = adi.step(w, grad, excess, dt, c, t)
+        values[k], controls[k] = w, excess / op.gamma
     wall = time.perf_counter() - t0
     diagnostics = {
         "method": "douglas-adi",

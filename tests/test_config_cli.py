@@ -223,10 +223,10 @@ class TestCli:
         assert "configuration OK" in capsys.readouterr().out
         assert main(["validate", "--config", str(STANDARD), "--coarse"]) == 0
         assert "configuration OK" in capsys.readouterr().out
-        assert main(["validate", "--config", str(STANDARD), "--mc-paths", "20000"]) == 0
-        assert "mc_paths=20000" in capsys.readouterr().out
-        assert main(["validate", "--config", str(STANDARD), "--mc-paths", "100"]) == 2
-        assert "--mc-paths must be at least 10^4" in capsys.readouterr().err
+        # no command takes a Monte Carlo path count: the premium report simulates no path
+        with pytest.raises(SystemExit):
+            main(["validate", "--config", str(STANDARD), "--mc-paths", "20000"])
+        assert "unrecognized arguments: --mc-paths" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, argv, rc",
@@ -374,7 +374,7 @@ class TestCli:
         cfg = self.write_tiny(tmp_path)
         out = str(tmp_path / "run")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
-        rc = main(["premium", "--config", cfg, "--policy-field", f"{out}/policy", "--out", out, "--mc-paths", "20000"])
+        rc = main(["premium", "--config", cfg, "--policy-field", f"{out}/policy", "--out", out])
         assert rc == 0
         head = (Path(out) / "table_premia.csv").read_text().splitlines()[0]
         assert head == "eta_mean,eta_var,premium_baseline,premium_optimal,reduction_pct"
@@ -422,13 +422,14 @@ class TestCli:
 class TestReproduceScript:
     SCRIPT = REPO / "scripts" / "reproduce_tables.py"
 
-    def run(self, out, mc_paths):
-        argv = [sys.executable, str(self.SCRIPT), "--out", str(out), "--mc-paths", str(mc_paths)]
-        return subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    def run(self, out, **overrides):
+        env = {**os.environ, **{f"CYBERINVEST_{key}": value for key, value in overrides.items()}}
+        argv = [sys.executable, str(self.SCRIPT), "--out", str(out)]
+        return subprocess.run(argv, capture_output=True, text=True, timeout=600, env=env)
 
     def test_writes_every_table(self, tmp_path):
         out = tmp_path / "tables"
-        proc = self.run(out, 10_000)
+        proc = self.run(out)
         assert proc.returncode == 0, proc.stderr
         gain_head = "t,lambda,h,gain_pct,benchmark"
         expected = {
@@ -445,9 +446,10 @@ class TestReproduceScript:
             assert lines[0] == head and len(lines) == 1 + n_rows, name
 
     def test_stops_with_the_cli_exit_code(self, tmp_path):
-        proc = self.run(tmp_path / "tables", 100)
+        # beta = 8 is not a whole number of the coarse preset's d_lambda = 3
+        proc = self.run(tmp_path / "tables", HAWKES__BETA="8")
         assert proc.returncode == 2
-        assert "--mc-paths must be at least 10^4" in proc.stderr
+        assert "beta/d_lambda = 8/3 is not an integer" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "cyberinvest solve" not in proc.stdout
 
@@ -465,14 +467,14 @@ def test_import_defers_slow_scipy_modules(tmp_path):
         assert main(argv + common) == 0  # the saved fields that the commands below read
     gain = ["gain", "--value-field", str(tmp_path / "value"), "--hs", "0,2"]
     commands = [
-        ["validate", "--mc-paths", "10000"],
+        ["validate"],
         ["moments"],
         ["static-gl"],
         gain,
         *(gain + ["--benchmark", f"poisson-{m}", "--poisson-field", str(tmp_path / f"poisson_{m}"), "--lambdas", "27,45"]
           for m in ("baseline", "expectation")),
     ]
-    premium = ["premium", "--policy-field", str(tmp_path / "policy"), "--mc-paths", "10000", "--threads", "1"]
+    premium = ["premium", "--policy-field", str(tmp_path / "policy"), "--threads", "1"]
     code = f"""
 import sys
 

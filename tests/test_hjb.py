@@ -134,12 +134,14 @@ def reference_policy(op, d_h, x):
     return np.maximum((d_h @ x.T).T - op.delta, 0.0) / op.gamma
 
 
-def banded_reference_step(op, matrices, w, dt, theta):
+def banded_reference_step(op, matrices, w, dt, theta, correction=0.0):
     """One Douglas step on the sparse matrices of reference_matrices: SuperLU
     for the lambda stage, and the Newton h stage as first written, with the
     policy recomputed from W for the Jacobian, which is packed into
-    solve_banded's (1, 1) layout. Returns the new state and its Newton
-    iteration count."""
+    solve_banded's (1, 1) layout. Newton starts from Y1 + correction, the
+    previous step's Y2 - Y1, and stops once the residual is within
+    _NEWTON_RTOL of max(1, max |Y|). Returns the new state, its number of
+    banded solves and its correction Y2 - Y1."""
     a_lam, a_h, d_h = matrices
     c = float(f"{theta * dt:.12g}")
 
@@ -159,13 +161,13 @@ def banded_reference_step(op, matrices, w, dt, theta):
 
     lu = splu((sp.identity(op.shape[0], format="csc") - c * a_lam).tocsc())
     f_lam, f_h = a_lam @ w, h_part(w)
-    y = lu.solve(np.asfortranarray(w + dt * (f_lam + f_h + op.reward) - c * f_lam))
-    target = y - c * f_h
-    for it in range(1, hjb._NEWTON_MAX_ITER + 1):
-        dy = solve_banded((1, 1), jacobian(y), (y - c * h_part(y) - target).ravel(), check_finite=False)
-        y = y - dy.reshape(y.shape)
-        if float(np.max(np.abs(dy))) <= hjb._NEWTON_RTOL * max(1.0, float(np.max(np.abs(y)))):
-            return y, it
+    y1 = lu.solve(np.asfortranarray(w + dt * (f_lam + f_h + op.reward) - c * f_lam))
+    target, y = y1 - c * f_h, y1 + correction
+    for it in range(hjb._NEWTON_MAX_ITER + 1):
+        resid = y - c * h_part(y) - target
+        if float(np.max(np.abs(resid))) <= hjb._NEWTON_RTOL * max(1.0, float(np.max(np.abs(y)))):
+            return y, it, y - y1
+        y = y - solve_banded((1, 1), jacobian(y), resid.ravel(), check_finite=False).reshape(y.shape)
     raise AssertionError("reference Newton did not converge")
 
 
@@ -303,14 +305,33 @@ class TestDouglasStep:
         adi = hjb._DouglasADI(op)
         w = ref = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
         grad = op.gradient(w)
+        excess, correction = op.excess(grad), 0.0
         dt = SMALL.d_t
         # the Rannacher half steps, then Douglas steps
         for theta, step in [(1.0, 0.5 * dt)] * 4 + [(_THETA, dt)] * 4:
-            w, grad = adi.step(w, grad, step, theta * step, 1.0)
-            ref, iterations = banded_reference_step(op, matrices, ref, step, theta)
+            w, grad, excess = adi.step(w, grad, excess, step, theta * step, 1.0)
+            ref, iterations, correction = banded_reference_step(op, matrices, ref, step, theta, correction)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.max(np.abs(op.excess(grad) / op.gamma - reference_policy(op, matrices[2], ref))) <= 1e-9
+            assert np.max(np.abs(excess / op.gamma - reference_policy(op, matrices[2], ref))) <= 1e-9
             assert adi.newton[-1] == iterations
+
+    def test_accepted_states_meet_the_residual_bound(self):
+        # every state a step returns solves its h stage to _NEWTON_RTOL of max(1, max |Y2|),
+        # and comes with its own gradient and excess
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions())
+        adi = hjb._DouglasADI(op)
+        w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
+        grad = op.gradient(w)
+        excess = op.excess(grad)
+        for _, dt, _, c, t in hjb._schedule(SMALL.t_snapshots):
+            f_lam, f_h = op.a_lam @ w, op.h_part(w, grad, excess)
+            y1 = adi._factor(c)[0] @ (w + dt * (f_lam + f_h + op.reward) - c * f_lam)
+            w, grad, excess = adi.step(w, grad, excess, dt, c, t)
+            np.testing.assert_array_equal(grad, op.gradient(w))
+            np.testing.assert_array_equal(excess, op.excess(grad))
+            resid = w - c * op.h_part(w, grad, excess) - (y1 - c * f_h)
+            assert np.max(np.abs(resid)) <= hjb._NEWTON_RTOL * max(1.0, np.max(np.abs(w)))
+        assert len(adi.newton) == SMALL.t_snapshots.size - 1 + hjb._RANNACHER_INTERVALS
 
     def test_singular_h_stage_raises(self, monkeypatch):
         jacobian = hjb._DouglasADI.h_jacobian
@@ -397,12 +418,32 @@ class TestSolve:
         with np.errstate(over="ignore"), pytest.raises(SolverError, match="non-finite"):
             solve(SMALL, STD_H, STD_M, huge)
 
-    def test_counters_reported(self, small_solution):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_h_stage_raises(self, monkeypatch, bad):
+        # one non-finite lambda-stage entry: the residual's max-norm is then nan or inf
+        factor = hjb._DouglasADI._factor
+
+        def poisoned(self, c):
+            inverse, *tiles = factor(self, c)
+            inverse = inverse.copy()
+            inverse[3, 3] = bad
+            return (inverse, *tiles)
+
+        monkeypatch.setattr(hjb._DouglasADI, "_factor", poisoned)
+        with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="non-finite h stage") as err:
+            solve(SMALL, STD_H, STD_M, STD_C)
+        assert err.value.diagnostics["step"] == 1 and not math.isfinite(err.value.diagnostics["update_norm"])
+
+    def test_counters_reported(self, small_solution, narrow_family):
         q = small_solution.quality["integrator"]
         assert q["method"] == "douglas-adi"
         steps = SMALL.t_snapshots.size - 1 + hjb._RANNACHER_INTERVALS
         assert q["nfev"] == steps == len(q["newton_iterations"])
         assert q["njev"] == sum(q["newton_iterations"])
+        assert q["njev"] <= 2 * q["nfev"]
+        # about one tridiagonal solve per step at 200 steps, as on the configured grids
+        q200 = narrow_family[1].quality["integrator"]
+        assert q200["njev"] <= 1.5 * q200["nfev"]
         assert q["nlu"] == 1  # theta * dt is dt/2 for the half steps and the Douglas steps alike
         assert 1 <= q["newton_max"] < hjb._NEWTON_MAX_ITER
 
@@ -420,6 +461,14 @@ class TestSolve:
         assert small_solution.value.meta.extrapolation == "linear-past-lambda-max"
         gap = np.abs(small_solution.value.values - wide.value.values[:, : SMALL.n_lambda])
         assert gap.max() <= 0.2  # every snapshot and node; the value scale is about 390
+
+    def test_residual_stop_matches_a_tight_newton(self, small_solution, monkeypatch):
+        # Newton stopped on a residual of 1e-10 of scale against one run to 1e-14
+        monkeypatch.setattr(hjb, "_NEWTON_RTOL", 1e-14)
+        tight = solve(SMALL, STD_H, STD_M, STD_C)
+        values = small_solution.value.values
+        assert np.max(np.abs(values - tight.value.values)) <= 1e-9 * np.max(np.abs(values))
+        assert np.max(np.abs(small_solution.policy.controls - tight.policy.controls)) <= 1e-6
 
     def test_deterministic_resolve(self, small_solution):
         again = solve(SMALL, STD_H, STD_M, STD_C)
