@@ -1,15 +1,14 @@
 """Seeding helpers: one root seed fans out into named, counter-based substreams.
 
-Philox is counter-based, so chunked Monte Carlo batches reproduce bit-for-bit
-from one seed regardless of how many workers process the chunks.
+Philox is counter-based, so each chunk of a Monte Carlo batch draws from its
+own child stream and the batch reproduces bit-for-bit from one seed.
 """
 
 import zlib
 
 import numpy as np
 
-# Paths are simulated in fixed-size chunks so that results do not depend on
-# the worker count.
+# Paths are simulated in fixed-size chunks, each from its own child stream.
 CHUNK_PATHS = 4096
 
 
@@ -29,8 +28,6 @@ def stream_children(seed: int, label: str, n: int) -> list:
     return ss.spawn(n)
 
 
-def generator_from(seed_or_ss) -> np.random.Generator:
-    """Generator from either an int seed or a SeedSequence."""
-    if isinstance(seed_or_ss, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed_or_ss))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed_or_ss))))
+def generator_from(seedseq: np.random.SeedSequence) -> np.random.Generator:
+    """Philox generator of a SeedSequence."""
+    return np.random.Generator(np.random.Philox(seedseq))

@@ -44,8 +44,6 @@ def _load_config(args) -> RunConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
     if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
@@ -63,7 +61,7 @@ def cmd_validate(args) -> int:
         f"{cfg.grid.t_snapshots.size} snapshots"
     )
     print(f"  premium: theta={_fmt(cfg.theta)} eta_vars={list(cfg.eta_vars)}")
-    print(f"  run: seed={cfg.seed} threads={cfg.threads} out_dir={cfg.out_dir}")
+    print(f"  run: seed={cfg.seed} out_dir={cfg.out_dir}")
     return 0
 
 
@@ -229,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI config file (defaults built in)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="root RNG seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker-count cap")
         p.add_argument("--coarse", action="store_true", help="desk-scale grid preset")
 
     p = sub.add_parser("validate", help="check a config file and print the effective settings")

@@ -66,8 +66,8 @@ _SCHEMA = {
         "upwind": _parse_bool,
         "jump_interp": _parse_bool,
     },
-    "premium": {"theta": float, "eta_vars": _parse_float_list, "mc_paths": int},
-    "run": {"seed": int, "threads": int, "out_dir": str},
+    "premium": {"theta": float, "eta_vars": _parse_float_list},
+    "run": {"seed": int, "out_dir": str},
 }
 
 # Default values: the standard parameter set of the study.
@@ -97,8 +97,8 @@ _DEFAULTS = {
         "upwind": False,
         "jump_interp": False,
     },
-    "premium": {"theta": 0.3, "eta_vars": [10.0, 50.0, 100.0], "mc_paths": 100_000},
-    "run": {"seed": 0, "threads": 1, "out_dir": "out"},
+    "premium": {"theta": 0.3, "eta_vars": [10.0, 50.0, 100.0]},
+    "run": {"seed": 0, "out_dir": "out"},
 }
 
 STANDARD_CONFIG = "configs/standard.cfg"
@@ -115,10 +115,13 @@ class RunConfig:
     options: SolverOptions
     theta: float
     eta_vars: tuple
-    mc_paths: int
     seed: int
-    threads: int
     out_dir: str
+    # Read by nothing in the library and set only by perfbench/workloads.py;
+    # to be dropped with the premium reports' ignored arguments in a change
+    # that may edit the benchmark.
+    mc_paths: int = 0
+    threads: int = 1
 
     def __post_init__(self):
         _check_jump_shift(self.grid.d_lambda, self.hawkes.beta, self.options.jump_interp)
@@ -255,11 +258,7 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
         p = values["premium"]
         if p["theta"] < 0:
             errs.append("[premium] theta must be nonnegative")
-        if p["mc_paths"] < 10_000:
-            errs.append("[premium] mc_paths must be at least 10^4")
         r = values["run"]
-        if r["threads"] < 1:
-            errs.append("[run] threads must be >= 1")
         if hk is not None and grid is not None:
             if not (grid.lambda_min <= hk.lambda0 <= grid.lambda_max):
                 errs.append(
@@ -275,9 +274,7 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
             options=options,
             theta=p["theta"],
             eta_vars=tuple(p["eta_vars"]),
-            mc_paths=p["mc_paths"],
             seed=r["seed"],
-            threads=r["threads"],
             out_dir=r["out_dir"],
         )
 

@@ -5,9 +5,8 @@ investment rate z. At each attack time tau the system is breached with
 probability S(H_tau, v); a breach draws an independent monetary loss with
 mean eta_mean and variance eta_var.
 
-Strategy callbacks are predictable by construction: at an attack time they
-only ever see the left limit of the intensity, so no callback can react to
-the attack it is being evaluated for.
+Every strategy is piecewise constant in time (a ConstantRate, a GridRate or
+per-path controls), so levels are integrated exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from ._rng import substream
 from .breach import BreachModel, breach_prob
 from .errors import PolicyError
-from .hawkes import AttackPath, HawkesParams, MCEstimate, PathBatch, expected_count, count_variance, simulate_paths
+from .hawkes import AttackPath, HawkesParams, MCEstimate, PathBatch, expected_count, count_variance
 
 __all__ = [
     "CostParams",
@@ -38,7 +37,6 @@ __all__ = [
     "utility_label",
 ]
 
-RK4_MAX_STEP = 1e-3
 _TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 
@@ -201,9 +199,6 @@ class ConstantRate:
             raise PolicyError(f"investment rate must be nonnegative, got {rate}")
         self.rate = float(rate)
 
-    def __call__(self, t, *state):
-        return self.rate
-
     def __repr__(self):
         return f"ConstantRate({self.rate})"
 
@@ -224,7 +219,7 @@ class GridRate:
         if np.any(self.values < 0):
             raise PolicyError("investment rates must be nonnegative")
 
-    def __call__(self, t, *state):
+    def __call__(self, t):
         idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.values.size - 1)
         out = self.values[idx]
         return float(out) if np.ndim(t) == 0 else out
@@ -278,40 +273,9 @@ def _knots(strategy):
     """Knot times and one-row rate matrix of a ConstantRate (one knot) or GridRate."""
     if isinstance(strategy, ConstantRate):
         return np.zeros(1), np.array([[strategy.rate]])
-    return strategy.times, strategy.values[None, :]
-
-
-def _rk4_levels(rate, rho: float, h0: float, t0: float, stops: np.ndarray) -> np.ndarray:
-    """RK4 integration of dH = (rate(t, H) - rho H) dt from h0 at t0, with steps
-    of at most RK4_MAX_STEP; returns H at each ascending stop >= t0.
-
-    Rates are validated at every stage.
-    """
-
-    def f(t, h):
-        z = float(rate(t, h))
-        if z < 0:
-            raise PolicyError(f"strategy returned negative rate {z} at t={t}")
-        return z - rho * h
-
-    h = float(h0)
-    t = t0
-    out = np.empty(stops.size)
-    for k, stop in enumerate(stops):
-        seg = stop - t
-        if seg > 0:
-            nsub = max(1, int(math.ceil(seg / RK4_MAX_STEP)))
-            dt = seg / nsub
-            for _ in range(nsub):
-                f1 = f(t, h)
-                f2 = f(t + 0.5 * dt, h + 0.5 * dt * f1)
-                f3 = f(t + 0.5 * dt, h + 0.5 * dt * f2)
-                f4 = f(t + dt, h + dt * f3)
-                h = h + dt * (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
-                t += dt
-            t = stop
-        out[k] = h
-    return out
+    if isinstance(strategy, GridRate):
+        return strategy.times, strategy.values[None, :]
+    raise TypeError(f"strategy must be a ConstantRate or GridRate, not {type(strategy).__name__}")
 
 
 def _check_initial_level(h0: float) -> None:
@@ -320,20 +284,15 @@ def _check_initial_level(h0: float) -> None:
 
 
 def evolve_level(h0: float, rho: float, strategy, times) -> np.ndarray:
-    """Protection level along `times` (ascending, times[0] = start) under `strategy`.
-
-    Constant and piecewise-constant rates are integrated exactly; general
-    callables (t, h) -> rate fall back to RK4 with step <= 1e-3.
-    """
+    """Protection level along `times` (ascending, times[0] = start) under a
+    ConstantRate or GridRate strategy, integrated exactly."""
     _check_initial_level(h0)
     if rho < 0:
         raise ValueError("obsolescence rate must be nonnegative")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
-    if isinstance(strategy, (ConstantRate, GridRate)):
-        return _exact_levels(*_knots(strategy), h0, rho, times[0], times, 0, times[-1])[0]
-    return _rk4_levels(strategy, rho, h0, times[0], times)
+    return _exact_levels(*_knots(strategy), h0, rho, times[0], times, 0, times[-1])[0]
 
 
 def _eta_sampler(costs: CostParams):
@@ -357,8 +316,7 @@ def simulate_loss(path: AttackPath, model: BreachModel, costs: CostParams, strat
     Runs with the same path and seed share their per-attack draws across
     strategies, so pointwise-larger strategies can only lower the realized loss.
     """
-    batch = PathBatch(path.params, path.horizon, path.event_times, np.array([0, path.n_events]))
-    return simulate_losses(batch, model, costs, strategy, seed, h0).sample(0)
+    return simulate_losses(path.as_batch(), model, costs, strategy, seed, h0).sample(0)
 
 
 def _control_levels(tk, Z, h0: float, rho: float, times, pid, n_paths: int, horizon: float):
@@ -382,7 +340,7 @@ def simulate_losses(
 ) -> LossBatch:
     """Vectorized losses over a path batch.
 
-    Either pass `strategy` (ConstantRate / GridRate / general callable), or
+    Either pass `strategy` (ConstantRate or GridRate), or
     per-path piecewise-constant controls as (`control_times`, `controls`)
     with controls shaped (n_paths, len(control_times)).
 
@@ -402,17 +360,8 @@ def simulate_losses(
         if np.any(Z < 0):
             raise PolicyError("controls must be nonnegative")
         levels, terminal = _control_levels(tk, Z, h0, rho, *paths)
-    elif isinstance(strategy, (ConstantRate, GridRate)):
+    elif strategy is not None:
         levels, terminal = _control_levels(*_knots(strategy), h0, rho, *paths)
-    elif callable(strategy):
-        # the strategy sees (t, lambda_{t-}, H)
-        levels = np.empty(batch.times.size)
-        terminal = np.empty(batch.n_paths)
-        for i in range(batch.n_paths):
-            path = batch.path(i)
-            stops = np.append(path.event_times, batch.horizon)
-            hs = _rk4_levels(lambda t, h: strategy(t, path.intensity(t, before=True), h), rho, h0, 0.0, stops)
-            levels[batch.offsets[i] : batch.offsets[i + 1]], terminal[i] = hs[:-1], hs[-1]
     else:
         raise ValueError("pass a strategy or per-path controls")
 
@@ -432,37 +381,17 @@ def expected_loss_no_investment(params: HawkesParams, model: BreachModel, costs:
     return costs.eta_mean * model.v * expected_count(params, costs.horizon)
 
 
-def _is_zero_strategy(strategy) -> bool:
-    return strategy is None or (isinstance(strategy, ConstantRate) and strategy.rate == 0.0)
-
-
-def loss_variance(
-    params: HawkesParams,
-    model: BreachModel,
-    costs: CostParams,
-    strategy=None,
-    mc_paths: int = 100_000,
-    seed: int = 0,
-) -> MCEstimate:
-    """Variance of the aggregate loss under a strategy.
-
-    With no investment it is exact, with standard error 0, from the
+def loss_variance(params: HawkesParams, model: BreachModel, costs: CostParams) -> float:
+    """Exact variance of the aggregate loss with no investment, from the
     total-variance decomposition
 
         Var = E[N_T] (eta_var v + eta_mean^2 v (1 - v)) + eta_mean^2 v^2 Var(N_T),
 
-    and the exact Var(N_T); other strategies are estimated by simulating
-    losses directly over mc_paths paths.
+    and the exact Var(N_T).
     """
+    v = model.v
+    if v == 0:
+        return 0.0
     T = costs.horizon
-    if _is_zero_strategy(strategy):
-        v = model.v
-        if v == 0:
-            return MCEstimate(0.0, 0.0)
-        en = expected_count(params, T)
-        per_event = costs.eta_var * v + costs.eta_mean**2 * v * (1.0 - v)
-        return MCEstimate(en * per_event + costs.eta_mean**2 * v**2 * count_variance(params, T), 0.0)
-    if mc_paths < 10_000:
-        raise ValueError("mc_paths must be at least 10^4")
-    batch = simulate_paths(params, T, mc_paths, seed)
-    return simulate_losses(batch, model, costs, strategy, seed).var_loss()
+    per_event = costs.eta_var * v + costs.eta_mean**2 * v * (1.0 - v)
+    return expected_count(params, T) * per_event + costs.eta_mean**2 * v**2 * count_variance(params, T)

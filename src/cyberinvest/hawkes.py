@@ -10,16 +10,14 @@ All moment formulas require the subcritical regime beta < xi, which is also
 enforced at construction time.
 
 Batches are simulated in chunks of CHUNK_PATHS paths, each by thinning
-rounds over all its paths at once. A chunk's events come out in generation
-order, which keeps each path's events in time order: simulate_paths sorts
-them path by path.
+rounds over all its paths at once and from its own child of the "paths"
+substream. A chunk's events come out in generation order, which keeps each
+path's events in time order: simulate_paths sorts them path by path.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,9 +103,9 @@ class AttackPath:
     def n_events(self) -> int:
         return int(self.event_times.size)
 
-    def count(self, t):
-        """Number of attacks up to and including time t."""
-        return np.searchsorted(self.event_times, t, side="right")
+    def as_batch(self) -> "PathBatch":
+        """This path as a PathBatch of one."""
+        return PathBatch(self.params, self.horizon, self.event_times, np.array([0, self.n_events]))
 
     def intensity(self, t, before=False):
         """Intensity at time(s) t; ``before`` gives the left limit lambda_{t-}."""
@@ -232,15 +230,17 @@ class PathBatch:
         b = bucket[inside]
         cell = b * n + self.path_index()[inside]
         kicks = np.exp(-p.xi * (tgrid[b] - self.times[inside]))
-        out = np.bincount(cell, weights=kicks, minlength=n * k).reshape(k, n)
-        for j in range(1, k):
-            out[j] += out[j - 1] * math.exp(-p.xi * (tgrid[j] - tgrid[j - 1]))
+        # a batch with no event gets int counts from bincount: make them float
+        out = np.bincount(cell, weights=kicks, minlength=n * k).astype(float, copy=False).reshape(k, n)
+        rows = list(out)
+        for prev, row, step in zip(rows, rows[1:], np.diff(tgrid).tolist()):
+            row += prev * math.exp(-p.xi * step)
         out *= p.beta
         out += (p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * tgrid))[:, None]
         return out.T
 
 
-def _simulate_chunk(shared, job):
+def _simulate_chunk(params: HawkesParams, horizon: float, n: int, seedseq):
     """Thinning for one chunk of paths at once: Ogata's (1981) sampler run in
     rounds, each drawing the next candidate of every path still inside the
     horizon. Returns the accepted events as (path ids, times) in the order
@@ -249,10 +249,8 @@ def _simulate_chunk(shared, job):
     A round adds at most one event to a path and later rounds only later
     times, so each path's events come in time order, interleaved with the
     other paths'. The path ids take the smallest unsigned type that holds
-    them. shared is (params, horizon) and job is (n_paths, SeedSequence), as
-    _map_chunks passes them.
+    them.
     """
-    (params, horizon), (n, seedseq) = shared, job
     rng = generator_from(seedseq)
     alpha, lam0, xi, beta = params.alpha, params.lambda0, params.xi, params.beta
     t = np.zeros(n)
@@ -282,51 +280,11 @@ def _chunk_jobs(seed: int, n_paths: int) -> list:
     """(size, SeedSequence) of every CHUNK_PATHS chunk of an n_paths batch.
 
     Chunk i always draws from child i of the "paths" substream, so a chunk's
-    paths do not depend on which process simulates it.
+    paths depend only on the seed and the chunk's index.
     """
     n_chunks = (n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS
     children = stream_children(seed, "paths", n_chunks)
     return [(min(CHUNK_PATHS, n_paths - i * CHUNK_PATHS), children[i]) for i in range(n_chunks)]
-
-
-# (kernel, shared) of a pool worker process, set once by the pool initializer.
-_worker_kernel = None
-
-
-def _install_kernel(kernel, shared):
-    global _worker_kernel
-    _worker_kernel = (kernel, shared)
-    # glibc sets its mmap and trim thresholds to the largest mapping freed so
-    # far (at most 32 MB). Freeing a 24 MB block here lets a worker reuse heap
-    # memory for the kernels' temporaries instead of mapping and faulting them
-    # in afresh for every chunk.
-    np.empty(3 << 20)
-
-
-def _run_installed(job):
-    kernel, shared = _worker_kernel
-    return kernel(shared, job)
-
-
-def _map_chunks(kernel, shared, jobs: list, threads: int = 1):
-    """Yield kernel(shared, job) for every job, in job order.
-
-    With threads > 1 the jobs run in a process pool that receives `shared`
-    once per worker and keeps at most 2 * threads jobs in flight, so memory
-    stays O(threads x chunk) however many jobs there are.
-    """
-    if threads <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            yield kernel(shared, job)
-        return
-    with ProcessPoolExecutor(max_workers=threads, initializer=_install_kernel, initargs=(kernel, shared)) as pool:
-        pending = deque()
-        for job in jobs:
-            if len(pending) == 2 * threads:
-                yield pending.popleft().result()
-            pending.append(pool.submit(_run_installed, job))
-        while pending:
-            yield pending.popleft().result()
 
 
 def _check_batch_args(horizon, n_paths: int) -> None:
@@ -336,18 +294,16 @@ def _check_batch_args(horizon, n_paths: int) -> None:
         raise ValueError("n_paths must be >= 1")
 
 
-def simulate_paths(
-    params: HawkesParams, horizon: float, n_paths: int, seed: int, threads: int = 1
-) -> PathBatch:
-    """Simulate many paths; chunked so results are identical for any thread count.
+def simulate_paths(params: HawkesParams, horizon: float, n_paths: int, seed: int) -> PathBatch:
+    """Simulate many paths, chunk by chunk (see _chunk_jobs).
 
     A stable sort by path id puts each chunk's events, which the sampler
     returns in generation order, path by path and in time order.
     """
     _check_batch_args(horizon, n_paths)
-    jobs = _chunk_jobs(seed, n_paths)
     times, counts = [], []
-    for (pid, t, _), (n, _) in zip(_map_chunks(_simulate_chunk, (params, float(horizon)), jobs, threads), jobs):
+    for n, seedseq in _chunk_jobs(seed, n_paths):
+        pid, t, _ = _simulate_chunk(params, float(horizon), n, seedseq)
         times.append(t[np.argsort(pid, kind="stable")])
         counts.append(np.bincount(pid, minlength=n))
     offsets = np.zeros(n_paths + 1, dtype=np.int64)

@@ -72,7 +72,7 @@ def premium_report_baseline(
     return PremiumReport(
         policy_label="no-investment",
         expected_loss=float(e0),
-        loss_std=math.sqrt(loss_variance(hawkes, model, costs).value),
+        loss_std=math.sqrt(loss_variance(hawkes, model, costs)),
         theta=float(theta),
         mc_paths=0,
         standard_errors={"expected_loss": 0.0, "loss_std": 0.0},

@@ -152,22 +152,23 @@ def extract_policy(
 
     `path` may be a simulated attack path or a constant intensity value
     (deterministic benchmark extraction). It runs the walk of
-    extract_policies_batch on a one-row intensity matrix.
+    extract_policies_batch on a one-row intensity matrix, which for a path
+    is its batch of one's intensity_on_grid.
     """
     times, snap_idx = _snapshot_times(field, t_init)
     if isinstance(path, AttackPath):
-        lam = np.asarray(path.intensity(times), dtype=float)
+        lam = path.as_batch().intensity_on_grid(times)
         source = TraceSource.HAWKES_OPTIMAL
     else:
-        lam = np.full(times.size, float(path))
+        lam = np.full((1, times.size), float(path))
         source = (
             TraceSource.POISSON_DETERMINISTIC
             if field.meta.dimension == "poisson"
             else TraceSource.CONSTANT
         )
     level = np.empty((1, times.size))
-    control = _euler_walk(field, times, snap_idx, lam[None, :], h_init, level)[0]
-    return PolicyTrace(times, lam, control[0], level[0], source)
+    control = _euler_walk(field, times, snap_idx, lam, h_init, level)[0]
+    return PolicyTrace(times, lam[0], control[0], level[0], source)
 
 
 def extract_policies_batch(

@@ -113,7 +113,7 @@ def test_criterion_03_baseline_premium_table(baseline_losses):
     ok = True
     for ev, target in TABLE6_PREMIA.items():
         costs = dataclasses.replace(STD_C, eta_var=ev)
-        rep = premium_report_baseline(STD_H, STD_M, costs, 0.3, mc_paths=100_000, seed=0)
+        rep = premium_report_baseline(STD_H, STD_M, costs, 0.3)
         hit = abs(rep.premium - target) <= 0.02 * target
         ok &= hit
         lines.append(f"pi(eta_var={ev:g}) = {rep.premium:.2f} vs {target} (2%): {'ok' if hit else 'off'}")
@@ -266,8 +266,8 @@ def test_criterion_09_gain_vs_poisson_benchmarks(coarse_solution, poisson_pair):
 
 
 def test_criterion_10_optimal_policy_loss(coarse_solution):
-    opt = premium_report_optimal(coarse_solution.policy, STD_H, STD_M, STD_C, 0.3, mc_paths=100_000, seed=0)
-    base = premium_report_baseline(STD_H, STD_M, STD_C, 0.3, mc_paths=100_000, seed=0)
+    opt = premium_report_optimal(coarse_solution.policy, STD_H, STD_M, STD_C, 0.3)
+    base = premium_report_baseline(STD_H, STD_M, STD_C, 0.3)
     e_ok = abs(opt.expected_loss - 141.77) <= 0.07 * 141.77
     dp, _ = prevention_gap(base, opt)
     r_ok = 58.0 <= dp <= 68.0
@@ -303,7 +303,7 @@ def test_criterion_12_repeat_runs_are_identical(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(
         "[grid]\nlambda_max = 57\nd_lambda = 3\nh_max = 10\nd_h = 1\ntime_steps = 20\n"
-        "[premium]\nmc_paths = 20000\neta_vars = 10\n"
+        "[premium]\neta_vars = 10\n"
     )
     outputs = {}
     for tag in ("a", "b"):

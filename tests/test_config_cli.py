@@ -30,7 +30,6 @@ d_h = 1
 time_steps = 20
 
 [premium]
-mc_paths = 20000
 """
 
 
@@ -50,7 +49,6 @@ class TestValidate:
     def test_defaults_without_file(self):
         cfg = validate(use_env=False)
         assert cfg.costs.gamma == 0.05  # default applied when the key is missing
-        assert cfg.mc_paths == 100_000
 
     def test_stability_rejected_with_diagnostic(self):
         with pytest.raises(ConfigError) as err:
@@ -261,14 +259,22 @@ class TestCli:
             ("[solver]\ninterp_query = true\n", "unknown key 'interp_query' in section [solver]"),
             ("[solver]\nmax_nodes = 10\n", "unknown key 'max_nodes' in section [solver]"),
             ("[benchmark]\npoisson_mode = baseline\n", "unknown section [benchmark]"),
+            ("[premium]\nmc_paths = 100000\n", "unknown key 'mc_paths' in section [premium]"),
+            ("[run]\nthreads = 2\n", "unknown key 'threads' in section [run]"),
         ],
-        ids=["interp_query", "max_nodes", "poisson_mode"],
+        ids=["interp_query", "max_nodes", "poisson_mode", "mc_paths", "threads"],
     )
     def test_retired_keys_exit_2(self, tmp_path, capsys, text, diagnostic):
         cfg = tmp_path / "retired.cfg"
         cfg.write_text(text)
         assert main(["validate", "--config", str(cfg)]) == 2
         assert diagnostic in capsys.readouterr().err
+
+    def test_threads_flag_retired(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_validate_bad_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -384,25 +390,25 @@ class TestCli:
 
     def test_premium_eta_vars_share_one_pass(self, tmp_path):
         """Three eta_vars on one loaded field, which share one pair of loss-surface
-        solves, give the files of one run per eta_var, byte for byte, at any
-        thread count."""
+        solves, give the files of one run per eta_var, byte for byte, and a
+        rerun gives the same files."""
         out = tmp_path / "field"
         assert main(["solve", "--config", self.write_tiny(tmp_path), "--out", str(out)]) == 0
 
-        def premium(tag, eta_vars, threads):
+        def premium(tag, eta_vars):
             cfg = tmp_path / f"{tag}.cfg"
             cfg.write_text(TINY + f"eta_vars = {eta_vars}\n")
             run = tmp_path / tag
             argv = ["premium", "--config", str(cfg), "--policy-field", f"{out}/policy", "--out", str(run)]
-            assert main(argv + ["--threads", str(threads)]) == 0
+            assert main(argv) == 0
             return {p.name: p.read_bytes() for p in sorted(run.iterdir())}
 
-        one, two = premium("t1", "10,50,100", 1), premium("t2", "10,50,100", 2)
+        one, two = premium("t1", "10,50,100"), premium("t2", "10,50,100")
         assert one == two
         assert set(one) == {"premium_reports.json", "table_premia.csv", "table_std.csv"}
         reports = json.loads(one["premium_reports.json"])
         for k, ev in enumerate(("10", "50", "100")):
-            alone = premium(f"alone{ev}", ev, 1)
+            alone = premium(f"alone{ev}", ev)
             assert json.loads(alone["premium_reports.json"]) == [reports[k]]
             for table in ("table_std.csv", "table_premia.csv"):
                 head, *rows = one[table].decode().splitlines()
@@ -474,7 +480,7 @@ def test_import_defers_slow_scipy_modules(tmp_path):
         *(gain + ["--benchmark", f"poisson-{m}", "--poisson-field", str(tmp_path / f"poisson_{m}"), "--lambdas", "27,45"]
           for m in ("baseline", "expectation")),
     ]
-    premium = ["premium", "--policy-field", str(tmp_path / "policy"), "--threads", "1"]
+    premium = ["premium", "--policy-field", str(tmp_path / "policy")]
     code = f"""
 import sys
 
@@ -508,6 +514,14 @@ report("solve")
         loaded = ast.literal_eval(stages[stage])
         assert "scipy.linalg" in loaded, stage
         assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate", "scipy.sparse"))], (stage, loaded)
+
+
+def test_import_loads_no_process_pool():
+    code = "import sys, cyberinvest; print(sorted(m for m in sys.modules if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_package_imports_neither_scipy_sparse_nor_expm():

@@ -244,12 +244,6 @@ class TestSimulatePaths:
         se = max(c.std(ddof=1) / math.sqrt(c.size), 1e-9)
         assert abs(c.mean() - expected_count(p, 1.0)) <= 4 * se
 
-    def test_thread_count_invariance(self):
-        a = simulate_paths(STD, 1.0, 6000, seed=9, threads=1)
-        b = simulate_paths(STD, 1.0, 6000, seed=9, threads=2)
-        assert np.array_equal(a.offsets, b.offsets)
-        assert np.array_equal(a.times, b.times)
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
         "params, horizon, n",
@@ -263,14 +257,14 @@ class TestSimulatePaths:
         ids=["standard", "beta0", "short-horizon", "one-path", "full-chunk"],
     )
     def test_chunk_order_matches_lexsort_oracle(self, params, horizon, n, seed):
-        job = _chunk_jobs(seed, n)[0]
-        pid, times, candidates = _simulate_chunk((params, horizon), job)
+        _, seedseq = _chunk_jobs(seed, n)[0]
+        pid, times, candidates = _simulate_chunk(params, horizon, n, seedseq)
         assert pid.dtype == np.min_scalar_type(n - 1) and pid.dtype.kind == "u"
         # sorted as simulate_paths sorts, generation order gives the oracle's paths
         order = np.argsort(pid, kind="stable")
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(pid, minlength=n), out=offsets[1:])
-        want_times, want_offsets = thinning_oracle(params, horizon, n, job[1])
+        want_times, want_offsets = thinning_oracle(params, horizon, n, seedseq)
         assert np.array_equal(times[order], want_times)
         assert np.array_equal(offsets, want_offsets)
         # and in generation order each path's events are strictly increasing
@@ -286,6 +280,16 @@ class TestSimulatePaths:
         lam = batch.intensity_on_grid(grid)
         for i in (0, 7, 23):
             np.testing.assert_allclose(lam[i], batch.path(i).intensity(grid), rtol=1e-9, atol=1e-9)
+
+    def test_eventless_batch_gives_deterministic_intensity(self):
+        p = HawkesParams(27.0, 60.0, 15.0, 9.0)
+        batch = simulate_paths(p, 1e-4, 3, seed=0)
+        assert batch.times.size == 0
+        grid = np.linspace(0.0, 1e-4, 5)
+        lam = batch.intensity_on_grid(grid)
+        assert lam.dtype == np.float64 and lam.shape == (3, grid.size)
+        want = p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * grid)
+        np.testing.assert_array_equal(lam, np.broadcast_to(want, lam.shape))
 
     def test_terminal_intensity_matches(self):
         batch = simulate_paths(STD, 1.0, 20, seed=4)
