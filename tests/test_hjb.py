@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 from scipy.sparse.linalg import splu
 
 from cyberinvest import (
@@ -294,6 +295,46 @@ class TestAssembleRhs:
             eps = 1e-6
             fd = (newton_map(y + eps * d) - newton_map(y - eps * d)) / (2 * eps)
             np.testing.assert_allclose(jac @ d.ravel(), fd.ravel(), rtol=1e-6, atol=1e-8)
+
+
+def random_tridiagonal(rng, n):
+    lower, upper = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    main = np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0]) + rng.uniform(0.5, 2.0, n)  # dominant by rows
+    return lower, main * rng.choice([-1.0, 1.0], n), upper, rng.standard_normal(n)
+
+
+class TestGtsvBinding:
+    N = 64 * 51  # the unknowns of one h stage on the coarse grid
+
+    def test_matches_scipy_linalg(self):
+        # the binding, called as the h stage calls it, against scipy.linalg's own lookup
+        system = random_tridiagonal(np.random.default_rng(21), self.N)
+        ours = hjb._gtsv()(*(a.copy() for a in system), True, True, True, True)
+        ref = get_lapack_funcs("gtsv", dtype=np.float64)(*(a.copy() for a in system), True, True, True, True)
+        assert ours[-1] == ref[-1] == 0
+        assert all(np.array_equal(a, b) for a, b in zip(ours[:-1], ref[:-1]))
+        x = ours[-2]
+        lower, main, upper, rhs = system
+        residual = main * x + np.r_[0.0, lower * x[:-1]] + np.r_[upper * x[1:], 0.0] - rhs
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_singular_system_reports_info(self):
+        lower, main, upper, rhs = random_tridiagonal(np.random.default_rng(22), self.N)
+        lower[6] = main[7] = upper[7] = 0.0  # row 7 vanishes
+        *_, info = hjb._gtsv()(lower, main, upper, rhs, True, True, True, True)
+        assert info > 0
+
+    def test_solve_clock_excludes_the_binding(self, monkeypatch):
+        # a clock that jumps on the first bind: wall_time_s reads 0 only if the bind precedes t0
+        gtsv, clock = hjb._gtsv(), [0.0]
+
+        def bind():
+            clock[0] = 1000.0
+            return gtsv
+
+        monkeypatch.setattr(hjb, "_gtsv", bind)
+        monkeypatch.setattr(hjb, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        assert solve(SMALL, STD_H, STD_M, STD_C).quality["wall_time_s"] == 0.0
 
 
 class TestDouglasStep:
