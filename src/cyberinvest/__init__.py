@@ -52,7 +52,6 @@ from .poisson import PoissonField, lambda_baseline, lambda_expectation_matched, 
 from .premium import PremiumReport, premium, premium_report_baseline, premium_report_optimal, prevention_gap
 from .strategies import (
     PolicyTrace,
-    TraceSource,
     evaluate_constant,
     evaluate_deterministic,
     extract_policies_batch,

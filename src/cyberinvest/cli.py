@@ -37,6 +37,14 @@ def _fmt(x) -> str:
     return FMT.format(float(x))
 
 
+def _floats(flag: str, text: str) -> list:
+    """The comma-separated numbers of a list flag; a token that is not one is a ConfigError."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError([f"{flag} {text!r}: {exc}"]) from None
+
+
 def _load_config(args) -> RunConfig:
     cfg = validate(args.config)
     if getattr(args, "coarse", False):
@@ -101,6 +109,8 @@ def cmd_solve_poisson(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg = _load_config(args)
+    if args.n_paths < 0:
+        raise ConfigError([f"--n-paths {args.n_paths} must be nonnegative"])
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     policy = load_field(args.field)
@@ -126,13 +136,13 @@ def cmd_trace(args) -> int:
 
 def cmd_gain(args) -> int:
     cfg = _load_config(args)
+    lams = _floats("--lambdas", args.lambdas)
+    hs = _floats("--hs", args.hs)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     value = load_field(args.value_field)
     if not isinstance(value, ValueField):
         raise ConfigError([f"{args.value_field} is not a value field"])
-    lams = [float(x) for x in args.lambdas.split(",")]
-    hs = [float(x) for x in args.hs.split(",")]
     t = args.t
     mode = "linear" if args.interp else "nearest"
     poisson = load_poisson(args.poisson_field) if args.poisson_field else None
@@ -194,8 +204,11 @@ def cmd_premium(args) -> int:
 
 def cmd_static_gl(args) -> int:
     cfg = _load_config(args)
-    z = static_optimum(cfg.breach, args.p, args.loss)
-    benefit = enbis(cfg.breach, args.p, args.loss, z)
+    try:
+        z = static_optimum(cfg.breach, args.p, args.loss)
+        benefit = enbis(cfg.breach, args.p, args.loss, z)
+    except ValueError as exc:
+        raise ConfigError([f"--p {args.p:g} --loss {args.loss:g}: {exc}"]) from exc
     print(f"one-shot optimum: z* = {_fmt(z)}")
     print(f"expected net benefit at z*: {_fmt(benefit)}")
     print(f"spend share of expected loss: {_fmt(100 * z / max(cfg.breach.v * args.p * args.loss, 1e-300))}%")
@@ -204,15 +217,15 @@ def cmd_static_gl(args) -> int:
 
 def cmd_moments(args) -> int:
     cfg = _load_config(args)
-    times = [float(x) for x in args.times.split(",")]
+    hk, times = cfg.hawkes, _floats("--times", args.times)
+    try:  # the heuristic at t = 0 is E[lambda_0], the intensity's variance being 0
+        rows = [(t, expected_intensity(hk, t), expected_count(hk, t), intensity_variance(hk, t),
+                 count_variance(hk, t), lambda_max_heuristic(hk, t)) for t in times]
+    except ValueError as exc:
+        raise ConfigError([f"--times {args.times}: {exc}"]) from exc
     print("t,E_lambda,E_N,Var_lambda,Var_N,lambda_max_heuristic")
-    for t in times:
-        el = expected_intensity(cfg.hawkes, t)
-        en = expected_count(cfg.hawkes, t)
-        vl = intensity_variance(cfg.hawkes, t)
-        vn = count_variance(cfg.hawkes, t)
-        lm = lambda_max_heuristic(cfg.hawkes, t) if t > 0 else el
-        print(f"{_fmt(t)},{_fmt(el)},{_fmt(en)},{_fmt(vl)},{_fmt(vn)},{_fmt(lm)}")
+    for row in rows:
+        print(",".join(_fmt(x) for x in row))
     return 0
 
 

@@ -17,7 +17,7 @@ from .breach import BreachFamily, BreachModel
 from .dynamics import CostParams, resolve_utility
 from .errors import ConfigError, StabilityError
 from .hawkes import HawkesParams
-from .hjb import SolverGrid, SolverOptions, _check_jump_shift
+from .hjb import SolverGrid, SolverOptions
 
 __all__ = ["RunConfig", "validate", "COARSE_PRESET", "ENV_PREFIX", "STANDARD_CONFIG"]
 
@@ -62,10 +62,7 @@ _SCHEMA = {
         "d_h": float,
         "time_steps": int,
     },
-    "solver": {
-        "upwind": _parse_bool,
-        "jump_interp": _parse_bool,
-    },
+    "solver": {"upwind": _parse_bool},
     "premium": {"theta": float, "eta_vars": _parse_float_list},
     "run": {"seed": int, "out_dir": str},
 }
@@ -93,10 +90,7 @@ _DEFAULTS = {
         "d_h": 0.5,
         "time_steps": 200,
     },
-    "solver": {
-        "upwind": False,
-        "jump_interp": False,
-    },
+    "solver": {"upwind": False},
     "premium": {"theta": 0.3, "eta_vars": [10.0, 50.0, 100.0]},
     "run": {"seed": 0, "out_dir": "out"},
 }
@@ -122,9 +116,6 @@ class RunConfig:
     # that may edit the benchmark.
     mc_paths: int = 0
     threads: int = 1
-
-    def __post_init__(self):
-        _check_jump_shift(self.grid.d_lambda, self.hawkes.beta, self.options.jump_interp)
 
     def coarse(self) -> "RunConfig":
         """This configuration with the desk-scale steps of COARSE_PRESET on its domain.

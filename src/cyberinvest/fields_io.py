@@ -27,8 +27,15 @@ FORMAT_VERSION = 1
 
 # Options that older field files still carry and that no longer exist: the
 # former implicit Runge-Kutta integrator's tolerances and method, the query-mode
-# default (queries now choose their mode per call) and the node limit (now fixed).
-_RETIRED_OPTIONS = ("rtol", "atol", "method", "interp_query", "max_nodes")
+# default (queries now choose their mode per call), the node limit (now fixed)
+# and the jump-shift switch (the shift always interpolates, a node shift on the lattice).
+_RETIRED_OPTIONS = ("rtol", "atol", "method", "interp_query", "max_nodes", "jump_interp")
+
+_KINDS = {"value": ValueField, "policy": PolicyField}
+
+
+def _dimension(poisson_intensity) -> str:
+    return "hawkes" if poisson_intensity is None else "poisson"
 
 
 def _meta_dict(field, raw: np.ndarray) -> dict:
@@ -37,8 +44,8 @@ def _meta_dict(field, raw: np.ndarray) -> dict:
     meta = field.meta
     return {
         "format_version": FORMAT_VERSION,
-        "kind": meta.kind,
-        "dimension": meta.dimension,
+        "kind": "value" if isinstance(field, ValueField) else "policy",
+        "dimension": _dimension(meta.poisson_intensity),
         "poisson_intensity": meta.poisson_intensity,
         "extrapolation": meta.extrapolation,
         "grid": {
@@ -100,13 +107,17 @@ def _grid_from_dict(d: dict) -> SolverGrid:
 
 
 def load_field(prefix: Union[str, Path]):
-    """Load a field pair written by save_field; verifies the checksum."""
+    """Load a field pair written by save_field; verifies the checksum, the kind and that dimension matches poisson_intensity."""
     prefix = Path(prefix)
     meta_path = prefix.with_suffix(".json")
     bin_path = prefix.with_suffix(".f64")
     if not meta_path.exists() or not bin_path.exists():
         raise OSError(f"missing field files {meta_path} / {bin_path}")
     meta = json.loads(meta_path.read_text())
+    if meta["kind"] not in _KINDS:
+        raise OSError(f"{meta_path}: unknown field kind {meta['kind']!r}; expected one of {sorted(_KINDS)}")
+    if meta["dimension"] != _dimension(meta["poisson_intensity"]):
+        raise OSError(f"{meta_path}: dimension {meta['dimension']!r} contradicts poisson_intensity {meta['poisson_intensity']}")
     # read straight into the array, so no bytes copy of the file is held beside it
     data = np.empty(tuple(meta["shape"]), dtype="<f8")
     with bin_path.open("rb") as fh:
@@ -123,18 +134,14 @@ def load_field(prefix: Union[str, Path]):
     costs = CostParams(**meta["costs"])
     options = SolverOptions(**{k: v for k, v in meta["options"].items() if k not in _RETIRED_OPTIONS})
     fmeta = FieldMeta(
-        kind=meta["kind"],
         hawkes=hawkes,
         model=model,
         costs=costs,
         options=options,
-        dimension=meta["dimension"],
         poisson_intensity=meta["poisson_intensity"],
         extrapolation=meta["extrapolation"],
     )
-    if meta["kind"] == "value":
-        return ValueField(grid, data, fmeta)
-    return PolicyField(grid, data, fmeta)
+    return _KINDS[meta["kind"]](grid, data, fmeta)
 
 
 def save_poisson(field: PoissonField, prefix: Union[str, Path]) -> None:
@@ -148,7 +155,7 @@ def load_poisson(prefix: Union[str, Path]) -> PoissonField:
     prefix = Path(prefix)
     value = load_field(prefix.parent / (prefix.name + "_value"))
     policy = load_field(prefix.parent / (prefix.name + "_policy"))
-    if value.meta.dimension != "poisson" or value.meta.poisson_intensity is None:
+    if value.meta.poisson_intensity is None:
         raise OSError(f"{prefix} does not hold a constant-intensity benchmark field")
     return PoissonField(
         intensity=float(value.meta.poisson_intensity),

@@ -5,9 +5,10 @@ mean-reverting drift in lambda, an obsolescence drift in h, a nonlocal shift
 lambda (V(lambda + beta) - V(lambda)), a running reward
 eta_mean (v - S(h, v)) lambda, and a quadratic Hamiltonian in the investment
 rate. Space is discretized with central differences (one-sided at the four
-boundaries) and the nonlocal term with a node shift (or two-point
-interpolation) that past lambda_max extends V linearly from its last two
-nodes. In tau = T - t the semi-discrete system is
+boundaries) and the nonlocal term with a two-point linear interpolation (a
+node shift when beta is a whole number of d_lambda steps) that past
+lambda_max extends V linearly from its last two nodes. In tau = T - t the
+semi-discrete system is
 
     dW/dtau = A_lambda W + A_h W + N(W) + r,  N(W) = max(D_h W - delta, 0)^2 / (2 gamma),
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .breach import BreachModel, breach_prob
 from .dynamics import CostParams
-from .errors import ConfigError, SolverError
+from .errors import SolverError
 from .hawkes import HawkesParams
 
 __all__ = [
@@ -177,7 +178,6 @@ class SolverOptions:
     """Discretization options for the backward solve."""
 
     upwind: bool = False
-    jump_interp: bool = False
 
 
 @dataclass(frozen=True)
@@ -185,15 +185,14 @@ class FieldMeta:
     """Provenance of a solved field: inputs, options and the jump term's closure past lambda_max.
 
     `solve` records EXTRAPOLATION_RULE; the default is the clamp that fields
-    written before the linear closure carry.
+    written before the linear closure carry. poisson_intensity is set on the
+    fields of a constant-intensity benchmark (poisson.solve_poisson) alone.
     """
 
-    kind: str
     hawkes: HawkesParams
     model: BreachModel
     costs: CostParams
     options: SolverOptions
-    dimension: str = "hawkes"
     poisson_intensity: Optional[float] = None
     extrapolation: str = "clamp-at-lambda-max"
 
@@ -269,27 +268,7 @@ def _along_h(tiles: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(w.shape)
 
 
-def _check_jump_shift(d_lambda: float, beta: float, interp: bool) -> None:
-    """Raise ConfigError unless the jump shift is a whole number of intensity nodes.
-
-    Without interpolation a fractional beta or beta/d_lambda would otherwise be
-    floored in silence, down to zero nodes (no self-excitation) when
-    d_lambda > beta. Every RunConfig runs this check, so `validate` and the
-    coarse preset reject what the solver would.
-    """
-    if interp:
-        return
-    if beta != math.floor(beta):
-        raise ConfigError(f"jump size beta={beta:g} is not an integer; set [solver] jump_interp = true")
-    pos = beta / d_lambda
-    if abs(pos - round(pos)) > 1e-9:
-        raise ConfigError(
-            f"beta/d_lambda = {beta:g}/{d_lambda:g} is not an integer, so the jump shift would be "
-            f"floored to {math.floor(pos)} nodes; choose d_lambda dividing beta or set [solver] jump_interp = true"
-        )
-
-
-def _jump_shift_1d(n: int, d_lambda: float, beta: float, interp: bool) -> np.ndarray:
+def _jump_shift_1d(n: int, d_lambda: float, beta: float) -> np.ndarray:
     """Two-point linear interpolator (a selector for whole-node shifts) approximating V(lambda + beta).
 
     Row i reads the target x = i + beta/d_lambda between its bracketing nodes.
@@ -299,10 +278,11 @@ def _jump_shift_1d(n: int, d_lambda: float, beta: float, interp: bool) -> np.nda
     since V grows linearly in lambda far out. Every row maps a V linear in
     lambda exactly. A one-node axis keeps its identity row.
     """
-    _check_jump_shift(d_lambda, beta, interp)
     if n == 1:
         return np.ones((1, 1))
-    pos = beta / d_lambda if interp else round(beta / d_lambda)
+    pos = beta / d_lambda
+    if abs(pos - round(pos)) <= 1e-9:  # a whole-node shift up to rounding in beta / d_lambda: a pure selector
+        pos = round(pos)
     x = np.arange(n, dtype=float) + pos
     lo = np.minimum(np.floor(x), n - 2).astype(np.int64)  # left node of the bracketing or last interval
     w = x - lo  # weight of node lo + 1: below 1 inside the domain, 1 + s past its last node
@@ -330,7 +310,7 @@ class _PideOperator:
         clam = hawkes.xi * (lam - hawkes.alpha)
         ch = costs.rho * hs
         dlam = _stencil(nl, grid.d_lambda, clam if options.upwind else None)
-        jump = _jump_shift_1d(nl, grid.d_lambda, hawkes.beta, options.jump_interp)
+        jump = _jump_shift_1d(nl, grid.d_lambda, hawkes.beta)
         # tau runs against t, so the transport terms change sign and the jump term keeps it
         dlam = np.diag(dlam[1]) + np.diag(dlam[0, 1:], -1) + np.diag(dlam[2, :-1], 1)
         self.a_lam = lam[:, None] * (jump - np.eye(nl)) - clam[:, None] * dlam
@@ -534,9 +514,9 @@ def solve(
         "newton_max": int(max(adi.newton)),
     }
 
-    meta = FieldMeta("value", hawkes, model, costs, options, extrapolation=EXTRAPOLATION_RULE)
+    meta = FieldMeta(hawkes, model, costs, options, extrapolation=EXTRAPOLATION_RULE)
     vf = ValueField(grid, values, meta)
-    pf = PolicyField(grid, controls, replace(meta, kind="policy"))
+    pf = PolicyField(grid, controls, meta)
     quality = _quality_report(vf, op, wall, diagnostics)
     return SolveResult(vf, pf, quality)
 

@@ -99,11 +99,10 @@ def solve_poisson(
     # beta = 0 kills the nonlocal term; alpha = lambda_p kills the drift.
     constant = HawkesParams(alpha=lambda_p, lambda0=lambda_p, xi=1.0, beta=0.0)
     res = solve(degenerate, constant, model, costs, options)
-    meta_v = replace(res.value.meta, dimension="poisson", poisson_intensity=float(lambda_p))
-    meta_p = replace(res.policy.meta, dimension="poisson", poisson_intensity=float(lambda_p))
+    meta = replace(res.value.meta, poisson_intensity=float(lambda_p))
     return PoissonField(
         intensity=float(lambda_p),
-        value=ValueField(res.value.grid, res.value.values, meta_v),
-        policy=PolicyField(res.policy.grid, res.policy.controls, meta_p),
+        value=ValueField(res.value.grid, res.value.values, meta),
+        policy=PolicyField(res.policy.grid, res.policy.controls, meta),
         quality=res.quality,
     )

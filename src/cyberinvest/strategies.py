@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -24,7 +23,6 @@ from .hjb import PolicyField, ValueField, query
 from .poisson import PoissonField
 
 __all__ = [
-    "TraceSource",
     "PolicyTrace",
     "extract_policy",
     "extract_policies_batch",
@@ -37,12 +35,6 @@ __all__ = [
 ]
 
 
-class TraceSource(Enum):
-    HAWKES_OPTIMAL = "hawkes-optimal"
-    POISSON_DETERMINISTIC = "poisson-deterministic"
-    CONSTANT = "constant"
-
-
 @dataclass(frozen=True)
 class PolicyTrace:
     """Applied control along one intensity path on a uniform time grid."""
@@ -51,7 +43,6 @@ class PolicyTrace:
     intensity: np.ndarray
     control: np.ndarray
     level: np.ndarray
-    source: TraceSource
 
     def __post_init__(self):
         if np.any(self.control < 0):
@@ -158,17 +149,11 @@ def extract_policy(
     times, snap_idx = _snapshot_times(field, t_init)
     if isinstance(path, AttackPath):
         lam = path.as_batch().intensity_on_grid(times)
-        source = TraceSource.HAWKES_OPTIMAL
     else:
         lam = np.full((1, times.size), float(path))
-        source = (
-            TraceSource.POISSON_DETERMINISTIC
-            if field.meta.dimension == "poisson"
-            else TraceSource.CONSTANT
-        )
     level = np.empty((1, times.size))
     control = _euler_walk(field, times, snap_idx, lam, h_init, level)[0]
-    return PolicyTrace(times, lam[0], control[0], level[0], source)
+    return PolicyTrace(times, lam[0], control[0], level[0])
 
 
 def extract_policies_batch(

@@ -119,7 +119,7 @@ class TestFieldIO:
 
     @pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw + bytes(8)], ids=["truncated", "extended"])
     def test_wrong_length_rejected(self, tmp_path, edit):
-        data = self.write_field_with_options(tmp_path / "v", {"upwind": False, "jump_interp": False})
+        data = self.write_field_with_options(tmp_path / "v", {"upwind": False})
         # the checksum in the metadata matches the edited bytes, so only the length is wrong
         raw = edit(data.tobytes())
         meta = json.loads((tmp_path / "v.json").read_text())
@@ -142,16 +142,17 @@ class TestFieldIO:
         assert peak <= 1.1 * loaded.controls.nbytes
 
     def test_written_bytes_pinned(self, tmp_path):
-        # digests of the two files as written before save_field hashed the array
-        # it writes instead of serializing it a second time
+        # digests of the two files: the .f64 as written before save_field hashed the
+        # array it writes instead of serializing it a second time, the .json since
+        # the solver options lost jump_interp
         expected = (
             "0b2a9d473f9a5678cff17a606b7cef428f4b7e4be3a1bec96329679622c0a813",
-            "65f3528872d86a437ab0aeaf7de47906465e92bdfc192a04e818ff69b92d7d85",
+            "9c89c2123bfe3f9f221d9cc554701b491863f54a941364915aa22344d7ee4752",
         )
         grid = ci.SolverGrid.regular(27.0, 36.0, 9.0, 0.0, 1.0, 1.0, 1.0, 1)
         costs = ci.CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0)
         model = ci.BreachModel(ci.BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
-        meta = FieldMeta("value", ci.HawkesParams(27.0, 27.0, 15.0, 9.0), model, costs, ci.SolverOptions())
+        meta = FieldMeta(ci.HawkesParams(27.0, 27.0, 15.0, 9.0), model, costs, ci.SolverOptions())
         values = np.arange(8.0).reshape(2, 2, 2) / 3.0
         # a big-endian, column-major copy of the same numbers writes the same bytes
         for data in (values, np.asfortranarray(values.astype(">f8"))):
@@ -160,8 +161,9 @@ class TestFieldIO:
             assert digests == expected
 
     @staticmethod
-    def write_field_with_options(prefix, options):
-        """A 2-snapshot, 2x2 value field in the on-disk format, with the given solver options."""
+    def write_field_with_options(prefix, options, **edits):
+        """A 2-snapshot, 2x2 value field in the on-disk format, with the given solver options
+        and top-level metadata `edits`."""
         data = np.arange(8, dtype="<f8")
         meta = {
             "format_version": 1,
@@ -184,6 +186,7 @@ class TestFieldIO:
             "dtype": "<f8",
             "order": "(snapshot, lambda, h)",
             "checksum_sha256": hashlib.sha256(data.tobytes()).hexdigest(),
+            **edits,
         }
         prefix.with_suffix(".f64").write_bytes(data.tobytes())
         prefix.with_suffix(".json").write_text(json.dumps(meta))
@@ -197,8 +200,26 @@ class TestFieldIO:
         data = self.write_field_with_options(tmp_path / "v", old)
         loaded = load_field(tmp_path / "v")
         np.testing.assert_array_equal(loaded.values.ravel(), data)
-        assert dataclasses.asdict(loaded.meta.options) == {"upwind": False, "jump_interp": False}
+        assert dataclasses.asdict(loaded.meta.options) == {"upwind": False}
         assert loaded.meta.extrapolation == "clamp-at-lambda-max"
+
+    @pytest.mark.parametrize("jump_interp", [False, True])
+    def test_loads_field_with_jump_interp(self, tmp_path, jump_interp):
+        # either setting of the retired switch: the shift now always interpolates,
+        # which on a whole-node shift is the former node shift
+        self.write_field_with_options(tmp_path / "v", {"upwind": True, "jump_interp": jump_interp})
+        assert load_field(tmp_path / "v").meta.options == ci.SolverOptions(upwind=True)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        self.write_field_with_options(tmp_path / "v", {"upwind": False}, kind="valu")
+        with pytest.raises(OSError, match="unknown field kind 'valu'"):
+            load_field(tmp_path / "v")
+
+    @pytest.mark.parametrize("dimension, intensity", [("poisson", None), ("hawkes", 27.0)])
+    def test_dimension_contradicting_intensity_rejected(self, tmp_path, dimension, intensity):
+        self.write_field_with_options(tmp_path / "v", {"upwind": False}, dimension=dimension, poisson_intensity=intensity)
+        with pytest.raises(OSError, match="contradicts poisson_intensity"):
+            load_field(tmp_path / "v")
 
     def test_unknown_option_still_rejected(self, tmp_path):
         self.write_field_with_options(tmp_path / "v", {"upwind": False, "foo": 1})
@@ -226,23 +247,6 @@ class TestCli:
             main(["validate", "--config", str(STANDARD), "--mc-paths", "20000"])
         assert "unrecognized arguments: --mc-paths" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "text, argv, rc",
-        [
-            ("[hawkes]\nbeta = 8\n[grid]\nd_lambda = 3\n", [], 2),
-            ("[hawkes]\nbeta = 8\n[grid]\nd_lambda = 3\n[solver]\njump_interp = true\n", [], 0),
-            # whole nodes at d_lambda = 1, but not on the coarse preset's d_lambda = 3
-            ("[hawkes]\nbeta = 8\n", ["--coarse"], 2),
-        ],
-        ids=["fractional", "interpolated", "coarse-fractional"],
-    )
-    def test_validate_checks_jump_shift(self, tmp_path, capsys, text, argv, rc):
-        cfg = tmp_path / "jump.cfg"
-        cfg.write_text(text)
-        assert main(["validate", "--config", str(cfg), *argv]) == rc
-        err = capsys.readouterr().err
-        assert ("beta/d_lambda = 8/3 is not an integer" in err) == (rc == 2)
-
     def test_coarse_off_the_coarse_lattice_exit_2(self, monkeypatch, capsys):
         # 216 - 28 = 188 intensity units: whole steps at d_lambda = 1, not at 3
         for key in ("GRID__LAMBDA_MIN", "HAWKES__LAMBDA0", "HAWKES__ALPHA"):
@@ -261,8 +265,9 @@ class TestCli:
             ("[benchmark]\npoisson_mode = baseline\n", "unknown section [benchmark]"),
             ("[premium]\nmc_paths = 100000\n", "unknown key 'mc_paths' in section [premium]"),
             ("[run]\nthreads = 2\n", "unknown key 'threads' in section [run]"),
+            ("[solver]\njump_interp = true\n", "unknown key 'jump_interp' in section [solver]"),
         ],
-        ids=["interp_query", "max_nodes", "poisson_mode", "mc_paths", "threads"],
+        ids=["interp_query", "max_nodes", "poisson_mode", "mc_paths", "threads", "jump_interp"],
     )
     def test_retired_keys_exit_2(self, tmp_path, capsys, text, diagnostic):
         cfg = tmp_path / "retired.cfg"
@@ -281,6 +286,31 @@ class TestCli:
         bad.write_text("[hawkes]\nbeta = 99\n")
         assert main(["validate", "--config", str(bad)]) == 2
         assert "stability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--times", "0,abc"],
+            ["moments", "--times", "-1"],
+            ["static-gl", "--p", "2"],
+            ["gain", "--value-field", "@OUT@/value", "--lambdas", "27,x"],
+            ["gain", "--value-field", "@OUT@/value", "--hs", "1,x"],
+            ["trace", "--field", "@OUT@/policy", "--n-paths", "-1"],
+        ],
+        ids=["times-not-a-number", "times-negative", "p-above-one", "lambdas", "hs", "n-paths-negative"],
+    )
+    def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
+        # an exception escaping main, the traceback of the command line, fails the call itself
+        cfg = self.write_tiny(tmp_path)
+        out = str(tmp_path / "run")
+        if any("@OUT@" in a for a in argv):
+            assert main(["solve", "--config", cfg, "--out", out]) == 0
+            capsys.readouterr()
+        argv = [a.replace("@OUT@", out) for a in argv]
+        assert main([*argv, "--config", cfg, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:") and "Traceback" not in captured.err
+        assert argv[-2] in captured.err and "wrote" not in captured.out
 
     def test_missing_field_exit_4(self, tmp_path, capsys):
         cfg = self.write_tiny(tmp_path)
@@ -452,10 +482,10 @@ class TestReproduceScript:
             assert lines[0] == head and len(lines) == 1 + n_rows, name
 
     def test_stops_with_the_cli_exit_code(self, tmp_path):
-        # beta = 8 is not a whole number of the coarse preset's d_lambda = 3
-        proc = self.run(tmp_path / "tables", HAWKES__BETA="8")
+        # 217 - 27 = 190 intensity units are not a whole number of the coarse preset's d_lambda = 3
+        proc = self.run(tmp_path / "tables", GRID__LAMBDA_MAX="217")
         assert proc.returncode == 2
-        assert "beta/d_lambda = 8/3 is not an integer" in proc.stderr
+        assert "lambda_max=217" in proc.stderr and "is not a whole number of the coarse preset's steps" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "cyberinvest solve" not in proc.stdout
 

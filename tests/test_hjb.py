@@ -11,7 +11,6 @@ from scipy.sparse.linalg import splu
 from cyberinvest import (
     BreachFamily,
     BreachModel,
-    ConfigError,
     CostParams,
     HawkesParams,
     SolverError,
@@ -121,7 +120,7 @@ def reference_matrices(grid, options, hawkes=STD_H, costs=STD_C):
         dlam, dh = upwind_1d(lam.size, grid.d_lambda, clam), upwind_1d(hs.size, grid.d_h, ch)
     else:
         dlam, dh = onesided_central_1d(lam.size, grid.d_lambda), onesided_central_1d(hs.size, grid.d_h)
-    jump = sp.csr_matrix(hjb._jump_shift_1d(lam.size, grid.d_lambda, hawkes.beta, options.jump_interp))
+    jump = sp.csr_matrix(hjb._jump_shift_1d(lam.size, grid.d_lambda, hawkes.beta))
     a_lam = (sp.diags(lam) @ (jump - sp.identity(lam.size)) - sp.diags(clam) @ dlam).tocsr()
     return a_lam, (-sp.diags(ch) @ dh).tocsr(), onesided_central_1d(hs.size, grid.d_h)
 
@@ -219,44 +218,36 @@ class TestAssembleRhs:
             rhs(np.zeros(7), STD_M, STD_C)
 
     @pytest.mark.parametrize(
-        "beta, d_lambda",
-        [
-            (8.0, 3.0),  # floor(beta)/d_lambda = 8/3
-            (8.5, 0.5),  # fractional beta, even though beta/d_lambda = 17
-            (9.0, 10.0),  # d_lambda > beta: the shift would be zero nodes
-        ],
-    )
-    def test_non_multiple_jump_raises(self, beta, d_lambda):
-        hp = HawkesParams(27.0, 27.0, 15.0, beta)
-        grid = SolverGrid.regular(27.0, 27.0 + 12 * d_lambda, d_lambda, 0.0, 50.0, 1.0, 1.0, 10)
-        with pytest.raises(ConfigError):
-            _PideOperator(grid, hp, STD_M, STD_C, SolverOptions())
-        _PideOperator(grid, hp, STD_M, STD_C, SolverOptions(jump_interp=True))
-
-    @pytest.mark.parametrize(
-        "n, d_lambda, beta, interp",
+        "n, d_lambda, beta, off_lattice",
         [
             (12, 3.0, 9.0, False),  # the coarse preset's whole-node shift
             (5, 1.0, 9.0, False),  # every target past the last node
-            (12, 2.0, 9.0, True),  # interpolated, half a node off the lattice
+            (12, 2.0, 9.0, True),  # half a node off the lattice
             (12, 0.75, 1.0, True),
             (1, 3.0, 0.0, False),  # the Poisson solve's single node
+            (12, 3.0, 8.0, True),  # the coarse preset at beta = 8
+            (12, 10.0, 9.0, True),  # d_lambda > beta: a fraction of one node
+            (60, 0.3, 9.0, False),  # 9 / 0.3 = 30.000000000000004, rounded onto the lattice
         ],
     )
-    def test_jump_shift_exact_on_linear_functions(self, n, d_lambda, beta, interp):
-        shift = hjb._jump_shift_1d(n, d_lambda, beta, interp)
+    def test_jump_shift_exact_on_linear_functions(self, n, d_lambda, beta, off_lattice):
+        shift = hjb._jump_shift_1d(n, d_lambda, beta)
+        # a whole-node shift has whole weights: a selector inside the domain, the linear extension past it
+        assert np.array_equal(shift, np.round(shift)) != off_lattice
         np.testing.assert_allclose(shift.sum(axis=1), 1.0, rtol=0, atol=1e-14)
         lam = 27.0 + d_lambda * np.arange(n)
         for a, b in [(1.0, 0.0), (0.0, 1.0), (-2.5, 7.0)]:
             np.testing.assert_allclose(shift @ (a + b * lam), a + b * (lam + beta), rtol=1e-13)
 
     @pytest.mark.parametrize("upwind", [False, True])
-    @pytest.mark.parametrize("jump_interp", [False, True])
-    def test_operator_matches_sparse_assembly(self, upwind, jump_interp):
-        # the dense A_lambda and the h stencils hold the entry-by-entry matrices' values
-        options = SolverOptions(upwind=upwind, jump_interp=jump_interp)
-        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, options)
-        a_lam, a_h, d_h = reference_matrices(SMALL, options)
+    @pytest.mark.parametrize("off_lattice", [False, True])
+    def test_operator_matches_sparse_assembly(self, upwind, off_lattice):
+        # the dense A_lambda and the h stencils hold the entry-by-entry matrices' values,
+        # with the jump shift on SMALL's lattice (beta = 9) and off it (beta = 8)
+        options = SolverOptions(upwind=upwind)
+        hawkes = dataclasses.replace(STD_H, beta=8.0) if off_lattice else STD_H
+        op = _PideOperator(SMALL, hawkes, STD_M, STD_C, options)
+        a_lam, a_h, d_h = reference_matrices(SMALL, options, hawkes=hawkes)
         np.testing.assert_array_equal(op.a_lam, a_lam.toarray())
         np.testing.assert_array_equal(op.a_h, stencil_rows(a_h))
         np.testing.assert_array_equal(op.d_h, stencil_rows(d_h))
@@ -521,10 +512,14 @@ class TestSolve:
         v0 = small_solution.value.values[-1][0, 0]
         assert up.value.values[-1][0, 0] == pytest.approx(v0, rel=0.05)
 
-    def test_jump_interp_option_close(self, small_solution):
-        ji = solve(SMALL, STD_H, STD_M, STD_C, SolverOptions(jump_interp=True))
-        v0 = small_solution.value.values[-1][0, 0]
-        assert ji.value.values[-1][0, 0] == pytest.approx(v0, rel=0.02)
+    def test_off_lattice_jump_matches_whole_node_solve(self):
+        # beta = 8 is 8/3 nodes at d_lambda = 3 and 8 nodes at d_lambda = 1; on SMALL's nodes the two
+        # solves differ by 0.006 (0.002 for beta = 9, whole at both), the value scale being about 360,
+        # while a shift floored to 2 nodes (beta = 6) would move V by tens
+        hawkes = dataclasses.replace(STD_H, beta=8.0)
+        coarse = solve(SMALL, hawkes, STD_M, STD_C).value.values
+        fine = solve(dataclasses.replace(SMALL, d_lambda=1.0), hawkes, STD_M, STD_C).value.values
+        assert np.abs(coarse - fine[:, ::3]).max() <= 0.02
 
 
 class TestQuery:

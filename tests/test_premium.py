@@ -137,7 +137,7 @@ def _conditional_moments(policy, n, seed, eta_vars, chunk=2048):
 
 def _field(grid, controls, model=STD_M, costs=STD_C, hawkes=STD_H):
     """A policy field of given controls, as if solved for these parameters."""
-    return PolicyField(grid, controls, FieldMeta("policy", hawkes, model, costs, SolverOptions()))
+    return PolicyField(grid, controls, FieldMeta(hawkes, model, costs, SolverOptions()))
 
 
 class TestOptimalReport:

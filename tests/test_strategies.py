@@ -36,7 +36,7 @@ from cyberinvest import (
     solve,
     solve_poisson,
 )
-from cyberinvest.strategies import TraceSource, _euler_walk, _nearest, _snapshot_times
+from cyberinvest.strategies import _euler_walk, _nearest, _snapshot_times
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
@@ -403,8 +403,6 @@ class TestExtractPolicy:
         a = extract_policy(solution.policy, quiet, 0.0, 0.0)
         b = extract_policy(solution.policy, 27.0, 0.0, 0.0)
         np.testing.assert_array_equal(a.control, b.control)
-        assert a.source is TraceSource.HAWKES_OPTIMAL
-        assert b.source is TraceSource.CONSTANT
 
     def test_times_cover_interval(self, solution):
         trace = extract_policy(solution.policy, 27.0, 0.37, 1.0)
