@@ -43,6 +43,9 @@ class BreachModel:
     def __post_init__(self):
         if not isinstance(self.family, BreachFamily):
             object.__setattr__(self, "family", BreachFamily(self.family))
+        for name in ("a", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"shape parameter {name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.v <= 1.0):
             raise ValueError(f"vulnerability v must lie in [0, 1], got {self.v}")
         if self.a <= 0:
@@ -86,12 +89,17 @@ def breach_prob_derivative(model: BreachModel, z):
     return float(out) if out.ndim == 0 else out
 
 
-def enbis(model: BreachModel, p: float, loss: float, z) -> float:
-    """Expected net benefit of the one-shot investment: (v - S(z,v)) p loss - z."""
+def _check_attack(p: float, loss: float) -> None:
+    """Raises ValueError unless p lies in [0, 1] and loss is finite and nonnegative."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"attack probability p must lie in [0, 1], got {p}")
-    if loss < 0:
-        raise ValueError("loss must be nonnegative")
+    if not (0.0 <= loss < math.inf):  # nan fails both comparisons
+        raise ValueError(f"loss must be finite and nonnegative, got {loss}")
+
+
+def enbis(model: BreachModel, p: float, loss: float, z) -> float:
+    """Expected net benefit of the one-shot investment: (v - S(z,v)) p loss - z."""
+    _check_attack(p, loss)
     z_arr = _checked_levels(z)
     out = (model.v - breach_prob(model, z_arr)) * p * loss - z_arr
     return float(out) if out.ndim == 0 else out
@@ -105,10 +113,7 @@ def static_optimum(model: BreachModel, p: float, loss: float) -> float:
         class I:   z = ((v a b p loss)^(1/(b+1)) - 1) / a
         class II:  z = (ln(-a p loss ln v) / (-ln v) - 1) / a
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"attack probability p must lie in [0, 1], got {p}")
-    if loss < 0:
-        raise ValueError("loss must be nonnegative")
+    _check_attack(p, loss)
     pl = p * loss
     # corner: marginal benefit at z = 0 does not cover the marginal cost of 1
     if -breach_prob_derivative(model, 0.0) * pl <= 1.0:

@@ -8,6 +8,7 @@ the form CYBERINVEST_<SECTION>__<KEY> override file values.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,15 +26,6 @@ ENV_PREFIX = "CYBERINVEST_"
 
 # Desk-scale preset: coarser steps on the configured domain.
 COARSE_PRESET = {"d_lambda": 3.0, "d_h": 1.0}
-
-
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {s!r}")
 
 
 def _parse_float_list(s: str) -> list:
@@ -62,7 +54,6 @@ _SCHEMA = {
         "d_h": float,
         "time_steps": int,
     },
-    "solver": {"upwind": _parse_bool},
     "premium": {"theta": float, "eta_vars": _parse_float_list},
     "run": {"seed": int, "out_dir": str},
 }
@@ -90,7 +81,6 @@ _DEFAULTS = {
         "d_h": 0.5,
         "time_steps": 200,
     },
-    "solver": {"upwind": False},
     "premium": {"theta": 0.3, "eta_vars": [10.0, 50.0, 100.0]},
     "run": {"seed": 0, "out_dir": "out"},
 }
@@ -106,7 +96,7 @@ class RunConfig:
     breach: BreachModel
     costs: CostParams
     grid: SolverGrid
-    options: SolverOptions
+    options: SolverOptions  # empty, and ignored by solve; see SolverOptions
     theta: float
     eta_vars: tuple
     seed: int
@@ -197,7 +187,7 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
 
     def build():
         errs = list(diagnostics)
-        hk = bm = costs = grid = options = None
+        hk = bm = costs = grid = None
         try:
             hk = HawkesParams(**values["hawkes"])
         except StabilityError as exc:
@@ -242,13 +232,14 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
                 )
             except ValueError as exc:
                 errs.append(f"[grid] {exc}")
-        try:
-            options = SolverOptions(**values["solver"])
-        except (TypeError, ValueError) as exc:
-            errs.append(f"[solver] {exc}")
         p = values["premium"]
-        if p["theta"] < 0:
-            errs.append("[premium] theta must be nonnegative")
+        if not (0 <= p["theta"] < math.inf):  # nan fails both comparisons
+            errs.append(f"[premium] theta must be finite and nonnegative, got {p['theta']}")
+        for eta_var in p["eta_vars"] if costs is not None else ():
+            try:  # the premium command prices each eta_var under these costs
+                replace(costs, eta_var=eta_var)
+            except ValueError as exc:
+                errs.append(f"[premium] eta_vars {eta_var:g}: {exc}")
         r = values["run"]
         if hk is not None and grid is not None:
             if not (grid.lambda_min <= hk.lambda0 <= grid.lambda_max):
@@ -262,7 +253,7 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
             breach=bm,
             costs=costs,
             grid=grid,
-            options=options,
+            options=SolverOptions(),
             theta=p["theta"],
             eta_vars=tuple(p["eta_vars"]),
             seed=r["seed"],

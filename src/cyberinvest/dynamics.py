@@ -102,6 +102,9 @@ class CostParams:
     eta_family: str = "lognormal"
 
     def __post_init__(self):
+        for name in ("gamma", "eta_mean", "eta_var", "rho", "horizon", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma <= 0:
             raise ValueError(f"quadratic cost coefficient gamma must be positive, got {self.gamma}")
         if self.eta_mean <= 0:
@@ -110,8 +113,8 @@ class CostParams:
             raise ValueError(f"breach-loss variance must be nonnegative, got {self.eta_var}")
         if self.rho < 0:
             raise ValueError(f"obsolescence rate must be nonnegative, got {self.rho}")
-        if self.horizon <= 0 or not math.isfinite(self.horizon):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if self.horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.delta <= 0:
             raise ValueError(f"linear cost coefficient delta must be positive, got {self.delta}")
         if self.eta_family not in ("lognormal", "gamma", "fixed"):

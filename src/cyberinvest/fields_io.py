@@ -1,7 +1,7 @@
 """Persistence for solved fields: JSON metadata plus raw little-endian doubles.
 
-A field is stored as `<prefix>.json` (grid, model parameters, solver options,
-sha256 checksum) and `<prefix>.f64` (dense 64-bit floats, row-major in
+A field is stored as `<prefix>.json` (grid, model parameters, sha256
+checksum) and `<prefix>.f64` (dense 64-bit floats, row-major in
 (snapshot, lambda, h) order). Identical solves produce byte-identical files.
 """
 
@@ -18,18 +18,20 @@ import numpy as np
 from .breach import BreachFamily, BreachModel
 from .dynamics import CostParams, utility_label
 from .hawkes import HawkesParams
-from .hjb import FieldMeta, PolicyField, SolverGrid, SolverOptions, ValueField
+from .hjb import FieldMeta, PolicyField, SolverGrid, ValueField
 from .poisson import PoissonField
 
 __all__ = ["save_field", "load_field", "save_poisson", "load_poisson", "write_field_csv"]
 
 FORMAT_VERSION = 1
 
-# Options that older field files still carry and that no longer exist: the
-# former implicit Runge-Kutta integrator's tolerances and method, the query-mode
-# default (queries now choose their mode per call), the node limit (now fixed)
-# and the jump-shift switch (the shift always interpolates, a node shift on the lattice).
-_RETIRED_OPTIONS = ("rtol", "atol", "method", "interp_query", "max_nodes", "jump_interp")
+# Solver options that older field files still carry and that no longer exist:
+# the former implicit Runge-Kutta integrator's tolerances and method, the
+# query-mode default (queries now choose their mode per call), the node limit
+# (now fixed), the jump-shift switch (the shift always interpolates, a node
+# shift on the lattice) and the switch to one-sided drift differences (the
+# central scheme is the only one). Their "extrapolation" tag is ignored as well.
+_RETIRED_OPTIONS = ("rtol", "atol", "method", "interp_query", "max_nodes", "jump_interp", "upwind")
 
 _KINDS = {"value": ValueField, "policy": PolicyField}
 
@@ -47,7 +49,6 @@ def _meta_dict(field, raw: np.ndarray) -> dict:
         "kind": "value" if isinstance(field, ValueField) else "policy",
         "dimension": _dimension(meta.poisson_intensity),
         "poisson_intensity": meta.poisson_intensity,
-        "extrapolation": meta.extrapolation,
         "grid": {
             "lambda_min": grid.lambda_min,
             "lambda_max": grid.lambda_max,
@@ -74,7 +75,6 @@ def _meta_dict(field, raw: np.ndarray) -> dict:
             "delta": meta.costs.delta,
             "eta_family": meta.costs.eta_family,
         },
-        "options": asdict(meta.options),
         "shape": list(raw.shape),
         "dtype": "<f8",
         "order": "(snapshot, lambda, h)",
@@ -107,7 +107,8 @@ def _grid_from_dict(d: dict) -> SolverGrid:
 
 
 def load_field(prefix: Union[str, Path]):
-    """Load a field pair written by save_field; verifies the checksum, the kind and that dimension matches poisson_intensity."""
+    """Load a field pair written by save_field; verifies the checksum, the kind, that dimension matches
+    poisson_intensity, and that an older file's solver options are all retired ones."""
     prefix = Path(prefix)
     meta_path = prefix.with_suffix(".json")
     bin_path = prefix.with_suffix(".f64")
@@ -118,6 +119,9 @@ def load_field(prefix: Union[str, Path]):
         raise OSError(f"{meta_path}: unknown field kind {meta['kind']!r}; expected one of {sorted(_KINDS)}")
     if meta["dimension"] != _dimension(meta["poisson_intensity"]):
         raise OSError(f"{meta_path}: dimension {meta['dimension']!r} contradicts poisson_intensity {meta['poisson_intensity']}")
+    unknown = sorted(set(meta.get("options", ())) - set(_RETIRED_OPTIONS))
+    if unknown:
+        raise OSError(f"{meta_path}: unknown solver options {unknown}")
     # read straight into the array, so no bytes copy of the file is held beside it
     data = np.empty(tuple(meta["shape"]), dtype="<f8")
     with bin_path.open("rb") as fh:
@@ -132,15 +136,7 @@ def load_field(prefix: Union[str, Path]):
     b = meta["breach"]
     model = BreachModel(BreachFamily(b["family"]), b["v"], b["a"], b["b"])
     costs = CostParams(**meta["costs"])
-    options = SolverOptions(**{k: v for k, v in meta["options"].items() if k not in _RETIRED_OPTIONS})
-    fmeta = FieldMeta(
-        hawkes=hawkes,
-        model=model,
-        costs=costs,
-        options=options,
-        poisson_intensity=meta["poisson_intensity"],
-        extrapolation=meta["extrapolation"],
-    )
+    fmeta = FieldMeta(hawkes=hawkes, model=model, costs=costs, poisson_intensity=meta["poisson_intensity"])
     return _KINDS[meta["kind"]](grid, data, fmeta)
 
 

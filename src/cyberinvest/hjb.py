@@ -5,32 +5,34 @@ mean-reverting drift in lambda, an obsolescence drift in h, a nonlocal shift
 lambda (V(lambda + beta) - V(lambda)), a running reward
 eta_mean (v - S(h, v)) lambda, and a quadratic Hamiltonian in the investment
 rate. Space is discretized with central differences (one-sided at the four
-boundaries) and the nonlocal term with a two-point linear interpolation (a
-node shift when beta is a whole number of d_lambda steps) that past
-lambda_max extends V linearly from its last two nodes. In tau = T - t the
-semi-discrete system is
+boundaries), the only scheme, and the nonlocal term with a two-point linear
+interpolation (a node shift when beta is a whole number of d_lambda steps)
+that past lambda_max extends V linearly from its last two nodes. In
+tau = T - t the semi-discrete system is
 
-    dW/dtau = A_lambda W + A_h W + N(W) + r,  N(W) = max(D_h W - delta, 0)^2 / (2 gamma),
+    dW/dtau = A_lambda W + N(W) - rho h D_h W + r,  N(W) = max(D_h W - delta, 0)^2 / (2 gamma),
 
 where A_lambda (drift plus jump shift), a dense matrix, acts along lambda and
-is the same for every h line, while the stencils A_h (obsolescence drift) and
-D_h act along h. It is integrated with the Douglas ADI scheme (theta = 1/2, one
-step per snapshot interval; in 't Hout & Foulon 2010), started by two implicit
-half steps in each of the first two intervals (Rannacher 1984). The lambda
-stage is one product with a dense inverse for all h lines. The nonlinear h
-stage is solved by Newton's method, which on the max(., 0)^2 Hamiltonian is
-policy iteration (Forsyth & Labahn 2007), with one tridiagonal solve (LAPACK
-gtsv on the Jacobian's three diagonals) for all lambda columns per iteration,
-usually one per step: Newton starts from the last step's correction and stops on its residual.
+is the same for every h line, while the stencil D_h acts along h. The h terms
+are transport at the level's own velocity: their Jacobian is
+diag(z - rho h) D_h, with z = (D_h W - delta)^+ / gamma the maximizing rate.
+It is integrated with the Douglas ADI scheme (theta = 1/2, one step per
+snapshot interval; in 't Hout & Foulon 2010), started by two implicit half
+steps in each of the first two intervals (Rannacher 1984). The lambda stage is
+one product with a dense inverse for all h lines. The nonlinear h stage is
+solved by Newton's method, which on the max(., 0)^2 Hamiltonian is policy
+iteration (Forsyth & Labahn 2007), with one tridiagonal solve (LAPACK gtsv on
+the Jacobian's three diagonals) for all lambda columns per iteration, usually
+one per step: Newton starts from the last step's correction and stops on its residual.
 gtsv is bound from scipy's compiled LAPACK extension on a solve's first use
 (_gtsv), so the package never imports scipy.linalg.
 
 The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
 stage transposes it. Stored fields add a leading snapshot axis.
 
-The same steps with a stored policy frozen make the h stage linear, one
-tridiagonal solve per step; _loss_surfaces uses them for the moments of the
-loss under that policy.
+The same steps with a stored policy z frozen make the h stage linear, transport
+at the velocity z - rho h with the same Jacobian rule, one tridiagonal solve
+per step; _loss_surfaces uses them for the moments of the loss under that policy.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ __all__ = [
     "query",
     "hjb_residual",
 ]
-
-EXTRAPOLATION_RULE = "linear-past-lambda-max"  # the jump term's closure past lambda_max in solve
 
 _THETA = 0.5  # Douglas weight: second order in time
 _RANNACHER_INTERVALS = 2  # leading intervals stepped as two implicit (theta = 1) half steps
@@ -111,6 +111,9 @@ class SolverGrid:
     def __post_init__(self):
         snaps = np.asarray(self.t_snapshots, dtype=float)
         object.__setattr__(self, "t_snapshots", snaps)
+        for name in ("lambda_min", "lambda_max", "d_lambda", "h_min", "h_max", "d_h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d_lambda <= 0 or self.d_h <= 0:
             raise ValueError("grid steps must be positive")
         if self.h_min < 0:
@@ -124,8 +127,8 @@ class SolverGrid:
             ratio = (hi - lo) / step
             if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                 raise ValueError(f"({name}_max - {name}_min) must be an integer multiple of d_{name}")
-        if snaps.ndim != 1 or snaps.size < 2 or np.any(np.diff(snaps) >= 0):
-            raise ValueError("t_snapshots must be strictly decreasing from the horizon")
+        if snaps.ndim != 1 or snaps.size < 2 or not np.isfinite(snaps).all() or np.any(np.diff(snaps) >= 0):
+            raise ValueError("t_snapshots must be finite and strictly decreasing from the horizon")
         if snaps[-1] < 0:
             raise ValueError("snapshot times must be nonnegative")
 
@@ -175,26 +178,28 @@ class SolverGrid:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Discretization options for the backward solve."""
+    """No option is left: the backward solve has one scheme.
 
-    upwind: bool = False
+    The empty class, RunConfig.options and the ignored `options` parameter of
+    solve and solve_poisson remain only because perfbench/workloads.py passes
+    cfg.options positionally and records dataclasses.asdict(cfg.options); they
+    are to be dropped in a change that may edit the benchmark.
+    """
 
 
 @dataclass(frozen=True)
 class FieldMeta:
-    """Provenance of a solved field: inputs, options and the jump term's closure past lambda_max.
+    """Provenance of a solved field: the model it was solved for.
 
-    `solve` records EXTRAPOLATION_RULE; the default is the clamp that fields
-    written before the linear closure carry. poisson_intensity is set on the
-    fields of a constant-intensity benchmark (poisson.solve_poisson) alone.
+    Every field this library writes has the same scheme, so no scheme tag is
+    stored. poisson_intensity is set on the fields of a constant-intensity
+    benchmark (poisson.solve_poisson) alone.
     """
 
     hawkes: HawkesParams
     model: BreachModel
     costs: CostParams
-    options: SolverOptions
     poisson_intensity: Optional[float] = None
-    extrapolation: str = "clamp-at-lambda-max"
 
 
 @dataclass(frozen=True)
@@ -244,17 +249,12 @@ class SolveResult:
     quality: dict
 
 
-def _stencil(n: int, step: float, coeff: Optional[np.ndarray] = None) -> np.ndarray:
+def _stencil(n: int, step: float) -> np.ndarray:
     """(3, n) coefficients of nodes i-1, i, i+1 in row i of a first difference (0 past the ends): central,
-    one-sided in the first and last rows, or given `coeff` the one-sided difference that makes the transport
-    term coeff * d/dx monotone (a zero row where coeff is 0). Zero when n = 1."""
+    one-sided in the first and last rows. Zero when n = 1."""
     i = np.arange(n)
-    if coeff is None:  # weights of the backward and the forward difference
-        back = np.where(i < n - 1, 0.5, 1.0) * (i > 0)
-        forward = np.where(i > 0, 0.5, 1.0) * (i < n - 1)
-    else:
-        back = 1.0 * ((coeff != 0) & np.where(coeff > 0, i > 0, i == n - 1) & (n > 1))
-        forward = 1.0 * ((coeff != 0) & (n > 1)) - back
+    back = np.where(i < n - 1, 0.5, 1.0) * (i > 0)  # weights of the backward and the forward difference
+    forward = np.where(i > 0, 0.5, 1.0) * (i < n - 1)
     return np.stack([-back, back - forward, forward]) * (1.0 / step)
 
 
@@ -294,11 +294,12 @@ def _jump_shift_1d(n: int, d_lambda: float, beta: float) -> np.ndarray:
 class _PideOperator:
     """Semi-discrete operator in tau = T - t on the C-ordered (lambda, h) array W.
 
-    dW/dtau = a_lam @ W + A_h W + N(W) + reward, with N(W) =
-    max(D_h W - delta, 0)^2 / (2 gamma); A_h and D_h are the stencils a_h, d_h.
+    dW/dtau = a_lam @ W + N(W) - ch D_h W + reward, with N(W) =
+    max(D_h W - delta, 0)^2 / (2 gamma), D_h the stencil d_h and ch = rho h
+    the level's obsolescence rate.
     """
 
-    def __init__(self, grid: SolverGrid, hawkes: HawkesParams, model: BreachModel, costs: CostParams, options: SolverOptions):
+    def __init__(self, grid: SolverGrid, hawkes: HawkesParams, model: BreachModel, costs: CostParams):
         lam = grid.lambdas
         hs = grid.hs
         nl, nh = lam.size, hs.size
@@ -308,21 +309,19 @@ class _PideOperator:
         self.reward = costs.eta_mean * (model.v - breach_prob(model, hs))[None, :] * lam[:, None]
 
         clam = hawkes.xi * (lam - hawkes.alpha)
-        ch = costs.rho * hs
-        dlam = _stencil(nl, grid.d_lambda, clam if options.upwind else None)
+        dlam = _stencil(nl, grid.d_lambda)
         jump = _jump_shift_1d(nl, grid.d_lambda, hawkes.beta)
         # tau runs against t, so the transport terms change sign and the jump term keeps it
         dlam = np.diag(dlam[1]) + np.diag(dlam[0, 1:], -1) + np.diag(dlam[2, :-1], 1)
         self.a_lam = lam[:, None] * (jump - np.eye(nl)) - clam[:, None] * dlam
         self.jump = jump
         self.d_h = _stencil(nh, grid.d_h)
-        self.a_h = -ch * _stencil(nh, grid.d_h, ch if options.upwind else None)
-        self.tiles = np.tile(np.stack([self.a_h, self.d_h]), nl)  # both over the lambda rows, for _along_h
-        self._minus_ch = None if options.upwind else -ch  # the central A_h W is -ch D_h W
+        self.tiles = np.tile(self.d_h, nl)  # over the lambda rows, for _along_h
+        self.ch = costs.rho * hs
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         """D_h W on the (lambda, h) array: central differences, one-sided at h_min and h_max."""
-        return _along_h(self.tiles[1], w)
+        return _along_h(self.tiles, w)
 
     def excess(self, grad: np.ndarray) -> np.ndarray:
         """max(D_h W - delta, 0) given grad = D_h W: gamma times the maximizing rate."""
@@ -332,13 +331,9 @@ class _PideOperator:
         """Pointwise maximizer (D_h V - delta)^+ / gamma on the (lambda, h) array."""
         return self.excess(self.gradient(w)) / self.gamma
 
-    def drift(self, w: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """A_h W given grad = D_h W."""
-        return _along_h(self.tiles[0], w) if self._minus_ch is None else grad * self._minus_ch
-
-    def h_part(self, w: np.ndarray, grad: np.ndarray, excess: np.ndarray) -> np.ndarray:
-        """The terms acting along h, A_h W + N(W), given grad = D_h W and excess = self.excess(grad)."""
-        return self.drift(w, grad) + excess * excess * (0.5 / self.gamma)
+    def h_part(self, grad: np.ndarray, excess: np.ndarray) -> np.ndarray:
+        """The terms acting along h, N(W) - ch D_h W, given grad = D_h W and excess = self.excess(grad)."""
+        return excess * excess * (0.5 / self.gamma) - self.ch * grad
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """dV/dt for a surface flattened in (lambda, h) row-major order (or shaped (n_lambda, n_h))."""
@@ -346,11 +341,11 @@ class _PideOperator:
             raise FloatingPointError("non-finite value surface during integration")
         w = y.reshape(self.shape)
         grad = self.gradient(w)
-        return -(self.a_lam @ w + self.h_part(w, grad, self.excess(grad)) + self.reward).reshape(y.shape)
+        return -(self.a_lam @ w + self.h_part(grad, self.excess(grad)) + self.reward).reshape(y.shape)
 
 
 class _DouglasADI:
-    """Douglas steps of dW/dtau = A_lambda W + F_h(W) + r, with F_h = A_h W + N(W).
+    """Douglas steps of dW/dtau = A_lambda W + F_h(W) + r, with F_h = N(W) - rho h D_h W.
 
     One step of size dt with weight theta, c = theta dt:
         Y0 = W + dt (A_lambda W + F_h(W) + r)
@@ -358,8 +353,9 @@ class _DouglasADI:
         Y2 - c F_h(Y2) = Y1 - c F_h(W)   (Newton)
     step takes W with its gradient D_h W and excess max(D_h W - delta, 0) and
     returns Y2 with both of its own, so each is computed once per state and
-    the stored control reuses it. Newton starts from Y1 plus the last step's Y2 - Y1 and stops
-    once the residual's max-norm is within _NEWTON_RTOL of max(1, max |Y|); a
+    the stored control reuses it. The Jacobian of F_h is diag(excess / gamma - rho h) D_h:
+    transport at the level's velocity. Newton starts from Y1 plus the last step's Y2 - Y1 and
+    stops once the residual's max-norm is within _NEWTON_RTOL of max(1, max |Y|); a
     SolverError reports that norm as update_norm (the Jacobian is close to I).
     Counters: nfev explicit operator evaluations, njev Jacobian builds, one
     per tridiagonal solve, nlu factors, newton the solves of each step.
@@ -367,7 +363,7 @@ class _DouglasADI:
 
     def __init__(self, op: _PideOperator):
         self.op = op
-        self._factors = {}  # c -> (inverse of I - c A_lambda, I - c A_h tiles, -c D_h / gamma tiles)
+        self._factors = {}  # c -> (inverse of I - c A_lambda, -c D_h tiles)
         self.nfev = 0
         self.newton = []
         self._correction = 0.0  # the last step's h-stage correction Y2 - Y1, where Newton starts the next
@@ -375,22 +371,17 @@ class _DouglasADI:
     def _factor(self, c: float) -> tuple:
         if c not in self._factors:
             op = self.op
-            a_tiles = -c * op.tiles[0]
-            a_tiles[1] += 1.0
             inverse = np.linalg.inv(np.eye(op.shape[0]) - c * op.a_lam)
-            self._factors[c] = inverse, a_tiles, (-c / op.gamma) * op.tiles[1]
+            self._factors[c] = inverse, -c * op.tiles
         return self._factors[c]
 
-    def h_jacobian(self, excess: np.ndarray, c: float) -> tuple:
-        """I - c d(h_part)/dW at the state of `excess` as gtsv's (sub, main, super) diagonals, h fastest.
-
-        d(h_part)/dW = A_h + diag(excess / gamma) D_h on every lambda column. The
-        entries that would couple the last h node of one column to the first
-        node of the next are zero, so one solve handles all columns.
-        """
-        _, a_tiles, d_tiles = self._factor(c)
-        rows = d_tiles * excess.reshape(-1)
-        rows += a_tiles
+    def h_jacobian(self, velocity: np.ndarray, c: float) -> tuple:
+        """I - c diag(velocity) D_h as gtsv's (sub, main, super) diagonals, h fastest: the h stage's
+        Jacobian for transport at the level velocity z - rho h (z = excess / gamma in step, the frozen
+        rate in frozen_step). The entries that would couple the last h node of one column to the
+        first node of the next are zero, so one solve handles all columns."""
+        rows = self._factor(c)[1] * velocity.reshape(-1)
+        rows[1] += 1.0
         return rows[0, 1:], rows[1], rows[2, :-1]
 
     def step(self, w: np.ndarray, grad: np.ndarray, excess: np.ndarray, dt: float, c: float, t: float) -> tuple:
@@ -404,7 +395,7 @@ class _DouglasADI:
                 {"step": step, "t": t, "update_norm": norm},
             )
 
-        f_lam, f_h = op.a_lam @ w, op.h_part(w, grad, excess)
+        f_lam, f_h = op.a_lam @ w, op.h_part(grad, excess)
         self.nfev += 1
         y = w + dt * (f_lam + f_h + op.reward) - c * f_lam
         if not np.isfinite(y).all():
@@ -414,7 +405,7 @@ class _DouglasADI:
         for it in range(_NEWTON_MAX_ITER + 1):  # it tridiagonal solves so far
             grad = op.gradient(y)
             excess = op.excess(grad)
-            resid = y - c * op.h_part(y, grad, excess) - target
+            resid = y - c * op.h_part(grad, excess) - target
             norm = float(np.abs(resid).max())  # nan or inf if any entry is
             if not math.isfinite(norm):
                 raise failure("non-finite h stage")
@@ -425,20 +416,21 @@ class _DouglasADI:
             if it == _NEWTON_MAX_ITER:
                 break
             # every argument is a fresh array, so gtsv may overwrite them all
-            *_, dy, info = _gtsv()(*self.h_jacobian(excess, c), resid.reshape(-1), True, True, True, True)
+            velocity = excess / op.gamma - op.ch
+            *_, dy, info = _gtsv()(*self.h_jacobian(velocity, c), resid.reshape(-1), True, True, True, True)
             if info != 0:
                 raise failure(f"singular h-stage Jacobian (gtsv info {info})")
             y -= dy.reshape(y.shape)
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
     def frozen_step(self, w: np.ndarray, z: np.ndarray, source: np.ndarray, dt: float, c: float) -> np.ndarray:
-        """A Douglas step of the linear dW/dtau = A_lambda W + A_h W + z D_h W + source, the investment
+        """A Douglas step of the linear dW/dtau = A_lambda W + (z - rho h) D_h W + source, the investment
         rate z frozen over the step: its h stage, (I - c F_h) Y2 = Y1 - c F_h W, is one tridiagonal solve."""
         op = self.op
-        grad = op.gradient(w)
-        f_lam, f_h = op.a_lam @ w, op.drift(w, grad) + z * grad
+        velocity = z - op.ch
+        f_lam, f_h = op.a_lam @ w, velocity * op.gradient(w)
         y = self._factor(c)[0] @ (w + dt * (f_lam + f_h + source) - c * f_lam)
-        *_, y, info = _gtsv()(*self.h_jacobian(op.gamma * z, c), (y - c * f_h).reshape(-1), True, True, True, True)
+        *_, y, info = _gtsv()(*self.h_jacobian(velocity, c), (y - c * f_h).reshape(-1), True, True, True, True)
         if info != 0:
             raise SolverError(f"singular frozen-policy h stage (gtsv info {info})", {"gtsv_info": int(info)})
         return y.reshape(w.shape)
@@ -471,11 +463,10 @@ def solve(
     Returns the value and policy fields at every snapshot together with a
     quality report (monotonicity statistics, residual norms, integrator
     counters). Where the jump term reads past lambda_max, the operator extends
-    V linearly from the last two intensity nodes; the metadata records this
-    closure as EXTRAPOLATION_RULE. Lookups of the stored fields (`query`, the
-    policy walk) still clamp intensities above lambda_max to the last node.
+    V linearly from the last two intensity nodes. Lookups of the stored fields
+    (`query`, the policy walk) still clamp intensities above lambda_max to the
+    last node. `options` is accepted and ignored (see SolverOptions).
     """
-    options = options or SolverOptions()
     if abs(grid.horizon - costs.horizon) > 1e-12:
         raise ValueError(
             f"grid horizon {grid.horizon} does not match costs.horizon {costs.horizon}"
@@ -483,14 +474,14 @@ def solve(
     snaps = grid.t_snapshots
     steps = _schedule(snaps)
     nl, nh, factors = grid.n_lambda, grid.n_h, len({c for *_, c, _ in steps})
-    # the stored nodes, A_lambda, and each factor's inverse and six Jacobian tiles
-    n_nodes = snaps.size * nl * nh + (1 + factors) * nl * nl + 6 * factors * nl * nh
+    # the stored nodes, A_lambda, and each factor's inverse and three Jacobian tiles
+    n_nodes = snaps.size * nl * nh + (1 + factors) * nl * nl + 3 * factors * nl * nh
     if n_nodes > _MAX_NODES:
         raise SolverError(
             f"{n_nodes} stored nodes and operator entries exceed the in-memory limit {_MAX_NODES}; "
             "coarsen the grid or reduce snapshots"
         )
-    op = _PideOperator(grid, hawkes, model, costs, options)
+    op = _PideOperator(grid, hawkes, model, costs)
     values = np.empty((snaps.size,) + op.shape)
     controls = np.empty_like(values)
     w = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).copy()
@@ -514,7 +505,7 @@ def solve(
         "newton_max": int(max(adi.newton)),
     }
 
-    meta = FieldMeta(hawkes, model, costs, options, extrapolation=EXTRAPOLATION_RULE)
+    meta = FieldMeta(hawkes, model, costs)
     vf = ValueField(grid, values, meta)
     pf = PolicyField(grid, controls, meta)
     quality = _quality_report(vf, op, wall, diagnostics)
@@ -525,8 +516,8 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
     """The surfaces u and B at the first snapshot (t = 0 for a regular grid) of two linear backward
     solves under the stored policy, frozen: with p(h) the breach probability and J the jump shift,
 
-        u_tau = A_lambda u + A_h u + z D_h u + lambda p(h),
-        B_tau = A_lambda B + A_h B + z D_h B + lambda p(h) (J u),    u(T) = B(T) = 0.
+        u_tau = A_lambda u + (z - rho h) D_h u + lambda p(h),
+        B_tau = A_lambda B + (z - rho h) D_h B + lambda p(h) (J u),    u(T) = B(T) = 0.
 
     u is the expected number of breaches from (t, lambda, h), and E[L^2] = (eta_var + eta_mean^2) u
     + 2 eta_mean^2 B (Dynkin's formula for the compound jump process; Oksendal & Sulem). The steps
@@ -535,7 +526,7 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
     states of u at the step's two ends, so u steps first.
     """
     grid, meta = policy.grid, policy.meta
-    op = _PideOperator(grid, meta.hawkes, meta.model, meta.costs, meta.options)
+    op = _PideOperator(grid, meta.hawkes, meta.model, meta.costs)
     adi = _DouglasADI(op)
     breach_rate = grid.lambdas[:, None] * breach_prob(meta.model, grid.hs)[None, :]
     u, b, source = np.zeros(op.shape), np.zeros(op.shape), np.zeros(op.shape)
@@ -617,7 +608,7 @@ def hjb_residual(field: ValueField, at: int) -> float:
     if not (1 <= at <= field.grid.t_snapshots.size - 2):
         raise ValueError(f"snapshot index {at} is not interior")
     meta = field.meta
-    op = _PideOperator(field.grid, meta.hawkes, meta.model, meta.costs, meta.options)
+    op = _PideOperator(field.grid, meta.hawkes, meta.model, meta.costs)
     interior, _ = _residual_split(field, at, op)
     return interior
 
@@ -631,8 +622,7 @@ def query(field, t: float, lam: float, h: float, mode: str = "nearest") -> float
     bilinear interpolation in (lambda, h).
 
     lambda above the grid is clamped to lambda_max: the lookup does not apply
-    the solve's linear closure (FieldMeta.extrapolation), which only the jump
-    term uses. h outside the grid is clamped with a warning; a non-finite
+    the solve's linear closure past lambda_max, which only the jump term uses. h outside the grid is clamped with a warning; a non-finite
     lambda or h raises ValueError.
     """
     if not (math.isfinite(lam) and math.isfinite(h)):

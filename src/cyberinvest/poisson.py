@@ -84,6 +84,7 @@ def solve_poisson(
 
     The lambda dimension of `grid` is ignored; a single-node intensity axis at
     lambda_p is substituted so the 2-d kernel degenerates to the 1-d PDE.
+    `options` is accepted and ignored (see hjb.SolverOptions).
     """
     if lambda_p <= 0:
         raise ValueError("benchmark intensity must be positive")
@@ -98,7 +99,7 @@ def solve_poisson(
     )
     # beta = 0 kills the nonlocal term; alpha = lambda_p kills the drift.
     constant = HawkesParams(alpha=lambda_p, lambda0=lambda_p, xi=1.0, beta=0.0)
-    res = solve(degenerate, constant, model, costs, options)
+    res = solve(degenerate, constant, model, costs)
     meta = replace(res.value.meta, poisson_intensity=float(lambda_p))
     return PoissonField(
         intensity=float(lambda_p),

@@ -108,8 +108,8 @@ def _euler_walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: fl
 
     Returns the controls, column-major so that each snapshot's column is
     contiguous, and the numbers of lookups clamped at lambda_max and at h_max.
-    An intensity above lambda_max reads the last node's control, whatever
-    closure past lambda_max the solve used (field.meta.extrapolation).
+    An intensity above lambda_max reads the last node's control, although the
+    solve's jump term extends V linearly past lambda_max.
     """
     _check_initial_level(h_init)
     grid = field.grid

@@ -19,7 +19,7 @@ from cyberinvest import (
 )
 from cyberinvest._rng import generator_from
 from cyberinvest.config import COARSE_PRESET
-from cyberinvest.hjb import SolverOptions, _PideOperator
+from cyberinvest.hjb import _PideOperator
 from cyberinvest.poisson import lambda_baseline, lambda_expectation_matched
 
 # Quadrature- and solver-backed properties vary too much in run time for a
@@ -51,17 +51,17 @@ def exact_moments(params, t):
     return u, q - u * u, m2 - m1 * m1
 
 
-def radau_values(grid, hawkes, model, costs, options=None):
+def radau_values(grid, hawkes, model, costs):
     """Oracle: the semi-discrete equation integrated by Radau at tight tolerances.
 
     Returns V as (snapshot, lambda, h). The Jacobian sparsity pattern is built
     here from the operator's 1-d factors (the nonzeros of the dense A_lambda,
-    the tridiagonal band of the h stencils), so Radau can difference columns
+    the tridiagonal band of the h stencil), so Radau can difference columns
     in groups instead of one at a time.
     """
-    op = _PideOperator(grid, hawkes, model, costs, options or SolverOptions())
+    op = _PideOperator(grid, hawkes, model, costs)
     nl, nh = op.shape
-    along_h = np.abs(op.a_h) + np.abs(op.d_h)
+    along_h = np.abs(op.d_h)
     band_h = sp.diags([along_h[0, 1:], along_h[1], along_h[2, :-1]], [-1, 0, 1])
     pattern = sp.kron(sp.csr_matrix(op.a_lam), sp.identity(nh)) + sp.kron(sp.identity(nl), band_h) + sp.identity(nl * nh)
     y0 = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).ravel()

@@ -39,7 +39,7 @@ from cyberinvest import (
 )
 from cyberinvest.cli import main as cli_main
 from cyberinvest.config import validate
-from cyberinvest.hjb import SolverOptions, _PideOperator
+from cyberinvest.hjb import _PideOperator
 
 REPO = Path(__file__).resolve().parents[1]
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
@@ -167,7 +167,7 @@ def _structural_clauses(solution, grid):
     b_ok = worst >= 0.0
     lines.append(f"bound slack min {worst:.3f}")
     # policy identity exact
-    op = _PideOperator(grid, STD_H, STD_M, STD_C, SolverOptions())
+    op = _PideOperator(grid, STD_H, STD_M, STD_C)
     p_ok = True
     for k in (0, grid.t_snapshots.size // 2, grid.t_snapshots.size - 1):
         p_ok &= np.array_equal(solution.policy.controls[k], op.policy(solution.value.values[k]))

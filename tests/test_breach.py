@@ -120,6 +120,16 @@ class TestEnbis:
             enbis(STD, 0.5, 100.0, -1.0)
 
 
+@pytest.mark.parametrize("loss", [math.inf, math.nan])
+@pytest.mark.parametrize("family", list(BreachFamily))
+def test_non_finite_loss_rejected(family, loss):
+    # named as the loss, not as the non-finite investment level it would give
+    m = BreachModel(family, v=0.65, a=0.1)
+    for call in (lambda: static_optimum(m, 1.0, loss), lambda: enbis(m, 1.0, loss, 1.0)):
+        with pytest.raises(ValueError, match="loss must be finite and nonnegative"):
+            call()
+
+
 class TestStaticOptimum:
     def test_closed_form_standard(self):
         z = static_optimum(STD, 1.0, 400.0)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import json
 import os
@@ -61,9 +60,16 @@ class TestValidate:
         assert any("foo" in d for d in err.value.diagnostics)
 
     def test_retired_solver_key_rejected(self):
+        # the scheme has no option left, so the whole [solver] section is retired
         with pytest.raises(ConfigError) as err:
             validate("[solver]\nmethod = Radau\n", use_env=False)
-        assert err.value.diagnostics == ["unknown key 'method' in section [solver]"]
+        assert err.value.diagnostics == ["unknown section [solver]"]
+
+    def test_each_eta_var_checked_against_the_costs(self):
+        # the premium command prices every eta_var under [costs], and a fixed loss has no variance
+        with pytest.raises(ConfigError) as err:
+            validate("[costs]\neta_family = fixed\neta_var = 0\n[premium]\neta_vars = 0,50\n", use_env=False)
+        assert err.value.diagnostics == ["[premium] eta_vars 50: fixed loss family requires eta_var = 0"]
 
     def test_multiple_diagnostics_collected(self):
         with pytest.raises(ConfigError) as err:
@@ -102,7 +108,8 @@ class TestFieldIO:
         loaded = load_field(tmp_path / "v")
         np.testing.assert_array_equal(loaded.values, coarse_solution.value.values)
         assert loaded.meta == coarse_solution.value.meta
-        assert loaded.meta.extrapolation == "linear-past-lambda-max"
+        # every field has the one scheme, so the file carries no scheme tag
+        assert not {"options", "extrapolation"} & json.loads((tmp_path / "v.json").read_text()).keys()
         assert loaded.grid.d_lambda == coarse_solution.value.grid.d_lambda
 
     def test_checksum_detects_corruption(self, tmp_path, coarse_solution):
@@ -144,15 +151,15 @@ class TestFieldIO:
     def test_written_bytes_pinned(self, tmp_path):
         # digests of the two files: the .f64 as written before save_field hashed the
         # array it writes instead of serializing it a second time, the .json since
-        # the solver options lost jump_interp
+        # the metadata lost the "options" and "extrapolation" scheme tags
         expected = (
             "0b2a9d473f9a5678cff17a606b7cef428f4b7e4be3a1bec96329679622c0a813",
-            "9c89c2123bfe3f9f221d9cc554701b491863f54a941364915aa22344d7ee4752",
+            "75f3bec08b0442dde5e51488af342446c4785275328b9f2e39c8cf1fc1d4b0bf",
         )
         grid = ci.SolverGrid.regular(27.0, 36.0, 9.0, 0.0, 1.0, 1.0, 1.0, 1)
         costs = ci.CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0)
         model = ci.BreachModel(ci.BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
-        meta = FieldMeta(ci.HawkesParams(27.0, 27.0, 15.0, 9.0), model, costs, ci.SolverOptions())
+        meta = FieldMeta(ci.HawkesParams(27.0, 27.0, 15.0, 9.0), model, costs)
         values = np.arange(8.0).reshape(2, 2, 2) / 3.0
         # a big-endian, column-major copy of the same numbers writes the same bytes
         for data in (values, np.asfortranarray(values.astype(">f8"))):
@@ -192,6 +199,13 @@ class TestFieldIO:
         prefix.with_suffix(".json").write_text(json.dumps(meta))
         return data
 
+    # the model that write_field_with_options records
+    META = FieldMeta(
+        ci.HawkesParams(27.0, 27.0, 15.0, 9.0),
+        ci.BreachModel(ci.BreachFamily.CLASS_I, 0.65, 0.1, 1.0),
+        ci.CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0),
+    )
+
     def test_loads_field_with_retired_integrator_options(self, tmp_path):
         # fields written by the former Radau solver carry rtol, atol and method,
         # and older fields the query-mode default and the node limit
@@ -200,15 +214,15 @@ class TestFieldIO:
         data = self.write_field_with_options(tmp_path / "v", old)
         loaded = load_field(tmp_path / "v")
         np.testing.assert_array_equal(loaded.values.ravel(), data)
-        assert dataclasses.asdict(loaded.meta.options) == {"upwind": False}
-        assert loaded.meta.extrapolation == "clamp-at-lambda-max"
+        assert loaded.meta == self.META
 
     @pytest.mark.parametrize("jump_interp", [False, True])
     def test_loads_field_with_jump_interp(self, tmp_path, jump_interp):
-        # either setting of the retired switch: the shift now always interpolates,
-        # which on a whole-node shift is the former node shift
-        self.write_field_with_options(tmp_path / "v", {"upwind": True, "jump_interp": jump_interp})
-        assert load_field(tmp_path / "v").meta.options == ci.SolverOptions(upwind=True)
+        # either setting of the retired switches, and either closure tag: the shift now always
+        # interpolates, which on a whole-node shift is the former node shift, and the scheme is fixed
+        extrapolation = "linear-past-lambda-max" if jump_interp else "clamp-at-lambda-max"
+        self.write_field_with_options(tmp_path / "v", {"upwind": True, "jump_interp": jump_interp}, extrapolation=extrapolation)
+        assert load_field(tmp_path / "v").meta == self.META
 
     def test_unknown_kind_rejected(self, tmp_path):
         self.write_field_with_options(tmp_path / "v", {"upwind": False}, kind="valu")
@@ -223,7 +237,7 @@ class TestFieldIO:
 
     def test_unknown_option_still_rejected(self, tmp_path):
         self.write_field_with_options(tmp_path / "v", {"upwind": False, "foo": 1})
-        with pytest.raises(TypeError):
+        with pytest.raises(OSError, match=r"unknown solver options \['foo'\]"):
             load_field(tmp_path / "v")
 
 
@@ -260,20 +274,52 @@ class TestCli:
     @pytest.mark.parametrize(
         "text, diagnostic",
         [
-            ("[solver]\ninterp_query = true\n", "unknown key 'interp_query' in section [solver]"),
-            ("[solver]\nmax_nodes = 10\n", "unknown key 'max_nodes' in section [solver]"),
+            ("[solver]\ninterp_query = true\n", "unknown section [solver]"),
+            ("[solver]\nmax_nodes = 10\n", "unknown section [solver]"),
             ("[benchmark]\npoisson_mode = baseline\n", "unknown section [benchmark]"),
             ("[premium]\nmc_paths = 100000\n", "unknown key 'mc_paths' in section [premium]"),
             ("[run]\nthreads = 2\n", "unknown key 'threads' in section [run]"),
-            ("[solver]\njump_interp = true\n", "unknown key 'jump_interp' in section [solver]"),
+            ("[solver]\njump_interp = true\n", "unknown section [solver]"),
+            ("[solver]\nupwind = true\n", "unknown section [solver]"),
         ],
-        ids=["interp_query", "max_nodes", "poisson_mode", "mc_paths", "threads", "jump_interp"],
+        ids=["interp_query", "max_nodes", "poisson_mode", "mc_paths", "threads", "jump_interp", "upwind"],
     )
     def test_retired_keys_exit_2(self, tmp_path, capsys, text, diagnostic):
         cfg = tmp_path / "retired.cfg"
         cfg.write_text(text)
         assert main(["validate", "--config", str(cfg)]) == 2
         assert diagnostic in capsys.readouterr().err
+
+    NON_FINITE = [
+        ("COSTS__GAMMA=nan", "[costs] gamma must be finite"),
+        ("COSTS__RHO=nan", "[costs] rho must be finite"),
+        ("COSTS__ETA_MEAN=inf", "[costs] eta_mean must be finite"),
+        ("COSTS__ETA_VAR=inf", "[costs] eta_var must be finite"),
+        ("COSTS__DELTA=nan", "[costs] delta must be finite"),
+        ("BREACH__A=nan", "[breach] shape parameter a must be finite"),
+        ("BREACH__B=inf", "[breach] shape parameter b must be finite"),
+        ("GRID__LAMBDA_MAX=inf", "[grid] lambda_max must be finite"),
+        ("GRID__D_H=inf", "[grid] d_h must be finite"),
+        ("GRID__H_MAX=nan", "[grid] h_max must be finite"),
+        ("PREMIUM__THETA=nan", "[premium] theta must be finite"),
+        ("PREMIUM__ETA_VARS=10,nan", "[premium] eta_vars nan: eta_var must be finite"),
+        ("PREMIUM__ETA_VARS=-5", "[premium] eta_vars -5: breach-loss variance must be nonnegative"),
+    ]
+
+    @pytest.mark.parametrize("override, diagnostic", NON_FINITE, ids=[o for o, _ in NON_FINITE])
+    def test_non_finite_value_exit_2(self, monkeypatch, capsys, override, diagnostic):
+        # one diagnostic naming the key, before any solve
+        key, value = override.split("=")
+        monkeypatch.setenv(f"CYBERINVEST_{key}", value)
+        assert main(["validate", "--config", str(STANDARD)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
+        assert err.count("\n  - ") == 1 and diagnostic in err
+
+    @pytest.mark.parametrize("loss", ["inf", "nan"])
+    def test_static_gl_non_finite_loss_exit_2(self, capsys, loss):
+        assert main(["static-gl", "--loss", loss]) == 2
+        assert f"loss must be finite and nonnegative, got {loss}" in capsys.readouterr().err
 
     def test_threads_flag_retired(self, capsys):
         with pytest.raises(SystemExit) as exc:

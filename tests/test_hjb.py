@@ -15,7 +15,6 @@ from cyberinvest import (
     HawkesParams,
     SolverError,
     SolverGrid,
-    SolverOptions,
     breach_prob,
     hjb_residual,
     query,
@@ -90,39 +89,15 @@ def onesided_central_1d(n, step):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def upwind_1d(n, step, coeff):
-    """Oracle: one-sided differences chosen row by row so the transport term is monotone."""
-    if n == 1:
-        return sp.csr_matrix((1, 1))
-    rows, cols, vals = [], [], []
-    inv = 1.0 / step
-    for i in range(n):
-        c = coeff[i]
-        if c == 0:
-            continue
-        if c > 0:
-            j = i - 1 if i > 0 else i + 1
-            sgn = 1.0 if i > 0 else -1.0
-        else:
-            j = i + 1 if i < n - 1 else i - 1
-            sgn = -1.0 if i < n - 1 else 1.0
-        rows += [i, i]
-        cols += [i, j]
-        vals += [sgn * inv, -sgn * inv]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def reference_matrices(grid, options, hawkes=STD_H, costs=STD_C):
-    """Oracle: the operator's (A_lambda, A_h, D_h) as sparse matrices assembled entry by entry."""
+def reference_matrices(grid, hawkes=STD_H, costs=STD_C):
+    """Oracle: the operator's (A_lambda, A_h, D_h) as sparse matrices assembled entry by entry,
+    with A_h = -diag(rho h) D_h the obsolescence drift."""
     lam, hs = grid.lambdas, grid.hs
     clam, ch = hawkes.xi * (lam - hawkes.alpha), costs.rho * hs
-    if options.upwind:
-        dlam, dh = upwind_1d(lam.size, grid.d_lambda, clam), upwind_1d(hs.size, grid.d_h, ch)
-    else:
-        dlam, dh = onesided_central_1d(lam.size, grid.d_lambda), onesided_central_1d(hs.size, grid.d_h)
+    dlam, dh = onesided_central_1d(lam.size, grid.d_lambda), onesided_central_1d(hs.size, grid.d_h)
     jump = sp.csr_matrix(hjb._jump_shift_1d(lam.size, grid.d_lambda, hawkes.beta))
     a_lam = (sp.diags(lam) @ (jump - sp.identity(lam.size)) - sp.diags(clam) @ dlam).tocsr()
-    return a_lam, (-sp.diags(ch) @ dh).tocsr(), onesided_central_1d(hs.size, grid.d_h)
+    return a_lam, (-sp.diags(ch) @ dh).tocsr(), dh
 
 
 def stencil_rows(mat):
@@ -173,7 +148,7 @@ def banded_reference_step(op, matrices, w, dt, theta, correction=0.0):
 
 def rhs(state, model, costs):
     """Time derivative of a surface flattened in (lambda, h) row-major order."""
-    out = _PideOperator(SMALL, STD_H, model, costs, SolverOptions()).rhs(0.0, state)
+    out = _PideOperator(SMALL, STD_H, model, costs).rhs(0.0, state)
     assert out.shape == state.shape
     return out
 
@@ -187,7 +162,7 @@ class TestAssembleRhs:
         assert np.all(out == 0.0)
 
     def test_running_reward_formula(self):
-        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions())
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         reward = op.reward
         # reward(lambda, h) = eta_mean (v - S(h, v)) lambda; zero at h = 0
         assert reward[0, 0] == pytest.approx(0.0, abs=1e-14)
@@ -201,8 +176,8 @@ class TestAssembleRhs:
         state = np.tile(np.sqrt(SMALL.hs), (SMALL.n_lambda, 1)).ravel()
         big = dataclasses.replace(STD_C, gamma=1e14)
         out_big = rhs(state, STD_M, big)
-        op = _PideOperator(SMALL, STD_H, STD_M, big, SolverOptions())
-        a_lam, a_h, _ = reference_matrices(SMALL, SolverOptions(), costs=big)
+        op = _PideOperator(SMALL, STD_H, STD_M, big)
+        a_lam, a_h, _ = reference_matrices(SMALL, costs=big)
         w = state.reshape(op.shape)
         linear_only = -(a_lam @ w + (a_h @ w.T).T + op.reward).ravel()
         np.testing.assert_allclose(out_big, linear_only, atol=1e-10)
@@ -239,47 +214,44 @@ class TestAssembleRhs:
         for a, b in [(1.0, 0.0), (0.0, 1.0), (-2.5, 7.0)]:
             np.testing.assert_allclose(shift @ (a + b * lam), a + b * (lam + beta), rtol=1e-13)
 
-    @pytest.mark.parametrize("upwind", [False, True])
     @pytest.mark.parametrize("off_lattice", [False, True])
-    def test_operator_matches_sparse_assembly(self, upwind, off_lattice):
-        # the dense A_lambda and the h stencils hold the entry-by-entry matrices' values,
+    def test_operator_matches_sparse_assembly(self, off_lattice):
+        # the dense A_lambda and the h terms hold the entry-by-entry matrices' values,
         # with the jump shift on SMALL's lattice (beta = 9) and off it (beta = 8)
-        options = SolverOptions(upwind=upwind)
         hawkes = dataclasses.replace(STD_H, beta=8.0) if off_lattice else STD_H
-        op = _PideOperator(SMALL, hawkes, STD_M, STD_C, options)
-        a_lam, a_h, d_h = reference_matrices(SMALL, options, hawkes=hawkes)
+        op = _PideOperator(SMALL, hawkes, STD_M, STD_C)
+        a_lam, a_h, d_h = reference_matrices(SMALL, hawkes=hawkes)
         np.testing.assert_array_equal(op.a_lam, a_lam.toarray())
-        np.testing.assert_array_equal(op.a_h, stencil_rows(a_h))
+        np.testing.assert_array_equal(-op.ch * op.d_h, stencil_rows(a_h))
         np.testing.assert_array_equal(op.d_h, stencil_rows(d_h))
         w = np.random.default_rng(1).standard_normal(op.shape)
         np.testing.assert_allclose(op.gradient(w), (d_h @ w.T).T, rtol=1e-14, atol=1e-14)
         excess = np.maximum((d_h @ w.T).T - op.delta, 0.0)
         expected = (a_h @ w.T).T + excess * excess / (2.0 * op.gamma)
-        np.testing.assert_allclose(op.h_part(w, op.gradient(w), excess), expected, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(op.h_part(op.gradient(w), excess), expected, rtol=1e-13, atol=1e-12)
 
-    @pytest.mark.parametrize("coeff", [None, [-1.0, 2.0, 0.0, -3.0, 1.0], [0.0, 2.0], [-1.0, 2.0], [-1.0], [1.0]])
     @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_stencil_matches_oracle(self, coeff, n):
-        coeff = None if coeff is None else np.resize(coeff, n)
-        expected = onesided_central_1d(n, 0.3) if coeff is None else upwind_1d(n, 0.3, coeff)
-        np.testing.assert_array_equal(hjb._stencil(n, 0.3, coeff), stencil_rows(expected))
+    def test_stencil_matches_oracle(self, n):
+        np.testing.assert_array_equal(hjb._stencil(n, 0.3), stencil_rows(onesided_central_1d(n, 0.3)))
 
-    @pytest.mark.parametrize("upwind", [False, True])
-    def test_h_stage_jacobian_matches_finite_differences(self, upwind):
-        # the Newton system of the h stage is G(y) = y - c * h_part(y)
-        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions(upwind=upwind))
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_h_stage_jacobian_matches_finite_differences(self, frozen):
+        # the h stage solves G(y) = y - c F_h(y): Newton's F_h = h_part, or the frozen step's
+        # (z - rho h) D_h y at a fixed rate z; at z = excess / gamma both Jacobians are
+        # transport at the level velocity z - rho h
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         rng = np.random.default_rng(0)
         y = np.sqrt(SMALL.hs)[None, :] * SMALL.lambdas[:, None] / 9.0 + 0.1 * rng.standard_normal(op.shape)
-        c = 0.0025
-        lower, main, upper = hjb._DouglasADI(op).h_jacobian(op.excess(op.gradient(y)), c)
+        c, z = 0.0025, op.policy(y)
+        lower, main, upper = hjb._DouglasADI(op).h_jacobian(z - op.ch, c)
         n = y.size
         assert lower.size == upper.size == n - 1 and main.size == n
         jac = sp.diags([lower, main, upper], [-1, 0, 1], shape=(n, n)).tocsr()
-        assert 0.2 < (op.policy(y) > 0).mean() < 0.8  # both branches of the max occur
+        assert 0.2 < (z > 0).mean() < 0.8  # both branches of the max occur
 
         def newton_map(x):
             grad = op.gradient(x)
-            return x - c * op.h_part(x, grad, op.excess(grad))
+            return x - c * ((z - op.ch) * grad if frozen else op.h_part(grad, op.excess(grad)))
 
         for _ in range(4):
             d = rng.standard_normal(op.shape)
@@ -329,11 +301,12 @@ class TestGtsvBinding:
 
 
 class TestDouglasStep:
-    @pytest.mark.parametrize("upwind", [False, True])
-    def test_matches_banded_reference(self, upwind):
-        options = SolverOptions(upwind=upwind)
-        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, options)
-        matrices = reference_matrices(SMALL, options)
+    @pytest.mark.parametrize("off_lattice", [False, True])
+    def test_matches_banded_reference(self, off_lattice):
+        # with the jump shift on SMALL's lattice (beta = 9) and off it (beta = 8)
+        hawkes = dataclasses.replace(STD_H, beta=8.0) if off_lattice else STD_H
+        op = _PideOperator(SMALL, hawkes, STD_M, STD_C)
+        matrices = reference_matrices(SMALL, hawkes=hawkes)
         adi = hjb._DouglasADI(op)
         w = ref = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
         grad = op.gradient(w)
@@ -347,29 +320,50 @@ class TestDouglasStep:
             assert np.max(np.abs(excess / op.gamma - reference_policy(op, matrices[2], ref))) <= 1e-9
             assert adi.newton[-1] == iterations
 
+    def test_frozen_step_matches_sparse_reference(self, small_solution):
+        # the linear step under a frozen rate z, against the same Douglas step on the entry-by-entry
+        # matrices: SuperLU for I - c A_lambda and for the h stage's I - c (A_h + diag(z) D_h)
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
+        a_lam, a_h, d_h = reference_matrices(SMALL)
+        nl, nh = op.shape
+        w, z = small_solution.value.values[25], small_solution.policy.controls[25]
+        source = op.reward
+        rows = sp.identity(nl)
+        f_h_matrix = (sp.kron(rows, a_h) + sp.diags(z.ravel()) @ sp.kron(rows, d_h)).tocsc()
+        adi = hjb._DouglasADI(op)
+        for theta, dt in [(1.0, 0.5 * SMALL.d_t), (_THETA, SMALL.d_t)]:
+            c = float(f"{theta * dt:.12g}")
+            f_lam, f_h = a_lam @ w, (f_h_matrix @ w.ravel()).reshape(op.shape)
+            lam_lu = splu((sp.identity(nl, format="csc") - c * a_lam).tocsc())
+            y1 = lam_lu.solve(np.asfortranarray(w + dt * (f_lam + f_h + source) - c * f_lam))
+            h_lu = splu((sp.identity(nl * nh, format="csc") - c * f_h_matrix).tocsc())
+            ref = h_lu.solve((y1 - c * f_h).ravel()).reshape(op.shape)
+            got = adi.frozen_step(w, z, source, dt, c)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_accepted_states_meet_the_residual_bound(self):
         # every state a step returns solves its h stage to _NEWTON_RTOL of max(1, max |Y2|),
         # and comes with its own gradient and excess
-        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions())
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         adi = hjb._DouglasADI(op)
         w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
         grad = op.gradient(w)
         excess = op.excess(grad)
         for _, dt, _, c, t in hjb._schedule(SMALL.t_snapshots):
-            f_lam, f_h = op.a_lam @ w, op.h_part(w, grad, excess)
+            f_lam, f_h = op.a_lam @ w, op.h_part(grad, excess)
             y1 = adi._factor(c)[0] @ (w + dt * (f_lam + f_h + op.reward) - c * f_lam)
             w, grad, excess = adi.step(w, grad, excess, dt, c, t)
             np.testing.assert_array_equal(grad, op.gradient(w))
             np.testing.assert_array_equal(excess, op.excess(grad))
-            resid = w - c * op.h_part(w, grad, excess) - (y1 - c * f_h)
+            resid = w - c * op.h_part(grad, excess) - (y1 - c * f_h)
             assert np.max(np.abs(resid)) <= hjb._NEWTON_RTOL * max(1.0, np.max(np.abs(w)))
         assert len(adi.newton) == SMALL.t_snapshots.size - 1 + hjb._RANNACHER_INTERVALS
 
     def test_singular_h_stage_raises(self, monkeypatch):
         jacobian = hjb._DouglasADI.h_jacobian
 
-        def singular(self, excess, c):
-            lower, main, upper = jacobian(self, excess, c)
+        def singular(self, velocity, c):
+            lower, main, upper = jacobian(self, velocity, c)
             lower[6] = main[7] = upper[7] = 0.0  # row 7 of the Jacobian vanishes
             return lower, main, upper
 
@@ -413,7 +407,7 @@ class TestSolve:
 
     def test_policy_consistency_identity(self, small_solution):
         # stored controls equal ((discrete dV/dh - delta)^+)/gamma node for node
-        op = _PideOperator(SMALL, STD_H, STD_M, STD_C, SolverOptions())
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         for k in (0, 10, 25, 50):
             expected = op.policy(small_solution.value.values[k])
             np.testing.assert_array_equal(small_solution.policy.controls[k], expected)
@@ -490,7 +484,6 @@ class TestSolve:
         # the linear closure past lambda_max = 120 against a domain 180 units wider;
         # clamping the jump target at lambda_max put the two 20 apart
         wide = solve(dataclasses.replace(SMALL, lambda_max=300.0), STD_H, STD_M, STD_C)
-        assert small_solution.value.meta.extrapolation == "linear-past-lambda-max"
         gap = np.abs(small_solution.value.values - wide.value.values[:, : SMALL.n_lambda])
         assert gap.max() <= 0.2  # every snapshot and node; the value scale is about 390
 
@@ -506,11 +499,6 @@ class TestSolve:
         again = solve(SMALL, STD_H, STD_M, STD_C)
         np.testing.assert_array_equal(small_solution.value.values, again.value.values)
         np.testing.assert_array_equal(small_solution.policy.controls, again.policy.controls)
-
-    def test_upwind_option_close_to_central(self, small_solution):
-        up = solve(SMALL, STD_H, STD_M, STD_C, SolverOptions(upwind=True))
-        v0 = small_solution.value.values[-1][0, 0]
-        assert up.value.values[-1][0, 0] == pytest.approx(v0, rel=0.05)
 
     def test_off_lattice_jump_matches_whole_node_solve(self):
         # beta = 8 is 8/3 nodes at d_lambda = 3 and 8 nodes at d_lambda = 1; on SMALL's nodes the two

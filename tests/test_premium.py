@@ -33,7 +33,7 @@ from cyberinvest import (
     solve,
 )
 from cyberinvest.dynamics import _control_levels
-from cyberinvest.hjb import FieldMeta, PolicyField, SolverOptions, _DouglasADI, _PideOperator, _schedule
+from cyberinvest.hjb import FieldMeta, PolicyField, _DouglasADI, _PideOperator, _schedule
 
 # the package exports the premium() function under the module's name
 premium_module = importlib.import_module("cyberinvest.premium")
@@ -137,7 +137,7 @@ def _conditional_moments(policy, n, seed, eta_vars, chunk=2048):
 
 def _field(grid, controls, model=STD_M, costs=STD_C, hawkes=STD_H):
     """A policy field of given controls, as if solved for these parameters."""
-    return PolicyField(grid, controls, FieldMeta(hawkes, model, costs, SolverOptions()))
+    return PolicyField(grid, controls, FieldMeta(hawkes, model, costs))
 
 
 class TestOptimalReport:
@@ -308,7 +308,7 @@ class TestOptimalReport:
         premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3)
         u0, b0 = small_policy.loss_surfaces["u"], small_policy.loss_surfaces["b"]
         grid = small_policy.grid
-        op = _PideOperator(grid, STD_H, STD_M, STD_C, SolverOptions())
+        op = _PideOperator(grid, STD_H, STD_M, STD_C)
         adi = _DouglasADI(op)
         breach_rate = grid.lambdas[:, None] * breach_prob(STD_M, grid.hs)[None, :]
         m, eta_var = STD_C.eta_mean, 50.0
