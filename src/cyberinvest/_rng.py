@@ -4,6 +4,8 @@ Philox is counter-based, so each chunk of a Monte Carlo batch draws from its
 own child stream and the batch reproduces bit-for-bit from one seed.
 """
 
+from __future__ import annotations
+
 import zlib
 
 import numpy as np

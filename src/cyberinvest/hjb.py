@@ -125,6 +125,8 @@ class SolverGrid:
             (self.h_min, self.h_max, self.d_h, "h"),
         ):
             ratio = (hi - lo) / step
+            if not math.isfinite(ratio):
+                raise ValueError(f"d_{name}={step} is too small: ({name}_max - {name}_min) / d_{name} overflows")
             if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                 raise ValueError(f"({name}_max - {name}_min) must be an integer multiple of d_{name}")
         if snaps.ndim != 1 or snaps.size < 2 or not np.isfinite(snaps).all() or np.any(np.diff(snaps) >= 0):
@@ -423,14 +425,17 @@ class _DouglasADI:
             y -= dy.reshape(y.shape)
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
-    def frozen_step(self, w: np.ndarray, z: np.ndarray, source: np.ndarray, dt: float, c: float) -> np.ndarray:
-        """A Douglas step of the linear dW/dtau = A_lambda W + (z - rho h) D_h W + source, the investment
-        rate z frozen over the step: its h stage, (I - c F_h) Y2 = Y1 - c F_h W, is one tridiagonal solve."""
+    def frozen_step(
+        self, w: np.ndarray, velocity: np.ndarray, jacobian: tuple, source: np.ndarray, dt: float, c: float
+    ) -> np.ndarray:
+        """A Douglas step of the linear dW/dtau = A_lambda W + velocity D_h W + source, the level velocity
+        z - rho h frozen over the step: its h stage, (I - c F_h) Y2 = Y1 - c F_h W, is one tridiagonal
+        solve with jacobian = h_jacobian(velocity, c). gtsv works on copies of the jacobian's diagonals,
+        so the solves that share a step's velocity build it once."""
         op = self.op
-        velocity = z - op.ch
         f_lam, f_h = op.a_lam @ w, velocity * op.gradient(w)
         y = self._factor(c)[0] @ (w + dt * (f_lam + f_h + source) - c * f_lam)
-        *_, y, info = _gtsv()(*self.h_jacobian(velocity, c), (y - c * f_h).reshape(-1), True, True, True, True)
+        *_, y, info = _gtsv()(*jacobian, (y - c * f_h).reshape(-1), False, False, False, True)
         if info != 0:
             raise SolverError(f"singular frozen-policy h stage (gtsv info {info})", {"gtsv_info": int(info)})
         return y.reshape(w.shape)
@@ -531,18 +536,21 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
     breach_rate = grid.lambdas[:, None] * breach_prob(meta.model, grid.hs)[None, :]
     u, b, source = np.zeros(op.shape), np.zeros(op.shape), np.zeros(op.shape)
     for k, dt, theta, c, _ in _schedule(grid.t_snapshots):
-        z = policy.controls[k]
-        u = adi.frozen_step(u, z, breach_rate, dt, c)
+        velocity = policy.controls[k] - op.ch
+        jacobian = adi.h_jacobian(velocity, c)
+        u = adi.frozen_step(u, velocity, jacobian, breach_rate, dt, c)
         after = breach_rate * (op.jump @ u)
-        b = adi.frozen_step(b, z, (1.0 - theta) * source + theta * after, dt, c)
+        b = adi.frozen_step(b, velocity, jacobian, (1.0 - theta) * source + theta * after, dt, c)
         source = after
     return u, b
 
 
 def _monotonicity_stats(values: np.ndarray, axis: int, tol: float) -> dict:
     """Count, share and worst of the decreases beyond tol along `axis` of the
-    (snapshot, lambda, h) field, differenced in blocks of at most 1 MB."""
-    block = max(1, (1 << 17) // max(values[0].size, 1))
+    (snapshot, lambda, h) field, differenced in blocks of at most 128 KB (one
+    snapshot when a snapshot is larger), so the report adds little to the peak
+    memory of a solve beyond its two fields."""
+    block = max(1, (1 << 14) // max(values[0].size, 1))
     violations, lowest = 0, math.inf
     for start in range(0, values.shape[0], block):
         diffs = np.diff(values[start : start + block], axis=axis)

@@ -301,6 +301,7 @@ class TestCli:
         ("GRID__LAMBDA_MAX=inf", "[grid] lambda_max must be finite"),
         ("GRID__D_H=inf", "[grid] d_h must be finite"),
         ("GRID__H_MAX=nan", "[grid] h_max must be finite"),
+        ("GRID__D_H=1e-320", "[grid] d_h=1e-320 is too small: (h_max - h_min) / d_h overflows"),
         ("PREMIUM__THETA=nan", "[premium] theta must be finite"),
         ("PREMIUM__ETA_VARS=10,nan", "[premium] eta_vars nan: eta_var must be finite"),
         ("PREMIUM__ETA_VARS=-5", "[premium] eta_vars -5: breach-loss variance must be nonnegative"),
@@ -543,7 +544,8 @@ def test_import_defers_slow_scipy_modules(tmp_path):
     that solve, premium on a saved policy (its two loss-surface solves) first
     and then solve and solve-poisson, bind LAPACK gtsv from scipy's compiled
     extension and load none of the scipy.linalg package, scipy.optimize,
-    scipy.integrate and scipy.sparse."""
+    scipy.integrate and scipy.sparse. No stage draws a random number, so none
+    loads numpy.random."""
     (tmp_path / "tiny.cfg").write_text(TINY)
     common = ["--config", str(tmp_path / "tiny.cfg"), "--out", str(tmp_path)]
     for argv in (["solve"], *(["solve-poisson", "--mode", m] for m in ("baseline", "expectation"))):
@@ -562,7 +564,7 @@ def test_import_defers_slow_scipy_modules(tmp_path):
 import sys
 
 def report(stage):
-    print(stage, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), file=sys.stderr)
+    print(stage, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy" or m.startswith("numpy.random")), file=sys.stderr)
 
 import cyberinvest as ci
 from cyberinvest.cli import main
@@ -590,7 +592,7 @@ report("solve")
     for stage in ("premium", "solve"):
         loaded = ast.literal_eval(stages[stage])
         assert "scipy.linalg" not in loaded, (stage, loaded)
-        assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate", "scipy.sparse"))], (stage, loaded)
+        assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate", "scipy.sparse", "numpy.random"))], (stage, loaded)
 
 
 def test_import_loads_no_process_pool():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -338,8 +339,12 @@ class TestDouglasStep:
             y1 = lam_lu.solve(np.asfortranarray(w + dt * (f_lam + f_h + source) - c * f_lam))
             h_lu = splu((sp.identity(nl * nh, format="csc") - c * f_h_matrix).tocsc())
             ref = h_lu.solve((y1 - c * f_h).ravel()).reshape(op.shape)
-            got = adi.frozen_step(w, z, source, dt, c)
+            velocity = z - op.ch
+            jacobian = adi.h_jacobian(velocity, c)
+            kept = [a.copy() for a in jacobian]
+            got = adi.frozen_step(w, velocity, jacobian, source, dt, c)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert all(np.array_equal(a, b) for a, b in zip(jacobian, kept))  # left for the step's next solve
 
     def test_accepted_states_meet_the_residual_bound(self):
         # every state a step returns solves its h stage to _NEWTON_RTOL of max(1, max |Y2|),
@@ -397,13 +402,26 @@ class TestSolve:
             worst = small_solution.quality[key]["worst"]
             assert worst == 0.0 and math.copysign(1.0, worst) == 1.0
 
-    # (3, 400, 400) holds 1.3 MB of differences per snapshot, so each block is one snapshot
-    @pytest.mark.parametrize("shape", [(7, 5, 4), (7, 1, 4), (3, 5, 1), (3, 400, 400)])
+    # (40, 30, 40) is differenced in four blocks of at most 13 snapshots; (3, 400, 400) holds 1.3 MB
+    # of differences per snapshot, so each block is one snapshot
+    @pytest.mark.parametrize("shape", [(7, 5, 4), (7, 1, 4), (3, 5, 1), (40, 30, 40), (3, 400, 400)])
     def test_monotonicity_stats_count_decreases(self, shape):
         values = np.random.default_rng(3).normal(size=shape).cumsum(axis=1).cumsum(axis=2)
         for axis in (1, 2):
             got = hjb._monotonicity_stats(values, axis, 0.1)
             assert repr(got) == repr(full_field_monotonicity(values, axis, 0.1))
+
+    def test_solve_peaks_within_1mb_of_its_fields(self, coarse_grid, std_hawkes, std_model, std_costs):
+        # the coarse solve allocates little beyond its value and policy fields: the operator, the
+        # steps' arrays and the quality report's difference blocks
+        hjb._gtsv()  # bound before tracing, so the peak is the solve's alone
+        tracemalloc.start()
+        try:
+            result = solve(coarse_grid, std_hawkes, std_model, std_costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= result.value.values.nbytes + result.policy.controls.nbytes + 2**20
 
     def test_policy_consistency_identity(self, small_solution):
         # stored controls equal ((discrete dV/dh - delta)^+)/gamma node for node

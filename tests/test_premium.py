@@ -315,10 +315,11 @@ class TestOptimalReport:
         u, w = np.zeros(op.shape), np.zeros(op.shape)
         source = breach_rate * (eta_var + m * m)
         for k, dt, theta, c, _ in _schedule(grid.t_snapshots):
-            z = small_policy.controls[k]
-            u = adi.frozen_step(u, z, breach_rate, dt, c)
+            velocity = small_policy.controls[k] - op.ch
+            jacobian = adi.h_jacobian(velocity, c)
+            u = adi.frozen_step(u, velocity, jacobian, breach_rate, dt, c)
             after = breach_rate * ((eta_var + m * m) + 2.0 * m * m * (op.jump @ u))
-            w = adi.frozen_step(w, z, (1.0 - theta) * source + theta * after, dt, c)
+            w = adi.frozen_step(w, velocity, jacobian, (1.0 - theta) * source + theta * after, dt, c)
             source = after
         np.testing.assert_array_equal(u, u0)
         np.testing.assert_allclose((eta_var + m * m) * u0 + 2.0 * m * m * b0, w, rtol=1e-12, atol=0.0)
