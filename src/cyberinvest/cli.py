@@ -156,6 +156,8 @@ def cmd_gain(args) -> int:
                     g = gain_vs_constant(t, lam, h, value, cfg.hawkes, cfg.breach, cfg.costs, mode=mode)
                 else:
                     g = gain_vs_poisson(t, lam, h, value, poisson, cfg.hawkes, cfg.breach, cfg.costs, mode=mode)
+            except ConfigError:  # a field solved for another model: one diagnostic per part
+                raise
             except ValueError as exc:  # a bad --t/--lambdas/--hs, or a gain that is undefined
                 raise ConfigError([f"gain at t={t:g}, lambda={lam:g}, h={h:g}: {exc}"]) from exc
             rows.append((t, lam, h, g))

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .breach import BreachFamily, BreachModel
-from .dynamics import CostParams, resolve_utility
+from .dynamics import CostParams
 from .errors import ConfigError, StabilityError
 from .hawkes import HawkesParams
 from .hjb import SolverGrid, SolverOptions
@@ -201,7 +201,6 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
             errs.append(f"[breach] {exc}")
         try:
             c = values["costs"]
-            resolve_utility(c["utility"])
             costs = CostParams(
                 gamma=c["gamma"],
                 eta_mean=c["eta_mean"],

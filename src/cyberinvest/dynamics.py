@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "expected_loss_no_investment",
     "loss_variance",
     "resolve_utility",
-    "utility_label",
 ]
 
 _TINY = float(np.finfo(float).tiny)  # smallest normal float
@@ -44,48 +43,22 @@ def _zero_utility(h):
     return np.multiply(h, 0.0)
 
 
-def _power_utility(p: float):
-    def u(h):
-        return np.power(h, p)
+def resolve_utility(spec: str) -> Callable:
+    """The terminal utility named by `spec`: 'sqrt', 'zero' or 'power:p' with p in (0, 1].
 
-    u._label = f"power:{p:g}"
-    return u
-
-
-UTILITIES = {
-    "sqrt": np.sqrt,
-    "zero": _zero_utility,
-}
-
-
-def resolve_utility(spec) -> Callable:
-    """Map a utility spec ('sqrt', 'zero', 'power:p', or a callable) to a callable."""
-    if callable(spec):
-        return spec
-    name = str(spec)
-    if name in UTILITIES:
-        return UTILITIES[name]
-    if name.startswith("power:"):
-        p = float(name.split(":", 1)[1])
+    Each is finite, nondecreasing and concave for h >= 0, which
+    strategies.optimize_constant relies on.
+    """
+    if spec == "sqrt":
+        return np.sqrt
+    if spec == "zero":
+        return _zero_utility
+    if isinstance(spec, str) and spec.startswith("power:"):
+        p = float(spec.split(":", 1)[1])
         if not (0 < p <= 1):
             raise ValueError(f"power utility exponent must lie in (0, 1], got {p}")
-        return _power_utility(p)
-    raise ValueError(f"unknown terminal utility {spec!r}")
-
-
-def utility_label(spec) -> str:
-    """Serializable name of a utility spec; refuses unregistered callables."""
-    if isinstance(spec, str):
-        resolve_utility(spec)
-        return spec
-    if spec is np.sqrt:
-        return "sqrt"
-    if spec is _zero_utility:
-        return "zero"
-    label = getattr(spec, "_label", None)
-    if label:
-        return label
-    raise ValueError("terminal utility is not serializable; use a named spec string")
+        return lambda h: np.power(h, p)
+    raise ValueError(f"unknown terminal utility {spec!r}; expected 'sqrt', 'zero' or 'power:p'")
 
 
 @dataclass(frozen=True)
@@ -97,7 +70,7 @@ class CostParams:
     eta_var: float
     rho: float
     horizon: float
-    terminal_utility: Union[str, Callable] = "sqrt"
+    terminal_utility: str = "sqrt"
     delta: float = 1.0
     eta_family: str = "lognormal"
 
@@ -121,17 +94,7 @@ class CostParams:
             raise ValueError(f"unknown loss family {self.eta_family!r}")
         if self.eta_family == "fixed" and self.eta_var != 0:
             raise ValueError("fixed loss family requires eta_var = 0")
-        u = resolve_utility(self.terminal_utility)
-        grid = np.linspace(0.0, 80.0, 33)
-        vals = np.asarray(u(grid), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("terminal utility must be finite on the level range")
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        d1 = np.diff(vals)
-        if np.any(d1 < -1e-9 * scale):
-            raise ValueError("terminal utility must be nondecreasing")
-        if np.any(np.diff(d1) > 1e-9 * scale):
-            raise ValueError("terminal utility must be concave")
+        resolve_utility(self.terminal_utility)
 
     @property
     def utility(self) -> Callable:

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .breach import BreachFamily, BreachModel
-from .dynamics import CostParams, utility_label
+from .dynamics import CostParams
 from .hawkes import HawkesParams
 from .hjb import FieldMeta, PolicyField, SolverGrid, ValueField
 from .poisson import PoissonField
@@ -36,28 +36,25 @@ _RETIRED_OPTIONS = ("rtol", "atol", "method", "interp_query", "max_nodes", "jump
 _KINDS = {"value": ValueField, "policy": PolicyField}
 
 
-def _dimension(poisson_intensity) -> str:
-    return "hawkes" if poisson_intensity is None else "poisson"
+def _grid_dict(grid: SolverGrid) -> dict:
+    return {
+        "lambda_min": grid.lambda_min,
+        "lambda_max": grid.lambda_max,
+        "d_lambda": grid.d_lambda,
+        "h_min": grid.h_min,
+        "h_max": grid.h_max,
+        "d_h": grid.d_h,
+        "t_snapshots": grid.t_snapshots.tolist(),
+    }
 
 
 def _meta_dict(field, raw: np.ndarray) -> dict:
     """The JSON metadata of a field whose data, as written, is `raw`."""
-    grid = field.grid
     meta = field.meta
     return {
         "format_version": FORMAT_VERSION,
         "kind": "value" if isinstance(field, ValueField) else "policy",
-        "dimension": _dimension(meta.poisson_intensity),
-        "poisson_intensity": meta.poisson_intensity,
-        "grid": {
-            "lambda_min": grid.lambda_min,
-            "lambda_max": grid.lambda_max,
-            "d_lambda": grid.d_lambda,
-            "h_min": grid.h_min,
-            "h_max": grid.h_max,
-            "d_h": grid.d_h,
-            "t_snapshots": grid.t_snapshots.tolist(),
-        },
+        "grid": _grid_dict(field.grid),
         "hawkes": asdict(meta.hawkes),
         "breach": {
             "family": meta.model.family.value,
@@ -65,16 +62,7 @@ def _meta_dict(field, raw: np.ndarray) -> dict:
             "a": meta.model.a,
             "b": meta.model.b,
         },
-        "costs": {
-            "gamma": meta.costs.gamma,
-            "eta_mean": meta.costs.eta_mean,
-            "eta_var": meta.costs.eta_var,
-            "rho": meta.costs.rho,
-            "horizon": meta.costs.horizon,
-            "terminal_utility": utility_label(meta.costs.terminal_utility),
-            "delta": meta.costs.delta,
-            "eta_family": meta.costs.eta_family,
-        },
+        "costs": asdict(meta.costs),
         "shape": list(raw.shape),
         "dtype": "<f8",
         "order": "(snapshot, lambda, h)",
@@ -107,8 +95,9 @@ def _grid_from_dict(d: dict) -> SolverGrid:
 
 
 def load_field(prefix: Union[str, Path]):
-    """Load a field pair written by save_field; verifies the checksum, the kind, that dimension matches
-    poisson_intensity, and that an older file's solver options are all retired ones."""
+    """Load a field written by save_field; verifies the checksum, the kind and that an older
+    file's solver options are all retired ones. The "dimension" and "poisson_intensity" keys
+    of older files are ignored: a one-node intensity axis marks a constant-intensity field."""
     prefix = Path(prefix)
     meta_path = prefix.with_suffix(".json")
     bin_path = prefix.with_suffix(".f64")
@@ -117,8 +106,6 @@ def load_field(prefix: Union[str, Path]):
     meta = json.loads(meta_path.read_text())
     if meta["kind"] not in _KINDS:
         raise OSError(f"{meta_path}: unknown field kind {meta['kind']!r}; expected one of {sorted(_KINDS)}")
-    if meta["dimension"] != _dimension(meta["poisson_intensity"]):
-        raise OSError(f"{meta_path}: dimension {meta['dimension']!r} contradicts poisson_intensity {meta['poisson_intensity']}")
     unknown = sorted(set(meta.get("options", ())) - set(_RETIRED_OPTIONS))
     if unknown:
         raise OSError(f"{meta_path}: unknown solver options {unknown}")
@@ -136,7 +123,7 @@ def load_field(prefix: Union[str, Path]):
     b = meta["breach"]
     model = BreachModel(BreachFamily(b["family"]), b["v"], b["a"], b["b"])
     costs = CostParams(**meta["costs"])
-    fmeta = FieldMeta(hawkes=hawkes, model=model, costs=costs, poisson_intensity=meta["poisson_intensity"])
+    fmeta = FieldMeta(hawkes=hawkes, model=model, costs=costs)
     return _KINDS[meta["kind"]](grid, data, fmeta)
 
 
@@ -148,17 +135,20 @@ def save_poisson(field: PoissonField, prefix: Union[str, Path]) -> None:
 
 
 def load_poisson(prefix: Union[str, Path]) -> PoissonField:
+    """Load the pair written by save_poisson: a value and a policy field on the same one-node
+    intensity axis, solved for the same model."""
     prefix = Path(prefix)
     value = load_field(prefix.parent / (prefix.name + "_value"))
     policy = load_field(prefix.parent / (prefix.name + "_policy"))
-    if value.meta.poisson_intensity is None:
+    if not (isinstance(value, ValueField) and isinstance(policy, PolicyField)):
+        raise OSError(f"{prefix}: _value and _policy must hold a value and a policy field")
+    if value.grid.n_lambda != 1:
         raise OSError(f"{prefix} does not hold a constant-intensity benchmark field")
-    return PoissonField(
-        intensity=float(value.meta.poisson_intensity),
-        value=value,
-        policy=policy,
-        quality={},
-    )
+    if _grid_dict(value.grid) != _grid_dict(policy.grid):
+        raise OSError(f"{prefix}: _value and _policy lie on different grids")
+    if value.meta != policy.meta:
+        raise OSError(f"{prefix}: _value and _policy were solved for different models")
+    return PoissonField(value, policy, quality={})
 
 
 def write_field_csv(value: ValueField, policy: PolicyField, path: Union[str, Path]) -> None:

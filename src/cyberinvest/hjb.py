@@ -51,7 +51,7 @@ import numpy as np
 
 from .breach import BreachModel, breach_prob
 from .dynamics import CostParams
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .hawkes import HawkesParams
 
 __all__ = [
@@ -191,17 +191,34 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class FieldMeta:
-    """Provenance of a solved field: the model it was solved for.
+    """Provenance of a solved field: the model it was solved for, as plain values.
 
     Every field this library writes has the same scheme, so no scheme tag is
-    stored. poisson_intensity is set on the fields of a constant-intensity
-    benchmark (poisson.solve_poisson) alone.
+    stored. A field on a one-node intensity axis (grid.n_lambda == 1) is a
+    constant-intensity benchmark (poisson.solve_poisson) at grid.lambda_min:
+    there the intensity drift and the jump shift vanish, whatever hawkes holds.
     """
 
     hawkes: HawkesParams
     model: BreachModel
     costs: CostParams
-    poisson_intensity: Optional[float] = None
+
+
+def _check_field_inputs(meta: FieldMeta, hawkes: HawkesParams, model: BreachModel, costs: CostParams) -> None:
+    """Raise ConfigError unless a field with metadata `meta` was solved for this model.
+
+    lambda0 may differ: it is the start state, which the solve never reads.
+    eta_var and eta_family may differ: the objective depends on the loss
+    distribution only through its mean.
+    """
+    solved = (
+        replace(meta.hawkes, lambda0=hawkes.lambda0),
+        meta.model,
+        replace(meta.costs, eta_var=costs.eta_var, eta_family=costs.eta_family),
+    )
+    problems = [f"field solved for {a}, got {b}" for a, b in zip(solved, (hawkes, model, costs)) if a != b]
+    if problems:
+        raise ConfigError(problems)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,15 @@
 
 With memoryless arrivals the value function loses its intensity argument and
 solves a plain PDE in (t, h). It is solved here as a degenerate configuration
-of the 2-d kernel: a single intensity node, zero intensity drift, and a jump
-shift that clamps onto itself and vanishes.
+of the 2-d kernel: a single intensity node, on which the intensity drift
+vanishes and the jump shift is the identity. The one-node axis is what marks
+a constant-intensity field; its node is the intensity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,11 +33,10 @@ class PoissonField:
     """Solved 1-d benchmark field: V^P(t, h), z^P*(t, h) at constant intensity.
 
     level_paths holds what strategies.gain_vs_poisson computes once per start
-    (t, h), model and costs: the benchmark's level path, which does not depend
-    on the starting intensity.
+    (t, h): the benchmark's level path, which does not depend on the starting
+    intensity. The fields fix the model and the costs.
     """
 
-    intensity: float
     value: ValueField
     policy: PolicyField
     quality: dict
@@ -45,6 +45,11 @@ class PoissonField:
     @property
     def grid(self) -> SolverGrid:
         return self.value.grid
+
+    @property
+    def intensity(self) -> float:
+        """The constant intensity: the one node of the intensity axis."""
+        return float(self.grid.lambda_min)
 
     def values2d(self) -> np.ndarray:
         """V^P as (snapshot, h)."""
@@ -100,10 +105,4 @@ def solve_poisson(
     # beta = 0 kills the nonlocal term; alpha = lambda_p kills the drift.
     constant = HawkesParams(alpha=lambda_p, lambda0=lambda_p, xi=1.0, beta=0.0)
     res = solve(degenerate, constant, model, costs)
-    meta = replace(res.value.meta, poisson_intensity=float(lambda_p))
-    return PoissonField(
-        intensity=float(lambda_p),
-        value=ValueField(res.value.grid, res.value.values, meta),
-        policy=PolicyField(res.policy.grid, res.policy.controls, meta),
-        quality=res.quality,
-    )
+    return PoissonField(res.value, res.policy, res.quality)

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 from .breach import BreachModel
 from .dynamics import CostParams, _check_initial_level, expected_loss_no_investment, loss_variance
-from .errors import ConfigError
 from .hawkes import HawkesParams
-from .hjb import PolicyField, _bilinear, _loss_surfaces
+from .hjb import PolicyField, _bilinear, _check_field_inputs, _loss_surfaces
 
 __all__ = [
     "PremiumReport",
@@ -79,31 +78,6 @@ def premium_report_baseline(
     )
 
 
-def _check_field_inputs(policy_field: PolicyField, hawkes, model, costs):
-    meta = policy_field.meta
-    problems = []
-    # lambda0 is the start state, read off the loss surfaces: the solve never reads it
-    solved = (meta.hawkes.alpha, meta.hawkes.xi, meta.hawkes.beta)
-    if solved != (hawkes.alpha, hawkes.xi, hawkes.beta):
-        problems.append(f"field solved for (alpha, xi, beta) = {solved}, got {hawkes}")
-    if meta.model != model:
-        problems.append(f"field solved for {meta.model}, got {model}")
-    same_objective = (
-        meta.costs.gamma == costs.gamma
-        and meta.costs.eta_mean == costs.eta_mean
-        and meta.costs.rho == costs.rho
-        and meta.costs.horizon == costs.horizon
-        and meta.costs.delta == costs.delta
-        and meta.costs.terminal_utility == costs.terminal_utility
-    )
-    # eta_var / eta_family may differ: the objective depends on the loss
-    # distribution only through its mean.
-    if not same_objective:
-        problems.append("field objective parameters differ from the requested costs")
-    if problems:
-        raise ConfigError(problems)
-
-
 def premium_report_optimal(
     policy_field: PolicyField,
     hawkes: HawkesParams,
@@ -130,7 +104,7 @@ def premium_report_optimal(
     standard errors are 0, and `mc_paths`, `seed` and `threads` are accepted
     for call compatibility and do not affect it.
     """
-    _check_field_inputs(policy_field, hawkes, model, costs)
+    _check_field_inputs(policy_field.meta, hawkes, model, costs)
     _check_initial_level(h_init)
     grid = policy_field.grid
     if not grid.lambda_min <= hawkes.lambda0 <= grid.lambda_max:

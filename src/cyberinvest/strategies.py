@@ -19,7 +19,7 @@ from .breach import BreachModel, _breach_curve, breach_prob
 from .dynamics import ConstantRate, CostParams, GridRate, _check_initial_level, _exact_levels, _phi
 from .errors import GainUndefinedError
 from .hawkes import AttackPath, HawkesParams, PathBatch, lambda_max_heuristic
-from .hjb import PolicyField, ValueField, query
+from .hjb import PolicyField, ValueField, _check_field_inputs, query
 from .poisson import PoissonField
 
 __all__ = [
@@ -229,8 +229,8 @@ def optimize_constant(
 
     The net benefit is strictly concave in the rate: the level is affine in
     it, both breach families are convex and decreasing in the level (Gordon &
-    Loeb 2002), the cost is strictly convex (gamma > 0), CostParams admits
-    only concave terminal utilities and the reward rule's weights are
+    Loeb 2002), the cost is strictly convex (gamma > 0), every named terminal
+    utility is concave (resolve_utility) and the reward rule's weights are
     positive. So the maximizer lies between the neighbours of the best of 33
     evenly spaced rates; each round values them in one call and keeps that
     bracket, at least 16 times narrower, until it is at most 1e-6 wide. The
@@ -353,7 +353,8 @@ def gain_vs_constant(
     costs: CostParams,
     mode: str = "nearest",
 ) -> float:
-    """Percentage gain of the solved policy over the best constant rate."""
+    """Percentage gain of the solved policy, whose field must fit the model, over the best constant rate."""
+    _check_field_inputs(value_field.meta, hawkes, model, costs)
     _, best = optimize_constant(t, lam, h, hawkes, model, costs)  # first: it validates the state
     return _gain(query(value_field, t, lam, h, mode=mode), best)
 
@@ -371,12 +372,16 @@ def gain_vs_poisson(
 ) -> float:
     """Percentage gain of the solved policy over the deterministic benchmark policy.
 
-    The benchmark's trace and level path do not depend on lam: the first call
-    for a (t, h, model, costs) computes them and keeps them on poisson_field,
-    and every call values them at its own lam, as evaluate_deterministic does.
+    Both fields must fit the model and the costs. The benchmark's trace and
+    level path do not depend on lam: the first call for a (t, h) computes
+    them and keeps them on poisson_field, and every call values them at its
+    own lam, as evaluate_deterministic does.
     """
+    _check_field_inputs(value_field.meta, hawkes, model, costs)
+    bench = poisson_field.value.meta
+    _check_field_inputs(bench, bench.hawkes, model, costs)  # its intensity process is its own constant one
     _check_state(t, lam, h, costs.horizon)  # first: the state keys the reuse and query only warns on h
-    key = (t, h, model, costs)
+    key = (t, h)
     path = poisson_field.level_paths.get(key)
     if path is None:
         trace = extract_policy(poisson_field.policy, poisson_field.intensity, t, h)

@@ -151,10 +151,11 @@ class TestFieldIO:
     def test_written_bytes_pinned(self, tmp_path):
         # digests of the two files: the .f64 as written before save_field hashed the
         # array it writes instead of serializing it a second time, the .json since
-        # the metadata lost the "options" and "extrapolation" scheme tags
+        # the metadata lost the "options" and "extrapolation" scheme tags and then
+        # the "dimension" and "poisson_intensity" lines
         expected = (
             "0b2a9d473f9a5678cff17a606b7cef428f4b7e4be3a1bec96329679622c0a813",
-            "75f3bec08b0442dde5e51488af342446c4785275328b9f2e39c8cf1fc1d4b0bf",
+            "f61fe2e5490871819d98b1c47f9fd004c828d3cd96a9b26e0a8e17fedea3fe0d",
         )
         grid = ci.SolverGrid.regular(27.0, 36.0, 9.0, 0.0, 1.0, 1.0, 1.0, 1)
         costs = ci.CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0)
@@ -169,14 +170,11 @@ class TestFieldIO:
 
     @staticmethod
     def write_field_with_options(prefix, options, **edits):
-        """A 2-snapshot, 2x2 value field in the on-disk format, with the given solver options
-        and top-level metadata `edits`."""
-        data = np.arange(8, dtype="<f8")
+        """A 2-snapshot value field in the on-disk format, 2x2 unless `edits` give another grid
+        and shape, with the given solver options and top-level metadata `edits`."""
         meta = {
             "format_version": 1,
             "kind": "value",
-            "dimension": "hawkes",
-            "poisson_intensity": None,
             "extrapolation": "clamp-at-lambda-max",
             "grid": {
                 "lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0,
@@ -192,9 +190,10 @@ class TestFieldIO:
             "shape": [2, 2, 2],
             "dtype": "<f8",
             "order": "(snapshot, lambda, h)",
-            "checksum_sha256": hashlib.sha256(data.tobytes()).hexdigest(),
             **edits,
         }
+        data = np.arange(np.prod(meta["shape"]), dtype="<f8")
+        meta["checksum_sha256"] = hashlib.sha256(data.tobytes()).hexdigest()
         prefix.with_suffix(".f64").write_bytes(data.tobytes())
         prefix.with_suffix(".json").write_text(json.dumps(meta))
         return data
@@ -229,11 +228,23 @@ class TestFieldIO:
         with pytest.raises(OSError, match="unknown field kind 'valu'"):
             load_field(tmp_path / "v")
 
-    @pytest.mark.parametrize("dimension, intensity", [("poisson", None), ("hawkes", 27.0)])
-    def test_dimension_contradicting_intensity_rejected(self, tmp_path, dimension, intensity):
-        self.write_field_with_options(tmp_path / "v", {"upwind": False}, dimension=dimension, poisson_intensity=intensity)
-        with pytest.raises(OSError, match="contradicts poisson_intensity"):
-            load_field(tmp_path / "v")
+    def test_loads_files_with_retired_poisson_marker(self, tmp_path):
+        # earlier versions wrote "dimension" and "poisson_intensity"; a one-node
+        # intensity axis alone now marks a constant-intensity field
+        self.write_field_with_options(tmp_path / "v", {}, dimension="hawkes", poisson_intensity=None)
+        assert load_field(tmp_path / "v").meta == self.META
+        one_node = {
+            "lambda_min": 27.0, "lambda_max": 27.0, "d_lambda": 9.0,
+            "h_min": 0.0, "h_max": 1.0, "d_h": 1.0, "t_snapshots": [1.0, 0.0],
+        }
+        for kind in ("value", "policy"):
+            self.write_field_with_options(
+                tmp_path / f"p_{kind}", {}, kind=kind, grid=one_node, shape=[2, 1, 2],
+                dimension="poisson", poisson_intensity=27.0,
+            )
+        bench = ci.load_poisson(tmp_path / "p")
+        assert bench.intensity == 27.0 and bench.grid.n_lambda == 1
+        assert bench.value.meta == bench.policy.meta == self.META
 
     def test_unknown_option_still_rejected(self, tmp_path):
         self.write_field_with_options(tmp_path / "v", {"upwind": False, "foo": 1})
@@ -397,6 +408,56 @@ class TestCli:
         assert main(["solve", "--config", str(cfg), "--out", out]) == 0
         assert main(["gain", "--config", str(cfg), "--value-field", f"{out}/value", "--hs", "0", "--out", out]) == 2
         assert "benchmark value 0.0 is not positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("against", ["constant", "poisson-baseline"])
+    def test_gain_on_field_of_another_model_exit_2(self, tmp_path, monkeypatch, capsys, against):
+        cfg = self.write_tiny(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        assert main(["solve-poisson", "--config", cfg, "--mode", "baseline", "--out", out]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("CYBERINVEST_HAWKES__BETA", "3")
+        monkeypatch.setenv("CYBERINVEST_COSTS__GAMMA", "0.5")
+        argv = ["gain", "--config", cfg, "--value-field", f"{out}/value", "--benchmark", against]
+        argv += ["--poisson-field", f"{out}/poisson_baseline", "--hs", "0", "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        # one diagnostic per part that differs, not one per grid point
+        assert err.count("\n  - field solved for ") == 2 and "gain at" not in err and "Traceback" not in err
+        assert "HawkesParams(alpha=27.0, lambda0=27.0, xi=15.0, beta=9.0)" in err and "CostParams(gamma=0.05" in err
+        assert not (Path(out) / f"gain_{against}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "value, policy, message",
+        [
+            ("poisson_baseline_value", "poisson_baseline_value", "must hold a value and a policy field"),
+            ("value", "policy", "does not hold a constant-intensity benchmark field"),
+            ("poisson_baseline_value", "policy", "different grids"),
+            ("poisson_baseline_value", "poisson_expectation_policy", "different grids"),
+            ("poisson_baseline_value", "rho/poisson_baseline_policy", "different models"),
+        ],
+        ids=["policy-is-a-value-field", "hawkes-pair", "hawkes-policy", "other-intensity", "other-costs"],
+    )
+    def test_mismatched_poisson_pair_exit_4(self, tmp_path, monkeypatch, capsys, value, policy, message):
+        cfg = self.write_tiny(tmp_path)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        for mode in ("baseline", "expectation"):
+            assert main(["solve-poisson", "--config", cfg, "--mode", mode, "--out", str(out)]) == 0
+        with monkeypatch.context() as env:
+            env.setenv("CYBERINVEST_COSTS__RHO", "0.3")
+            assert main(["solve-poisson", "--config", cfg, "--mode", "baseline", "--out", str(out / "rho")]) == 0
+        pair = tmp_path / "pair"
+        pair.mkdir()
+        for name, half in ((value, "value"), (policy, "policy")):
+            for ext in ("json", "f64"):
+                (pair / f"bench_{half}.{ext}").write_bytes((out / f"{name}.{ext}").read_bytes())
+        capsys.readouterr()
+        argv = ["gain", "--config", cfg, "--value-field", f"{out}/value", "--benchmark", "poisson-baseline"]
+        assert main(argv + ["--poisson-field", str(pair / "bench"), "--hs", "0", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and message in err and "Traceback" not in err
+        assert not (out / "gain_poisson-baseline.csv").exists()
 
     def test_moments_output(self, capsys):
         assert main(["moments", "--times", "0,1"]) == 0

@@ -47,9 +47,10 @@ class TestCostParams:
             CostParams(**kwargs)
 
     def test_utility_shape_checks(self):
-        with pytest.raises(ValueError):
+        # only named specs, each concave, are accepted: a callable is an unknown utility
+        with pytest.raises(ValueError, match="unknown terminal utility"):
             CostParams(gamma=0.05, eta_mean=10, eta_var=10, rho=0.2, horizon=1, terminal_utility=lambda h: -h)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown terminal utility"):
             CostParams(gamma=0.05, eta_mean=10, eta_var=10, rho=0.2, horizon=1, terminal_utility=lambda h: h**2)
         CostParams(gamma=0.05, eta_mean=10, eta_var=10, rho=0.2, horizon=1, terminal_utility="zero")
 

@@ -91,6 +91,7 @@ class TestSolvePoisson:
             solve_poisson(GRID, 0.0, STD_M, STD_C)
 
     def test_metadata_flags(self, field27):
+        # the one-node intensity axis marks the constant-intensity field, and its node is the intensity
         assert field27.value.meta is field27.policy.meta
-        assert field27.value.meta.poisson_intensity == 27.0
+        assert field27.intensity == 27.0
         assert field27.value.grid.n_lambda == 1

@@ -14,13 +14,16 @@ from cyberinvest import (
     AttackPath,
     BreachFamily,
     BreachModel,
+    ConfigError,
     ConstantRate,
     CostParams,
     GridRate,
     HawkesParams,
     PathBatch,
+    PoissonField,
     PolicyField,
     SolverGrid,
+    ValueField,
     breach_prob,
     evaluate_constant,
     evaluate_deterministic,
@@ -499,18 +502,37 @@ class TestGains:
                         b = evaluate_deterministic(t, l, h, trace, STD_H, STD_M, STD_C)
                         direct.append(100.0 * (query(value, t, l, h, mode="linear") - b) / b)
                     assert reused == fresh == direct
-                    assert (t, h, STD_M, STD_C) in bench.level_paths
+                    assert (t, h) in bench.level_paths
 
-    def test_reuse_keys_on_model_and_costs(self, coarse_solution, poisson_pair):
+    def test_fields_of_another_model_rejected(self, coarse_solution, poisson_pair):
+        """The fields fix the model and the costs: a gain asked for another model, or
+        on a benchmark solved for other costs, raises ConfigError and adds no entry."""
         bench = poisson_pair[0]
         value = coarse_solution.value
-        first = gain_vs_poisson(0.0, 45.0, 0.0, value, bench, STD_H, STD_M, STD_C)  # the field holds (0, 0)
+        gain_vs_poisson(0.0, 45.0, 0.0, value, bench, STD_H, STD_M, STD_C)  # the field holds (0, 0)
+        held = set(bench.level_paths)
         other_model = BreachModel(BreachFamily.CLASS_II, 0.5, 0.3)
         other_costs = dataclasses.replace(STD_C, rho=0.3, terminal_utility="zero")
-        for model, costs in ((other_model, STD_C), (STD_M, other_costs)):
-            got = gain_vs_poisson(0.0, 45.0, 0.0, value, bench, STD_H, model, costs)
-            assert got == gain_vs_poisson(0.0, 45.0, 0.0, value, dataclasses.replace(bench), STD_H, model, costs)
-            assert got != first
+        other_hawkes = dataclasses.replace(STD_H, beta=3.0)
+        for hawkes, model, costs in ((STD_H, other_model, STD_C), (STD_H, STD_M, other_costs), (other_hawkes, STD_M, STD_C)):
+            with pytest.raises(ConfigError, match="field solved for"):
+                gain_vs_poisson(0.0, 45.0, 0.0, value, bench, hawkes, model, costs)
+            with pytest.raises(ConfigError, match="field solved for"):
+                gain_vs_constant(0.0, 45.0, 0.0, value, hawkes, model, costs)
+        assert set(bench.level_paths) == held
+        # a value field of the right model with a benchmark solved for other costs
+        meta = dataclasses.replace(bench.value.meta, costs=other_costs)
+        foreign = PoissonField(
+            ValueField(bench.grid, bench.value.values, meta), PolicyField(bench.grid, bench.policy.controls, meta), {}
+        )
+        with pytest.raises(ConfigError, match="field solved for"):
+            gain_vs_poisson(0.0, 45.0, 0.0, value, foreign, STD_H, STD_M, STD_C)
+        assert not foreign.level_paths
+        # eta_var and eta_family are not part of the objective
+        costs = dataclasses.replace(STD_C, eta_var=0.0, eta_family="fixed")
+        assert gain_vs_poisson(0.0, 45.0, 0.0, value, bench, STD_H, STD_M, costs) == gain_vs_poisson(
+            0.0, 45.0, 0.0, value, bench, STD_H, STD_M, STD_C
+        )
 
     @pytest.mark.parametrize(
         "lam, h, message",
