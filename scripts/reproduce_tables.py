@@ -36,7 +36,7 @@ def main() -> int:
     if not args.full:
         common.append("--coarse")
     modes = ("baseline", "expectation")
-    gain = ["gain", "--value-field", str(out / "value"), "--interp"]
+    gain = ["gain", "--value-field", str(out / "value")]
     steps = [["static-gl"], ["solve"], *(["solve-poisson", "--mode", m] for m in modes), gain]
     steps += [
         gain + ["--benchmark", f"poisson-{m}", "--poisson-field", str(out / f"poisson_{m}"),

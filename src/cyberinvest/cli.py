@@ -144,7 +144,6 @@ def cmd_gain(args) -> int:
     if not isinstance(value, ValueField):
         raise ConfigError([f"{args.value_field} is not a value field"])
     t = args.t
-    mode = "linear" if args.interp else "nearest"
     poisson = load_poisson(args.poisson_field) if args.poisson_field else None
     if args.benchmark != "constant" and poisson is None:
         raise ConfigError(["--poisson-field is required for the poisson benchmarks"])
@@ -153,12 +152,12 @@ def cmd_gain(args) -> int:
         for h in hs:
             try:
                 if args.benchmark == "constant":
-                    g = gain_vs_constant(t, lam, h, value, cfg.hawkes, cfg.breach, cfg.costs, mode=mode)
+                    g = gain_vs_constant(t, lam, h, value, cfg.hawkes, cfg.breach, cfg.costs)
                 else:
-                    g = gain_vs_poisson(t, lam, h, value, poisson, cfg.hawkes, cfg.breach, cfg.costs, mode=mode)
+                    g = gain_vs_poisson(t, lam, h, value, poisson, cfg.hawkes, cfg.breach, cfg.costs)
             except ConfigError:  # a field solved for another model: one diagnostic per part
                 raise
-            except ValueError as exc:  # a bad --t/--lambdas/--hs, or a gain that is undefined
+            except ValueError as exc:  # a bad --t/--lambdas/--hs, a state off the field, or an undefined gain
                 raise ConfigError([f"gain at t={t:g}, lambda={lam:g}, h={h:g}: {exc}"]) from exc
             rows.append((t, lam, h, g))
     target = out / f"gain_{args.benchmark}.csv"
@@ -274,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--lambdas", default="27")
     p.add_argument("--hs", default="0.5,1,2,5,10,20")
-    p.add_argument("--interp", action="store_true", help="bilinear instead of nearest-node queries")
     p.set_defaults(func=cmd_gain)
 
     p = sub.add_parser("premium", help="standard-deviation premia for baseline and optimal policies")

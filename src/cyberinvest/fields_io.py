@@ -27,7 +27,7 @@ FORMAT_VERSION = 1
 
 # Solver options that older field files still carry and that no longer exist:
 # the former implicit Runge-Kutta integrator's tolerances and method, the
-# query-mode default (queries now choose their mode per call), the node limit
+# query-mode default (every lookup is bilinear now), the node limit
 # (now fixed), the jump-shift switch (the shift always interpolates, a node
 # shift on the lattice) and the switch to one-sided drift differences (the
 # central scheme is the only one). Their "extrapolation" tag is ignored as well.

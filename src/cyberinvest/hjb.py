@@ -43,7 +43,6 @@ import importlib.util
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -485,9 +484,8 @@ def solve(
     Returns the value and policy fields at every snapshot together with a
     quality report (monotonicity statistics, residual norms, integrator
     counters). Where the jump term reads past lambda_max, the operator extends
-    V linearly from the last two intensity nodes. Lookups of the stored fields
-    (`query`, the policy walk) still clamp intensities above lambda_max to the
-    last node. `options` is accepted and ignored (see SolverOptions).
+    V linearly from the last two intensity nodes; lookups of the stored fields
+    do not (`query`, the policy walk). `options` is accepted and ignored.
     """
     if abs(grid.horizon - costs.horizon) > 1e-12:
         raise ValueError(
@@ -638,50 +636,52 @@ def hjb_residual(field: ValueField, at: int) -> float:
     return interior
 
 
-def _nearest_index(x: float, lo: float, step: float, n: int) -> int:
-    return int(np.clip(round((x - lo) / step), 0, n - 1))
+def _check_in_grid(grid: SolverGrid, lam: float, h: float) -> None:
+    """Raise ValueError unless the state (lam, h), nan being nowhere, lies in the grid's box."""
+    if not (grid.lambda_min <= lam <= grid.lambda_max and grid.h_min <= h <= grid.h_max):
+        raise ValueError(
+            f"state (lambda, h) = ({lam!r}, {h!r}) lies outside the field's box "
+            f"[{grid.lambda_min:g}, {grid.lambda_max:g}] x [{grid.h_min:g}, {grid.h_max:g}]"
+        )
 
 
-def query(field, t: float, lam: float, h: float, mode: str = "nearest") -> float:
-    """Field value at (t, lambda, h): nearest snapshot in t, nearest node or
-    bilinear interpolation in (lambda, h).
+def _axis(x, lo: float, step: float, n: int) -> tuple:
+    """Lower node i in [0, n - 2] and weight w in [0, 1] of each x, clipped to the
+    uniform axis lo + step k of n nodes: x = lo + (i + w) step; i = w = 0 if n = 1."""
+    y = np.minimum(np.maximum((x - lo) / step, 0.0), n - 1)
+    i = np.minimum(y.astype(np.intp), max(n - 2, 0))
+    return i, y - i
 
-    lambda above the grid is clamped to lambda_max: the lookup does not apply
-    the solve's linear closure past lambda_max, which only the jump term uses. h outside the grid is clamped with a warning; a non-finite
-    lambda or h raises ValueError.
+
+def _bilinear(flat: np.ndarray, at, stride: int, w_lam, w_h):
+    """Bilinear interpolation in a C-ordered (..., n_lambda, n_h) array read flat:
+    `at` is the flat index of each point's lower (lambda, h) node, `stride` the
+    step to the next lambda node (n_h, or 0 if n_lambda = 1), w_lam and w_h the
+    weights of _axis. The one lookup rule of every stored field."""
+    v00, v01, v10, v11 = flat.take(np.add.outer((0, 1, stride, stride + 1), at))
+    u_h = 1 - w_h
+    return (1 - w_lam) * (u_h * v00 + w_h * v01) + w_lam * (u_h * v10 + w_h * v11)
+
+
+def _lookup(grid: SolverGrid, surface: np.ndarray, lam: float, h: float) -> float:
+    """_bilinear on one (n_lambda, n_h) surface at a state that _check_in_grid has passed."""
+    i, w_lam = _axis(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
+    j, w_h = _axis(h, grid.h_min, grid.d_h, grid.n_h)
+    stride = grid.n_h if grid.n_lambda > 1 else 0
+    return float(_bilinear(surface.reshape(-1), i * grid.n_h + j, stride, w_lam, w_h))
+
+
+def query(field, t: float, lam: float, h: float) -> float:
+    """Field value at (t, lambda, h): the nearest snapshot in t, bilinear
+    interpolation in (lambda, h).
+
+    The state must lie in the field's box, or ValueError is raised: the
+    lookup does not extend V past lambda_max, as the solve's jump term does.
     """
-    if not (math.isfinite(lam) and math.isfinite(h)):
-        raise ValueError(f"query point lambda = {lam!r}, h = {h!r} must be finite")
     grid = field.grid
     data = field.values if isinstance(field, ValueField) else field.controls
-    T = grid.horizon
-    if not (0.0 <= t <= T + 1e-12):
-        raise ValueError(f"query time {t} outside [0, {T}]")
-    snaps = grid.t_snapshots
-    k = int(np.argmin(np.abs(snaps - t)))
-    if h < grid.h_min - 1e-12 or h > grid.h_max + 1e-12:
-        warnings.warn(f"level {h} outside [{grid.h_min}, {grid.h_max}]; clamping", RuntimeWarning)
-    lam_c = min(max(lam, grid.lambda_min), grid.lambda_max)
-    h_c = min(max(h, grid.h_min), grid.h_max)
-    if mode == "nearest":
-        i = _nearest_index(lam_c, grid.lambda_min, grid.d_lambda, grid.n_lambda)
-        j = _nearest_index(h_c, grid.h_min, grid.d_h, grid.n_h)
-        return float(data[k, i, j])
-    if mode != "linear":
-        raise ValueError(f"unknown query mode {mode!r}")
-    return _bilinear(grid, data[k], lam_c, h_c)
-
-
-def _bilinear(grid: SolverGrid, surface: np.ndarray, lam: float, h: float) -> float:
-    """Bilinear interpolation of the (n_lambda, n_h) surface at a point (lam, h) of the grid's domain."""
-    fi = (lam - grid.lambda_min) / grid.d_lambda
-    fj = (h - grid.h_min) / grid.d_h
-    i0 = int(np.clip(math.floor(fi), 0, grid.n_lambda - 1))
-    j0 = int(np.clip(math.floor(fj), 0, grid.n_h - 1))
-    i1 = min(i0 + 1, grid.n_lambda - 1)
-    j1 = min(j0 + 1, grid.n_h - 1)
-    wi = fi - i0
-    wj = fj - j0
-    v00, v01 = surface[i0, j0], surface[i0, j1]
-    v10, v11 = surface[i1, j0], surface[i1, j1]
-    return float((1 - wi) * ((1 - wj) * v00 + wj * v01) + wi * ((1 - wj) * v10 + wj * v11))
+    if not (0.0 <= t <= grid.horizon + 1e-12):
+        raise ValueError(f"query time {t} outside [0, {grid.horizon}]")
+    _check_in_grid(grid, lam, h)
+    k = int(np.argmin(np.abs(grid.t_snapshots - t)))
+    return _lookup(grid, data[k], lam, h)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .breach import BreachModel
 from .dynamics import CostParams, _check_initial_level, expected_loss_no_investment, loss_variance
 from .hawkes import HawkesParams
-from .hjb import PolicyField, _bilinear, _check_field_inputs, _loss_surfaces
+from .hjb import PolicyField, _check_field_inputs, _check_in_grid, _lookup, _loss_surfaces
 
 __all__ = [
     "PremiumReport",
@@ -95,9 +95,9 @@ def premium_report_optimal(
     (hjb._loss_surfaces): with u the expected number of breaches and B the
     solve with the source lambda p(h) (J u), E[L] = eta_mean u and
     E[L^2] = (eta_var + eta_mean^2) u + 2 eta_mean^2 B, read off at the start
-    state by bilinear interpolation. The start state must lie on the field's
-    grid. The report depends on the mark distribution only through eta_mean
-    and eta_var. The surfaces are kept on the field object
+    state by hjb's bilinear lookup; a start state off the field's box raises
+    ValueError. The report depends on the mark distribution only through
+    eta_mean and eta_var. The surfaces are kept on the field object
     (PolicyField.loss_surfaces), so a report on the same field at another
     eta_var or start state costs two interpolations. The report carries the
     discretization error of the field's grid and no sampling error: its
@@ -107,14 +107,11 @@ def premium_report_optimal(
     _check_field_inputs(policy_field.meta, hawkes, model, costs)
     _check_initial_level(h_init)
     grid = policy_field.grid
-    if not grid.lambda_min <= hawkes.lambda0 <= grid.lambda_max:
-        raise ValueError(f"lambda0 = {hawkes.lambda0!r} lies outside the field's [{grid.lambda_min}, {grid.lambda_max}]")
-    if not grid.h_min <= h_init <= grid.h_max:
-        raise ValueError(f"initial level {h_init!r} lies outside the field's [{grid.h_min}, {grid.h_max}]")
+    _check_in_grid(grid, hawkes.lambda0, h_init)
     surfaces = policy_field.loss_surfaces
     if not surfaces:
         surfaces["u"], surfaces["b"] = _loss_surfaces(policy_field)
-    u, b = (_bilinear(grid, surfaces[name], hawkes.lambda0, h_init) for name in ("u", "b"))
+    u, b = (_lookup(grid, surfaces[name], hawkes.lambda0, h_init) for name in ("u", "b"))
     m = costs.eta_mean
     mean = m * u
     second = (costs.eta_var + m * m) * u + 2.0 * m * m * b

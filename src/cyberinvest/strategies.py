@@ -1,9 +1,9 @@
 """Policy extraction along simulated paths and benchmark-strategy evaluation.
 
-A solved policy surface is turned into an applied investment path by
-nearest-node lookup on a uniform time grid with an explicit-Euler level
-update. Constant and deterministic benchmark strategies are valued in closed
-form up to one smooth quadrature, using the exact expected-intensity formula.
+A solved policy surface is turned into an applied investment path on its
+snapshot times: bilinear lookup in (lambda, h), exact level. Constant and
+deterministic benchmark strategies are valued in closed form up to one smooth
+quadrature, using the exact expected-intensity formula.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .breach import BreachModel, _breach_curve, breach_prob
 from .dynamics import ConstantRate, CostParams, GridRate, _check_initial_level, _exact_levels, _phi
 from .errors import GainUndefinedError
 from .hawkes import AttackPath, HawkesParams, PathBatch, lambda_max_heuristic
-from .hjb import PolicyField, ValueField, _check_field_inputs, query
+from .hjb import PolicyField, ValueField, _axis, _bilinear, _check_field_inputs, query
 from .poisson import PoissonField
 
 __all__ = [
@@ -50,18 +50,6 @@ class PolicyTrace:
 
     def as_grid_rate(self) -> GridRate:
         return GridRate(self.times, self.control)
-
-
-def _nearest(x, lo, step, n):
-    """Nearest node index of x on a uniform axis of n nodes, and the number of
-    x whose nearest node lies beyond the last one (clamped to it)."""
-    y = x - lo
-    y /= step
-    k = np.rint(y, out=y).astype(np.intp)
-    if k.view(np.uintp).max(initial=0) < n:  # one test for both ends: a negative index reads as a huge one
-        return k, 0
-    clamped = int(np.count_nonzero(k > n - 1))
-    return np.clip(k, 0, n - 1, out=k), clamped
 
 
 def _check_start(t: float, horizon: float) -> None:
@@ -100,37 +88,37 @@ def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
     return times, snap_idx
 
 
-def _euler_walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: float, level=None) -> tuple:
+def _walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: float, level=None) -> tuple:
     """Controls along each row of the (n_paths, len(times)) intensity matrix lam
-    by nearest-node lookup, with an explicit-Euler level update between
-    snapshots from the level h_init, which must be finite and nonnegative;
-    fills `level` (same shape) with the levels if given.
-
-    Returns the controls, column-major so that each snapshot's column is
-    contiguous, and the numbers of lookups clamped at lambda_max and at h_max.
-    An intensity above lambda_max reads the last node's control, although the
-    solve's jump term extends V linearly past lambda_max.
+    by hjb's bilinear lookup in each snapshot's table, the level moving exactly,
+    h e^{-rho dt} + z phi(rho, dt), from h_init (finite, nonnegative); fills
+    `level` (same shape) with the levels if given. Returns the controls,
+    column-major, and the numbers of lookups clamped at lambda_max and at h_max
+    (read there, although the solve's jump term extends V past lambda_max).
     """
     _check_initial_level(h_init)
     grid = field.grid
-    rho = field.meta.costs.rho
     n_h = grid.n_h
-    cells, clamped_lambda = _nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
-    cells *= n_h  # each lookup's (snapshot, lambda node) row of the controls, as a flat index
-    cells += snap_idx * (grid.n_lambda * n_h)
+    # each lookup's lambda weight and (snapshot, lower lambda node) row, as a flat index
+    rows, w_lam = _axis(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
+    rows *= n_h
+    rows += snap_idx * (grid.n_lambda * n_h)
+    stride = n_h if grid.n_lambda > 1 else 0
+    rho = field.meta.costs.rho
+    dt = np.diff(times, append=times[-1])  # the last, empty step leaves the level as it is
+    flat = field.controls.reshape(-1)
     controls = np.empty(lam.shape, order="F")
     h = np.full(lam.shape[0], float(h_init))
     clamped_h = 0
-    for i, dt in enumerate(np.diff(times).tolist() + [None]):
+    for i, (decay, gain) in enumerate(zip(np.exp(-rho * dt).tolist(), _phi(rho, dt).tolist())):
         if level is not None:
             level[:, i] = h
-        j, clamped = _nearest(h, grid.h_min, grid.d_h, n_h)
-        clamped_h += clamped
-        j += cells[:, i]
-        field.controls.take(j, out=controls[:, i])  # flat indices into the C-ordered controls
-        if dt is not None:
-            h = h - rho * h * dt + controls[:, i] * dt
-    return controls, clamped_lambda, clamped_h
+        clamped_h += np.count_nonzero(h > grid.h_max)
+        j, w_h = _axis(h, grid.h_min, grid.d_h, n_h)
+        j += rows[:, i]
+        z = controls[:, i] = _bilinear(flat, j, stride, w_lam[:, i], w_h)
+        h = h * decay + z * gain
+    return controls, int(np.count_nonzero(lam > grid.lambda_max)), int(clamped_h)
 
 
 def extract_policy(
@@ -139,7 +127,8 @@ def extract_policy(
     t_init: float,
     h_init: float,
 ) -> PolicyTrace:
-    """Control and level along a path by nearest-node lookup plus Euler update.
+    """Control and level along a path: bilinear lookup at each snapshot, and
+    the exact level, evolve_level of the trace's own GridRate.
 
     `path` may be a simulated attack path or a constant intensity value
     (deterministic benchmark extraction). It runs the walk of
@@ -152,7 +141,7 @@ def extract_policy(
     else:
         lam = np.full((1, times.size), float(path))
     level = np.empty((1, times.size))
-    control = _euler_walk(field, times, snap_idx, lam, h_init, level)[0]
+    control = _walk(field, times, snap_idx, lam, h_init, level)[0]
     return PolicyTrace(times, lam[0], control[0], level[0])
 
 
@@ -168,7 +157,7 @@ def extract_policies_batch(
     produces path by path.
     """
     times, snap_idx = _snapshot_times(field, t_init)
-    return times, _euler_walk(field, times, snap_idx, batch.intensity_on_grid(times), h_init)[0]
+    return times, _walk(field, times, snap_idx, batch.intensity_on_grid(times), h_init)[0]
 
 
 @functools.cache
@@ -343,6 +332,12 @@ def _gain(v: float, benchmark: float) -> float:
     return 100.0 * (v - benchmark) / benchmark
 
 
+def _check_mode(mode: str) -> None:
+    """The one mode, kept only because perfbench/workloads.py passes mode="linear"."""
+    if mode != "linear":
+        raise ValueError(f"mode {mode!r}: a gain reads the value field by bilinear lookup, mode 'linear'")
+
+
 def gain_vs_constant(
     t: float,
     lam: float,
@@ -351,12 +346,14 @@ def gain_vs_constant(
     hawkes: HawkesParams,
     model: BreachModel,
     costs: CostParams,
-    mode: str = "nearest",
+    mode: str = "linear",
 ) -> float:
-    """Percentage gain of the solved policy, whose field must fit the model, over the best constant rate."""
+    """Percentage gain of the solved policy, whose field must fit the model and
+    hold the state (query), over the best constant rate."""
+    _check_mode(mode)
     _check_field_inputs(value_field.meta, hawkes, model, costs)
     _, best = optimize_constant(t, lam, h, hawkes, model, costs)  # first: it validates the state
-    return _gain(query(value_field, t, lam, h, mode=mode), best)
+    return _gain(query(value_field, t, lam, h), best)
 
 
 def gain_vs_poisson(
@@ -368,23 +365,25 @@ def gain_vs_poisson(
     hawkes: HawkesParams,
     model: BreachModel,
     costs: CostParams,
-    mode: str = "nearest",
+    mode: str = "linear",
 ) -> float:
     """Percentage gain of the solved policy over the deterministic benchmark policy.
 
-    Both fields must fit the model and the costs. The benchmark's trace and
-    level path do not depend on lam: the first call for a (t, h) computes
-    them and keeps them on poisson_field, and every call values them at its
-    own lam, as evaluate_deterministic does.
+    Both fields must fit the model and the costs, and the value field must hold
+    the state (query). The benchmark's trace and level path do not depend on
+    lam: the first call for a (t, h) computes them and keeps them on
+    poisson_field, and every call values them at its own lam, as
+    evaluate_deterministic does.
     """
+    _check_mode(mode)
     _check_field_inputs(value_field.meta, hawkes, model, costs)
     bench = poisson_field.value.meta
     _check_field_inputs(bench, bench.hawkes, model, costs)  # its intensity process is its own constant one
-    _check_state(t, lam, h, costs.horizon)  # first: the state keys the reuse and query only warns on h
+    _check_state(t, lam, h, costs.horizon)
+    v = query(value_field, t, lam, h)  # first: the state keys the reuse
     key = (t, h)
     path = poisson_field.level_paths.get(key)
     if path is None:
         trace = extract_policy(poisson_field.policy, poisson_field.intensity, t, h)
         path = poisson_field.level_paths[key] = _level_path(t, h, trace.as_grid_rate(), model, costs)
-    benchmark = _path_value(path, lam, hawkes)
-    return _gain(query(value_field, t, lam, h, mode=mode), benchmark)
+    return _gain(v, _path_value(path, lam, hawkes))

@@ -210,7 +210,7 @@ GAIN_TARGETS = [(0.5, 15.0), (1.0, 14.0), (2.0, 12.0), (5.0, 9.04), (10.0, 5.7),
 def _constant_gains(value_field):
     gains = []
     for h, _ in GAIN_TARGETS:
-        v = query(value_field, 0.0, 27.0, h, mode="linear")
+        v = query(value_field, 0.0, 27.0, h)
         _, best = optimize_constant(0.0, 27.0, h, STD_H, STD_M, STD_C)
         gains.append(100.0 * (v - best) / best)
     return gains
@@ -251,8 +251,8 @@ def test_criterion_09_gain_vs_poisson_benchmarks(coarse_solution, poisson_pair):
     # sampled inside the trustworthy region of the reference figures (the top
     # of the intensity domain is a truncation boundary layer there)
     lams = [27.0, 45.0, 63.0, 81.0, 99.0, 117.0, 135.0]
-    gb = [gain_vs_poisson(0.0, l, 0.0, coarse_solution.value, pb, STD_H, STD_M, STD_C, mode="linear") for l in lams]
-    ge = [gain_vs_poisson(0.0, l, 0.0, coarse_solution.value, pe, STD_H, STD_M, STD_C, mode="linear") for l in lams]
+    gb = [gain_vs_poisson(0.0, l, 0.0, coarse_solution.value, pb, STD_H, STD_M, STD_C) for l in lams]
+    ge = [gain_vs_poisson(0.0, l, 0.0, coarse_solution.value, pe, STD_H, STD_M, STD_C) for l in lams]
     b_band = all(7.6 - 1.5 <= g <= 11.4 + 1.5 for g in gb)
     b_mono = all(a < b for a, b in zip(gb, gb[1:]))
     e_band = all(-0.2 <= g <= 1.0 for g in ge)

@@ -252,6 +252,16 @@ class TestFieldIO:
             load_field(tmp_path / "v")
 
 
+@pytest.fixture(scope="module")
+def coarse_tables(tmp_path_factory):
+    """The coarse standard value field and baseline Poisson pair, seed 0."""
+    out = tmp_path_factory.mktemp("coarse")
+    common = ["--config", str(STANDARD), "--coarse", "--out", str(out)]
+    assert main(["solve", *common]) == 0
+    assert main(["solve-poisson", "--mode", "baseline", *common]) == 0
+    return out
+
+
 class TestCli:
     def run(self, tmp_path, *argv):
         cfgize = [a.replace("@TMP@", str(tmp_path)) for a in argv]
@@ -393,12 +403,34 @@ class TestCli:
         assert main(["solve-poisson", "--config", cfg, "--mode", "baseline", "--out", out]) == 0
         argv = ["gain", "--config", cfg, "--value-field", f"{out}/value", "--benchmark", against]
         argv += ["--poisson-field", f"{out}/poisson_baseline", f"--hs={hs}", "--out", out]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the level is rejected before any clamped lookup
-            assert main(argv) == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "gain at t=0, lambda=27" in err and "finite" in err
         assert not (Path(out) / f"gain_{against}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "states, shown",
+        [
+            (["--lambdas", "1000", "--hs", "5"], "lambda=1000, h=5"),
+            (["--lambdas", "10"], "lambda=10, h=0.5"),
+            (["--hs", "80"], "lambda=27, h=80"),
+        ],
+        ids=["lambda-above", "lambda-below", "h-above"],
+    )
+    @pytest.mark.parametrize("against", ["constant", "poisson-baseline"])
+    def test_gain_off_the_field_exit_2(self, coarse_tables, capsys, against, states, shown):
+        """A state off the coarse field's box [27, 216] x [0, 50] is one
+        diagnostic and exit 2, not a gain read at the box's edge."""
+        argv = ["gain", "--config", str(STANDARD), "--coarse", "--value-field", f"{coarse_tables}/value"]
+        argv += ["--benchmark", against, "--poisson-field", f"{coarse_tables}/poisson_baseline", *states]
+        out = coarse_tables / against
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a diagnostic, not a warning and a number
+            assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n  - ") == 1
+        assert f"gain at t=0, {shown}:" in err and "lies outside the field's box [27, 216] x [0, 50]" in err
+        assert not (out / f"gain_{against}.csv").exists()
 
     def test_gain_undefined_exit_2(self, tmp_path, capsys):
         # an invulnerable firm with zero terminal utility: every benchmark value is 0

@@ -533,33 +533,31 @@ class TestQuery:
         vf = small_solution.value
         assert query(vf, 0.0, 27.0, 5.0) == vf.values[-1, 0, 5]
 
-    def test_lambda_extrapolation_clamps(self, small_solution):
-        vf = small_solution.value
-        assert query(vf, 0.0, 2 * 120.0, 5.0) == query(vf, 0.0, 120.0, 5.0)
-
     def test_midpoint_interpolation_between_neighbors(self, small_solution):
         vf = small_solution.value
         lo = query(vf, 0.0, 27.0, 5.0)
         hi = query(vf, 0.0, 27.0, 6.0)
-        mid = query(vf, 0.0, 27.0, 5.5, mode="linear")
+        mid = query(vf, 0.0, 27.0, 5.5)
         assert min(lo, hi) <= mid <= max(lo, hi)
         assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-12)
-
-    def test_h_outside_warns_and_clamps(self, small_solution):
-        vf = small_solution.value
-        with pytest.warns(RuntimeWarning):
-            v = query(vf, 0.0, 27.0, 60.0)
-        assert v == query(vf, 0.0, 27.0, 50.0)
 
     def test_t_outside_rejected(self, small_solution):
         with pytest.raises(ValueError):
             query(small_solution.value, 1.5, 27.0, 5.0)
 
-    @pytest.mark.parametrize("mode", ["nearest", "linear"])
     @pytest.mark.parametrize("lam,h", [(np.nan, 5.0), (np.inf, 5.0), (27.0, np.nan), (27.0, -np.inf)])
-    def test_non_finite_point_rejected(self, small_solution, mode, lam, h):
-        with pytest.raises(ValueError, match="must be finite"):
-            query(small_solution.value, 0.0, lam, h, mode=mode)
+    def test_non_finite_point_rejected(self, small_solution, lam, h):
+        with pytest.raises(ValueError, match="outside the field's box"):
+            query(small_solution.value, 0.0, lam, h)
+
+    @pytest.mark.parametrize(
+        "lam,h", [(240.0, 5.0), (120.001, 5.0), (26.0, 5.0), (27.0, 60.0), (27.0, 50.001), (27.0, -0.5)]
+    )
+    def test_state_outside_the_box_rejected(self, small_solution, lam, h):
+        """A state off the (lambda, h) box raises, naming the box, instead of
+        reading the nearest edge."""
+        with pytest.raises(ValueError, match=r"lies outside the field's box \[27, 120\] x \[0, 50\]"):
+            query(small_solution.value, 0.0, lam, h)
 
 
 class TestResidual:

@@ -181,7 +181,7 @@ class TestOptimalReport:
 
     @pytest.mark.parametrize("lambda0", [20.0, 120.5, 200.0])
     def test_start_intensity_outside_grid_rejected(self, small_policy, lambda0):
-        with pytest.raises(ValueError, match="lambda0"):
+        with pytest.raises(ValueError, match=rf"\({lambda0}, 0.0\) lies outside the field's box \[27, 120\] x \[0, 50\]"):
             premium_report_optimal(small_policy, HawkesParams(27.0, lambda0, 15.0, 9.0), STD_M, STD_C, 0.3)
 
     def test_prevention_reduces_both_moments(self, small_policy):
@@ -368,7 +368,7 @@ class TestOptimalReport:
             premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, 10_000, h_init=h_init, threads=threads)
 
     def test_initial_level_above_grid_rejected(self, small_policy):
-        with pytest.raises(ValueError, match="initial level 50.5 lies outside"):
+        with pytest.raises(ValueError, match=r"\(27.0, 50.5\) lies outside the field's box \[27, 120\] x \[0, 50\]"):
             premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3, h_init=50.5)
 
     def test_diagnostics_identical_for_any_threads(self, small_policy):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from cyberinvest import (
     ValueField,
     breach_prob,
     evaluate_constant,
+    evolve_level,
     evaluate_deterministic,
     extract_policies_batch,
     extract_policy,
@@ -34,12 +34,14 @@ from cyberinvest import (
     lambda_max_heuristic,
     lower_bound,
     optimize_constant,
+    premium_report_optimal,
     query,
     simulate_paths,
     solve,
     solve_poisson,
 )
-from cyberinvest.strategies import _euler_walk, _nearest, _snapshot_times
+from cyberinvest.hjb import FieldMeta
+from cyberinvest.strategies import _snapshot_times, _walk
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
@@ -328,71 +330,63 @@ class TestExtractPolicy:
         with pytest.raises(ValueError, match="initial level"):
             extract_policy(solution.policy, 27.0, 0.0, h_init)
 
-    def test_nearest_node_and_clamp_counts(self):
-        """Nearest node on the axis 2, 2.5, ..., 4 (five nodes): below the
-        first node, above the last, and ties at .5 steps (rounded to even);
-        only the indices beyond the last node are counted as clamped."""
-        x = np.array([[-3.0, 1.0, 2.0, 2.125, 2.25, 2.75], [3.25, 3.75, 4.0, 4.25, 4.3, 9.0]])
-        k, clamped = _nearest(x, 2.0, 0.5, 5)
-        np.testing.assert_array_equal(k, [[0, 0, 0, 0, 0, 2], [2, 4, 4, 4, 4, 4]])
-        assert clamped == 2  # 4.3 and 9.0; 4.25 ties to node 4 (even), not 5
-        assert k.dtype == np.intp
-        # the same as rounding half to even and clipping to [0, n - 1]
-        raw = np.rint((x - 2.0) / 0.5).astype(int)
-        np.testing.assert_array_equal(k, np.clip(raw, 0, 4))
-        assert clamped == np.count_nonzero(raw > 4)
-        # every node inside the axis: nothing to clamp or count; one node past the end: clamped and counted
-        k, clamped = _nearest(np.array([2.0, 2.2, 3.9]), 2.0, 0.5, 5)
-        np.testing.assert_array_equal(k, [0, 0, 4])
-        assert clamped == 0 and k.dtype == np.intp
-        k, clamped = _nearest(np.array([2.0, 4.3]), 2.0, 0.5, 5)
-        np.testing.assert_array_equal(k, [0, 4])
-        assert clamped == 1
-
     @pytest.mark.parametrize("h_min, d_h, t_init, h_init", [(0.0, 1.0, 0.0, 0.0), (0.0, 0.5, 0.1, 45.0), (2.0, 1.0, 0.3, 0.0)])
     def test_walk_matches_reference_loop(self, solution, h_min, d_h, t_init, h_init):
-        """The walk against a loop that rounds to the nearest node on both axes
-        and looks up each snapshot's table: equal controls, levels and clamp
-        counts. The solved controls are read on relabelled h axes, so that
+        """The walk against a loop, path by path, that interpolates each
+        snapshot's table bilinearly in (lambda, h), clipped to the grid, and
+        moves the level exactly: equal controls and levels to 1e-12, and clamp
+        counts equal to the intensities above lambda_max plus the levels above
+        h_max. The solved controls are read on relabelled h axes, so that
         levels run past h_max (clamped and counted) and below h_min (clamped
         only)."""
-
-        def nearest(x, lo, step, n):
-            raw = np.rint((x - lo) / step)
-            return np.clip(raw, 0, n - 1).astype(int), int(np.count_nonzero(raw > n - 1))
-
         grid = solution.policy.grid
         grid = dataclasses.replace(grid, h_min=h_min, d_h=d_h, h_max=h_min + d_h * (grid.n_h - 1))
         policy = PolicyField(grid, solution.policy.controls, solution.policy.meta)
         rho = policy.meta.costs.rho
+
+        def lookup(table, lam, h):
+            x = min(max((lam - grid.lambda_min) / grid.d_lambda, 0.0), grid.n_lambda - 1.0)
+            y = min(max((h - grid.h_min) / grid.d_h, 0.0), grid.n_h - 1.0)
+            i, j = min(math.floor(x), grid.n_lambda - 2), min(math.floor(y), grid.n_h - 2)
+            a, b = x - i, y - j
+            corners = table[i : i + 2, j : j + 2]
+            return float(np.array([1.0 - a, a]) @ corners @ np.array([1.0 - b, b]))
+
         times, snap_idx = _snapshot_times(policy, t_init)
         lam = simulate_paths(STD_H, 1.0, 300, seed=7).intensity_on_grid(times)
         level = np.empty(lam.shape)
-        controls, clamped_lambda, clamped_h = _euler_walk(policy, times, snap_idx, lam, h_init, level)
+        controls, clamped_lambda, clamped_h = _walk(policy, times, snap_idx, lam, h_init, level)
 
-        k_lam, ref_lambda = nearest(lam, grid.lambda_min, grid.d_lambda, grid.n_lambda)
-        ref, ref_level, ref_h = np.empty(lam.shape), np.empty(lam.shape), 0
-        h = np.full(lam.shape[0], h_init)
-        for i in range(times.size):
-            ref_level[:, i] = h
-            j, clamped = nearest(h, grid.h_min, grid.d_h, grid.n_h)
-            ref_h += clamped
-            ref[:, i] = policy.controls[snap_idx[i]][k_lam[:, i], j]
-            if i + 1 < times.size:
-                dt = times[i + 1] - times[i]
-                h = h - rho * h * dt + ref[:, i] * dt
-        np.testing.assert_array_equal(controls, ref)
-        np.testing.assert_array_equal(level, ref_level)
-        assert (clamped_lambda, clamped_h) == (ref_lambda, ref_h)
+        ref, ref_level = np.empty(lam.shape), np.empty(lam.shape)
+        for p in range(lam.shape[0]):
+            h = h_init
+            for i in range(times.size):
+                ref_level[p, i] = h
+                ref[p, i] = lookup(policy.controls[snap_idx[i]], lam[p, i], h)
+                if i + 1 < times.size:
+                    decay = math.exp(-rho * (times[i + 1] - times[i]))
+                    h = h * decay + ref[p, i] * (1.0 - decay) / rho
+        np.testing.assert_allclose(controls, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(level, ref_level, rtol=1e-12, atol=1e-12 * np.abs(ref_level).max())
+        assert clamped_lambda == np.count_nonzero(lam > grid.lambda_max) > 0
+        assert clamped_h == np.count_nonzero(ref_level > grid.h_max)
         assert (clamped_h > 0) == (h_init > grid.h_max)
-        assert (level.min() < grid.h_min - 0.5 * d_h) == (h_init < grid.h_min)
+        assert (level.min() < grid.h_min) == (h_init < grid.h_min)
 
     def test_zero_field_gives_decaying_level(self, zero_solution):
         path = simulate_paths(STD_H, 1.0, 1, seed=0).path(0)
         trace = extract_policy(zero_solution.policy, path, 0.0, 4.0)
         assert np.all(trace.control == 0.0)
         expected = 4.0 * np.exp(-0.2 * trace.times)
-        np.testing.assert_allclose(trace.level, expected, rtol=5e-3)  # explicit Euler error
+        np.testing.assert_allclose(trace.level, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("t_init, h_init", [(0.0, 0.0), (0.37, 4.0)])
+    def test_level_is_the_exact_level_of_the_control(self, solution, t_init, h_init):
+        path = simulate_paths(STD_H, 1.0, 1, seed=4).path(0)
+        trace = extract_policy(solution.policy, path, t_init, h_init)
+        assert trace.control.max() > 0.0
+        expected = evolve_level(h_init, STD_C.rho, trace.as_grid_rate(), trace.times)
+        np.testing.assert_allclose(trace.level, expected, rtol=1e-12, atol=0.0)
 
     def test_determinism(self, solution):
         path = simulate_paths(STD_H, 1.0, 1, seed=1).path(0)
@@ -442,7 +436,7 @@ class TestExtractPolicy:
 class TestGains:
     def test_value_dominates_benchmark_chain(self, solution):
         for (lam, h) in [(27.0, 0.0), (27.0, 5.0), (60.0, 10.0)]:
-            v = query(solution.value, 0.0, lam, h, mode="linear")
+            v = query(solution.value, 0.0, lam, h)
             _, best_const = optimize_constant(0.0, lam, h, STD_H, STD_M, STD_C)
             hold = lower_bound(0.0, lam, h, STD_H, STD_M, STD_C)
             assert v >= best_const - 0.02 * abs(best_const)
@@ -472,11 +466,11 @@ class TestGains:
         lams = [27.0, 81.0, 135.0]
         for bench in (pb, pe):
             g0 = [
-                gain_vs_poisson(0.0, l, 0.0, coarse_solution.value, bench, STD_H, STD_M, STD_C, mode="linear")
+                gain_vs_poisson(0.0, l, 0.0, coarse_solution.value, bench, STD_H, STD_M, STD_C)
                 for l in lams
             ]
             g20 = [
-                gain_vs_poisson(0.0, l, 20.0, coarse_solution.value, bench, STD_H, STD_M, STD_C, mode="linear")
+                gain_vs_poisson(0.0, l, 20.0, coarse_solution.value, bench, STD_H, STD_M, STD_C)
                 for l in lams
             ]
             spread0 = max(g0) - min(g0)
@@ -491,16 +485,16 @@ class TestGains:
         for bench in poisson_pair:
             for t in (0.0, 0.5):
                 for h in (0.0, 20.0):
-                    reused = [gain_vs_poisson(t, l, h, value, bench, STD_H, STD_M, STD_C, mode="linear") for l in LAMBDAS]
+                    reused = [gain_vs_poisson(t, l, h, value, bench, STD_H, STD_M, STD_C) for l in LAMBDAS]
                     fresh = [
-                        gain_vs_poisson(t, l, h, value, dataclasses.replace(bench), STD_H, STD_M, STD_C, mode="linear")
+                        gain_vs_poisson(t, l, h, value, dataclasses.replace(bench), STD_H, STD_M, STD_C)
                         for l in LAMBDAS
                     ]
                     trace = extract_policy(bench.policy, bench.intensity, t, h)
                     direct = []
                     for l in LAMBDAS:
                         b = evaluate_deterministic(t, l, h, trace, STD_H, STD_M, STD_C)
-                        direct.append(100.0 * (query(value, t, l, h, mode="linear") - b) / b)
+                        direct.append(100.0 * (query(value, t, l, h) - b) / b)
                     assert reused == fresh == direct
                     assert (t, h) in bench.level_paths
 
@@ -542,20 +536,40 @@ class TestGains:
             (27.0, math.inf, "initial level"),
             (math.nan, 0.0, "intensity lambda"),
             (math.inf, 0.0, "intensity lambda"),
+            (1000.0, 5.0, "outside the field's box"),
+            (10.0, 0.0, "outside the field's box"),
+            (27.0, 80.0, "outside the field's box"),
         ],
     )
     def test_bad_state_raises_before_reuse_or_query(self, coarse_solution, poisson_pair, lam, h, message):
-        """On a field that holds the entry for (0, 0), a bad lambda or level
-        raises gain_vs_poisson's own error, before query warns about a clamped
-        level or rejects the point, and adds no entry."""
+        """On a field that holds the entry for (0, 0), a bad lambda or level,
+        or a state off the value field's box [27, 216] x [0, 50], raises in
+        both gains, the Poisson one before it adds an entry."""
         bench = poisson_pair[0]
         gain_vs_poisson(0.0, 27.0, 0.0, coarse_solution.value, bench, STD_H, STD_M, STD_C)
         held = set(bench.level_paths)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # query's clamped-level warning would raise RuntimeWarning
-            with pytest.raises(ValueError, match=message):
-                gain_vs_poisson(0.0, lam, h, coarse_solution.value, bench, STD_H, STD_M, STD_C)
+        with pytest.raises(ValueError, match=message):
+            gain_vs_poisson(0.0, lam, h, coarse_solution.value, bench, STD_H, STD_M, STD_C)
         assert set(bench.level_paths) == held
+        with pytest.raises(ValueError, match=message):
+            gain_vs_constant(0.0, lam, h, coarse_solution.value, STD_H, STD_M, STD_C)
+
+    def test_only_the_bilinear_mode(self, solution, poisson_27):
+        """The gains keep `mode` for callers that pass mode="linear"; any other
+        value raises before any work, and adds no entry."""
+        bench = dataclasses.replace(poisson_27)
+        for mode in ("nearest", "cubic"):
+            with pytest.raises(ValueError, match=f"mode {mode!r}"):
+                gain_vs_constant(0.0, 27.0, 0.0, solution.value, STD_H, STD_M, STD_C, mode=mode)
+            with pytest.raises(ValueError, match=f"mode {mode!r}"):
+                gain_vs_poisson(0.0, 27.0, 0.0, solution.value, bench, STD_H, STD_M, STD_C, mode=mode)
+        assert not bench.level_paths
+        assert gain_vs_poisson(0.0, 27.0, 0.0, solution.value, bench, STD_H, STD_M, STD_C, mode="linear") == (
+            gain_vs_poisson(0.0, 27.0, 0.0, solution.value, bench, STD_H, STD_M, STD_C)
+        )
+        assert gain_vs_constant(0.0, 27.0, 0.0, solution.value, STD_H, STD_M, STD_C, mode="linear") == (
+            gain_vs_constant(0.0, 27.0, 0.0, solution.value, STD_H, STD_M, STD_C)
+        )
 
     def test_gain_monotone_in_lambda_soft_check(self, coarse_solution):
         # reported as a diagnostic: warn rather than fail if the trend breaks
@@ -563,6 +577,60 @@ class TestGains:
 
         gains = []
         for lam in (27.0, 60.0, 99.0, 135.0):
-            gains.append(gain_vs_constant(0.0, lam, 5.0, coarse_solution.value, STD_H, STD_M, STD_C, mode="linear"))
+            gains.append(gain_vs_constant(0.0, lam, 5.0, coarse_solution.value, STD_H, STD_M, STD_C))
         if any(a > b for a, b in zip(gains, gains[1:])):
             warnings.warn(f"gain vs best constant not monotone in lambda: {gains}", RuntimeWarning)
+
+
+class TestOneLookup:
+    """query, the premium report and the policy walk read a stored field by
+    one bilinear rule, which is exact on a surface affine in (lambda, h)."""
+
+    @staticmethod
+    def affine(k, lam, h):
+        return 3.0 + 0.05 * k + 0.02 * lam + 0.1 * h
+
+    def surfaces(self):
+        k = np.arange(GRID.t_snapshots.size)[:, None, None]
+        return self.affine(k, GRID.lambdas[None, :, None], GRID.hs[None, None, :])
+
+    def points(self, n=200):
+        rng = np.random.default_rng(11)
+        lam = np.append(rng.uniform(GRID.lambda_min, GRID.lambda_max, n), [GRID.lambda_min, GRID.lambda_max])
+        h = np.append(rng.uniform(GRID.h_min, GRID.h_max, n), [GRID.h_max, GRID.h_min])
+        return lam, h, rng
+
+    def test_query(self):
+        field = ValueField(GRID, self.surfaces(), FieldMeta(STD_H, STD_M, STD_C))
+        lam, h, rng = self.points()
+        k = rng.integers(0, GRID.t_snapshots.size, lam.size)
+        got = [query(field, GRID.t_snapshots[i], x, y) for i, x, y in zip(k, lam, h)]
+        np.testing.assert_allclose(got, self.affine(k, lam, h), rtol=1e-12, atol=0.0)
+
+    def test_premium_report(self):
+        """The report reads its two loss surfaces at the start state: on
+        affine surfaces u and B, E[L] = eta_mean u and E[L^2] = (eta_var +
+        eta_mean^2) u + 2 eta_mean^2 B hold to 1e-12 at random start states."""
+        policy = PolicyField(GRID, self.surfaces(), FieldMeta(STD_H, STD_M, STD_C))
+        u = self.affine(0, GRID.lambdas[:, None], GRID.hs[None, :])
+        policy.loss_surfaces.update(u=u, b=10.0 * u + 100.0)
+        m, var = STD_C.eta_mean, STD_C.eta_var
+        lam, h, _ = self.points(40)
+        for x, y in zip(lam, h):
+            report = premium_report_optimal(policy, dataclasses.replace(STD_H, lambda0=x), STD_M, STD_C, 0.3, h_init=y)
+            exact = self.affine(0, x, y)
+            assert report.expected_loss == pytest.approx(m * exact, rel=1e-12, abs=0.0)
+            second = report.loss_std**2 + report.expected_loss**2
+            assert second == pytest.approx((var + m * m) * exact + 2.0 * m * m * (10.0 * exact + 100.0), rel=1e-12, abs=0.0)
+
+    def test_walk(self):
+        """In-grid intensities and levels read the affine control at each
+        (snapshot, lambda, level) and clamp nothing."""
+        policy = PolicyField(GRID, self.surfaces(), FieldMeta(STD_H, STD_M, STD_C))
+        times, snap_idx = _snapshot_times(policy, 0.2)
+        rng = np.random.default_rng(12)
+        lam = rng.uniform(GRID.lambda_min, GRID.lambda_max, (30, times.size))
+        level = np.empty(lam.shape)
+        controls, clamped_lambda, clamped_h = _walk(policy, times, snap_idx, lam, 4.5, level)
+        assert level.max() < GRID.h_max and (clamped_lambda, clamped_h) == (0, 0)
+        np.testing.assert_allclose(controls, self.affine(snap_idx, lam, level), rtol=1e-12, atol=0.0)
