@@ -116,12 +116,15 @@ def cmd_trace(args) -> int:
     policy = load_field(args.field)
     if not isinstance(policy, PolicyField):
         raise ConfigError([f"{args.field} is not a policy field"])
+    clamped_lambda = clamped_h = 0
     for k in range(args.n_paths):
         path = simulate_path(cfg.hawkes, cfg.costs.horizon, cfg.seed + k)
         try:
             trace = extract_policy(policy, path, args.t_init, args.h_init)
         except ValueError as exc:
             raise ConfigError([f"--t-init/--h-init: {exc}"]) from exc
+        clamped_lambda += trace.clamped_lambda
+        clamped_h += trace.clamped_h
         with (out / f"path_{k}.csv").open("w") as fh:
             fh.write("index,tau\n")
             for i, tau in enumerate(path.event_times):
@@ -130,6 +133,11 @@ def cmd_trace(args) -> int:
             fh.write("t,lambda,z,H\n")
             for row in zip(trace.times, trace.intensity, trace.control, trace.level):
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
+    grid = policy.grid
+    print(
+        f"lookups read at the grid's edge: {clamped_lambda} with lambda above {grid.lambda_max:g}, "
+        f"{clamped_h} with h above {grid.h_max:g}"
+    )
     print(f"wrote {args.n_paths} trace/path CSV pairs -> {out}")
     return 0
 

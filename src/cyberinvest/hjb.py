@@ -31,8 +31,10 @@ The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
 stage transposes it. Stored fields add a leading snapshot axis.
 
 The same steps with a stored policy z frozen make the h stage linear, transport
-at the velocity z - rho h with the same Jacobian rule, one tridiagonal solve
-per step; _loss_surfaces uses them for the moments of the loss under that policy.
+at the velocity z - rho h with the same Jacobian rule. _loss_surfaces takes them
+for the two moments of the loss under that policy as one coupled solve of the
+stacked pair: the coupling acts along lambda and joins the lambda stage, and
+the h stage of both is one tridiagonal solve with two right-hand sides per step.
 """
 
 from __future__ import annotations
@@ -277,8 +279,9 @@ def _stencil(n: int, step: float) -> np.ndarray:
 
 
 def _along_h(tiles: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A stencil along h of the C-ordered (n_lambda, n_h) array w, given as tiles over the lambda rows:
-    flat shifted products, kept apart across rows by the zeros past each row's first and last node."""
+    """A stencil along h of the C-ordered (n_lambda, n_h) array w, given as tiles over the lambda rows
+    (or of a stack of such arrays, given tiles over all their rows): flat shifted products, kept apart
+    across rows by the zeros past each row's first and last node."""
     flat = w.reshape(-1)
     out = tiles[1] * flat
     out[1:] += tiles[0, 1:] * flat[:-1]
@@ -332,7 +335,7 @@ class _PideOperator:
         # tau runs against t, so the transport terms change sign and the jump term keeps it
         dlam = np.diag(dlam[1]) + np.diag(dlam[0, 1:], -1) + np.diag(dlam[2, :-1], 1)
         self.a_lam = lam[:, None] * (jump - np.eye(nl)) - clam[:, None] * dlam
-        self.jump = jump
+        self.jump_rate = lam[:, None] * jump  # C = diag(lambda) J, the jump term's inflow
         self.d_h = _stencil(nh, grid.d_h)
         self.tiles = np.tile(self.d_h, nl)  # over the lambda rows, for _along_h
         self.ch = costs.rho * hs
@@ -382,6 +385,8 @@ class _DouglasADI:
     def __init__(self, op: _PideOperator):
         self.op = op
         self._factors = {}  # c -> (inverse of I - c A_lambda, -c D_h tiles)
+        self._couplings = {}  # c -> K = c M^{-1} C M^{-1}, M = I - c A_lambda; frozen steps alone build it
+        self._stack_tiles = {}  # number of stacked states -> D_h tiles over all their rows
         self.nfev = 0
         self.newton = []
         self._correction = 0.0  # the last step's h-stage correction Y2 - Y1, where Newton starts the next
@@ -441,20 +446,48 @@ class _DouglasADI:
             y -= dy.reshape(y.shape)
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
+    def _coupling(self, c: float) -> np.ndarray:
+        if c not in self._couplings:
+            inverse = self._factor(c)[0]
+            self._couplings[c] = c * inverse @ self.op.jump_rate @ inverse
+        return self._couplings[c]
+
     def frozen_step(
-        self, w: np.ndarray, velocity: np.ndarray, jacobian: tuple, source: np.ndarray, dt: float, c: float
+        self, x: np.ndarray, velocity: np.ndarray, source: np.ndarray, dt: float, c: float, coupling=None
     ) -> np.ndarray:
-        """A Douglas step of the linear dW/dtau = A_lambda W + velocity D_h W + source, the level velocity
-        z - rho h frozen over the step: its h stage, (I - c F_h) Y2 = Y1 - c F_h W, is one tridiagonal
-        solve with jacobian = h_jacobian(velocity, c). gtsv works on copies of the jacobian's diagonals,
-        so the solves that share a step's velocity build it once."""
+        """A Douglas step of the linear dX/dtau = L X + velocity D_h X + source for a stack X of
+        (n_lambda, n_h) states along the first axis, the level velocity z - rho h frozen over the step.
+        L is A_lambda on each state; given the h profile p = coupling, it also adds C (X[0] p) to the
+        second, C = diag(lambda) J. Then I - c L is block lower triangular, and since p acts along h it
+        commutes with M^{-1}, M = I - c A_lambda: the lambda stage is M^{-1} on each state plus
+        K (Y[0] p) on the second, K = c M^{-1} C M^{-1}. Every state's h stage has the Jacobian
+        h_jacobian(velocity, c), so (I - c F_h) Y2 = Y1 - c F_h X is one gtsv call with one
+        right-hand side per state, the columns of a Fortran-ordered view of the stack."""
         op = self.op
-        f_lam, f_h = op.a_lam @ w, velocity * op.gradient(w)
-        y = self._factor(c)[0] @ (w + dt * (f_lam + f_h + source) - c * f_lam)
-        *_, y, info = _gtsv()(*jacobian, (y - c * f_h).reshape(-1), False, False, False, True)
+        if len(x) not in self._stack_tiles:
+            self._stack_tiles[len(x)] = np.tile(op.tiles, len(x))
+        f_lam, f_h = op.a_lam @ x, _along_h(self._stack_tiles[len(x)], x)
+        f_h *= velocity
+        if coupling is not None:
+            f_lam[1] += op.jump_rate @ (x[0] * coupling)
+        # in place, the arithmetic of x + dt (f_lam + f_h + source) - c f_lam and then y1 - c f_h
+        y = f_lam + f_h
+        y += source
+        y *= dt
+        y += x
+        f_lam *= c
+        y -= f_lam
+        y1 = self._factor(c)[0] @ y
+        if coupling is not None:
+            y[0] *= coupling
+            y1[1] += self._coupling(c) @ y[0]
+        f_h *= c
+        y1 -= f_h
+        # the diagonals and the right-hand sides are fresh arrays, so gtsv may overwrite them all
+        *_, y2, info = _gtsv()(*self.h_jacobian(velocity, c), y1.reshape(len(x), -1).T, True, True, True, True)
         if info != 0:
             raise SolverError(f"singular frozen-policy h stage (gtsv info {info})", {"gtsv_info": int(info)})
-        return y.reshape(w.shape)
+        return y2.T.reshape(x.shape)
 
 
 def _schedule(snaps: np.ndarray) -> list:
@@ -533,8 +566,8 @@ def solve(
 
 
 def _loss_surfaces(policy: PolicyField) -> tuple:
-    """The surfaces u and B at the first snapshot (t = 0 for a regular grid) of two linear backward
-    solves under the stored policy, frozen: with p(h) the breach probability and J the jump shift,
+    """The surfaces u and B at the first snapshot (t = 0 for a regular grid) of one linear backward
+    solve under the stored policy, frozen: with p(h) the breach probability and J the jump shift,
 
         u_tau = A_lambda u + (z - rho h) D_h u + lambda p(h),
         B_tau = A_lambda B + (z - rho h) D_h B + lambda p(h) (J u),    u(T) = B(T) = 0.
@@ -542,22 +575,20 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
     u is the expected number of breaches from (t, lambda, h), and E[L^2] = (eta_var + eta_mean^2) u
     + 2 eta_mean^2 B (Dynkin's formula for the compound jump process; Oksendal & Sulem). The steps
     are the solve's, with z = controls[k] on the step that ends at snapshot k, as the policy walk
-    applies a snapshot's control until the next one. B's source is theta-weighted between the
-    states of u at the step's two ends, so u steps first.
+    applies a snapshot's control until the next one. The pair is one stacked state: B's coupling
+    lambda p(h) (J u) = C (u p) acts along lambda, so it sits in the implicit lambda stage
+    (frozen_step), and each step's h stage is one tridiagonal solve with two right-hand sides.
     """
     grid, meta = policy.grid, policy.meta
     op = _PideOperator(grid, meta.hawkes, meta.model, meta.costs)
     adi = _DouglasADI(op)
-    breach_rate = grid.lambdas[:, None] * breach_prob(meta.model, grid.hs)[None, :]
-    u, b, source = np.zeros(op.shape), np.zeros(op.shape), np.zeros(op.shape)
-    for k, dt, theta, c, _ in _schedule(grid.t_snapshots):
-        velocity = policy.controls[k] - op.ch
-        jacobian = adi.h_jacobian(velocity, c)
-        u = adi.frozen_step(u, velocity, jacobian, breach_rate, dt, c)
-        after = breach_rate * (op.jump @ u)
-        b = adi.frozen_step(b, velocity, jacobian, (1.0 - theta) * source + theta * after, dt, c)
-        source = after
-    return u, b
+    p = breach_prob(meta.model, grid.hs)
+    source = np.zeros((2,) + op.shape)
+    source[0] = grid.lambdas[:, None] * p
+    x = np.zeros_like(source)
+    for k, dt, _, c, _ in _schedule(grid.t_snapshots):
+        x = adi.frozen_step(x, policy.controls[k] - op.ch, source, dt, c, p)
+    return x[0], x[1]
 
 
 def _monotonicity_stats(values: np.ndarray, axis: int, tol: float) -> dict:
@@ -672,8 +703,9 @@ def _lookup(grid: SolverGrid, surface: np.ndarray, lam: float, h: float) -> floa
 
 
 def query(field, t: float, lam: float, h: float) -> float:
-    """Field value at (t, lambda, h): the nearest snapshot in t, bilinear
-    interpolation in (lambda, h).
+    """Field value at (t, lambda, h): bilinear interpolation in (lambda, h) on
+    the two snapshots that bracket t, and linear interpolation between them.
+    At a snapshot time it is that snapshot's lookup alone.
 
     The state must lie in the field's box, or ValueError is raised: the
     lookup does not extend V past lambda_max, as the solve's jump term does.
@@ -683,5 +715,10 @@ def query(field, t: float, lam: float, h: float) -> float:
     if not (0.0 <= t <= grid.horizon + 1e-12):
         raise ValueError(f"query time {t} outside [0, {grid.horizon}]")
     _check_in_grid(grid, lam, h)
-    k = int(np.argmin(np.abs(grid.t_snapshots - t)))
-    return _lookup(grid, data[k], lam, h)
+    snaps = grid.t_snapshots
+    k = max(int(np.count_nonzero(snaps >= t)) - 1, 0)  # snaps[k] >= t > snaps[k + 1]
+    value = _lookup(grid, data[k], lam, h)
+    if t >= snaps[k] or k + 1 == snaps.size:
+        return value
+    w = (snaps[k] - t) / (snaps[k] - snaps[k + 1])
+    return float((1.0 - w) * value + w * _lookup(grid, data[k + 1], lam, h))

@@ -3,8 +3,8 @@
 The premium for an aggregate loss L is E[L] + theta * sd(L). Both reports are
 deterministic. The no-investment baseline is exact, from the total-variance
 decomposition. The optimal-policy report takes both moments of the loss under
-the solved policy from two linear backward solves on the policy's own grid,
-so it needs no paths, seed or worker processes.
+the solved policy from one coupled linear backward solve on the policy's own
+grid, so it needs no paths, seed or worker processes.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ def premium_report_optimal(
 ) -> PremiumReport:
     """Price the solved dynamic policy from the state (hawkes.lambda0, h_init) at t = 0.
 
-    Both moments come from two linear backward solves under the stored policy
-    (hjb._loss_surfaces): with u the expected number of breaches and B the
-    solve with the source lambda p(h) (J u), E[L] = eta_mean u and
+    Both moments come from one linear backward solve under the stored policy
+    (hjb._loss_surfaces), of the pair u, the expected number of breaches, and
+    B, whose coupling to u is lambda p(h) (J u): E[L] = eta_mean u and
     E[L^2] = (eta_var + eta_mean^2) u + 2 eta_mean^2 B, read off at the start
     state by hjb's bilinear lookup; a start state off the field's box raises
     ValueError. The report depends on the mark distribution only through

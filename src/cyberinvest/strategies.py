@@ -37,12 +37,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolicyTrace:
-    """Applied control along one intensity path on a uniform time grid."""
+    """Applied control along one intensity path on a uniform time grid, with
+    the numbers of its lookups that read the policy at lambda_max for an
+    intensity above it and at h_max for a level above it."""
 
     times: np.ndarray
     intensity: np.ndarray
     control: np.ndarray
     level: np.ndarray
+    clamped_lambda: int = 0
+    clamped_h: int = 0
 
     def __post_init__(self):
         if np.any(self.control < 0):
@@ -128,7 +132,8 @@ def extract_policy(
     h_init: float,
 ) -> PolicyTrace:
     """Control and level along a path: bilinear lookup at each snapshot, and
-    the exact level, evolve_level of the trace's own GridRate.
+    the exact level, evolve_level of the trace's own GridRate. The trace
+    carries the walk's counts of lookups clamped at lambda_max and h_max.
 
     `path` may be a simulated attack path or a constant intensity value
     (deterministic benchmark extraction). It runs the walk of
@@ -141,8 +146,8 @@ def extract_policy(
     else:
         lam = np.full((1, times.size), float(path))
     level = np.empty((1, times.size))
-    control = _walk(field, times, snap_idx, lam, h_init, level)[0]
-    return PolicyTrace(times, lam[0], control[0], level[0])
+    control, clamped_lambda, clamped_h = _walk(field, times, snap_idx, lam, h_init, level)
+    return PolicyTrace(times, lam[0], control[0], level[0], clamped_lambda, clamped_h)
 
 
 def extract_policies_batch(

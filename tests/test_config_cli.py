@@ -432,6 +432,21 @@ class TestCli:
         assert f"gain at t=0, {shown}:" in err and "lies outside the field's box [27, 216] x [0, 50]" in err
         assert not (out / f"gain_{against}.csv").exists()
 
+    def test_gain_has_no_step_in_t(self, coarse_tables):
+        """gain --t reads the value field linearly in t between snapshots, so
+        across t = 0.0025, the midpoint of the coarse field's first interval
+        [0, 0.005], where the nearest snapshot changes, the gain moves in
+        even steps."""
+        out = coarse_tables / "gain-t"
+        argv = ["gain", "--config", str(STANDARD), "--coarse", "--value-field", f"{coarse_tables}/value"]
+        argv += ["--lambdas", "27", "--hs", "1", "--out", str(out)]
+        gains = []
+        for t in np.linspace(0.0015, 0.0035, 9):
+            assert main(argv + ["--t", repr(float(t))]) == 0
+            gains.append(float((out / "gain_constant.csv").read_text().splitlines()[1].split(",")[3]))
+        steps = np.diff(gains)
+        assert steps.min() > 0.0 and steps.max() <= 1.1 * steps.min(), gains
+
     def test_gain_undefined_exit_2(self, tmp_path, capsys):
         # an invulnerable firm with zero terminal utility: every benchmark value is 0
         cfg = tmp_path / "invulnerable.cfg"
@@ -511,6 +526,7 @@ class TestCli:
         assert main(
             ["trace", "--config", cfg, "--field", f"{out}/policy", "--n-paths", "2", "--out", out]
         ) == 0
+        assert "lookups read at the grid's edge: " in capsys.readouterr().out
         trace = (Path(out) / "trace_0.csv").read_text().splitlines()
         assert trace[0] == "t,lambda,z,H"
         path_csv = (Path(out) / "path_0.csv").read_text().splitlines()

@@ -323,28 +323,40 @@ class TestDouglasStep:
 
     def test_frozen_step_matches_sparse_reference(self, small_solution):
         # the linear step under a frozen rate z, against the same Douglas step on the entry-by-entry
-        # matrices: SuperLU for I - c A_lambda and for the h stage's I - c (A_h + diag(z) D_h)
+        # matrices: SuperLU for I - c L and for the h stage's I - c (A_h + diag(z) D_h). Uncoupled, L is
+        # A_lambda on one state; coupled, the stack (u, B) has L = [[A_lambda, 0], [P C, A_lambda]], with
+        # C = diag(lambda) J and P the breach probability p(h) on each level line
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         a_lam, a_h, d_h = reference_matrices(SMALL)
         nl, nh = op.shape
-        w, z = small_solution.value.values[25], small_solution.policy.controls[25]
-        source = op.reward
+        values, z = small_solution.value.values, small_solution.policy.controls[25]
         rows = sp.identity(nl)
-        f_h_matrix = (sp.kron(rows, a_h) + sp.diags(z.ravel()) @ sp.kron(rows, d_h)).tocsc()
+        f_h_one = sp.kron(rows, a_h) + sp.diags(z.ravel()) @ sp.kron(rows, d_h)
+        lam_one = sp.kron(a_lam, sp.identity(nh))
+        p = breach_prob(STD_M, SMALL.hs)
+        jump = sp.diags(SMALL.lambdas) @ sp.csr_matrix(hjb._jump_shift_1d(nl, SMALL.d_lambda, STD_H.beta))
+        cases = [
+            (None, values[25][None], op.reward[None], lam_one, f_h_one),
+            (
+                p,
+                values[[25, 30]],
+                np.stack([op.reward, np.zeros(op.shape)]),
+                sp.bmat([[lam_one, None], [sp.kron(jump, sp.diags(p)), lam_one]]),
+                sp.block_diag([f_h_one, f_h_one]),
+            ),
+        ]
         adi = hjb._DouglasADI(op)
-        for theta, dt in [(1.0, 0.5 * SMALL.d_t), (_THETA, SMALL.d_t)]:
-            c = float(f"{theta * dt:.12g}")
-            f_lam, f_h = a_lam @ w, (f_h_matrix @ w.ravel()).reshape(op.shape)
-            lam_lu = splu((sp.identity(nl, format="csc") - c * a_lam).tocsc())
-            y1 = lam_lu.solve(np.asfortranarray(w + dt * (f_lam + f_h + source) - c * f_lam))
-            h_lu = splu((sp.identity(nl * nh, format="csc") - c * f_h_matrix).tocsc())
-            ref = h_lu.solve((y1 - c * f_h).ravel()).reshape(op.shape)
-            velocity = z - op.ch
-            jacobian = adi.h_jacobian(velocity, c)
-            kept = [a.copy() for a in jacobian]
-            got = adi.frozen_step(w, velocity, jacobian, source, dt, c)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert all(np.array_equal(a, b) for a, b in zip(jacobian, kept))  # left for the step's next solve
+        for coupling, w, source, lam_matrix, f_h_matrix in cases:
+            lam_matrix, f_h_matrix = lam_matrix.tocsc(), f_h_matrix.tocsc()
+            identity = sp.identity(w.size, format="csc")
+            for theta, dt in [(1.0, 0.5 * SMALL.d_t), (_THETA, SMALL.d_t)]:
+                c = float(f"{theta * dt:.12g}")
+                f_lam, f_h = lam_matrix @ w.ravel(), f_h_matrix @ w.ravel()
+                y1 = splu(identity - c * lam_matrix).solve(w.ravel() + dt * (f_lam + f_h + source.ravel()) - c * f_lam)
+                ref = splu(identity - c * f_h_matrix).solve(y1 - c * f_h).reshape(w.shape)
+                got = adi.frozen_step(w, z - op.ch, source, dt, c, coupling)
+                assert got.shape == w.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_accepted_states_meet_the_residual_bound(self):
         # every state a step returns solves its h stage to _NEWTON_RTOL of max(1, max |Y2|),
@@ -540,6 +552,24 @@ class TestQuery:
         mid = query(vf, 0.0, 27.0, 5.5)
         assert min(lo, hi) <= mid <= max(lo, hi)
         assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+
+    def test_exact_at_snapshot_times(self, small_solution):
+        vf = small_solution.value
+        for k in (0, 1, 25, 49, 50):
+            assert query(vf, float(SMALL.t_snapshots[k]), 27.0, 5.0) == vf.values[k, 0, 5]
+            assert query(vf, float(SMALL.t_snapshots[k]), 40.5, 7.25) == hjb._lookup(SMALL, vf.values[k], 40.5, 7.25)
+
+    def test_linear_in_t_between_snapshots(self, small_solution):
+        # the average of the bracketing snapshots' lookups at an interval's midpoint, and the
+        # weighted one a quarter of the way in
+        vf, snaps = small_solution.value, SMALL.t_snapshots
+        for k in (0, 10, 48, 49):
+            a, b = (query(vf, float(snaps[j]), 40.5, 7.25) for j in (k, k + 1))
+            mid = query(vf, 0.5 * (snaps[k] + snaps[k + 1]), 40.5, 7.25)
+            assert mid == pytest.approx(0.5 * (a + b), rel=1e-12)
+            quarter = query(vf, 0.75 * snaps[k] + 0.25 * snaps[k + 1], 40.5, 7.25)
+            assert quarter == pytest.approx(0.75 * a + 0.25 * b, rel=1e-12)
+            assert a != b
 
     def test_t_outside_rejected(self, small_solution):
         with pytest.raises(ValueError):

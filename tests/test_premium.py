@@ -32,6 +32,7 @@ from cyberinvest import (
     simulate_paths,
     solve,
 )
+from cyberinvest import hjb
 from cyberinvest.dynamics import _control_levels
 from cyberinvest.hjb import FieldMeta, PolicyField, _DouglasADI, _PideOperator, _schedule
 
@@ -133,6 +134,25 @@ def _conditional_moments(policy, n, seed, eta_vars, chunk=2048):
         sd = math.sqrt(second - mean * mean)
         out.append((mean, stderr(r_mean), sd, stderr(r_second - 2.0 * mean * r_mean) / (2.0 * sd)))
     return out
+
+
+def _theta_weighted_pair(policy):
+    """Oracle: the loss pair (u, B) as two single-state frozen solves per
+    step, B's coupling lambda p(h) (J u) a source weighted theta between u's
+    states at the step's two ends, so u steps first."""
+    grid = policy.grid
+    op = _PideOperator(grid, STD_H, STD_M, STD_C)
+    adi = _DouglasADI(op)
+    p = breach_prob(STD_M, grid.hs)
+    breach_rate = grid.lambdas[:, None] * p
+    u, b, source = np.zeros((1,) + op.shape), np.zeros((1,) + op.shape), np.zeros(op.shape)
+    for k, dt, theta, c, _ in _schedule(grid.t_snapshots):
+        velocity = policy.controls[k] - op.ch
+        u = adi.frozen_step(u, velocity, breach_rate, dt, c)
+        after = (op.jump_rate @ u[0]) * p
+        b = adi.frozen_step(b, velocity, (1.0 - theta) * source + theta * after, dt, c)
+        source = after
+    return u[0], b[0]
 
 
 def _field(grid, controls, model=STD_M, costs=STD_C, hawkes=STD_H):
@@ -302,27 +322,61 @@ class TestOptimalReport:
             assert (second >= (m * u) ** 2).all()
 
     def test_linearity_matches_a_direct_second_moment_solve(self, small_policy):
-        """E[L^2] = (eta_var + m^2) u + 2 m^2 B equals, to 1e-12, the solve
-        whose source is lambda p(h) [(eta_var + m^2) + 2 m^2 (J u)], stepped by
-        the same scheme."""
+        """E[L^2] = (eta_var + m^2) u + 2 m^2 B equals, to 1e-12, the second
+        state of the pair (u, E[L^2]) stepped by the same stacked step, with
+        the coupling 2 m^2 lambda p(h) (J u) in the lambda stage and the
+        source [lambda p(h); (eta_var + m^2) lambda p(h)]."""
         premium_report_optimal(small_policy, STD_H, STD_M, STD_C, 0.3)
         u0, b0 = small_policy.loss_surfaces["u"], small_policy.loss_surfaces["b"]
         grid = small_policy.grid
         op = _PideOperator(grid, STD_H, STD_M, STD_C)
         adi = _DouglasADI(op)
-        breach_rate = grid.lambdas[:, None] * breach_prob(STD_M, grid.hs)[None, :]
+        p = breach_prob(STD_M, grid.hs)
+        breach_rate = grid.lambdas[:, None] * p
         m, eta_var = STD_C.eta_mean, 50.0
-        u, w = np.zeros(op.shape), np.zeros(op.shape)
-        source = breach_rate * (eta_var + m * m)
-        for k, dt, theta, c, _ in _schedule(grid.t_snapshots):
-            velocity = small_policy.controls[k] - op.ch
-            jacobian = adi.h_jacobian(velocity, c)
-            u = adi.frozen_step(u, velocity, jacobian, breach_rate, dt, c)
-            after = breach_rate * ((eta_var + m * m) + 2.0 * m * m * (op.jump @ u))
-            w = adi.frozen_step(w, velocity, jacobian, (1.0 - theta) * source + theta * after, dt, c)
-            source = after
-        np.testing.assert_array_equal(u, u0)
-        np.testing.assert_allclose((eta_var + m * m) * u0 + 2.0 * m * m * b0, w, rtol=1e-12, atol=0.0)
+        x = np.zeros((2,) + op.shape)
+        source = np.stack([breach_rate, (eta_var + m * m) * breach_rate])
+        for k, dt, _, c, _ in _schedule(grid.t_snapshots):
+            x = adi.frozen_step(x, small_policy.controls[k] - op.ch, source, dt, c, 2.0 * m * m * p)
+        np.testing.assert_array_equal(x[0], u0)
+        np.testing.assert_allclose((eta_var + m * m) * u0 + 2.0 * m * m * b0, x[1], rtol=1e-12, atol=0.0)
+
+    def test_one_tridiagonal_solve_per_step(self, fine_policy, monkeypatch):
+        """The pair's h stages are one gtsv call per step of the schedule, with
+        u and B as its two right-hand sides: 202 calls at 200 steps, whose
+        first two intervals take two half steps each."""
+        gtsv, rhs_shapes = hjb._gtsv(), []
+
+        def counted(*args):
+            rhs_shapes.append(args[3].shape)
+            return gtsv(*args)
+
+        monkeypatch.setattr(hjb, "_gtsv", lambda: counted)
+        hjb._loss_surfaces(fine_policy)
+        grid = fine_policy.grid
+        assert len(rhs_shapes) == len(_schedule(grid.t_snapshots)) == 202
+        assert set(rhs_shapes) == {(grid.n_lambda * grid.n_h, 2)}
+
+    def test_coupled_lambda_stage_converges_to_the_theta_weighted_source(self):
+        """B against the oracle's scheme, which takes B's coupling
+        lambda p(h) (J u) as a source weighted theta between u's states at the
+        step's two ends: both treat the coupling to second order, so on the
+        27-120 grid they agree within 2e-5 of max|B| at 200 steps, and their
+        gap falls by at least 3.5 per halving of the step, 100 to 200 to 400."""
+        gaps = []
+        for steps in (100, 200, 400):
+            grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, steps)
+            policy = solve(grid, STD_H, STD_M, STD_C).policy
+            b, b_ref = hjb._loss_surfaces(policy)[1], _theta_weighted_pair(policy)[1]
+            gaps.append(np.abs(b - b_ref).max() / np.abs(b).max())
+        assert gaps[1] <= 2e-5
+        assert gaps[0] >= 3.5 * gaps[1] and gaps[1] >= 3.5 * gaps[2], gaps
+
+    def test_u_is_the_single_state_solve(self, coarse_solution):
+        """Stacking B beside u leaves u's arithmetic alone: on the coarse grid
+        u equals, bit for bit, the frozen solve of u by itself."""
+        policy = coarse_solution.policy
+        np.testing.assert_array_equal(hjb._loss_surfaces(policy)[0], _theta_weighted_pair(policy)[0])
 
     def test_standard_errors_match_the_spread(self, small_policy):
         """The oracle's standard errors, on which the agreement above rests:

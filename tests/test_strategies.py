@@ -373,6 +373,19 @@ class TestExtractPolicy:
         assert (clamped_h > 0) == (h_init > grid.h_max)
         assert (level.min() < grid.h_min) == (h_init < grid.h_min)
 
+    def test_traces_carry_the_clamp_counts(self, solution):
+        """Path by path over the batch of test_walk_matches_reference_loop,
+        on relabelled h axes that the levels run past, each trace counts its
+        lookups clamped at lambda_max and at h_max: in total the batch's
+        intensities above lambda_max and its levels above h_max."""
+        grid = dataclasses.replace(solution.policy.grid, d_h=0.5, h_max=0.5 * (solution.policy.grid.n_h - 1))
+        policy = PolicyField(grid, solution.policy.controls, solution.policy.meta)
+        batch = simulate_paths(STD_H, 1.0, 300, seed=7)
+        traces = [extract_policy(policy, batch.path(i), 0.1, 45.0) for i in range(batch.n_paths)]
+        lam, level = np.stack([tr.intensity for tr in traces]), np.stack([tr.level for tr in traces])
+        assert sum(tr.clamped_lambda for tr in traces) == np.count_nonzero(lam > grid.lambda_max) > 0
+        assert sum(tr.clamped_h for tr in traces) == np.count_nonzero(level > grid.h_max) > 0
+
     def test_zero_field_gives_decaying_level(self, zero_solution):
         path = simulate_paths(STD_H, 1.0, 1, seed=0).path(0)
         trace = extract_policy(zero_solution.policy, path, 0.0, 4.0)
