@@ -25,7 +25,7 @@ from .hawkes import (
     lambda_max_heuristic,
     simulate_path,
 )
-from .hjb import PolicyField, ValueField, solve
+from .hjb import PolicyField, ValueField, _check_field_inputs, solve
 from .poisson import lambda_baseline, lambda_expectation_matched, solve_poisson
 from .premium import premium_report_baseline, premium_report_optimal, prevention_gap
 from .strategies import extract_policy, gain_vs_constant, gain_vs_poisson
@@ -66,7 +66,7 @@ def cmd_validate(args) -> int:
     print(
         f"  grid:   lambda [{_fmt(cfg.grid.lambda_min)}, {_fmt(cfg.grid.lambda_max)}] step {_fmt(cfg.grid.d_lambda)}, "
         f"h [{_fmt(cfg.grid.h_min)}, {_fmt(cfg.grid.h_max)}] step {_fmt(cfg.grid.d_h)}, "
-        f"{cfg.grid.t_snapshots.size} snapshots"
+        f"{cfg.grid.time_steps + 1} snapshots"
     )
     print(f"  premium: theta={_fmt(cfg.theta)} eta_vars={list(cfg.eta_vars)}")
     print(f"  run: seed={cfg.seed} out_dir={cfg.out_dir}")
@@ -116,6 +116,7 @@ def cmd_trace(args) -> int:
     policy = load_field(args.field)
     if not isinstance(policy, PolicyField):
         raise ConfigError([f"{args.field} is not a policy field"])
+    _check_field_inputs(policy.meta, cfg.hawkes, cfg.breach, cfg.costs)  # the paths follow cfg.hawkes
     clamped_lambda = clamped_h = 0
     for k in range(args.n_paths):
         path = simulate_path(cfg.hawkes, cfg.costs.horizon, cfg.seed + k)

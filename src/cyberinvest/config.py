@@ -219,7 +219,7 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
             lam_min = hk.lambda0
         if costs is not None and lam_min is not None:
             try:
-                grid = SolverGrid.regular(
+                grid = SolverGrid(
                     lam_min,
                     g["lambda_max"],
                     g["d_lambda"],

@@ -1,14 +1,16 @@
 """Persistence for solved fields: JSON metadata plus raw little-endian doubles.
 
-A field is stored as `<prefix>.json` (grid, model parameters, sha256
-checksum) and `<prefix>.f64` (dense 64-bit floats, row-major in
-(snapshot, lambda, h) order). Identical solves produce byte-identical files.
+A field is stored as `<prefix>.json` (kind, grid, model parameters, sha256
+checksum, all as plain values) and `<prefix>.f64` (dense 64-bit floats,
+row-major in (snapshot, lambda, h) order, of the grid's shape). Nothing the
+grid fixes is stored beside it. Identical solves produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Union
@@ -23,7 +25,7 @@ from .poisson import PoissonField
 
 __all__ = ["save_field", "load_field", "save_poisson", "load_poisson", "write_field_csv"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 1 stored the snapshot times, the data's shape, dtype and order
 
 # Solver options that older field files still carry and that no longer exist:
 # the former implicit Runge-Kutta integrator's tolerances and method, the
@@ -36,25 +38,13 @@ _RETIRED_OPTIONS = ("rtol", "atol", "method", "interp_query", "max_nodes", "jump
 _KINDS = {"value": ValueField, "policy": PolicyField}
 
 
-def _grid_dict(grid: SolverGrid) -> dict:
-    return {
-        "lambda_min": grid.lambda_min,
-        "lambda_max": grid.lambda_max,
-        "d_lambda": grid.d_lambda,
-        "h_min": grid.h_min,
-        "h_max": grid.h_max,
-        "d_h": grid.d_h,
-        "t_snapshots": grid.t_snapshots.tolist(),
-    }
-
-
 def _meta_dict(field, raw: np.ndarray) -> dict:
     """The JSON metadata of a field whose data, as written, is `raw`."""
     meta = field.meta
     return {
         "format_version": FORMAT_VERSION,
         "kind": "value" if isinstance(field, ValueField) else "policy",
-        "grid": _grid_dict(field.grid),
+        "grid": asdict(field.grid),
         "hawkes": asdict(meta.hawkes),
         "breach": {
             "family": meta.model.family.value,
@@ -63,9 +53,6 @@ def _meta_dict(field, raw: np.ndarray) -> dict:
             "b": meta.model.b,
         },
         "costs": asdict(meta.costs),
-        "shape": list(raw.shape),
-        "dtype": "<f8",
-        "order": "(snapshot, lambda, h)",
         "checksum_sha256": hashlib.sha256(raw).hexdigest(),
     }
 
@@ -83,48 +70,53 @@ def save_field(field: Union[ValueField, PolicyField], prefix: Union[str, Path]) 
 
 
 def _grid_from_dict(d: dict) -> SolverGrid:
-    return SolverGrid(
-        lambda_min=d["lambda_min"],
-        lambda_max=d["lambda_max"],
-        d_lambda=d["d_lambda"],
-        h_min=d["h_min"],
-        h_max=d["h_max"],
-        d_h=d["d_h"],
-        t_snapshots=np.array(d["t_snapshots"], dtype=float),
-    )
+    """The grid of a file's metadata. Format 1 stored the snapshot times instead of the
+    horizon and time_steps; they must be the regular ones of the grid they give."""
+    if "t_snapshots" not in d:
+        return SolverGrid(**d)
+    d = dict(d)
+    snaps = d.pop("t_snapshots")
+    grid = SolverGrid(**d, horizon=snaps[0], time_steps=len(snaps) - 1)
+    if grid.t_snapshots.tolist() != snaps:
+        raise ValueError(f"t_snapshots are not {grid.time_steps} equal steps from {grid.horizon} to 0")
+    return grid
 
 
 def load_field(prefix: Union[str, Path]):
     """Load a field written by save_field; verifies the checksum, the kind and that an older
     file's solver options are all retired ones. The "dimension" and "poisson_intensity" keys
-    of older files are ignored: a one-node intensity axis marks a constant-intensity field."""
+    of older files are ignored: a one-node intensity axis marks a constant-intensity field.
+    Metadata that does not build a grid, a model and costs is an OSError naming the file."""
     prefix = Path(prefix)
     meta_path = prefix.with_suffix(".json")
     bin_path = prefix.with_suffix(".f64")
     if not meta_path.exists() or not bin_path.exists():
         raise OSError(f"missing field files {meta_path} / {bin_path}")
-    meta = json.loads(meta_path.read_text())
-    if meta["kind"] not in _KINDS:
-        raise OSError(f"{meta_path}: unknown field kind {meta['kind']!r}; expected one of {sorted(_KINDS)}")
+    try:
+        meta = json.loads(meta_path.read_text())
+        kind = meta["kind"]
+        grid = _grid_from_dict(meta["grid"])
+        b = meta["breach"]
+        model = BreachModel(BreachFamily(b["family"]), b["v"], b["a"], b["b"])
+        fmeta = FieldMeta(HawkesParams(**meta["hawkes"]), model, CostParams(**meta["costs"]))
+        checksum = meta["checksum_sha256"]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise OSError(f"{meta_path}: metadata does not describe a field: {type(exc).__name__}: {exc}") from None
+    if kind not in _KINDS:
+        raise OSError(f"{meta_path}: unknown field kind {kind!r}; expected one of {sorted(_KINDS)}")
     unknown = sorted(set(meta.get("options", ())) - set(_RETIRED_OPTIONS))
     if unknown:
         raise OSError(f"{meta_path}: unknown solver options {unknown}")
+    nbytes = 8 * math.prod(grid.shape)  # checked before the buffer is allocated
+    if bin_path.stat().st_size != nbytes:
+        raise OSError(f"{bin_path} does not hold exactly the {nbytes} bytes of a {grid.shape} field")
     # read straight into the array, so no bytes copy of the file is held beside it
-    data = np.empty(tuple(meta["shape"]), dtype="<f8")
+    data = np.empty(grid.shape, dtype="<f8")
     with bin_path.open("rb") as fh:
-        n_read = fh.readinto(memoryview(data).cast("B"))
-        longer = fh.read(1) != b""
-    if n_read != data.nbytes or longer:
-        raise OSError(f"{bin_path} does not hold exactly the {data.nbytes} bytes of a {data.shape} field")
-    if hashlib.sha256(data).hexdigest() != meta["checksum_sha256"]:
+        fh.readinto(memoryview(data).cast("B"))
+    if hashlib.sha256(data).hexdigest() != checksum:
         raise OSError(f"checksum mismatch for {bin_path}: file is corrupt or stale")
-    grid = _grid_from_dict(meta["grid"])
-    hawkes = HawkesParams(**meta["hawkes"])
-    b = meta["breach"]
-    model = BreachModel(BreachFamily(b["family"]), b["v"], b["a"], b["b"])
-    costs = CostParams(**meta["costs"])
-    fmeta = FieldMeta(hawkes=hawkes, model=model, costs=costs)
-    return _KINDS[meta["kind"]](grid, data, fmeta)
+    return _KINDS[kind](grid, data, fmeta)
 
 
 def save_poisson(field: PoissonField, prefix: Union[str, Path]) -> None:
@@ -144,7 +136,7 @@ def load_poisson(prefix: Union[str, Path]) -> PoissonField:
         raise OSError(f"{prefix}: _value and _policy must hold a value and a policy field")
     if value.grid.n_lambda != 1:
         raise OSError(f"{prefix} does not hold a constant-intensity benchmark field")
-    if _grid_dict(value.grid) != _grid_dict(policy.grid):
+    if value.grid != policy.grid:
         raise OSError(f"{prefix}: _value and _policy lie on different grids")
     if value.meta != policy.meta:
         raise OSError(f"{prefix}: _value and _policy were solved for different models")

@@ -208,11 +208,7 @@ class PathBatch:
 
     def terminal_intensity(self) -> np.ndarray:
         """lambda at the horizon for every path."""
-        p = self.params
-        base = p.alpha + (p.lambda0 - p.alpha) * math.exp(-p.xi * self.horizon)
-        kicks = np.exp(-p.xi * (self.horizon - self.times))
-        sums = np.bincount(self.path_index(), weights=kicks, minlength=self.n_paths)
-        return base + p.beta * sums
+        return self.intensity_on_grid(np.array([self.horizon]))[:, 0]
 
     def intensity_on_grid(self, tgrid: np.ndarray) -> np.ndarray:
         """Intensity at the given ascending times for every path, shape (n_paths, len(tgrid)).

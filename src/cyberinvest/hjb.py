@@ -99,7 +99,13 @@ def _gtsv():
 
 @dataclass(frozen=True)
 class SolverGrid:
-    """Regular discretization of (lambda, h) plus decreasing-from-T snapshot times."""
+    """Regular discretization of (lambda, h), and time_steps equal steps of [0, horizon].
+
+    The grid is its eight numbers, so grids compare and hash by value and
+    dataclasses.replace gives another grid (replace(grid, time_steps=n // 2)
+    halves the steps). The snapshot times decrease from the horizon to 0; the
+    solve takes one step per snapshot interval.
+    """
 
     lambda_min: float
     lambda_max: float
@@ -107,12 +113,11 @@ class SolverGrid:
     h_min: float
     h_max: float
     d_h: float
-    t_snapshots: np.ndarray
+    horizon: float
+    time_steps: int
 
     def __post_init__(self):
-        snaps = np.asarray(self.t_snapshots, dtype=float)
-        object.__setattr__(self, "t_snapshots", snaps)
-        for name in ("lambda_min", "lambda_max", "d_lambda", "h_min", "h_max", "d_h"):
+        for name in ("lambda_min", "lambda_max", "d_lambda", "h_min", "h_max", "d_h", "horizon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d_lambda <= 0 or self.d_h <= 0:
@@ -130,25 +135,10 @@ class SolverGrid:
                 raise ValueError(f"d_{name}={step} is too small: ({name}_max - {name}_min) / d_{name} overflows")
             if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                 raise ValueError(f"({name}_max - {name}_min) must be an integer multiple of d_{name}")
-        if snaps.ndim != 1 or snaps.size < 2 or not np.isfinite(snaps).all() or np.any(np.diff(snaps) >= 0):
-            raise ValueError("t_snapshots must be finite and strictly decreasing from the horizon")
-        if snaps[-1] < 0:
-            raise ValueError("snapshot times must be nonnegative")
-
-    @classmethod
-    def regular(
-        cls,
-        lambda_min: float,
-        lambda_max: float,
-        d_lambda: float,
-        h_min: float,
-        h_max: float,
-        d_h: float,
-        horizon: float,
-        time_steps: int = 200,
-    ) -> "SolverGrid":
-        snaps = np.linspace(horizon, 0.0, time_steps + 1)
-        return cls(lambda_min, lambda_max, d_lambda, h_min, h_max, d_h, snaps)
+        if not (isinstance(self.time_steps, int) and self.time_steps > 0 and self.horizon > 0):
+            raise ValueError(
+                f"time_steps must be a positive int and horizon positive, got {self.time_steps!r} and {self.horizon}"
+            )
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -167,16 +157,25 @@ class SolverGrid:
         return int(round((self.h_max - self.h_min) / self.d_h)) + 1
 
     @property
-    def horizon(self) -> float:
-        return float(self.t_snapshots[0])
+    def shape(self) -> tuple:
+        """(snapshot, lambda, h) shape of a field on this grid."""
+        return (self.time_steps + 1, self.n_lambda, self.n_h)
+
+    @property
+    def t_snapshots(self) -> np.ndarray:
+        """The time_steps + 1 snapshot times, decreasing from the horizon to 0."""
+        return np.linspace(self.horizon, 0.0, self.time_steps + 1)
 
     @property
     def d_t(self) -> float:
-        return float(self.t_snapshots[0] - self.t_snapshots[1])
+        return self.horizon / self.time_steps
 
     def refined(self, factor: int = 2) -> "SolverGrid":
         """Same bounds with spatial steps divided by `factor`."""
         return replace(self, d_lambda=self.d_lambda / factor, d_h=self.d_h / factor)
+
+
+SolverGrid.regular = SolverGrid  # the constructor's former name, which perfbench/workloads.py calls
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,7 @@ class ValueField:
     meta: FieldMeta
 
     def __post_init__(self):
-        expected = (self.grid.t_snapshots.size, self.grid.n_lambda, self.grid.n_h)
+        expected = self.grid.shape
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != grid shape {expected}")
 
@@ -256,7 +255,7 @@ class PolicyField:
     loss_surfaces: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        expected = (self.grid.t_snapshots.size, self.grid.n_lambda, self.grid.n_h)
+        expected = self.grid.shape
         if self.controls.shape != expected:
             raise ValueError(f"controls shape {self.controls.shape} != grid shape {expected}")
         self.controls.flags.writeable = False
@@ -657,9 +656,9 @@ def hjb_residual(field: ValueField, at: int) -> float:
     neighboring snapshots and compared against the spatial operator applied to
     the stored surface.
     """
-    if field.grid.t_snapshots.size < 3:
+    if field.grid.time_steps < 2:
         raise ValueError("need at least three snapshots to form a time derivative")
-    if not (1 <= at <= field.grid.t_snapshots.size - 2):
+    if not (1 <= at <= field.grid.time_steps - 1):
         raise ValueError(f"snapshot index {at} is not interior")
     meta = field.meta
     op = _PideOperator(field.grid, meta.hawkes, meta.model, meta.costs)

@@ -10,7 +10,7 @@ a constant-intensity field; its node is the intensity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -93,15 +93,7 @@ def solve_poisson(
     """
     if lambda_p <= 0:
         raise ValueError("benchmark intensity must be positive")
-    degenerate = SolverGrid(
-        lambda_min=lambda_p,
-        lambda_max=lambda_p,
-        d_lambda=max(grid.d_lambda, 1.0),
-        h_min=grid.h_min,
-        h_max=grid.h_max,
-        d_h=grid.d_h,
-        t_snapshots=grid.t_snapshots,
-    )
+    degenerate = replace(grid, lambda_min=lambda_p, lambda_max=lambda_p, d_lambda=max(grid.d_lambda, 1.0))
     # beta = 0 kills the nonlocal term; alpha = lambda_p kills the drift.
     constant = HawkesParams(alpha=lambda_p, lambda0=lambda_p, xi=1.0, beta=0.0)
     res = solve(degenerate, constant, model, costs)

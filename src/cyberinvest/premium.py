@@ -122,7 +122,7 @@ def premium_report_optimal(
         theta=float(theta),
         mc_paths=0,
         standard_errors={"expected_loss": 0.0, "loss_std": 0.0},
-        diagnostics={"method": "frozen-policy-pide", "time_steps": int(grid.t_snapshots.size - 1)},
+        diagnostics={"method": "frozen-policy-pide", "time_steps": grid.time_steps},
     )
 
 

@@ -158,7 +158,7 @@ def std_costs():
 @pytest.fixture(scope="session")
 def coarse_grid(std_costs):
     """The coarse preset's steps on the standard domain, as `RunConfig.coarse` gives them."""
-    return SolverGrid.regular(
+    return SolverGrid(
         27.0,
         216.0,
         COARSE_PRESET["d_lambda"],
@@ -185,7 +185,7 @@ def narrow_family(std_hawkes, std_model, std_costs):
     """
     out = {}
     for factor in (1, 2, 4):
-        grid = SolverGrid.regular(27.0, 120.0, 3.0 / factor, 0.0, 50.0, 1.0 / factor, 1.0, 200)
+        grid = SolverGrid(27.0, 120.0, 3.0 / factor, 0.0, 50.0, 1.0 / factor, 1.0, 200)
         out[factor] = solve(grid, std_hawkes, std_model, std_costs)
     return out
 

@@ -193,7 +193,7 @@ def test_criterion_06_solver_structural_suite(coarse_solution, coarse_grid, narr
 
 
 def test_criterion_07_memoryless_limit_equivalence():
-    grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 200)
+    grid = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 200)
     memoryless = HawkesParams(27.0, 27.0, 15.0, 0.0)
     full = solve(grid, memoryless, STD_M, STD_C)
     flat = solve_poisson(grid, 27.0, STD_M, STD_C)

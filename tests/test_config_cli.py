@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -108,9 +109,11 @@ class TestFieldIO:
         loaded = load_field(tmp_path / "v")
         np.testing.assert_array_equal(loaded.values, coarse_solution.value.values)
         assert loaded.meta == coarse_solution.value.meta
-        # every field has the one scheme, so the file carries no scheme tag
-        assert not {"options", "extrapolation"} & json.loads((tmp_path / "v.json").read_text()).keys()
-        assert loaded.grid.d_lambda == coarse_solution.value.grid.d_lambda
+        # every field has the one scheme, so the file carries no scheme tag, and nothing the grid fixes
+        meta = json.loads((tmp_path / "v.json").read_text())
+        assert not {"options", "extrapolation", "shape", "dtype", "order"} & meta.keys()
+        assert meta["format_version"] == 2 and meta["grid"] == dataclasses.asdict(coarse_solution.value.grid)
+        assert loaded.grid == coarse_solution.value.grid
 
     def test_checksum_detects_corruption(self, tmp_path, coarse_solution):
         save_field(coarse_solution.value, tmp_path / "v")
@@ -151,13 +154,13 @@ class TestFieldIO:
     def test_written_bytes_pinned(self, tmp_path):
         # digests of the two files: the .f64 as written before save_field hashed the
         # array it writes instead of serializing it a second time, the .json since
-        # the metadata lost the "options" and "extrapolation" scheme tags and then
-        # the "dimension" and "poisson_intensity" lines
+        # format 2 stores the grid as its eight numbers, with no snapshot times,
+        # shape, dtype or order
         expected = (
             "0b2a9d473f9a5678cff17a606b7cef428f4b7e4be3a1bec96329679622c0a813",
-            "f61fe2e5490871819d98b1c47f9fd004c828d3cd96a9b26e0a8e17fedea3fe0d",
+            "30d2bc565e5c29f30d6ce2adbfbf757cae5fa96ffd6547013954f0736949fffe",
         )
-        grid = ci.SolverGrid.regular(27.0, 36.0, 9.0, 0.0, 1.0, 1.0, 1.0, 1)
+        grid = ci.SolverGrid(27.0, 36.0, 9.0, 0.0, 1.0, 1.0, 1.0, 1)
         costs = ci.CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0)
         model = ci.BreachModel(ci.BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
         meta = FieldMeta(ci.HawkesParams(27.0, 27.0, 15.0, 9.0), model, costs)
@@ -245,6 +248,63 @@ class TestFieldIO:
         bench = ci.load_poisson(tmp_path / "p")
         assert bench.intensity == 27.0 and bench.grid.n_lambda == 1
         assert bench.value.meta == bench.policy.meta == self.META
+
+    def test_format_1_grid_is_its_numbers(self, tmp_path):
+        # a format-1 file stored its snapshot times; the regular ones give the equal grid
+        data = self.write_field_with_options(tmp_path / "v", {})
+        loaded = load_field(tmp_path / "v")
+        assert loaded.grid == ci.SolverGrid(27.0, 36.0, 9.0, 0.0, 1.0, 1.0, 1.0, 1)
+        np.testing.assert_array_equal(loaded.values.ravel(), data)
+
+    @pytest.mark.parametrize("snaps", [[1.0, 0.25, 0.0], [1.0, 0.5, 0.25], [1.0], []], ids=["uneven", "not-to-0", "one", "none"])
+    def test_format_1_irregular_snapshots_rejected(self, tmp_path, snaps):
+        grid = {"lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0, "h_min": 0.0, "h_max": 1.0, "d_h": 1.0}
+        self.write_field_with_options(tmp_path / "v", {}, grid={**grid, "t_snapshots": snaps}, shape=[max(len(snaps), 1), 2, 2])
+        with pytest.raises(OSError, match=r"v\.json: metadata does not describe a field"):
+            load_field(tmp_path / "v")
+
+    BAD_META = [
+        ("hawkes", {"alpha": 27.0, "lambda0": 27.0, "xi": 15.0, "beta": 20.0}, "StabilityError"),
+        ("costs", {"gamma": 0.05, "eta_mean": 10.0, "eta_var": 10.0, "horizon": 1.0}, "TypeError"),
+        ("breach", {"family": "class3", "v": 0.65, "a": 0.1, "b": 1.0}, "ValueError"),
+        ("breach", {"family": "class1", "v": 0.65, "a": 0.1}, "KeyError"),
+        ("grid", {"lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0, "h_min": 0.0, "h_max": 1.0, "d_h": 1.0,
+                  "horizon": 1.0, "time_steps": 0}, "ValueError"),
+        ("grid", {"lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0, "h_min": 0.0, "h_max": 1.0, "d_h": 1.0,
+                  "horizon": 1.0}, "TypeError"),
+        ("kind", None, "KeyError"),
+    ]
+
+    @pytest.mark.parametrize("key, value, error", BAD_META, ids=["beta", "no-rho", "family", "no-b", "no-steps", "steps-missing", "no-kind"])
+    def test_bad_metadata_is_an_io_error(self, tmp_path, key, value, error):
+        self.write_field_with_options(tmp_path / "v", {})
+        meta = json.loads((tmp_path / "v.json").read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        (tmp_path / "v.json").write_text(json.dumps(meta))
+        with pytest.raises(OSError, match=rf"v\.json: metadata does not describe a field: {error}"):
+            load_field(tmp_path / "v")
+
+    def test_length_checked_before_the_buffer_is_allocated(self, tmp_path):
+        # 10^12 steps of a 2x2 grid would be a 32 TB buffer; the 64-byte file is rejected first
+        self.write_field_with_options(tmp_path / "v", {})
+        meta = json.loads((tmp_path / "v.json").read_text())
+        meta["grid"]["t_snapshots"] = np.linspace(1.0, 0.0, 3).tolist()
+        (tmp_path / "v.json").write_text(json.dumps(meta))
+        with pytest.raises(OSError, match=r"not hold exactly the 96 bytes of a \(3, 2, 2\) field"):
+            load_field(tmp_path / "v")
+        del meta["grid"]["t_snapshots"]
+        (tmp_path / "v.json").write_text(json.dumps({**meta, "grid": {**meta["grid"], "horizon": 1.0, "time_steps": 10**12}}))
+        with pytest.raises(OSError, match="does not hold exactly the 32000000000032 bytes"):
+            load_field(tmp_path / "v")
+
+    def test_metadata_not_json_is_an_io_error(self, tmp_path):
+        self.write_field_with_options(tmp_path / "v", {})
+        (tmp_path / "v.json").write_text("{")
+        with pytest.raises(OSError, match="metadata does not describe a field: JSONDecodeError"):
+            load_field(tmp_path / "v")
 
     def test_unknown_option_still_rejected(self, tmp_path):
         self.write_field_with_options(tmp_path / "v", {"upwind": False, "foo": 1})
@@ -337,6 +397,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
         assert err.count("\n  - ") == 1 and diagnostic in err
+
+    @pytest.mark.parametrize("steps", ["0", "-1", "2.5"])
+    def test_time_steps_not_a_positive_int_exit_2(self, monkeypatch, capsys, steps):
+        monkeypatch.setenv("CYBERINVEST_GRID__TIME_STEPS", steps)
+        assert main(["validate", "--config", str(STANDARD)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n  - ") == 1 and "[grid] time_steps" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("loss", ["inf", "nan"])
     def test_static_gl_non_finite_loss_exit_2(self, capsys, loss):
@@ -473,6 +540,41 @@ class TestCli:
         assert err.count("\n  - field solved for ") == 2 and "gain at" not in err and "Traceback" not in err
         assert "HawkesParams(alpha=27.0, lambda0=27.0, xi=15.0, beta=9.0)" in err and "CostParams(gamma=0.05" in err
         assert not (Path(out) / f"gain_{against}.csv").exists()
+
+    def test_trace_on_field_of_another_model_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the paths follow the configured Hawkes process, so the policy must be solved for it
+        cfg = self.write_tiny(tmp_path)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("CYBERINVEST_HAWKES__BETA", "3")
+        argv = ["trace", "--config", cfg, "--field", f"{out}/policy", "--n-paths", "1", "--out", str(out / "t")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n  - field solved for ") == 1 and "HawkesParams(alpha=27.0, lambda0=27.0, xi=15.0, beta=9.0)" in err
+        assert not (out / "t" / "trace_0.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, field, part, edit, error",
+        [
+            (["premium", "--policy-field"], "policy", "hawkes", lambda d: d.update(beta=20.0), "StabilityError"),
+            (["gain", "--value-field"], "value", "costs", lambda d: d.pop("rho"), "TypeError"),
+            (["trace", "--field"], "policy", "grid", lambda d: d.update(time_steps=2.5), "ValueError"),
+        ],
+        ids=["premium-beta", "gain-no-rho", "trace-steps"],
+    )
+    def test_field_with_bad_metadata_exit_4(self, tmp_path, capsys, command, field, part, edit, error):
+        cfg = self.write_tiny(tmp_path)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / f"{field}.json").read_text())
+        edit(meta[part])
+        (out / f"{field}.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main([*command, str(out / field), "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"I/O error: {out / field}.json: metadata does not describe a field: {error}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "value, policy, message",

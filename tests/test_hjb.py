@@ -29,7 +29,7 @@ STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
 STD_C = CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0)
 
-SMALL = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50)
+SMALL = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50)
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +56,13 @@ class TestSolverGrid:
 
     def test_non_integer_multiple_rejected(self):
         with pytest.raises(ValueError):
-            SolverGrid.regular(27.0, 100.0, 3.0, 0.0, 50.0, 1.0, 1.0, 10)
+            SolverGrid(27.0, 100.0, 3.0, 0.0, 50.0, 1.0, 1.0, 10)
 
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):
-            SolverGrid.regular(27.0, 120.0, -1.0, 0.0, 50.0, 1.0, 1.0, 10)
+            SolverGrid(27.0, 120.0, -1.0, 0.0, 50.0, 1.0, 1.0, 10)
         with pytest.raises(ValueError):
-            SolverGrid.regular(27.0, 120.0, 3.0, -1.0, 50.0, 1.0, 1.0, 10)
+            SolverGrid(27.0, 120.0, 3.0, -1.0, 50.0, 1.0, 1.0, 10)
 
     def test_refined(self):
         r = SMALL.refined(2)
@@ -72,6 +72,30 @@ class TestSolverGrid:
     def test_snapshots_decreasing(self):
         assert SMALL.t_snapshots[0] == 1.0 and SMALL.t_snapshots[-1] == 0.0
         assert np.all(np.diff(SMALL.t_snapshots) < 0)
+
+    def test_equal_and_hashed_by_value(self):
+        same = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50)
+        assert same == SMALL and hash(same) == hash(SMALL) and len({same, SMALL}) == 1
+        assert SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50) == SMALL  # the former name
+        assert dataclasses.replace(SMALL, time_steps=51) != SMALL
+        assert dataclasses.replace(SMALL, horizon=2.0) != SMALL
+
+    def test_replace_time_steps(self):
+        halved = dataclasses.replace(SMALL, time_steps=SMALL.time_steps // 2)
+        assert halved.time_steps == 25 and halved.horizon == SMALL.horizon
+        np.testing.assert_array_equal(halved.t_snapshots, SMALL.t_snapshots[::2])
+        np.testing.assert_array_equal(halved.t_snapshots, np.linspace(1.0, 0.0, 26))
+        assert halved.shape == (26, SMALL.n_lambda, SMALL.n_h)
+
+    @pytest.mark.parametrize("time_steps", [0, -1, 2.5, 50.0])
+    def test_time_steps_must_be_a_positive_int(self, time_steps):
+        with pytest.raises(ValueError, match="time_steps must be a positive int"):
+            dataclasses.replace(SMALL, time_steps=time_steps)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_must_be_positive(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            dataclasses.replace(SMALL, horizon=horizon)
 
 
 def onesided_central_1d(n, step):
@@ -603,7 +627,7 @@ class TestResidual:
         assert 0 <= r < 1e-3 * scale
 
     def test_decreases_under_simultaneous_refinement(self, small_solution):
-        fine_grid = SolverGrid.regular(27.0, 120.0, 1.5, 0.0, 50.0, 0.5, 1.0, 100)
+        fine_grid = SolverGrid(27.0, 120.0, 1.5, 0.0, 50.0, 0.5, 1.0, 100)
         fine = solve(fine_grid, STD_H, STD_M, STD_C)
         assert hjb_residual(fine.value, 50) < hjb_residual(small_solution.value, 25)
 

@@ -163,13 +163,13 @@ def _field(grid, controls, model=STD_M, costs=STD_C, hawkes=STD_H):
 class TestOptimalReport:
     @pytest.fixture(scope="class")
     def small_policy(self):
-        grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50)
+        grid = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50)
         return solve(grid, STD_H, STD_M, STD_C).policy
 
     @pytest.fixture(scope="class")
     def fine_policy(self):
         """small_policy's grid at 200 time steps."""
-        grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 200)
+        grid = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 200)
         return solve(grid, STD_H, STD_M, STD_C).policy
 
     def test_field_mismatch_rejected(self, small_policy):
@@ -269,7 +269,7 @@ class TestOptimalReport:
     @pytest.fixture(scope="class")
     def policy_800(self):
         """The coarse preset's steps on the standard domain at 800 time steps."""
-        grid = SolverGrid.regular(27.0, 216.0, 3.0, 0.0, 50.0, 1.0, 1.0, 800)
+        grid = SolverGrid(27.0, 216.0, 3.0, 0.0, 50.0, 1.0, 1.0, 800)
         return solve(grid, STD_H, STD_M, STD_C).policy
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -287,7 +287,7 @@ class TestOptimalReport:
     def test_breach_count_is_expected_count_at_p_one(self, steps):
         """With p = 1 and eta_mean = 1, E[L] is E[N_T] in closed form, whatever
         the controls, from any start intensity on the grid."""
-        grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, steps)
+        grid = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, steps)
         controls = np.random.default_rng(steps).uniform(0.0, 40.0, (steps + 1, grid.n_lambda, grid.n_h))
         always = BreachModel(BreachFamily.CLASS_II, 1.0, 0.1, 1.0)
         costs = dataclasses.replace(STD_C, eta_mean=1.0)
@@ -302,7 +302,7 @@ class TestOptimalReport:
         are the exact no-investment ones: E[L] to 1e-9 and sd(L), which the
         solve with the source lambda p (J u) carries through Var(N_T), to the
         time-step error of 800 steps."""
-        grid = SolverGrid.regular(27.0, 216.0, 3.0, 0.0, 50.0, 1.0, 1.0, 800)
+        grid = SolverGrid(27.0, 216.0, 3.0, 0.0, 50.0, 1.0, 1.0, 800)
         field = _field(grid, np.zeros((801, grid.n_lambda, grid.n_h)))
         for eta_var in (0.0, 100.0):
             costs = dataclasses.replace(STD_C, eta_var=eta_var)
@@ -365,7 +365,7 @@ class TestOptimalReport:
         gap falls by at least 3.5 per halving of the step, 100 to 200 to 400."""
         gaps = []
         for steps in (100, 200, 400):
-            grid = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, steps)
+            grid = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, steps)
             policy = solve(grid, STD_H, STD_M, STD_C).policy
             b, b_ref = hjb._loss_surfaces(policy)[1], _theta_weighted_pair(policy)[1]
             gaps.append(np.abs(b - b_ref).max() / np.abs(b).max())

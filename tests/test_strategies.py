@@ -46,7 +46,7 @@ from cyberinvest.strategies import _snapshot_times, _walk
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
 STD_M = BreachModel(BreachFamily.CLASS_I, 0.65, 0.1, 1.0)
 STD_C = CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0)
-GRID = SolverGrid.regular(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50)
+GRID = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 50)
 LAMBDAS = (27.0, 45.0, 63.0, 81.0, 99.0, 117.0, 135.0)  # the Poisson gain tables' intensities
 
 MODELS = st.one_of(
