@@ -1,7 +1,9 @@
 """Run configuration: flat INI-style files, defaults, env overrides, validation.
 
-Sections mirror the library modules. Every key is typed, unknown keys are
-rejected, and all violations are reported together. Environment variables of
+Sections mirror the library modules: [hawkes], [breach], [costs] and [grid]
+build HawkesParams, BreachModel, CostParams and SolverGrid from their keys by
+field name. Every key is typed, unknown keys are rejected, and all violations
+are reported together. Environment variables of
 the form CYBERINVEST_<SECTION>__<KEY> override file values.
 """
 
@@ -14,13 +16,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .breach import BreachFamily, BreachModel
+from .breach import BreachModel
 from .dynamics import CostParams
 from .errors import ConfigError, StabilityError
 from .hawkes import HawkesParams
 from .hjb import SolverGrid, SolverOptions
 
-__all__ = ["RunConfig", "validate", "COARSE_PRESET", "ENV_PREFIX", "STANDARD_CONFIG"]
+__all__ = ["RunConfig", "validate", "COARSE_PRESET", "ENV_PREFIX"]
 
 ENV_PREFIX = "CYBERINVEST_"
 
@@ -32,60 +34,32 @@ def _parse_float_list(s: str) -> list:
     return [float(tok) for tok in s.replace(";", ",").split(",") if tok.strip()]
 
 
-_SCHEMA = {
-    "hawkes": {"alpha": float, "lambda0": float, "xi": float, "beta": float},
-    "breach": {"family": str, "v": float, "a": float, "b": float},
+# Every key as (parser, default); the defaults are the standard parameter set of the study.
+_KEYS = {
+    "hawkes": {"alpha": (float, 27.0), "lambda0": (float, 27.0), "xi": (float, 15.0), "beta": (float, 9.0)},
+    "breach": {"family": (str, "class1"), "v": (float, 0.65), "a": (float, 0.1), "b": (float, 1.0)},
     "costs": {
-        "gamma": float,
-        "eta_mean": float,
-        "eta_var": float,
-        "rho": float,
-        "horizon": float,
-        "utility": str,
-        "delta": float,
-        "eta_family": str,
+        "gamma": (float, 0.05),
+        "eta_mean": (float, 10.0),
+        "eta_var": (float, 10.0),
+        "rho": (float, 0.2),
+        "horizon": (float, 1.0),
+        "utility": (str, "sqrt"),  # CostParams.terminal_utility
+        "delta": (float, 1.0),
+        "eta_family": (str, "lognormal"),
     },
     "grid": {
-        "lambda_min": float,
-        "lambda_max": float,
-        "d_lambda": float,
-        "h_min": float,
-        "h_max": float,
-        "d_h": float,
-        "time_steps": int,
+        "lambda_min": (float, None),  # defaults to lambda0
+        "lambda_max": (float, 216.0),
+        "d_lambda": (float, 1.0),
+        "h_min": (float, 0.0),
+        "h_max": (float, 50.0),
+        "d_h": (float, 0.5),
+        "time_steps": (int, 200),
     },
-    "premium": {"theta": float, "eta_vars": _parse_float_list},
-    "run": {"seed": int, "out_dir": str},
+    "premium": {"theta": (float, 0.3), "eta_vars": (_parse_float_list, (10.0, 50.0, 100.0))},
+    "run": {"seed": (int, 0), "out_dir": (str, "out")},
 }
-
-# Default values: the standard parameter set of the study.
-_DEFAULTS = {
-    "hawkes": {"alpha": 27.0, "lambda0": 27.0, "xi": 15.0, "beta": 9.0},
-    "breach": {"family": "class1", "v": 0.65, "a": 0.1, "b": 1.0},
-    "costs": {
-        "gamma": 0.05,
-        "eta_mean": 10.0,
-        "eta_var": 10.0,
-        "rho": 0.2,
-        "horizon": 1.0,
-        "utility": "sqrt",
-        "delta": 1.0,
-        "eta_family": "lognormal",
-    },
-    "grid": {
-        "lambda_min": None,  # defaults to lambda0
-        "lambda_max": 216.0,
-        "d_lambda": 1.0,
-        "h_min": 0.0,
-        "h_max": 50.0,
-        "d_h": 0.5,
-        "time_steps": 200,
-    },
-    "premium": {"theta": 0.3, "eta_vars": [10.0, 50.0, 100.0]},
-    "run": {"seed": 0, "out_dir": "out"},
-}
-
-STANDARD_CONFIG = "configs/standard.cfg"
 
 
 @dataclass(frozen=True)
@@ -141,7 +115,7 @@ def _read_raw(source: Optional[Union[str, Path]]) -> tuple:
         except configparser.Error as exc:
             return raw, [f"cannot parse config: {exc}"]
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in _KEYS:
                 diagnostics.append(f"unknown section [{section}]")
                 continue
             raw[section] = dict(parser.items(section))
@@ -158,7 +132,7 @@ def _apply_env(raw: dict, diagnostics: list) -> None:
             continue
         section, key = body.split("__", 1)
         section, key = section.lower(), key.lower()
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             diagnostics.append(f"override {name}: unknown section [{section}]")
             continue
         raw.setdefault(section, {})[key] = value
@@ -174,89 +148,58 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
     if use_env:
         _apply_env(raw, diagnostics)
 
-    values = {s: dict(d) for s, d in _DEFAULTS.items()}
+    values = {section: {key: default for key, (_, default) in keys.items()} for section, keys in _KEYS.items()}
     for section, entries in raw.items():
         for key, text in entries.items():
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 diagnostics.append(f"unknown key {key!r} in section [{section}]")
                 continue
             try:
-                values[section][key] = _SCHEMA[section][key](text)
+                values[section][key] = _KEYS[section][key][0](text)
             except (ValueError, TypeError) as exc:
                 diagnostics.append(f"[{section}] {key}={text!r}: {exc}")
 
-    def build():
-        errs = list(diagnostics)
-        hk = bm = costs = grid = None
+    def build(section: str, part: type, **fields):
+        """part(**fields), or None with a diagnostic for the section when the part rejects them."""
         try:
-            hk = HawkesParams(**values["hawkes"])
+            return part(**fields)
         except StabilityError as exc:
-            errs.append(f"[hawkes] stability condition violated: {exc}")
+            diagnostics.append(f"[{section}] stability condition violated: {exc}")
         except ValueError as exc:
-            errs.append(f"[hawkes] {exc}")
-        try:
-            b = values["breach"]
-            bm = BreachModel(BreachFamily(b["family"]), b["v"], b["a"], b["b"])
-        except ValueError as exc:
-            errs.append(f"[breach] {exc}")
-        try:
-            c = values["costs"]
-            costs = CostParams(
-                gamma=c["gamma"],
-                eta_mean=c["eta_mean"],
-                eta_var=c["eta_var"],
-                rho=c["rho"],
-                horizon=c["horizon"],
-                terminal_utility=c["utility"],
-                delta=c["delta"],
-                eta_family=c["eta_family"],
-            )
-        except ValueError as exc:
-            errs.append(f"[costs] {exc}")
-        g = values["grid"]
-        lam_min = g["lambda_min"]
-        if lam_min is None and hk is not None:
-            lam_min = hk.lambda0
-        if costs is not None and lam_min is not None:
-            try:
-                grid = SolverGrid(
-                    lam_min,
-                    g["lambda_max"],
-                    g["d_lambda"],
-                    g["h_min"],
-                    g["h_max"],
-                    g["d_h"],
-                    costs.horizon,
-                    g["time_steps"],
-                )
-            except ValueError as exc:
-                errs.append(f"[grid] {exc}")
-        p = values["premium"]
-        if not (0 <= p["theta"] < math.inf):  # nan fails both comparisons
-            errs.append(f"[premium] theta must be finite and nonnegative, got {p['theta']}")
-        for eta_var in p["eta_vars"] if costs is not None else ():
-            try:  # the premium command prices each eta_var under these costs
-                replace(costs, eta_var=eta_var)
-            except ValueError as exc:
-                errs.append(f"[premium] eta_vars {eta_var:g}: {exc}")
-        r = values["run"]
-        if hk is not None and grid is not None:
-            if not (grid.lambda_min <= hk.lambda0 <= grid.lambda_max):
-                errs.append(
-                    f"[grid] intensity grid [{grid.lambda_min}, {grid.lambda_max}] does not cover lambda0={hk.lambda0}"
-                )
-        if errs:
-            raise ConfigError(errs)
-        return RunConfig(
-            hawkes=hk,
-            breach=bm,
-            costs=costs,
-            grid=grid,
-            options=SolverOptions(),
-            theta=p["theta"],
-            eta_vars=tuple(p["eta_vars"]),
-            seed=r["seed"],
-            out_dir=r["out_dir"],
-        )
+            diagnostics.append(f"[{section}] {exc}")
+        return None
 
-    return build()
+    hawkes = build("hawkes", HawkesParams, **values["hawkes"])
+    breach = build("breach", BreachModel, **values["breach"])
+    c = values["costs"]
+    costs = build("costs", CostParams, terminal_utility=c.pop("utility"), **c)
+    g, grid = values["grid"], None
+    if g["lambda_min"] is None and hawkes is not None:
+        g["lambda_min"] = hawkes.lambda0
+    if costs is not None and g["lambda_min"] is not None:
+        grid = build("grid", SolverGrid, horizon=costs.horizon, **g)
+    p = values["premium"]
+    if not (0 <= p["theta"] < math.inf):  # nan fails both comparisons
+        diagnostics.append(f"[premium] theta must be finite and nonnegative, got {p['theta']}")
+    for eta_var in p["eta_vars"] if costs is not None else ():
+        try:  # the premium command prices each eta_var under these costs
+            replace(costs, eta_var=eta_var)
+        except ValueError as exc:
+            diagnostics.append(f"[premium] eta_vars {eta_var:g}: {exc}")
+    if hawkes is not None and grid is not None and not (grid.lambda_min <= hawkes.lambda0 <= grid.lambda_max):
+        diagnostics.append(
+            f"[grid] intensity grid [{grid.lambda_min}, {grid.lambda_max}] does not cover lambda0={hawkes.lambda0}"
+        )
+    if diagnostics:
+        raise ConfigError(diagnostics)
+    return RunConfig(
+        hawkes=hawkes,
+        breach=breach,
+        costs=costs,
+        grid=grid,
+        options=SolverOptions(),
+        theta=p["theta"],
+        eta_vars=tuple(p["eta_vars"]),
+        seed=values["run"]["seed"],
+        out_dir=values["run"]["out_dir"],
+    )

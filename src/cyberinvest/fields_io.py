@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .breach import BreachFamily, BreachModel
+from .breach import BreachModel
 from .dynamics import CostParams
 from .hawkes import HawkesParams
 from .hjb import FieldMeta, PolicyField, SolverGrid, ValueField
@@ -46,12 +46,7 @@ def _meta_dict(field, raw: np.ndarray) -> dict:
         "kind": "value" if isinstance(field, ValueField) else "policy",
         "grid": asdict(field.grid),
         "hawkes": asdict(meta.hawkes),
-        "breach": {
-            "family": meta.model.family.value,
-            "v": meta.model.v,
-            "a": meta.model.a,
-            "b": meta.model.b,
-        },
+        "breach": {**asdict(meta.model), "family": meta.model.family.value},
         "costs": asdict(meta.costs),
         "checksum_sha256": hashlib.sha256(raw).hexdigest(),
     }
@@ -67,6 +62,14 @@ def save_field(field: Union[ValueField, PolicyField], prefix: Union[str, Path]) 
     prefix.with_suffix(".f64").write_bytes(raw)
     meta = _meta_dict(field, raw)
     prefix.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
+
+def _part(cls: type, d: dict):
+    """cls built from exactly its fields: a missing key is a TypeError too, where cls has a default."""
+    names = {f.name for f in fields(cls)}
+    if set(d) != names:
+        raise TypeError(f"{cls.__name__} takes exactly the keys {sorted(names)}, got {sorted(d)}")
+    return cls(**d)
 
 
 def _grid_from_dict(d: dict) -> SolverGrid:
@@ -86,7 +89,8 @@ def load_field(prefix: Union[str, Path]):
     """Load a field written by save_field; verifies the checksum, the kind and that an older
     file's solver options are all retired ones. The "dimension" and "poisson_intensity" keys
     of older files are ignored: a one-node intensity axis marks a constant-intensity field.
-    Metadata that does not build a grid, a model and costs is an OSError naming the file."""
+    Metadata that does not build a grid, a model and costs from exactly their fields (a missing
+    key, an unknown key or a rejected value) is an OSError naming the file."""
     prefix = Path(prefix)
     meta_path = prefix.with_suffix(".json")
     bin_path = prefix.with_suffix(".f64")
@@ -96,9 +100,9 @@ def load_field(prefix: Union[str, Path]):
         meta = json.loads(meta_path.read_text())
         kind = meta["kind"]
         grid = _grid_from_dict(meta["grid"])
-        b = meta["breach"]
-        model = BreachModel(BreachFamily(b["family"]), b["v"], b["a"], b["b"])
-        fmeta = FieldMeta(HawkesParams(**meta["hawkes"]), model, CostParams(**meta["costs"]))
+        fmeta = FieldMeta(
+            _part(HawkesParams, meta["hawkes"]), _part(BreachModel, meta["breach"]), _part(CostParams, meta["costs"])
+        )
         checksum = meta["checksum_sha256"]
     except (LookupError, TypeError, ValueError) as exc:
         raise OSError(f"{meta_path}: metadata does not describe a field: {type(exc).__name__}: {exc}") from None

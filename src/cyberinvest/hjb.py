@@ -377,37 +377,39 @@ class _DouglasADI:
     transport at the level's velocity. Newton starts from Y1 plus the last step's Y2 - Y1 and
     stops once the residual's max-norm is within _NEWTON_RTOL of max(1, max |Y|); a
     SolverError reports that norm as update_norm (the Jacobian is close to I).
+    Every step of _schedule has theta dt = d_t / 2 up to rounding in the snapshot times (the
+    implicit half steps and the Douglas steps alike), so the caller passes c = d_t / 2 and
+    M = I - c A_lambda is inverted once, on construction.
     Counters: nfev explicit operator evaluations, njev Jacobian builds, one
-    per tridiagonal solve, nlu factors, newton the solves of each step.
+    per tridiagonal solve, newton the solves of each step.
     """
 
-    def __init__(self, op: _PideOperator):
+    def __init__(self, op: _PideOperator, c: float):
         self.op = op
-        self._factors = {}  # c -> (inverse of I - c A_lambda, -c D_h tiles)
-        self._couplings = {}  # c -> K = c M^{-1} C M^{-1}, M = I - c A_lambda; frozen steps alone build it
+        self.c = c
+        self.inverse = np.linalg.inv(np.eye(op.shape[0]) - c * op.a_lam)
+        self._tiles = -c * op.tiles  # h_jacobian's rows before the velocity
         self._stack_tiles = {}  # number of stacked states -> D_h tiles over all their rows
         self.nfev = 0
         self.newton = []
         self._correction = 0.0  # the last step's h-stage correction Y2 - Y1, where Newton starts the next
 
-    def _factor(self, c: float) -> tuple:
-        if c not in self._factors:
-            op = self.op
-            inverse = np.linalg.inv(np.eye(op.shape[0]) - c * op.a_lam)
-            self._factors[c] = inverse, -c * op.tiles
-        return self._factors[c]
+    @functools.cached_property
+    def jump_coupling(self) -> np.ndarray:
+        """K = c M^{-1} C M^{-1}, which coupled frozen steps alone read."""
+        return self.c * self.inverse @ self.op.jump_rate @ self.inverse
 
-    def h_jacobian(self, velocity: np.ndarray, c: float) -> tuple:
+    def h_jacobian(self, velocity: np.ndarray) -> tuple:
         """I - c diag(velocity) D_h as gtsv's (sub, main, super) diagonals, h fastest: the h stage's
         Jacobian for transport at the level velocity z - rho h (z = excess / gamma in step, the frozen
         rate in frozen_step). The entries that would couple the last h node of one column to the
         first node of the next are zero, so one solve handles all columns."""
-        rows = self._factor(c)[1] * velocity.reshape(-1)
+        rows = self._tiles * velocity.reshape(-1)
         rows[1] += 1.0
         return rows[0, 1:], rows[1], rows[2, :-1]
 
-    def step(self, w: np.ndarray, grad: np.ndarray, excess: np.ndarray, dt: float, c: float, t: float) -> tuple:
-        op = self.op
+    def step(self, w: np.ndarray, grad: np.ndarray, excess: np.ndarray, dt: float, t: float) -> tuple:
+        op, c = self.op, self.c
         norm = math.nan
 
         def failure(what: str) -> SolverError:
@@ -422,7 +424,7 @@ class _DouglasADI:
         y = w + dt * (f_lam + f_h + op.reward) - c * f_lam
         if not np.isfinite(y).all():
             raise failure("non-finite explicit stage")
-        y1 = self._factor(c)[0] @ y
+        y1 = self.inverse @ y
         target, y = y1 - c * f_h, y1 + self._correction
         for it in range(_NEWTON_MAX_ITER + 1):  # it tridiagonal solves so far
             grad = op.gradient(y)
@@ -439,30 +441,22 @@ class _DouglasADI:
                 break
             # every argument is a fresh array, so gtsv may overwrite them all
             velocity = excess / op.gamma - op.ch
-            *_, dy, info = _gtsv()(*self.h_jacobian(velocity, c), resid.reshape(-1), True, True, True, True)
+            *_, dy, info = _gtsv()(*self.h_jacobian(velocity), resid.reshape(-1), True, True, True, True)
             if info != 0:
                 raise failure(f"singular h-stage Jacobian (gtsv info {info})")
             y -= dy.reshape(y.shape)
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
-    def _coupling(self, c: float) -> np.ndarray:
-        if c not in self._couplings:
-            inverse = self._factor(c)[0]
-            self._couplings[c] = c * inverse @ self.op.jump_rate @ inverse
-        return self._couplings[c]
-
-    def frozen_step(
-        self, x: np.ndarray, velocity: np.ndarray, source: np.ndarray, dt: float, c: float, coupling=None
-    ) -> np.ndarray:
+    def frozen_step(self, x: np.ndarray, velocity: np.ndarray, source: np.ndarray, dt: float, coupling=None) -> np.ndarray:
         """A Douglas step of the linear dX/dtau = L X + velocity D_h X + source for a stack X of
         (n_lambda, n_h) states along the first axis, the level velocity z - rho h frozen over the step.
         L is A_lambda on each state; given the h profile p = coupling, it also adds C (X[0] p) to the
         second, C = diag(lambda) J. Then I - c L is block lower triangular, and since p acts along h it
         commutes with M^{-1}, M = I - c A_lambda: the lambda stage is M^{-1} on each state plus
         K (Y[0] p) on the second, K = c M^{-1} C M^{-1}. Every state's h stage has the Jacobian
-        h_jacobian(velocity, c), so (I - c F_h) Y2 = Y1 - c F_h X is one gtsv call with one
+        h_jacobian(velocity), so (I - c F_h) Y2 = Y1 - c F_h X is one gtsv call with one
         right-hand side per state, the columns of a Fortran-ordered view of the stack."""
-        op = self.op
+        op, c = self.op, self.c
         if len(x) not in self._stack_tiles:
             self._stack_tiles[len(x)] = np.tile(op.tiles, len(x))
         f_lam, f_h = op.a_lam @ x, _along_h(self._stack_tiles[len(x)], x)
@@ -476,32 +470,31 @@ class _DouglasADI:
         y += x
         f_lam *= c
         y -= f_lam
-        y1 = self._factor(c)[0] @ y
+        y1 = self.inverse @ y
         if coupling is not None:
             y[0] *= coupling
-            y1[1] += self._coupling(c) @ y[0]
+            y1[1] += self.jump_coupling @ y[0]
         f_h *= c
         y1 -= f_h
         # the diagonals and the right-hand sides are fresh arrays, so gtsv may overwrite them all
-        *_, y2, info = _gtsv()(*self.h_jacobian(velocity, c), y1.reshape(len(x), -1).T, True, True, True, True)
+        *_, y2, info = _gtsv()(*self.h_jacobian(velocity), y1.reshape(len(x), -1).T, True, True, True, True)
         if info != 0:
             raise SolverError(f"singular frozen-policy h stage (gtsv info {info})", {"gtsv_info": int(info)})
         return y2.T.reshape(x.shape)
 
 
 def _schedule(snaps: np.ndarray) -> list:
-    """(snapshot k, dt, theta, c, t) of each backward step over the decreasing snapshot times: two
-    implicit half steps in each of the first _RANNACHER_INTERVALS intervals, both storing snapshot k,
-    then one Douglas step per interval. The step from t = snaps[k - 1] ends at snaps[k], and
-    c = theta dt is rounded so that steps equal but for rounding in the snapshot times share one factor."""
+    """(snapshot k, dt, t) of each backward step over the decreasing snapshot times: two implicit
+    (theta = 1) half steps in each of the first _RANNACHER_INTERVALS intervals, both storing snapshot k,
+    then one Douglas step (theta = _THETA) per interval. The step from t = snaps[k - 1] ends at snaps[k]."""
     steps = []
     for k in range(1, snaps.size):
         dt = snaps[k - 1] - snaps[k]
         if k <= _RANNACHER_INTERVALS:
-            steps += [(k, 0.5 * dt, 1.0, snaps[k - 1]), (k, 0.5 * dt, 1.0, snaps[k - 1] - 0.5 * dt)]
+            steps += [(k, 0.5 * dt, snaps[k - 1]), (k, 0.5 * dt, snaps[k - 1] - 0.5 * dt)]
         else:
-            steps.append((k, dt, _THETA, snaps[k - 1]))
-    return [(k, dt, theta, float(f"{theta * dt:.12g}"), t) for k, dt, theta, t in steps]
+            steps.append((k, dt, snaps[k - 1]))
+    return steps
 
 
 def solve(
@@ -525,9 +518,9 @@ def solve(
         )
     snaps = grid.t_snapshots
     steps = _schedule(snaps)
-    nl, nh, factors = grid.n_lambda, grid.n_h, len({c for *_, c, _ in steps})
-    # the stored nodes, A_lambda, and each factor's inverse and three Jacobian tiles
-    n_nodes = snaps.size * nl * nh + (1 + factors) * nl * nl + 3 * factors * nl * nh
+    nl, nh = grid.n_lambda, grid.n_h
+    # the stored nodes, A_lambda, the one factor's inverse and its three Jacobian tiles
+    n_nodes = snaps.size * nl * nh + 2 * nl * nl + 3 * nl * nh
     if n_nodes > _MAX_NODES:
         raise SolverError(
             f"{n_nodes} stored nodes and operator entries exceed the in-memory limit {_MAX_NODES}; "
@@ -540,18 +533,18 @@ def solve(
     grad = op.gradient(w)
     excess = op.excess(grad)
     values[0], controls[0] = w, excess / op.gamma
-    adi = _DouglasADI(op)
+    adi = _DouglasADI(op, _THETA * grid.d_t)
     _gtsv()  # bound before the clock starts, so wall_time_s counts the steps alone
     t0 = time.perf_counter()
-    for k, dt, _, c, t in steps:
-        w, grad, excess = adi.step(w, grad, excess, dt, c, t)
+    for k, dt, t in steps:
+        w, grad, excess = adi.step(w, grad, excess, dt, t)
         values[k], controls[k] = w, excess / op.gamma
     wall = time.perf_counter() - t0
     diagnostics = {
         "method": "douglas-adi",
         "nfev": adi.nfev,
         "njev": int(sum(adi.newton)),
-        "nlu": len(adi._factors),
+        "nlu": 1,  # the one lambda-stage factor
         "newton_iterations": adi.newton,
         "newton_mean": float(np.mean(adi.newton)),
         "newton_max": int(max(adi.newton)),
@@ -580,13 +573,13 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
     """
     grid, meta = policy.grid, policy.meta
     op = _PideOperator(grid, meta.hawkes, meta.model, meta.costs)
-    adi = _DouglasADI(op)
+    adi = _DouglasADI(op, _THETA * grid.d_t)
     p = breach_prob(meta.model, grid.hs)
     source = np.zeros((2,) + op.shape)
     source[0] = grid.lambdas[:, None] * p
     x = np.zeros_like(source)
-    for k, dt, _, c, _ in _schedule(grid.t_snapshots):
-        x = adi.frozen_step(x, policy.controls[k] - op.ch, source, dt, c, p)
+    for k, dt, _ in _schedule(grid.t_snapshots):
+        x = adi.frozen_step(x, policy.controls[k] - op.ch, source, dt, p)
     return x[0], x[1]
 
 

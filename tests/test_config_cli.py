@@ -103,6 +103,11 @@ class TestValidate:
         np.testing.assert_array_equal(cfg.grid.t_snapshots, fine.grid.t_snapshots)
 
 
+def test_every_default_is_the_standard_parameter_set():
+    # the standard file sets 25 of the 27 keys; delta and eta_family take their defaults in both
+    assert validate(use_env=False) == validate(STANDARD, use_env=False)
+
+
 class TestFieldIO:
     def test_round_trip(self, tmp_path, coarse_solution):
         save_field(coarse_solution.value, tmp_path / "v")
@@ -267,7 +272,10 @@ class TestFieldIO:
         ("hawkes", {"alpha": 27.0, "lambda0": 27.0, "xi": 15.0, "beta": 20.0}, "StabilityError"),
         ("costs", {"gamma": 0.05, "eta_mean": 10.0, "eta_var": 10.0, "horizon": 1.0}, "TypeError"),
         ("breach", {"family": "class3", "v": 0.65, "a": 0.1, "b": 1.0}, "ValueError"),
-        ("breach", {"family": "class1", "v": 0.65, "a": 0.1}, "KeyError"),
+        ("breach", {"family": "class1", "v": 0.65, "a": 0.1}, "TypeError"),
+        ("breach", {"family": "class1", "v": 0.65, "a": 0.1, "b": 1.0, "c": 2.0}, "TypeError"),
+        ("costs", {"gamma": 0.05, "eta_mean": 10.0, "eta_var": 10.0, "rho": 0.2, "horizon": 1.0,
+                   "terminal_utility": "sqrt", "eta_family": "lognormal"}, "TypeError"),
         ("grid", {"lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0, "h_min": 0.0, "h_max": 1.0, "d_h": 1.0,
                   "horizon": 1.0, "time_steps": 0}, "ValueError"),
         ("grid", {"lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0, "h_min": 0.0, "h_max": 1.0, "d_h": 1.0,
@@ -275,7 +283,7 @@ class TestFieldIO:
         ("kind", None, "KeyError"),
     ]
 
-    @pytest.mark.parametrize("key, value, error", BAD_META, ids=["beta", "no-rho", "family", "no-b", "no-steps", "steps-missing", "no-kind"])
+    @pytest.mark.parametrize("key, value, error", BAD_META, ids=["beta", "no-rho", "family", "no-b", "extra-breach-key", "no-delta", "no-steps", "steps-missing", "no-kind"])
     def test_bad_metadata_is_an_io_error(self, tmp_path, key, value, error):
         self.write_field_with_options(tmp_path / "v", {})
         meta = json.loads((tmp_path / "v.json").read_text())

@@ -268,7 +268,7 @@ class TestAssembleRhs:
         rng = np.random.default_rng(0)
         y = np.sqrt(SMALL.hs)[None, :] * SMALL.lambdas[:, None] / 9.0 + 0.1 * rng.standard_normal(op.shape)
         c, z = 0.0025, op.policy(y)
-        lower, main, upper = hjb._DouglasADI(op).h_jacobian(z - op.ch, c)
+        lower, main, upper = hjb._DouglasADI(op, c).h_jacobian(z - op.ch)
         n = y.size
         assert lower.size == upper.size == n - 1 and main.size == n
         jac = sp.diags([lower, main, upper], [-1, 0, 1], shape=(n, n)).tocsr()
@@ -332,14 +332,14 @@ class TestDouglasStep:
         hawkes = dataclasses.replace(STD_H, beta=8.0) if off_lattice else STD_H
         op = _PideOperator(SMALL, hawkes, STD_M, STD_C)
         matrices = reference_matrices(SMALL, hawkes=hawkes)
-        adi = hjb._DouglasADI(op)
+        adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
         w = ref = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
         grad = op.gradient(w)
         excess, correction = op.excess(grad), 0.0
         dt = SMALL.d_t
         # the Rannacher half steps, then Douglas steps
         for theta, step in [(1.0, 0.5 * dt)] * 4 + [(_THETA, dt)] * 4:
-            w, grad, excess = adi.step(w, grad, excess, step, theta * step, 1.0)
+            w, grad, excess = adi.step(w, grad, excess, step, 1.0)
             ref, iterations, correction = banded_reference_step(op, matrices, ref, step, theta, correction)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.max(np.abs(excess / op.gamma - reference_policy(op, matrices[2], ref))) <= 1e-9
@@ -369,7 +369,6 @@ class TestDouglasStep:
                 sp.block_diag([f_h_one, f_h_one]),
             ),
         ]
-        adi = hjb._DouglasADI(op)
         for coupling, w, source, lam_matrix, f_h_matrix in cases:
             lam_matrix, f_h_matrix = lam_matrix.tocsc(), f_h_matrix.tocsc()
             identity = sp.identity(w.size, format="csc")
@@ -378,7 +377,7 @@ class TestDouglasStep:
                 f_lam, f_h = lam_matrix @ w.ravel(), f_h_matrix @ w.ravel()
                 y1 = splu(identity - c * lam_matrix).solve(w.ravel() + dt * (f_lam + f_h + source.ravel()) - c * f_lam)
                 ref = splu(identity - c * f_h_matrix).solve(y1 - c * f_h).reshape(w.shape)
-                got = adi.frozen_step(w, z - op.ch, source, dt, c, coupling)
+                got = hjb._DouglasADI(op, c).frozen_step(w, z - op.ch, source, dt, coupling)
                 assert got.shape == w.shape
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -386,14 +385,15 @@ class TestDouglasStep:
         # every state a step returns solves its h stage to _NEWTON_RTOL of max(1, max |Y2|),
         # and comes with its own gradient and excess
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
-        adi = hjb._DouglasADI(op)
+        adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
+        c = adi.c
         w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
         grad = op.gradient(w)
         excess = op.excess(grad)
-        for _, dt, _, c, t in hjb._schedule(SMALL.t_snapshots):
+        for _, dt, t in hjb._schedule(SMALL.t_snapshots):
             f_lam, f_h = op.a_lam @ w, op.h_part(grad, excess)
-            y1 = adi._factor(c)[0] @ (w + dt * (f_lam + f_h + op.reward) - c * f_lam)
-            w, grad, excess = adi.step(w, grad, excess, dt, c, t)
+            y1 = adi.inverse @ (w + dt * (f_lam + f_h + op.reward) - c * f_lam)
+            w, grad, excess = adi.step(w, grad, excess, dt, t)
             np.testing.assert_array_equal(grad, op.gradient(w))
             np.testing.assert_array_equal(excess, op.excess(grad))
             resid = w - c * op.h_part(grad, excess) - (y1 - c * f_h)
@@ -403,8 +403,8 @@ class TestDouglasStep:
     def test_singular_h_stage_raises(self, monkeypatch):
         jacobian = hjb._DouglasADI.h_jacobian
 
-        def singular(self, velocity, c):
-            lower, main, upper = jacobian(self, velocity, c)
+        def singular(self, velocity):
+            lower, main, upper = jacobian(self, velocity)
             lower[6] = main[7] = upper[7] = 0.0  # row 7 of the Jacobian vanishes
             return lower, main, upper
 
@@ -501,15 +501,13 @@ class TestSolve:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_h_stage_raises(self, monkeypatch, bad):
         # one non-finite lambda-stage entry: the residual's max-norm is then nan or inf
-        factor = hjb._DouglasADI._factor
+        init = hjb._DouglasADI.__init__
 
-        def poisoned(self, c):
-            inverse, *tiles = factor(self, c)
-            inverse = inverse.copy()
-            inverse[3, 3] = bad
-            return (inverse, *tiles)
+        def poisoned(self, op, c):
+            init(self, op, c)
+            self.inverse[3, 3] = bad
 
-        monkeypatch.setattr(hjb._DouglasADI, "_factor", poisoned)
+        monkeypatch.setattr(hjb._DouglasADI, "__init__", poisoned)
         with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="non-finite h stage") as err:
             solve(SMALL, STD_H, STD_M, STD_C)
         assert err.value.diagnostics["step"] == 1 and not math.isfinite(err.value.diagnostics["update_norm"])

@@ -34,7 +34,7 @@ from cyberinvest import (
 )
 from cyberinvest import hjb
 from cyberinvest.dynamics import _control_levels
-from cyberinvest.hjb import FieldMeta, PolicyField, _DouglasADI, _PideOperator, _schedule
+from cyberinvest.hjb import _RANNACHER_INTERVALS, _THETA, FieldMeta, PolicyField, _DouglasADI, _PideOperator, _schedule
 
 # the package exports the premium() function under the module's name
 premium_module = importlib.import_module("cyberinvest.premium")
@@ -142,15 +142,16 @@ def _theta_weighted_pair(policy):
     states at the step's two ends, so u steps first."""
     grid = policy.grid
     op = _PideOperator(grid, STD_H, STD_M, STD_C)
-    adi = _DouglasADI(op)
+    adi = _DouglasADI(op, _THETA * grid.d_t)
     p = breach_prob(STD_M, grid.hs)
     breach_rate = grid.lambdas[:, None] * p
     u, b, source = np.zeros((1,) + op.shape), np.zeros((1,) + op.shape), np.zeros(op.shape)
-    for k, dt, theta, c, _ in _schedule(grid.t_snapshots):
+    for k, dt, _ in _schedule(grid.t_snapshots):
+        theta = 1.0 if k <= _RANNACHER_INTERVALS else _THETA
         velocity = policy.controls[k] - op.ch
-        u = adi.frozen_step(u, velocity, breach_rate, dt, c)
+        u = adi.frozen_step(u, velocity, breach_rate, dt)
         after = (op.jump_rate @ u[0]) * p
-        b = adi.frozen_step(b, velocity, (1.0 - theta) * source + theta * after, dt, c)
+        b = adi.frozen_step(b, velocity, (1.0 - theta) * source + theta * after, dt)
         source = after
     return u[0], b[0]
 
@@ -330,14 +331,14 @@ class TestOptimalReport:
         u0, b0 = small_policy.loss_surfaces["u"], small_policy.loss_surfaces["b"]
         grid = small_policy.grid
         op = _PideOperator(grid, STD_H, STD_M, STD_C)
-        adi = _DouglasADI(op)
+        adi = _DouglasADI(op, _THETA * grid.d_t)
         p = breach_prob(STD_M, grid.hs)
         breach_rate = grid.lambdas[:, None] * p
         m, eta_var = STD_C.eta_mean, 50.0
         x = np.zeros((2,) + op.shape)
         source = np.stack([breach_rate, (eta_var + m * m) * breach_rate])
-        for k, dt, _, c, _ in _schedule(grid.t_snapshots):
-            x = adi.frozen_step(x, small_policy.controls[k] - op.ch, source, dt, c, 2.0 * m * m * p)
+        for k, dt, _ in _schedule(grid.t_snapshots):
+            x = adi.frozen_step(x, small_policy.controls[k] - op.ch, source, dt, 2.0 * m * m * p)
         np.testing.assert_array_equal(x[0], u0)
         np.testing.assert_allclose((eta_var + m * m) * u0 + 2.0 * m * m * b0, x[1], rtol=1e-12, atol=0.0)
 
