@@ -16,7 +16,7 @@ from pathlib import Path
 from .breach import enbis, static_optimum
 from .config import RunConfig, validate
 from .errors import ConfigError, SolverError
-from .fields_io import load_field, load_poisson, save_field, save_poisson, write_field_csv
+from .fields_io import _write_csv, load_field, load_poisson, save_field, save_poisson, write_field_csv
 from .hawkes import (
     count_variance,
     expected_count,
@@ -126,14 +126,8 @@ def cmd_trace(args) -> int:
             raise ConfigError([f"--t-init/--h-init: {exc}"]) from exc
         clamped_lambda += trace.clamped_lambda
         clamped_h += trace.clamped_h
-        with (out / f"path_{k}.csv").open("w") as fh:
-            fh.write("index,tau\n")
-            for i, tau in enumerate(path.event_times):
-                fh.write(f"{i},{_fmt(tau)}\n")
-        with (out / f"trace_{k}.csv").open("w") as fh:
-            fh.write("t,lambda,z,H\n")
-            for row in zip(trace.times, trace.intensity, trace.control, trace.level):
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        _write_csv(out / f"path_{k}.csv", "index,tau", enumerate(path.event_times))
+        _write_csv(out / f"trace_{k}.csv", "t,lambda,z,H", zip(trace.times, trace.intensity, trace.control, trace.level))
     grid = policy.grid
     print(
         f"lookups read at the grid's edge: {clamped_lambda} with lambda above {grid.lambda_max:g}, "
@@ -170,10 +164,7 @@ def cmd_gain(args) -> int:
                 raise ConfigError([f"gain at t={t:g}, lambda={lam:g}, h={h:g}: {exc}"]) from exc
             rows.append((t, lam, h, g))
     target = out / f"gain_{args.benchmark}.csv"
-    with target.open("w") as fh:
-        fh.write("t,lambda,h,gain_pct,benchmark\n")
-        for t_, lam, h, g in rows:
-            fh.write(f"{_fmt(t_)},{_fmt(lam)},{_fmt(h)},{_fmt(g)},{args.benchmark}\n")
+    _write_csv(target, "t,lambda,h,gain_pct,benchmark", (row + (args.benchmark,) for row in rows))
     for t_, lam, h, g in rows:
         print(f"  t={_fmt(t_)} lambda={_fmt(lam)} h={_fmt(h)}: gain {g:.2f}% vs {args.benchmark}")
     print(f"wrote {target}")
@@ -197,14 +188,8 @@ def cmd_premium(args) -> int:
         reports.append({"eta_var": eta_var, "baseline": dataclasses.asdict(base), "optimal": dataclasses.asdict(opt)})
         rows_std.append((cfg.costs.eta_mean, eta_var, base.loss_std, opt.loss_std, ds))
         rows_pi.append((cfg.costs.eta_mean, eta_var, base.premium, opt.premium, dp))
-    with (out / "table_std.csv").open("w") as fh:
-        fh.write("eta_mean,eta_var,std_baseline,std_optimal,reduction_pct\n")
-        for row in rows_std:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-    with (out / "table_premia.csv").open("w") as fh:
-        fh.write("eta_mean,eta_var,premium_baseline,premium_optimal,reduction_pct\n")
-        for row in rows_pi:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    _write_csv(out / "table_std.csv", "eta_mean,eta_var,std_baseline,std_optimal,reduction_pct", rows_std)
+    _write_csv(out / "table_premia.csv", "eta_mean,eta_var,premium_baseline,premium_optimal,reduction_pct", rows_pi)
     (out / "premium_reports.json").write_text(json.dumps(reports, sort_keys=True, indent=2) + "\n")
     for (em, ev, pb, po, dp) in rows_pi:
         print(f"  eta_var={_fmt(ev)}: premium {pb:.2f} -> {po:.2f} ({dp:.1f}% lower)")

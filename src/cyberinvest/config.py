@@ -181,6 +181,8 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
     p = values["premium"]
     if not (0 <= p["theta"] < math.inf):  # nan fails both comparisons
         diagnostics.append(f"[premium] theta must be finite and nonnegative, got {p['theta']}")
+    if not p["eta_vars"]:  # the premium command prices each one: an empty list prices nothing
+        diagnostics.append("[premium] eta_vars must list at least one breach-loss variance")
     for eta_var in p["eta_vars"] if costs is not None else ():
         try:  # the premium command prices each eta_var under these costs
             replace(costs, eta_var=eta_var)

@@ -157,16 +157,9 @@ class LossBatch:
         return MCEstimate(s, var.stderr / (2.0 * s) if s > 0 else 0.0)
 
 
-class ConstantRate:
-    """Constant investment rate; recognized for exact exponential integration."""
-
-    def __init__(self, rate: float):
-        if rate < 0:
-            raise PolicyError(f"investment rate must be nonnegative, got {rate}")
-        self.rate = float(rate)
-
-    def __repr__(self):
-        return f"ConstantRate({self.rate})"
+def _check_rates(z: np.ndarray, what: str) -> None:
+    if not np.all((z >= 0) & (z < math.inf)):  # nan fails both comparisons
+        raise PolicyError(f"{what} must be finite and nonnegative")
 
 
 class GridRate:
@@ -180,15 +173,25 @@ class GridRate:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if self.times.size == 0:
             raise ValueError("need at least one knot")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("knot times must be strictly increasing")
-        if np.any(self.values < 0):
-            raise PolicyError("investment rates must be nonnegative")
+        if not (np.isfinite(self.times).all() and np.all(np.diff(self.times) > 0)):
+            raise ValueError("knot times must be finite and strictly increasing")
+        _check_rates(self.values, "investment rates")
 
     def __call__(self, t):
         idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.values.size - 1)
         out = self.values[idx]
         return float(out) if np.ndim(t) == 0 else out
+
+
+class ConstantRate(GridRate):
+    """Constant investment rate: a GridRate of one knot, at t = 0."""
+
+    def __init__(self, rate: float):
+        super().__init__([0.0], [rate])
+        self.rate = float(rate)
+
+    def __repr__(self):
+        return f"ConstantRate({self.rate})"
 
 
 def _phi(rho: float, s):
@@ -236,12 +239,10 @@ def _exact_levels(tk, Z, h0: float, rho: float, t0: float, times, row, t_end: fl
 
 
 def _knots(strategy):
-    """Knot times and one-row rate matrix of a ConstantRate (one knot) or GridRate."""
-    if isinstance(strategy, ConstantRate):
-        return np.zeros(1), np.array([[strategy.rate]])
-    if isinstance(strategy, GridRate):
-        return strategy.times, strategy.values[None, :]
-    raise TypeError(f"strategy must be a ConstantRate or GridRate, not {type(strategy).__name__}")
+    """Knot times and one-row rate matrix of a GridRate, a ConstantRate among them."""
+    if not isinstance(strategy, GridRate):
+        raise TypeError(f"strategy must be a ConstantRate or GridRate, not {type(strategy).__name__}")
+    return strategy.times, strategy.values[None, :]
 
 
 def _check_initial_level(h0: float) -> None:
@@ -323,8 +324,7 @@ def simulate_losses(
         Z = np.asarray(controls, dtype=float)
         if Z.shape != (batch.n_paths, tk.size):
             raise ValueError("controls must have shape (n_paths, len(control_times))")
-        if np.any(Z < 0):
-            raise PolicyError("controls must be nonnegative")
+        _check_rates(Z, "controls")
         levels, terminal = _control_levels(tk, Z, h0, rho, *paths)
     elif strategy is not None:
         levels, terminal = _control_levels(*_knots(strategy), h0, rho, *paths)

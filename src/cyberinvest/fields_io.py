@@ -147,17 +147,18 @@ def load_poisson(prefix: Union[str, Path]) -> PoissonField:
     return PoissonField(value, policy, quality={})
 
 
+def _write_csv(path: Union[str, Path], header: str, rows) -> None:
+    """Write the header line, then one line per row: numbers as %.12g, text as it is."""
+    with Path(path).open("w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else f"{float(x):.12g}" for x in row) + "\n")
+
+
 def write_field_csv(value: ValueField, policy: PolicyField, path: Union[str, Path]) -> None:
     """Plot-ready CSV with columns t, lambda, h, V, z_star."""
     grid = value.grid
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write("t,lambda,h,V,z_star\n")
-        for k, t in enumerate(grid.t_snapshots):
-            for i, lam in enumerate(grid.lambdas):
-                for j, h in enumerate(grid.hs):
-                    fh.write(
-                        f"{t:.12g},{lam:.12g},{h:.12g},"
-                        f"{value.values[k, i, j]:.12g},{policy.controls[k, i, j]:.12g}\n"
-                    )
+    axes = np.meshgrid(grid.t_snapshots, grid.lambdas, grid.hs, indexing="ij")
+    _write_csv(path, "t,lambda,h,V,z_star", zip(*(a.ravel() for a in (*axes, value.values, policy.controls))))

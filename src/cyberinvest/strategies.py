@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .breach import BreachModel, _breach_curve, breach_prob
-from .dynamics import ConstantRate, CostParams, GridRate, _check_initial_level, _exact_levels, _phi
+from .dynamics import CostParams, GridRate, _check_initial_level, _check_rates, _exact_levels, _phi
 from .errors import GainUndefinedError
 from .hawkes import AttackPath, HawkesParams, PathBatch, lambda_max_heuristic
 from .hjb import PolicyField, ValueField, _axis, _bilinear, _check_field_inputs, query
@@ -196,8 +196,7 @@ def evaluate_constant(
     """
     _check_state(t, lam, h, costs.horizon)
     z = np.asarray(zbar, dtype=float)
-    if not np.all((z >= 0) & (z < math.inf)):  # nan fails both comparisons
-        raise ValueError("constant rate must be finite and nonnegative")
+    _check_rates(z, "constant rate")
     span = costs.horizon - t
     nodes, weights = _reward_rule()
     s = np.append(span * nodes, span)  # the horizon rides along with the nodes
@@ -270,38 +269,36 @@ def lower_bound(t, lam, h, hawkes: HawkesParams, model: BreachModel, costs: Cost
 class _LevelPath(NamedTuple):
     """The intensity-free part of a deterministic valuation from (t, h)."""
 
-    offsets: np.ndarray  # s - t at the Simpson knots, then at the segment midpoints
-    weight: np.ndarray  # eta_mean (v - S(level)) at the same points
-    simpson: np.ndarray  # each segment's length / 6
+    offsets: np.ndarray  # s - t at every segment's reward-rule nodes
+    weight: np.ndarray  # segment length x rule weight x eta_mean (v - S(level)) there
     cost: float
     terminal: float  # utility of the level at the horizon
 
 
 def _level_path(t: float, h: float, strategy: GridRate, model: BreachModel, costs: CostParams) -> _LevelPath:
+    """The level path of a rate path from (t, h): the reward rule of
+    evaluate_constant on each constant segment, its levels exact."""
     T = costs.horizon
     inside = strategy.times[(strategy.times > t) & (strategy.times < T)]
     knots = np.concatenate(([t], inside, [T]))
     dt = np.diff(knots)
-    points = np.concatenate((knots, knots[:-1] + 0.5 * dt))
-    levels = _exact_levels(strategy.times, strategy.values[None, :], h, costs.rho, t, points, 0, T)[0]
+    nodes, weights = _reward_rule()
+    offsets = (knots[:-1] - t)[:, None] + dt[:, None] * nodes
+    levels, terminal = _exact_levels(strategy.times, strategy.values[None, :], h, costs.rho, t, (t + offsets).ravel(), 0, T)
     z = strategy(knots[:-1])
     return _LevelPath(
-        points - t,
-        costs.eta_mean * (model.v - breach_prob(model, levels)),
-        dt / 6.0,
+        offsets.ravel(),
+        (dt[:, None] * weights).ravel() * costs.eta_mean * (model.v - breach_prob(model, levels)),
         np.sum(dt * (costs.delta * z + 0.5 * costs.gamma * z**2)),
-        costs.utility(levels[knots.size - 1]),
+        costs.utility(terminal[0]),
     )
 
 
 def _path_value(path: _LevelPath, lam: float, hawkes: HawkesParams) -> float:
     """The valuation of a level path from intensity lam: the running reward
-    under the exact mean intensity by Simpson's rule, less the cost, plus the
-    terminal utility."""
+    under the exact mean intensity, less the cost, plus the terminal utility."""
     lstar = hawkes.stationary_mean
-    running = path.weight * (lstar + (lam - lstar) * np.exp(-hawkes.reversion_rate * path.offsets))
-    n = path.simpson.size
-    reward = np.sum(path.simpson * (running[:n] + 4.0 * running[n + 1 :] + running[1 : n + 1]))
+    reward = path.weight @ (lstar + (lam - lstar) * np.exp(-hawkes.reversion_rate * path.offsets))
     return float(reward - path.cost + path.terminal)
 
 
@@ -316,15 +313,13 @@ def evaluate_deterministic(
 ) -> float:
     """Expected net benefit of a deterministic rate path from state (t, lam, h).
 
-    `strategy` is a PolicyTrace, a GridRate or a ConstantRate. Piecewise-
-    constant rates take their levels exactly and apply a per-segment Simpson
-    rule to the smooth reward integrand.
+    `strategy` is a PolicyTrace or a GridRate (a ConstantRate among them).
+    Each constant segment takes its levels exactly and the reward rule of
+    evaluate_constant.
     """
     _check_state(t, lam, h, costs.horizon)
     if isinstance(strategy, PolicyTrace):
         strategy = strategy.as_grid_rate()
-    if isinstance(strategy, ConstantRate):
-        return evaluate_constant(t, lam, h, strategy.rate, hawkes, model, costs)
     if not isinstance(strategy, GridRate):
         raise TypeError(f"strategy must be a PolicyTrace, GridRate or ConstantRate, not {type(strategy).__name__}")
     return _path_value(_level_path(t, h, strategy, model, costs), lam, hawkes)

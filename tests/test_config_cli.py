@@ -72,6 +72,13 @@ class TestValidate:
             validate("[costs]\neta_family = fixed\neta_var = 0\n[premium]\neta_vars = 0,50\n", use_env=False)
         assert err.value.diagnostics == ["[premium] eta_vars 50: fixed loss family requires eta_var = 0"]
 
+    @pytest.mark.parametrize("text", ["", " ", ",", " ; "], ids=["empty", "blank", "comma", "semicolon"])
+    def test_empty_eta_vars_rejected(self, text):
+        # the premium command prices each eta_var: an empty list would write empty tables
+        with pytest.raises(ConfigError) as err:
+            validate(f"[premium]\neta_vars = {text}\n", use_env=False)
+        assert err.value.diagnostics == ["[premium] eta_vars must list at least one breach-loss variance"]
+
     def test_multiple_diagnostics_collected(self):
         with pytest.raises(ConfigError) as err:
             validate("[hawkes]\nbeta = 20\n[breach]\nv = 7\n", use_env=False)
@@ -683,6 +690,17 @@ class TestCli:
         reports = json.loads((Path(out) / "premium_reports.json").read_text())
         assert reports[0]["optimal"]["diagnostics"] == {"method": "frozen-policy-pide", "time_steps": 20}
         assert reports[0]["optimal"]["standard_errors"] == {"expected_loss": 0.0, "loss_std": 0.0}
+
+    def test_premium_empty_eta_vars_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfg = self.write_tiny(tmp_path)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("CYBERINVEST_PREMIUM__ETA_VARS", "")
+        run = tmp_path / "premium"
+        assert main(["premium", "--config", cfg, "--policy-field", f"{out}/policy", "--out", str(run)]) == 2
+        assert "[premium] eta_vars must list at least one" in capsys.readouterr().err
+        assert not run.exists()
 
     def test_premium_eta_vars_share_one_pass(self, tmp_path):
         """Three eta_vars on one loaded field, which share one pair of loss-surface

@@ -84,6 +84,24 @@ class TestEvolveLevel:
         with pytest.raises(PolicyError):
             GridRate([0.0], [-1.0])
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(PolicyError, match="finite and nonnegative"):
+            ConstantRate(rate)
+        with pytest.raises(PolicyError, match="finite and nonnegative"):
+            GridRate([0.0, 0.5], [1.0, rate])
+
+    @pytest.mark.parametrize("knot", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_knot_time_rejected(self, knot):
+        times = [-math.inf, 0.5] if knot == -math.inf else [0.0, knot]
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            GridRate(times, [1.0, 2.0])
+
+    def test_constant_rate_is_a_one_knot_grid_rate(self):
+        rate = ConstantRate(2.5)
+        assert isinstance(rate, GridRate) and repr(rate) == "ConstantRate(2.5)"
+        assert rate.times.tolist() == [0.0] and rate.values.tolist() == [2.5] and rate(0.7) == rate.rate == 2.5
+
     def test_callable_strategy_rejected(self):
         # only piecewise-constant rates, whose levels are exact, are accepted
         batch = PathBatch(STD_H, 1.0, np.array([0.3]), np.array([0, 1]))
@@ -246,6 +264,13 @@ class TestSimulateLossesBatch:
                 assert lb.terminal_h[i] == pytest.approx(ref[-1], rel=1e-12)
         one = simulate_losses(two, STD_M, STD_C, gr, seed=4, h0=h0).sample(0)
         assert one == simulate_loss(two.path(0), STD_M, STD_C, gr, seed=4, h0=h0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_invalid_controls_rejected(self, bad):
+        batch = PathBatch(STD_H, 1.0, np.array([0.3, 0.6]), np.array([0, 1, 2]))
+        controls = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(PolicyError, match="controls must be finite and nonnegative"):
+            simulate_losses(batch, STD_M, STD_C, seed=0, control_times=np.array([0.0, 0.5]), controls=controls)
 
     def test_negative_h0_rejected(self):
         quiet = PathBatch(STD_H, 1.0, np.array([]), np.array([0, 0]))

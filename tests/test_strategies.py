@@ -292,6 +292,24 @@ class TestEvaluateDeterministic:
         b = deterministic_oracle(0.0, 27.0, 1.0, lambda s: 3.0 + 2.0 * s, STD_H, STD_M, STD_C)
         assert a == pytest.approx(b, rel=1e-5)
 
+    @pytest.mark.parametrize("state", [(0.0, 27.0, 2.0), (0.3, 80.0, 5.0)], ids=["t0", "t0.3"])
+    @pytest.mark.parametrize("rate", [0.0, 7.0, 100.0])
+    @pytest.mark.parametrize("n_knots", [1, 2, 11])
+    def test_constant_grid_rate_takes_the_constant_rule(self, n_knots, rate, state):
+        # one reward rule on every segment: splitting a constant rate into knots changes nothing
+        gr = GridRate(np.linspace(0.0, 1.0, n_knots + 1)[:-1], np.full(n_knots, rate))
+        a = evaluate_deterministic(*state, gr, STD_H, STD_M, STD_C)
+        assert a == pytest.approx(evaluate_constant(*state, rate, STD_H, STD_M, STD_C), rel=1e-12)
+
+    @pytest.mark.parametrize("state", [(0.0, 27.0, 2.0), (0.3, 80.0, 5.0)], ids=["t0", "t0.3"])
+    @pytest.mark.parametrize(
+        "knots, rates", [([0.0, 0.5], [7.0, 100.0]), ([0.0, 0.25, 0.6], [100.0, 0.0, 30.0])], ids=["step", "jumps"]
+    )
+    def test_long_segments_match_the_oracle(self, knots, rates, state):
+        gr = GridRate(knots, rates)
+        a = evaluate_deterministic(*state, gr, STD_H, STD_M, STD_C)
+        assert a == pytest.approx(deterministic_oracle(*state, gr, STD_H, STD_M, STD_C), rel=1e-7)
+
     def test_zero_strategy_invulnerable(self):
         m0 = BreachModel(BreachFamily.CLASS_I, 0.0, 0.1, 1.0)
         val = evaluate_deterministic(0.0, 27.0, 4.0, ConstantRate(0.0), STD_H, m0, STD_C)
