@@ -82,12 +82,16 @@ def cmd_solve(args) -> int:
     (out / "quality.json").write_text(json.dumps(res.quality, sort_keys=True, indent=2) + "\n")
     if args.csv:
         write_field_csv(res.value, res.policy, out / "field.csv")
-    print(f"solved {cfg.grid.n_lambda}x{cfg.grid.n_h} grid in {res.quality['wall_time_s']:.1f}s -> {out}")
-    print(
-        "  monotonicity violations:"
-        f" lambda={res.quality['monotone_lambda']['violations']}"
-        f" h={res.quality['monotone_h']['violations']}"
-    )
+    q = res.quality
+    print(f"solved {cfg.grid.n_lambda}x{cfg.grid.n_h} grid in {q['wall_time_s']:.1f}s -> {out}")
+    print(f"  monotonicity violations: lambda={q['monotone_lambda']['violations']} h={q['monotone_h']['violations']}")
+    print(f"  inflow nodes at h_max={_fmt(cfg.grid.h_max)}: {q['inflow_h_max']['nodes']} of {q['inflow_h_max']['of']}")
+    if 0 < q["jump_cells"] < 1:
+        print(
+            f"warning: d_lambda={_fmt(cfg.grid.d_lambda)} exceeds beta={_fmt(cfg.hawkes.beta)}, so the jump lands "
+            f"inside the first intensity cell (jump_cells={q['jump_cells']:.4g}); keep d_lambda <= beta",
+            file=sys.stderr,
+        )
     return 0
 
 

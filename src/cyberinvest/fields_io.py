@@ -9,6 +9,7 @@ grid fixes is stored beside it. Identical solves produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, fields
@@ -148,17 +149,25 @@ def load_poisson(prefix: Union[str, Path]) -> PoissonField:
 
 
 def _write_csv(path: Union[str, Path], header: str, rows) -> None:
-    """Write the header line, then one line per row: numbers as %.12g, text as it is."""
+    """Write the header line, then one line per row: numbers as %.12g, text as it is. Each line is
+    one %-format, built from the types of the first row, so a column holds numbers or text throughout."""
+    rows = iter(rows)
+    first = next(rows, None)
     with Path(path).open("w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else f"{float(x):.12g}" for x in row) + "\n")
+        if first is not None:
+            fmt = ",".join("%s" if isinstance(x, str) else "%.12g" for x in first) + "\n"
+            fh.writelines(fmt % tuple(row) for row in itertools.chain((first,), rows))
 
 
 def write_field_csv(value: ValueField, policy: PolicyField, path: Union[str, Path]) -> None:
-    """Plot-ready CSV with columns t, lambda, h, V, z_star."""
+    """Plot-ready CSV with columns t, lambda, h, V, z_star, one snapshot after another."""
     grid = value.grid
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    axes = np.meshgrid(grid.t_snapshots, grid.lambdas, grid.hs, indexing="ij")
-    _write_csv(path, "t,lambda,h,V,z_star", zip(*(a.ravel() for a in (*axes, value.values, policy.controls))))
+    lam, h = (a.ravel().tolist() for a in np.meshgrid(grid.lambdas, grid.hs, indexing="ij"))
+    rows = (
+        zip(itertools.repeat(t), lam, h, v.ravel().tolist(), z.ravel().tolist())
+        for t, v, z in zip(grid.t_snapshots.tolist(), value.values, policy.controls)
+    )
+    _write_csv(path, "t,lambda,h,V,z_star", itertools.chain.from_iterable(rows))

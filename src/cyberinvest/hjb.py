@@ -508,7 +508,8 @@ def solve(
 
     Returns the value and policy fields at every snapshot together with a
     quality report (monotonicity statistics, residual norms, integrator
-    counters). Where the jump term reads past lambda_max, the operator extends
+    counters, the jump's length in intensity steps and the inflow nodes at
+    h_max). Where the jump term reads past lambda_max, the operator extends
     V linearly from the last two intensity nodes; lookups of the stored fields
     do not (`query`, the policy walk). `options` is accepted and ignored.
     """
@@ -553,7 +554,7 @@ def solve(
     meta = FieldMeta(hawkes, model, costs)
     vf = ValueField(grid, values, meta)
     pf = PolicyField(grid, controls, meta)
-    quality = _quality_report(vf, op, wall, diagnostics)
+    quality = _quality_report(vf, pf, op, wall, diagnostics)
     return SolveResult(vf, pf, quality)
 
 
@@ -601,11 +602,16 @@ def _monotonicity_stats(values: np.ndarray, axis: int, tol: float) -> dict:
     }
 
 
-def _quality_report(vf: ValueField, op: _PideOperator, wall: float, diagnostics: dict) -> dict:
+def _quality_report(vf: ValueField, pf: PolicyField, op: _PideOperator, wall: float, diagnostics: dict) -> dict:
     values = vf.values
     scale = max(1.0, float(values.max()), float(-values.min()))  # max |V|, no temporary
     tol = 1e-6 * scale
+    # where z* > rho h_max the level moves up out of the box at h_max, and the one-sided stencil
+    # stands in for the values above it
+    top = pf.controls[:, :, -1]
     report = {
+        "inflow_h_max": {"nodes": int(np.count_nonzero(top > op.ch[-1])), "of": int(top.size)},
+        "jump_cells": vf.meta.hawkes.beta / vf.grid.d_lambda,  # below 1, the jump lands inside the first cell
         "n_nodes": int(values.size),
         "scale": scale,
         "monotonicity_tolerance": tol,

@@ -192,6 +192,43 @@ def test_criterion_06_solver_structural_suite(coarse_solution, coarse_grid, narr
     assert report(6, ok, "; ".join(lines))
 
 
+def test_criterion_06_error_budget(coarse_solution, coarse_grid):
+    """The coarse grid's error is in h, not in lambda. On the coarse domain, refining d_lambda
+    threefold at the preset's d_h moves V(0, 27, 0) and the t = 0 surface less than halving d_h at
+    the preset's d_lambda, and V(0, 27, 0) converges at second order in h over d_h, d_h / 2 and
+    d_h / 4 (differences near 0.021 and 0.0049 at the preset's steps). At h = 5 the sequence is not
+    monotone, so its differences are reported, and no order is taken from them."""
+    g = coarse_grid
+    h_coarse, h_fine, lam_fine = (
+        solve(dataclasses.replace(g, **steps), STD_H, STD_M, STD_C).value.values[-1]
+        for steps in ({"d_h": 2 * g.d_h}, {"d_h": g.d_h / 2}, {"d_lambda": g.d_lambda / 3})
+    )
+    base = coarse_solution.value.values[-1]
+    lam_move, lam_surface = abs(lam_fine[0, 0] - base[0, 0]), float(np.abs(lam_fine[::3] - base).max())
+    h_move, h_surface = abs(h_fine[0, 0] - base[0, 0]), float(np.abs(h_fine[:, ::2] - base).max())
+    budget_ok = lam_move < h_move and lam_surface < h_surface
+    lines = [
+        f"{g.n_lambda}x{g.n_h} grid: V(0,27,0) moves {lam_move:.2e} with d_lambda {g.d_lambda:g}->{g.d_lambda / 3:g}, "
+        f"{h_move:.2e} with d_h {g.d_h:g}->{g.d_h / 2:g} (surface {lam_surface:.2e} vs {h_surface:.2e})"
+    ]
+    order_ok = False
+    for h in (0.0, 5.0):
+        col = round(h / g.d_h)
+        d1, d2 = base[0, col] - h_coarse[0, col // 2], h_fine[0, 2 * col] - base[0, col]
+        line = f"V(0,27,{h:g}) differences over d_h {2 * g.d_h:g}, {g.d_h:g}, {g.d_h / 2:g}: {d1:+.2e}, {d2:+.2e}"
+        if d1 * d2 > 0 and abs(d2) < abs(d1):
+            order = math.log2(d1 / d2)
+            line += f", observed order {order:.2f}"
+            if h == 0.0:
+                order_ok = 1.5 <= order <= 2.5
+                line += " (near 2)"
+        else:
+            line += " (not monotone: no order)"
+        lines.append(line)
+    ok = budget_ok and order_ok
+    assert report(6, ok, "error budget: " + "; ".join(lines))
+
+
 def test_criterion_07_memoryless_limit_equivalence():
     grid = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, 200)
     memoryless = HawkesParams(27.0, 27.0, 15.0, 0.0)

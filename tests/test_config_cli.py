@@ -16,6 +16,7 @@ import cyberinvest as ci
 from cyberinvest import ConfigError, load_field, save_field, validate
 from cyberinvest.cli import main
 from cyberinvest.config import COARSE_PRESET
+from cyberinvest.fields_io import _write_csv, write_field_csv
 from cyberinvest.hjb import FieldMeta
 
 REPO = Path(__file__).resolve().parents[1]
@@ -162,6 +163,24 @@ class TestFieldIO:
         np.testing.assert_array_equal(loaded.controls, coarse_solution.policy.controls)
         assert loaded.meta == coarse_solution.policy.meta
         assert peak <= 1.1 * loaded.controls.nbytes
+
+    def test_field_csv_is_the_per_number_format(self, tmp_path):
+        # one %-format per row writes the bytes of formatting each number on its own as %.12g
+        cfg = validate(TINY, use_env=False)
+        res = ci.solve(cfg.grid, cfg.hawkes, cfg.breach, cfg.costs)
+        write_field_csv(res.value, res.policy, tmp_path / "field.csv")
+        axes = np.meshgrid(cfg.grid.t_snapshots, cfg.grid.lambdas, cfg.grid.hs, indexing="ij")
+        columns = (a.ravel() for a in (*axes, res.value.values, res.policy.controls))
+        lines = ["t,lambda,h,V,z_star"] + [",".join(f"{float(x):.12g}" for x in row) for row in zip(*columns)]
+        assert len(lines) == 1 + res.value.values.size
+        assert (tmp_path / "field.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_csv_keeps_text_and_formats_numbers(self, tmp_path):
+        rows = [(0, 0.1, "poisson-baseline"), (np.int64(2), np.float64(1.0) / 3, "constant")]
+        _write_csv(tmp_path / "a.csv", "i,x,benchmark", rows)
+        assert (tmp_path / "a.csv").read_text() == "i,x,benchmark\n0,0.1,poisson-baseline\n2,0.333333333333,constant\n"
+        _write_csv(tmp_path / "b.csv", "i,x", iter(()))
+        assert (tmp_path / "b.csv").read_text() == "i,x\n"
 
     def test_written_bytes_pinned(self, tmp_path):
         # digests of the two files: the .f64 as written before save_field hashed the
@@ -358,14 +377,28 @@ class TestCli:
         assert "unrecognized arguments: --mc-paths" in capsys.readouterr().err
 
     def test_coarse_off_the_coarse_lattice_exit_2(self, monkeypatch, capsys):
-        # 216 - 28 = 188 intensity units: whole steps at d_lambda = 1, not at 3
+        # 216 - 28 = 188 intensity units: whole steps at d_lambda = 1, not at the preset's 9
+        step = COARSE_PRESET["d_lambda"]
+        assert 188 % step != 0
         for key in ("GRID__LAMBDA_MIN", "HAWKES__LAMBDA0", "HAWKES__ALPHA"):
             monkeypatch.setenv(f"CYBERINVEST_{key}", "28")
         assert main(["validate", "--config", str(STANDARD)]) == 0
         capsys.readouterr()
         assert main(["validate", "--config", str(STANDARD), "--coarse"]) == 2
         err = capsys.readouterr().err
-        assert "[grid] lambda_min=28..lambda_max=216" in err and "d_lambda=3" in err
+        assert "[grid] lambda_min=28..lambda_max=216" in err and f"d_lambda={step:g}" in err
+
+    @pytest.mark.parametrize("d_lambda, warned", [("3", False), ("10", True)])
+    def test_solve_warns_when_d_lambda_exceeds_beta(self, tmp_path, monkeypatch, capsys, d_lambda, warned):
+        # beta = 9: at d_lambda = 10 the jump lands inside the first intensity cell, and solve says so once
+        monkeypatch.setenv("CYBERINVEST_GRID__D_LAMBDA", d_lambda)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", self.write_tiny(tmp_path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        quality = json.loads((out / "quality.json").read_text())
+        assert quality["jump_cells"] == 9.0 / float(d_lambda)
+        assert captured.err.count("warning: d_lambda=10 exceeds beta=9") == warned
+        assert f"inflow nodes at h_max=10: {quality['inflow_h_max']['nodes']} of " in captured.out
 
     @pytest.mark.parametrize(
         "text, diagnostic",
@@ -766,7 +799,7 @@ class TestReproduceScript:
             assert lines[0] == head and len(lines) == 1 + n_rows, name
 
     def test_stops_with_the_cli_exit_code(self, tmp_path):
-        # 217 - 27 = 190 intensity units are not a whole number of the coarse preset's d_lambda = 3
+        # 217 - 27 = 190 intensity units are not a whole number of the coarse preset's d_lambda = 9
         proc = self.run(tmp_path / "tables", GRID__LAMBDA_MAX="217")
         assert proc.returncode == 2
         assert "lambda_max=217" in proc.stderr and "is not a whole number of the coarse preset's steps" in proc.stderr

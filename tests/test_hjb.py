@@ -20,6 +20,7 @@ from cyberinvest import (
     hjb_residual,
     query,
     solve,
+    solve_poisson,
 )
 from conftest import radau_values
 from cyberinvest import hjb
@@ -220,12 +221,14 @@ class TestAssembleRhs:
     @pytest.mark.parametrize(
         "n, d_lambda, beta, off_lattice",
         [
-            (12, 3.0, 9.0, False),  # the coarse preset's whole-node shift
+            (12, 9.0, 9.0, False),  # the coarse preset's one-node shift
+            (12, 3.0, 9.0, False),  # a three-node shift
             (5, 1.0, 9.0, False),  # every target past the last node
             (12, 2.0, 9.0, True),  # half a node off the lattice
             (12, 0.75, 1.0, True),
             (1, 3.0, 0.0, False),  # the Poisson solve's single node
-            (12, 3.0, 8.0, True),  # the coarse preset at beta = 8
+            (12, 3.0, 8.0, True),
+            (12, 9.0, 8.0, True),  # the coarse preset at beta = 8: d_lambda > beta
             (12, 10.0, 9.0, True),  # d_lambda > beta: a fraction of one node
             (60, 0.3, 9.0, False),  # 9 / 0.3 = 30.000000000000004, rounded onto the lattice
         ],
@@ -292,7 +295,7 @@ def random_tridiagonal(rng, n):
 
 
 class TestGtsvBinding:
-    N = 64 * 51  # the unknowns of one h stage on the coarse grid
+    N = 22 * 101  # the unknowns of one h stage on the coarse grid
 
     def test_matches_scipy_linalg(self):
         # the binding, called as the h stage calls it, against scipy.linalg's own lookup
@@ -432,6 +435,20 @@ class TestSolve:
         assert q["scale"] == max(1.0, float(np.max(np.abs(values))))
         for key, axis in (("monotone_lambda", 1), ("monotone_h", 2)):
             assert repr(q[key]) == repr(full_field_monotonicity(values, axis, q["monotonicity_tolerance"]))
+
+    def test_inflow_nodes_at_h_max_counted(self, small_solution):
+        """The report counts the nodes at h_max, over all snapshots, where z* > rho h_max moves the level
+        up out of the box: most of them on a box that ends at h = 10, none on SMALL's, which ends at 50."""
+        low_box = solve(SolverGrid(27.0, 57.0, 3.0, 0.0, 10.0, 1.0, 1.0, 20), STD_H, STD_M, STD_C)
+        for res, nodes in ((low_box, 201), (small_solution, 0)):
+            top = res.policy.controls[:, :, -1]
+            assert res.quality["inflow_h_max"] == {"nodes": nodes, "of": top.size}
+            assert np.count_nonzero(top > STD_C.rho * res.value.grid.h_max) == nodes
+
+    def test_jump_cells_reported(self, small_solution):
+        # the jump beta = 9 spans three of SMALL's d_lambda = 3 steps; the Poisson benchmark has no jump
+        assert small_solution.quality["jump_cells"] == 3.0
+        assert solve_poisson(SMALL, 27.0, STD_M, STD_C).quality["jump_cells"] == 0.0
 
     def test_worst_decrease_of_a_monotone_field_is_positive_zero(self, small_solution):
         for key in ("monotone_lambda", "monotone_h"):

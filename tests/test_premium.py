@@ -269,7 +269,7 @@ class TestOptimalReport:
 
     @pytest.fixture(scope="class")
     def policy_800(self):
-        """The coarse preset's steps on the standard domain at 800 time steps."""
+        """The 64x51 steps (d_lambda = 3, d_h = 1) on the standard domain at 800 time steps."""
         grid = SolverGrid(27.0, 216.0, 3.0, 0.0, 50.0, 1.0, 1.0, 800)
         return solve(grid, STD_H, STD_M, STD_C).policy
 
