@@ -57,8 +57,21 @@ def _load_config(args) -> RunConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
+def _warn_if_jump_inside_first_cell(cfg: RunConfig) -> None:
+    """One stderr line when d_lambda > beta, the quality report's 0 < jump_cells < 1: the jump
+    lambda -> lambda + beta then lands inside the first intensity cell."""
+    jump_cells = cfg.hawkes.beta / cfg.grid.d_lambda
+    if 0 < jump_cells < 1:
+        print(
+            f"warning: d_lambda={_fmt(cfg.grid.d_lambda)} exceeds beta={_fmt(cfg.hawkes.beta)}, so the jump lands "
+            f"inside the first intensity cell (jump_cells={jump_cells:.4g}); keep d_lambda <= beta",
+            file=sys.stderr,
+        )
+
+
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
+    _warn_if_jump_inside_first_cell(cfg)
     print("configuration OK")
     print(f"  hawkes: {cfg.hawkes}")
     print(f"  breach: {cfg.breach}")
@@ -86,12 +99,7 @@ def cmd_solve(args) -> int:
     print(f"solved {cfg.grid.n_lambda}x{cfg.grid.n_h} grid in {q['wall_time_s']:.1f}s -> {out}")
     print(f"  monotonicity violations: lambda={q['monotone_lambda']['violations']} h={q['monotone_h']['violations']}")
     print(f"  inflow nodes at h_max={_fmt(cfg.grid.h_max)}: {q['inflow_h_max']['nodes']} of {q['inflow_h_max']['of']}")
-    if 0 < q["jump_cells"] < 1:
-        print(
-            f"warning: d_lambda={_fmt(cfg.grid.d_lambda)} exceeds beta={_fmt(cfg.hawkes.beta)}, so the jump lands "
-            f"inside the first intensity cell (jump_cells={q['jump_cells']:.4g}); keep d_lambda <= beta",
-            file=sys.stderr,
-        )
+    _warn_if_jump_inside_first_cell(cfg)
     return 0
 
 

@@ -24,8 +24,9 @@ solved by Newton's method, which on the max(., 0)^2 Hamiltonian is policy
 iteration (Forsyth & Labahn 2007), with one tridiagonal solve (LAPACK gtsv on
 the Jacobian's three diagonals) for all lambda columns per iteration, usually
 one per step: Newton starts from the last step's correction and stops on its residual.
-gtsv is bound from scipy's compiled LAPACK extension on a solve's first use
-(_gtsv), so the package never imports scipy.linalg.
+A state's F_h, from that residual, is carried into the next step, and Newton works
+in arrays allocated once per solve. gtsv is bound from scipy's compiled LAPACK
+extension on a solve's first use (_gtsv), so the package never imports scipy.linalg.
 
 The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
 stage transposes it. Stored fields add a leading snapshot axis.
@@ -371,9 +372,11 @@ class _DouglasADI:
         Y0 = W + dt (A_lambda W + F_h(W) + r)
         Y1 = (I - c A_lambda)^{-1} (Y0 - c A_lambda W)
         Y2 - c F_h(Y2) = Y1 - c F_h(W)   (Newton)
-    step takes W with its gradient D_h W and excess max(D_h W - delta, 0) and
-    returns Y2 with both of its own, so each is computed once per state and
-    the stored control reuses it. The Jacobian of F_h is diag(excess / gamma - rho h) D_h:
+    step takes W with F_h(W) and returns Y2 with F_h(Y2), from Newton's last residual, and
+    leaves the excess max(D_h Y2 - delta, 0) in self.excess for the stored control. These
+    are work arrays, allocated once, in which Newton allocates nothing; the next step
+    overwrites them, and may take the returned pair as its (W, F_h(W)).
+    The Jacobian of F_h is diag(excess / gamma - rho h) D_h:
     transport at the level's velocity. Newton starts from Y1 plus the last step's Y2 - Y1 and
     stops once the residual's max-norm is within _NEWTON_RTOL of max(1, max |Y|); a
     SolverError reports that norm as update_norm (the Jacobian is close to I).
@@ -392,7 +395,29 @@ class _DouglasADI:
         self._stack_tiles = {}  # number of stacked states -> D_h tiles over all their rows
         self.nfev = 0
         self.newton = []
-        self._correction = 0.0  # the last step's h-stage correction Y2 - Y1, where Newton starts the next
+        # flat work arrays: residual and iterate (whose absolute values go to the next two rows, so one
+        # reduction gives both max-norms), scratch, the iterate's gradient, excess and F_h, and the last
+        # step's Y2 - Y1, where Newton starts the next
+        work = np.zeros((7, op.reward.size))
+        self._resid, self._y, self._scratch, self._grad, self._excess, self._f_h, self._correction = work
+        self._norms = work[:2], work[2:4], np.empty(2)
+        self.y, self.excess, self.f_h = (a.reshape(op.shape) for a in (self._y, self._excess, self._f_h))
+        rows = np.empty_like(op.tiles)
+        # h_jacobian's (rows before the velocity, diagonal) pairs: sub, main, super
+        self._jacobian = (
+            (self._tiles[0, 1:], rows[0, 1:]),
+            (self._tiles[1], rows[1]),
+            (self._tiles[2, :-1], rows[2, :-1]),
+        )
+        self._ch = np.tile(op.ch, op.shape[0])  # rho h at every node
+        # _along_h's operands: each tile row, the iterate slice it multiplies and, when shifted, the
+        # scratch and gradient slices of the product
+        y, grad, scratch, tiles = self._y, self._grad, self._scratch, op.tiles
+        self._d_h = (
+            (tiles[1], y),
+            (tiles[0, 1:], y[:-1], scratch[1:], grad[1:]),
+            (tiles[2, :-1], y[1:], scratch[:-1], grad[:-1]),
+        )
 
     @functools.cached_property
     def jump_coupling(self) -> np.ndarray:
@@ -403,13 +428,32 @@ class _DouglasADI:
         """I - c diag(velocity) D_h as gtsv's (sub, main, super) diagonals, h fastest: the h stage's
         Jacobian for transport at the level velocity z - rho h (z = excess / gamma in step, the frozen
         rate in frozen_step). The entries that would couple the last h node of one column to the
-        first node of the next are zero, so one solve handles all columns."""
-        rows = self._tiles * velocity.reshape(-1)
-        rows[1] += 1.0
-        return rows[0, 1:], rows[1], rows[2, :-1]
+        first node of the next are zero, so one solve handles all columns. Each call rebuilds them
+        in one work array."""
+        v = velocity.reshape(-1)
+        (lower_tiles, lower), (main_tiles, main), (upper_tiles, upper) = self._jacobian
+        # row by row: one broadcast product allocates a temporary of the three rows
+        np.multiply(lower_tiles, v[1:], out=lower)
+        np.add(np.multiply(main_tiles, v, out=main), 1.0, out=main)
+        np.multiply(upper_tiles, v[:-1], out=upper)
+        return lower, main, upper
 
-    def step(self, w: np.ndarray, grad: np.ndarray, excess: np.ndarray, dt: float, t: float) -> tuple:
-        op, c = self.op, self.c
+    def _evaluate(self) -> None:
+        """The iterate's gradient, excess and F_h into their work arrays, by op.gradient's,
+        op.excess's and op.h_part's operations."""
+        grad, excess, f_h, scratch = self._grad, self._excess, self._f_h, self._scratch
+        (mid, y), (lo, y_lo, tmp_hi, grad_hi), (hi, y_hi, tmp_lo, grad_lo) = self._d_h
+        np.multiply(mid, y, out=grad)
+        np.add(grad_hi, np.multiply(lo, y_lo, out=tmp_hi), out=grad_hi)
+        np.add(grad_lo, np.multiply(hi, y_hi, out=tmp_lo), out=grad_lo)
+        np.maximum(np.subtract(grad, self.op.delta, out=excess), 0.0, out=excess)
+        np.multiply(np.multiply(excess, excess, out=f_h), 0.5 / self.op.gamma, out=f_h)
+        np.subtract(f_h, np.multiply(self._ch, grad, out=scratch), out=f_h)
+
+    def step(self, w: np.ndarray, f_h: np.ndarray, dt: float, t: float) -> tuple:
+        """(Y2, F_h(Y2)) from W and f_h = F_h(W), as work arrays (see the class docstring)."""
+        op, c, y, resid, scratch = self.op, self.c, self._y, self._resid, self._scratch
+        pair, magnitudes, maxima = self._norms
         norm = math.nan
 
         def failure(what: str) -> SolverError:
@@ -419,32 +463,38 @@ class _DouglasADI:
                 {"step": step, "t": t, "update_norm": norm},
             )
 
-        f_lam, f_h = op.a_lam @ w, op.h_part(grad, excess)
+        # in place, the arithmetic of w + dt (f_lam + f_h + r) - c f_lam, then of y1 - c f_h
+        f_lam = op.a_lam @ w
         self.nfev += 1
-        y = w + dt * (f_lam + f_h + op.reward) - c * f_lam
-        if not np.isfinite(y).all():
+        explicit = f_lam + f_h
+        explicit += op.reward
+        explicit *= dt
+        explicit += w
+        f_lam *= c
+        explicit -= f_lam
+        if not np.isfinite(explicit).all():
             raise failure("non-finite explicit stage")
-        y1 = self.inverse @ y
-        target, y = y1 - c * f_h, y1 + self._correction
+        y1 = np.matmul(self.inverse, explicit, out=f_lam).reshape(-1)
+        target = np.subtract(y1, np.multiply(f_h.reshape(-1), c, out=scratch), out=explicit.reshape(-1))
+        np.add(y1, self._correction, out=y)
         for it in range(_NEWTON_MAX_ITER + 1):  # it tridiagonal solves so far
-            grad = op.gradient(y)
-            excess = op.excess(grad)
-            resid = y - c * op.h_part(grad, excess) - target
-            norm = float(np.abs(resid).max())  # nan or inf if any entry is
-            if not math.isfinite(norm):
+            self._evaluate()
+            np.subtract(np.subtract(y, np.multiply(self._f_h, c, out=resid), out=resid), target, out=resid)
+            norm, size = np.maximum.reduce(np.abs(pair, out=magnitudes), axis=1, out=maxima).tolist()
+            if not math.isfinite(norm):  # nan or inf if any entry is
                 raise failure("non-finite h stage")
-            if norm <= _NEWTON_RTOL * max(1.0, float(y.max()), -float(y.min())):
+            if norm <= _NEWTON_RTOL * max(1.0, size):  # size = max |Y|, finite as the residual is
                 self.newton.append(it)
-                self._correction = y - y1
-                return y, grad, excess
+                np.subtract(y, y1, out=self._correction)
+                return self.y, self.f_h
             if it == _NEWTON_MAX_ITER:
                 break
-            # every argument is a fresh array, so gtsv may overwrite them all
-            velocity = excess / op.gamma - op.ch
-            *_, dy, info = _gtsv()(*self.h_jacobian(velocity), resid.reshape(-1), True, True, True, True)
+            velocity = np.subtract(np.divide(self._excess, op.gamma, out=scratch), self._ch, out=scratch)
+            # gtsv may overwrite the diagonals and the residual: both are rebuilt before each solve
+            *_, dy, info = _gtsv()(*self.h_jacobian(velocity), resid, True, True, True, True)
             if info != 0:
                 raise failure(f"singular h-stage Jacobian (gtsv info {info})")
-            y -= dy.reshape(y.shape)
+            y -= dy
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
     def frozen_step(self, x: np.ndarray, velocity: np.ndarray, source: np.ndarray, dt: float, coupling=None) -> np.ndarray:
@@ -476,7 +526,7 @@ class _DouglasADI:
             y1[1] += self.jump_coupling @ y[0]
         f_h *= c
         y1 -= f_h
-        # the diagonals and the right-hand sides are fresh arrays, so gtsv may overwrite them all
+        # h_jacobian rebuilds the diagonals and the right-hand sides are fresh, so gtsv may overwrite them all
         *_, y2, info = _gtsv()(*self.h_jacobian(velocity), y1.reshape(len(x), -1).T, True, True, True, True)
         if info != 0:
             raise SolverError(f"singular frozen-policy h stage (gtsv info {info})", {"gtsv_info": int(info)})
@@ -520,8 +570,9 @@ def solve(
     snaps = grid.t_snapshots
     steps = _schedule(snaps)
     nl, nh = grid.n_lambda, grid.n_h
-    # the stored nodes, A_lambda, the one factor's inverse and its three Jacobian tiles
-    n_nodes = snaps.size * nl * nh + 2 * nl * nl + 3 * nl * nh
+    # the stored nodes, A_lambda, the one factor's inverse, and in states: the D_h tiles, h_jacobian's
+    # and the Jacobian's rows (3 each), the step's seven work arrays and rho h
+    n_nodes = snaps.size * nl * nh + 2 * nl * nl + 17 * nl * nh
     if n_nodes > _MAX_NODES:
         raise SolverError(
             f"{n_nodes} stored nodes and operator entries exceed the in-memory limit {_MAX_NODES}; "
@@ -533,13 +584,15 @@ def solve(
     w = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).copy()
     grad = op.gradient(w)
     excess = op.excess(grad)
+    f_h = op.h_part(grad, excess)
     values[0], controls[0] = w, excess / op.gamma
     adi = _DouglasADI(op, _THETA * grid.d_t)
     _gtsv()  # bound before the clock starts, so wall_time_s counts the steps alone
     t0 = time.perf_counter()
     for k, dt, t in steps:
-        w, grad, excess = adi.step(w, grad, excess, dt, t)
-        values[k], controls[k] = w, excess / op.gamma
+        w, f_h = adi.step(w, f_h, dt, t)
+        values[k] = w
+        np.divide(adi.excess, op.gamma, out=controls[k])
     wall = time.perf_counter() - t0
     diagnostics = {
         "method": "douglas-adi",
@@ -550,6 +603,7 @@ def solve(
         "newton_mean": float(np.mean(adi.newton)),
         "newton_max": int(max(adi.newton)),
     }
+    del adi, w, f_h  # the work arrays, before the quality report's temporaries
 
     meta = FieldMeta(hawkes, model, costs)
     vf = ValueField(grid, values, meta)

@@ -400,6 +400,16 @@ class TestCli:
         assert captured.err.count("warning: d_lambda=10 exceeds beta=9") == warned
         assert f"inflow nodes at h_max=10: {quality['inflow_h_max']['nodes']} of " in captured.out
 
+    @pytest.mark.parametrize("beta, warned", [("9", 0), ("8", 1)])
+    def test_validate_warns_like_solve_when_d_lambda_exceeds_beta(self, monkeypatch, capsys, beta, warned):
+        # the coarse preset's d_lambda = 9 is past beta = 8: validate prints solve's one warning and exits 0
+        monkeypatch.setenv("CYBERINVEST_HAWKES__BETA", beta)
+        assert main(["validate", "--config", str(STANDARD), "--coarse"]) == 0
+        captured = capsys.readouterr()
+        assert "configuration OK" in captured.out
+        assert captured.err.count("warning: d_lambda=9 exceeds beta=8, so the jump lands inside the first") == warned
+        assert captured.err.count("warning:") == warned
+
     @pytest.mark.parametrize(
         "text, diagnostic",
         [

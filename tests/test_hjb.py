@@ -338,14 +338,14 @@ class TestDouglasStep:
         adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
         w = ref = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
         grad = op.gradient(w)
-        excess, correction = op.excess(grad), 0.0
+        f_h, correction = op.h_part(grad, op.excess(grad)), 0.0
         dt = SMALL.d_t
         # the Rannacher half steps, then Douglas steps
         for theta, step in [(1.0, 0.5 * dt)] * 4 + [(_THETA, dt)] * 4:
-            w, grad, excess = adi.step(w, grad, excess, step, 1.0)
+            w, f_h = adi.step(w, f_h, step, 1.0)
             ref, iterations, correction = banded_reference_step(op, matrices, ref, step, theta, correction)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.max(np.abs(excess / op.gamma - reference_policy(op, matrices[2], ref))) <= 1e-9
+            assert np.max(np.abs(adi.excess / op.gamma - reference_policy(op, matrices[2], ref))) <= 1e-9
             assert adi.newton[-1] == iterations
 
     def test_frozen_step_matches_sparse_reference(self, small_solution):
@@ -385,23 +385,64 @@ class TestDouglasStep:
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_accepted_states_meet_the_residual_bound(self):
-        # every state a step returns solves its h stage to _NEWTON_RTOL of max(1, max |Y2|),
-        # and comes with its own gradient and excess
+        # every state a step returns solves its h stage to _NEWTON_RTOL of max(1, max |Y2|), with
+        # F_h taken from the reference formulas at W and at Y2
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
         c = adi.c
         w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
-        grad = op.gradient(w)
-        excess = op.excess(grad)
         for _, dt, t in hjb._schedule(SMALL.t_snapshots):
-            f_lam, f_h = op.a_lam @ w, op.h_part(grad, excess)
+            grad = op.gradient(w)
+            f_lam, f_h = op.a_lam @ w, op.h_part(grad, op.excess(grad))
             y1 = adi.inverse @ (w + dt * (f_lam + f_h + op.reward) - c * f_lam)
-            w, grad, excess = adi.step(w, grad, excess, dt, t)
-            np.testing.assert_array_equal(grad, op.gradient(w))
-            np.testing.assert_array_equal(excess, op.excess(grad))
-            resid = w - c * op.h_part(grad, excess) - (y1 - c * f_h)
+            w = adi.step(w, f_h, dt, t)[0].copy()
+            grad = op.gradient(w)
+            resid = w - c * op.h_part(grad, op.excess(grad)) - (y1 - c * f_h)
             assert np.max(np.abs(resid)) <= hjb._NEWTON_RTOL * max(1.0, np.max(np.abs(w)))
         assert len(adi.newton) == SMALL.t_snapshots.size - 1 + hjb._RANNACHER_INTERVALS
+
+    def test_a_step_leaves_the_exact_f_h_and_excess_of_its_state(self):
+        # the F_h a step returns, which the next step takes as F_h(W), and the excess it leaves, which
+        # solve stores as the control, are bit for bit the reference formulas at Y2, also after steps
+        # that take two tridiagonal solves; the next step overwrites them
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
+        adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
+        w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
+        grad = op.gradient(w)
+        f_h = op.h_part(grad, op.excess(grad))
+        for _, dt, t in hjb._schedule(SMALL.t_snapshots):
+            w, f_h = adi.step(w, f_h, dt, t)
+            assert w is adi.y and f_h is adi.f_h
+            grad = op.gradient(w)
+            np.testing.assert_array_equal(adi.excess, op.excess(grad))
+            np.testing.assert_array_equal(f_h, op.h_part(grad, op.excess(grad)))
+        assert 2 in adi.newton
+
+    @pytest.mark.parametrize("rtol", [hjb._NEWTON_RTOL, 1e-14])
+    def test_step_loop_allocates_two_states_whatever_the_newton_count(self, monkeypatch, rtol):
+        # beyond the fields and the work arrays, which solve allocates before its clock starts, a step
+        # allocates A_lambda W (reused for Y1), its explicit stage (reused for the Newton target) and the
+        # stage's finiteness mask: 2.125 states and 4 KB of Python objects, read between the clock's two
+        # calls, at 104 tridiagonal solves on SMALL or, under a tighter tolerance, 122
+        monkeypatch.setattr(hjb, "_NEWTON_RTOL", rtol)
+        marks = []
+
+        def clock():
+            if not marks:
+                tracemalloc.reset_peak()
+            marks.append(tracemalloc.get_traced_memory())
+            return 0.0
+
+        monkeypatch.setattr(hjb, "time", types.SimpleNamespace(perf_counter=clock))
+        hjb._gtsv()
+        tracemalloc.start()
+        try:
+            njev = solve(SMALL, STD_H, STD_M, STD_C).quality["integrator"]["njev"]
+        finally:
+            tracemalloc.stop()
+        (start, _), (_, peak) = marks
+        assert njev == {hjb._NEWTON_RTOL: 104, 1e-14: 122}[rtol]
+        assert peak - start <= 2.125 * SMALL.n_lambda * SMALL.n_h * 8 + 4096
 
     def test_singular_h_stage_raises(self, monkeypatch):
         jacobian = hjb._DouglasADI.h_jacobian
@@ -476,12 +517,14 @@ class TestSolve:
             tracemalloc.stop()
         assert peak <= result.value.values.nbytes + result.policy.controls.nbytes + 2**20
 
-    def test_policy_consistency_identity(self, small_solution):
-        # stored controls equal ((discrete dV/dh - delta)^+)/gamma node for node
-        op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
-        for k in (0, 10, 25, 50):
-            expected = op.policy(small_solution.value.values[k])
-            np.testing.assert_array_equal(small_solution.policy.controls[k], expected)
+    def test_policy_consistency_identity(self, small_solution, coarse_solution):
+        # stored controls equal ((discrete dV/dh - delta)^+)/gamma node for node, at every snapshot of
+        # SMALL and of the coarse preset: solve writes each from the excess its step leaves
+        for res in (small_solution, coarse_solution):
+            meta = res.value.meta
+            op = _PideOperator(res.value.grid, meta.hawkes, meta.model, meta.costs)
+            for values, controls in zip(res.value.values, res.policy.controls):
+                np.testing.assert_array_equal(controls, op.policy(values))
 
     def test_controls_nonnegative(self, small_solution):
         assert np.all(small_solution.policy.controls >= 0.0)
