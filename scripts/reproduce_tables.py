@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate every headline table: run the CLI commands in order into one directory.
 
-validate, moments (to moments.csv), static-gl, solve,
-solve-poisson for both modes, gain against the best constant rate and both
-Poisson benchmarks, and premium, on configs/standard.cfg with any
-CYBERINVEST_* overrides. Stops at the first failing command and returns its
-exit code. --full uses the fine grid of configs/standard.cfg instead of the
---coarse preset.
+validate, moments (to moments.csv), static-gl, solve, gain against the best
+constant rate and against both Poisson benchmarks (each solved by its gain
+command), and premium, on configs/standard.cfg with any CYBERINVEST_*
+overrides. Stops at the first failing command and returns its exit code.
+--full uses the fine grid of configs/standard.cfg instead of the --coarse
+preset.
 
 Usage:
     python scripts/reproduce_tables.py [--out OUT] [--seed S] [--full]
@@ -35,13 +35,11 @@ def main() -> int:
     common = ["--config", str(ROOT / "configs" / "standard.cfg"), "--out", str(out), "--seed", str(args.seed)]
     if not args.full:
         common.append("--coarse")
-    modes = ("baseline", "expectation")
     gain = ["gain", "--value-field", str(out / "value")]
-    steps = [["static-gl"], ["solve"], *(["solve-poisson", "--mode", m] for m in modes), gain]
+    steps = [["static-gl"], ["solve"], gain]
     steps += [
-        gain + ["--benchmark", f"poisson-{m}", "--poisson-field", str(out / f"poisson_{m}"),
-                "--lambdas", "27,45,63,81,99,117,135", "--hs", "0"]
-        for m in modes
+        gain + ["--benchmark", f"poisson-{m}", "--lambdas", "27,45,63,81,99,117,135", "--hs", "0"]
+        for m in ("baseline", "expectation")
     ]
     steps.append(["premium", "--policy-field", str(out / "policy")])
 

@@ -23,7 +23,7 @@ from .dynamics import (
     simulate_losses,
 )
 from .errors import ConfigError, GainUndefinedError, PolicyError, SolverError, StabilityError
-from .fields_io import load_field, load_poisson, save_field, save_poisson, write_field_csv
+from .fields_io import load_field, save_field, write_field_csv
 from .hawkes import (
     AttackPath,
     HawkesParams,

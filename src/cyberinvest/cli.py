@@ -16,7 +16,7 @@ from pathlib import Path
 from .breach import enbis, static_optimum
 from .config import RunConfig, validate
 from .errors import ConfigError, SolverError
-from .fields_io import _write_csv, load_field, load_poisson, save_field, save_poisson, write_field_csv
+from .fields_io import _write_csv, load_field, save_field, write_field_csv
 from .hawkes import (
     count_variance,
     expected_count,
@@ -103,22 +103,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_solve_poisson(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    if args.mode == "baseline":
-        lam_p = lambda_baseline(cfg.hawkes)
-    else:
-        lam_p = lambda_expectation_matched(cfg.hawkes, cfg.costs.horizon)
-    field = solve_poisson(cfg.grid, lam_p, cfg.breach, cfg.costs, cfg.options)
-    save_poisson(field, out / f"poisson_{args.mode}")
-    (out / f"poisson_{args.mode}_quality.json").write_text(
-        json.dumps(field.quality, sort_keys=True, indent=2) + "\n"
-    )
-    print(f"solved constant-intensity benchmark mode={args.mode} lambda_p={_fmt(lam_p)} -> {out}")
-    return 0
-
-
 def cmd_trace(args) -> int:
     cfg = _load_config(args)
     if args.n_paths < 0:
@@ -158,10 +142,18 @@ def cmd_gain(args) -> int:
     value = load_field(args.value_field)
     if not isinstance(value, ValueField):
         raise ConfigError([f"{args.value_field} is not a value field"])
+    # one diagnostic per part of the model that differs, before any benchmark is solved
+    _check_field_inputs(value.meta, cfg.hawkes, cfg.breach, cfg.costs)
     t = args.t
-    poisson = load_poisson(args.poisson_field) if args.poisson_field else None
-    if args.benchmark != "constant" and poisson is None:
-        raise ConfigError(["--poisson-field is required for the poisson benchmarks"])
+    if args.benchmark != "constant":  # a constant-intensity benchmark: a one-node value solve
+        mode = args.benchmark.removeprefix("poisson-")
+        if mode == "baseline":
+            lam_p = lambda_baseline(cfg.hawkes)
+        else:
+            lam_p = lambda_expectation_matched(cfg.hawkes, cfg.costs.horizon)
+        poisson = solve_poisson(cfg.grid, lam_p, cfg.breach, cfg.costs)
+        (out / f"poisson_{mode}_quality.json").write_text(json.dumps(poisson.quality, sort_keys=True, indent=2) + "\n")
+        print(f"solved constant-intensity benchmark mode={mode} lambda_p={_fmt(lam_p)}")
     rows = []
     for lam in lams:
         for h in hs:
@@ -170,8 +162,6 @@ def cmd_gain(args) -> int:
                     g = gain_vs_constant(t, lam, h, value, cfg.hawkes, cfg.breach, cfg.costs)
                 else:
                     g = gain_vs_poisson(t, lam, h, value, poisson, cfg.hawkes, cfg.breach, cfg.costs)
-            except ConfigError:  # a field solved for another model: one diagnostic per part
-                raise
             except ValueError as exc:  # a bad --t/--lambdas/--hs, a state off the field, or an undefined gain
                 raise ConfigError([f"gain at t={t:g}, lambda={lam:g}, h={h:g}: {exc}"]) from exc
             rows.append((t, lam, h, g))
@@ -258,11 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="also export the field as CSV")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("solve-poisson", help="solve a constant-intensity benchmark field")
-    common(p)
-    p.add_argument("--mode", choices=["baseline", "expectation"], default="expectation")
-    p.set_defaults(func=cmd_solve_poisson)
-
     p = sub.add_parser("trace", help="extract the policy along simulated attack paths")
     common(p)
     p.add_argument("--field", required=True, help="prefix of a persisted policy field")
@@ -275,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--value-field", required=True, help="prefix of a persisted value field")
     p.add_argument("--benchmark", choices=["constant", "poisson-baseline", "poisson-expectation"], default="constant")
-    p.add_argument("--poisson-field", default=None, help="prefix of a persisted benchmark field pair")
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--lambdas", default="27")
     p.add_argument("--hs", default="0.5,1,2,5,10,20")

@@ -4,6 +4,8 @@ A field is stored as `<prefix>.json` (kind, grid, model parameters, sha256
 checksum, all as plain values) and `<prefix>.f64` (dense 64-bit floats,
 row-major in (snapshot, lambda, h) order, of the grid's shape). Nothing the
 grid fixes is stored beside it. Identical solves produce byte-identical files.
+The constant-intensity benchmarks are not stored: `gain` solves each where it
+values it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .breach import BreachModel
 from .dynamics import CostParams
 from .hawkes import HawkesParams
 from .hjb import FieldMeta, PolicyField, SolverGrid, ValueField
-from .poisson import PoissonField
 
-__all__ = ["save_field", "load_field", "save_poisson", "load_poisson", "write_field_csv"]
+__all__ = ["save_field", "load_field", "write_field_csv"]
 
 FORMAT_VERSION = 2  # 1 stored the snapshot times, the data's shape, dtype and order
 
@@ -122,30 +123,6 @@ def load_field(prefix: Union[str, Path]):
     if hashlib.sha256(data).hexdigest() != checksum:
         raise OSError(f"checksum mismatch for {bin_path}: file is corrupt or stale")
     return _KINDS[kind](grid, data, fmeta)
-
-
-def save_poisson(field: PoissonField, prefix: Union[str, Path]) -> None:
-    """Write the value/policy pair of a constant-intensity benchmark field."""
-    prefix = Path(prefix)
-    save_field(field.value, prefix.parent / (prefix.name + "_value"))
-    save_field(field.policy, prefix.parent / (prefix.name + "_policy"))
-
-
-def load_poisson(prefix: Union[str, Path]) -> PoissonField:
-    """Load the pair written by save_poisson: a value and a policy field on the same one-node
-    intensity axis, solved for the same model."""
-    prefix = Path(prefix)
-    value = load_field(prefix.parent / (prefix.name + "_value"))
-    policy = load_field(prefix.parent / (prefix.name + "_policy"))
-    if not (isinstance(value, ValueField) and isinstance(policy, PolicyField)):
-        raise OSError(f"{prefix}: _value and _policy must hold a value and a policy field")
-    if value.grid.n_lambda != 1:
-        raise OSError(f"{prefix} does not hold a constant-intensity benchmark field")
-    if value.grid != policy.grid:
-        raise OSError(f"{prefix}: _value and _policy lie on different grids")
-    if value.meta != policy.meta:
-        raise OSError(f"{prefix}: _value and _policy were solved for different models")
-    return PoissonField(value, policy, quality={})
 
 
 def _write_csv(path: Union[str, Path], header: str, rows) -> None:

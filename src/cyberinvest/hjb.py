@@ -500,17 +500,18 @@ class _DouglasADI:
     def frozen_step(self, x: np.ndarray, velocity: np.ndarray, source: np.ndarray, dt: float, coupling=None) -> np.ndarray:
         """A Douglas step of the linear dX/dtau = L X + velocity D_h X + source for a stack X of
         (n_lambda, n_h) states along the first axis, the level velocity z - rho h frozen over the step.
-        L is A_lambda on each state; given the h profile p = coupling, it also adds C (X[0] p) to the
-        second, C = diag(lambda) J. Then I - c L is block lower triangular, and since p acts along h it
-        commutes with M^{-1}, M = I - c A_lambda: the lambda stage is M^{-1} on each state plus
-        K (Y[0] p) on the second, K = c M^{-1} C M^{-1}. Every state's h stage has the Jacobian
-        h_jacobian(velocity), so (I - c F_h) Y2 = Y1 - c F_h X is one gtsv call with one
-        right-hand side per state, the columns of a Fortran-ordered view of the stack."""
+        L is A_lambda on each state; given the h profile p = coupling (or its tile over the lambda rows),
+        it also adds C (X[0] p) to the second, C = diag(lambda) J. Then I - c L is block lower
+        triangular, and since p acts along h it commutes with M^{-1}, M = I - c A_lambda: the lambda
+        stage is M^{-1} on each state plus K (Y[0] p) on the second, K = c M^{-1} C M^{-1}. Every
+        state's h stage has the Jacobian h_jacobian(velocity), so (I - c F_h) Y2 = Y1 - c F_h X is one
+        gtsv call with one right-hand side per state, the columns of a Fortran-ordered view of the stack."""
         op, c = self.op, self.c
         if len(x) not in self._stack_tiles:
             self._stack_tiles[len(x)] = np.tile(op.tiles, len(x))
         f_lam, f_h = op.a_lam @ x, _along_h(self._stack_tiles[len(x)], x)
-        f_h *= velocity
+        for state in f_h:  # state by state: numpy's broadcast product allocates a temporary of its result
+            state *= velocity
         if coupling is not None:
             f_lam[1] += op.jump_rate @ (x[0] * coupling)
         # in place, the arithmetic of x + dt (f_lam + f_h + source) - c f_lam and then y1 - c f_h
@@ -520,10 +521,10 @@ class _DouglasADI:
         y += x
         f_lam *= c
         y -= f_lam
-        y1 = self.inverse @ y
+        y1 = np.matmul(self.inverse, y, out=f_lam)  # into f_lam, which is spent
         if coupling is not None:
             y[0] *= coupling
-            y1[1] += self.jump_coupling @ y[0]
+            y1[1] += np.matmul(self.jump_coupling, y[0], out=y[1])  # into y[1], which is spent
         f_h *= c
         y1 -= f_h
         # h_jacobian rebuilds the diagonals and the right-hand sides are fresh, so gtsv may overwrite them all
@@ -629,7 +630,8 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
     grid, meta = policy.grid, policy.meta
     op = _PideOperator(grid, meta.hawkes, meta.model, meta.costs)
     adi = _DouglasADI(op, _THETA * grid.d_t)
-    p = breach_prob(meta.model, grid.hs)
+    # tiled to a state's shape, so that multiplying a state by it broadcasts nothing
+    p = np.tile(breach_prob(meta.model, grid.hs), (grid.n_lambda, 1))
     source = np.zeros((2,) + op.shape)
     source[0] = grid.lambdas[:, None] * p
     x = np.zeros_like(source)

@@ -4,7 +4,8 @@ With memoryless arrivals the value function loses its intensity argument and
 solves a plain PDE in (t, h). It is solved here as a degenerate configuration
 of the 2-d kernel: a single intensity node, on which the intensity drift
 vanishes and the jump shift is the identity. The one-node axis is what marks
-a constant-intensity field; its node is the intensity.
+a constant-intensity field; its node is the intensity. The field is not
+stored: `cyberinvest gain` solves it from the configuration where it values it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import numpy as np
 
 from .breach import BreachModel
 from .dynamics import CostParams
@@ -30,7 +29,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoissonField:
-    """Solved 1-d benchmark field: V^P(t, h), z^P*(t, h) at constant intensity.
+    """Solved 1-d benchmark field: V^P(t, h), z^P*(t, h) at constant intensity, as
+    value.values[:, 0, :] and policy.controls[:, 0, :].
 
     level_paths holds what strategies.gain_vs_poisson computes once per start
     (t, h): the benchmark's level path, which does not depend on the starting
@@ -50,13 +50,6 @@ class PoissonField:
     def intensity(self) -> float:
         """The constant intensity: the one node of the intensity axis."""
         return float(self.grid.lambda_min)
-
-    def values2d(self) -> np.ndarray:
-        """V^P as (snapshot, h)."""
-        return self.value.values[:, 0, :]
-
-    def controls2d(self) -> np.ndarray:
-        return self.policy.controls[:, 0, :]
 
 
 def lambda_baseline(hawkes: HawkesParams) -> float:

@@ -235,7 +235,7 @@ def test_criterion_07_memoryless_limit_equivalence():
     full = solve(grid, memoryless, STD_M, STD_C)
     flat = solve_poisson(grid, 27.0, STD_M, STD_C)
     row = full.value.values[:, 0, :]
-    ref = flat.values2d()
+    ref = flat.value.values[:, 0, :]
     gap = float(np.max(np.abs(row - ref) / np.maximum(np.abs(ref), 1.0)))
     ok = gap < 0.01
     assert report(7, ok, f"2-d beta=0 vs 1-d constant-intensity: max rel gap {gap:.2e} (< 1%)")

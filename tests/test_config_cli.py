@@ -271,14 +271,14 @@ class TestFieldIO:
             "lambda_min": 27.0, "lambda_max": 27.0, "d_lambda": 9.0,
             "h_min": 0.0, "h_max": 1.0, "d_h": 1.0, "t_snapshots": [1.0, 0.0],
         }
-        for kind in ("value", "policy"):
+        for kind, cls in (("value", ci.ValueField), ("policy", ci.PolicyField)):
             self.write_field_with_options(
                 tmp_path / f"p_{kind}", {}, kind=kind, grid=one_node, shape=[2, 1, 2],
                 dimension="poisson", poisson_intensity=27.0,
             )
-        bench = ci.load_poisson(tmp_path / "p")
-        assert bench.intensity == 27.0 and bench.grid.n_lambda == 1
-        assert bench.value.meta == bench.policy.meta == self.META
+            half = load_field(tmp_path / f"p_{kind}")
+            assert isinstance(half, cls) and half.grid.lambda_min == 27.0 and half.grid.n_lambda == 1
+            assert half.meta == self.META
 
     def test_format_1_grid_is_its_numbers(self, tmp_path):
         # a format-1 file stored its snapshot times; the regular ones give the equal grid
@@ -348,11 +348,9 @@ class TestFieldIO:
 
 @pytest.fixture(scope="module")
 def coarse_tables(tmp_path_factory):
-    """The coarse standard value field and baseline Poisson pair, seed 0."""
+    """The coarse standard value field, seed 0."""
     out = tmp_path_factory.mktemp("coarse")
-    common = ["--config", str(STANDARD), "--coarse", "--out", str(out)]
-    assert main(["solve", *common]) == 0
-    assert main(["solve-poisson", "--mode", "baseline", *common]) == 0
+    assert main(["solve", "--config", str(STANDARD), "--coarse", "--out", str(out)]) == 0
     return out
 
 
@@ -525,9 +523,8 @@ class TestCli:
         cfg = self.write_tiny(tmp_path)
         out = str(tmp_path / "run")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
-        assert main(["solve-poisson", "--config", cfg, "--mode", "baseline", "--out", out]) == 0
         argv = ["gain", "--config", cfg, "--value-field", f"{out}/value", "--benchmark", against]
-        argv += ["--poisson-field", f"{out}/poisson_baseline", f"--hs={hs}", "--out", out]
+        argv += [f"--hs={hs}", "--out", out]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "gain at t=0, lambda=27" in err and "finite" in err
@@ -547,7 +544,7 @@ class TestCli:
         """A state off the coarse field's box [27, 216] x [0, 50] is one
         diagnostic and exit 2, not a gain read at the box's edge."""
         argv = ["gain", "--config", str(STANDARD), "--coarse", "--value-field", f"{coarse_tables}/value"]
-        argv += ["--benchmark", against, "--poisson-field", f"{coarse_tables}/poisson_baseline", *states]
+        argv += ["--benchmark", against, *states]
         out = coarse_tables / against
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a diagnostic, not a warning and a number
@@ -581,23 +578,64 @@ class TestCli:
         assert main(["gain", "--config", str(cfg), "--value-field", f"{out}/value", "--hs", "0", "--out", out]) == 2
         assert "benchmark value 0.0 is not positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("against", ["constant", "poisson-baseline"])
+    @pytest.mark.parametrize("against", ["constant", "poisson-baseline", "poisson-expectation"])
     def test_gain_on_field_of_another_model_exit_2(self, tmp_path, monkeypatch, capsys, against):
         cfg = self.write_tiny(tmp_path)
         out = str(tmp_path / "run")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
-        assert main(["solve-poisson", "--config", cfg, "--mode", "baseline", "--out", out]) == 0
         capsys.readouterr()
+        # the field is checked before a Poisson benchmark is solved
+        monkeypatch.setattr("cyberinvest.cli.solve_poisson", lambda *args: pytest.fail("solved a benchmark"))
         monkeypatch.setenv("CYBERINVEST_HAWKES__BETA", "3")
         monkeypatch.setenv("CYBERINVEST_COSTS__GAMMA", "0.5")
         argv = ["gain", "--config", cfg, "--value-field", f"{out}/value", "--benchmark", against]
-        argv += ["--poisson-field", f"{out}/poisson_baseline", "--hs", "0", "--out", out]
+        argv += ["--hs", "0", "--out", out]
         assert main(argv) == 2
         err = capsys.readouterr().err
         # one diagnostic per part that differs, not one per grid point
         assert err.count("\n  - field solved for ") == 2 and "gain at" not in err and "Traceback" not in err
         assert "HawkesParams(alpha=27.0, lambda0=27.0, xi=15.0, beta=9.0)" in err and "CostParams(gamma=0.05" in err
-        assert not (Path(out) / f"gain_{against}.csv").exists()
+        assert not (Path(out) / f"gain_{against}.csv").exists() and not list(Path(out).glob("poisson_*_quality.json"))
+
+    @pytest.mark.parametrize("mode", ["baseline", "expectation"])
+    def test_poisson_gain_solves_its_benchmark(self, coarse_tables, mode):
+        """gain against a Poisson benchmark solves it from the configuration: the table is
+        gain_vs_poisson on solve_poisson(cfg.grid, ...) as written, and that solve's quality
+        report lies beside it."""
+        out = coarse_tables / f"solved-{mode}"
+        argv = ["gain", "--config", str(STANDARD), "--coarse", "--value-field", f"{coarse_tables}/value"]
+        argv += ["--benchmark", f"poisson-{mode}", "--lambdas", "27,81,135", "--hs", "0,2", "--out", str(out)]
+        assert main(argv) == 0
+        cfg = validate(STANDARD).coarse()
+        hk, bm, costs = cfg.hawkes, cfg.breach, cfg.costs
+        lam_p = ci.lambda_baseline(hk) if mode == "baseline" else ci.lambda_expectation_matched(hk, costs.horizon)
+        bench = ci.solve_poisson(cfg.grid, lam_p, bm, costs)
+        value = load_field(coarse_tables / "value")
+        rows = [
+            "%.12g,%.12g,%.12g,%.12g,poisson-%s" % (0.0, lam, h, ci.gain_vs_poisson(0.0, lam, h, value, bench, hk, bm, costs), mode)
+            for lam in (27.0, 81.0, 135.0)
+            for h in (0.0, 2.0)
+        ]
+        assert (out / f"gain_poisson-{mode}.csv").read_text().splitlines() == ["t,lambda,h,gain_pct,benchmark", *rows]
+        written = json.loads((out / f"poisson_{mode}_quality.json").read_text())
+        expected = json.loads(json.dumps(bench.quality))
+        assert written.pop("wall_time_s") >= 0.0
+        expected.pop("wall_time_s")
+        assert written == expected  # the integrator's counters among them
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve-poisson", "--mode", "baseline"], "invalid choice: 'solve-poisson'"),
+            (["gain", "--value-field", "v", "--benchmark", "poisson-baseline", "--poisson-field", "p"],
+             "unrecognized arguments: --poisson-field p"),
+        ],
+        ids=["solve-poisson", "poisson-field"],
+    )
+    def test_persisted_benchmark_command_and_flag_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
 
     def test_trace_on_field_of_another_model_exit_2(self, tmp_path, monkeypatch, capsys):
         # the paths follow the configured Hawkes process, so the policy must be solved for it
@@ -634,38 +672,6 @@ class TestCli:
         assert err.startswith(f"I/O error: {out / field}.json: metadata does not describe a field: {error}")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "value, policy, message",
-        [
-            ("poisson_baseline_value", "poisson_baseline_value", "must hold a value and a policy field"),
-            ("value", "policy", "does not hold a constant-intensity benchmark field"),
-            ("poisson_baseline_value", "policy", "different grids"),
-            ("poisson_baseline_value", "poisson_expectation_policy", "different grids"),
-            ("poisson_baseline_value", "rho/poisson_baseline_policy", "different models"),
-        ],
-        ids=["policy-is-a-value-field", "hawkes-pair", "hawkes-policy", "other-intensity", "other-costs"],
-    )
-    def test_mismatched_poisson_pair_exit_4(self, tmp_path, monkeypatch, capsys, value, policy, message):
-        cfg = self.write_tiny(tmp_path)
-        out = tmp_path / "run"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        for mode in ("baseline", "expectation"):
-            assert main(["solve-poisson", "--config", cfg, "--mode", mode, "--out", str(out)]) == 0
-        with monkeypatch.context() as env:
-            env.setenv("CYBERINVEST_COSTS__RHO", "0.3")
-            assert main(["solve-poisson", "--config", cfg, "--mode", "baseline", "--out", str(out / "rho")]) == 0
-        pair = tmp_path / "pair"
-        pair.mkdir()
-        for name, half in ((value, "value"), (policy, "policy")):
-            for ext in ("json", "f64"):
-                (pair / f"bench_{half}.{ext}").write_bytes((out / f"{name}.{ext}").read_bytes())
-        capsys.readouterr()
-        argv = ["gain", "--config", cfg, "--value-field", f"{out}/value", "--benchmark", "poisson-baseline"]
-        assert main(argv + ["--poisson-field", str(pair / "bench"), "--hs", "0", "--out", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("I/O error:") and message in err and "Traceback" not in err
-        assert not (out / "gain_poisson-baseline.csv").exists()
-
     def test_moments_output(self, capsys):
         assert main(["moments", "--times", "0,1"]) == 0
         out = capsys.readouterr().out
@@ -682,7 +688,6 @@ class TestCli:
         assert main(["solve", "--config", cfg, "--out", out, "--csv"]) == 0
         for name in ("value.json", "value.f64", "policy.json", "policy.f64", "quality.json", "field.csv"):
             assert (Path(out) / name).exists()
-        assert main(["solve-poisson", "--config", cfg, "--mode", "baseline", "--out", out]) == 0
         assert main(
             ["trace", "--config", cfg, "--field", f"{out}/policy", "--n-paths", "2", "--out", out]
         ) == 0
@@ -700,8 +705,6 @@ class TestCli:
                 f"{out}/value",
                 "--benchmark",
                 "poisson-baseline",
-                "--poisson-field",
-                f"{out}/poisson_baseline",
                 "--hs",
                 "0,2",
                 "--out",
@@ -820,25 +823,18 @@ class TestReproduceScript:
 def test_import_defers_slow_scipy_modules(tmp_path):
     """Importing the package, valuing the static and constant-rate benchmarks
     in the library, and every command that does not solve (validate, moments,
-    static-gl, gain against each benchmark) load no scipy module. The commands
-    that solve, premium on a saved policy (its two loss-surface solves) first
-    and then solve and solve-poisson, bind LAPACK gtsv from scipy's compiled
-    extension and load none of the scipy.linalg package, scipy.optimize,
-    scipy.integrate and scipy.sparse. No stage draws a random number, so none
-    loads numpy.random."""
+    static-gl, gain against the best constant rate) load no scipy module. The
+    commands that solve, premium on a saved policy (its two loss-surface
+    solves) first and then solve and gain against each Poisson benchmark
+    (which solves it), bind LAPACK gtsv from scipy's compiled extension and
+    load none of the scipy.linalg package, scipy.optimize, scipy.integrate and
+    scipy.sparse. No stage draws a random number, so none loads numpy.random."""
     (tmp_path / "tiny.cfg").write_text(TINY)
     common = ["--config", str(tmp_path / "tiny.cfg"), "--out", str(tmp_path)]
-    for argv in (["solve"], *(["solve-poisson", "--mode", m] for m in ("baseline", "expectation"))):
-        assert main(argv + common) == 0  # the saved fields that the commands below read
+    assert main(["solve"] + common) == 0  # the value and policy fields that the commands below read
     gain = ["gain", "--value-field", str(tmp_path / "value"), "--hs", "0,2"]
-    commands = [
-        ["validate"],
-        ["moments"],
-        ["static-gl"],
-        gain,
-        *(gain + ["--benchmark", f"poisson-{m}", "--poisson-field", str(tmp_path / f"poisson_{m}"), "--lambdas", "27,45"]
-          for m in ("baseline", "expectation")),
-    ]
+    commands = [["validate"], ["moments"], ["static-gl"], gain]
+    poisson_gains = [gain + ["--benchmark", f"poisson-{m}", "--lambdas", "27,45"] for m in ("baseline", "expectation")]
     premium = ["premium", "--policy-field", str(tmp_path / "policy")]
     code = f"""
 import sys
@@ -861,7 +857,8 @@ report("no-solve")
 assert main({premium!r} + {common!r}) == 0
 report("premium")
 assert main(["solve", *{common!r}]) == 0
-assert main(["solve-poisson", "--mode", "baseline", *{common!r}]) == 0
+for argv in {poisson_gains!r}:
+    assert main(argv + {common!r}) == 0, argv
 report("solve")
 """
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}

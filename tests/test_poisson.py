@@ -53,28 +53,28 @@ class TestSolvePoisson:
         return solve_poisson(GRID, 27.0, STD_M, STD_C)
 
     def test_terminal_condition(self, field27):
-        np.testing.assert_array_equal(field27.values2d()[0], np.sqrt(GRID.hs))
+        np.testing.assert_array_equal(field27.value.values[0, 0], np.sqrt(GRID.hs))
 
     def test_monotone_and_nonnegative_control(self, field27):
-        v = field27.values2d()
+        v = field27.value.values[:, 0, :]
         assert np.all(np.diff(v, axis=1) >= -1e-6 * np.max(np.abs(v)))
-        assert np.all(field27.controls2d() >= 0.0)
+        assert np.all(field27.policy.controls[:, 0, :] >= 0.0)
 
     def test_zero_problem(self):
         model0 = BreachModel(BreachFamily.CLASS_I, 0.0, 0.1, 1.0)
         costs0 = dataclasses.replace(STD_C, terminal_utility="zero")
         f = solve_poisson(GRID, 27.0, model0, costs0)
-        assert np.max(np.abs(f.values2d())) == 0.0
-        assert np.max(np.abs(f.controls2d())) == 0.0
+        assert np.max(np.abs(f.value.values[:, 0, :])) == 0.0
+        assert np.max(np.abs(f.policy.controls[:, 0, :])) == 0.0
 
     def test_deterministic_resolve(self, field27):
         again = solve_poisson(GRID, 27.0, STD_M, STD_C)
-        np.testing.assert_array_equal(field27.values2d(), again.values2d())
-        np.testing.assert_array_equal(field27.controls2d(), again.controls2d())
+        np.testing.assert_array_equal(field27.value.values[:, 0, :], again.value.values[:, 0, :])
+        np.testing.assert_array_equal(field27.policy.controls[:, 0, :], again.policy.controls[:, 0, :])
 
     def test_reward_monotone_in_intensity(self, field27):
         higher = solve_poisson(GRID, lambda_expectation_matched(STD_H, 1.0), STD_M, STD_C)
-        assert np.all(higher.values2d() >= field27.values2d() - 1e-9)
+        assert np.all(higher.value.values[:, 0, :] >= field27.value.values[:, 0, :] - 1e-9)
 
     def test_matches_memoryless_limit_of_full_solver(self, field27):
         # beta = 0, alpha = lambda0: the lambda0 row of the 2-d solve obeys the
@@ -82,7 +82,7 @@ class TestSolvePoisson:
         memoryless = HawkesParams(27.0, 27.0, 15.0, 0.0)
         res2d = solve(GRID, memoryless, STD_M, STD_C)
         row = res2d.value.values[:, 0, :]
-        ref = field27.values2d()
+        ref = field27.value.values[:, 0, :]
         scale = np.maximum(np.abs(ref), 1.0)
         assert np.max(np.abs(row - ref) / scale) < 0.01
 

@@ -358,6 +358,31 @@ class TestOptimalReport:
         assert len(rhs_shapes) == len(_schedule(grid.t_snapshots)) == 202
         assert set(rhs_shapes) == {(grid.n_lambda * grid.n_h, 2)}
 
+    def test_step_loop_allocates_seven_states(self, small_policy, monkeypatch):
+        # after the first step, which tiles D_h over the pair and forms K, a step holds the frozen
+        # velocity, A_lambda X (reused for Y1), F_h X and the explicit stage (reused for K Y[0]):
+        # 7 states and 4 KB of Python objects on small_policy's grid, read from the second step's
+        # start to the loop's end; broadcast products and fresh matmul results would add 3 states
+        schedule, marks = _schedule, []
+
+        def marked(snaps):
+            first, *rest = schedule(snaps)
+            yield first
+            tracemalloc.reset_peak()
+            marks.append(tracemalloc.get_traced_memory())
+            yield from rest
+
+        monkeypatch.setattr(hjb, "_schedule", marked)
+        tracemalloc.start()
+        try:
+            hjb._loss_surfaces(small_policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (start, _), = marks
+        grid = small_policy.grid
+        assert peak - start <= 7 * grid.n_lambda * grid.n_h * 8 + 4096
+
     def test_coupled_lambda_stage_converges_to_the_theta_weighted_source(self):
         """B against the oracle's scheme, which takes B's coupling
         lambda p(h) (J u) as a source weighted theta between u's states at the
