@@ -25,10 +25,10 @@ from .hawkes import (
     lambda_max_heuristic,
     simulate_path,
 )
-from .hjb import PolicyField, ValueField, _check_field_inputs, solve
+from .hjb import PolicyField, ValueField, _check_field_inputs, query, solve
 from .poisson import lambda_baseline, lambda_expectation_matched, solve_poisson
 from .premium import premium_report_baseline, premium_report_optimal, prevention_gap
-from .strategies import extract_policy, gain_vs_constant, gain_vs_poisson
+from .strategies import _check_state, extract_policy, gain_vs_constant, gain_vs_poisson
 
 FMT = "{:.12g}"
 
@@ -145,7 +145,22 @@ def cmd_gain(args) -> int:
     # one diagnostic per part of the model that differs, before any benchmark is solved
     _check_field_inputs(value.meta, cfg.hawkes, cfg.breach, cfg.costs)
     t = args.t
-    if args.benchmark != "constant":  # a constant-intensity benchmark: a one-node value solve
+
+    def at_states(gain) -> list:
+        rows = []
+        for lam in lams:
+            for h in hs:
+                try:
+                    rows.append((t, lam, h, gain(lam, h)))
+                except ValueError as exc:  # a bad --t/--lambdas/--hs, a state off the field, or an undefined gain
+                    raise ConfigError([f"gain at t={t:g}, lambda={lam:g}, h={h:g}: {exc}"]) from exc
+        return rows
+
+    # every state, as the gains check it, before any benchmark is solved
+    at_states(lambda lam, h: (_check_state(t, lam, h, cfg.costs.horizon), query(value, t, lam, h)))
+    if args.benchmark == "constant":
+        rows = at_states(lambda lam, h: gain_vs_constant(t, lam, h, value, cfg.hawkes, cfg.breach, cfg.costs))
+    else:  # a constant-intensity benchmark: a one-node value solve
         mode = args.benchmark.removeprefix("poisson-")
         if mode == "baseline":
             lam_p = lambda_baseline(cfg.hawkes)
@@ -154,17 +169,7 @@ def cmd_gain(args) -> int:
         poisson = solve_poisson(cfg.grid, lam_p, cfg.breach, cfg.costs)
         (out / f"poisson_{mode}_quality.json").write_text(json.dumps(poisson.quality, sort_keys=True, indent=2) + "\n")
         print(f"solved constant-intensity benchmark mode={mode} lambda_p={_fmt(lam_p)}")
-    rows = []
-    for lam in lams:
-        for h in hs:
-            try:
-                if args.benchmark == "constant":
-                    g = gain_vs_constant(t, lam, h, value, cfg.hawkes, cfg.breach, cfg.costs)
-                else:
-                    g = gain_vs_poisson(t, lam, h, value, poisson, cfg.hawkes, cfg.breach, cfg.costs)
-            except ValueError as exc:  # a bad --t/--lambdas/--hs, a state off the field, or an undefined gain
-                raise ConfigError([f"gain at t={t:g}, lambda={lam:g}, h={h:g}: {exc}"]) from exc
-            rows.append((t, lam, h, g))
+        rows = at_states(lambda lam, h: gain_vs_poisson(t, lam, h, value, poisson, cfg.hawkes, cfg.breach, cfg.costs))
     target = out / f"gain_{args.benchmark}.csv"
     _write_csv(target, "t,lambda,h,gain_pct,benchmark", (row + (args.benchmark,) for row in rows))
     for t_, lam, h, g in rows:

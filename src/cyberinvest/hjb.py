@@ -31,11 +31,12 @@ extension on a solve's first use (_gtsv), so the package never imports scipy.lin
 The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
 stage transposes it. Stored fields add a leading snapshot axis.
 
-The same steps with a stored policy z frozen make the h stage linear, transport
-at the velocity z - rho h with the same Jacobian rule. _loss_surfaces takes them
-for the two moments of the loss under that policy as one coupled solve of the
-stacked pair: the coupling acts along lambda and joins the lambda stage, and
-the h stage of both is one tridiagonal solve with two right-hand sides per step.
+The same steps with the rate held at a stored policy's controls at each step's
+two ends make the h stage linear, transport at the velocity z - rho h, and stay
+second order. _loss_surfaces takes them, each over two snapshot intervals, for the
+two moments of the loss under that policy as one coupled solve of the stacked
+pair: the coupling acts along lambda and joins the lambda stage, and the h stage
+of both is one tridiagonal solve with two right-hand sides per step.
 """
 
 from __future__ import annotations
@@ -381,8 +382,8 @@ class _DouglasADI:
     stops once the residual's max-norm is within _NEWTON_RTOL of max(1, max |Y|); a
     SolverError reports that norm as update_norm (the Jacobian is close to I).
     Every step of _schedule has theta dt = d_t / 2 up to rounding in the snapshot times (the
-    implicit half steps and the Douglas steps alike), so the caller passes c = d_t / 2 and
-    M = I - c A_lambda is inverted once, on construction.
+    implicit half steps and the Douglas steps alike), and of _pair_schedule theta dt = d_t, so the
+    caller passes that c and M = I - c A_lambda is inverted once, on construction.
     Counters: nfev explicit operator evaluations, njev Jacobian builds, one
     per tridiagonal solve, newton the solves of each step.
     """
@@ -426,10 +427,10 @@ class _DouglasADI:
 
     def h_jacobian(self, velocity: np.ndarray) -> tuple:
         """I - c diag(velocity) D_h as gtsv's (sub, main, super) diagonals, h fastest: the h stage's
-        Jacobian for transport at the level velocity z - rho h (z = excess / gamma in step, the frozen
-        rate in frozen_step). The entries that would couple the last h node of one column to the
-        first node of the next are zero, so one solve handles all columns. Each call rebuilds them
-        in one work array."""
+        Jacobian for transport at the level velocity z - rho h (z = excess / gamma in step, the stored
+        rate at the step's end in frozen_step). The entries that would couple the last h node of one
+        column to the first node of the next are zero, so one solve handles all columns. Each call
+        rebuilds them in one work array."""
         v = velocity.reshape(-1)
         (lower_tiles, lower), (main_tiles, main), (upper_tiles, upper) = self._jacobian
         # row by row: one broadcast product allocates a temporary of the three rows
@@ -497,21 +498,24 @@ class _DouglasADI:
             y -= dy
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
-    def frozen_step(self, x: np.ndarray, velocity: np.ndarray, source: np.ndarray, dt: float, coupling=None) -> np.ndarray:
-        """A Douglas step of the linear dX/dtau = L X + velocity D_h X + source for a stack X of
-        (n_lambda, n_h) states along the first axis, the level velocity z - rho h frozen over the step.
-        L is A_lambda on each state; given the h profile p = coupling (or its tile over the lambda rows),
-        it also adds C (X[0] p) to the second, C = diag(lambda) J. Then I - c L is block lower
+    def frozen_step(
+        self, x: np.ndarray, start: np.ndarray, end: np.ndarray, source: np.ndarray, dt: float, coupling=None
+    ) -> np.ndarray:
+        """step with the Hamiltonian held at a stored policy: a Douglas step of the linear
+        dX/dtau = L X + v D_h X + source for a stack X of (n_lambda, n_h) states along the first axis, the
+        level velocity v = z - rho h being `start` (at the step's start) in the explicit h terms and `end`
+        in the h stage. L is A_lambda on each state; given the h profile p = coupling (or its tile over the
+        lambda rows), it also adds C (X[0] p) to the second, C = diag(lambda) J. Then I - c L is block lower
         triangular, and since p acts along h it commutes with M^{-1}, M = I - c A_lambda: the lambda
         stage is M^{-1} on each state plus K (Y[0] p) on the second, K = c M^{-1} C M^{-1}. Every
-        state's h stage has the Jacobian h_jacobian(velocity), so (I - c F_h) Y2 = Y1 - c F_h X is one
+        state's h stage has the Jacobian h_jacobian(end), so (I - c F_h) Y2 = Y1 - c F_h X is one
         gtsv call with one right-hand side per state, the columns of a Fortran-ordered view of the stack."""
         op, c = self.op, self.c
         if len(x) not in self._stack_tiles:
             self._stack_tiles[len(x)] = np.tile(op.tiles, len(x))
         f_lam, f_h = op.a_lam @ x, _along_h(self._stack_tiles[len(x)], x)
         for state in f_h:  # state by state: numpy's broadcast product allocates a temporary of its result
-            state *= velocity
+            state *= start
         if coupling is not None:
             f_lam[1] += op.jump_rate @ (x[0] * coupling)
         # in place, the arithmetic of x + dt (f_lam + f_h + source) - c f_lam and then y1 - c f_h
@@ -528,7 +532,7 @@ class _DouglasADI:
         f_h *= c
         y1 -= f_h
         # h_jacobian rebuilds the diagonals and the right-hand sides are fresh, so gtsv may overwrite them all
-        *_, y2, info = _gtsv()(*self.h_jacobian(velocity), y1.reshape(len(x), -1).T, True, True, True, True)
+        *_, y2, info = _gtsv()(*self.h_jacobian(end), y1.reshape(len(x), -1).T, True, True, True, True)
         if info != 0:
             raise SolverError(f"singular frozen-policy h stage (gtsv info {info})", {"gtsv_info": int(info)})
         return y2.T.reshape(x.shape)
@@ -546,6 +550,16 @@ def _schedule(snaps: np.ndarray) -> list:
         else:
             steps.append((k, dt, snaps[k - 1]))
     return steps
+
+
+def _pair_schedule(snaps: np.ndarray) -> list:
+    """(snapshot k, dt) of each step of the frozen pair: implicit steps of one interval over the first
+    2 _RANNACHER_INTERVALS intervals (one more if their number is odd), then Douglas steps of two, all
+    with theta dt = d_t; each step ends at snapshot k and starts at the previous step's."""
+    n = snaps.size - 1
+    first = min(n, 2 * _RANNACHER_INTERVALS + n % 2)
+    ends = [*range(1, first + 1), *range(first + 2, n + 1, 2)]
+    return [(k, snaps[j] - snaps[k]) for j, k in zip([0] + ends, ends)]
 
 
 def solve(
@@ -621,22 +635,25 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
         B_tau = A_lambda B + (z - rho h) D_h B + lambda p(h) (J u),    u(T) = B(T) = 0.
 
     u is the expected number of breaches from (t, lambda, h), and E[L^2] = (eta_var + eta_mean^2) u
-    + 2 eta_mean^2 B (Dynkin's formula for the compound jump process; Oksendal & Sulem). The steps
-    are the solve's, with z = controls[k] on the step that ends at snapshot k, as the policy walk
-    applies a snapshot's control until the next one. The pair is one stacked state: B's coupling
-    lambda p(h) (J u) = C (u p) acts along lambda, so it sits in the implicit lambda stage
-    (frozen_step), and each step's h stage is one tridiagonal solve with two right-hand sides.
+    + 2 eta_mean^2 B (Dynkin's formula for the compound jump process; Oksendal & Sulem). frozen_step,
+    with z the stored control at each step's two ends, is second order, so the steps span two snapshot
+    intervals (_pair_schedule: 102 steps at 200 intervals). The pair is one stacked state: B's coupling
+    lambda p(h) (J u) = C (u p) acts along lambda, so it sits in the implicit lambda stage, and each
+    step's h stage is one tridiagonal solve with two right-hand sides.
     """
     grid, meta = policy.grid, policy.meta
     op = _PideOperator(grid, meta.hawkes, meta.model, meta.costs)
-    adi = _DouglasADI(op, _THETA * grid.d_t)
-    # tiled to a state's shape, so that multiplying a state by it broadcasts nothing
+    adi = _DouglasADI(op, grid.d_t)
+    # tiled to a state's shape, so that no product or difference with a state broadcasts
     p = np.tile(breach_prob(meta.model, grid.hs), (grid.n_lambda, 1))
+    ch = adi._ch.reshape(op.shape)
     source = np.zeros((2,) + op.shape)
     source[0] = grid.lambdas[:, None] * p
     x = np.zeros_like(source)
-    for k, dt, _ in _schedule(grid.t_snapshots):
-        x = adi.frozen_step(x, policy.controls[k] - op.ch, source, dt, p)
+    start, end = np.subtract(policy.controls[0], ch), np.empty(op.shape)  # a step's end velocity starts the next
+    for k, dt in _pair_schedule(grid.t_snapshots):
+        x = adi.frozen_step(x, start, np.subtract(policy.controls[k], ch, out=end), source, dt, p)
+        start, end = end, start
     return x[0], x[1]
 
 

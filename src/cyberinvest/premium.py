@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .breach import BreachModel
 from .dynamics import CostParams, _check_initial_level, expected_loss_no_investment, loss_variance
 from .hawkes import HawkesParams
-from .hjb import PolicyField, _check_field_inputs, _check_in_grid, _lookup, _loss_surfaces
+from .hjb import PolicyField, _check_field_inputs, _check_in_grid, _lookup, _loss_surfaces, _pair_schedule
 
 __all__ = [
     "PremiumReport",
@@ -102,7 +102,9 @@ def premium_report_optimal(
     eta_var or start state costs two interpolations. The report carries the
     discretization error of the field's grid and no sampling error: its
     standard errors are 0, and `mc_paths`, `seed` and `threads` are accepted
-    for call compatibility and do not affect it.
+    for call compatibility and do not affect it. `diagnostics` records the
+    pair's scheme, "douglas-adi-2dt" (implicit steps of one snapshot interval,
+    then Douglas steps of two), and its number of steps.
     """
     _check_field_inputs(policy_field.meta, hawkes, model, costs)
     _check_initial_level(h_init)
@@ -122,7 +124,12 @@ def premium_report_optimal(
         theta=float(theta),
         mc_paths=0,
         standard_errors={"expected_loss": 0.0, "loss_std": 0.0},
-        diagnostics={"method": "frozen-policy-pide", "time_steps": grid.time_steps},
+        diagnostics={
+            "method": "frozen-policy-pide",
+            "scheme": "douglas-adi-2dt",
+            "steps": len(_pair_schedule(grid.t_snapshots)),
+            "time_steps": grid.time_steps,
+        },
     )
 
 

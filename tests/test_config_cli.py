@@ -519,16 +519,18 @@ class TestCli:
 
     @pytest.mark.parametrize("hs", ["-5", "nan", "1,inf"])
     @pytest.mark.parametrize("against", ["constant", "poisson-baseline"])
-    def test_gain_bad_level_exit_2(self, tmp_path, capsys, against, hs):
+    def test_gain_bad_level_exit_2(self, tmp_path, monkeypatch, capsys, against, hs):
         cfg = self.write_tiny(tmp_path)
         out = str(tmp_path / "run")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
+        # the states are checked before a Poisson benchmark is solved
+        monkeypatch.setattr("cyberinvest.cli.solve_poisson", lambda *args: pytest.fail("solved a benchmark"))
         argv = ["gain", "--config", cfg, "--value-field", f"{out}/value", "--benchmark", against]
         argv += [f"--hs={hs}", "--out", out]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "gain at t=0, lambda=27" in err and "finite" in err
-        assert not (Path(out) / f"gain_{against}.csv").exists()
+        assert not (Path(out) / f"gain_{against}.csv").exists() and not list(Path(out).glob("poisson_*_quality.json"))
 
     @pytest.mark.parametrize(
         "states, shown",
@@ -540,9 +542,11 @@ class TestCli:
         ids=["lambda-above", "lambda-below", "h-above"],
     )
     @pytest.mark.parametrize("against", ["constant", "poisson-baseline"])
-    def test_gain_off_the_field_exit_2(self, coarse_tables, capsys, against, states, shown):
+    def test_gain_off_the_field_exit_2(self, coarse_tables, monkeypatch, capsys, against, states, shown):
         """A state off the coarse field's box [27, 216] x [0, 50] is one
-        diagnostic and exit 2, not a gain read at the box's edge."""
+        diagnostic and exit 2, not a gain read at the box's edge, and it is
+        found before a Poisson benchmark is solved."""
+        monkeypatch.setattr("cyberinvest.cli.solve_poisson", lambda *args: pytest.fail("solved a benchmark"))
         argv = ["gain", "--config", str(STANDARD), "--coarse", "--value-field", f"{coarse_tables}/value"]
         argv += ["--benchmark", against, *states]
         out = coarse_tables / against
@@ -552,7 +556,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n  - ") == 1
         assert f"gain at t=0, {shown}:" in err and "lies outside the field's box [27, 216] x [0, 50]" in err
-        assert not (out / f"gain_{against}.csv").exists()
+        assert not (out / f"gain_{against}.csv").exists() and not list(out.glob("poisson_*_quality.json"))
 
     def test_gain_has_no_step_in_t(self, coarse_tables):
         """gain --t reads the value field linearly in t between snapshots, so
@@ -734,7 +738,8 @@ class TestCli:
         head = (Path(out) / "table_premia.csv").read_text().splitlines()[0]
         assert head == "eta_mean,eta_var,premium_baseline,premium_optimal,reduction_pct"
         reports = json.loads((Path(out) / "premium_reports.json").read_text())
-        assert reports[0]["optimal"]["diagnostics"] == {"method": "frozen-policy-pide", "time_steps": 20}
+        diagnostics = {"method": "frozen-policy-pide", "scheme": "douglas-adi-2dt", "steps": 12, "time_steps": 20}
+        assert reports[0]["optimal"]["diagnostics"] == diagnostics
         assert reports[0]["optimal"]["standard_errors"] == {"expected_loss": 0.0, "loss_std": 0.0}
 
     def test_premium_empty_eta_vars_exit_2(self, tmp_path, monkeypatch, capsys):

@@ -349,38 +349,40 @@ class TestDouglasStep:
             assert adi.newton[-1] == iterations
 
     def test_frozen_step_matches_sparse_reference(self, small_solution):
-        # the linear step under a frozen rate z, against the same Douglas step on the entry-by-entry
-        # matrices: SuperLU for I - c L and for the h stage's I - c (A_h + diag(z) D_h). Uncoupled, L is
-        # A_lambda on one state; coupled, the stack (u, B) has L = [[A_lambda, 0], [P C, A_lambda]], with
-        # C = diag(lambda) J and P the breach probability p(h) on each level line
+        # the linear step under stored rates, z0 at its start and z1 at its end, against the same Douglas
+        # step on the entry-by-entry matrices: the explicit h terms A_h + diag(z0) D_h, and SuperLU for
+        # I - c L and for the h stage's I - c (A_h + diag(z1) D_h). Uncoupled, L is A_lambda on one state;
+        # coupled, the stack (u, B) has L = [[A_lambda, 0], [P C, A_lambda]], with C = diag(lambda) J and
+        # P the breach probability p(h) on each level line
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         a_lam, a_h, d_h = reference_matrices(SMALL)
         nl, nh = op.shape
-        values, z = small_solution.value.values, small_solution.policy.controls[25]
+        values, (z0, z1) = small_solution.value.values, small_solution.policy.controls[[24, 25]]
         rows = sp.identity(nl)
-        f_h_one = sp.kron(rows, a_h) + sp.diags(z.ravel()) @ sp.kron(rows, d_h)
+        f_h_start, f_h_end = (sp.kron(rows, a_h) + sp.diags(z.ravel()) @ sp.kron(rows, d_h) for z in (z0, z1))
         lam_one = sp.kron(a_lam, sp.identity(nh))
         p = breach_prob(STD_M, SMALL.hs)
         jump = sp.diags(SMALL.lambdas) @ sp.csr_matrix(hjb._jump_shift_1d(nl, SMALL.d_lambda, STD_H.beta))
         cases = [
-            (None, values[25][None], op.reward[None], lam_one, f_h_one),
+            (None, values[25][None], op.reward[None], lam_one, f_h_start, f_h_end),
             (
                 p,
                 values[[25, 30]],
                 np.stack([op.reward, np.zeros(op.shape)]),
                 sp.bmat([[lam_one, None], [sp.kron(jump, sp.diags(p)), lam_one]]),
-                sp.block_diag([f_h_one, f_h_one]),
+                sp.block_diag([f_h_start, f_h_start]),
+                sp.block_diag([f_h_end, f_h_end]),
             ),
         ]
-        for coupling, w, source, lam_matrix, f_h_matrix in cases:
-            lam_matrix, f_h_matrix = lam_matrix.tocsc(), f_h_matrix.tocsc()
+        for coupling, w, source, lam_matrix, start_matrix, end_matrix in cases:
+            lam_matrix, start_matrix, end_matrix = lam_matrix.tocsc(), start_matrix.tocsc(), end_matrix.tocsc()
             identity = sp.identity(w.size, format="csc")
             for theta, dt in [(1.0, 0.5 * SMALL.d_t), (_THETA, SMALL.d_t)]:
                 c = float(f"{theta * dt:.12g}")
-                f_lam, f_h = lam_matrix @ w.ravel(), f_h_matrix @ w.ravel()
+                f_lam, f_h = lam_matrix @ w.ravel(), start_matrix @ w.ravel()
                 y1 = splu(identity - c * lam_matrix).solve(w.ravel() + dt * (f_lam + f_h + source.ravel()) - c * f_lam)
-                ref = splu(identity - c * f_h_matrix).solve(y1 - c * f_h).reshape(w.shape)
-                got = hjb._DouglasADI(op, c).frozen_step(w, z - op.ch, source, dt, coupling)
+                ref = splu(identity - c * end_matrix).solve(y1 - c * f_h).reshape(w.shape)
+                got = hjb._DouglasADI(op, c).frozen_step(w, z0 - op.ch, z1 - op.ch, source, dt, coupling)
                 assert got.shape == w.shape
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -34,7 +34,7 @@ from cyberinvest import (
 )
 from cyberinvest import hjb
 from cyberinvest.dynamics import _control_levels
-from cyberinvest.hjb import _RANNACHER_INTERVALS, _THETA, FieldMeta, PolicyField, _DouglasADI, _PideOperator, _schedule
+from cyberinvest.hjb import _THETA, FieldMeta, PolicyField, _DouglasADI, _PideOperator, _pair_schedule
 
 # the package exports the premium() function under the module's name
 premium_module = importlib.import_module("cyberinvest.premium")
@@ -142,17 +142,18 @@ def _theta_weighted_pair(policy):
     states at the step's two ends, so u steps first."""
     grid = policy.grid
     op = _PideOperator(grid, STD_H, STD_M, STD_C)
-    adi = _DouglasADI(op, _THETA * grid.d_t)
+    adi = _DouglasADI(op, grid.d_t)
     p = breach_prob(STD_M, grid.hs)
     breach_rate = grid.lambdas[:, None] * p
     u, b, source = np.zeros((1,) + op.shape), np.zeros((1,) + op.shape), np.zeros(op.shape)
-    for k, dt, _ in _schedule(grid.t_snapshots):
-        theta = 1.0 if k <= _RANNACHER_INTERVALS else _THETA
-        velocity = policy.controls[k] - op.ch
-        u = adi.frozen_step(u, velocity, breach_rate, dt)
+    start = policy.controls[0] - op.ch
+    for k, dt in _pair_schedule(grid.t_snapshots):
+        theta = 1.0 if dt < 1.5 * grid.d_t else _THETA  # implicit steps of one interval, Douglas steps of two
+        end = policy.controls[k] - op.ch
+        u = adi.frozen_step(u, start, end, breach_rate, dt)
         after = (op.jump_rate @ u[0]) * p
-        b = adi.frozen_step(b, velocity, (1.0 - theta) * source + theta * after, dt)
-        source = after
+        b = adi.frozen_step(b, start, end, (1.0 - theta) * source + theta * after, dt)
+        source, start = after, end
     return u[0], b[0]
 
 
@@ -302,9 +303,10 @@ class TestOptimalReport:
         """Under zero controls from h = 0 the level stays 0, so both moments
         are the exact no-investment ones: E[L] to 1e-9 and sd(L), which the
         solve with the source lambda p (J u) carries through Var(N_T), to the
-        time-step error of 800 steps."""
-        grid = SolverGrid(27.0, 216.0, 3.0, 0.0, 50.0, 1.0, 1.0, 800)
-        field = _field(grid, np.zeros((801, grid.n_lambda, grid.n_h)))
+        time-step error of 800 steps: the pair's on a field of 1,600 snapshot
+        intervals."""
+        grid = SolverGrid(27.0, 216.0, 3.0, 0.0, 50.0, 1.0, 1.0, 1600)
+        field = _field(grid, np.zeros((1601, grid.n_lambda, grid.n_h)))
         for eta_var in (0.0, 100.0):
             costs = dataclasses.replace(STD_C, eta_var=eta_var)
             r = premium_report_optimal(field, STD_H, STD_M, costs, 0.3)
@@ -331,21 +333,25 @@ class TestOptimalReport:
         u0, b0 = small_policy.loss_surfaces["u"], small_policy.loss_surfaces["b"]
         grid = small_policy.grid
         op = _PideOperator(grid, STD_H, STD_M, STD_C)
-        adi = _DouglasADI(op, _THETA * grid.d_t)
+        adi = _DouglasADI(op, grid.d_t)
         p = breach_prob(STD_M, grid.hs)
         breach_rate = grid.lambdas[:, None] * p
         m, eta_var = STD_C.eta_mean, 50.0
         x = np.zeros((2,) + op.shape)
         source = np.stack([breach_rate, (eta_var + m * m) * breach_rate])
-        for k, dt, _ in _schedule(grid.t_snapshots):
-            x = adi.frozen_step(x, small_policy.controls[k] - op.ch, source, dt, 2.0 * m * m * p)
+        start = small_policy.controls[0] - op.ch
+        for k, dt in _pair_schedule(grid.t_snapshots):
+            end = small_policy.controls[k] - op.ch
+            x = adi.frozen_step(x, start, end, source, dt, 2.0 * m * m * p)
+            start = end
         np.testing.assert_array_equal(x[0], u0)
         np.testing.assert_allclose((eta_var + m * m) * u0 + 2.0 * m * m * b0, x[1], rtol=1e-12, atol=0.0)
 
     def test_one_tridiagonal_solve_per_step(self, fine_policy, monkeypatch):
-        """The pair's h stages are one gtsv call per step of the schedule, with
-        u and B as its two right-hand sides: 202 calls at 200 steps, whose
-        first two intervals take two half steps each."""
+        """The pair's h stages are one gtsv call per step of its schedule, with
+        u and B as its two right-hand sides: 102 calls at 200 snapshot
+        intervals, whose first four take one implicit step each and the rest
+        one Douglas step per two."""
         gtsv, rhs_shapes = hjb._gtsv(), []
 
         def counted(*args):
@@ -355,15 +361,16 @@ class TestOptimalReport:
         monkeypatch.setattr(hjb, "_gtsv", lambda: counted)
         hjb._loss_surfaces(fine_policy)
         grid = fine_policy.grid
-        assert len(rhs_shapes) == len(_schedule(grid.t_snapshots)) == 202
+        assert len(rhs_shapes) == len(_pair_schedule(grid.t_snapshots)) == 102
         assert set(rhs_shapes) == {(grid.n_lambda * grid.n_h, 2)}
 
     def test_step_loop_allocates_seven_states(self, small_policy, monkeypatch):
-        # after the first step, which tiles D_h over the pair and forms K, a step holds the frozen
-        # velocity, A_lambda X (reused for Y1), F_h X and the explicit stage (reused for K Y[0]):
-        # 7 states and 4 KB of Python objects on small_policy's grid, read from the second step's
-        # start to the loop's end; broadcast products and fresh matmul results would add 3 states
-        schedule, marks = _schedule, []
+        # after the first step, which tiles D_h over the pair and forms K, a step holds A_lambda X
+        # (reused for Y1), F_h X and the explicit stage (reused for K Y[0]), 6 states, the two
+        # velocities being buffers of the whole loop: within 7 states and 4 KB of Python objects on
+        # small_policy's grid (6.1 measured), read from the second step's start to the loop's end;
+        # broadcast products, fresh matmul results and a fresh velocity per step would add 4 states
+        schedule, marks = _pair_schedule, []
 
         def marked(snaps):
             first, *rest = schedule(snaps)
@@ -372,7 +379,7 @@ class TestOptimalReport:
             marks.append(tracemalloc.get_traced_memory())
             yield from rest
 
-        monkeypatch.setattr(hjb, "_schedule", marked)
+        monkeypatch.setattr(hjb, "_pair_schedule", marked)
         tracemalloc.start()
         try:
             hjb._loss_surfaces(small_policy)
@@ -387,16 +394,31 @@ class TestOptimalReport:
         """B against the oracle's scheme, which takes B's coupling
         lambda p(h) (J u) as a source weighted theta between u's states at the
         step's two ends: both treat the coupling to second order, so on the
-        27-120 grid they agree within 2e-5 of max|B| at 200 steps, and their
-        gap falls by at least 3.5 per halving of the step, 100 to 200 to 400."""
+        27-120 grid they agree within 2e-5 of max|B| at 400 snapshot
+        intervals, and their gap falls by at least 3.5 per halving of the
+        step, 200 to 400 to 800 intervals."""
         gaps = []
-        for steps in (100, 200, 400):
+        for steps in (200, 400, 800):
             grid = SolverGrid(27.0, 120.0, 3.0, 0.0, 50.0, 1.0, 1.0, steps)
             policy = solve(grid, STD_H, STD_M, STD_C).policy
             b, b_ref = hjb._loss_surfaces(policy)[1], _theta_weighted_pair(policy)[1]
             gaps.append(np.abs(b - b_ref).max() / np.abs(b).max())
         assert gaps[1] <= 2e-5
         assert gaps[0] >= 3.5 * gaps[1] and gaps[1] >= 3.5 * gaps[2], gaps
+
+    def test_second_order_in_the_step(self, coarse_solution, coarse_grid):
+        """E[L*] and sd(L*) on the coarse grid converge at second order in the
+        time step: their differences over 200, 400 and 800 snapshot intervals
+        fall by at least 3.5 per halving (6.3 and 4.1 measured, where a pair
+        of left-endpoint steps falls by 2.0 and 1.7)."""
+        rows = []
+        for steps in (200, 400, 800):
+            grid = dataclasses.replace(coarse_grid, time_steps=steps)
+            policy = coarse_solution.policy if steps == 200 else solve(grid, STD_H, STD_M, STD_C).policy
+            r = premium_report_optimal(policy, STD_H, STD_M, STD_C, 0.3)
+            rows.append((r.expected_loss, r.loss_std))
+        first, second = np.diff(rows, axis=0)
+        assert (np.abs(first) >= 3.5 * np.abs(second)).all(), rows
 
     def test_u_is_the_single_state_solve(self, coarse_solution):
         """Stacking B beside u leaves u's arithmetic alone: on the coarse grid
@@ -456,7 +478,7 @@ class TestOptimalReport:
             premium_report_optimal(field, STD_H, STD_M, STD_C, 0.3, 10_000, seed=2, threads=t).diagnostics
             for field, t in ((small_policy, 1), (dataclasses.replace(small_policy), 2))
         )
-        assert one == two == {"method": "frozen-policy-pide", "time_steps": 50}
+        assert one == two == {"method": "frozen-policy-pide", "scheme": "douglas-adi-2dt", "steps": 27, "time_steps": 50}
 
     def test_memory_bounded_in_paths(self, small_policy):
         """The report holds no per-path state: its peak memory, two solves on
