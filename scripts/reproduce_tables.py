@@ -3,13 +3,13 @@
 
 validate, moments (to moments.csv), static-gl, solve, gain against the best
 constant rate and against both Poisson benchmarks (each solved by its gain
-command), and premium, on configs/standard.cfg with any CYBERINVEST_*
-overrides. Stops at the first failing command and returns its exit code.
---full uses the fine grid of configs/standard.cfg instead of the --coarse
-preset.
+command), and premium on the value field, on configs/standard.cfg with any
+CYBERINVEST_* overrides; none draws a random number. Stops at the first failing
+command and returns its exit code. --full uses the fine grid of
+configs/standard.cfg instead of the --coarse preset.
 
 Usage:
-    python scripts/reproduce_tables.py [--out OUT] [--seed S] [--full]
+    python scripts/reproduce_tables.py [--out OUT] [--full]
 """
 
 import argparse
@@ -26,13 +26,12 @@ from cyberinvest.cli import main as cyberinvest  # noqa: E402
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/tables")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--full", action="store_true", help="fine grid instead of the desk preset")
     args = ap.parse_args()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    common = ["--config", str(ROOT / "configs" / "standard.cfg"), "--out", str(out), "--seed", str(args.seed)]
+    common = ["--config", str(ROOT / "configs" / "standard.cfg"), "--out", str(out)]
     if not args.full:
         common.append("--coarse")
     gain = ["gain", "--value-field", str(out / "value")]
@@ -41,7 +40,7 @@ def main() -> int:
         gain + ["--benchmark", f"poisson-{m}", "--lambdas", "27,45,63,81,99,117,135", "--hs", "0"]
         for m in ("baseline", "expectation")
     ]
-    steps.append(["premium", "--policy-field", str(out / "policy")])
+    steps.append(["premium", "--value-field", str(out / "value")])
 
     # validate first, so a bad configuration stops the run before any solve
     rc = cyberinvest(["validate", *common])

@@ -44,6 +44,7 @@ from .hjb import (
     SolverGrid,
     SolverOptions,
     ValueField,
+    derive_policy,
     hjb_residual,
     query,
     solve,

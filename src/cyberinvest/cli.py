@@ -1,8 +1,8 @@
 """Batch command-line front end: solve, extract, evaluate, price, export.
 
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 I/O error.
-All randomness flows from the single --seed through named substreams, so any
-command rerun with the same config and seed reproduces its outputs exactly.
+A solve writes the value field alone, from which trace and premium derive the
+policy. Only trace draws random numbers (--seed); a rerun reproduces any output.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .breach import enbis, static_optimum
 from .config import RunConfig, validate
+from .dynamics import _check_initial_level
 from .errors import ConfigError, SolverError
 from .fields_io import _write_csv, load_field, save_field, write_field_csv
 from .hawkes import (
@@ -25,10 +26,10 @@ from .hawkes import (
     lambda_max_heuristic,
     simulate_path,
 )
-from .hjb import PolicyField, ValueField, _check_field_inputs, query, solve
+from .hjb import ValueField, _check_field_inputs, derive_policy, query, solve
 from .poisson import lambda_baseline, lambda_expectation_matched, solve_poisson
 from .premium import premium_report_baseline, premium_report_optimal, prevention_gap
-from .strategies import _check_state, extract_policy, gain_vs_constant, gain_vs_poisson
+from .strategies import _check_start, _check_state, extract_policy, gain_vs_constant, gain_vs_poisson
 
 FMT = "{:.12g}"
 
@@ -55,6 +56,15 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
+
+
+def _load_value(prefix: str, cfg: RunConfig) -> ValueField:
+    """The value field at prefix; another kind, or another model (a diagnostic per part), is a ConfigError."""
+    value = load_field(prefix)
+    if not isinstance(value, ValueField):
+        raise ConfigError([f"{prefix} is not a value field"])
+    _check_field_inputs(value.meta, cfg.hawkes, cfg.breach, cfg.costs)
+    return value
 
 
 def _warn_if_jump_inside_first_cell(cfg: RunConfig) -> None:
@@ -91,7 +101,6 @@ def cmd_solve(args) -> int:
     out = Path(cfg.out_dir)
     res = solve(cfg.grid, cfg.hawkes, cfg.breach, cfg.costs, cfg.options)
     save_field(res.value, out / "value")
-    save_field(res.policy, out / "policy")
     (out / "quality.json").write_text(json.dumps(res.quality, sort_keys=True, indent=2) + "\n")
     if args.csv:
         write_field_csv(res.value, res.policy, out / "field.csv")
@@ -107,19 +116,18 @@ def cmd_trace(args) -> int:
     cfg = _load_config(args)
     if args.n_paths < 0:
         raise ConfigError([f"--n-paths {args.n_paths} must be nonnegative"])
+    try:  # the start the walk checks, before any path is drawn
+        _check_start(args.t_init, cfg.costs.horizon)
+        _check_initial_level(args.h_init)
+    except ValueError as exc:
+        raise ConfigError([f"--t-init/--h-init: {exc}"]) from exc
+    policy = derive_policy(_load_value(args.value_field, cfg))  # the paths follow cfg.hawkes
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    policy = load_field(args.field)
-    if not isinstance(policy, PolicyField):
-        raise ConfigError([f"{args.field} is not a policy field"])
-    _check_field_inputs(policy.meta, cfg.hawkes, cfg.breach, cfg.costs)  # the paths follow cfg.hawkes
     clamped_lambda = clamped_h = 0
     for k in range(args.n_paths):
         path = simulate_path(cfg.hawkes, cfg.costs.horizon, cfg.seed + k)
-        try:
-            trace = extract_policy(policy, path, args.t_init, args.h_init)
-        except ValueError as exc:
-            raise ConfigError([f"--t-init/--h-init: {exc}"]) from exc
+        trace = extract_policy(policy, path, args.t_init, args.h_init)
         clamped_lambda += trace.clamped_lambda
         clamped_h += trace.clamped_h
         _write_csv(out / f"path_{k}.csv", "index,tau", enumerate(path.event_times))
@@ -137,13 +145,7 @@ def cmd_gain(args) -> int:
     cfg = _load_config(args)
     lams = _floats("--lambdas", args.lambdas)
     hs = _floats("--hs", args.hs)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    value = load_field(args.value_field)
-    if not isinstance(value, ValueField):
-        raise ConfigError([f"{args.value_field} is not a value field"])
-    # one diagnostic per part of the model that differs, before any benchmark is solved
-    _check_field_inputs(value.meta, cfg.hawkes, cfg.breach, cfg.costs)
+    value = _load_value(args.value_field, cfg)  # before any benchmark is solved
     t = args.t
 
     def at_states(gain) -> list:
@@ -158,6 +160,8 @@ def cmd_gain(args) -> int:
 
     # every state, as the gains check it, before any benchmark is solved
     at_states(lambda lam, h: (_check_state(t, lam, h, cfg.costs.horizon), query(value, t, lam, h)))
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if args.benchmark == "constant":
         rows = at_states(lambda lam, h: gain_vs_constant(t, lam, h, value, cfg.hawkes, cfg.breach, cfg.costs))
     else:  # a constant-intensity benchmark: a one-node value solve
@@ -180,11 +184,9 @@ def cmd_gain(args) -> int:
 
 def cmd_premium(args) -> int:
     cfg = _load_config(args)
+    policy = derive_policy(_load_value(args.value_field, cfg))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    policy = load_field(args.policy_field)
-    if not isinstance(policy, PolicyField):
-        raise ConfigError([f"{args.policy_field} is not a policy field"])
     reports = []
     rows_std, rows_pi = [], []
     for eta_var in cfg.eta_vars:
@@ -241,21 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="INI config file (defaults built in)")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="root RNG seed override")
         p.add_argument("--coarse", action="store_true", help="desk-scale grid preset")
 
     p = sub.add_parser("validate", help="check a config file and print the effective settings")
     common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", help="solve the value/policy surfaces and persist them")
+    p = sub.add_parser("solve", help="solve the value surface and persist it")
     common(p)
     p.add_argument("--csv", action="store_true", help="also export the field as CSV")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("trace", help="extract the policy along simulated attack paths")
     common(p)
-    p.add_argument("--field", required=True, help="prefix of a persisted policy field")
+    p.add_argument("--value-field", required=True, help="prefix of a persisted value field")
+    p.add_argument("--seed", type=int, default=None, help="root RNG seed override")
     p.add_argument("--n-paths", type=int, default=2)
     p.add_argument("--t-init", type=float, default=0.0)
     p.add_argument("--h-init", type=float, default=0.0)
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("premium", help="standard-deviation premia for baseline and optimal policies")
     common(p)
-    p.add_argument("--policy-field", required=True, help="prefix of a persisted policy field")
+    p.add_argument("--value-field", required=True, help="prefix of a persisted value field")
     p.set_defaults(func=cmd_premium)
 
     p = sub.add_parser("static-gl", help="one-shot static investment optimum")

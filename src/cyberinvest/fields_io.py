@@ -4,8 +4,8 @@ A field is stored as `<prefix>.json` (kind, grid, model parameters, sha256
 checksum, all as plain values) and `<prefix>.f64` (dense 64-bit floats,
 row-major in (snapshot, lambda, h) order, of the grid's shape). Nothing the
 grid fixes is stored beside it. Identical solves produce byte-identical files.
-The constant-intensity benchmarks are not stored: `gain` solves each where it
-values it.
+A solve stores its value field alone: the commands derive the policy from it,
+and `gain` solves each constant-intensity benchmark where it values it.
 """
 
 from __future__ import annotations
@@ -27,15 +27,7 @@ from .hjb import FieldMeta, PolicyField, SolverGrid, ValueField
 
 __all__ = ["save_field", "load_field", "write_field_csv"]
 
-FORMAT_VERSION = 2  # 1 stored the snapshot times, the data's shape, dtype and order
-
-# Solver options that older field files still carry and that no longer exist:
-# the former implicit Runge-Kutta integrator's tolerances and method, the
-# query-mode default (every lookup is bilinear now), the node limit
-# (now fixed), the jump-shift switch (the shift always interpolates, a node
-# shift on the lattice) and the switch to one-sided drift differences (the
-# central scheme is the only one). Their "extrapolation" tag is ignored as well.
-_RETIRED_OPTIONS = ("rtol", "atol", "method", "interp_query", "max_nodes", "jump_interp", "upwind")
+FORMAT_VERSION = 2  # the one format load_field reads
 
 _KINDS = {"value": ValueField, "policy": PolicyField}
 
@@ -74,25 +66,10 @@ def _part(cls: type, d: dict):
     return cls(**d)
 
 
-def _grid_from_dict(d: dict) -> SolverGrid:
-    """The grid of a file's metadata. Format 1 stored the snapshot times instead of the
-    horizon and time_steps; they must be the regular ones of the grid they give."""
-    if "t_snapshots" not in d:
-        return SolverGrid(**d)
-    d = dict(d)
-    snaps = d.pop("t_snapshots")
-    grid = SolverGrid(**d, horizon=snaps[0], time_steps=len(snaps) - 1)
-    if grid.t_snapshots.tolist() != snaps:
-        raise ValueError(f"t_snapshots are not {grid.time_steps} equal steps from {grid.horizon} to 0")
-    return grid
-
-
 def load_field(prefix: Union[str, Path]):
-    """Load a field written by save_field; verifies the checksum, the kind and that an older
-    file's solver options are all retired ones. The "dimension" and "poisson_intensity" keys
-    of older files are ignored: a one-node intensity axis marks a constant-intensity field.
-    Metadata that does not build a grid, a model and costs from exactly their fields (a missing
-    key, an unknown key or a rejected value) is an OSError naming the file."""
+    """Load a field written by save_field. Another format_version, metadata that does not build a grid,
+    a model and costs from exactly their fields (a missing key, an unknown key or a rejected value),
+    another kind, a checksum mismatch or a number that is not finite is an OSError naming the file."""
     prefix = Path(prefix)
     meta_path = prefix.with_suffix(".json")
     bin_path = prefix.with_suffix(".f64")
@@ -100,8 +77,10 @@ def load_field(prefix: Union[str, Path]):
         raise OSError(f"missing field files {meta_path} / {bin_path}")
     try:
         meta = json.loads(meta_path.read_text())
+        if (version := meta["format_version"]) != FORMAT_VERSION:
+            raise OSError(f"{meta_path}: field format {version!r} is not read (format {FORMAT_VERSION} only): solve again")
         kind = meta["kind"]
-        grid = _grid_from_dict(meta["grid"])
+        grid = SolverGrid(**meta["grid"])
         fmeta = FieldMeta(
             _part(HawkesParams, meta["hawkes"]), _part(BreachModel, meta["breach"]), _part(CostParams, meta["costs"])
         )
@@ -110,9 +89,6 @@ def load_field(prefix: Union[str, Path]):
         raise OSError(f"{meta_path}: metadata does not describe a field: {type(exc).__name__}: {exc}") from None
     if kind not in _KINDS:
         raise OSError(f"{meta_path}: unknown field kind {kind!r}; expected one of {sorted(_KINDS)}")
-    unknown = sorted(set(meta.get("options", ())) - set(_RETIRED_OPTIONS))
-    if unknown:
-        raise OSError(f"{meta_path}: unknown solver options {unknown}")
     nbytes = 8 * math.prod(grid.shape)  # checked before the buffer is allocated
     if bin_path.stat().st_size != nbytes:
         raise OSError(f"{bin_path} does not hold exactly the {nbytes} bytes of a {grid.shape} field")
@@ -122,6 +98,8 @@ def load_field(prefix: Union[str, Path]):
         fh.readinto(memoryview(data).cast("B"))
     if hashlib.sha256(data).hexdigest() != checksum:
         raise OSError(f"checksum mismatch for {bin_path}: file is corrupt or stale")
+    if not (math.isfinite(data.min()) and math.isfinite(data.max())):  # a nan reaches both, an infinity one
+        raise OSError(f"{bin_path} holds a number that is not finite")
     return _KINDS[kind](grid, data, fmeta)
 
 

@@ -65,6 +65,7 @@ __all__ = [
     "PolicyField",
     "SolveResult",
     "solve",
+    "derive_policy",
     "query",
     "hjb_residual",
 ]
@@ -375,7 +376,7 @@ class _DouglasADI:
         Y2 - c F_h(Y2) = Y1 - c F_h(W)   (Newton)
     step takes W with F_h(W) and returns Y2 with F_h(Y2), from Newton's last residual, and
     leaves the excess max(D_h Y2 - delta, 0) in self.excess for the stored control. These
-    are work arrays, allocated once, in which Newton allocates nothing; the next step
+    are work arrays, allocated once (allocate_newton), in which Newton allocates nothing; the next step
     overwrites them, and may take the returned pair as its (W, F_h(W)).
     The Jacobian of F_h is diag(excess / gamma - rho h) D_h:
     transport at the level's velocity. Newton starts from Y1 plus the last step's Y2 - Y1 and
@@ -396,13 +397,7 @@ class _DouglasADI:
         self._stack_tiles = {}  # number of stacked states -> D_h tiles over all their rows
         self.nfev = 0
         self.newton = []
-        # flat work arrays: residual and iterate (whose absolute values go to the next two rows, so one
-        # reduction gives both max-norms), scratch, the iterate's gradient, excess and F_h, and the last
-        # step's Y2 - Y1, where Newton starts the next
-        work = np.zeros((7, op.reward.size))
-        self._resid, self._y, self._scratch, self._grad, self._excess, self._f_h, self._correction = work
-        self._norms = work[:2], work[2:4], np.empty(2)
-        self.y, self.excess, self.f_h = (a.reshape(op.shape) for a in (self._y, self._excess, self._f_h))
+        self._work = None  # Newton's, allocated by allocate_newton
         rows = np.empty_like(op.tiles)
         # h_jacobian's (rows before the velocity, diagonal) pairs: sub, main, super
         self._jacobian = (
@@ -411,9 +406,22 @@ class _DouglasADI:
             (self._tiles[2, :-1], rows[2, :-1]),
         )
         self._ch = np.tile(op.ch, op.shape[0])  # rho h at every node
+
+    def allocate_newton(self) -> None:
+        """Newton's work arrays, and gtsv bound, on the value step's first use: frozen steps read no array."""
+        if self._work is not None:
+            return
+        # flat: residual and iterate (whose absolute values go to the next two rows, so one reduction
+        # gives both max-norms), scratch, the iterate's gradient, excess and F_h, and the last step's
+        # Y2 - Y1, where Newton starts the next
+        self._work = work = np.zeros((7, self.op.reward.size))
+        self._resid, self._y, self._scratch, self._grad, self._excess, self._f_h, self._correction = work
+        self._norms = work[:2], work[2:4], np.empty(2)
+        self.y, self.excess, self.f_h = (a.reshape(self.op.shape) for a in (self._y, self._excess, self._f_h))
+        _gtsv()
         # _along_h's operands: each tile row, the iterate slice it multiplies and, when shifted, the
         # scratch and gradient slices of the product
-        y, grad, scratch, tiles = self._y, self._grad, self._scratch, op.tiles
+        y, grad, scratch, tiles = self._y, self._grad, self._scratch, self.op.tiles
         self._d_h = (
             (tiles[1], y),
             (tiles[0, 1:], y[:-1], scratch[1:], grad[1:]),
@@ -453,6 +461,7 @@ class _DouglasADI:
 
     def step(self, w: np.ndarray, f_h: np.ndarray, dt: float, t: float) -> tuple:
         """(Y2, F_h(Y2)) from W and f_h = F_h(W), as work arrays (see the class docstring)."""
+        self.allocate_newton()
         op, c, y, resid, scratch = self.op, self.c, self._y, self._resid, self._scratch
         pair, magnitudes, maxima = self._norms
         norm = math.nan
@@ -602,7 +611,7 @@ def solve(
     f_h = op.h_part(grad, excess)
     values[0], controls[0] = w, excess / op.gamma
     adi = _DouglasADI(op, _THETA * grid.d_t)
-    _gtsv()  # bound before the clock starts, so wall_time_s counts the steps alone
+    adi.allocate_newton()  # before the clock starts, so wall_time_s counts the steps alone
     t0 = time.perf_counter()
     for k, dt, t in steps:
         w, f_h = adi.step(w, f_h, dt, t)
@@ -625,6 +634,16 @@ def solve(
     pf = PolicyField(grid, controls, meta)
     quality = _quality_report(vf, pf, op, wall, diagnostics)
     return SolveResult(vf, pf, quality)
+
+
+def derive_policy(value: ValueField) -> PolicyField:
+    """The maximizing rate (D_h V - delta)^+ / gamma at every snapshot of a value field: on a field
+    that solve returned, its controls bit for bit, as the solve takes each by the same operations."""
+    op = _PideOperator(value.grid, value.meta.hawkes, value.meta.model, value.meta.costs)
+    controls = np.empty_like(value.values)
+    for k, w in enumerate(value.values):
+        controls[k] = op.policy(w)
+    return PolicyField(value.grid, controls, value.meta)
 
 
 def _loss_surfaces(policy: PolicyField) -> tuple:
@@ -773,8 +792,8 @@ def _lookup(grid: SolverGrid, surface: np.ndarray, lam: float, h: float) -> floa
     return float(_bilinear(surface.reshape(-1), i * grid.n_h + j, stride, w_lam, w_h))
 
 
-def query(field, t: float, lam: float, h: float) -> float:
-    """Field value at (t, lambda, h): bilinear interpolation in (lambda, h) on
+def query(field: ValueField, t: float, lam: float, h: float) -> float:
+    """V at (t, lambda, h) on a value field: bilinear interpolation in (lambda, h) on
     the two snapshots that bracket t, and linear interpolation between them.
     At a snapshot time it is that snapshot's lookup alone.
 
@@ -782,14 +801,13 @@ def query(field, t: float, lam: float, h: float) -> float:
     lookup does not extend V past lambda_max, as the solve's jump term does.
     """
     grid = field.grid
-    data = field.values if isinstance(field, ValueField) else field.controls
     if not (0.0 <= t <= grid.horizon + 1e-12):
         raise ValueError(f"query time {t} outside [0, {grid.horizon}]")
     _check_in_grid(grid, lam, h)
     snaps = grid.t_snapshots
     k = max(int(np.count_nonzero(snaps >= t)) - 1, 0)  # snaps[k] >= t > snaps[k + 1]
-    value = _lookup(grid, data[k], lam, h)
+    value = _lookup(grid, field.values[k], lam, h)
     if t >= snaps[k] or k + 1 == snaps.size:
         return value
     w = (snaps[k] - t) / (snaps[k] - snaps[k + 1])
-    return float((1.0 - w) * value + w * _lookup(grid, data[k + 1], lam, h))
+    return float((1.0 - w) * value + w * _lookup(grid, field.values[k + 1], lam, h))

@@ -346,8 +346,9 @@ def test_criterion_12_repeat_runs_are_identical(tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / tag
         assert cli_main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        assert cli_main(["trace", "--config", str(cfg), "--field", f"{out}/policy", "--n-paths", "1", "--out", str(out)]) == 0
-        assert cli_main(["premium", "--config", str(cfg), "--policy-field", f"{out}/policy", "--out", str(out)]) == 0
+        value = ["--value-field", f"{out}/value"]
+        assert cli_main(["trace", "--config", str(cfg), *value, "--n-paths", "1", "--out", str(out)]) == 0
+        assert cli_main(["premium", "--config", str(cfg), *value, "--out", str(out)]) == 0
         outputs[tag] = {
             p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix in (".f64", ".json", ".csv")
         }

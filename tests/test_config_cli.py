@@ -142,7 +142,7 @@ class TestFieldIO:
 
     @pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw + bytes(8)], ids=["truncated", "extended"])
     def test_wrong_length_rejected(self, tmp_path, edit):
-        data = self.write_field_with_options(tmp_path / "v", {"upwind": False})
+        data = self.write_field(tmp_path / "v")
         # the checksum in the metadata matches the edited bytes, so only the length is wrong
         raw = edit(data.tobytes())
         meta = json.loads((tmp_path / "v.json").read_text())
@@ -203,16 +203,15 @@ class TestFieldIO:
             assert digests == expected
 
     @staticmethod
-    def write_field_with_options(prefix, options, **edits):
-        """A 2-snapshot value field in the on-disk format, 2x2 unless `edits` give another grid
-        and shape, with the given solver options and top-level metadata `edits`."""
+    def write_field(prefix, **edits):
+        """A 2-snapshot value field on a 2x2 grid in the on-disk format, with the top-level metadata
+        `edits`; the data are the numbers 0 to 7."""
         meta = {
-            "format_version": 1,
+            "format_version": 2,
             "kind": "value",
-            "extrapolation": "clamp-at-lambda-max",
             "grid": {
                 "lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0,
-                "h_min": 0.0, "h_max": 1.0, "d_h": 1.0, "t_snapshots": [1.0, 0.0],
+                "h_min": 0.0, "h_max": 1.0, "d_h": 1.0, "horizon": 1.0, "time_steps": 1,
             },
             "hawkes": {"alpha": 27.0, "lambda0": 27.0, "xi": 15.0, "beta": 9.0},
             "breach": {"family": "class1", "v": 0.65, "a": 0.1, "b": 1.0},
@@ -220,78 +219,25 @@ class TestFieldIO:
                 "gamma": 0.05, "eta_mean": 10.0, "eta_var": 10.0, "rho": 0.2, "horizon": 1.0,
                 "terminal_utility": "sqrt", "delta": 1.0, "eta_family": "lognormal",
             },
-            "options": options,
-            "shape": [2, 2, 2],
-            "dtype": "<f8",
-            "order": "(snapshot, lambda, h)",
             **edits,
         }
-        data = np.arange(np.prod(meta["shape"]), dtype="<f8")
+        data = np.arange(8, dtype="<f8")
         meta["checksum_sha256"] = hashlib.sha256(data.tobytes()).hexdigest()
         prefix.with_suffix(".f64").write_bytes(data.tobytes())
         prefix.with_suffix(".json").write_text(json.dumps(meta))
         return data
 
-    # the model that write_field_with_options records
-    META = FieldMeta(
-        ci.HawkesParams(27.0, 27.0, 15.0, 9.0),
-        ci.BreachModel(ci.BreachFamily.CLASS_I, 0.65, 0.1, 1.0),
-        ci.CostParams(gamma=0.05, eta_mean=10.0, eta_var=10.0, rho=0.2, horizon=1.0),
-    )
-
-    def test_loads_field_with_retired_integrator_options(self, tmp_path):
-        # fields written by the former Radau solver carry rtol, atol and method,
-        # and older fields the query-mode default and the node limit
-        old = {"rtol": 1e-6, "atol": 1e-9, "method": "Radau", "upwind": False,
-               "jump_interp": False, "interp_query": True, "max_nodes": 200_000_000}
-        data = self.write_field_with_options(tmp_path / "v", old)
-        loaded = load_field(tmp_path / "v")
-        np.testing.assert_array_equal(loaded.values.ravel(), data)
-        assert loaded.meta == self.META
-
-    @pytest.mark.parametrize("jump_interp", [False, True])
-    def test_loads_field_with_jump_interp(self, tmp_path, jump_interp):
-        # either setting of the retired switches, and either closure tag: the shift now always
-        # interpolates, which on a whole-node shift is the former node shift, and the scheme is fixed
-        extrapolation = "linear-past-lambda-max" if jump_interp else "clamp-at-lambda-max"
-        self.write_field_with_options(tmp_path / "v", {"upwind": True, "jump_interp": jump_interp}, extrapolation=extrapolation)
-        assert load_field(tmp_path / "v").meta == self.META
-
     def test_unknown_kind_rejected(self, tmp_path):
-        self.write_field_with_options(tmp_path / "v", {"upwind": False}, kind="valu")
+        self.write_field(tmp_path / "v", kind="valu")
         with pytest.raises(OSError, match="unknown field kind 'valu'"):
             load_field(tmp_path / "v")
 
-    def test_loads_files_with_retired_poisson_marker(self, tmp_path):
-        # earlier versions wrote "dimension" and "poisson_intensity"; a one-node
-        # intensity axis alone now marks a constant-intensity field
-        self.write_field_with_options(tmp_path / "v", {}, dimension="hawkes", poisson_intensity=None)
-        assert load_field(tmp_path / "v").meta == self.META
-        one_node = {
-            "lambda_min": 27.0, "lambda_max": 27.0, "d_lambda": 9.0,
-            "h_min": 0.0, "h_max": 1.0, "d_h": 1.0, "t_snapshots": [1.0, 0.0],
-        }
-        for kind, cls in (("value", ci.ValueField), ("policy", ci.PolicyField)):
-            self.write_field_with_options(
-                tmp_path / f"p_{kind}", {}, kind=kind, grid=one_node, shape=[2, 1, 2],
-                dimension="poisson", poisson_intensity=27.0,
-            )
-            half = load_field(tmp_path / f"p_{kind}")
-            assert isinstance(half, cls) and half.grid.lambda_min == 27.0 and half.grid.n_lambda == 1
-            assert half.meta == self.META
-
-    def test_format_1_grid_is_its_numbers(self, tmp_path):
-        # a format-1 file stored its snapshot times; the regular ones give the equal grid
-        data = self.write_field_with_options(tmp_path / "v", {})
-        loaded = load_field(tmp_path / "v")
-        assert loaded.grid == ci.SolverGrid(27.0, 36.0, 9.0, 0.0, 1.0, 1.0, 1.0, 1)
-        np.testing.assert_array_equal(loaded.values.ravel(), data)
-
     @pytest.mark.parametrize("snaps", [[1.0, 0.25, 0.0], [1.0, 0.5, 0.25], [1.0], []], ids=["uneven", "not-to-0", "one", "none"])
     def test_format_1_irregular_snapshots_rejected(self, tmp_path, snaps):
+        # format 1 stored the snapshot times; such a file is refused by its format before they are read
         grid = {"lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0, "h_min": 0.0, "h_max": 1.0, "d_h": 1.0}
-        self.write_field_with_options(tmp_path / "v", {}, grid={**grid, "t_snapshots": snaps}, shape=[max(len(snaps), 1), 2, 2])
-        with pytest.raises(OSError, match=r"v\.json: metadata does not describe a field"):
+        self.write_field(tmp_path / "v", format_version=1, grid={**grid, "t_snapshots": snaps})
+        with pytest.raises(OSError, match=r"v\.json: field format 1 is not read \(format 2 only\): solve again"):
             load_field(tmp_path / "v")
 
     BAD_META = [
@@ -311,7 +257,7 @@ class TestFieldIO:
 
     @pytest.mark.parametrize("key, value, error", BAD_META, ids=["beta", "no-rho", "family", "no-b", "extra-breach-key", "no-delta", "no-steps", "steps-missing", "no-kind"])
     def test_bad_metadata_is_an_io_error(self, tmp_path, key, value, error):
-        self.write_field_with_options(tmp_path / "v", {})
+        self.write_field(tmp_path / "v")
         meta = json.loads((tmp_path / "v.json").read_text())
         if value is None:
             del meta[key]
@@ -323,26 +269,21 @@ class TestFieldIO:
 
     def test_length_checked_before_the_buffer_is_allocated(self, tmp_path):
         # 10^12 steps of a 2x2 grid would be a 32 TB buffer; the 64-byte file is rejected first
-        self.write_field_with_options(tmp_path / "v", {})
+        self.write_field(tmp_path / "v")
         meta = json.loads((tmp_path / "v.json").read_text())
-        meta["grid"]["t_snapshots"] = np.linspace(1.0, 0.0, 3).tolist()
+        meta["grid"]["time_steps"] = 2
         (tmp_path / "v.json").write_text(json.dumps(meta))
         with pytest.raises(OSError, match=r"not hold exactly the 96 bytes of a \(3, 2, 2\) field"):
             load_field(tmp_path / "v")
-        del meta["grid"]["t_snapshots"]
-        (tmp_path / "v.json").write_text(json.dumps({**meta, "grid": {**meta["grid"], "horizon": 1.0, "time_steps": 10**12}}))
+        meta["grid"]["time_steps"] = 10**12
+        (tmp_path / "v.json").write_text(json.dumps(meta))
         with pytest.raises(OSError, match="does not hold exactly the 32000000000032 bytes"):
             load_field(tmp_path / "v")
 
     def test_metadata_not_json_is_an_io_error(self, tmp_path):
-        self.write_field_with_options(tmp_path / "v", {})
+        self.write_field(tmp_path / "v")
         (tmp_path / "v.json").write_text("{")
         with pytest.raises(OSError, match="metadata does not describe a field: JSONDecodeError"):
-            load_field(tmp_path / "v")
-
-    def test_unknown_option_still_rejected(self, tmp_path):
-        self.write_field_with_options(tmp_path / "v", {"upwind": False, "foo": 1})
-        with pytest.raises(OSError, match=r"unknown solver options \['foo'\]"):
             load_field(tmp_path / "v")
 
 
@@ -486,7 +427,7 @@ class TestCli:
             ["static-gl", "--p", "2"],
             ["gain", "--value-field", "@OUT@/value", "--lambdas", "27,x"],
             ["gain", "--value-field", "@OUT@/value", "--hs", "1,x"],
-            ["trace", "--field", "@OUT@/policy", "--n-paths", "-1"],
+            ["trace", "--value-field", "@OUT@/value", "--n-paths", "-1"],
         ],
         ids=["times-not-a-number", "times-negative", "p-above-one", "lambdas", "hs", "n-paths-negative"],
     )
@@ -505,17 +446,65 @@ class TestCli:
 
     def test_missing_field_exit_4(self, tmp_path, capsys):
         cfg = self.write_tiny(tmp_path)
-        rc = main(["trace", "--config", cfg, "--field", str(tmp_path / "nope"), "--out", str(tmp_path)])
+        rc = main(["trace", "--config", cfg, "--value-field", str(tmp_path / "nope"), "--out", str(tmp_path)])
         assert rc == 4
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_field_of_another_format_exit_4(self, tmp_path, capsys, version):
+        # format 1 stored the snapshot times, the shape, dtype and order, and the solver options
+        prefix = tmp_path / "v"
+        grid = {"lambda_min": 27.0, "lambda_max": 36.0, "d_lambda": 9.0, "h_min": 0.0, "h_max": 1.0, "d_h": 1.0}
+        old = {"t_snapshots": [1.0, 0.0]} if version == 1 else {"horizon": 1.0, "time_steps": 1}
+        TestFieldIO.write_field(prefix, format_version=version, grid={**grid, **old}, options={"upwind": False})
+        out = tmp_path / "run"
+        argv = ["gain", "--config", self.write_tiny(tmp_path), "--value-field", str(prefix), "--out", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"I/O error: {prefix}.json: field format {version} is not read (format 2 only): solve again\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["gain", "premium"])
+    def test_field_with_a_number_not_finite_exit_4(self, tmp_path, capsys, command, number):
+        # the checksum matches the edited bytes, so only the number itself is wrong
+        cfg = self.write_tiny(tmp_path)
+        field = tmp_path / "field"
+        assert main(["solve", "--config", cfg, "--out", str(field)]) == 0
+        data = np.fromfile(field / "value.f64", dtype="<f8")
+        data[27] = float(number)
+        data.tofile(field / "value.f64")
+        meta = json.loads((field / "value.json").read_text())
+        meta["checksum_sha256"] = hashlib.sha256(data).hexdigest()
+        (field / "value.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--value-field", str(field / "value"), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"I/O error: {field / 'value.f64'} holds a number that is not finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gain", "premium", "trace"])
+    def test_policy_field_as_value_field_exit_2(self, tmp_path, capsys, command):
+        # a solve stores no policy, but the library still saves one
+        cfg = self.write_tiny(tmp_path)
+        field = tmp_path / "field"
+        assert main(["solve", "--config", cfg, "--out", str(field)]) == 0
+        save_field(ci.derive_policy(load_field(field / "value")), field / "policy")
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--value-field", str(field / "policy"), "--out", str(out)]) == 2
+        assert f"{field / 'policy'} is not a value field" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("h_init", ["-1", "nan", "inf"])
     def test_trace_bad_initial_level_exit_2(self, tmp_path, capsys, h_init):
         cfg = self.write_tiny(tmp_path)
         out = str(tmp_path / "run")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
-        argv = ["trace", "--config", cfg, "--field", f"{out}/policy", "--out", out, f"--h-init={h_init}"]
+        traces = tmp_path / "traces"
+        argv = ["trace", "--config", cfg, "--value-field", f"{out}/value", "--out", str(traces), f"--h-init={h_init}"]
         assert main(argv) == 2
         assert "initial level must be finite and nonnegative" in capsys.readouterr().err
+        assert not traces.exists()
 
     @pytest.mark.parametrize("hs", ["-5", "nan", "1,inf"])
     @pytest.mark.parametrize("against", ["constant", "poisson-baseline"])
@@ -525,12 +514,13 @@ class TestCli:
         assert main(["solve", "--config", cfg, "--out", out]) == 0
         # the states are checked before a Poisson benchmark is solved
         monkeypatch.setattr("cyberinvest.cli.solve_poisson", lambda *args: pytest.fail("solved a benchmark"))
+        gains = tmp_path / "gains"
         argv = ["gain", "--config", cfg, "--value-field", f"{out}/value", "--benchmark", against]
-        argv += [f"--hs={hs}", "--out", out]
+        argv += [f"--hs={hs}", "--out", str(gains)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "gain at t=0, lambda=27" in err and "finite" in err
-        assert not (Path(out) / f"gain_{against}.csv").exists() and not list(Path(out).glob("poisson_*_quality.json"))
+        assert not gains.exists()
 
     @pytest.mark.parametrize(
         "states, shown",
@@ -633,8 +623,21 @@ class TestCli:
             (["solve-poisson", "--mode", "baseline"], "invalid choice: 'solve-poisson'"),
             (["gain", "--value-field", "v", "--benchmark", "poisson-baseline", "--poisson-field", "p"],
              "unrecognized arguments: --poisson-field p"),
+            # a solve stores no policy field: premium and trace read the value field
+            (["premium", "--value-field", "v", "--policy-field", "p"], "unrecognized arguments: --policy-field p"),
+            (["trace", "--value-field", "v", "--field", "p"], "unrecognized arguments: --field p"),
+            # trace alone draws random numbers
+            (["validate", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            (["solve", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            (["gain", "--value-field", "v", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            (["premium", "--value-field", "v", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            (["static-gl", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            (["moments", "--seed", "7"], "unrecognized arguments: --seed 7"),
         ],
-        ids=["solve-poisson", "poisson-field"],
+        ids=[
+            "solve-poisson", "poisson-field", "policy-field", "trace-field", "validate-seed", "solve-seed",
+            "gain-seed", "premium-seed", "static-gl-seed", "moments-seed",
+        ],
     )
     def test_persisted_benchmark_command_and_flag_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -648,32 +651,32 @@ class TestCli:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         capsys.readouterr()
         monkeypatch.setenv("CYBERINVEST_HAWKES__BETA", "3")
-        argv = ["trace", "--config", cfg, "--field", f"{out}/policy", "--n-paths", "1", "--out", str(out / "t")]
+        argv = ["trace", "--config", cfg, "--value-field", f"{out}/value", "--n-paths", "1", "--out", str(out / "t")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n  - field solved for ") == 1 and "HawkesParams(alpha=27.0, lambda0=27.0, xi=15.0, beta=9.0)" in err
-        assert not (out / "t" / "trace_0.csv").exists()
+        assert not (out / "t").exists()
 
     @pytest.mark.parametrize(
-        "command, field, part, edit, error",
+        "command, part, edit, error",
         [
-            (["premium", "--policy-field"], "policy", "hawkes", lambda d: d.update(beta=20.0), "StabilityError"),
-            (["gain", "--value-field"], "value", "costs", lambda d: d.pop("rho"), "TypeError"),
-            (["trace", "--field"], "policy", "grid", lambda d: d.update(time_steps=2.5), "ValueError"),
+            ("premium", "hawkes", lambda d: d.update(beta=20.0), "StabilityError"),
+            ("gain", "costs", lambda d: d.pop("rho"), "TypeError"),
+            ("trace", "grid", lambda d: d.update(time_steps=2.5), "ValueError"),
         ],
         ids=["premium-beta", "gain-no-rho", "trace-steps"],
     )
-    def test_field_with_bad_metadata_exit_4(self, tmp_path, capsys, command, field, part, edit, error):
+    def test_field_with_bad_metadata_exit_4(self, tmp_path, capsys, command, part, edit, error):
         cfg = self.write_tiny(tmp_path)
         out = tmp_path / "run"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        meta = json.loads((out / f"{field}.json").read_text())
+        meta = json.loads((out / "value.json").read_text())
         edit(meta[part])
-        (out / f"{field}.json").write_text(json.dumps(meta))
+        (out / "value.json").write_text(json.dumps(meta))
         capsys.readouterr()
-        assert main([*command, str(out / field), "--config", cfg, "--out", str(out)]) == 4
+        assert main([command, "--value-field", str(out / "value"), "--config", cfg, "--out", str(out)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"I/O error: {out / field}.json: metadata does not describe a field: {error}")
+        assert err.startswith(f"I/O error: {out / 'value'}.json: metadata does not describe a field: {error}")
         assert "Traceback" not in err
 
     def test_moments_output(self, capsys):
@@ -690,10 +693,10 @@ class TestCli:
         cfg = self.write_tiny(tmp_path)
         out = str(tmp_path / "run")
         assert main(["solve", "--config", cfg, "--out", out, "--csv"]) == 0
-        for name in ("value.json", "value.f64", "policy.json", "policy.f64", "quality.json", "field.csv"):
-            assert (Path(out) / name).exists()
+        # one field per solve: the commands derive the policy from the value field
+        assert {p.name for p in Path(out).iterdir()} == {"value.json", "value.f64", "quality.json", "field.csv"}
         assert main(
-            ["trace", "--config", cfg, "--field", f"{out}/policy", "--n-paths", "2", "--out", out]
+            ["trace", "--config", cfg, "--value-field", f"{out}/value", "--n-paths", "2", "--out", out]
         ) == 0
         assert "lookups read at the grid's edge: " in capsys.readouterr().out
         trace = (Path(out) / "trace_0.csv").read_text().splitlines()
@@ -724,7 +727,7 @@ class TestCli:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["solve", "--config", cfg, "--out", out1]) == 0
         assert main(["solve", "--config", cfg, "--out", out2]) == 0
-        for name in ("value.f64", "policy.f64", "value.json", "policy.json"):
+        for name in ("value.f64", "value.json"):
             a = (Path(out1) / name).read_bytes()
             b = (Path(out2) / name).read_bytes()
             assert a == b
@@ -733,7 +736,7 @@ class TestCli:
         cfg = self.write_tiny(tmp_path)
         out = str(tmp_path / "run")
         assert main(["solve", "--config", cfg, "--out", out]) == 0
-        rc = main(["premium", "--config", cfg, "--policy-field", f"{out}/policy", "--out", out])
+        rc = main(["premium", "--config", cfg, "--value-field", f"{out}/value", "--out", out])
         assert rc == 0
         head = (Path(out) / "table_premia.csv").read_text().splitlines()[0]
         assert head == "eta_mean,eta_var,premium_baseline,premium_optimal,reduction_pct"
@@ -749,7 +752,7 @@ class TestCli:
         capsys.readouterr()
         monkeypatch.setenv("CYBERINVEST_PREMIUM__ETA_VARS", "")
         run = tmp_path / "premium"
-        assert main(["premium", "--config", cfg, "--policy-field", f"{out}/policy", "--out", str(run)]) == 2
+        assert main(["premium", "--config", cfg, "--value-field", f"{out}/value", "--out", str(run)]) == 2
         assert "[premium] eta_vars must list at least one" in capsys.readouterr().err
         assert not run.exists()
 
@@ -764,7 +767,7 @@ class TestCli:
             cfg = tmp_path / f"{tag}.cfg"
             cfg.write_text(TINY + f"eta_vars = {eta_vars}\n")
             run = tmp_path / tag
-            argv = ["premium", "--config", str(cfg), "--policy-field", f"{out}/policy", "--out", str(run)]
+            argv = ["premium", "--config", str(cfg), "--value-field", f"{out}/value", "--out", str(run)]
             assert main(argv) == 0
             return {p.name: p.read_bytes() for p in sorted(run.iterdir())}
 
@@ -784,7 +787,7 @@ class TestCli:
         cfg.write_text(TINY + "\n[breach]\nv = 0\n\n[costs]\nutility = zero\n")
         out = str(tmp_path / "z")
         assert main(["solve", "--config", str(cfg), "--out", out]) == 0
-        assert main(["trace", "--config", str(cfg), "--field", f"{out}/policy", "--n-paths", "1", "--out", out]) == 0
+        assert main(["trace", "--config", str(cfg), "--value-field", f"{out}/value", "--n-paths", "1", "--out", out]) == 0
         rows = (Path(out) / "trace_0.csv").read_text().splitlines()[1:]
         zs = [float(r.split(",")[2]) for r in rows]
         assert all(z == 0.0 for z in zs)
@@ -829,18 +832,18 @@ def test_import_defers_slow_scipy_modules(tmp_path):
     """Importing the package, valuing the static and constant-rate benchmarks
     in the library, and every command that does not solve (validate, moments,
     static-gl, gain against the best constant rate) load no scipy module. The
-    commands that solve, premium on a saved policy (its two loss-surface
+    commands that solve, premium on the value field (its two loss-surface
     solves) first and then solve and gain against each Poisson benchmark
     (which solves it), bind LAPACK gtsv from scipy's compiled extension and
     load none of the scipy.linalg package, scipy.optimize, scipy.integrate and
     scipy.sparse. No stage draws a random number, so none loads numpy.random."""
     (tmp_path / "tiny.cfg").write_text(TINY)
     common = ["--config", str(tmp_path / "tiny.cfg"), "--out", str(tmp_path)]
-    assert main(["solve"] + common) == 0  # the value and policy fields that the commands below read
+    assert main(["solve"] + common) == 0  # the value field that the commands below read
     gain = ["gain", "--value-field", str(tmp_path / "value"), "--hs", "0,2"]
     commands = [["validate"], ["moments"], ["static-gl"], gain]
     poisson_gains = [gain + ["--benchmark", f"poisson-{m}", "--lambdas", "27,45"] for m in ("baseline", "expectation")]
-    premium = ["premium", "--policy-field", str(tmp_path / "policy")]
+    premium = ["premium", "--value-field", str(tmp_path / "value")]
     code = f"""
 import sys
 

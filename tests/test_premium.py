@@ -364,6 +364,22 @@ class TestOptimalReport:
         assert len(rhs_shapes) == len(_pair_schedule(grid.t_snapshots)) == 102
         assert set(rhs_shapes) == {(grid.n_lambda * grid.n_h, 2)}
 
+    def test_stepper_holds_no_newton_arrays(self, small_policy):
+        # the pair's stepper keeps the lambda stage's inverse, h_jacobian's rows before the velocity and
+        # its work rows (3 states each) and rho h: 7 states, the inverse and 4 KB of Python objects on
+        # small_policy's grid (7.81 states measured); the value step's seven Newton work arrays, which
+        # frozen steps never read, would add 7 states
+        grid, meta = small_policy.grid, small_policy.meta
+        op = hjb._PideOperator(grid, meta.hawkes, meta.model, meta.costs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            adi = hjb._DouglasADI(op, grid.d_t)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 7 * grid.n_lambda * grid.n_h * 8 + adi.inverse.nbytes + 4096
+
     def test_step_loop_allocates_seven_states(self, small_policy, monkeypatch):
         # after the first step, which tiles D_h over the pair and forms K, a step holds A_lambda X
         # (reused for Y1), F_h X and the explicit stage (reused for K Y[0]), 6 states, the two
