@@ -26,7 +26,7 @@ from .hawkes import (
     lambda_max_heuristic,
     simulate_path,
 )
-from .hjb import ValueField, _check_field_inputs, derive_policy, query, solve
+from .hjb import ValueField, _check_field_inputs, _check_in_grid, derive_policy, query, solve
 from .poisson import lambda_baseline, lambda_expectation_matched, solve_poisson
 from .premium import premium_report_baseline, premium_report_optimal, prevention_gap
 from .strategies import _check_start, _check_state, extract_policy, gain_vs_constant, gain_vs_poisson
@@ -184,7 +184,12 @@ def cmd_gain(args) -> int:
 
 def cmd_premium(args) -> int:
     cfg = _load_config(args)
-    policy = derive_policy(_load_value(args.value_field, cfg))
+    value = _load_value(args.value_field, cfg)
+    try:  # the reports' start state, before the policy is derived
+        _check_in_grid(value.grid, cfg.hawkes.lambda0, 0.0)
+    except ValueError as exc:
+        raise ConfigError([f"[hawkes] lambda0={cfg.hawkes.lambda0:g}: {exc}"]) from exc
+    policy = derive_policy(value)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []

@@ -26,9 +26,10 @@ __all__ = ["RunConfig", "validate", "COARSE_PRESET", "ENV_PREFIX"]
 
 ENV_PREFIX = "CYBERINVEST_"
 
-# Desk-scale preset: a coarser intensity step on the configured domain. The grid error is almost
-# all in h, and V is close to affine in lambda, so the preset keeps the fine d_h = 0.5 and takes
-# d_lambda = 9, the standard beta: the widest step at which the jump still spans a whole cell.
+# Desk-scale preset: a coarser intensity step on the configured domain. The grid error of V, the
+# gains and E[L*] is almost all in h (not that of sd(L*); see the README's Grid presets), and V is
+# close to affine in lambda, so the preset keeps the fine d_h = 0.5 and takes d_lambda = 9, the
+# standard beta: the widest step at which the jump still spans a whole cell.
 COARSE_PRESET = {"d_lambda": 9.0, "d_h": 0.5}
 
 

@@ -18,8 +18,9 @@ are transport at the level's own velocity: their Jacobian is
 diag(z - rho h) D_h, with z = (D_h W - delta)^+ / gamma the maximizing rate.
 It is integrated with the Douglas ADI scheme (theta = 1/2, one step per
 snapshot interval; in 't Hout & Foulon 2010), started by two implicit half
-steps in each of the first two intervals (Rannacher 1984). The lambda stage is
-one product with a dense inverse for all h lines. The nonlinear h stage is
+steps in each of the first two intervals (Rannacher 1984). As every step spans
+d_t / 2 or d_t, its explicit and lambda stages are two products with dense
+matrices formed once, for all h lines. The nonlinear h stage is
 solved by Newton's method, which on the max(., 0)^2 Hamiltonian is policy
 iteration (Forsyth & Labahn 2007), with one tridiagonal solve (LAPACK gtsv on
 the Jacobian's three diagonals) for all lambda columns per iteration, usually
@@ -33,10 +34,11 @@ stage transposes it. Stored fields add a leading snapshot axis.
 
 The same steps with the rate held at a stored policy's controls at each step's
 two ends make the h stage linear, transport at the velocity z - rho h, and stay
-second order. _loss_surfaces takes them, each over two snapshot intervals, for the
+second order. _loss_surfaces takes them, most over two snapshot intervals, for the
 two moments of the loss under that policy as one coupled solve of the stacked
-pair: the coupling acts along lambda and joins the lambda stage, and the h stage
-of both is one tridiagonal solve with two right-hand sides per step.
+pair: the coupling acts along lambda and joins the lambda stage, the h stage of
+both is one tridiagonal solve with two right-hand sides per step, and F_h is
+carried from it into the next step.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ _RANNACHER_INTERVALS = 2  # leading intervals stepped as two implicit (theta = 1
 _NEWTON_MAX_ITER = 20  # tridiagonal solves one h stage may take; 1-2 suffice at 200 steps on every grid measured
 _NEWTON_RTOL = 1e-10  # residual max-norm, relative to max(1, max |W|), that ends Newton
 _MAX_NODES = 200_000_000  # stored (snapshot, lambda, h) nodes one solve may hold in memory
+_IMPLICIT, _DOUGLAS = 1, 2  # a step's kind: its span in units of c = theta dt
 
 
 @functools.cache
@@ -281,9 +284,8 @@ def _stencil(n: int, step: float) -> np.ndarray:
 
 
 def _along_h(tiles: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A stencil along h of the C-ordered (n_lambda, n_h) array w, given as tiles over the lambda rows
-    (or of a stack of such arrays, given tiles over all their rows): flat shifted products, kept apart
-    across rows by the zeros past each row's first and last node."""
+    """A stencil along h of the C-ordered (n_lambda, n_h) array w, given as tiles over the lambda rows:
+    flat shifted products, kept apart across rows by the zeros past each row's first and last node."""
     flat = w.reshape(-1)
     out = tiles[1] * flat
     out[1:] += tiles[0, 1:] * flat[:-1]
@@ -370,36 +372,37 @@ class _PideOperator:
 class _DouglasADI:
     """Douglas steps of dW/dtau = A_lambda W + F_h(W) + r, with F_h = N(W) - rho h D_h W.
 
-    One step of size dt with weight theta, c = theta dt:
-        Y0 = W + dt (A_lambda W + F_h(W) + r)
-        Y1 = (I - c A_lambda)^{-1} (Y0 - c A_lambda W)
+    A step of size dt with weight theta, c = theta dt and M = I - c A_lambda:
+        Y1 = M^{-1} (W + dt (A_lambda W + F_h(W) + r) - c A_lambda W) = P W + Q (F_h(W) + r)
         Y2 - c F_h(Y2) = Y1 - c F_h(W)   (Newton)
-    step takes W with F_h(W) and returns Y2 with F_h(Y2), from Newton's last residual, and
-    leaves the excess max(D_h Y2 - delta, 0) in self.excess for the stored control. These
-    are work arrays, allocated once (allocate_newton), in which Newton allocates nothing; the next step
-    overwrites them, and may take the returned pair as its (W, F_h(W)).
-    The Jacobian of F_h is diag(excess / gamma - rho h) D_h:
-    transport at the level's velocity. Newton starts from Y1 plus the last step's Y2 - Y1 and
-    stops once the residual's max-norm is within _NEWTON_RTOL of max(1, max |Y|); a
-    SolverError reports that norm as update_norm (the Jacobian is close to I).
-    Every step of _schedule has theta dt = d_t / 2 up to rounding in the snapshot times (the
-    implicit half steps and the Douglas steps alike), and of _pair_schedule theta dt = d_t, so the
-    caller passes that c and M = I - c A_lambda is inverted once, on construction.
-    Counters: nfev explicit operator evaluations, njev Jacobian builds, one
-    per tridiagonal solve, newton the solves of each step.
+    with P = M^{-1} (I + (dt - c) A_lambda) and Q = dt M^{-1}. Every step of _schedule and
+    _pair_schedule spans dt = c (_IMPLICIT, theta = 1) or 2c (_DOUGLAS) to rounding in the snapshot
+    times, so products[kind] = (P, Q) are formed once.
+    step takes W with F_h(W) and returns Y2 with F_h(Y2), from Newton's last residual, and leaves
+    the excess max(D_h Y2 - delta, 0) in self.excess: work arrays, allocated once
+    (allocate_newton), which the next step overwrites and may take as its (W, F_h(W)).
+    The Jacobian of F_h is diag(excess / gamma - rho h) D_h: transport at the level's velocity.
+    Newton starts from Y1 plus the last step's Y2 - Y1 and stops once the residual's max-norm is
+    within _NEWTON_RTOL of max(1, max |Y|); a SolverError reports that norm as update_norm (the
+    Jacobian is close to I), also when a nan or an infinity in W or F_h(W) makes it not finite.
+    Counters: nfev explicit operator evaluations, njev Jacobian builds (one per tridiagonal solve),
+    newton the solves of each step.
     """
 
     def __init__(self, op: _PideOperator, c: float):
         self.op = op
         self.c = c
-        self.inverse = np.linalg.inv(np.eye(op.shape[0]) - c * op.a_lam)
+        identity = np.eye(op.shape[0])
+        inverse = np.linalg.inv(identity - c * op.a_lam)
+        # M^{-1} (I + c A_lambda) = 2 M^{-1} - I, as c A_lambda = I - M
+        self.products = {_IMPLICIT: (inverse, c * inverse), _DOUGLAS: (2.0 * inverse - identity, 2.0 * c * inverse)}
         self._tiles = -c * op.tiles  # h_jacobian's rows before the velocity
-        self._stack_tiles = {}  # number of stacked states -> D_h tiles over all their rows
+        self._stacks = {}  # stack size -> frozen_step's work arrays
         self.nfev = 0
         self.newton = []
         self._work = None  # Newton's, allocated by allocate_newton
         rows = np.empty_like(op.tiles)
-        # h_jacobian's (rows before the velocity, diagonal) pairs: sub, main, super
+        # h_jacobian's (rows before the velocity, diagonal): sub, main, super
         self._jacobian = (
             (self._tiles[0, 1:], rows[0, 1:]),
             (self._tiles[1], rows[1]),
@@ -411,13 +414,15 @@ class _DouglasADI:
         """Newton's work arrays, and gtsv bound, on the value step's first use: frozen steps read no array."""
         if self._work is not None:
             return
-        # flat: residual and iterate (whose absolute values go to the next two rows, so one reduction
-        # gives both max-norms), scratch, the iterate's gradient, excess and F_h, and the last step's
-        # Y2 - Y1, where Newton starts the next
-        self._work = work = np.zeros((7, self.op.reward.size))
-        self._resid, self._y, self._scratch, self._grad, self._excess, self._f_h, self._correction = work
-        self._norms = work[:2], work[2:4], np.empty(2)
-        self.y, self.excess, self.f_h = (a.reshape(self.op.shape) for a in (self._y, self._excess, self._f_h))
+        # residual and iterate (their absolute values go to the next two rows: one reduction gives both
+        # max-norms), scratch, the iterate's gradient, excess and F_h, the last Y2 - Y1 (Newton's start),
+        # Y1 and Newton's target
+        self._work = work = np.zeros((9,) + self.op.shape)
+        flat = work.reshape(len(work), -1)
+        self._resid, self._y, self._scratch, self._grad, self._excess, self._f_h, self._correction = flat[:7]
+        self._y1, self._target = flat[7:]
+        self._norms = flat[:2], flat[2:4], np.empty(2)
+        self.y, self._part, self.excess, self.f_h, self._stage = work[1], work[2], work[4], work[5], work[7:]
         _gtsv()
         # _along_h's operands: each tile row, the iterate slice it multiplies and, when shifted, the
         # scratch and gradient slices of the product
@@ -429,9 +434,9 @@ class _DouglasADI:
         )
 
     @functools.cached_property
-    def jump_coupling(self) -> np.ndarray:
-        """K = c M^{-1} C M^{-1}, which coupled frozen steps alone read."""
-        return self.c * self.inverse @ self.op.jump_rate @ self.inverse
+    def coupling(self) -> np.ndarray:
+        """c M^{-1} C, which coupled frozen steps alone read."""
+        return self.products[_IMPLICIT][1] @ self.op.jump_rate
 
     def h_jacobian(self, velocity: np.ndarray) -> tuple:
         """I - c diag(velocity) D_h as gtsv's (sub, main, super) diagonals, h fastest: the h stage's
@@ -459,10 +464,11 @@ class _DouglasADI:
         np.multiply(np.multiply(excess, excess, out=f_h), 0.5 / self.op.gamma, out=f_h)
         np.subtract(f_h, np.multiply(self._ch, grad, out=scratch), out=f_h)
 
-    def step(self, w: np.ndarray, f_h: np.ndarray, dt: float, t: float) -> tuple:
-        """(Y2, F_h(Y2)) from W and f_h = F_h(W), as work arrays (see the class docstring)."""
+    def step(self, w: np.ndarray, f_h: np.ndarray, kind: int, t: float) -> tuple:
+        """(Y2, F_h(Y2)) from W and f_h = F_h(W) by a step of the given kind, as work arrays (see the
+        class docstring)."""
         self.allocate_newton()
-        op, c, y, resid, scratch = self.op, self.c, self._y, self._resid, self._scratch
+        op, c, y, resid, scratch, part = self.op, self.c, self._y, self._resid, self._scratch, self._part
         pair, magnitudes, maxima = self._norms
         norm = math.nan
 
@@ -473,20 +479,14 @@ class _DouglasADI:
                 {"step": step, "t": t, "update_norm": norm},
             )
 
-        # in place, the arithmetic of w + dt (f_lam + f_h + r) - c f_lam, then of y1 - c f_h
-        f_lam = op.a_lam @ w
+        (p, q), (y1, target) = self.products[kind], self._stage
+        # the lambda stage, then Newton's target Y1 - c F_h(W)
+        np.matmul(q, np.add(f_h, op.reward, out=part), out=target)
+        np.add(np.matmul(p, w, out=y1), target, out=y1)
+        np.subtract(y1, np.multiply(f_h, c, out=part), out=target)
         self.nfev += 1
-        explicit = f_lam + f_h
-        explicit += op.reward
-        explicit *= dt
-        explicit += w
-        f_lam *= c
-        explicit -= f_lam
-        if not np.isfinite(explicit).all():
-            raise failure("non-finite explicit stage")
-        y1 = np.matmul(self.inverse, explicit, out=f_lam).reshape(-1)
-        target = np.subtract(y1, np.multiply(f_h.reshape(-1), c, out=scratch), out=explicit.reshape(-1))
-        np.add(y1, self._correction, out=y)
+        np.add(self._y1, self._correction, out=y)
+        target = self._target
         for it in range(_NEWTON_MAX_ITER + 1):  # it tridiagonal solves so far
             self._evaluate()
             np.subtract(np.subtract(y, np.multiply(self._f_h, c, out=resid), out=resid), target, out=resid)
@@ -495,7 +495,7 @@ class _DouglasADI:
                 raise failure("non-finite h stage")
             if norm <= _NEWTON_RTOL * max(1.0, size):  # size = max |Y|, finite as the residual is
                 self.newton.append(it)
-                np.subtract(y, y1, out=self._correction)
+                np.subtract(y, self._y1, out=self._correction)
                 return self.y, self.f_h
             if it == _NEWTON_MAX_ITER:
                 break
@@ -508,67 +508,57 @@ class _DouglasADI:
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
     def frozen_step(
-        self, x: np.ndarray, start: np.ndarray, end: np.ndarray, source: np.ndarray, dt: float, coupling=None
+        self, x: np.ndarray, f_h: np.ndarray, end: np.ndarray, source: np.ndarray, kind: int, coupling=None, out=None
     ) -> np.ndarray:
-        """step with the Hamiltonian held at a stored policy: a Douglas step of the linear
-        dX/dtau = L X + v D_h X + source for a stack X of (n_lambda, n_h) states along the first axis, the
-        level velocity v = z - rho h being `start` (at the step's start) in the explicit h terms and `end`
-        in the h stage. L is A_lambda on each state; given the h profile p = coupling (or its tile over the
-        lambda rows), it also adds C (X[0] p) to the second, C = diag(lambda) J. Then I - c L is block lower
-        triangular, and since p acts along h it commutes with M^{-1}, M = I - c A_lambda: the lambda
-        stage is M^{-1} on each state plus K (Y[0] p) on the second, K = c M^{-1} C M^{-1}. Every
-        state's h stage has the Jacobian h_jacobian(end), so (I - c F_h) Y2 = Y1 - c F_h X is one
-        gtsv call with one right-hand side per state, the columns of a Fortran-ordered view of the stack."""
-        op, c = self.op, self.c
-        if len(x) not in self._stack_tiles:
-            self._stack_tiles[len(x)] = np.tile(op.tiles, len(x))
-        f_lam, f_h = op.a_lam @ x, _along_h(self._stack_tiles[len(x)], x)
-        for state in f_h:  # state by state: numpy's broadcast product allocates a temporary of its result
-            state *= start
+        """step of a kind with the Hamiltonian held at a stored policy, for the linear
+        dX/dtau = L X + v D_h X + source for a stack X of (n_lambda, n_h) states along the first axis,
+        the level velocity v = z - rho h at the step's start in f_h = F_h(X) = v D_h X and `end` in the
+        h stage. L is A_lambda on each state; given the h profile p = coupling (or its tile), it adds
+        C (X[0] p) to the second, C = diag(lambda) J. I - c L is block lower triangular, and p commutes
+        with M^{-1}: the lambda stage is step's on each state plus (M^{-1} C) [((dt - c) X[0] + c Y1[0]) p]
+        on the second. The h stages are one gtsv call on h_jacobian(end), one right-hand side per state.
+        Returns Y2 in `out` (new if None; not x) and overwrites f_h with F_h(Y2) at `end`,
+        (Y2 - Y1 + c F_h(X)) / c, the next step's F_h(X)."""
+        c = self.c
+        if len(x) not in self._stacks:
+            self._stacks[len(x)] = np.empty((2,) + x.shape), np.empty((2,) + self.op.shape)
+        (part, target), inflow = self._stacks[len(x)]
+        p, q = self.products[kind]
+        y1 = np.matmul(p, x, out=out)
+        y1 += np.matmul(q, np.add(f_h, source, out=part), out=target)
         if coupling is not None:
-            f_lam[1] += op.jump_rate @ (x[0] * coupling)
-        # in place, the arithmetic of x + dt (f_lam + f_h + source) - c f_lam and then y1 - c f_h
-        y = f_lam + f_h
-        y += source
-        y *= dt
-        y += x
-        f_lam *= c
-        y -= f_lam
-        y1 = np.matmul(self.inverse, y, out=f_lam)  # into f_lam, which is spent
-        if coupling is not None:
-            y[0] *= coupling
-            y1[1] += np.matmul(self.jump_coupling, y[0], out=y[1])  # into y[1], which is spent
-        f_h *= c
-        y1 -= f_h
-        # h_jacobian rebuilds the diagonals and the right-hand sides are fresh, so gtsv may overwrite them all
+            u = np.add(x[0], y1[0], out=inflow[0]) if kind == _DOUGLAS else y1[0]
+            y1[1] += np.matmul(self.coupling, np.multiply(u, coupling, out=inflow[0]), out=inflow[1])
+        np.subtract(y1, np.multiply(f_h, c, out=part), out=target)
+        np.copyto(y1, target)  # gtsv overwrites its right-hand sides; h_jacobian rebuilds the diagonals
         *_, y2, info = _gtsv()(*self.h_jacobian(end), y1.reshape(len(x), -1).T, True, True, True, True)
         if info != 0:
             raise SolverError(f"singular frozen-policy h stage (gtsv info {info})", {"gtsv_info": int(info)})
-        return y2.T.reshape(x.shape)
+        y2 = y2.T.reshape(x.shape)
+        np.multiply(np.subtract(y2, target, out=f_h), 1.0 / c, out=f_h)
+        return y2
 
 
 def _schedule(snaps: np.ndarray) -> list:
-    """(snapshot k, dt, t) of each backward step over the decreasing snapshot times: two implicit
-    (theta = 1) half steps in each of the first _RANNACHER_INTERVALS intervals, both storing snapshot k,
-    then one Douglas step (theta = _THETA) per interval. The step from t = snaps[k - 1] ends at snaps[k]."""
+    """(snapshot k, kind, t) of each backward step over the decreasing snapshot times: two implicit
+    half steps in each of the first _RANNACHER_INTERVALS intervals, both storing snapshot k, then one
+    Douglas step (theta = _THETA) per interval. The step from t = snaps[k - 1] ends at snaps[k]."""
     steps = []
     for k in range(1, snaps.size):
-        dt = snaps[k - 1] - snaps[k]
         if k <= _RANNACHER_INTERVALS:
-            steps += [(k, 0.5 * dt, snaps[k - 1]), (k, 0.5 * dt, snaps[k - 1] - 0.5 * dt)]
+            steps += [(k, _IMPLICIT, snaps[k - 1]), (k, _IMPLICIT, 0.5 * (snaps[k - 1] + snaps[k]))]
         else:
-            steps.append((k, dt, snaps[k - 1]))
+            steps.append((k, _DOUGLAS, snaps[k - 1]))
     return steps
 
 
 def _pair_schedule(snaps: np.ndarray) -> list:
-    """(snapshot k, dt) of each step of the frozen pair: implicit steps of one interval over the first
-    2 _RANNACHER_INTERVALS intervals (one more if their number is odd), then Douglas steps of two, all
-    with theta dt = d_t; each step ends at snapshot k and starts at the previous step's."""
+    """(snapshot k, kind) of each step of the frozen pair: implicit steps of one interval over the first
+    2 _RANNACHER_INTERVALS intervals (one more if their number is odd), then Douglas steps of two (so
+    theta dt = d_t); each step ends at snapshot k and starts at the previous step's."""
     n = snaps.size - 1
     first = min(n, 2 * _RANNACHER_INTERVALS + n % 2)
-    ends = [*range(1, first + 1), *range(first + 2, n + 1, 2)]
-    return [(k, snaps[j] - snaps[k]) for j, k in zip([0] + ends, ends)]
+    return [(k, _IMPLICIT) for k in range(1, first + 1)] + [(k, _DOUGLAS) for k in range(first + 2, n + 1, 2)]
 
 
 def solve(
@@ -594,9 +584,9 @@ def solve(
     snaps = grid.t_snapshots
     steps = _schedule(snaps)
     nl, nh = grid.n_lambda, grid.n_h
-    # the stored nodes, A_lambda, the one factor's inverse, and in states: the D_h tiles, h_jacobian's
-    # and the Jacobian's rows (3 each), the step's seven work arrays and rho h
-    n_nodes = snaps.size * nl * nh + 2 * nl * nl + 17 * nl * nh
+    # the stored nodes; A_lambda, C and the four lambda-stage products (n_lambda^2 each); and in states:
+    # the D_h tiles, h_jacobian's and the Jacobian's rows (3 each), nine work arrays and rho h
+    n_nodes = snaps.size * nl * nh + 6 * nl * nl + 19 * nl * nh
     if n_nodes > _MAX_NODES:
         raise SolverError(
             f"{n_nodes} stored nodes and operator entries exceed the in-memory limit {_MAX_NODES}; "
@@ -613,10 +603,11 @@ def solve(
     adi = _DouglasADI(op, _THETA * grid.d_t)
     adi.allocate_newton()  # before the clock starts, so wall_time_s counts the steps alone
     t0 = time.perf_counter()
-    for k, dt, t in steps:
-        w, f_h = adi.step(w, f_h, dt, t)
-        values[k] = w
-        np.divide(adi.excess, op.gamma, out=controls[k])
+    with np.errstate(invalid="ignore"):  # a nan in Newton's residual raises
+        for k, kind, t in steps:
+            w, f_h = adi.step(w, f_h, kind, t)
+            values[k] = w
+            np.divide(adi.excess, op.gamma, out=controls[k])
     wall = time.perf_counter() - t0
     diagnostics = {
         "method": "douglas-adi",
@@ -655,7 +646,7 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
 
     u is the expected number of breaches from (t, lambda, h), and E[L^2] = (eta_var + eta_mean^2) u
     + 2 eta_mean^2 B (Dynkin's formula for the compound jump process; Oksendal & Sulem). frozen_step,
-    with z the stored control at each step's two ends, is second order, so the steps span two snapshot
+    with z the stored control at each step's two ends, is second order, so most steps span two snapshot
     intervals (_pair_schedule: 102 steps at 200 intervals). The pair is one stacked state: B's coupling
     lambda p(h) (J u) = C (u p) acts along lambda, so it sits in the implicit lambda stage, and each
     step's h stage is one tridiagonal solve with two right-hand sides.
@@ -665,14 +656,13 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
     adi = _DouglasADI(op, grid.d_t)
     # tiled to a state's shape, so that no product or difference with a state broadcasts
     p = np.tile(breach_prob(meta.model, grid.hs), (grid.n_lambda, 1))
-    ch = adi._ch.reshape(op.shape)
+    ch, velocity = adi._ch.reshape(op.shape), np.empty(op.shape)
     source = np.zeros((2,) + op.shape)
     source[0] = grid.lambdas[:, None] * p
-    x = np.zeros_like(source)
-    start, end = np.subtract(policy.controls[0], ch), np.empty(op.shape)  # a step's end velocity starts the next
-    for k, dt in _pair_schedule(grid.t_snapshots):
-        x = adi.frozen_step(x, start, np.subtract(policy.controls[k], ch, out=end), source, dt, p)
-        start, end = end, start
+    # the state, its F_h (0 at u = B = 0) and the next state's buffer
+    x, f_h, out = np.zeros_like(source), np.zeros_like(source), np.empty_like(source)
+    for k, kind in _pair_schedule(grid.t_snapshots):
+        x, out = adi.frozen_step(x, f_h, np.subtract(policy.controls[k], ch, out=velocity), source, kind, p, out), x
     return x[0], x[1]
 
 

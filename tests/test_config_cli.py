@@ -756,6 +756,24 @@ class TestCli:
         assert "[premium] eta_vars must list at least one" in capsys.readouterr().err
         assert not run.exists()
 
+    def test_premium_start_off_the_field_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a field solved on [33, 57], priced from the configured lambda0 = 27: one diagnostic naming the
+        # state and the box, before the policy is derived or --out is made
+        cfg = self.write_tiny(tmp_path)
+        field = tmp_path / "field"
+        with monkeypatch.context() as env:
+            env.setenv("CYBERINVEST_HAWKES__LAMBDA0", "33")
+            env.setenv("CYBERINVEST_GRID__LAMBDA_MIN", "33")
+            assert main(["solve", "--config", cfg, "--out", str(field)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("cyberinvest.cli.derive_policy", lambda *args: pytest.fail("derived the policy"))
+        out = tmp_path / "run"
+        assert main(["premium", "--config", cfg, "--value-field", str(field / "value"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n  - ") == 1
+        assert "[hawkes] lambda0=27: state (lambda, h) = (27.0, 0.0) lies outside the field's box [33, 57] x [0, 10]" in err
+        assert not out.exists()
+
     def test_premium_eta_vars_share_one_pass(self, tmp_path):
         """Three eta_vars on one loaded field, which share one pair of loss-surface
         solves, give the files of one run per eta_var, byte for byte, and a

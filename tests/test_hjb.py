@@ -341,8 +341,8 @@ class TestDouglasStep:
         f_h, correction = op.h_part(grad, op.excess(grad)), 0.0
         dt = SMALL.d_t
         # the Rannacher half steps, then Douglas steps
-        for theta, step in [(1.0, 0.5 * dt)] * 4 + [(_THETA, dt)] * 4:
-            w, f_h = adi.step(w, f_h, step, 1.0)
+        for theta, step, kind in [(1.0, 0.5 * dt, hjb._IMPLICIT)] * 4 + [(_THETA, dt, hjb._DOUGLAS)] * 4:
+            w, f_h = adi.step(w, f_h, kind, 1.0)
             ref, iterations, correction = banded_reference_step(op, matrices, ref, step, theta, correction)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.max(np.abs(adi.excess / op.gamma - reference_policy(op, matrices[2], ref))) <= 1e-9
@@ -353,7 +353,8 @@ class TestDouglasStep:
         # step on the entry-by-entry matrices: the explicit h terms A_h + diag(z0) D_h, and SuperLU for
         # I - c L and for the h stage's I - c (A_h + diag(z1) D_h). Uncoupled, L is A_lambda on one state;
         # coupled, the stack (u, B) has L = [[A_lambda, 0], [P C, A_lambda]], with C = diag(lambda) J and
-        # P the breach probability p(h) on each level line
+        # P the breach probability p(h) on each level line. The step takes the explicit h terms at W and
+        # leaves them at Y2, (A_h + diag(z1) D_h) Y2, recovered from its h stage to rounding in Y2 / c
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         a_lam, a_h, d_h = reference_matrices(SMALL)
         nl, nh = op.shape
@@ -377,14 +378,17 @@ class TestDouglasStep:
         for coupling, w, source, lam_matrix, start_matrix, end_matrix in cases:
             lam_matrix, start_matrix, end_matrix = lam_matrix.tocsc(), start_matrix.tocsc(), end_matrix.tocsc()
             identity = sp.identity(w.size, format="csc")
-            for theta, dt in [(1.0, 0.5 * SMALL.d_t), (_THETA, SMALL.d_t)]:
+            for theta, dt, kind in [(1.0, 0.5 * SMALL.d_t, hjb._IMPLICIT), (_THETA, SMALL.d_t, hjb._DOUGLAS)]:
                 c = float(f"{theta * dt:.12g}")
                 f_lam, f_h = lam_matrix @ w.ravel(), start_matrix @ w.ravel()
                 y1 = splu(identity - c * lam_matrix).solve(w.ravel() + dt * (f_lam + f_h + source.ravel()) - c * f_lam)
                 ref = splu(identity - c * end_matrix).solve(y1 - c * f_h).reshape(w.shape)
-                got = hjb._DouglasADI(op, c).frozen_step(w, z0 - op.ch, z1 - op.ch, source, dt, coupling)
+                f_h = f_h.reshape(w.shape)
+                got = hjb._DouglasADI(op, c).frozen_step(w, f_h, z1 - op.ch, source, kind, coupling)
                 assert got.shape == w.shape
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+                f_h_ref = end_matrix @ ref.ravel()
+                assert np.max(np.abs(f_h.ravel() - f_h_ref)) <= 1e-12 * np.max(np.abs(ref)) / c
 
     def test_accepted_states_meet_the_residual_bound(self):
         # every state a step returns solves its h stage to _NEWTON_RTOL of max(1, max |Y2|), with
@@ -392,16 +396,57 @@ class TestDouglasStep:
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
         c = adi.c
+        inverse = np.linalg.inv(np.eye(op.shape[0]) - c * op.a_lam)
         w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
-        for _, dt, t in hjb._schedule(SMALL.t_snapshots):
+        for _, kind, t in hjb._schedule(SMALL.t_snapshots):
+            dt = kind * c  # the step's span (test_steps_span_their_kind)
             grad = op.gradient(w)
             f_lam, f_h = op.a_lam @ w, op.h_part(grad, op.excess(grad))
-            y1 = adi.inverse @ (w + dt * (f_lam + f_h + op.reward) - c * f_lam)
-            w = adi.step(w, f_h, dt, t)[0].copy()
+            y1 = inverse @ (w + dt * (f_lam + f_h + op.reward) - c * f_lam)
+            w = adi.step(w, f_h, kind, t)[0].copy()
             grad = op.gradient(w)
             resid = w - c * op.h_part(grad, op.excess(grad)) - (y1 - c * f_h)
             assert np.max(np.abs(resid)) <= hjb._NEWTON_RTOL * max(1.0, np.max(np.abs(w)))
         assert len(adi.newton) == SMALL.t_snapshots.size - 1 + hjb._RANNACHER_INTERVALS
+
+    @pytest.mark.parametrize("time_steps", [1, 2, 3, 4, 5, 7, 200])
+    def test_steps_span_their_kind(self, time_steps):
+        # the lambda stage's products assume that each step spans c (an implicit step) or 2c (a Douglas
+        # step), c = theta dt of the stepper: d_t / 2 for the value solve, d_t for the pair; the spans
+        # are read off the snapshot times, and the implicit steps come first
+        grid = dataclasses.replace(SMALL, time_steps=time_steps)
+        snaps = grid.t_snapshots
+        steps = hjb._schedule(snaps)
+        starts = [t for _, _, t in steps] + [snaps[-1]]
+        pair = hjb._pair_schedule(snaps)
+        for kinds, spans, c in (
+            ([kind for _, kind, _ in steps], np.diff(starts) * -1.0, _THETA * grid.d_t),
+            ([kind for _, kind in pair], snaps[[0] + [k for k, _ in pair[:-1]]] - snaps[[k for k, _ in pair]], grid.d_t),
+        ):
+            assert set(kinds) <= {hjb._IMPLICIT, hjb._DOUGLAS} and kinds == sorted(kinds)
+            np.testing.assert_allclose(spans, np.array(kinds) * c, rtol=1e-12, atol=0.0)
+        assert steps[-1][0] == pair[-1][0] == time_steps
+        assert len(steps) == time_steps + min(time_steps, hjb._RANNACHER_INTERVALS)
+
+    @pytest.mark.parametrize("poisoned", ["state", "f_h"])
+    def test_non_finite_input_raises_in_its_step(self, poisoned):
+        # a nan in W, or an infinite F_h(W), reaches the lambda stage unchecked: Newton's first residual
+        # is then not finite, and the same step raises
+        op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
+        adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
+        w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
+        grad = op.gradient(w)
+        f_h = op.h_part(grad, op.excess(grad))
+        adi.step(w, f_h, hjb._IMPLICIT, 1.0)
+        w, f_h = adi.y.copy(), adi.f_h.copy()
+        if poisoned == "state":
+            w[4, 7] = np.nan
+        else:
+            f_h[4, 7] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="non-finite h stage") as err:
+            adi.step(w, f_h, hjb._IMPLICIT, 0.99)
+        assert err.value.diagnostics["step"] == 2 and err.value.diagnostics["t"] == 0.99
+        assert not math.isfinite(err.value.diagnostics["update_norm"])
 
     def test_a_step_leaves_the_exact_f_h_and_excess_of_its_state(self):
         # the F_h a step returns, which the next step takes as F_h(W), and the excess it leaves, which
@@ -412,8 +457,8 @@ class TestDouglasStep:
         w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
         grad = op.gradient(w)
         f_h = op.h_part(grad, op.excess(grad))
-        for _, dt, t in hjb._schedule(SMALL.t_snapshots):
-            w, f_h = adi.step(w, f_h, dt, t)
+        for _, kind, t in hjb._schedule(SMALL.t_snapshots):
+            w, f_h = adi.step(w, f_h, kind, t)
             assert w is adi.y and f_h is adi.f_h
             grad = op.gradient(w)
             np.testing.assert_array_equal(adi.excess, op.excess(grad))
@@ -423,9 +468,9 @@ class TestDouglasStep:
     @pytest.mark.parametrize("rtol", [hjb._NEWTON_RTOL, 1e-14])
     def test_step_loop_allocates_two_states_whatever_the_newton_count(self, monkeypatch, rtol):
         # beyond the fields and the work arrays, which solve allocates before its clock starts, a step
-        # allocates A_lambda W (reused for Y1), its explicit stage (reused for the Newton target) and the
-        # stage's finiteness mask: 2.125 states and 4 KB of Python objects, read between the clock's two
-        # calls, at 104 tridiagonal solves on SMALL or, under a tighter tolerance, 122
+        # allocates no array (2.1 KB of Python objects measured), read between the clock's two calls, at
+        # 104 tridiagonal solves on SMALL or, under a tighter tolerance, 122; the bound is the one set when
+        # a step still allocated its lambda stage, its Newton target and a finiteness mask, 2.125 states
         monkeypatch.setattr(hjb, "_NEWTON_RTOL", rtol)
         marks = []
 
@@ -555,9 +600,9 @@ class TestSolve:
         assert err.value.diagnostics["step"] == 1 and err.value.diagnostics["update_norm"] > 0
 
     def test_non_finite_stage_raises(self):
-        # the running reward overflows to inf, so the first explicit stage does
+        # the running reward overflows to inf, so the first lambda stage and Newton's first residual do
         huge = dataclasses.replace(STD_C, eta_mean=1e308)
-        with np.errstate(over="ignore"), pytest.raises(SolverError, match="non-finite"):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError, match="non-finite"):
             solve(SMALL, STD_H, STD_M, huge)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -567,7 +612,7 @@ class TestSolve:
 
         def poisoned(self, op, c):
             init(self, op, c)
-            self.inverse[3, 3] = bad
+            self.products[hjb._IMPLICIT][0][3, 3] = bad  # M^{-1}, the first steps' P
 
         monkeypatch.setattr(hjb._DouglasADI, "__init__", poisoned)
         with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="non-finite h stage") as err:

@@ -146,14 +146,14 @@ def _theta_weighted_pair(policy):
     p = breach_prob(STD_M, grid.hs)
     breach_rate = grid.lambdas[:, None] * p
     u, b, source = np.zeros((1,) + op.shape), np.zeros((1,) + op.shape), np.zeros(op.shape)
-    start = policy.controls[0] - op.ch
-    for k, dt in _pair_schedule(grid.t_snapshots):
-        theta = 1.0 if dt < 1.5 * grid.d_t else _THETA  # implicit steps of one interval, Douglas steps of two
+    f_u, f_b = np.zeros_like(u), np.zeros_like(b)  # F_h at u = B = 0, which each step updates
+    for k, kind in _pair_schedule(grid.t_snapshots):
+        theta = 1.0 if kind == hjb._IMPLICIT else _THETA  # implicit steps of one interval, Douglas steps of two
         end = policy.controls[k] - op.ch
-        u = adi.frozen_step(u, start, end, breach_rate, dt)
+        u = adi.frozen_step(u, f_u, end, breach_rate, kind)
         after = (op.jump_rate @ u[0]) * p
-        b = adi.frozen_step(b, start, end, (1.0 - theta) * source + theta * after, dt)
-        source, start = after, end
+        b = adi.frozen_step(b, f_b, end, (1.0 - theta) * source + theta * after, kind)
+        source = after
     return u[0], b[0]
 
 
@@ -339,11 +339,10 @@ class TestOptimalReport:
         m, eta_var = STD_C.eta_mean, 50.0
         x = np.zeros((2,) + op.shape)
         source = np.stack([breach_rate, (eta_var + m * m) * breach_rate])
-        start = small_policy.controls[0] - op.ch
-        for k, dt in _pair_schedule(grid.t_snapshots):
+        f_h = np.zeros_like(x)
+        for k, kind in _pair_schedule(grid.t_snapshots):
             end = small_policy.controls[k] - op.ch
-            x = adi.frozen_step(x, start, end, source, dt, 2.0 * m * m * p)
-            start = end
+            x = adi.frozen_step(x, f_h, end, source, kind, 2.0 * m * m * p)
         np.testing.assert_array_equal(x[0], u0)
         np.testing.assert_allclose((eta_var + m * m) * u0 + 2.0 * m * m * b0, x[1], rtol=1e-12, atol=0.0)
 
@@ -365,10 +364,10 @@ class TestOptimalReport:
         assert set(rhs_shapes) == {(grid.n_lambda * grid.n_h, 2)}
 
     def test_stepper_holds_no_newton_arrays(self, small_policy):
-        # the pair's stepper keeps the lambda stage's inverse, h_jacobian's rows before the velocity and
-        # its work rows (3 states each) and rho h: 7 states, the inverse and 4 KB of Python objects on
-        # small_policy's grid (7.81 states measured); the value step's seven Newton work arrays, which
-        # frozen steps never read, would add 7 states
+        # the pair's stepper keeps the lambda stage's four products, h_jacobian's rows before the velocity
+        # and its work rows (3 states each) and rho h: 7 states, the products and 4 KB of Python objects
+        # on small_policy's grid (7.15 states beside the products measured); the value step's nine Newton
+        # work arrays, which frozen steps never read, would add 9 states
         grid, meta = small_policy.grid, small_policy.meta
         op = hjb._PideOperator(grid, meta.hawkes, meta.model, meta.costs)
         tracemalloc.start()
@@ -378,14 +377,15 @@ class TestOptimalReport:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained <= 7 * grid.n_lambda * grid.n_h * 8 + adi.inverse.nbytes + 4096
+        products = sum(m.nbytes for pair in adi.products.values() for m in pair)
+        assert retained <= 7 * grid.n_lambda * grid.n_h * 8 + products + 4096
 
     def test_step_loop_allocates_seven_states(self, small_policy, monkeypatch):
-        # after the first step, which tiles D_h over the pair and forms K, a step holds A_lambda X
-        # (reused for Y1), F_h X and the explicit stage (reused for K Y[0]), 6 states, the two
-        # velocities being buffers of the whole loop: within 7 states and 4 KB of Python objects on
-        # small_policy's grid (6.1 measured), read from the second step's start to the loop's end;
-        # broadcast products, fresh matmul results and a fresh velocity per step would add 4 states
+        # after the first step, which tiles D_h over the pair, allocates its work arrays and forms
+        # c M^{-1} C, a step allocates no array, the two states and the two velocities being buffers of
+        # the whole loop (1.7 KB of Python objects measured on small_policy's grid), read from the second
+        # step's start to the loop's end; the bound is the one set when a step still allocated 6 states
+        # (A_lambda X, F_h X and the explicit stage)
         schedule, marks = _pair_schedule, []
 
         def marked(snaps):
