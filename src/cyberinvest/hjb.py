@@ -768,7 +768,13 @@ def _bilinear(flat: np.ndarray, at, stride: int, w_lam, w_h):
     """Bilinear interpolation in a C-ordered (..., n_lambda, n_h) array read flat:
     `at` is the flat index of each point's lower (lambda, h) node, `stride` the
     step to the next lambda node (n_h, or 0 if n_lambda = 1), w_lam and w_h the
-    weights of _axis. The one lookup rule of every stored field."""
+    weights of _axis. The one lookup rule of every stored field.
+
+    On a one-node lambda axis (stride 0, where _axis gives w_lam = 0) it reads
+    the two h corners alone and interpolates in h: the four-corner blend
+    returns exactly that value there."""
+    if stride == 0:
+        return (1 - w_h) * flat.take(at) + w_h * flat.take(at + 1)
     v00, v01, v10, v11 = flat.take(np.add.outer((0, 1, stride, stride + 1), at))
     u_h = 1 - w_h
     return (1 - w_lam) * (u_h * v00 + w_h * v01) + w_lam * (u_h * v10 + w_h * v11)

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .breach import BreachModel, _breach_curve, breach_prob
-from .dynamics import CostParams, GridRate, _check_initial_level, _check_rates, _exact_levels, _phi
+from .dynamics import CostParams, GridRate, _check_initial_level, _check_rates, _phi, evolve_level
 from .errors import GainUndefinedError
 from .hawkes import AttackPath, HawkesParams, PathBatch, lambda_max_heuristic
 from .hjb import PolicyField, ValueField, _axis, _bilinear, _check_field_inputs, query
@@ -81,24 +81,30 @@ def _check_states(t, lam, h, horizon: float) -> None:
 
 
 def _snapshot_times(field: PolicyField, t_init: float) -> tuple:
-    """Ascending snapshot times from the one nearest t_init to the horizon, and
-    their indices into the field's snapshot axis."""
+    """The walk's times, t_init and then every later snapshot up to the horizon,
+    and the index into the field's snapshot axis of the snapshot that each
+    reads. The walk starts at t_init itself, and its first lookup reads the
+    snapshot at or before t_init, GridRate's convention. A snapshot less than
+    1e-12 horizons after t_init is at it: a start typed as a decimal (0.3)
+    reads the snapshot stored within rounding of it, above or below."""
     grid = field.grid
     _check_start(t_init, grid.horizon)
     t_asc = grid.t_snapshots[::-1]
-    start = int(np.argmin(np.abs(t_asc - t_init)))
-    times = t_asc[start:]
+    start = int(np.searchsorted(t_asc, t_init + 1e-12 * grid.horizon, side="right")) - 1
+    times = np.concatenate(([t_init], t_asc[start + 1 :]))
     snap_idx = grid.t_snapshots.size - 1 - (start + np.arange(times.size))
     return times, snap_idx
 
 
 def _walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: float, level=None) -> tuple:
     """Controls along each row of the (n_paths, len(times)) intensity matrix lam
-    by hjb's bilinear lookup in each snapshot's table, the level moving exactly,
-    h e^{-rho dt} + z phi(rho, dt), from h_init (finite, nonnegative); fills
+    by hjb's bilinear lookup in the table of snapshot snap_idx[i] at times[i]
+    (as _snapshot_times gives them), the level moving exactly, h e^{-rho dt} +
+    z phi(rho, dt), from h_init (finite, nonnegative) at times[0]; fills
     `level` (same shape) with the levels if given. Returns the controls,
     column-major, and the numbers of lookups clamped at lambda_max and at h_max
     (read there, although the solve's jump term extends V past lambda_max).
+    On a one-node intensity axis each lookup reads two h corners (_bilinear).
     """
     _check_initial_level(h_init)
     grid = field.grid
@@ -175,6 +181,34 @@ def _reward_rule() -> tuple:
     return nodes, weights
 
 
+class _ConstantQuadrature(NamedTuple):
+    """The rate-independent terms of evaluate_constant from one state (t, lam, h)."""
+
+    span: float  # T - t
+    decayed: np.ndarray  # h e^{-rho s} at the reward rule's nodes s and at the horizon
+    phi: np.ndarray  # phi(rho, s) there
+    weight: np.ndarray  # span x rule weight x eta_mean x the mean intensity at the nodes
+
+
+def _constant_quadrature(t: float, lam: float, h: float, hawkes: HawkesParams, costs: CostParams) -> _ConstantQuadrature:
+    span = costs.horizon - t
+    nodes, weights = _reward_rule()
+    s = np.append(span * nodes, span)  # the horizon rides along with the nodes
+    lstar = hawkes.stationary_mean
+    mean_lam = lstar + (lam - lstar) * np.exp(-hawkes.reversion_rate * s[:-1])
+    return _ConstantQuadrature(
+        span, h * np.exp(-costs.rho * s), _phi(costs.rho, s), (span * costs.eta_mean) * weights * mean_lam
+    )
+
+
+def _constant_value(quad: _ConstantQuadrature, z: np.ndarray, model: BreachModel, costs: CostParams):
+    """evaluate_constant's rate-dependent part: the values of the rates z."""
+    levels = quad.decayed + z[..., None] * quad.phi
+    reward = (model.v - _breach_curve(model, levels[..., :-1])) @ quad.weight
+    cost = quad.span * (costs.delta * z + 0.5 * costs.gamma * z**2)
+    return reward - cost + costs.utility(levels[..., -1])
+
+
 def evaluate_constant(
     t: float,
     lam: float,
@@ -193,19 +227,15 @@ def evaluate_constant(
     b <= 4) it agrees to 2e-14 of max(|value|, cost) at T = 1 for rates up to
     300, to 5e-14 at rate 1e3 and to 3e-12 at T = 5; a rule in s itself gave
     2e-5 at T = 1 and rate 300.
+
+    It is two parts: the state's rate-independent terms (_constant_quadrature:
+    the nodes, h e^{-rho s}, phi(s) and the mean-intensity weights), then the
+    rates' levels, reward, cost and terminal utility (_constant_value).
     """
     _check_state(t, lam, h, costs.horizon)
     z = np.asarray(zbar, dtype=float)
     _check_rates(z, "constant rate")
-    span = costs.horizon - t
-    nodes, weights = _reward_rule()
-    s = np.append(span * nodes, span)  # the horizon rides along with the nodes
-    levels = h * np.exp(-costs.rho * s) + z[..., None] * _phi(costs.rho, s)
-    lstar = hawkes.stationary_mean
-    mean_lam = lstar + (lam - lstar) * np.exp(-hawkes.reversion_rate * s[:-1])
-    reward = (model.v - _breach_curve(model, levels[..., :-1])) @ ((span * costs.eta_mean) * weights * mean_lam)
-    cost = span * (costs.delta * z + 0.5 * costs.gamma * z**2)
-    out = reward - cost + costs.utility(levels[..., -1])
+    out = _constant_value(_constant_quadrature(t, lam, h, hawkes, costs), z, model, costs)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -229,15 +259,21 @@ def optimize_constant(
     bracket, at least 16 times narrower, until it is at most 1e-6 wide. The
     first round samples the corner zbar = 0, so where investing does not pay
     (an invulnerable firm) the rate returned is exactly 0.0.
+
+    The state's rate-independent terms of evaluate_constant are built once
+    per search; each round evaluates only the rate-dependent part, so every
+    value is evaluate_constant's, bit for bit.
     """
     if z_cap is None:
         z_cap = 10.0 * costs.eta_mean * model.v * lambda_max_heuristic(hawkes, costs.horizon) / costs.gamma
     if z_cap <= 0:
         return 0.0, evaluate_constant(t, lam, h, 0.0, hawkes, model, costs)
+    _check_state(t, lam, h, costs.horizon)
+    quad = _constant_quadrature(t, lam, h, hawkes, costs)
     lo, hi = 0.0, z_cap
     for _ in range(max(1, math.ceil(math.log(z_cap / 1e-6, 16)))):
         z = np.linspace(lo, hi, 33)
-        values = evaluate_constant(t, lam, h, z, hawkes, model, costs)
+        values = _constant_value(quad, z, model, costs)
         i = int(np.argmax(values))
         lo, hi = z[max(i - 1, 0)], z[min(i + 1, 32)]
     return float(z[i]), float(values[i])
@@ -275,22 +311,25 @@ class _LevelPath(NamedTuple):
     terminal: float  # utility of the level at the horizon
 
 
-def _level_path(t: float, h: float, strategy: GridRate, model: BreachModel, costs: CostParams) -> _LevelPath:
-    """The level path of a rate path from (t, h): the reward rule of
-    evaluate_constant on each constant segment, its levels exact."""
-    T = costs.horizon
-    inside = strategy.times[(strategy.times > t) & (strategy.times < T)]
-    knots = np.concatenate(([t], inside, [T]))
+def _level_path(knots: np.ndarray, levels: np.ndarray, z: np.ndarray, model: BreachModel, costs: CostParams) -> _LevelPath:
+    """The level path of a rate path from t = knots[0] to the horizon, the last
+    knot: the rate z[i] on [knots[i], knots[i + 1]), from the exact level
+    levels[i] at each knot. Each segment takes the reward rule of
+    evaluate_constant, the level at a node s past its segment's knot being
+    levels[i] e^{-rho s} + z[i] phi(rho, s), the formula of _exact_levels."""
+    t = knots[0]
     dt = np.diff(knots)
     nodes, weights = _reward_rule()
     offsets = (knots[:-1] - t)[:, None] + dt[:, None] * nodes
-    levels, terminal = _exact_levels(strategy.times, strategy.values[None, :], h, costs.rho, t, (t + offsets).ravel(), 0, T)
-    z = strategy(knots[:-1])
+    # time past the segment's knot; a segment shorter than the rounding of
+    # its knot can put a node a rounding before it
+    s = np.maximum((t + offsets) - knots[:-1, None], 0.0)
+    node_levels = levels[:-1, None] * np.exp(-costs.rho * s) + z[:, None] * _phi(costs.rho, s)
     return _LevelPath(
         offsets.ravel(),
-        (dt[:, None] * weights).ravel() * costs.eta_mean * (model.v - breach_prob(model, levels)),
+        (dt[:, None] * weights).ravel() * costs.eta_mean * (model.v - breach_prob(model, node_levels.ravel())),
         np.sum(dt * (costs.delta * z + 0.5 * costs.gamma * z**2)),
-        costs.utility(terminal[0]),
+        costs.utility(levels[-1]),
     )
 
 
@@ -314,15 +353,20 @@ def evaluate_deterministic(
     """Expected net benefit of a deterministic rate path from state (t, lam, h).
 
     `strategy` is a PolicyTrace or a GridRate (a ConstantRate among them).
-    Each constant segment takes its levels exactly and the reward rule of
-    evaluate_constant.
+    Each constant segment takes the reward rule of evaluate_constant; the
+    levels at the knots come from evolve_level, and _level_path takes the
+    nodes' levels from them.
     """
-    _check_state(t, lam, h, costs.horizon)
+    T = costs.horizon
+    _check_state(t, lam, h, T)
     if isinstance(strategy, PolicyTrace):
         strategy = strategy.as_grid_rate()
     if not isinstance(strategy, GridRate):
         raise TypeError(f"strategy must be a PolicyTrace, GridRate or ConstantRate, not {type(strategy).__name__}")
-    return _path_value(_level_path(t, h, strategy, model, costs), lam, hawkes)
+    inside = strategy.times[(strategy.times > t) & (strategy.times < T)]
+    knots = np.concatenate(([t], inside, [T] if t < T else []))
+    levels = evolve_level(h, costs.rho, strategy, knots)
+    return _path_value(_level_path(knots, levels, strategy(knots[:-1]), model, costs), lam, hawkes)
 
 
 def _gain(v: float, benchmark: float) -> float:
@@ -373,7 +417,8 @@ def gain_vs_poisson(
     the state (query). The benchmark's trace and level path do not depend on
     lam: the first call for a (t, h) computes them and keeps them on
     poisson_field, and every call values them at its own lam, as
-    evaluate_deterministic does.
+    evaluate_deterministic does. The trace starts at t, so the level path
+    takes its knot levels from the walk that recorded them.
     """
     _check_mode(mode)
     _check_field_inputs(value_field.meta, hawkes, model, costs)
@@ -385,5 +430,6 @@ def gain_vs_poisson(
     path = poisson_field.level_paths.get(key)
     if path is None:
         trace = extract_policy(poisson_field.policy, poisson_field.intensity, t, h)
-        path = poisson_field.level_paths[key] = _level_path(t, h, trace.as_grid_rate(), model, costs)
+        path = _level_path(trace.times, trace.level, trace.control[:-1], model, costs)
+        poisson_field.level_paths[key] = path
     return _gain(v, _path_value(path, lam, hawkes))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -174,6 +175,16 @@ def coarse_grid(std_costs):
 def coarse_solution(coarse_grid, std_hawkes, std_model, std_costs):
     """Desk-scale solve of the standard problem; shared by many tests."""
     return solve(coarse_grid, std_hawkes, std_model, std_costs)
+
+
+@pytest.fixture(scope="session")
+def lambda_family(coarse_grid, coarse_solution, std_hawkes, std_model, std_costs):
+    """The standard problem at the coarse preset's d_h and d_lambda 9 (the
+    preset), 3 and 1 (the grid of configs/standard.cfg), keyed by d_lambda."""
+    out = {coarse_grid.d_lambda: coarse_solution}
+    for d_lambda in (3.0, 1.0):
+        out[d_lambda] = solve(dataclasses.replace(coarse_grid, d_lambda=d_lambda), std_hawkes, std_model, std_costs)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,7 @@ from cyberinvest import (
     solve,
     solve_poisson,
 )
-from cyberinvest.hjb import FieldMeta
+from cyberinvest.hjb import FieldMeta, _axis, _bilinear
 from cyberinvest.strategies import _snapshot_times, _walk
 
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
@@ -201,6 +201,38 @@ class TestOptimizeConstant:
         zst, _ = optimize_constant(0.0, 27.0, 1.0, STD_H, m0, STD_C)
         assert zst == 0.0
 
+    INVULNERABLE = BreachModel(BreachFamily.CLASS_I, 0.0, 0.1, 1.0)
+
+    @pytest.mark.parametrize(
+        "state, model, utility, z_cap",
+        [((0.0, 27.0, h), STD_M, "sqrt", None) for h in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)]
+        + [((0.4, 99.0, 3.0), STD_M, "sqrt", None), ((0.0, 27.0, 1.0), INVULNERABLE, "sqrt", None)]
+        + [((0.0, 27.0, 1.0), INVULNERABLE, "zero", 50.0)],
+        ids=["h0.5", "h1", "h2", "h5", "h10", "h20", "t0.4", "invulnerable", "invulnerable-capped"],
+    )
+    def test_matches_the_bracket_search_over_evaluate_constant(self, state, model, utility, z_cap):
+        """The search evaluates each round's 33 rates from terms it builds once:
+        it returns the (rate, value) of the bracket search that values every
+        round by evaluate_constant, bit for bit. At the gain levels of the
+        benchmark's table and at an invulnerable firm, where the rate is 0.0
+        exactly (by the z_cap = 0 corner, or, with zero terminal utility and a
+        cap, by the first round's z = 0)."""
+        costs = dataclasses.replace(STD_C, terminal_utility=utility)
+        cap = rate_cap(model, costs) if z_cap is None else z_cap
+        if cap <= 0:
+            want = 0.0, evaluate_constant(*state, 0.0, STD_H, model, costs)
+        else:
+            lo, hi = 0.0, cap
+            for _ in range(max(1, math.ceil(math.log(cap / 1e-6, 16)))):
+                z = np.linspace(lo, hi, 33)
+                values = evaluate_constant(*state, z, STD_H, model, costs)
+                i = int(np.argmax(values))
+                lo, hi = z[max(i - 1, 0)], z[min(i + 1, 32)]
+            want = float(z[i]), float(values[i])
+        got = optimize_constant(*state, STD_H, model, costs, z_cap=z_cap)
+        assert got == want
+        assert (got[0] == 0.0) == (model.v == 0.0)
+
     # the bracket search against the bounded Brent search it replaced
     @settings(max_examples=25)
     @given(MODELS, UTILITIES, st.floats(0.0, 0.95), st.floats(27.0, 216.0), st.floats(0.0, 50.0))
@@ -348,26 +380,38 @@ class TestExtractPolicy:
         with pytest.raises(ValueError, match="initial level"):
             extract_policy(solution.policy, 27.0, 0.0, h_init)
 
-    @pytest.mark.parametrize("h_min, d_h, t_init, h_init", [(0.0, 1.0, 0.0, 0.0), (0.0, 0.5, 0.1, 45.0), (2.0, 1.0, 0.3, 0.0)])
-    def test_walk_matches_reference_loop(self, solution, h_min, d_h, t_init, h_init):
+    @pytest.mark.parametrize(
+        "field, h_min, d_h, t_init, h_init",
+        [
+            ("solution", 0.0, 1.0, 0.0, 0.0),
+            ("solution", 0.0, 0.5, 0.1, 45.0),
+            ("solution", 2.0, 1.0, 0.3, 0.0),
+            ("poisson_27", 0.0, 0.5, 0.13, 45.0),
+        ],
+        ids=["0.0-1.0-0.0-0.0", "0.0-0.5-0.1-45.0", "2.0-1.0-0.3-0.0", "one-node-0.0-0.5-0.13-45.0"],
+    )
+    def test_walk_matches_reference_loop(self, request, field, h_min, d_h, t_init, h_init):
         """The walk against a loop, path by path, that interpolates each
         snapshot's table bilinearly in (lambda, h), clipped to the grid, and
         moves the level exactly: equal controls and levels to 1e-12, and clamp
         counts equal to the intensities above lambda_max plus the levels above
         h_max. The solved controls are read on relabelled h axes, so that
         levels run past h_max (clamped and counted) and below h_min (clamped
-        only)."""
-        grid = solution.policy.grid
+        only). The one-node field is a Poisson benchmark's policy, whose one
+        intensity node stands for both lambda corners; its walk starts between
+        snapshots."""
+        solved = request.getfixturevalue(field).policy
+        grid = solved.grid
         grid = dataclasses.replace(grid, h_min=h_min, d_h=d_h, h_max=h_min + d_h * (grid.n_h - 1))
-        policy = PolicyField(grid, solution.policy.controls, solution.policy.meta)
+        policy = PolicyField(grid, solved.controls, solved.meta)
         rho = policy.meta.costs.rho
 
         def lookup(table, lam, h):
             x = min(max((lam - grid.lambda_min) / grid.d_lambda, 0.0), grid.n_lambda - 1.0)
             y = min(max((h - grid.h_min) / grid.d_h, 0.0), grid.n_h - 1.0)
-            i, j = min(math.floor(x), grid.n_lambda - 2), min(math.floor(y), grid.n_h - 2)
+            i, j = max(min(math.floor(x), grid.n_lambda - 2), 0), min(math.floor(y), grid.n_h - 2)
             a, b = x - i, y - j
-            corners = table[i : i + 2, j : j + 2]
+            corners = table[[i, min(i + 1, grid.n_lambda - 1)], j : j + 2]
             return float(np.array([1.0 - a, a]) @ corners @ np.array([1.0 - b, b]))
 
         times, snap_idx = _snapshot_times(policy, t_init)
@@ -435,7 +479,31 @@ class TestExtractPolicy:
     def test_times_cover_interval(self, solution):
         trace = extract_policy(solution.policy, 27.0, 0.37, 1.0)
         assert trace.times[-1] == pytest.approx(1.0)
-        assert abs(trace.times[0] - 0.37) <= GRID.d_t / 2 + 1e-12
+        assert trace.times[0] == 0.37
+
+    @pytest.mark.parametrize("t_init", [0.3, 0.58, 1.0])
+    def test_walk_starts_at_its_start(self, solution, t_init):
+        """The walk's times are t_init and then the snapshots after it; its first
+        lookup reads the snapshot at or before t_init, and a snapshot less than
+        1e-12 horizons after t_init counts as at it. A start on a snapshot,
+        stored or typed (0.3), or within that rounding of one, reads that
+        snapshot first; a start that the rounding does not reach reads the one
+        before. A start exactly on a snapshot walks the snapshots alone."""
+        snaps = GRID.t_snapshots
+        k = int(np.argmin(np.abs(snaps - t_init)))
+        rounded = (np.nextafter(snaps[k], 0.0), np.nextafter(snaps[k], 2.0), snaps[k] - 5e-13, snaps[k] + 5e-13)
+        for start in (snaps[k], t_init, *rounded):
+            start = min(float(start), 1.0)
+            times, snap_idx = _snapshot_times(solution.policy, start)
+            assert times[0] == start and snap_idx[0] == k
+            np.testing.assert_array_equal(times[1:], snaps[:k][::-1])
+            np.testing.assert_array_equal(snap_idx, np.arange(k, k - times.size, -1))
+        times, snap_idx = _snapshot_times(solution.policy, float(snaps[k]))
+        np.testing.assert_array_equal(times, snaps[k::-1])
+        if k + 1 < snaps.size:
+            before = float(snaps[k]) - 2e-12
+            times, snap_idx = _snapshot_times(solution.policy, before)
+            assert times[0] == before and snap_idx[0] == k + 1 and times[1] == snaps[k]
 
     def test_control_rises_across_attack_cluster(self, solution):
         # burst of attacks mid-horizon raises the applied rate above the
@@ -528,6 +596,21 @@ class TestGains:
                         direct.append(100.0 * (query(value, t, l, h) - b) / b)
                     assert reused == fresh == direct
                     assert (t, h) in bench.level_paths
+
+    @pytest.mark.parametrize("bench", [0, 1], ids=["baseline", "expectation"])
+    @pytest.mark.parametrize("h", [0.0, 1.0, 5.0])
+    def test_poisson_gain_has_no_step_in_t(self, coarse_solution, poisson_pair, bench, h):
+        """The benchmark's walk starts at t itself, so across t = 0.0025, the
+        midpoint of the coarse field's first interval [0, 0.005], the gain at
+        lambda 27 moves by no more than 1.5 times its largest move between
+        the other neighbouring starts in [0.0015, 0.0035] (0.73-0.97 times
+        measured; a walk from the nearest snapshot jumped there by 3.8-18
+        times its other moves, 0.45 pp against the baseline at h 0)."""
+        value = coarse_solution.value
+        starts = np.linspace(0.0015, 0.0035, 9)
+        gains = [gain_vs_poisson(float(t), 27.0, h, value, poisson_pair[bench], STD_H, STD_M, STD_C) for t in starts]
+        steps = np.abs(np.diff(gains))
+        assert steps[4] <= 1.5 * np.delete(steps, 4).max(), gains
 
     def test_fields_of_another_model_rejected(self, coarse_solution, poisson_pair):
         """The fields fix the model and the costs: a gain asked for another model, or
@@ -653,6 +736,24 @@ class TestOneLookup:
             assert report.expected_loss == pytest.approx(m * exact, rel=1e-12, abs=0.0)
             second = report.loss_std**2 + report.expected_loss**2
             assert second == pytest.approx((var + m * m) * exact + 2.0 * m * m * (10.0 * exact + 100.0), rel=1e-12, abs=0.0)
+
+    def test_one_node_axis(self):
+        """On a one-node intensity axis (stride 0, w_lam = 0) the lookup reads
+        the two h corners alone: at random states, levels clamped at h_max
+        among them, it equals the four-corner formula bit for bit."""
+        rng = np.random.default_rng(13)
+        n_snap, n_h, stride = 7, GRID.n_h, 0
+        flat = rng.uniform(0.0, 30.0, n_snap * n_h)
+        above = GRID.h_max + rng.uniform(0.0, 20.0, 50)
+        h = np.concatenate((rng.uniform(GRID.h_min, GRID.h_max, 500), [GRID.h_min, GRID.h_max], above))
+        j, w_h = _axis(h, GRID.h_min, GRID.d_h, n_h)
+        i, w_lam = _axis(rng.uniform(0.0, 300.0, h.size), 27.0, 1.0, 1)
+        assert not i.any() and not w_lam.any()
+        at = j + n_h * rng.integers(0, n_snap, h.size)
+        v00, v01, v10, v11 = flat[at], flat[at + 1], flat[at + stride], flat[at + stride + 1]
+        four = (1 - w_lam) * ((1 - w_h) * v00 + w_h * v01) + w_lam * ((1 - w_h) * v10 + w_h * v11)
+        assert np.array_equal(_bilinear(flat, at, stride, w_lam, w_h), four)
+        assert np.array_equal(four[-above.size :], flat[at[-above.size :] + 1])
 
     def test_walk(self):
         """In-grid intensities and levels read the affine control at each
