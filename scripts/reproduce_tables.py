@@ -31,27 +31,26 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    common = ["--config", str(ROOT / "configs" / "standard.cfg"), "--out", str(out)]
-    if not args.full:
-        common.append("--coarse")
+    config = ["--config", str(ROOT / "configs" / "standard.cfg")]  # all that moments and static-gl take
+    common = config + ["--out", str(out)] + ([] if args.full else ["--coarse"])
     gain = ["gain", "--value-field", str(out / "value")]
-    steps = [["static-gl"], ["solve"], gain]
+    steps = [(["static-gl"], config), (["solve"], common), (gain, common)]
     steps += [
-        gain + ["--benchmark", f"poisson-{m}", "--lambdas", "27,45,63,81,99,117,135", "--hs", "0"]
+        (gain + ["--benchmark", f"poisson-{m}", "--lambdas", "27,45,63,81,99,117,135", "--hs", "0"], common)
         for m in ("baseline", "expectation")
     ]
-    steps.append(["premium", "--value-field", str(out / "value")])
+    steps.append((["premium", "--value-field", str(out / "value")], common))
 
     # validate first, so a bad configuration stops the run before any solve
     rc = cyberinvest(["validate", *common])
     if rc == 0:
         with (out / "moments.csv").open("w") as fh, contextlib.redirect_stdout(fh):
-            rc = cyberinvest(["moments", *common])
-    for step in steps:
+            rc = cyberinvest(["moments", *config])
+    for step, flags in steps:
         if rc != 0:
             break
         print(f"== cyberinvest {' '.join(step)}", flush=True)
-        rc = cyberinvest(step + common)
+        rc = cyberinvest(step + flags)
     return rc
 
 

@@ -52,6 +52,8 @@ def _load_config(args) -> RunConfig:
         cfg = cfg.coarse()
     overrides = {}
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:  # before any path is drawn or --out is made
+            raise ConfigError([f"--seed {args.seed} must be nonnegative"])
         overrides["seed"] = args.seed
     if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
@@ -245,10 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, grid=True):
         p.add_argument("--config", default=None, help="INI config file (defaults built in)")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--coarse", action="store_true", help="desk-scale grid preset")
+        if grid:  # static-gl and moments read no grid and write no file
+            p.add_argument("--out", default=None, help="output directory override")
+            p.add_argument("--coarse", action="store_true", help="desk-scale grid preset")
 
     p = sub.add_parser("validate", help="check a config file and print the effective settings")
     common(p)
@@ -283,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_premium)
 
     p = sub.add_parser("static-gl", help="one-shot static investment optimum")
-    common(p)
+    common(p, grid=False)
     p.add_argument("--p", type=float, default=1.0, help="attack probability")
     p.add_argument("--loss", type=float, default=400.0, help="loss on breach")
     p.set_defaults(func=cmd_static_gl)
 
     p = sub.add_parser("moments", help="expected intensity/count and intensity dispersion table")
-    common(p)
+    common(p, grid=False)
     p.add_argument("--times", default="0,0.25,0.5,0.75,1")
     p.set_defaults(func=cmd_moments)
 

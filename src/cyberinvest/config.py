@@ -191,6 +191,8 @@ def validate(source: Optional[Union[str, Path]] = None, use_env: bool = True) ->
             replace(costs, eta_var=eta_var)
         except ValueError as exc:
             diagnostics.append(f"[premium] eta_vars {eta_var:g}: {exc}")
+    if values["run"]["seed"] < 0:  # the root of trace's SeedSequence
+        diagnostics.append(f"[run] seed must be nonnegative, got {values['run']['seed']}")
     if hawkes is not None and grid is not None and not (grid.lambda_min <= hawkes.lambda0 <= grid.lambda_max):
         diagnostics.append(
             f"[grid] intensity grid [{grid.lambda_min}, {grid.lambda_max}] does not cover lambda0={hawkes.lambda0}"

@@ -26,19 +26,22 @@ iteration (Forsyth & Labahn 2007), with one tridiagonal solve (LAPACK gtsv on
 the Jacobian's three diagonals) for all lambda columns per iteration, usually
 one per step: Newton starts from the last step's correction and stops on its residual.
 A state's F_h, from that residual, is carried into the next step, and Newton works
-in arrays allocated once per solve. gtsv is bound from scipy's compiled LAPACK
-extension on a solve's first use (_gtsv), so the package never imports scipy.linalg.
+in one array allocated once per solve. One evaluator, _PideOperator.h_terms, gives
+D_h W, the excess (D_h W - delta)^+ and F_h to Newton, to the operator's rhs and
+policy and to derive_policy, and the control is always excess / gamma of it. gtsv is
+bound from scipy's compiled LAPACK extension on a solve's first use (_gtsv), so the
+package never imports scipy.linalg.
 
 The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
 stage transposes it. Stored fields add a leading snapshot axis.
 
 The same steps with the rate held at a stored policy's controls at each step's
 two ends make the h stage linear, transport at the velocity z - rho h, and stay
-second order. _loss_surfaces takes them, most over two snapshot intervals, for the
-two moments of the loss under that policy as one coupled solve of the stacked
-pair: the coupling acts along lambda and joins the lambda stage, the h stage of
-both is one tridiagonal solve with two right-hand sides per step, and F_h is
-carried from it into the next step.
+second order; their lambda stage is the value step's. _loss_surfaces takes them,
+most over two snapshot intervals, for the two moments of the loss under that
+policy as one coupled solve of the stacked pair: the coupling acts along lambda
+and joins the lambda stage, the h stage of both is one tridiagonal solve with two
+right-hand sides per step, and F_h is carried from it into the next step.
 """
 
 from __future__ import annotations
@@ -283,14 +286,16 @@ def _stencil(n: int, step: float) -> np.ndarray:
     return np.stack([-back, back - forward, forward]) * (1.0 / step)
 
 
-def _along_h(tiles: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A stencil along h of the C-ordered (n_lambda, n_h) array w, given as tiles over the lambda rows:
-    flat shifted products, kept apart across rows by the zeros past each row's first and last node."""
-    flat = w.reshape(-1)
-    out = tiles[1] * flat
-    out[1:] += tiles[0, 1:] * flat[:-1]
-    out[:-1] += tiles[2, :-1] * flat[1:]
-    return out.reshape(w.shape)
+def _along_h(rows: tuple, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """A stencil along h of the C-ordered (n_lambda, n_h) array w into out (scratch is overwritten), given
+    as tiles over the lambda rows, their rows (main, sub[1:], super[:-1]): flat shifted products, kept apart
+    across rows by the zeros past each row's first and last node."""
+    main, sub, sup = rows
+    flat, res, tmp = w.reshape(-1), out.reshape(-1), scratch.reshape(-1)
+    np.multiply(main, flat, out=res)
+    above, below = res[1:], res[:-1]
+    np.add(above, np.multiply(sub, flat[:-1], out=tmp[1:]), out=above)
+    np.add(below, np.multiply(sup, flat[1:], out=tmp[:-1]), out=below)
 
 
 def _jump_shift_1d(n: int, d_lambda: float, beta: float) -> np.ndarray:
@@ -321,7 +326,8 @@ class _PideOperator:
 
     dW/dtau = a_lam @ W + N(W) - ch D_h W + reward, with N(W) =
     max(D_h W - delta, 0)^2 / (2 gamma), D_h the stencil d_h and ch = rho h
-    the level's obsolescence rate.
+    the level's obsolescence rate, tiled to a state. h_terms is the one
+    evaluation of the terms acting along h.
     """
 
     def __init__(self, grid: SolverGrid, hawkes: HawkesParams, model: BreachModel, costs: CostParams):
@@ -341,32 +347,34 @@ class _PideOperator:
         self.a_lam = lam[:, None] * (jump - np.eye(nl)) - clam[:, None] * dlam
         self.jump_rate = lam[:, None] * jump  # C = diag(lambda) J, the jump term's inflow
         self.d_h = _stencil(nh, grid.d_h)
-        self.tiles = np.tile(self.d_h, nl)  # over the lambda rows, for _along_h
-        self.ch = costs.rho * hs
+        self.tiles = np.tile(self.d_h, nl)  # over the lambda rows
+        self._rows = self.tiles[1], self.tiles[0, 1:], self.tiles[2, :-1]  # _along_h's, sliced once
+        self.ch = np.tile(costs.rho * hs, (nl, 1))
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        """D_h W on the (lambda, h) array: central differences, one-sided at h_min and h_max."""
-        return _along_h(self.tiles, w)
-
-    def excess(self, grad: np.ndarray) -> np.ndarray:
-        """max(D_h W - delta, 0) given grad = D_h W: gamma times the maximizing rate."""
-        return np.maximum(grad - self.delta, 0.0)
+    def h_terms(self, w: np.ndarray, scratch: np.ndarray, grad: np.ndarray, excess: np.ndarray, f_h=None) -> None:
+        """D_h W (central differences, one-sided at h_min and h_max), the excess max(D_h W - delta, 0),
+        gamma times the maximizing rate, and, given f_h, F_h(W) = N(W) - ch D_h W of the (lambda, h) array w,
+        into grad, excess and f_h; scratch is overwritten. excess may be w itself."""
+        _along_h(self._rows, w, grad, scratch)
+        np.maximum(np.subtract(grad, self.delta, out=excess), 0.0, out=excess)
+        if f_h is not None:
+            np.multiply(np.multiply(excess, excess, out=f_h), 0.5 / self.gamma, out=f_h)
+            np.subtract(f_h, np.multiply(self.ch, grad, out=scratch), out=f_h)
 
     def policy(self, w: np.ndarray) -> np.ndarray:
         """Pointwise maximizer (D_h V - delta)^+ / gamma on the (lambda, h) array."""
-        return self.excess(self.gradient(w)) / self.gamma
-
-    def h_part(self, grad: np.ndarray, excess: np.ndarray) -> np.ndarray:
-        """The terms acting along h, N(W) - ch D_h W, given grad = D_h W and excess = self.excess(grad)."""
-        return excess * excess * (0.5 / self.gamma) - self.ch * grad
+        scratch, grad, excess = np.empty((3,) + self.shape)
+        self.h_terms(w, scratch, grad, excess)
+        return np.divide(excess, self.gamma, out=excess)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """dV/dt for a surface flattened in (lambda, h) row-major order (or shaped (n_lambda, n_h))."""
         if not np.all(np.isfinite(y)):
             raise FloatingPointError("non-finite value surface during integration")
         w = y.reshape(self.shape)
-        grad = self.gradient(w)
-        return -(self.a_lam @ w + self.h_part(grad, self.excess(grad)) + self.reward).reshape(y.shape)
+        scratch, grad, excess, f_h = np.empty((4,) + self.shape)
+        self.h_terms(w, scratch, grad, excess, f_h)
+        return -(self.a_lam @ w + f_h + self.reward).reshape(y.shape)
 
 
 class _DouglasADI:
@@ -377,10 +385,11 @@ class _DouglasADI:
         Y2 - c F_h(Y2) = Y1 - c F_h(W)   (Newton)
     with P = M^{-1} (I + (dt - c) A_lambda) and Q = dt M^{-1}. Every step of _schedule and
     _pair_schedule spans dt = c (_IMPLICIT, theta = 1) or 2c (_DOUGLAS) to rounding in the snapshot
-    times, so products[kind] = (P, Q) are formed once.
+    times, so products[kind] = (P, Q) are formed once; lambda_stage forms Y1 for step and frozen_step.
     step takes W with F_h(W) and returns Y2 with F_h(Y2), from Newton's last residual, and leaves
-    the excess max(D_h Y2 - delta, 0) in self.excess: work arrays, allocated once
-    (allocate_newton), which the next step overwrites and may take as its (W, F_h(W)).
+    the excess max(D_h Y2 - delta, 0) in self.excess: rows of one work array, allocated once
+    (allocate_newton), which the next step overwrites and may take as its (W, F_h(W)). Each Newton
+    iterate's D_h, excess and F_h come from op.h_terms.
     The Jacobian of F_h is diag(excess / gamma - rho h) D_h: transport at the level's velocity.
     Newton starts from Y1 plus the last step's Y2 - Y1 and stops once the residual's max-norm is
     within _NEWTON_RTOL of max(1, max |Y|); a SolverError reports that norm as update_norm (the
@@ -397,41 +406,23 @@ class _DouglasADI:
         # M^{-1} (I + c A_lambda) = 2 M^{-1} - I, as c A_lambda = I - M
         self.products = {_IMPLICIT: (inverse, c * inverse), _DOUGLAS: (2.0 * inverse - identity, 2.0 * c * inverse)}
         self._tiles = -c * op.tiles  # h_jacobian's rows before the velocity
+        self._rows = np.empty_like(op.tiles)  # and after: gtsv's diagonals
         self._stacks = {}  # stack size -> frozen_step's work arrays
         self.nfev = 0
         self.newton = []
         self._work = None  # Newton's, allocated by allocate_newton
-        rows = np.empty_like(op.tiles)
-        # h_jacobian's (rows before the velocity, diagonal): sub, main, super
-        self._jacobian = (
-            (self._tiles[0, 1:], rows[0, 1:]),
-            (self._tiles[1], rows[1]),
-            (self._tiles[2, :-1], rows[2, :-1]),
-        )
-        self._ch = np.tile(op.ch, op.shape[0])  # rho h at every node
 
     def allocate_newton(self) -> None:
-        """Newton's work arrays, and gtsv bound, on the value step's first use: frozen steps read no array."""
+        """Newton's work rows, and gtsv bound, on the value step's first use: frozen steps read no array."""
         if self._work is not None:
             return
         # residual and iterate (their absolute values go to the next two rows: one reduction gives both
         # max-norms), scratch, the iterate's gradient, excess and F_h, the last Y2 - Y1 (Newton's start),
         # Y1 and Newton's target
         self._work = work = np.zeros((9,) + self.op.shape)
-        flat = work.reshape(len(work), -1)
-        self._resid, self._y, self._scratch, self._grad, self._excess, self._f_h, self._correction = flat[:7]
-        self._y1, self._target = flat[7:]
-        self._norms = flat[:2], flat[2:4], np.empty(2)
-        self.y, self._part, self.excess, self.f_h, self._stage = work[1], work[2], work[4], work[5], work[7:]
+        self._maxima = np.empty(2)
+        self.y, self.excess, self.f_h = work[1], work[4], work[5]
         _gtsv()
-        # _along_h's operands: each tile row, the iterate slice it multiplies and, when shifted, the
-        # scratch and gradient slices of the product
-        y, grad, scratch, tiles = self._y, self._grad, self._scratch, self.op.tiles
-        self._d_h = (
-            (tiles[1], y),
-            (tiles[0, 1:], y[:-1], scratch[1:], grad[1:]),
-            (tiles[2, :-1], y[1:], scratch[:-1], grad[:-1]),
-        )
 
     @functools.cached_property
     def coupling(self) -> np.ndarray:
@@ -444,32 +435,29 @@ class _DouglasADI:
         rate at the step's end in frozen_step). The entries that would couple the last h node of one
         column to the first node of the next are zero, so one solve handles all columns. Each call
         rebuilds them in one work array."""
-        v = velocity.reshape(-1)
-        (lower_tiles, lower), (main_tiles, main), (upper_tiles, upper) = self._jacobian
+        v, tiles, rows = velocity.reshape(-1), self._tiles, self._rows
+        lower, main, upper = rows[0, 1:], rows[1], rows[2, :-1]
         # row by row: one broadcast product allocates a temporary of the three rows
-        np.multiply(lower_tiles, v[1:], out=lower)
-        np.add(np.multiply(main_tiles, v, out=main), 1.0, out=main)
-        np.multiply(upper_tiles, v[:-1], out=upper)
+        np.multiply(tiles[0, 1:], v[1:], out=lower)
+        np.add(np.multiply(tiles[1], v, out=main), 1.0, out=main)
+        np.multiply(tiles[2, :-1], v[:-1], out=upper)
         return lower, main, upper
 
-    def _evaluate(self) -> None:
-        """The iterate's gradient, excess and F_h into their work arrays, by op.gradient's,
-        op.excess's and op.h_part's operations."""
-        grad, excess, f_h, scratch = self._grad, self._excess, self._f_h, self._scratch
-        (mid, y), (lo, y_lo, tmp_hi, grad_hi), (hi, y_hi, tmp_lo, grad_lo) = self._d_h
-        np.multiply(mid, y, out=grad)
-        np.add(grad_hi, np.multiply(lo, y_lo, out=tmp_hi), out=grad_hi)
-        np.add(grad_lo, np.multiply(hi, y_hi, out=tmp_lo), out=grad_lo)
-        np.maximum(np.subtract(grad, self.op.delta, out=excess), 0.0, out=excess)
-        np.multiply(np.multiply(excess, excess, out=f_h), 0.5 / self.op.gamma, out=f_h)
-        np.subtract(f_h, np.multiply(self._ch, grad, out=scratch), out=f_h)
+    def lambda_stage(self, x, f_h, source, kind: int, y1, part, product) -> np.ndarray:
+        """Y1 = P X + Q (F_h(X) + source) of a step of the given kind for a state or a stack of states X,
+        into y1 (new if None), overwriting part and product; returns y1."""
+        p, q = self.products[kind]
+        y1 = np.matmul(p, x, out=y1)
+        y1 += np.matmul(q, np.add(f_h, source, out=part), out=product)
+        return y1
 
     def step(self, w: np.ndarray, f_h: np.ndarray, kind: int, t: float) -> tuple:
-        """(Y2, F_h(Y2)) from W and f_h = F_h(W) by a step of the given kind, as work arrays (see the
+        """(Y2, F_h(Y2)) from W and f_h = F_h(W) by a step of the given kind, as work rows (see the
         class docstring)."""
         self.allocate_newton()
-        op, c, y, resid, scratch, part = self.op, self.c, self._y, self._resid, self._scratch, self._part
-        pair, magnitudes, maxima = self._norms
+        op, c, work, maxima = self.op, self.c, self._work, self._maxima
+        resid, y, scratch, grad, excess, f_y, correction, y1, target = work
+        pair, magnitudes = work[:2].reshape(2, -1), work[2:4].reshape(2, -1)
         norm = math.nan
 
         def failure(what: str) -> SolverError:
@@ -479,32 +467,28 @@ class _DouglasADI:
                 {"step": step, "t": t, "update_norm": norm},
             )
 
-        (p, q), (y1, target) = self.products[kind], self._stage
-        # the lambda stage, then Newton's target Y1 - c F_h(W)
-        np.matmul(q, np.add(f_h, op.reward, out=part), out=target)
-        np.add(np.matmul(p, w, out=y1), target, out=y1)
-        np.subtract(y1, np.multiply(f_h, c, out=part), out=target)
+        self.lambda_stage(w, f_h, op.reward, kind, y1, scratch, target)
+        np.subtract(y1, np.multiply(f_h, c, out=scratch), out=target)  # Newton's target Y1 - c F_h(W)
         self.nfev += 1
-        np.add(self._y1, self._correction, out=y)
-        target = self._target
+        np.add(y1, correction, out=y)
         for it in range(_NEWTON_MAX_ITER + 1):  # it tridiagonal solves so far
-            self._evaluate()
-            np.subtract(np.subtract(y, np.multiply(self._f_h, c, out=resid), out=resid), target, out=resid)
+            op.h_terms(y, scratch, grad, excess, f_y)
+            np.subtract(np.subtract(y, np.multiply(f_y, c, out=resid), out=resid), target, out=resid)
             norm, size = np.maximum.reduce(np.abs(pair, out=magnitudes), axis=1, out=maxima).tolist()
             if not math.isfinite(norm):  # nan or inf if any entry is
                 raise failure("non-finite h stage")
             if norm <= _NEWTON_RTOL * max(1.0, size):  # size = max |Y|, finite as the residual is
                 self.newton.append(it)
-                np.subtract(y, self._y1, out=self._correction)
+                np.subtract(y, y1, out=correction)
                 return self.y, self.f_h
             if it == _NEWTON_MAX_ITER:
                 break
-            velocity = np.subtract(np.divide(self._excess, op.gamma, out=scratch), self._ch, out=scratch)
+            velocity = np.subtract(np.divide(excess, op.gamma, out=scratch), op.ch, out=scratch)
             # gtsv may overwrite the diagonals and the residual: both are rebuilt before each solve
-            *_, dy, info = _gtsv()(*self.h_jacobian(velocity), resid, True, True, True, True)
+            *_, dy, info = _gtsv()(*self.h_jacobian(velocity), resid.reshape(-1), True, True, True, True)
             if info != 0:
                 raise failure(f"singular h-stage Jacobian (gtsv info {info})")
-            y -= dy
+            y -= dy.reshape(y.shape)
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
     def frozen_step(
@@ -523,9 +507,7 @@ class _DouglasADI:
         if len(x) not in self._stacks:
             self._stacks[len(x)] = np.empty((2,) + x.shape), np.empty((2,) + self.op.shape)
         (part, target), inflow = self._stacks[len(x)]
-        p, q = self.products[kind]
-        y1 = np.matmul(p, x, out=out)
-        y1 += np.matmul(q, np.add(f_h, source, out=part), out=target)
+        y1 = self.lambda_stage(x, f_h, source, kind, out, part, target)
         if coupling is not None:
             u = np.add(x[0], y1[0], out=inflow[0]) if kind == _DOUGLAS else y1[0]
             y1[1] += np.matmul(self.coupling, np.multiply(u, coupling, out=inflow[0]), out=inflow[1])
@@ -596,10 +578,10 @@ def solve(
     values = np.empty((snaps.size,) + op.shape)
     controls = np.empty_like(values)
     w = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).copy()
-    grad = op.gradient(w)
-    excess = op.excess(grad)
-    f_h = op.h_part(grad, excess)
-    values[0], controls[0] = w, excess / op.gamma
+    scratch, grad, excess, f_h = np.empty((4,) + op.shape)
+    op.h_terms(w, scratch, grad, excess, f_h)
+    values[0] = w
+    np.divide(excess, op.gamma, out=controls[0])
     adi = _DouglasADI(op, _THETA * grid.d_t)
     adi.allocate_newton()  # before the clock starts, so wall_time_s counts the steps alone
     t0 = time.perf_counter()
@@ -618,7 +600,7 @@ def solve(
         "newton_mean": float(np.mean(adi.newton)),
         "newton_max": int(max(adi.newton)),
     }
-    del adi, w, f_h  # the work arrays, before the quality report's temporaries
+    del adi, w, f_h, scratch, grad, excess  # the work arrays, before the quality report's temporaries
 
     meta = FieldMeta(hawkes, model, costs)
     vf = ValueField(grid, values, meta)
@@ -629,12 +611,17 @@ def solve(
 
 def derive_policy(value: ValueField) -> PolicyField:
     """The maximizing rate (D_h V - delta)^+ / gamma at every snapshot of a value field: on a field
-    that solve returned, its controls bit for bit, as the solve takes each by the same operations."""
+    that solve returned, its controls bit for bit, as the solve takes each by the same operations.
+
+    The controls are written over value.values, snapshot by snapshot, so that no second field is
+    held: the value field is spent, and the policy's controls are its array, read-only from then on.
+    """
     op = _PideOperator(value.grid, value.meta.hawkes, value.meta.model, value.meta.costs)
-    controls = np.empty_like(value.values)
-    for k, w in enumerate(value.values):
-        controls[k] = op.policy(w)
-    return PolicyField(value.grid, controls, value.meta)
+    scratch, grad = np.empty((2,) + op.shape)
+    for w in value.values:
+        op.h_terms(w, scratch, grad, w)
+        np.divide(w, op.gamma, out=w)
+    return PolicyField(value.grid, value.values, value.meta)
 
 
 def _loss_surfaces(policy: PolicyField) -> tuple:
@@ -656,13 +643,13 @@ def _loss_surfaces(policy: PolicyField) -> tuple:
     adi = _DouglasADI(op, grid.d_t)
     # tiled to a state's shape, so that no product or difference with a state broadcasts
     p = np.tile(breach_prob(meta.model, grid.hs), (grid.n_lambda, 1))
-    ch, velocity = adi._ch.reshape(op.shape), np.empty(op.shape)
+    velocity = np.empty(op.shape)
     source = np.zeros((2,) + op.shape)
     source[0] = grid.lambdas[:, None] * p
     # the state, its F_h (0 at u = B = 0) and the next state's buffer
     x, f_h, out = np.zeros_like(source), np.zeros_like(source), np.empty_like(source)
     for k, kind in _pair_schedule(grid.t_snapshots):
-        x, out = adi.frozen_step(x, f_h, np.subtract(policy.controls[k], ch, out=velocity), source, kind, p, out), x
+        x, out = adi.frozen_step(x, f_h, np.subtract(policy.controls[k], op.ch, out=velocity), source, kind, p, out), x
     return x[0], x[1]
 
 
@@ -692,7 +679,7 @@ def _quality_report(vf: ValueField, pf: PolicyField, op: _PideOperator, wall: fl
     # stands in for the values above it
     top = pf.controls[:, :, -1]
     report = {
-        "inflow_h_max": {"nodes": int(np.count_nonzero(top > op.ch[-1])), "of": int(top.size)},
+        "inflow_h_max": {"nodes": int(np.count_nonzero(top > op.ch[0, -1])), "of": int(top.size)},
         "jump_cells": vf.meta.hawkes.beta / vf.grid.d_lambda,  # below 1, the jump lands inside the first cell
         "n_nodes": int(values.size),
         "scale": scale,

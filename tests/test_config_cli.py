@@ -435,11 +435,12 @@ class TestCli:
         # an exception escaping main, the traceback of the command line, fails the call itself
         cfg = self.write_tiny(tmp_path)
         out = str(tmp_path / "run")
-        if any("@OUT@" in a for a in argv):
+        solved = any("@OUT@" in a for a in argv)  # moments and static-gl take no --out
+        if solved:
             assert main(["solve", "--config", cfg, "--out", out]) == 0
             capsys.readouterr()
         argv = [a.replace("@OUT@", out) for a in argv]
-        assert main([*argv, "--config", cfg, "--out", out]) == 2
+        assert main([*argv, "--config", cfg, *(["--out", out] if solved else [])]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error:") and "Traceback" not in captured.err
         assert argv[-2] in captured.err and "wrote" not in captured.out
@@ -633,16 +634,41 @@ class TestCli:
             (["premium", "--value-field", "v", "--seed", "7"], "unrecognized arguments: --seed 7"),
             (["static-gl", "--seed", "7"], "unrecognized arguments: --seed 7"),
             (["moments", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            # static-gl and moments read no grid and write no file
+            (["static-gl", "--coarse"], "unrecognized arguments: --coarse"),
+            (["moments", "--out", "o"], "unrecognized arguments: --out o"),
         ],
         ids=[
             "solve-poisson", "poisson-field", "policy-field", "trace-field", "validate-seed", "solve-seed",
-            "gain-seed", "premium-seed", "static-gl-seed", "moments-seed",
+            "gain-seed", "premium-seed", "static-gl-seed", "moments-seed", "static-gl-coarse", "moments-out",
         ],
     )
     def test_persisted_benchmark_command_and_flag_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2 and message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys, source):
+        # a SeedSequence takes no negative root: one diagnostic, before any path is drawn or --out is made
+        cfg = self.write_tiny(tmp_path)
+        field = tmp_path / "field"
+        assert main(["solve", "--config", cfg, "--out", str(field)]) == 0
+        capsys.readouterr()
+        if source == "config":
+            Path(cfg).write_text(TINY + "\n[run]\nseed = -1\n")
+        elif source == "env":
+            monkeypatch.setenv("CYBERINVEST_RUN__SEED", "-1")
+        flags = ["--seed", "-1"] if source == "flag" else []
+        out = tmp_path / "run"
+        argv = ["trace", "--config", cfg, "--value-field", str(field / "value"), "--n-paths", "1", "--out", str(out)]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n  - ") == 1 and "Traceback" not in err
+        assert ("--seed -1 must be nonnegative" if source == "flag" else "[run] seed must be nonnegative, got -1") in err
+        assert not out.exists()
+        if source != "flag":
+            assert main(["validate", "--config", cfg]) == 2
 
     def test_trace_on_field_of_another_model_exit_2(self, tmp_path, monkeypatch, capsys):
         # the paths follow the configured Hawkes process, so the policy must be solved for it
@@ -856,10 +882,11 @@ def test_import_defers_slow_scipy_modules(tmp_path):
     load none of the scipy.linalg package, scipy.optimize, scipy.integrate and
     scipy.sparse. No stage draws a random number, so none loads numpy.random."""
     (tmp_path / "tiny.cfg").write_text(TINY)
-    common = ["--config", str(tmp_path / "tiny.cfg"), "--out", str(tmp_path)]
+    config = ["--config", str(tmp_path / "tiny.cfg")]  # all that moments and static-gl take
+    common = config + ["--out", str(tmp_path)]
     assert main(["solve"] + common) == 0  # the value field that the commands below read
     gain = ["gain", "--value-field", str(tmp_path / "value"), "--hs", "0,2"]
-    commands = [["validate"], ["moments"], ["static-gl"], gain]
+    commands = [["validate", *common], ["moments", *config], ["static-gl", *config], gain + common]
     poisson_gains = [gain + ["--benchmark", f"poisson-{m}", "--lambdas", "27,45"] for m in ("baseline", "expectation")]
     premium = ["premium", "--value-field", str(tmp_path / "value")]
     code = f"""
@@ -878,7 +905,7 @@ ci.optimize_constant(0.0, 27.0, 1.0, hk, bm, costs)
 ci.evaluate_deterministic(0.0, 27.0, 1.0, ci.ConstantRate(5.0), hk, bm, costs)
 ci.gain_vs_constant(0.0, 27.0, 1.0, ci.load_field({str(tmp_path / "value")!r}), hk, bm, costs)
 for argv in {commands!r}:
-    assert main(argv + {common!r}) == 0, argv
+    assert main(argv) == 0, argv
 report("no-solve")
 assert main({premium!r} + {common!r}) == 0
 report("premium")

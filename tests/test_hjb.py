@@ -131,6 +131,13 @@ def stencil_rows(mat):
     return np.stack([np.r_[0.0, mat.diagonal(-1)], mat.diagonal(), np.r_[mat.diagonal(1), 0.0]])
 
 
+def h_terms(op, w):
+    """D_h W, the excess max(D_h W - delta, 0) and F_h(W) of the operator's evaluator, as new arrays."""
+    scratch, grad, excess, f_h = np.empty((4,) + op.shape)
+    op.h_terms(w, scratch, grad, excess, f_h)
+    return grad, excess, f_h
+
+
 def reference_policy(op, d_h, x):
     return np.maximum((d_h @ x.T).T - op.delta, 0.0) / op.gamma
 
@@ -250,13 +257,15 @@ class TestAssembleRhs:
         op = _PideOperator(SMALL, hawkes, STD_M, STD_C)
         a_lam, a_h, d_h = reference_matrices(SMALL, hawkes=hawkes)
         np.testing.assert_array_equal(op.a_lam, a_lam.toarray())
-        np.testing.assert_array_equal(-op.ch * op.d_h, stencil_rows(a_h))
+        np.testing.assert_array_equal(op.ch, np.tile(op.ch[0], (op.shape[0], 1)))
+        np.testing.assert_array_equal(-op.ch[0] * op.d_h, stencil_rows(a_h))
         np.testing.assert_array_equal(op.d_h, stencil_rows(d_h))
         w = np.random.default_rng(1).standard_normal(op.shape)
-        np.testing.assert_allclose(op.gradient(w), (d_h @ w.T).T, rtol=1e-14, atol=1e-14)
+        grad, _, f_h = h_terms(op, w)
+        np.testing.assert_allclose(grad, (d_h @ w.T).T, rtol=1e-14, atol=1e-14)
         excess = np.maximum((d_h @ w.T).T - op.delta, 0.0)
         expected = (a_h @ w.T).T + excess * excess / (2.0 * op.gamma)
-        np.testing.assert_allclose(op.h_part(op.gradient(w), excess), expected, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(f_h, expected, rtol=1e-13, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_stencil_matches_oracle(self, n):
@@ -264,7 +273,7 @@ class TestAssembleRhs:
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_h_stage_jacobian_matches_finite_differences(self, frozen):
-        # the h stage solves G(y) = y - c F_h(y): Newton's F_h = h_part, or the frozen step's
+        # the h stage solves G(y) = y - c F_h(y): Newton's F_h of op.h_terms, or the frozen step's
         # (z - rho h) D_h y at a fixed rate z; at z = excess / gamma both Jacobians are
         # transport at the level velocity z - rho h
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
@@ -278,8 +287,8 @@ class TestAssembleRhs:
         assert 0.2 < (z > 0).mean() < 0.8  # both branches of the max occur
 
         def newton_map(x):
-            grad = op.gradient(x)
-            return x - c * ((z - op.ch) * grad if frozen else op.h_part(grad, op.excess(grad)))
+            grad, _, f_h = h_terms(op, x)
+            return x - c * ((z - op.ch) * grad if frozen else f_h)
 
         for _ in range(4):
             d = rng.standard_normal(op.shape)
@@ -337,8 +346,7 @@ class TestDouglasStep:
         matrices = reference_matrices(SMALL, hawkes=hawkes)
         adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
         w = ref = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
-        grad = op.gradient(w)
-        f_h, correction = op.h_part(grad, op.excess(grad)), 0.0
+        f_h, correction = h_terms(op, w)[2], 0.0
         dt = SMALL.d_t
         # the Rannacher half steps, then Douglas steps
         for theta, step, kind in [(1.0, 0.5 * dt, hjb._IMPLICIT)] * 4 + [(_THETA, dt, hjb._DOUGLAS)] * 4:
@@ -400,12 +408,10 @@ class TestDouglasStep:
         w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
         for _, kind, t in hjb._schedule(SMALL.t_snapshots):
             dt = kind * c  # the step's span (test_steps_span_their_kind)
-            grad = op.gradient(w)
-            f_lam, f_h = op.a_lam @ w, op.h_part(grad, op.excess(grad))
+            f_lam, f_h = op.a_lam @ w, h_terms(op, w)[2]
             y1 = inverse @ (w + dt * (f_lam + f_h + op.reward) - c * f_lam)
             w = adi.step(w, f_h, kind, t)[0].copy()
-            grad = op.gradient(w)
-            resid = w - c * op.h_part(grad, op.excess(grad)) - (y1 - c * f_h)
+            resid = w - c * h_terms(op, w)[2] - (y1 - c * f_h)
             assert np.max(np.abs(resid)) <= hjb._NEWTON_RTOL * max(1.0, np.max(np.abs(w)))
         assert len(adi.newton) == SMALL.t_snapshots.size - 1 + hjb._RANNACHER_INTERVALS
 
@@ -435,8 +441,7 @@ class TestDouglasStep:
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
         w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
-        grad = op.gradient(w)
-        f_h = op.h_part(grad, op.excess(grad))
+        f_h = h_terms(op, w)[2]
         adi.step(w, f_h, hjb._IMPLICIT, 1.0)
         w, f_h = adi.y.copy(), adi.f_h.copy()
         if poisoned == "state":
@@ -450,19 +455,19 @@ class TestDouglasStep:
 
     def test_a_step_leaves_the_exact_f_h_and_excess_of_its_state(self):
         # the F_h a step returns, which the next step takes as F_h(W), and the excess it leaves, which
-        # solve stores as the control, are bit for bit the reference formulas at Y2, also after steps
-        # that take two tridiagonal solves; the next step overwrites them
+        # solve stores as the control, are bit for bit the evaluator's at Y2, also after steps that
+        # take two tridiagonal solves: Newton stops with its last iterate unchanged; the next step
+        # overwrites them
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         adi = hjb._DouglasADI(op, _THETA * SMALL.d_t)
         w = np.broadcast_to(np.sqrt(SMALL.hs), op.shape).copy()
-        grad = op.gradient(w)
-        f_h = op.h_part(grad, op.excess(grad))
+        f_h = h_terms(op, w)[2]
         for _, kind, t in hjb._schedule(SMALL.t_snapshots):
             w, f_h = adi.step(w, f_h, kind, t)
             assert w is adi.y and f_h is adi.f_h
-            grad = op.gradient(w)
-            np.testing.assert_array_equal(adi.excess, op.excess(grad))
-            np.testing.assert_array_equal(f_h, op.h_part(grad, op.excess(grad)))
+            _, excess, f_h_at_w = h_terms(op, w)
+            np.testing.assert_array_equal(adi.excess, excess)
+            np.testing.assert_array_equal(f_h, f_h_at_w)
         assert 2 in adi.newton
 
     @pytest.mark.parametrize("rtol", [hjb._NEWTON_RTOL, 1e-14])
@@ -532,6 +537,22 @@ class TestSolve:
             top = res.policy.controls[:, :, -1]
             assert res.quality["inflow_h_max"] == {"nodes": nodes, "of": top.size}
             assert np.count_nonzero(top > STD_C.rho * res.value.grid.h_max) == nodes
+
+    @pytest.mark.parametrize("solution", ["small_solution", "coarse_solution"])
+    def test_derive_policy_writes_the_controls_over_the_field(self, request, solution):
+        # on a copy of a solved field, the solve's controls bit for bit, written over the copy's values:
+        # beside the field, the operator and two states (a second field was held before)
+        res = request.getfixturevalue(solution)
+        value = hjb.ValueField(res.value.grid, res.value.values.copy(), res.value.meta)
+        tracemalloc.start()
+        try:
+            policy = hjb.derive_policy(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert policy.controls is value.values and not value.values.flags.writeable
+        np.testing.assert_array_equal(policy.controls, res.policy.controls)
+        assert peak < value.values.nbytes / 4
 
     def test_jump_cells_reported(self, small_solution):
         # the jump beta = 9 spans three of SMALL's d_lambda = 3 steps; the Poisson benchmark has no jump

@@ -364,10 +364,10 @@ class TestOptimalReport:
         assert set(rhs_shapes) == {(grid.n_lambda * grid.n_h, 2)}
 
     def test_stepper_holds_no_newton_arrays(self, small_policy):
-        # the pair's stepper keeps the lambda stage's four products, h_jacobian's rows before the velocity
-        # and its work rows (3 states each) and rho h: 7 states, the products and 4 KB of Python objects
-        # on small_policy's grid (7.15 states beside the products measured); the value step's nine Newton
-        # work arrays, which frozen steps never read, would add 9 states
+        # the pair's stepper keeps the lambda stage's four products and h_jacobian's rows before the velocity
+        # and its work rows (3 states each), within 7 states, the products and 4 KB of Python objects on
+        # small_policy's grid (6.16 states beside the products measured; rho h is the operator's); the value
+        # step's nine Newton work arrays, which frozen steps never read, would add 9 states
         grid, meta = small_policy.grid, small_policy.meta
         op = hjb._PideOperator(grid, meta.hawkes, meta.model, meta.costs)
         tracemalloc.start()
