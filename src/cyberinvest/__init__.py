@@ -15,7 +15,6 @@ from .dynamics import (
     CostParams,
     GridRate,
     LossBatch,
-    LossSample,
     evolve_level,
     expected_loss_no_investment,
     loss_variance,

@@ -24,7 +24,6 @@ from .hawkes import AttackPath, HawkesParams, MCEstimate, PathBatch, expected_co
 
 __all__ = [
     "CostParams",
-    "LossSample",
     "LossBatch",
     "ConstantRate",
     "GridRate",
@@ -102,24 +101,8 @@ class CostParams:
 
 
 @dataclass(frozen=True)
-class LossSample:
-    """Realized aggregate loss of one path under one strategy."""
-
-    gross_loss: float
-    n_attacks: int
-    n_breaches: int
-    terminal_h: float
-
-    def __post_init__(self):
-        if not (0 <= self.n_breaches <= self.n_attacks):
-            raise ValueError("breach count must lie between 0 and the attack count")
-        if self.gross_loss < 0:
-            raise ValueError("gross loss must be nonnegative")
-
-
-@dataclass(frozen=True)
 class LossBatch:
-    """Per-path loss results for a batch of simulated paths."""
+    """Per-path loss results for a batch of simulated paths; simulate_loss returns a batch of one."""
 
     gross_loss: np.ndarray
     n_attacks: np.ndarray
@@ -130,21 +113,19 @@ class LossBatch:
     def n_paths(self) -> int:
         return int(self.gross_loss.size)
 
-    def sample(self, i: int) -> LossSample:
-        return LossSample(
-            float(self.gross_loss[i]),
-            int(self.n_attacks[i]),
-            int(self.n_breaches[i]),
-            float(self.terminal_h[i]),
-        )
+    def _losses(self) -> np.ndarray:
+        """The per-path losses, refused below the two paths a sample variance needs."""
+        if self.n_paths < 2:
+            raise ValueError(f"sample statistics need at least two paths, got {self.n_paths}")
+        return self.gross_loss
 
     def mean_loss(self) -> MCEstimate:
-        n = self.gross_loss.size
-        return MCEstimate(float(self.gross_loss.mean()), float(self.gross_loss.std(ddof=1) / math.sqrt(n)))
+        x = self._losses()
+        return MCEstimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)))
 
     def var_loss(self) -> MCEstimate:
         """Sample variance with its (fourth-moment based) standard error."""
-        x = self.gross_loss
+        x = self._losses()
         s2 = float(np.var(x, ddof=1))
         c = x - x.mean()
         m4 = float(np.mean(c**4))
@@ -277,13 +258,13 @@ def _eta_sampler(costs: CostParams):
     return lambda rng, n: rng.gamma(shape, scale, n)
 
 
-def simulate_loss(path: AttackPath, model: BreachModel, costs: CostParams, strategy, seed: int, h0: float = 0.0) -> LossSample:
-    """Aggregate loss along one attack path: simulate_losses on a batch of one.
+def simulate_loss(path: AttackPath, model: BreachModel, costs: CostParams, strategy, seed: int, h0: float = 0.0) -> LossBatch:
+    """Aggregate loss along one attack path: the LossBatch of simulate_losses on a batch of one.
 
     Runs with the same path and seed share their per-attack draws across
     strategies, so pointwise-larger strategies can only lower the realized loss.
     """
-    return simulate_losses(path.as_batch(), model, costs, strategy, seed, h0).sample(0)
+    return simulate_losses(path.as_batch(), model, costs, strategy, seed, h0)
 
 
 def _control_levels(tk, Z, h0: float, rho: float, times, pid, n_paths: int, horizon: float):

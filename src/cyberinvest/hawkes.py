@@ -84,7 +84,7 @@ class HawkesParams:
 
 @dataclass(frozen=True)
 class AttackPath:
-    """One realized attack history on [0, horizon] with an evaluable intensity."""
+    """One realized attack history on [0, horizon]."""
 
     params: HawkesParams
     horizon: float
@@ -107,22 +107,6 @@ class AttackPath:
         """This path as a PathBatch of one."""
         return PathBatch(self.params, self.horizon, self.event_times, np.array([0, self.n_events]))
 
-    def intensity(self, t, before=False):
-        """Intensity at time(s) t; ``before`` gives the left limit lambda_{t-}."""
-        p = self.params
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        side = "left" if before else "right"
-        idx = np.searchsorted(self.event_times, t_arr, side=side)
-        out = p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * t_arr)
-        if self.event_times.size:
-            # Sum the decayed kicks of all past events for each query time.
-            diffs = t_arr[:, None] - self.event_times[None, :]
-            mask = np.arange(self.event_times.size)[None, :] < idx[:, None]
-            out = out + p.beta * np.where(mask, np.exp(-p.xi * diffs, where=mask, out=np.zeros_like(diffs)), 0.0).sum(axis=1)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return float(out[0])
-        return out
-
 
 class ThinningTrace(NamedTuple):
     """Per-candidate diagnostics of the thinning sampler (for auditing)."""
@@ -138,11 +122,10 @@ def simulate_path(params: HawkesParams, horizon: float, seed: int, return_trace:
 
     Between events the intensity is monotone toward alpha, so
     max(current intensity, alpha) dominates it until the next event.
+    This scalar loop draws one path several times faster than
+    simulate_paths on a batch of one, and it can record its candidates.
     """
-    if not (isinstance(horizon, (int, float)) and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be a finite number, got {horizon!r}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_batch_args(horizon, 1)
     rng = substream(seed, "paths")
     alpha, lam0, xi, beta = params.alpha, params.lambda0, params.xi, params.beta
 
@@ -285,7 +268,7 @@ def _chunk_jobs(seed: int, n_paths: int) -> list:
 
 def _check_batch_args(horizon, n_paths: int) -> None:
     if not (isinstance(horizon, (int, float)) and math.isfinite(horizon)) or horizon <= 0:
-        raise ValueError("horizon must be finite and positive")
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
 

@@ -101,6 +101,20 @@ def deterministic_oracle(t, lam, h, rate, hawkes, model, costs):
     return total + float(costs.utility(float(sol.sol(T)[0])))
 
 
+def path_intensity(path, t, before=False):
+    """Oracle: the intensity of one attack path at time(s) t, as the direct sum
+    of every past event's decayed kick; ``before`` gives the left limit lambda_{t-}."""
+    p = path.params
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    idx = np.searchsorted(path.event_times, t_arr, side="left" if before else "right")
+    out = p.alpha + (p.lambda0 - p.alpha) * np.exp(-p.xi * t_arr)
+    if path.event_times.size:
+        diffs = t_arr[:, None] - path.event_times[None, :]
+        mask = np.arange(path.event_times.size)[None, :] < idx[:, None]
+        out = out + p.beta * np.where(mask, np.exp(-p.xi * diffs, where=mask, out=np.zeros_like(diffs)), 0.0).sum(axis=1)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
 def thinning_oracle(params, horizon, n, seedseq):
     """Oracle: the chunk sampler's thinning rounds, with every path's events
     put in order by an explicit (path id, time) lexsort.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from conftest import exact_moments, thinning_oracle
+from conftest import exact_moments, path_intensity, thinning_oracle
 
 from cyberinvest import (
     AttackPath,
@@ -186,11 +186,16 @@ class TestClosedFormMoments:
 
 
 class TestSimulatePath:
-    def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            simulate_path(STD, float("inf"), 0)
-        with pytest.raises(ValueError):
-            simulate_path(STD, 0.0, 0)
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda h: simulate_path(STD, h, 0), lambda h: simulate_paths(STD, h, 1, 0)],
+        ids=["simulate_path", "simulate_paths"],
+    )
+    def test_horizon_validation(self, draw, horizon):
+        # both samplers hold the horizon to one check
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            draw(horizon)
 
     def test_deterministic_given_seed(self):
         a = simulate_path(STD, 1.0, seed=42)
@@ -206,7 +211,7 @@ class TestSimulatePath:
         path, trace = simulate_path(STD, 1.0, seed=11, return_trace=True)
         accepted = trace.candidate_times[trace.accepted]
         # sampler's running intensity equals the kernel sum at machine precision
-        recomputed = path.intensity(accepted, before=True)
+        recomputed = path_intensity(path, accepted, before=True)
         np.testing.assert_allclose(trace.intensities[trace.accepted], recomputed, rtol=1e-10)
 
     def test_thinning_bound_dominates(self):
@@ -217,7 +222,7 @@ class TestSimulatePath:
     def test_intensity_floor_when_started_at_mean(self):
         path = simulate_path(STD, 1.0, seed=3)
         ts = np.linspace(0, 1, 101)
-        assert np.all(path.intensity(ts) >= STD.lambda0 - 1e-12)
+        assert np.all(path_intensity(path, ts) >= STD.lambda0 - 1e-12)
 
     def test_tiny_horizon_mostly_empty(self):
         counts = [simulate_path(STD, 1e-6, seed=s).n_events for s in range(200)]
@@ -279,7 +284,7 @@ class TestSimulatePaths:
         grid = np.linspace(0.0, 1.0, 41)
         lam = batch.intensity_on_grid(grid)
         for i in (0, 7, 23):
-            np.testing.assert_allclose(lam[i], batch.path(i).intensity(grid), rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(lam[i], path_intensity(batch.path(i), grid), rtol=1e-9, atol=1e-9)
 
     def test_eventless_batch_gives_deterministic_intensity(self):
         p = HawkesParams(27.0, 60.0, 15.0, 9.0)
@@ -295,4 +300,4 @@ class TestSimulatePaths:
         batch = simulate_paths(STD, 1.0, 20, seed=4)
         lt = batch.terminal_intensity()
         for i in range(20):
-            assert lt[i] == pytest.approx(batch.path(i).intensity(1.0), rel=1e-10)
+            assert lt[i] == pytest.approx(path_intensity(batch.path(i), 1.0), rel=1e-10)
