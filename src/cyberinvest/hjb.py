@@ -26,11 +26,12 @@ iteration (Forsyth & Labahn 2007), with one tridiagonal solve (LAPACK gtsv on
 the Jacobian's three diagonals) for all lambda columns per iteration, usually
 one per step: Newton starts from the last step's correction and stops on its residual.
 A state's F_h, from that residual, is carried into the next step, and Newton works
-in one array allocated once per solve. One evaluator, _PideOperator.h_terms, gives
-D_h W, the excess (D_h W - delta)^+ and F_h to Newton, to the operator's rhs and
-policy and to derive_policy, and the control is always excess / gamma of it. gtsv is
-bound from scipy's compiled LAPACK extension on a solve's first use (_gtsv), so the
-package never imports scipy.linalg.
+in one array allocated once per solve. One function, _excess, gives D_h W and the
+excess (D_h W - delta)^+ to the steppers' one h-term evaluator, _PideOperator.h_terms
+(which adds F_h for Newton and the operator's rhs), and to derive_policy, the one
+computation of the control excess / gamma. A solve holds one field, the value; its
+policy is derived from it when first read. gtsv is bound from scipy's compiled LAPACK
+extension on a solve's first use (_gtsv), so the package never imports scipy.linalg.
 
 The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
 stage transposes it. Stored fields add a leading snapshot axis.
@@ -272,9 +273,15 @@ class PolicyField:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's value field and quality report; `policy` is derive_policy of a copy of the value
+    field, computed when first read and kept."""
+
     value: ValueField
-    policy: PolicyField
     quality: dict
+
+    @functools.cached_property
+    def policy(self) -> PolicyField:
+        return derive_policy(replace(self.value, values=self.value.values.copy()))
 
 
 def _stencil(n: int, step: float) -> np.ndarray:
@@ -296,6 +303,13 @@ def _along_h(rows: tuple, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -
     above, below = res[1:], res[:-1]
     np.add(above, np.multiply(sub, flat[:-1], out=tmp[1:]), out=above)
     np.add(below, np.multiply(sup, flat[1:], out=tmp[:-1]), out=below)
+
+
+def _excess(rows: tuple, delta: float, w: np.ndarray, grad: np.ndarray, scratch: np.ndarray, excess: np.ndarray) -> None:
+    """D_h W of w by _along_h into grad, and the excess max(D_h W - delta, 0), gamma times the maximizing
+    rate, into excess, which may be w itself; scratch is overwritten."""
+    _along_h(rows, w, grad, scratch)
+    np.maximum(np.subtract(grad, delta, out=excess), 0.0, out=excess)
 
 
 def _jump_shift_1d(n: int, d_lambda: float, beta: float) -> np.ndarray:
@@ -351,21 +365,13 @@ class _PideOperator:
         self._rows = self.tiles[1], self.tiles[0, 1:], self.tiles[2, :-1]  # _along_h's, sliced once
         self.ch = np.tile(costs.rho * hs, (nl, 1))
 
-    def h_terms(self, w: np.ndarray, scratch: np.ndarray, grad: np.ndarray, excess: np.ndarray, f_h=None) -> None:
-        """D_h W (central differences, one-sided at h_min and h_max), the excess max(D_h W - delta, 0),
-        gamma times the maximizing rate, and, given f_h, F_h(W) = N(W) - ch D_h W of the (lambda, h) array w,
-        into grad, excess and f_h; scratch is overwritten. excess may be w itself."""
-        _along_h(self._rows, w, grad, scratch)
-        np.maximum(np.subtract(grad, self.delta, out=excess), 0.0, out=excess)
-        if f_h is not None:
-            np.multiply(np.multiply(excess, excess, out=f_h), 0.5 / self.gamma, out=f_h)
-            np.subtract(f_h, np.multiply(self.ch, grad, out=scratch), out=f_h)
-
-    def policy(self, w: np.ndarray) -> np.ndarray:
-        """Pointwise maximizer (D_h V - delta)^+ / gamma on the (lambda, h) array."""
-        scratch, grad, excess = np.empty((3,) + self.shape)
-        self.h_terms(w, scratch, grad, excess)
-        return np.divide(excess, self.gamma, out=excess)
+    def h_terms(self, w: np.ndarray, scratch: np.ndarray, grad: np.ndarray, excess: np.ndarray, f_h: np.ndarray) -> None:
+        """D_h W (central differences, one-sided at h_min and h_max) and the excess max(D_h W - delta, 0)
+        by _excess, and F_h(W) = N(W) - ch D_h W of the (lambda, h) array w, into grad, excess and f_h;
+        scratch is overwritten."""
+        _excess(self._rows, self.delta, w, grad, scratch, excess)
+        np.multiply(np.multiply(excess, excess, out=f_h), 0.5 / self.gamma, out=f_h)
+        np.subtract(f_h, np.multiply(self.ch, grad, out=scratch), out=f_h)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """dV/dt for a surface flattened in (lambda, h) row-major order (or shaped (n_lambda, n_h))."""
@@ -550,14 +556,14 @@ def solve(
     costs: CostParams,
     options: Optional[SolverOptions] = None,
 ) -> SolveResult:
-    """Integrate the value surface backward from the horizon; extract the policy.
+    """Integrate the value surface backward from the horizon.
 
-    Returns the value and policy fields at every snapshot together with a
-    quality report (monotonicity statistics, residual norms, integrator
-    counters, the jump's length in intensity steps and the inflow nodes at
-    h_max). Where the jump term reads past lambda_max, the operator extends
-    V linearly from the last two intensity nodes; lookups of the stored fields
-    do not (`query`, the policy walk). `options` is accepted and ignored.
+    Returns the value field at every snapshot together with a quality report
+    (monotonicity statistics, residual norms, integrator counters, the jump's
+    length in intensity steps and the inflow nodes at h_max). Where the jump
+    term reads past lambda_max, the operator extends V linearly from the last
+    two intensity nodes; lookups of the stored fields do not (`query`, the
+    policy walk). `options` is accepted and ignored.
     """
     if abs(grid.horizon - costs.horizon) > 1e-12:
         raise ValueError(
@@ -576,12 +582,14 @@ def solve(
         )
     op = _PideOperator(grid, hawkes, model, costs)
     values = np.empty((snaps.size,) + op.shape)
-    controls = np.empty_like(values)
+    # per snapshot, the inflow nodes at h_max, where z* = excess / gamma > rho h_max (_quality_report);
+    # a Rannacher half step's count is overwritten by the second's, which stores the snapshot
+    inflow, top = np.zeros(snaps.size, dtype=np.int64), op.ch[0, -1]
     w = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).copy()
     scratch, grad, excess, f_h = np.empty((4,) + op.shape)
     op.h_terms(w, scratch, grad, excess, f_h)
     values[0] = w
-    np.divide(excess, op.gamma, out=controls[0])
+    inflow[0] = np.count_nonzero(excess[:, -1] / op.gamma > top)
     adi = _DouglasADI(op, _THETA * grid.d_t)
     adi.allocate_newton()  # before the clock starts, so wall_time_s counts the steps alone
     t0 = time.perf_counter()
@@ -589,7 +597,7 @@ def solve(
         for k, kind, t in steps:
             w, f_h = adi.step(w, f_h, kind, t)
             values[k] = w
-            np.divide(adi.excess, op.gamma, out=controls[k])
+            inflow[k] = np.count_nonzero(adi.excess[:, -1] / op.gamma > top)
     wall = time.perf_counter() - t0
     diagnostics = {
         "method": "douglas-adi",
@@ -602,26 +610,25 @@ def solve(
     }
     del adi, w, f_h, scratch, grad, excess  # the work arrays, before the quality report's temporaries
 
-    meta = FieldMeta(hawkes, model, costs)
-    vf = ValueField(grid, values, meta)
-    pf = PolicyField(grid, controls, meta)
-    quality = _quality_report(vf, pf, op, wall, diagnostics)
-    return SolveResult(vf, pf, quality)
+    vf = ValueField(grid, values, FieldMeta(hawkes, model, costs))
+    return SolveResult(vf, _quality_report(vf, inflow, op, wall, diagnostics))
 
 
 def derive_policy(value: ValueField) -> PolicyField:
-    """The maximizing rate (D_h V - delta)^+ / gamma at every snapshot of a value field: on a field
-    that solve returned, its controls bit for bit, as the solve takes each by the same operations.
+    """The maximizing rate (D_h V - delta)^+ / gamma at every node of a value field, by _excess as
+    the solve's steps take it: the one computation of the policy.
 
     The controls are written over value.values, snapshot by snapshot, so that no second field is
     held: the value field is spent, and the policy's controls are its array, read-only from then on.
     """
-    op = _PideOperator(value.grid, value.meta.hawkes, value.meta.model, value.meta.costs)
-    scratch, grad = np.empty((2,) + op.shape)
+    grid, costs = value.grid, value.meta.costs
+    tiles = np.tile(_stencil(grid.n_h, grid.d_h), grid.n_lambda)
+    rows = tiles[1], tiles[0, 1:], tiles[2, :-1]
+    scratch, grad = np.empty((2, grid.n_lambda, grid.n_h))
     for w in value.values:
-        op.h_terms(w, scratch, grad, w)
-        np.divide(w, op.gamma, out=w)
-    return PolicyField(value.grid, value.values, value.meta)
+        _excess(rows, costs.delta, w, grad, scratch, w)
+        np.divide(w, costs.gamma, out=w)
+    return PolicyField(grid, value.values, value.meta)
 
 
 def _loss_surfaces(policy: PolicyField) -> tuple:
@@ -657,7 +664,7 @@ def _monotonicity_stats(values: np.ndarray, axis: int, tol: float) -> dict:
     """Count, share and worst of the decreases beyond tol along `axis` of the
     (snapshot, lambda, h) field, differenced in blocks of at most 128 KB (one
     snapshot when a snapshot is larger), so the report adds little to the peak
-    memory of a solve beyond its two fields."""
+    memory of a solve beyond its value field."""
     block = max(1, (1 << 14) // max(values[0].size, 1))
     violations, lowest = 0, math.inf
     for start in range(0, values.shape[0], block):
@@ -671,15 +678,14 @@ def _monotonicity_stats(values: np.ndarray, axis: int, tol: float) -> dict:
     }
 
 
-def _quality_report(vf: ValueField, pf: PolicyField, op: _PideOperator, wall: float, diagnostics: dict) -> dict:
+def _quality_report(vf: ValueField, inflow: np.ndarray, op: _PideOperator, wall: float, diagnostics: dict) -> dict:
+    """inflow counts, per snapshot, the nodes at h_max where z* > rho h_max moves the level up out of
+    the box, and the one-sided stencil stands in for the values above it."""
     values = vf.values
     scale = max(1.0, float(values.max()), float(-values.min()))  # max |V|, no temporary
     tol = 1e-6 * scale
-    # where z* > rho h_max the level moves up out of the box at h_max, and the one-sided stencil
-    # stands in for the values above it
-    top = pf.controls[:, :, -1]
     report = {
-        "inflow_h_max": {"nodes": int(np.count_nonzero(top > op.ch[0, -1])), "of": int(top.size)},
+        "inflow_h_max": {"nodes": int(inflow.sum()), "of": int(values.shape[0] * values.shape[1])},
         "jump_cells": vf.meta.hawkes.beta / vf.grid.d_lambda,  # below 1, the jump lands inside the first cell
         "n_nodes": int(values.size),
         "scale": scale,

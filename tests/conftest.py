@@ -52,6 +52,28 @@ def exact_moments(params, t):
     return u, q - u * u, m2 - m1 * m1
 
 
+def onesided_central_1d(n, step):
+    """Oracle: central differences with one-sided first/last rows, entry by entry; zero when n = 1."""
+    if n == 1:
+        return sp.csr_matrix((1, 1))
+    rows, cols, vals = [], [], []
+    inv = 1.0 / step
+    for i in range(1, n - 1):
+        rows += [i, i]
+        cols += [i + 1, i - 1]
+        vals += [0.5 * inv, -0.5 * inv]
+    rows += [0, 0, n - 1, n - 1]
+    cols += [1, 0, n - 1, n - 2]
+    vals += [inv, -inv, inv, -inv]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def reference_policy(d_h, x, delta, gamma):
+    """Oracle: the maximizing rate (D_h X - delta)^+ / gamma of the (..., lambda, h) array x, its
+    h-gradient by the sparse stencil d_h (onesided_central_1d) on each h line."""
+    return np.maximum((d_h @ x.reshape(-1, x.shape[-1]).T).T.reshape(x.shape) - delta, 0.0) / gamma
+
+
 def radau_values(grid, hawkes, model, costs):
     """Oracle: the semi-discrete equation integrated by Radau at tight tolerances.
 

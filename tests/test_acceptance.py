@@ -39,7 +39,7 @@ from cyberinvest import (
 )
 from cyberinvest.cli import main as cli_main
 from cyberinvest.config import validate
-from cyberinvest.hjb import _PideOperator
+from conftest import onesided_central_1d, reference_policy
 
 REPO = Path(__file__).resolve().parents[1]
 STD_H = HawkesParams(27.0, 27.0, 15.0, 9.0)
@@ -166,11 +166,12 @@ def _structural_clauses(solution, grid):
         worst = min(worst, float(gap.min()))
     b_ok = worst >= 0.0
     lines.append(f"bound slack min {worst:.3f}")
-    # policy identity exact
-    op = _PideOperator(grid, STD_H, STD_M, STD_C)
+    # policy identity exact: the derived controls against the sparse stencil's maximizer
+    d_h = onesided_central_1d(grid.n_h, grid.d_h)
     p_ok = True
     for k in (0, grid.t_snapshots.size // 2, grid.t_snapshots.size - 1):
-        p_ok &= np.array_equal(solution.policy.controls[k], op.policy(solution.value.values[k]))
+        expected = reference_policy(d_h, solution.value.values[k], STD_C.delta, STD_C.gamma)
+        p_ok &= np.array_equal(solution.policy.controls[k], expected)
     lines.append(f"policy identity {'exact' if p_ok else 'broken'}")
     return t_ok and m_ok and b_ok and p_ok, lines
 

@@ -21,6 +21,49 @@ from cyberinvest.hjb import FieldMeta
 
 REPO = Path(__file__).resolve().parents[1]
 STANDARD = REPO / "configs" / "standard.cfg"
+# the coarse run's small outputs, as scripts/reproduce_tables.py writes them, and V at the gain tables' states
+COARSE_DATA = REPO / "tests" / "data" / "coarse"
+COARSE_RTOL = 1e-9
+GAIN_TABLES = ("gain_constant.csv", "gain_poisson-baseline.csv", "gain_poisson-expectation.csv")
+
+
+def write_value_reads(run: Path, path: Path) -> None:
+    """Write the CSV t,lambda,h,V of each state of a run's gain tables, V read from its value field by
+    query, to 17 digits (tests/data/coarse/README.md)."""
+    value = load_field(run / "value")
+    states = {tuple(map(float, row.split(",")[:3])) for name in GAIN_TABLES for row in (run / name).read_text().splitlines()[1:]}
+    rows = ((t, lam, h, ci.query(value, t, lam, h)) for t, lam, h in sorted(states))
+    path.write_text("t,lambda,h,V\n" + "".join("%.12g,%.12g,%.12g,%.17g\n" % row for row in rows))
+
+
+def assert_close(fresh, committed, where: str) -> None:
+    """Numbers within COARSE_RTOL of each other, relative to the larger; any other value, and the
+    structure of lists and dicts, equal."""
+    if isinstance(committed, dict):
+        assert isinstance(fresh, dict) and fresh.keys() == committed.keys(), where
+        for key in committed:
+            assert_close(fresh[key], committed[key], f"{where}.{key}")
+    elif isinstance(committed, list):
+        assert isinstance(fresh, list) and len(fresh) == len(committed), where
+        for i, (a, b) in enumerate(zip(fresh, committed)):
+            assert_close(a, b, f"{where}[{i}]")
+    elif isinstance(committed, float) or isinstance(fresh, float):
+        assert abs(fresh - committed) <= COARSE_RTOL * max(abs(fresh), abs(committed)), (where, fresh, committed)
+    else:
+        assert fresh == committed, (where, fresh, committed)
+
+
+def read_csv(path: Path) -> list:
+    """The header, then each row's cells, numbers as floats."""
+
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    head, *rows = path.read_text().splitlines()
+    return [head] + [[cell(x) for x in row.split(",")] for row in rows]
 
 TINY = """
 [grid]
@@ -721,6 +764,10 @@ class TestCli:
         assert main(["solve", "--config", cfg, "--out", out, "--csv"]) == 0
         # one field per solve: the commands derive the policy from the value field
         assert {p.name for p in Path(out).iterdir()} == {"value.json", "value.f64", "quality.json", "field.csv"}
+        # and field.csv's z_star is the policy derived from the saved value field
+        derived = ci.derive_policy(load_field(Path(out) / "value")).controls.ravel()
+        rows = (Path(out) / "field.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == [f"{z:.12g}" for z in derived.tolist()]
         assert main(
             ["trace", "--config", cfg, "--value-field", f"{out}/value", "--n-paths", "2", "--out", out]
         ) == 0
@@ -862,6 +909,14 @@ class TestReproduceScript:
         for name, (head, n_rows) in expected.items():
             lines = (out / name).read_text().splitlines()
             assert lines[0] == head and len(lines) == 1 + n_rows, name
+        # every number as committed, to a relative COARSE_RTOL: a change that moves an output updates
+        # tests/data/coarse (see its README.md)
+        for name in expected:
+            assert_close(read_csv(out / name), read_csv(COARSE_DATA / name), name)
+        name = "premium_reports.json"
+        assert_close(json.loads((out / name).read_text()), json.loads((COARSE_DATA / name).read_text()), name)
+        write_value_reads(out, out / "value_reads.csv")
+        assert_close(read_csv(out / "value_reads.csv"), read_csv(COARSE_DATA / "value_reads.csv"), "value_reads.csv")
 
     def test_stops_with_the_cli_exit_code(self, tmp_path):
         # 217 - 27 = 190 intensity units are not a whole number of the coarse preset's d_lambda = 9

@@ -18,11 +18,13 @@ from cyberinvest import (
     SolverGrid,
     breach_prob,
     hjb_residual,
+    load_field,
     query,
+    save_field,
     solve,
     solve_poisson,
 )
-from conftest import radau_values
+from conftest import onesided_central_1d, radau_values, reference_policy
 from cyberinvest import hjb
 from cyberinvest.hjb import _THETA, _PideOperator
 
@@ -99,22 +101,6 @@ class TestSolverGrid:
             dataclasses.replace(SMALL, horizon=horizon)
 
 
-def onesided_central_1d(n, step):
-    """Oracle: central differences with one-sided first/last rows, entry by entry; zero when n = 1."""
-    if n == 1:
-        return sp.csr_matrix((1, 1))
-    rows, cols, vals = [], [], []
-    inv = 1.0 / step
-    for i in range(1, n - 1):
-        rows += [i, i]
-        cols += [i + 1, i - 1]
-        vals += [0.5 * inv, -0.5 * inv]
-    rows += [0, 0, n - 1, n - 1]
-    cols += [1, 0, n - 1, n - 2]
-    vals += [inv, -inv, inv, -inv]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def reference_matrices(grid, hawkes=STD_H, costs=STD_C):
     """Oracle: the operator's (A_lambda, A_h, D_h) as sparse matrices assembled entry by entry,
     with A_h = -diag(rho h) D_h the obsolescence drift."""
@@ -138,10 +124,6 @@ def h_terms(op, w):
     return grad, excess, f_h
 
 
-def reference_policy(op, d_h, x):
-    return np.maximum((d_h @ x.T).T - op.delta, 0.0) / op.gamma
-
-
 def banded_reference_step(op, matrices, w, dt, theta, correction=0.0):
     """One Douglas step on the sparse matrices of reference_matrices: SuperLU
     for the lambda stage, and the Newton h stage as first written, with the
@@ -158,7 +140,7 @@ def banded_reference_step(op, matrices, w, dt, theta, correction=0.0):
         return (a_h @ x.T).T + excess * excess / (2.0 * op.gamma)
 
     def jacobian(x):
-        coef = stencil_rows(a_h)[:, None, :] + reference_policy(op, d_h, x)[None] * stencil_rows(d_h)[:, None, :]
+        coef = stencil_rows(a_h)[:, None, :] + reference_policy(d_h, x, op.delta, op.gamma)[None] * stencil_rows(d_h)[:, None, :]
         rows = -c * coef.reshape(3, -1)
         rows[1] += 1.0
         ab = np.zeros_like(rows)
@@ -279,7 +261,7 @@ class TestAssembleRhs:
         op = _PideOperator(SMALL, STD_H, STD_M, STD_C)
         rng = np.random.default_rng(0)
         y = np.sqrt(SMALL.hs)[None, :] * SMALL.lambdas[:, None] / 9.0 + 0.1 * rng.standard_normal(op.shape)
-        c, z = 0.0025, op.policy(y)
+        c, z = 0.0025, reference_policy(onesided_central_1d(SMALL.n_h, SMALL.d_h), y, STD_C.delta, STD_C.gamma)
         lower, main, upper = hjb._DouglasADI(op, c).h_jacobian(z - op.ch)
         n = y.size
         assert lower.size == upper.size == n - 1 and main.size == n
@@ -353,7 +335,7 @@ class TestDouglasStep:
             w, f_h = adi.step(w, f_h, kind, 1.0)
             ref, iterations, correction = banded_reference_step(op, matrices, ref, step, theta, correction)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.max(np.abs(adi.excess / op.gamma - reference_policy(op, matrices[2], ref))) <= 1e-9
+            assert np.max(np.abs(adi.excess / op.gamma - reference_policy(matrices[2], ref, op.delta, op.gamma))) <= 1e-9
             assert adi.newton[-1] == iterations
 
     def test_frozen_step_matches_sparse_reference(self, small_solution):
@@ -540,10 +522,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("solution", ["small_solution", "coarse_solution"])
     def test_derive_policy_writes_the_controls_over_the_field(self, request, solution):
-        # on a copy of a solved field, the solve's controls bit for bit, written over the copy's values:
-        # beside the field, the operator and two states (a second field was held before)
+        # on a copy of a solved field, the sparse-stencil maximizer bit for bit, written over the copy's
+        # values: beside the field, the stencil's tiles and two work snapshots (a second field was held before)
         res = request.getfixturevalue(solution)
-        value = hjb.ValueField(res.value.grid, res.value.values.copy(), res.value.meta)
+        grid, costs = res.value.grid, res.value.meta.costs
+        value = hjb.ValueField(grid, res.value.values.copy(), res.value.meta)
         tracemalloc.start()
         try:
             policy = hjb.derive_policy(value)
@@ -551,8 +534,23 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert policy.controls is value.values and not value.values.flags.writeable
-        np.testing.assert_array_equal(policy.controls, res.policy.controls)
+        d_h = onesided_central_1d(grid.n_h, grid.d_h)
+        for values, controls in zip(res.value.values, policy.controls):
+            np.testing.assert_array_equal(controls, reference_policy(d_h, values, costs.delta, costs.gamma))
         assert peak < value.values.nbytes / 4
+
+    def test_policy_is_derived_once_from_a_copy(self, tmp_path):
+        # SolveResult.policy is derive_policy of a copy of the value field, computed on first read and
+        # kept; the value field stays as solved, and writeable; the saved value field derives the same
+        res = solve(SMALL, STD_H, STD_M, STD_C)
+        before = res.value.values.copy()
+        policy = res.policy
+        assert res.policy is policy
+        np.testing.assert_array_equal(res.value.values, before)
+        assert res.value.values.flags.writeable and not np.shares_memory(policy.controls, res.value.values)
+        save_field(res.value, tmp_path / "value")
+        np.testing.assert_array_equal(policy.controls, hjb.derive_policy(load_field(tmp_path / "value")).controls)
+        assert policy.meta == res.value.meta and policy.grid == SMALL
 
     def test_jump_cells_reported(self, small_solution):
         # the jump beta = 9 spans three of SMALL's d_lambda = 3 steps; the Poisson benchmark has no jump
@@ -574,8 +572,8 @@ class TestSolve:
             assert repr(got) == repr(full_field_monotonicity(values, axis, 0.1))
 
     def test_solve_peaks_within_1mb_of_its_fields(self, coarse_grid, std_hawkes, std_model, std_costs):
-        # the coarse solve allocates little beyond its value and policy fields: the operator, the
-        # steps' arrays and the quality report's difference blocks
+        # the coarse solve holds one field, the value: beside it only the operator, the steps' arrays
+        # and the quality report's difference blocks
         hjb._gtsv()  # bound before tracing, so the peak is the solve's alone
         tracemalloc.start()
         try:
@@ -583,16 +581,16 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= result.value.values.nbytes + result.policy.controls.nbytes + 2**20
+        assert peak <= result.value.values.nbytes + 2**20
 
     def test_policy_consistency_identity(self, small_solution, coarse_solution):
-        # stored controls equal ((discrete dV/dh - delta)^+)/gamma node for node, at every snapshot of
-        # SMALL and of the coarse preset: solve writes each from the excess its step leaves
+        # the derived controls equal ((discrete dV/dh - delta)^+)/gamma of the sparse stencil node for
+        # node, at every snapshot of SMALL and of the coarse preset
         for res in (small_solution, coarse_solution):
-            meta = res.value.meta
-            op = _PideOperator(res.value.grid, meta.hawkes, meta.model, meta.costs)
+            grid, costs = res.value.grid, res.value.meta.costs
+            d_h = onesided_central_1d(grid.n_h, grid.d_h)
             for values, controls in zip(res.value.values, res.policy.controls):
-                np.testing.assert_array_equal(controls, op.policy(values))
+                np.testing.assert_array_equal(controls, reference_policy(d_h, values, costs.delta, costs.gamma))
 
     def test_controls_nonnegative(self, small_solution):
         assert np.all(small_solution.policy.controls >= 0.0)

@@ -46,6 +46,14 @@ class TestBenchmarkIntensities:
         assert 0.005 < exact_avg - fixed_form < 0.05
         assert exact_avg == pytest.approx(60.7667, abs=1e-3)
 
+    @pytest.mark.parametrize("alpha, lambda0, expected", [(27.0, 60.0, 66.25), (40.0, 27.0, 87.83)])
+    def test_expectation_matched_reads_alpha(self, alpha, lambda0, expected):
+        # the stationary mean alpha xi / (xi - beta), not lambda0 xi / (xi - beta) (135.0 and 60.75)
+        p = HawkesParams(alpha, lambda0, 15.0, 9.0)
+        val = lambda_expectation_matched(p, 1.0)
+        assert val == pytest.approx(expected, abs=0.005)
+        assert abs(val - expected_count(p, 1.0)) < 0.05
+
 
 class TestSolvePoisson:
     @pytest.fixture(scope="class")
