@@ -105,7 +105,7 @@ def cmd_solve(args) -> int:
     save_field(res.value, out / "value")
     (out / "quality.json").write_text(json.dumps(res.quality, sort_keys=True, indent=2) + "\n")
     if args.csv:
-        write_field_csv(res.value, res.policy, out / "field.csv")
+        write_field_csv(res.value, out / "field.csv")
     q = res.quality
     print(f"solved {cfg.grid.n_lambda}x{cfg.grid.n_h} grid in {q['wall_time_s']:.1f}s -> {out}")
     print(f"  monotonicity violations: lambda={q['monotone_lambda']['violations']} h={q['monotone_h']['violations']}")

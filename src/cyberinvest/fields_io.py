@@ -23,7 +23,7 @@ import numpy as np
 from .breach import BreachModel
 from .dynamics import CostParams
 from .hawkes import HawkesParams
-from .hjb import FieldMeta, PolicyField, SolverGrid, ValueField
+from .hjb import FieldMeta, PolicyField, SolverGrid, ValueField, _snapshot_controls
 
 __all__ = ["save_field", "load_field", "write_field_csv"]
 
@@ -115,14 +115,15 @@ def _write_csv(path: Union[str, Path], header: str, rows) -> None:
             fh.writelines(fmt % tuple(row) for row in itertools.chain((first,), rows))
 
 
-def write_field_csv(value: ValueField, policy: PolicyField, path: Union[str, Path]) -> None:
-    """Plot-ready CSV with columns t, lambda, h, V, z_star, one snapshot after another."""
+def write_field_csv(value: ValueField, path: Union[str, Path]) -> None:
+    """Plot-ready CSV with columns t, lambda, h, V, z_star, one snapshot after another. Each snapshot's
+    controls are derived as its rows are written (hjb._snapshot_controls), so one field is held."""
     grid = value.grid
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lam, h = (a.ravel().tolist() for a in np.meshgrid(grid.lambdas, grid.hs, indexing="ij"))
     rows = (
         zip(itertools.repeat(t), lam, h, v.ravel().tolist(), z.ravel().tolist())
-        for t, v, z in zip(grid.t_snapshots.tolist(), value.values, policy.controls)
+        for t, v, z in zip(grid.t_snapshots.tolist(), value.values, _snapshot_controls(value))
     )
     _write_csv(path, "t,lambda,h,V,z_star", itertools.chain.from_iterable(rows))

@@ -26,10 +26,11 @@ iteration (Forsyth & Labahn 2007), with one tridiagonal solve (LAPACK gtsv on
 the Jacobian's three diagonals) for all lambda columns per iteration, usually
 one per step: Newton starts from the last step's correction and stops on its residual.
 A state's F_h, from that residual, is carried into the next step, and Newton works
-in one array allocated once per solve. One function, _excess, gives D_h W and the
-excess (D_h W - delta)^+ to the steppers' one h-term evaluator, _PideOperator.h_terms
-(which adds F_h for Newton and the operator's rhs), and to derive_policy, the one
-computation of the control excess / gamma. A solve holds one field, the value; its
+in one array allocated once per solve, with the flat views it reads. One function, _excess,
+gives D_h W and the excess (D_h W - delta)^+ to the steppers' one h-term evaluator,
+_PideOperator.h_terms (which adds F_h for Newton and the operator's rhs), and to
+_snapshot_controls, the one computation of the control excess / gamma (derive_policy,
+and the field CSV). A solve holds one field, the value; its
 policy is derived from it when first read. gtsv is bound from scipy's compiled LAPACK
 extension on a solve's first use (_gtsv), so the package never imports scipy.linalg.
 
@@ -91,8 +92,9 @@ def _gtsv():
     It is loaded from scipy's compiled LAPACK extension alone, the function object
     that scipy.linalg.get_lapack_funcs("gtsv") returns: with the top-level scipy
     import, which comes first because it sets up the bundled OpenBLAS, this takes
-    about 18 ms and 3 MB of peak memory, against 0.23 s and 20 MB through the
-    scipy.linalg package.
+    about 13 ms and 3.3 MB of peak memory on one BLAS thread, against 0.14 s and
+    23 MB through the scipy.linalg package (medians of 10 and 5 fresh processes
+    on a 2-core x86_64 VM).
     """
     import scipy
 
@@ -411,21 +413,27 @@ class _DouglasADI:
         inverse = np.linalg.inv(identity - c * op.a_lam)
         # M^{-1} (I + c A_lambda) = 2 M^{-1} - I, as c A_lambda = I - M
         self.products = {_IMPLICIT: (inverse, c * inverse), _DOUGLAS: (2.0 * inverse - identity, 2.0 * c * inverse)}
-        self._tiles = -c * op.tiles  # h_jacobian's rows before the velocity
-        self._rows = np.empty_like(op.tiles)  # and after: gtsv's diagonals
+        tiles, rows = -c * op.tiles, np.empty_like(op.tiles)  # h_jacobian's rows before the velocity and after
+        # h_jacobian's (sub[1:], main, super[:-1]) of each: rows holds gtsv's diagonals
+        self._jacobian = (tiles[0, 1:], tiles[1], tiles[2, :-1]), (rows[0, 1:], rows[1], rows[2, :-1])
         self._stacks = {}  # stack size -> frozen_step's work arrays
         self.nfev = 0
         self.newton = []
         self._work = None  # Newton's, allocated by allocate_newton
 
     def allocate_newton(self) -> None:
-        """Newton's work rows, and gtsv bound, on the value step's first use: frozen steps read no array."""
+        """Newton's work rows and the flat views step reads of them, and gtsv bound, on the value step's
+        first use: frozen steps read no array."""
         if self._work is not None:
             return
         # residual and iterate (their absolute values go to the next two rows: one reduction gives both
         # max-norms), scratch, the iterate's gradient, excess and F_h, the last Y2 - Y1 (Newton's start),
         # Y1 and Newton's target
-        self._work = work = np.zeros((9,) + self.op.shape)
+        work = np.zeros((9,) + self.op.shape)
+        self._work, flat = tuple(work), work.reshape(9, -1)
+        # and their flat views: the residual and the iterate as a pair and their magnitudes for the
+        # reduction, the residual as gtsv's right-hand side and the iterate its update writes
+        self._pair, self._magnitudes, self._flat_resid, self._flat_y = flat[:2], flat[2:4], flat[0], flat[1]
         self._maxima = np.empty(2)
         self.y, self.excess, self.f_h = work[1], work[4], work[5]
         _gtsv()
@@ -441,12 +449,12 @@ class _DouglasADI:
         rate at the step's end in frozen_step). The entries that would couple the last h node of one
         column to the first node of the next are zero, so one solve handles all columns. Each call
         rebuilds them in one work array."""
-        v, tiles, rows = velocity.reshape(-1), self._tiles, self._rows
-        lower, main, upper = rows[0, 1:], rows[1], rows[2, :-1]
+        v = velocity.reshape(-1)
+        (t_lower, t_main, t_upper), (lower, main, upper) = self._jacobian
         # row by row: one broadcast product allocates a temporary of the three rows
-        np.multiply(tiles[0, 1:], v[1:], out=lower)
-        np.add(np.multiply(tiles[1], v, out=main), 1.0, out=main)
-        np.multiply(tiles[2, :-1], v[:-1], out=upper)
+        np.multiply(t_lower, v[1:], out=lower)
+        np.add(np.multiply(t_main, v, out=main), 1.0, out=main)
+        np.multiply(t_upper, v[:-1], out=upper)
         return lower, main, upper
 
     def lambda_stage(self, x, f_h, source, kind: int, y1, part, product) -> np.ndarray:
@@ -461,9 +469,9 @@ class _DouglasADI:
         """(Y2, F_h(Y2)) from W and f_h = F_h(W) by a step of the given kind, as work rows (see the
         class docstring)."""
         self.allocate_newton()
-        op, c, work, maxima = self.op, self.c, self._work, self._maxima
-        resid, y, scratch, grad, excess, f_y, correction, y1, target = work
-        pair, magnitudes = work[:2].reshape(2, -1), work[2:4].reshape(2, -1)
+        op, c, maxima = self.op, self.c, self._maxima
+        resid, y, scratch, grad, excess, f_y, correction, y1, target = self._work
+        pair, magnitudes, flat_resid, flat_y = self._pair, self._magnitudes, self._flat_resid, self._flat_y
         norm = math.nan
 
         def failure(what: str) -> SolverError:
@@ -491,10 +499,10 @@ class _DouglasADI:
                 break
             velocity = np.subtract(np.divide(excess, op.gamma, out=scratch), op.ch, out=scratch)
             # gtsv may overwrite the diagonals and the residual: both are rebuilt before each solve
-            *_, dy, info = _gtsv()(*self.h_jacobian(velocity), resid.reshape(-1), True, True, True, True)
+            *_, dy, info = _gtsv()(*self.h_jacobian(velocity), flat_resid, True, True, True, True)
             if info != 0:
                 raise failure(f"singular h-stage Jacobian (gtsv info {info})")
-            y -= dy.reshape(y.shape)
+            flat_y -= dy
         raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
     def frozen_step(
@@ -614,21 +622,28 @@ def solve(
     return SolveResult(vf, _quality_report(vf, inflow, op, wall, diagnostics))
 
 
-def derive_policy(value: ValueField) -> PolicyField:
-    """The maximizing rate (D_h V - delta)^+ / gamma at every node of a value field, by _excess as
-    the solve's steps take it: the one computation of the policy.
-
-    The controls are written over value.values, snapshot by snapshot, so that no second field is
-    held: the value field is spent, and the policy's controls are its array, read-only from then on.
-    """
+def _snapshot_controls(value: ValueField):
+    """Yield the maximizing rate (D_h V - delta)^+ / gamma of each snapshot of a value field in turn, by
+    _excess as the solve's steps take it: the one computation of the policy. Each is written into one
+    array, which the next snapshot overwrites; the value field is only read."""
     grid, costs = value.grid, value.meta.costs
     tiles = np.tile(_stencil(grid.n_h, grid.d_h), grid.n_lambda)
     rows = tiles[1], tiles[0, 1:], tiles[2, :-1]
-    scratch, grad = np.empty((2, grid.n_lambda, grid.n_h))
+    scratch, grad, controls = np.empty((3, grid.n_lambda, grid.n_h))
     for w in value.values:
-        _excess(rows, costs.delta, w, grad, scratch, w)
-        np.divide(w, costs.gamma, out=w)
-    return PolicyField(grid, value.values, value.meta)
+        _excess(rows, costs.delta, w, grad, scratch, controls)
+        yield np.divide(controls, costs.gamma, out=controls)
+
+
+def derive_policy(value: ValueField) -> PolicyField:
+    """The maximizing rate at every node of a value field, by _snapshot_controls.
+
+    The controls are copied over value.values, snapshot by snapshot, so that no second field is
+    held: the value field is spent, and the policy's controls are its array, read-only from then on.
+    """
+    for w, z in zip(value.values, _snapshot_controls(value)):
+        w[...] = z
+    return PolicyField(value.grid, value.values, value.meta)
 
 
 def _loss_surfaces(policy: PolicyField) -> tuple:

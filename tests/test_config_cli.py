@@ -208,10 +208,14 @@ class TestFieldIO:
         assert peak <= 1.1 * loaded.controls.nbytes
 
     def test_field_csv_is_the_per_number_format(self, tmp_path):
-        # one %-format per row writes the bytes of formatting each number on its own as %.12g
+        # one %-format per row writes the bytes of formatting each number on its own as %.12g; the
+        # controls, derived snapshot by snapshot as the rows are written, are the derived policy's, and
+        # the value field is left as it was
         cfg = validate(TINY, use_env=False)
         res = ci.solve(cfg.grid, cfg.hawkes, cfg.breach, cfg.costs)
-        write_field_csv(res.value, res.policy, tmp_path / "field.csv")
+        values = res.value.values.copy()
+        write_field_csv(res.value, tmp_path / "field.csv")
+        np.testing.assert_array_equal(res.value.values, values)
         axes = np.meshgrid(cfg.grid.t_snapshots, cfg.grid.lambdas, cfg.grid.hs, indexing="ij")
         columns = (a.ravel() for a in (*axes, res.value.values, res.policy.controls))
         lines = ["t,lambda,h,V,z_star"] + [",".join(f"{float(x):.12g}" for x in row) for row in zip(*columns)]
@@ -1000,3 +1004,48 @@ def test_package_imports_neither_scipy_sparse_nor_expm():
             else:
                 continue
             assert not [n for n in names if n.startswith("scipy.sparse") or n.endswith(".expm")], (path.name, names)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_threads_run(**preset) -> dict:
+    """In a fresh interpreter whose environment holds none of BLAS_THREAD_VARS but `preset`: the three
+    variables after `import cyberinvest`, and the process's threads (None without /proc/self/task) after
+    the import and after a coarse solve."""
+    code = f"""
+import json, os
+
+def threads():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
+import cyberinvest as ci
+env, after_import = {{k: os.environ.get(k) for k in {BLAS_THREAD_VARS!r}}}, threads()
+cfg = ci.validate({str(STANDARD)!r}, use_env=False).coarse()
+ci.solve(cfg.grid, cfg.hawkes, cfg.breach, cfg.costs)
+print(json.dumps({{"env": env, "import": after_import, "solve": threads()}}))
+"""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_pins_blas_to_one_thread():
+    # OpenBLAS starts a worker thread per core when it loads; the package's default keeps a command on
+    # the calling thread through numpy's import and scipy's, which the first solve loads
+    run = blas_threads_run()
+    assert run["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    if run["import"] is None:
+        pytest.skip("no /proc/self/task to count the threads")
+    assert run["import"] == run["solve"] == 1
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_preset_blas_thread_count_wins(var):
+    # the library sets nothing: the preset variable is the only one, and OpenBLAS starts its workers
+    run = blas_threads_run(**{var: "2"})
+    assert run["env"] == {name: "2" if name == var else None for name in BLAS_THREAD_VARS}
+    if run["solve"] is not None and len(os.sched_getaffinity(0)) > 1:
+        assert run["solve"] > 1
