@@ -116,14 +116,20 @@ def _write_csv(path: Union[str, Path], header: str, rows) -> None:
 
 
 def write_field_csv(value: ValueField, path: Union[str, Path]) -> None:
-    """Plot-ready CSV with columns t, lambda, h, V, z_star, one snapshot after another. Each snapshot's
-    controls are derived as its rows are written (hjb._snapshot_controls), so one field is held."""
+    """Plot-ready CSV with columns t, lambda, h, V, z_star, one snapshot after another, every number as
+    _write_csv writes it (%.12g). Each distinct t, lambda and h is formatted once: a snapshot's rows are
+    one %-format of its V and z_star alone. The controls are derived a block of snapshots at a time as
+    its rows are written (hjb._snapshot_controls), so one field is held."""
     grid = value.grid
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lam, h = (a.ravel().tolist() for a in np.meshgrid(grid.lambdas, grid.hs, indexing="ij"))
-    rows = (
-        zip(itertools.repeat(t), lam, h, v.ravel().tolist(), z.ravel().tolist())
-        for t, v, z in zip(grid.t_snapshots.tolist(), value.values, _snapshot_controls(value))
-    )
-    _write_csv(path, "t,lambda,h,V,z_star", itertools.chain.from_iterable(rows))
+    # a snapshot's rows, "{t}" standing for its time: no formatted number holds a brace or a %
+    rows = "".join("{t},%.12g,%.12g,%%.12g,%%.12g\n" % node for node in zip(lam, h))
+    times = ["%.12g" % t for t in grid.t_snapshots.tolist()]
+    with path.open("w") as fh:
+        fh.write("t,lambda,h,V,z_star\n")
+        for snaps, controls in _snapshot_controls(value):
+            pairs = np.stack((value.values[snaps], controls), axis=-1)  # each row's V and z_star, side by side
+            for t, numbers in zip(times[snaps], pairs):
+                fh.write(rows.replace("{t}", t) % tuple(numbers.ravel().tolist()))

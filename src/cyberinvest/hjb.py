@@ -26,12 +26,13 @@ iteration (Forsyth & Labahn 2007), with one tridiagonal solve (LAPACK gtsv on
 the Jacobian's three diagonals) for all lambda columns per iteration, usually
 one per step: Newton starts from the last step's correction and stops on its residual.
 A state's F_h, from that residual, is carried into the next step, and Newton works
-in one array allocated once per solve, with the flat views it reads. One function, _excess,
-gives D_h W and the excess (D_h W - delta)^+ to the steppers' one h-term evaluator,
-_PideOperator.h_terms (which adds F_h for Newton and the operator's rhs), and to
-_snapshot_controls, the one computation of the control excess / gamma (derive_policy,
-and the field CSV). A solve holds one field, the value; its
-policy is derived from it when first read. gtsv is bound from scipy's compiled LAPACK
+in one array allocated once per solve, with the flat views and slices it reads bound once
+(h_operands). One function, _excess, gives D_h W and the excess (D_h W - delta)^+ to the
+steppers' one h-term evaluator, _PideOperator.h_terms (which adds F_h for Newton and the
+operator's rhs), and to _snapshot_controls, the one computation of the control excess / gamma,
+in blocks of snapshots of at most 62.5 KB with at most 256 KB of work arrays (SolveResult.policy,
+derive_policy, the field CSV). A solve holds one field, the value; its policy is derived from
+it when first read. gtsv is bound from scipy's compiled LAPACK
 extension on a solve's first use (_gtsv), so the package never imports scipy.linalg.
 
 The state W[n, m] = V(lambda_n, h_m) uses the stored-field layout, so neither
@@ -82,6 +83,7 @@ _RANNACHER_INTERVALS = 2  # leading intervals stepped as two implicit (theta = 1
 _NEWTON_MAX_ITER = 20  # tridiagonal solves one h stage may take; 1-2 suffice at 200 steps on every grid measured
 _NEWTON_RTOL = 1e-10  # residual max-norm, relative to max(1, max |W|), that ends Newton
 _MAX_NODES = 200_000_000  # stored (snapshot, lambda, h) nodes one solve may hold in memory
+_BLOCK = 8000  # numbers in a block of snapshots derived at once: 4 blocks, with their views, within 256 KB
 _IMPLICIT, _DOUGLAS = 1, 2  # a step's kind: its span in units of c = theta dt
 
 
@@ -275,15 +277,15 @@ class PolicyField:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solve's value field and quality report; `policy` is derive_policy of a copy of the value
-    field, computed when first read and kept."""
+    """A solve's value field and quality report, and its policy, computed when first read and kept."""
 
     value: ValueField
     quality: dict
 
     @functools.cached_property
     def policy(self) -> PolicyField:
-        return derive_policy(replace(self.value, values=self.value.values.copy()))
+        """_snapshot_controls into a new array: blocks of at most 62.5 KB, 256 KB of work arrays."""
+        return _policy(self.value, np.empty(self.value.values.shape))
 
 
 def _stencil(n: int, step: float) -> np.ndarray:
@@ -295,22 +297,33 @@ def _stencil(n: int, step: float) -> np.ndarray:
     return np.stack([-back, back - forward, forward]) * (1.0 / step)
 
 
-def _along_h(rows: tuple, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """A stencil along h of the C-ordered (n_lambda, n_h) array w into out (scratch is overwritten), given
-    as tiles over the lambda rows, their rows (main, sub[1:], super[:-1]): flat shifted products, kept apart
-    across rows by the zeros past each row's first and last node."""
+def _tiled_rows(d_h: np.ndarray, n_rows: int) -> tuple:
+    """The (3, n_h) stencil d_h tiled over n_rows rows as _along_h reads it: (main, sub[1:], super[:-1])."""
+    tiles = np.tile(d_h, n_rows)
+    return tiles[1], tiles[0, 1:], tiles[2, :-1]
+
+
+def _along_h_operands(rows: tuple, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> tuple:
+    """_along_h's operands, bound once per set of arrays: the stencil `rows` (_tiled_rows over w's rows)
+    along h of the C-ordered w into out, scratch overwritten, as flat views and shifted slices."""
     main, sub, sup = rows
     flat, res, tmp = w.reshape(-1), out.reshape(-1), scratch.reshape(-1)
+    return (main, flat, res), (res[1:], sub, flat[:-1], tmp[1:]), (res[:-1], sup, flat[1:], tmp[:-1])
+
+
+def _along_h(operands: tuple) -> None:
+    """The stencil of _along_h_operands: flat shifted products, kept apart across rows by the zeros past
+    each row's first and last node."""
+    (main, flat, res), (above, sub, lower, tmp_above), (below, sup, upper, tmp_below) = operands
     np.multiply(main, flat, out=res)
-    above, below = res[1:], res[:-1]
-    np.add(above, np.multiply(sub, flat[:-1], out=tmp[1:]), out=above)
-    np.add(below, np.multiply(sup, flat[1:], out=tmp[:-1]), out=below)
+    np.add(above, np.multiply(sub, lower, out=tmp_above), out=above)
+    np.add(below, np.multiply(sup, upper, out=tmp_below), out=below)
 
 
-def _excess(rows: tuple, delta: float, w: np.ndarray, grad: np.ndarray, scratch: np.ndarray, excess: np.ndarray) -> None:
-    """D_h W of w by _along_h into grad, and the excess max(D_h W - delta, 0), gamma times the maximizing
-    rate, into excess, which may be w itself; scratch is overwritten."""
-    _along_h(rows, w, grad, scratch)
+def _excess(along: tuple, delta: float, grad: np.ndarray, excess: np.ndarray) -> None:
+    """D_h W by _along_h into grad, its flat output, and the excess max(D_h W - delta, 0), gamma times
+    the maximizing rate, into the flat excess, which may be W or grad."""
+    _along_h(along)
     np.maximum(np.subtract(grad, delta, out=excess), 0.0, out=excess)
 
 
@@ -363,17 +376,25 @@ class _PideOperator:
         self.a_lam = lam[:, None] * (jump - np.eye(nl)) - clam[:, None] * dlam
         self.jump_rate = lam[:, None] * jump  # C = diag(lambda) J, the jump term's inflow
         self.d_h = _stencil(nh, grid.d_h)
-        self.tiles = np.tile(self.d_h, nl)  # over the lambda rows
-        self._rows = self.tiles[1], self.tiles[0, 1:], self.tiles[2, :-1]  # _along_h's, sliced once
+        self.rows = _tiled_rows(self.d_h, nl)  # over the lambda rows
         self.ch = np.tile(costs.rho * hs, (nl, 1))
+        self._flat_ch, self._half_inv_gamma = self.ch.reshape(-1), 0.5 / self.gamma
 
-    def h_terms(self, w: np.ndarray, scratch: np.ndarray, grad: np.ndarray, excess: np.ndarray, f_h: np.ndarray) -> None:
+    def h_operands(
+        self, w: np.ndarray, scratch: np.ndarray, grad: np.ndarray, excess: np.ndarray, f_h: np.ndarray
+    ) -> tuple:
+        """h_terms' operands, bound once per set of (lambda, h) arrays: _along_h's and flat views."""
+        flat = tuple(a.reshape(-1) for a in (grad, excess, f_h, scratch))
+        return (_along_h_operands(self.rows, w, grad, scratch),) + flat
+
+    def h_terms(self, operands: tuple) -> None:
         """D_h W (central differences, one-sided at h_min and h_max) and the excess max(D_h W - delta, 0)
-        by _excess, and F_h(W) = N(W) - ch D_h W of the (lambda, h) array w, into grad, excess and f_h;
-        scratch is overwritten."""
-        _excess(self._rows, self.delta, w, grad, scratch, excess)
-        np.multiply(np.multiply(excess, excess, out=f_h), 0.5 / self.gamma, out=f_h)
-        np.subtract(f_h, np.multiply(self.ch, grad, out=scratch), out=f_h)
+        by _excess, and F_h(W) = N(W) - ch D_h W of h_operands(w, scratch, grad, excess, f_h), into grad,
+        excess and f_h; scratch is overwritten."""
+        along, grad, excess, f_h, scratch = operands
+        _excess(along, self.delta, grad, excess)
+        np.multiply(np.multiply(excess, excess, out=f_h), self._half_inv_gamma, out=f_h)
+        np.subtract(f_h, np.multiply(self._flat_ch, grad, out=scratch), out=f_h)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """dV/dt for a surface flattened in (lambda, h) row-major order (or shaped (n_lambda, n_h))."""
@@ -381,7 +402,7 @@ class _PideOperator:
             raise FloatingPointError("non-finite value surface during integration")
         w = y.reshape(self.shape)
         scratch, grad, excess, f_h = np.empty((4,) + self.shape)
-        self.h_terms(w, scratch, grad, excess, f_h)
+        self.h_terms(self.h_operands(w, scratch, grad, excess, f_h))
         return -(self.a_lam @ w + f_h + self.reward).reshape(y.shape)
 
 
@@ -413,17 +434,17 @@ class _DouglasADI:
         inverse = np.linalg.inv(identity - c * op.a_lam)
         # M^{-1} (I + c A_lambda) = 2 M^{-1} - I, as c A_lambda = I - M
         self.products = {_IMPLICIT: (inverse, c * inverse), _DOUGLAS: (2.0 * inverse - identity, 2.0 * c * inverse)}
-        tiles, rows = -c * op.tiles, np.empty_like(op.tiles)  # h_jacobian's rows before the velocity and after
-        # h_jacobian's (sub[1:], main, super[:-1]) of each: rows holds gtsv's diagonals
-        self._jacobian = (tiles[0, 1:], tiles[1], tiles[2, :-1]), (rows[0, 1:], rows[1], rows[2, :-1])
+        main, sub, sup = op.rows
+        # h_jacobian's (sub, main, super) rows before the velocity and after: the latter hold gtsv's diagonals
+        self._jacobian = (-c * sub, -c * main, -c * sup), (np.empty(sub.size), np.empty(main.size), np.empty(sup.size))
         self._stacks = {}  # stack size -> frozen_step's work arrays
         self.nfev = 0
         self.newton = []
         self._work = None  # Newton's, allocated by allocate_newton
 
     def allocate_newton(self) -> None:
-        """Newton's work rows and the flat views step reads of them, and gtsv bound, on the value step's
-        first use: frozen steps read no array."""
+        """Newton's work rows and the flat views and h_terms operands step reads of them, and gtsv bound,
+        on the value step's first use: frozen steps read no array."""
         if self._work is not None:
             return
         # residual and iterate (their absolute values go to the next two rows: one reduction gives both
@@ -436,6 +457,7 @@ class _DouglasADI:
         self._pair, self._magnitudes, self._flat_resid, self._flat_y = flat[:2], flat[2:4], flat[0], flat[1]
         self._maxima = np.empty(2)
         self.y, self.excess, self.f_h = work[1], work[4], work[5]
+        self._h_operands = self.op.h_operands(*work[1:6])  # the iterate, scratch, gradient, excess and F_h
         _gtsv()
 
     @functools.cached_property
@@ -469,28 +491,20 @@ class _DouglasADI:
         """(Y2, F_h(Y2)) from W and f_h = F_h(W) by a step of the given kind, as work rows (see the
         class docstring)."""
         self.allocate_newton()
-        op, c, maxima = self.op, self.c, self._maxima
-        resid, y, scratch, grad, excess, f_y, correction, y1, target = self._work
+        op, c, maxima, operands = self.op, self.c, self._maxima, self._h_operands
+        resid, y, scratch, _, excess, f_y, correction, y1, target = self._work  # _: the gradient
         pair, magnitudes, flat_resid, flat_y = self._pair, self._magnitudes, self._flat_resid, self._flat_y
         norm = math.nan
-
-        def failure(what: str) -> SolverError:
-            step = len(self.newton) + 1
-            return SolverError(
-                f"{what} at step {step} (t = {t:.6g}); last residual norm {norm:.3e}",
-                {"step": step, "t": t, "update_norm": norm},
-            )
-
         self.lambda_stage(w, f_h, op.reward, kind, y1, scratch, target)
         np.subtract(y1, np.multiply(f_h, c, out=scratch), out=target)  # Newton's target Y1 - c F_h(W)
         self.nfev += 1
         np.add(y1, correction, out=y)
         for it in range(_NEWTON_MAX_ITER + 1):  # it tridiagonal solves so far
-            op.h_terms(y, scratch, grad, excess, f_y)
+            op.h_terms(operands)
             np.subtract(np.subtract(y, np.multiply(f_y, c, out=resid), out=resid), target, out=resid)
             norm, size = np.maximum.reduce(np.abs(pair, out=magnitudes), axis=1, out=maxima).tolist()
             if not math.isfinite(norm):  # nan or inf if any entry is
-                raise failure("non-finite h stage")
+                raise self._failure("non-finite h stage", t, norm)
             if norm <= _NEWTON_RTOL * max(1.0, size):  # size = max |Y|, finite as the residual is
                 self.newton.append(it)
                 np.subtract(y, y1, out=correction)
@@ -501,9 +515,17 @@ class _DouglasADI:
             # gtsv may overwrite the diagonals and the residual: both are rebuilt before each solve
             *_, dy, info = _gtsv()(*self.h_jacobian(velocity), flat_resid, True, True, True, True)
             if info != 0:
-                raise failure(f"singular h-stage Jacobian (gtsv info {info})")
+                raise self._failure(f"singular h-stage Jacobian (gtsv info {info})", t, norm)
             flat_y -= dy
-        raise failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
+        raise self._failure(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations", t, norm)
+
+    def _failure(self, what: str, t: float, norm: float) -> SolverError:
+        """The SolverError of the step under way, from t, at the residual norm `norm`."""
+        step = len(self.newton) + 1
+        return SolverError(
+            f"{what} at step {step} (t = {t:.6g}); last residual norm {norm:.3e}",
+            {"step": step, "t": t, "update_norm": norm},
+        )
 
     def frozen_step(
         self, x: np.ndarray, f_h: np.ndarray, end: np.ndarray, source: np.ndarray, kind: int, coupling=None, out=None
@@ -580,9 +602,10 @@ def solve(
     snaps = grid.t_snapshots
     steps = _schedule(snaps)
     nl, nh = grid.n_lambda, grid.n_h
-    # the stored nodes; A_lambda, C and the four lambda-stage products (n_lambda^2 each); and in states:
-    # the D_h tiles, h_jacobian's and the Jacobian's rows (3 each), nine work arrays and rho h
-    n_nodes = snaps.size * nl * nh + 6 * nl * nl + 19 * nl * nh
+    # the stored nodes and the excess at h_max per snapshot; A_lambda, C and the four lambda-stage products
+    # (n_lambda^2 each); and in states: the D_h tiles, h_jacobian's and the Jacobian's rows (3 each), nine
+    # work arrays and rho h
+    n_nodes = snaps.size * nl * (nh + 1) + 6 * nl * nl + 19 * nl * nh
     if n_nodes > _MAX_NODES:
         raise SolverError(
             f"{n_nodes} stored nodes and operator entries exceed the in-memory limit {_MAX_NODES}; "
@@ -590,23 +613,22 @@ def solve(
         )
     op = _PideOperator(grid, hawkes, model, costs)
     values = np.empty((snaps.size,) + op.shape)
-    # per snapshot, the inflow nodes at h_max, where z* = excess / gamma > rho h_max (_quality_report);
-    # a Rannacher half step's count is overwritten by the second's, which stores the snapshot
-    inflow, top = np.zeros(snaps.size, dtype=np.int64), op.ch[0, -1]
+    # per snapshot, the excess at h_max, for the inflow nodes where z* = excess / gamma > rho h_max
+    # (_quality_report); a Rannacher half step's is overwritten by the second's, which stores the snapshot
+    edge = np.empty((snaps.size, nl))
     w = np.broadcast_to(np.asarray(costs.utility(grid.hs), dtype=float), op.shape).copy()
     scratch, grad, excess, f_h = np.empty((4,) + op.shape)
-    op.h_terms(w, scratch, grad, excess, f_h)
-    values[0] = w
-    inflow[0] = np.count_nonzero(excess[:, -1] / op.gamma > top)
+    op.h_terms(op.h_operands(w, scratch, grad, excess, f_h))
+    values[0], edge[0] = w, excess[:, -1]
     adi = _DouglasADI(op, _THETA * grid.d_t)
     adi.allocate_newton()  # before the clock starts, so wall_time_s counts the steps alone
     t0 = time.perf_counter()
     with np.errstate(invalid="ignore"):  # a nan in Newton's residual raises
         for k, kind, t in steps:
             w, f_h = adi.step(w, f_h, kind, t)
-            values[k] = w
-            inflow[k] = np.count_nonzero(adi.excess[:, -1] / op.gamma > top)
+            values[k], edge[k] = w, adi.excess[:, -1]
     wall = time.perf_counter() - t0
+    inflow = np.count_nonzero(np.divide(edge, op.gamma, out=edge) > op.ch[0, -1], axis=1)
     diagnostics = {
         "method": "douglas-adi",
         "nfev": adi.nfev,
@@ -622,28 +644,48 @@ def solve(
     return SolveResult(vf, _quality_report(vf, inflow, op, wall, diagnostics))
 
 
-def _snapshot_controls(value: ValueField):
-    """Yield the maximizing rate (D_h V - delta)^+ / gamma of each snapshot of a value field in turn, by
-    _excess as the solve's steps take it: the one computation of the policy. Each is written into one
-    array, which the next snapshot overwrites; the value field is only read."""
-    grid, costs = value.grid, value.meta.costs
-    tiles = np.tile(_stencil(grid.n_h, grid.d_h), grid.n_lambda)
-    rows = tiles[1], tiles[0, 1:], tiles[2, :-1]
-    scratch, grad, controls = np.empty((3, grid.n_lambda, grid.n_h))
-    for w in value.values:
-        _excess(rows, costs.delta, w, grad, scratch, controls)
-        yield np.divide(controls, costs.gamma, out=controls)
+def _snapshot_controls(value: ValueField, out: Optional[np.ndarray] = None):
+    """The maximizing rate (D_h V - delta)^+ / gamma of a value field by _excess, as the steps take it: the
+    one computation of the policy. Yields each block of snapshots' slice and controls, written into
+    out[slice] (out = value.values derives over the field) or, with out None, one block array. A block
+    holds at most _BLOCK numbers, 62.5 KB (half that over the field), or one snapshot. The work arrays are
+    the stencil tiled over a block (3 blocks), scratch, and the gradient unless it goes into a new
+    field: 256 KB beside a new field, 160 KB over the field."""
+    grid, costs, values = value.grid, value.meta.costs, value.values
+    if out is not None and not out.flags.c_contiguous:  # written through flat views
+        raise ValueError("the controls are written into a C-ordered field only")
+    in_place = out is values
+    per = max(1, (_BLOCK // 2 if in_place else _BLOCK) // (grid.n_lambda * grid.n_h))  # snapshots in a block
+    rows = _tiled_rows(_stencil(grid.n_h, grid.d_h), per * grid.n_lambda)
+    work = np.empty((1 + (out is None or in_place), per, grid.n_lambda, grid.n_h))
+    scratch, block = work[0], work[-1]  # block: the gradient over the field, the controls with out None
+    for start in range(0, len(values), per):
+        w = values[start : start + per]
+        n = len(w)
+        controls = block[:n] if out is None else out[start : start + n]
+        grad = block[:n] if in_place else controls
+        if n < per:  # the last block, shorter: the stencil's rows over its nodes alone
+            main, sub, sup = rows
+            rows = main[: w.size], sub[: w.size - 1], sup[: w.size - 1]
+        _excess(_along_h_operands(rows, w, grad, scratch[:n]), costs.delta, grad.reshape(-1), controls.reshape(-1))
+        yield slice(start, start + n), np.divide(controls, costs.gamma, out=controls)
+
+
+def _policy(value: ValueField, out: np.ndarray) -> PolicyField:
+    """The policy of a value field, its controls written into out."""
+    for _ in _snapshot_controls(value, out):
+        pass
+    return PolicyField(value.grid, out, value.meta)
 
 
 def derive_policy(value: ValueField) -> PolicyField:
     """The maximizing rate at every node of a value field, by _snapshot_controls.
 
-    The controls are copied over value.values, snapshot by snapshot, so that no second field is
-    held: the value field is spent, and the policy's controls are its array, read-only from then on.
+    The controls are written over value.values (in blocks of at most 31.25 KB, with 160 KB of work
+    arrays), so that no second field is held: the value field is spent, and the policy's controls
+    are its array, read-only from then on.
     """
-    for w, z in zip(value.values, _snapshot_controls(value)):
-        w[...] = z
-    return PolicyField(value.grid, value.values, value.meta)
+    return _policy(value, value.values)
 
 
 def _loss_surfaces(policy: PolicyField) -> tuple:
@@ -766,7 +808,13 @@ def _check_in_grid(grid: SolverGrid, lam: float, h: float) -> None:
 
 def _axis(x, lo: float, step: float, n: int) -> tuple:
     """Lower node i in [0, n - 2] and weight w in [0, 1] of each x, clipped to the
-    uniform axis lo + step k of n nodes: x = lo + (i + w) step; i = w = 0 if n = 1."""
+    uniform axis lo + step k of n nodes: x = lo + (i + w) step; i = w = 0 if n = 1.
+    A finite float x gives an int and a float by the same operations, without
+    numpy's per-call cost."""
+    if isinstance(x, float):
+        y = min(max((x - lo) / step, 0.0), n - 1.0)
+        i = min(int(y), max(n - 2, 0))
+        return i, y - i
     y = np.minimum(np.maximum((x - lo) / step, 0.0), n - 1)
     i = np.minimum(y.astype(np.intp), max(n - 2, 0))
     return i, y - i
@@ -780,10 +828,14 @@ def _bilinear(flat: np.ndarray, at, stride: int, w_lam, w_h):
 
     On a one-node lambda axis (stride 0, where _axis gives w_lam = 0) it reads
     the two h corners alone and interpolates in h: the four-corner blend
-    returns exactly that value there."""
+    returns exactly that value there. An int `at` (with _axis's float weights)
+    reads its corners as floats and returns a float, by the same operations."""
+    scalar = isinstance(at, int)
     if stride == 0:
-        return (1 - w_h) * flat.take(at) + w_h * flat.take(at + 1)
-    v00, v01, v10, v11 = flat.take(np.add.outer((0, 1, stride, stride + 1), at))
+        read = flat.item if scalar else flat.take
+        return (1 - w_h) * read(at) + w_h * read(at + 1)
+    corners = (0, 1, stride, stride + 1)
+    v00, v01, v10, v11 = (flat.item(at + k) for k in corners) if scalar else flat.take(np.add.outer(corners, at))
     u_h = 1 - w_h
     return (1 - w_lam) * (u_h * v00 + w_h * v01) + w_lam * (u_h * v10 + w_h * v11)
 

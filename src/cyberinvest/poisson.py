@@ -33,8 +33,9 @@ class PoissonField:
     value.values[:, 0, :] and policy.controls[:, 0, :].
 
     level_paths holds what strategies.gain_vs_poisson computes once per start
-    (t, h): the benchmark's level path, which does not depend on the starting
-    intensity. The fields fix the model and the costs.
+    (t, h) and reversion rate: the benchmark's level path, which does not
+    depend on the starting intensity, and the mean intensity's decay at its
+    nodes. The fields fix the model and the costs.
     """
 
     value: ValueField

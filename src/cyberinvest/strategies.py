@@ -105,6 +105,8 @@ def _walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: float, l
     column-major, and the numbers of lookups clamped at lambda_max and at h_max
     (read there, although the solve's jump term extends V past lambda_max).
     On a one-node intensity axis each lookup reads two h corners (_bilinear).
+    A batch of one path walks on Python numbers, by the same operations
+    (_axis and _bilinear take floats), without numpy's per-call cost.
     """
     _check_initial_level(h_init)
     grid = field.grid
@@ -118,15 +120,18 @@ def _walk(field: PolicyField, times, snap_idx, lam: np.ndarray, h_init: float, l
     dt = np.diff(times, append=times[-1])  # the last, empty step leaves the level as it is
     flat = field.controls.reshape(-1)
     controls = np.empty(lam.shape, order="F")
-    h = np.full(lam.shape[0], float(h_init))
+    if lam.shape[0] == 1:
+        h, columns = float(h_init), zip(rows[0].tolist(), w_lam[0].tolist())
+    else:
+        h, columns = np.full(lam.shape[0], float(h_init)), zip(rows.T, w_lam.T)
     clamped_h = 0
-    for i, (decay, gain) in enumerate(zip(np.exp(-rho * dt).tolist(), _phi(rho, dt).tolist())):
+    for i, (decay, gain, (row, w)) in enumerate(zip(np.exp(-rho * dt).tolist(), _phi(rho, dt).tolist(), columns)):
         if level is not None:
             level[:, i] = h
         clamped_h += np.count_nonzero(h > grid.h_max)
         j, w_h = _axis(h, grid.h_min, grid.d_h, n_h)
-        j += rows[:, i]
-        z = controls[:, i] = _bilinear(flat, j, stride, w_lam[:, i], w_h)
+        j += row
+        z = controls[:, i] = _bilinear(flat, j, stride, w, w_h)
         h = h * decay + z * gain
     return controls, int(np.count_nonzero(lam > grid.lambda_max)), int(clamped_h)
 
@@ -305,13 +310,15 @@ def lower_bound(t, lam, h, hawkes: HawkesParams, model: BreachModel, costs: Cost
 class _LevelPath(NamedTuple):
     """The intensity-free part of a deterministic valuation from (t, h)."""
 
-    offsets: np.ndarray  # s - t at every segment's reward-rule nodes
+    decay: np.ndarray  # e^{-k (s - t)} at every segment's reward-rule nodes, k the reversion rate
     weight: np.ndarray  # segment length x rule weight x eta_mean (v - S(level)) there
     cost: float
     terminal: float  # utility of the level at the horizon
 
 
-def _level_path(knots: np.ndarray, levels: np.ndarray, z: np.ndarray, model: BreachModel, costs: CostParams) -> _LevelPath:
+def _level_path(
+    knots: np.ndarray, levels: np.ndarray, z: np.ndarray, hawkes: HawkesParams, model: BreachModel, costs: CostParams
+) -> _LevelPath:
     """The level path of a rate path from t = knots[0] to the horizon, the last
     knot: the rate z[i] on [knots[i], knots[i + 1]), from the exact level
     levels[i] at each knot. Each segment takes the reward rule of
@@ -326,7 +333,7 @@ def _level_path(knots: np.ndarray, levels: np.ndarray, z: np.ndarray, model: Bre
     s = np.maximum((t + offsets) - knots[:-1, None], 0.0)
     node_levels = levels[:-1, None] * np.exp(-costs.rho * s) + z[:, None] * _phi(costs.rho, s)
     return _LevelPath(
-        offsets.ravel(),
+        np.exp(-hawkes.reversion_rate * offsets.ravel()),
         (dt[:, None] * weights).ravel() * costs.eta_mean * (model.v - breach_prob(model, node_levels.ravel())),
         np.sum(dt * (costs.delta * z + 0.5 * costs.gamma * z**2)),
         costs.utility(levels[-1]),
@@ -335,9 +342,10 @@ def _level_path(knots: np.ndarray, levels: np.ndarray, z: np.ndarray, model: Bre
 
 def _path_value(path: _LevelPath, lam: float, hawkes: HawkesParams) -> float:
     """The valuation of a level path from intensity lam: the running reward
-    under the exact mean intensity, less the cost, plus the terminal utility."""
+    under the exact mean intensity lambda* + (lam - lambda*) decay, less the
+    cost, plus the terminal utility."""
     lstar = hawkes.stationary_mean
-    reward = path.weight @ (lstar + (lam - lstar) * np.exp(-hawkes.reversion_rate * path.offsets))
+    reward = path.weight @ (lstar + (lam - lstar) * path.decay)
     return float(reward - path.cost + path.terminal)
 
 
@@ -366,7 +374,7 @@ def evaluate_deterministic(
     inside = strategy.times[(strategy.times > t) & (strategy.times < T)]
     knots = np.concatenate(([t], inside, [T] if t < T else []))
     levels = evolve_level(h, costs.rho, strategy, knots)
-    return _path_value(_level_path(knots, levels, strategy(knots[:-1]), model, costs), lam, hawkes)
+    return _path_value(_level_path(knots, levels, strategy(knots[:-1]), hawkes, model, costs), lam, hawkes)
 
 
 def _gain(v: float, benchmark: float) -> float:
@@ -415,10 +423,11 @@ def gain_vs_poisson(
 
     Both fields must fit the model and the costs, and the value field must hold
     the state (query). The benchmark's trace and level path do not depend on
-    lam: the first call for a (t, h) computes them and keeps them on
-    poisson_field, and every call values them at its own lam, as
-    evaluate_deterministic does. The trace starts at t, so the level path
-    takes its knot levels from the walk that recorded them.
+    lam: the first call for a (t, h) and a reversion rate (the path holds the
+    mean intensity's decay) computes them and keeps them on poisson_field, and
+    every call values them at its own lam, as evaluate_deterministic does. The
+    trace starts at t, so the level path takes its knot levels from the walk
+    that recorded them.
     """
     _check_mode(mode)
     _check_field_inputs(value_field.meta, hawkes, model, costs)
@@ -426,10 +435,10 @@ def gain_vs_poisson(
     _check_field_inputs(bench, bench.hawkes, model, costs)  # its intensity process is its own constant one
     _check_state(t, lam, h, costs.horizon)
     v = query(value_field, t, lam, h)  # first: the state keys the reuse
-    key = (t, h)
+    key = (t, h, hawkes.reversion_rate)
     path = poisson_field.level_paths.get(key)
     if path is None:
         trace = extract_policy(poisson_field.policy, poisson_field.intensity, t, h)
-        path = _level_path(trace.times, trace.level, trace.control[:-1], model, costs)
+        path = _level_path(trace.times, trace.level, trace.control[:-1], hawkes, model, costs)
         poisson_field.level_paths[key] = path
     return _gain(v, _path_value(path, lam, hawkes))

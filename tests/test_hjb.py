@@ -120,7 +120,7 @@ def stencil_rows(mat):
 def h_terms(op, w):
     """D_h W, the excess max(D_h W - delta, 0) and F_h(W) of the operator's evaluator, as new arrays."""
     scratch, grad, excess, f_h = np.empty((4,) + op.shape)
-    op.h_terms(w, scratch, grad, excess, f_h)
+    op.h_terms(op.h_operands(w, scratch, grad, excess, f_h))
     return grad, excess, f_h
 
 
@@ -540,8 +540,8 @@ class TestSolve:
         assert peak < value.values.nbytes / 4
 
     def test_policy_is_derived_once_from_a_copy(self, tmp_path):
-        # SolveResult.policy is derive_policy of a copy of the value field, computed on first read and
-        # kept; the value field stays as solved, and writeable; the saved value field derives the same
+        # SolveResult.policy is derived into a new field, on first read, and kept; the value field stays
+        # as solved, and writeable; derive_policy of the saved value field gives the same controls
         res = solve(SMALL, STD_H, STD_M, STD_C)
         before = res.value.values.copy()
         policy = res.policy
@@ -551,6 +551,76 @@ class TestSolve:
         save_field(res.value, tmp_path / "value")
         np.testing.assert_array_equal(policy.controls, hjb.derive_policy(load_field(tmp_path / "value")).controls)
         assert policy.meta == res.value.meta and policy.grid == SMALL
+
+    @pytest.mark.parametrize(
+        "field, blocks, blocks_in_place",
+        [
+            # a one-node field of the coarse preset: 201 snapshots of 101 numbers, 79 to a block (39 in place)
+            ("one_node", [79, 79, 43], [39] * 5 + [6]),
+            # SMALL's 51 snapshots of 32 x 51 = 1,632 numbers: 4 to a block (2 in place), the last one short
+            ("small", [4] * 12 + [3], [2] * 25 + [1]),
+            # 100 x 101 = 10,100 numbers, more than a block holds: a snapshot to a block
+            ("wide", [1] * 4, [1] * 4),
+        ],
+    )
+    def test_blocked_derive_is_the_reference_node_for_node(self, coarse_grid, small_solution, field, blocks, blocks_in_place):
+        # the controls of SolveResult.policy (a new field), derive_policy (over the field) and the CSV's
+        # block array (out None) against the sparse-stencil maximizer, bit for bit at every node, where
+        # the snapshot count is not a multiple of the block and where one snapshot is larger than the block
+        if field == "one_node":
+            value = solve_poisson(coarse_grid, 27.0, STD_M, STD_C).value
+        elif field == "small":
+            value = small_solution.value
+        else:
+            grid = SolverGrid(27.0, 126.0, 1.0, 0.0, 50.0, 0.5, 1.0, 3)
+            values = np.random.default_rng(5).normal(size=grid.shape).cumsum(axis=2)  # D_h V about +-2
+            value = hjb.ValueField(grid, values, hjb.FieldMeta(STD_H, STD_M, STD_C))
+        costs = value.meta.costs
+        expected = reference_policy(onesided_central_1d(value.grid.n_h, value.grid.d_h), value.values, costs.delta, costs.gamma)
+        assert 0 < np.count_nonzero(expected) < expected.size
+        before = value.values.copy()
+        new = hjb.SolveResult(value, {}).policy.controls
+        spans, parts = zip(*((s, z.copy()) for s, z in hjb._snapshot_controls(value)))
+        over = hjb.ValueField(value.grid, value.values.copy(), value.meta)
+        spans_in_place = [s for s, _ in hjb._snapshot_controls(over, over.values)]
+        for controls in (new, np.concatenate(parts), over.values):
+            np.testing.assert_array_equal(controls.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(value.values.view(np.int64), before.view(np.int64))
+        for got, sizes in ((spans, blocks), (spans_in_place, blocks_in_place)):
+            assert [s.stop - s.start for s in got] == sizes and got[0].start == 0 and got[-1].stop == len(before)
+            assert all(a.stop == b.start for a, b in zip(got, got[1:]))
+
+    @pytest.mark.parametrize("field", ["one_node", "small", "coarse"])
+    def test_policy_peaks_within_one_field_and_leaves_the_value(self, coarse_grid, small_solution, coarse_solution, field):
+        # SolveResult.policy writes the controls into a new field: beside it, four blocks of work (the
+        # stencil's three tiled rows and scratch), under 0.25 MB with their views; the value field is
+        # only read
+        value = {
+            "one_node": lambda: solve_poisson(coarse_grid, 27.0, STD_M, STD_C).value,
+            "small": lambda: small_solution.value,
+            "coarse": lambda: coarse_solution.value,
+        }[field]()
+        res = hjb.SolveResult(value, {})
+        before = value.values.copy()
+        tracemalloc.start()
+        try:
+            policy = res.policy
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= value.values.nbytes + 0.25 * 2**20
+        np.testing.assert_array_equal(value.values.view(np.int64), before.view(np.int64))
+        assert value.values.flags.writeable and not np.shares_memory(policy.controls, value.values)
+
+    def test_controls_of_a_field_in_another_layout(self, small_solution):
+        # a value field in Fortran order is read as it is: its policy is the C-ordered one's, bit for bit;
+        # derive_policy, which would write the controls through flat views of it, refuses it
+        value = small_solution.value
+        fortran = hjb.ValueField(value.grid, np.asfortranarray(value.values), value.meta)
+        got = hjb.SolveResult(fortran, {}).policy.controls
+        np.testing.assert_array_equal(got.view(np.int64), small_solution.policy.controls.view(np.int64))
+        with pytest.raises(ValueError, match="C-ordered"):
+            hjb.derive_policy(fortran)
 
     def test_jump_cells_reported(self, small_solution):
         # the jump beta = 9 spans three of SMALL's d_lambda = 3 steps; the Poisson benchmark has no jump

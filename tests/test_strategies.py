@@ -595,7 +595,7 @@ class TestGains:
                         b = evaluate_deterministic(t, l, h, trace, STD_H, STD_M, STD_C)
                         direct.append(100.0 * (query(value, t, l, h) - b) / b)
                     assert reused == fresh == direct
-                    assert (t, h) in bench.level_paths
+                    assert (t, h, STD_H.reversion_rate) in bench.level_paths
 
     @pytest.mark.parametrize("bench", [0, 1], ids=["baseline", "expectation"])
     @pytest.mark.parametrize("h", [0.0, 1.0, 5.0])
@@ -766,3 +766,41 @@ class TestOneLookup:
         controls, clamped_lambda, clamped_h = _walk(policy, times, snap_idx, lam, 4.5, level)
         assert level.max() < GRID.h_max and (clamped_lambda, clamped_h) == (0, 0)
         np.testing.assert_allclose(controls, self.affine(snap_idx, lam, level), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_lambda", [GRID.n_lambda, 1])
+    def test_float_lookups_are_the_array_lookups(self, n_lambda):
+        """_axis of a float and _bilinear at an int index (the lookups of query
+        and of a one-path walk) give, one state at a time, the bits of their
+        array forms, at random states and at states clamped on either axis."""
+        rng = np.random.default_rng(17)
+        n_snap, n_h, stride = 4, GRID.n_h, GRID.n_h if n_lambda > 1 else 0
+        flat = rng.uniform(0.0, 30.0, n_snap * n_lambda * n_h)
+        lam = np.concatenate((rng.uniform(0.0, 150.0, 300), [GRID.lambda_min, GRID.lambda_max]))
+        h = np.concatenate((rng.uniform(-5.0, 70.0, 300), [GRID.h_min, GRID.h_max]))
+        i, w_lam = _axis(lam, GRID.lambda_min, GRID.d_lambda, n_lambda)
+        j, w_h = _axis(h, GRID.h_min, GRID.d_h, n_h)
+        at = (rng.integers(0, n_snap, lam.size) * n_lambda + i) * n_h + j
+        want = _bilinear(flat, at, stride, w_lam, w_h)
+        for k in range(lam.size):
+            ik, wk = _axis(float(lam[k]), GRID.lambda_min, GRID.d_lambda, n_lambda)
+            jk, vk = _axis(float(h[k]), GRID.h_min, GRID.d_h, n_h)
+            assert (type(ik), type(wk)) == (int, float) and (ik, jk) == (i[k], j[k])
+            assert np.float64(wk).view(np.int64) == w_lam[k].view(np.int64)
+            assert np.float64(vk).view(np.int64) == w_h[k].view(np.int64)
+            got = _bilinear(flat, int(at[k]), stride, wk, vk)
+            assert type(got) is float and np.float64(got).view(np.int64) == want[k].view(np.int64)
+
+    def test_one_path_walk_is_its_row_of_a_batch(self, poisson_27):
+        """A one-row walk (on floats) and the same row walked in a batch of
+        three give the same controls, levels and clamp counts, bit for bit, on
+        a one-node field, from a level above h_max and between snapshots."""
+        policy = poisson_27.policy
+        times, snap_idx = _snapshot_times(policy, 0.13)
+        lam = np.full((3, times.size), poisson_27.intensity)
+        h_init = policy.grid.h_max + 7.0
+        level, one_level = np.empty(lam.shape), np.empty((1, times.size))
+        batch = _walk(policy, times, snap_idx, lam, h_init, level)
+        one = _walk(policy, times, snap_idx, lam[:1], h_init, one_level)
+        assert one[2] == batch[2] // 3 > 0 and one[1] == batch[1] // 3
+        np.testing.assert_array_equal(one[0][0].view(np.int64), batch[0][1].view(np.int64))
+        np.testing.assert_array_equal(one_level[0].view(np.int64), level[2].view(np.int64))
